@@ -1,19 +1,23 @@
 """Asyncio front door: coalesce concurrent single-query requests into blocks.
 
 Interactive callers issue one query at a time, but the whole serving stack
-below — :class:`~repro.batch.BatchSearchEngine` inside every shard, one RPC
-per partition in the router — amortizes per ``search_batch`` block.  The
-front door closes that gap: concurrent ``await frontdoor.search(q)`` calls
-landing within a small window (``window_ms`` deadline or ``max_batch``
-fill, whichever first) are stacked into one query matrix, dispatched as a
-single router ``search_batch`` on a dedicated bounded executor, and fanned
-back to each caller's future.
+below — :class:`~repro.graphs.search.BatchSearchEngine` inside every shard,
+one RPC per partition in the router — amortizes per ``search_batch`` block.
+The front door closes that gap: concurrent ``await frontdoor.search(q)``
+calls are stacked into one query matrix, dispatched as a single router
+``search_batch`` on a dedicated bounded executor, and fanned back to each
+caller's future.
 
-The coalescing trade-off is explicit and measured: a lone query pays up to
-``window_ms`` extra latency; at high concurrency the batch kernel and the
-once-per-block scatter overhead are shared by every rider, which is where
-the throughput multiple comes from (see ``BENCH_sharding.json``'s
-coalescing curve).
+Coalescing only ever waits *behind work*.  An arrival that finds the door
+idle — nothing queued, nothing in flight — is dispatched at once, so a lone
+query pays no window.  While a block is in flight, arrivals queue behind it
+and leave together when the last in-flight block resolves, or earlier when
+``window_ms`` has passed since the first of them queued or ``max_batch`` of
+them have: the window bounds the wait and ``max_batch`` the block size
+while the door is busy, and neither costs anything when it is not.  At high
+concurrency the batch kernel and the once-per-block scatter overhead are
+shared by every rider, which is where the throughput multiple comes from
+(``cluster.frontdoor.*`` in ``benchmarks/perf``).
 
 The door is also the cluster's admission controller.  Load it cannot serve
 is bounded, not buffered: once ``max_queue`` queries are waiting or
@@ -78,8 +82,8 @@ class FrontDoor:
         a :class:`~repro.cluster.router.ClusterRouter` or a single
         :class:`~repro.store.VectorStore`.
     window_ms:
-        How long the first query in a window waits for riders before the
-        block is dispatched (the latency a lone query pays for coalescing).
+        Longest a query queued behind an in-flight block waits before its
+        own block is dispatched anyway.  An idle door dispatches at once.
     max_batch:
         Dispatch early once this many queries are queued.
     k, ef, deadline_ms:
@@ -165,7 +169,10 @@ class FrontDoor:
             self.max_depth_seen = max(self.max_depth_seen, depth + 1)
             queue = self._queues.setdefault(k, [])
             queue.append(pending)
-            if len(queue) >= self.max_batch:
+            # Nothing in flight means nothing queued either (_resolve
+            # flushes the queues when the last block lands), so there is no
+            # one to coalesce with and waiting would be pure latency.
+            if not self._inflight or len(queue) >= self.max_batch:
                 self._dispatch(loop, k)
             elif k not in self._timers:
                 self._timers[k] = loop.call_later(
@@ -237,21 +244,32 @@ class FrontDoor:
 
         task = loop.run_in_executor(self._executor, run)
         self._outstanding.add(task)
-        task.add_done_callback(lambda fut: self._resolve(block, fut))
+        task.add_done_callback(lambda fut: self._resolve(loop, block, fut))
 
-    def _resolve(self, block: list[_Pending], fut) -> None:
+    def _resolve(self, loop: asyncio.AbstractEventLoop,
+                 block: list[_Pending], fut) -> None:
         self._inflight -= len(block)
         self._outstanding.discard(fut)
-        exc = fut.exception()
-        if exc is not None:
-            for pending in block:
-                if not pending.future.done():
-                    pending.future.set_exception(exc)
-            return
-        results = fut.result()
-        for pending, result in zip(block, results):
-            if not pending.future.done():
-                pending.future.set_result(result)
+        riders = [(i, p.future) for i, p in enumerate(block)
+                  if not p.future.done()]
+        if fut.cancelled():
+            # Happens when the awaiter is cancelled (a ``drain`` cut short
+            # at loop teardown); ``fut.exception()`` would raise here and
+            # strand the riders, so they are cancelled with their block.
+            for _, rider in riders:
+                rider.cancel()
+        elif (exc := fut.exception()) is not None:
+            for _, rider in riders:
+                rider.set_exception(exc)
+        else:
+            results = fut.result()
+            for i, rider in riders:
+                rider.set_result(results[i])
+        if not self._inflight:
+            # The door went idle: whoever queued behind this block has no
+            # further riders to wait for.
+            for k in list(self._queues):
+                self._dispatch(loop, k)
 
     async def drain(self) -> None:
         """Flush pending windows, await in-flight blocks, retire the pool.

@@ -220,27 +220,26 @@ class DistanceComputer:
             out = out.astype(np.float64)
         return out
 
-    def _rows_to_query_rows(self, rows: np.ndarray, qrows: np.ndarray) -> np.ndarray:
-        """Row-aligned distance reduction shared by the scalar and block paths.
+    def to_query(self, ids: np.ndarray, query: np.ndarray) -> np.ndarray:
+        """Distances from base rows ``ids`` to a *prepared* query vector.
 
-        Both paths must run the identical einsum reduction: BLAS
-        matrix-vector products accumulate in a different order, which would
-        break the bit-level equivalence between sequential and batched
-        search that the batch engine guarantees.
+        The per-hop kernel of the sequential search, so it skips what the
+        block kernel needs only for row alignment: ``take`` gathers with
+        whatever integer ids the graph stores (CSR slices are int32) and
+        ``"ij,j->i"`` lets einsum broadcast the query.  The per-row
+        reduction is the one :meth:`block_to_queries` runs, so the two stay
+        bit-identical (property-tested in ``tests/test_distances.py``) —
+        which rules out BLAS matrix-vector products here: they accumulate
+        in a different order.
         """
+        self.ndc += len(ids)
+        rows = self._data.take(ids, axis=0)
         if self.metric is Metric.L2:
-            diff = rows - qrows
+            diff = rows - query
             return np.einsum("ij,ij->i", diff, diff)
         if self.metric is Metric.INNER_PRODUCT:
-            return -np.einsum("ij,ij->i", rows, qrows)
-        return 1.0 - np.einsum("ij,ij->i", rows, qrows)
-
-    def to_query(self, ids: np.ndarray, query: np.ndarray) -> np.ndarray:
-        """Distances from base rows ``ids`` to a *prepared* query vector."""
-        ids = np.asarray(ids, dtype=np.int64)
-        self.ndc += ids.shape[0]
-        rows = self._data[ids]
-        return self._rows_to_query_rows(rows, np.broadcast_to(query, rows.shape))
+            return -np.einsum("ij,j->i", rows, query)
+        return 1.0 - np.einsum("ij,j->i", rows, query)
 
     def block_to_queries(self, ids: np.ndarray, queries: np.ndarray,
                          owners: np.ndarray) -> np.ndarray:
@@ -250,15 +249,22 @@ class DistanceComputer:
         of every active query in a block (``ids``/``owners`` are
         row-aligned into the ``(B, d)`` prepared-query matrix).  NDC accrues
         exactly as the equivalent per-query :meth:`to_query` calls would,
-        and the shared per-row reduction makes the distances bit-identical
-        to them.
+        and the same einsum per-row reduction makes the distances
+        bit-identical to them — the sequential/batched equivalence of the
+        search engines depends on it.
         """
         ids = np.asarray(ids, dtype=np.int64)
         owners = np.asarray(owners, dtype=np.int64)
         if ids.shape != owners.shape:
             raise ValueError("ids and owners must align")
         self.ndc += ids.shape[0]
-        return self._rows_to_query_rows(self._data[ids], queries[owners])
+        rows, qrows = self._data[ids], queries[owners]
+        if self.metric is Metric.L2:
+            diff = rows - qrows
+            return np.einsum("ij,ij->i", diff, diff)
+        if self.metric is Metric.INNER_PRODUCT:
+            return -np.einsum("ij,ij->i", rows, qrows)
+        return 1.0 - np.einsum("ij,ij->i", rows, qrows)
 
     def one_to_query(self, i: int, query: np.ndarray) -> float:
         """Distance from base row ``i`` to a prepared query."""

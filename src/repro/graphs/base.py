@@ -125,17 +125,13 @@ class GraphIndex(abc.ABC):
         """Search a batch; returns (ids, distances) of shape (nq, k).
 
         Rows whose graph region yields fewer than k results are padded with
-        id -1 / distance inf.  Queries run through the batch engine;
-        ``batch_size=1`` falls back to the sequential per-query loop (the
-        two paths return identical results).
+        id -1 / distance inf.  Queries run through the batch engine, which
+        routes small blocks to the sequential loop by itself.
         """
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
         ids = np.full((queries.shape[0], k), -1, dtype=np.int64)
         distances = np.full((queries.shape[0], k), np.inf)
-        if batch_size == 1:
-            results = (self.search(query, k=k, ef=ef) for query in queries)
-        else:
-            results = self.search_batch(queries, k, ef, batch_size=batch_size)
+        results = self.search_batch(queries, k, ef, batch_size=batch_size)
         for i, result in enumerate(results):
             m = min(k, len(result.ids))
             ids[i, :m] = result.ids[:m]

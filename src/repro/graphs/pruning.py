@@ -32,57 +32,63 @@ _POOL_CAP = 1024
 
 def _occlusion_prune(
     dc: DistanceComputer,
-    candidates: list[tuple[float, int]],
+    ids: np.ndarray,
+    d_u: np.ndarray,
     max_degree: int,
     margin_fn,
 ) -> list[int]:
     """Generic occlusion rule: keep c unless some kept s occludes it.
 
-    All candidate-to-candidate distances are computed as one pairwise matrix
-    (pool sizes are modest — see ``_POOL_CAP``), so the selection loop does
-    only array lookups.
+    ``ids`` are the candidates sorted ascending by ``d_u``, their distances
+    to ``u``; ``margin_fn`` maps the ``d_u`` array to each candidate's
+    occlusion margin.  All candidate-to-candidate distances are computed as
+    one pairwise matrix (pool sizes are modest — see ``_POOL_CAP``) and
+    compared against the margins in one shot; row ``i`` of that occlusion
+    matrix is packed into a Python int with bit ``s`` set when candidate
+    ``s`` would occlude ``i``, so the selection loop is one ``&`` against
+    the kept-set bits per candidate instead of one NumPy call.
     """
-    if not candidates:
+    if ids.size == 0:
         return []
-    ids = np.fromiter((c for _, c in candidates), dtype=np.int64,
-                      count=len(candidates))
-    d_u = np.fromiter((d for d, _ in candidates), dtype=np.float64,
-                      count=len(candidates))
-    between = pairwise_distances(dc.data[ids], dc.data[ids], dc.metric)
-    kept_rows = np.empty(max_degree, dtype=np.int64)
+    rows = dc.data[ids]
+    between = pairwise_distances(rows, rows, dc.metric)
+    occluded_by = np.packbits(between.T < margin_fn(d_u)[:, None], axis=1,
+                              bitorder="little")
+    kept_bits = 0
     kept: list[int] = []
-    for i in range(ids.shape[0]):
+    for i, row in enumerate(occluded_by):
         if len(kept) >= max_degree:
             break
-        if kept and (between[kept_rows[: len(kept)], i] < margin_fn(d_u[i])).any():
+        if int.from_bytes(row.tobytes(), "little") & kept_bits:
             continue
-        kept_rows[len(kept)] = i
+        kept_bits |= 1 << i
         kept.append(int(ids[i]))
     return kept
 
 
 def _sorted_candidates(
     dc: DistanceComputer, u: int, candidate_ids, distances=None,
-) -> list[tuple[float, int]]:
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unique candidates other than ``u`` as ``(ids, distances to u)``,
+    ascending by distance (ties by id) and capped at ``_POOL_CAP``."""
     ids = np.asarray(list(candidate_ids), dtype=np.int64)
-    ids = ids[ids != u]
-    if ids.size == 0:
-        return []
-    ids = np.unique(ids)
     if distances is None:
-        dists = dc.many_between(ids, u)
+        ids = np.unique(ids[ids != u])
+        dists = dc.many_between(ids, u) if ids.size else np.empty(0)
     else:
-        lookup = {int(i): float(d) for i, d in zip(candidate_ids, distances)}
-        dists = np.array([lookup[int(i)] for i in ids])
+        # A candidate listed twice keeps its last distance.
+        keep = ids != u
+        ids, last = np.unique(ids[keep][::-1], return_index=True)
+        dists = np.asarray(distances, dtype=np.float64)[keep][::-1][last]
     order = np.argsort(dists, kind="stable")[:_POOL_CAP]
-    return [(float(dists[j]), int(ids[j])) for j in order]
+    return ids[order], dists[order].astype(np.float64, copy=False)
 
 
 def rng_prune(dc: DistanceComputer, u: int, candidate_ids, max_degree: int,
               distances=None) -> list[int]:
     """RNG rule: keep c iff every kept s satisfies d(s, c) >= d(u, c)."""
-    candidates = _sorted_candidates(dc, u, candidate_ids, distances)
-    return _occlusion_prune(dc, candidates, max_degree, lambda d: d)
+    ids, d_u = _sorted_candidates(dc, u, candidate_ids, distances)
+    return _occlusion_prune(dc, ids, d_u, max_degree, lambda d: d)
 
 
 # MRNG's local selection rule coincides with the RNG occlusion test applied
@@ -95,8 +101,8 @@ def alpha_prune(dc: DistanceComputer, u: int, candidate_ids, max_degree: int,
     """Vamana α-rule: s occludes c only when alpha * d(s, c) < d(u, c)."""
     if alpha < 1.0:
         raise ValueError(f"alpha must be >= 1, got {alpha}")
-    candidates = _sorted_candidates(dc, u, candidate_ids, distances)
-    return _occlusion_prune(dc, candidates, max_degree, lambda d: d / alpha)
+    ids, d_u = _sorted_candidates(dc, u, candidate_ids, distances)
+    return _occlusion_prune(dc, ids, d_u, max_degree, lambda d: d / alpha)
 
 
 def tau_prune(dc: DistanceComputer, u: int, candidate_ids, max_degree: int,
@@ -108,8 +114,9 @@ def tau_prune(dc: DistanceComputer, u: int, candidate_ids, max_degree: int,
     """
     if tau < 0:
         raise ValueError(f"tau must be non-negative, got {tau}")
-    candidates = _sorted_candidates(dc, u, candidate_ids, distances)
-    return _occlusion_prune(dc, candidates, max_degree, lambda d: d - 3.0 * tau)
+    ids, d_u = _sorted_candidates(dc, u, candidate_ids, distances)
+    return _occlusion_prune(dc, ids, d_u, max_degree,
+                            lambda d: d - 3.0 * tau)
 
 
 def rng_prune_backfill(dc: DistanceComputer, u: int, candidate_ids,
@@ -122,11 +129,11 @@ def rng_prune_backfill(dc: DistanceComputer, u: int, candidate_ids,
     out-degree near the budget instead of collapsing on tightly clustered
     pools.
     """
-    candidates = _sorted_candidates(dc, u, candidate_ids, distances)
-    kept = _occlusion_prune(dc, candidates, max_degree, lambda d: d)
+    ids, d_u = _sorted_candidates(dc, u, candidate_ids, distances)
+    kept = _occlusion_prune(dc, ids, d_u, max_degree, lambda d: d)
     if len(kept) < max_degree:
         kept_set = set(kept)
-        for _, c in candidates:
+        for c in ids.tolist():
             if c not in kept_set:
                 kept.append(c)
                 kept_set.add(c)

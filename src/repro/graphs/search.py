@@ -5,7 +5,10 @@ max-heap ``R`` of size ``ef`` (the paper's search list size L).  At each step
 the closest unexpanded candidate is popped; if it is farther than the worst
 result and ``R`` is full, the search terminates.  Otherwise its unvisited
 neighbors are batch-scored (one vectorized distance call — this is where NDC
-accrues) and pushed.
+accrues) and pushed.  There is one copy of that loop, :func:`beam_search`,
+parameterised by a scoring callable: :func:`greedy_search` runs it on the
+exact kernel, :func:`repro.quantization.searcher.pq_greedy_search` on ADC
+lookups.
 
 :class:`BatchSearchEngine` advances the same algorithm for a *block* of
 queries in lock step: every round each active query expands its closest
@@ -13,7 +16,10 @@ unexpanded candidate, and all frontier neighbors across the block are scored
 in one :meth:`~repro.distances.DistanceComputer.block_to_queries` call.
 Candidate/result state lives in per-block NumPy arrays instead of Python
 heaps, which is where the batch speedup comes from; the results are
-bit-identical to :func:`greedy_search` (see the engine docstring).
+bit-identical to :func:`greedy_search` (see the engine docstring).  The
+lock-step rounds have a fixed cost per round, so blocks too small to
+amortize it (``LOCKSTEP_MIN_ROWS``) are run row by row on the sequential
+loop instead.
 
 Tombstoned nodes still *navigate* (lazy deletion, Sec. 5.5.2) but are
 excluded from the result heap.
@@ -55,6 +61,13 @@ _BATCH_NDC = OBS.histogram(
 _BATCH_SECONDS = OBS.histogram(
     "batch_block_seconds", "engine block latency in seconds",
     buckets=SECONDS_BUCKETS)
+
+#: Blocks with fewer rows than this run row by row on :func:`beam_search`
+#: instead of in lock step (width-1 exact engines only): the lock-step
+#: rounds cost ~100 NumPy calls whatever the block holds, so a lone query
+#: pays 5x the sequential search, and the two meet at 12 rows — measured on
+#: 2400 rows/ef 60 and on 1200 rows/ef 40 (docs/performance.md).
+LOCKSTEP_MIN_ROWS = 12
 
 
 class VisitedTable:
@@ -121,6 +134,121 @@ class SearchResult:
     degraded: bool = False
 
 
+def unique_entries(entry_points) -> np.ndarray:
+    """Sorted, de-duplicated int64 entry ids; at least one is required."""
+    entry_ids = np.unique(np.asarray(list(entry_points), dtype=np.int64))
+    if entry_ids.size == 0:
+        raise ValueError("at least one entry point is required")
+    return entry_ids
+
+
+def beam_search(score, neighbors_fn, entry_ids: np.ndarray, ef: int,
+                visited: VisitedTable, excluded: set[int] | None = None,
+                deadline: float | None = None, collect: bool = False):
+    """The one sequential beam loop (paper Algorithm 1) behind every scorer.
+
+    ``score(ids) -> distances`` is all the loop knows about the metric:
+    :func:`greedy_search` passes the exact kernel, the PQ searcher its ADC
+    lookup.  ``entry_ids`` come from :func:`unique_entries`; ``visited``
+    must already cover the graph (a new epoch is started here).  Returns
+    ``(results, n_hops, frontier_peak, degraded, scored)``: ``results`` is
+    the max-heap of ``(-distance, id)`` holding the ``ef`` best non-excluded
+    nodes, ``scored`` the ``(ids, distances)`` arrays of every node
+    evaluated, in evaluation order, when ``collect`` is set (else ``None``).
+
+    Per-hop interpreter work is what a query costs here (the kernel is a
+    few percent of it), so whatever does not change within a search is
+    hoisted out of the loop: bound methods, and the result heap's
+    ``full``/``bound`` state, refreshed only where the heap changes.
+    """
+    push, pop, pushpop = heapq.heappush, heapq.heappop, heapq.heappushpop
+    filter_unvisited = visited.filter_unvisited
+    clock = time.perf_counter
+    visited.next_epoch()
+    visited.mark_many(entry_ids)
+    entry_d = score(entry_ids)
+    if collect:
+        scored_ids, scored_d = [entry_ids], [entry_d]
+
+    candidates: list[tuple[float, int]] = []  # min-heap on distance
+    results: list[tuple[float, int]] = []  # max-heap via negated distance
+    for node, dist in zip(entry_ids.tolist(), entry_d.tolist()):
+        push(candidates, (dist, node))
+        if excluded is None or node not in excluded:
+            push(results, (-dist, node))
+    while len(results) > ef:
+        pop(results)
+    full = len(results) >= ef
+    bound = -results[0][0] if full else 0.0
+
+    n_hops = 0
+    degraded = False
+    frontier_peak = len(candidates)
+    while candidates:
+        if deadline is not None and clock() > deadline:
+            degraded = True
+            break
+        if len(candidates) > frontier_peak:
+            frontier_peak = len(candidates)
+        dist_u, u = pop(candidates)
+        if full and dist_u > bound:
+            break
+        n_hops += 1
+        neigh = neighbors_fn(u)
+        if neigh.size == 0:
+            continue
+        fresh = filter_unvisited(neigh)
+        if fresh.size == 0:
+            continue
+        dists = score(fresh)
+        if collect:
+            scored_ids.append(fresh)
+            scored_d.append(dists)
+        # The bound only tightens while pushing, so the per-node test drops
+        # exactly what a vectorized pre-filter against the bound at loop
+        # entry would, and costs less than building the mask.
+        for node, dist in zip(fresh.tolist(), dists.tolist()):
+            if full:
+                if dist >= bound:
+                    continue
+                push(candidates, (dist, node))
+                if excluded is None or node not in excluded:
+                    pushpop(results, (-dist, node))
+                    bound = -results[0][0]
+            else:
+                push(candidates, (dist, node))
+                if excluded is None or node not in excluded:
+                    push(results, (-dist, node))
+                    if len(results) >= ef:
+                        full = True
+                        bound = -results[0][0]
+    scored = ((np.concatenate(scored_ids), np.concatenate(scored_d))
+              if collect else None)
+    return results, n_hops, frontier_peak, degraded, scored
+
+
+def _search_row(to_query, q: np.ndarray, neighbors_fn, entry_ids: np.ndarray,
+                k: int, ef: int, visited: VisitedTable,
+                excluded: set[int] | None, deadline: float | None,
+                collect_visited: bool) -> SearchResult:
+    """One exact-scored :func:`beam_search` as a :class:`SearchResult`.
+
+    Shared by :func:`greedy_search` and the batch engine's small-block
+    route, which makes the two bit-identical by construction.
+    """
+    results, n_hops, frontier_peak, degraded, scored = beam_search(
+        lambda ids: to_query(ids, q), neighbors_fn, entry_ids, ef, visited,
+        excluded, deadline, collect_visited)
+    ordered = sorted((-d, node) for d, node in results)[:k]
+    result = SearchResult(
+        ids=np.array([node for _, node in ordered], dtype=np.int64),
+        distances=np.array([d for d, _ in ordered], dtype=np.float64),
+        n_hops=n_hops, frontier_peak=frontier_peak, degraded=degraded)
+    if collect_visited:
+        result.visited_ids, result.visited_distances = scored
+    return result
+
+
 def greedy_search(
     dc: DistanceComputer,
     neighbors_fn,
@@ -165,81 +293,19 @@ def greedy_search(
     if telemetry:
         t0 = time.perf_counter()
         ndc0 = dc.ndc
-    ef = max(ef, k)
     q = query if prepared else dc.prepare_query(query)
     if visited is None:
         visited = VisitedTable(dc.size)
     # A reused table may predate incremental insertion (dc.append +
     # adjacency.grow); without this, stamping new node ids raises IndexError.
     visited.grow(dc.size)
-    visited.next_epoch()
-
-    entry_ids = np.unique(np.asarray(list(entry_points), dtype=np.int64))
-    if entry_ids.size == 0:
-        raise ValueError("at least one entry point is required")
-    visited.mark_many(entry_ids)
-    entry_d = dc.to_query(entry_ids, q)
-
-    collect_i: list[np.ndarray] = [entry_ids] if collect_visited else []
-    collect_d: list[np.ndarray] = [entry_d] if collect_visited else []
-
-    candidates: list[tuple[float, int]] = []  # min-heap on distance
-    results: list[tuple[float, int]] = []  # max-heap via negated distance
-    for node, dist in zip(entry_ids.tolist(), entry_d.tolist()):
-        heapq.heappush(candidates, (dist, node))
-        if excluded is None or node not in excluded:
-            heapq.heappush(results, (-dist, node))
-    while len(results) > ef:
-        heapq.heappop(results)
-
-    n_hops = 0
-    degraded = False
-    frontier_peak = len(candidates)
-    while candidates:
-        if deadline is not None and time.perf_counter() > deadline:
-            degraded = True
-            break
-        if len(candidates) > frontier_peak:
-            frontier_peak = len(candidates)
-        dist_u, u = heapq.heappop(candidates)
-        if len(results) >= ef and dist_u > -results[0][0]:
-            break
-        n_hops += 1
-        neigh = neighbors_fn(u)
-        if neigh.size == 0:
-            continue
-        fresh = visited.filter_unvisited(neigh)
-        if fresh.size == 0:
-            continue
-        dists = dc.to_query(fresh, q)
-        if collect_visited:
-            collect_i.append(fresh)
-            collect_d.append(dists)
-        if len(results) >= ef:
-            bound = -results[0][0]
-            keep = dists < bound
-            fresh, dists = fresh[keep], dists[keep]
-        for node, dist in zip(fresh.tolist(), dists.tolist()):
-            if len(results) >= ef and dist >= -results[0][0]:
-                continue
-            heapq.heappush(candidates, (dist, node))
-            if excluded is None or node not in excluded:
-                heapq.heappush(results, (-dist, node))
-                if len(results) > ef:
-                    heapq.heappop(results)
-
-    ordered = sorted((-d, node) for d, node in results)[:k]
-    ids = np.array([node for _, node in ordered], dtype=np.int64)
-    distances = np.array([d for d, _ in ordered], dtype=np.float64)
-    result = SearchResult(ids=ids, distances=distances, n_hops=n_hops,
-                          frontier_peak=frontier_peak, degraded=degraded)
-    if collect_visited:
-        result.visited_ids = np.concatenate(collect_i)
-        result.visited_distances = np.concatenate(collect_d)
+    result = _search_row(dc.to_query, q, neighbors_fn,
+                         unique_entries(entry_points), k, max(ef, k), visited,
+                         excluded, deadline, collect_visited)
     if telemetry:
         _SEARCH_QUERIES.inc()
-        _SEARCH_HOPS.observe(n_hops)
-        _SEARCH_FRONTIER.observe(frontier_peak)
+        _SEARCH_HOPS.observe(result.n_hops)
+        _SEARCH_FRONTIER.observe(result.frontier_peak)
         _SEARCH_NDC.observe(dc.ndc - ndc0)
         _SEARCH_SECONDS.observe(time.perf_counter() - t0)
     return result
@@ -258,6 +324,17 @@ class BatchSearchEngine:
     flattened ``(block_row, node)`` space, reused (and regrown on demand)
     across calls instead of being allocated per query — memory cost is
     ``batch_size * n_nodes`` int32 stamps.
+
+    **Small blocks.**  Each lock-step round costs the same ~100 NumPy
+    calls whether the block holds one row or sixty-four.  A block of fewer
+    than ``LOCKSTEP_MIN_ROWS`` rows therefore runs row by row on
+    :func:`beam_search` when ``beam_width == 1`` and the scorer is exact —
+    the configuration whose contract is the equivalence below, so the
+    route cannot change a result.  ``graph_fn``, ``excluded_fn`` and entry
+    resolution still run once per block and the ``batch_*`` metrics count
+    the block whichever route ran it.  (A deadline that expires mid-block
+    leaves later rows of such a block with their entry points only, as it
+    leaves later *blocks* of a lock-step batch.)
 
     **Equivalence.** The engine returns the same (ids, distances, NDC) as
     running :func:`greedy_search` per query: candidate selection uses the
@@ -350,15 +427,20 @@ class BatchSearchEngine:
             queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
         out: list[SearchResult] = []
         for start in range(0, queries.shape[0], self.batch_size):
-            out.extend(self._search_block(queries[start:start + self.batch_size],
-                                          k, max(ef, k), deadline,
-                                          collect_visited, prepared))
+            out.extend(self._run_block(queries[start:start + self.batch_size],
+                                       k, max(ef, k), deadline,
+                                       collect_visited, prepared))
         return out
 
-    def _search_block(self, block: np.ndarray, k: int, ef: int,
-                      deadline: float | None = None,
-                      collect_visited: bool = False,
-                      prepared: bool = False) -> list[SearchResult]:
+    def _run_block(self, block: np.ndarray, k: int, ef: int,
+                   deadline: float | None, collect_visited: bool,
+                   prepared: bool) -> list[SearchResult]:
+        """One block: per-block state, then whichever traversal fits its size.
+
+        The graph snapshot (one epoch pin), the excluded set, query
+        preparation, entry resolution and the ``batch_*`` telemetry record
+        are per block on either route; only the traversal differs.
+        """
         dc = self.dc
         n_queries = block.shape[0]
         telemetry = OBS.enabled
@@ -377,18 +459,6 @@ class BatchSearchEngine:
             excluded = graph.excluded()
         else:
             excluded = None
-        # Exclusion test is on the per-hop hot path: an O(1) mask lookup
-        # beats np.isin's sort+searchsorted by an order of magnitude.  The
-        # trailing always-False sentinel absorbs (via clip) any node id
-        # beyond the mask, e.g. one inserted after the mask was built.
-        if excluded:
-            excl_arr = np.fromiter(excluded, dtype=np.int64,
-                                   count=len(excluded))
-            excl_mask = np.zeros(int(excl_arr.max()) + 2, dtype=bool)
-            excl_mask[excl_arr] = True
-        else:
-            excl_mask = None
-
         if prepared:
             qmat = np.asarray(block)
         else:
@@ -406,26 +476,61 @@ class BatchSearchEngine:
         begin_block = getattr(dc, "begin_block", None)
         if begin_block is not None:
             begin_block(qmat)
+        if self.entry_points_block_fn is not None:
+            entry_lists = [unique_entries(
+                self.entry_points_block_fn(qmat))] * n_queries
+        else:
+            entry_lists = [unique_entries(self.entry_points_fn(q))
+                           for q in qmat]
+
+        # Row by row only where the engine's contract is bit-identity with
+        # the sequential search: width-1 beam, exact scorer (an ADC computer
+        # announces itself with ``begin_block``).
+        if (n_queries < LOCKSTEP_MIN_ROWS and self.beam_width == 1
+                and begin_block is None):
+            neighbors_fn = graph if graph is not None else self.neighbors_fn
+            self._visited.grow(dc.size)
+            final = [_search_row(dc.to_query, q, neighbors_fn, entries, k, ef,
+                                 self._visited, excluded, deadline,
+                                 collect_visited)
+                     for q, entries in zip(qmat, entry_lists)]
+            rounds = max(r.n_hops for r in final)
+        else:
+            final, rounds = self._search_block(graph, excluded, qmat,
+                                               entry_lists, k, ef, deadline,
+                                               collect_visited)
+        if telemetry:
+            _BATCH_BLOCKS.inc()
+            _BATCH_QUERIES.inc(n_queries)
+            _BATCH_OCCUPANCY.observe(n_queries)
+            _BATCH_ROUNDS.observe(rounds)
+            _BATCH_NDC.observe(dc.ndc - ndc0)
+            _BATCH_SECONDS.observe(time.perf_counter() - t0)
+        return final
+
+    def _search_block(self, graph, excluded: set[int] | None,
+                      qmat: np.ndarray, entry_lists: list[np.ndarray], k: int,
+                      ef: int, deadline: float | None, collect_visited: bool,
+                      ) -> tuple[list[SearchResult], int]:
+        """The lock-step rounds over one opened block; ``(results, rounds)``."""
+        dc = self.dc
+        n_queries = qmat.shape[0]
+        # Exclusion test is on the per-hop hot path: an O(1) mask lookup
+        # beats np.isin's sort+searchsorted by an order of magnitude.  The
+        # trailing always-False sentinel absorbs (via clip) any node id
+        # beyond the mask, e.g. one inserted after the mask was built.
+        if excluded:
+            excl_arr = np.fromiter(excluded, dtype=np.int64,
+                                   count=len(excluded))
+            excl_mask = np.zeros(int(excl_arr.max()) + 2, dtype=bool)
+            excl_mask[excl_arr] = True
+        else:
+            excl_mask = None
         n = dc.size
 
         visited = self._visited
         visited.grow(n_queries * n)
         visited.next_epoch()
-
-        if self.entry_points_block_fn is not None:
-            shared = np.unique(np.asarray(
-                list(self.entry_points_block_fn(qmat)), dtype=np.int64))
-            if shared.size == 0:
-                raise ValueError("at least one entry point is required")
-            entry_lists = [shared] * n_queries
-        else:
-            entry_lists = []
-            for q in qmat:
-                entries = np.unique(np.asarray(list(self.entry_points_fn(q)),
-                                               dtype=np.int64))
-                if entries.size == 0:
-                    raise ValueError("at least one entry point is required")
-                entry_lists.append(entries)
 
         # Block state.  Rows are physically compacted as queries finish;
         # ``alive[row]`` maps back to the original block position (which also
@@ -661,14 +766,7 @@ class BatchSearchEngine:
                 final[i].visited_ids = nodes_all[lo:hi]
                 final[i].visited_distances = d_all[lo:hi]
 
-        if telemetry:
-            _BATCH_BLOCKS.inc()
-            _BATCH_QUERIES.inc(n_queries)
-            _BATCH_OCCUPANCY.observe(n_queries)
-            _BATCH_ROUNDS.observe(rounds)
-            _BATCH_NDC.observe(dc.ndc - ndc0)
-            _BATCH_SECONDS.observe(time.perf_counter() - t0)
-        return final  # type: ignore[return-value]
+        return final, rounds  # type: ignore[return-value]
 
     @staticmethod
     def _compact_pool(pool_d, pool_id, bound):

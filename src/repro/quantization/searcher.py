@@ -6,10 +6,11 @@ lookups instead of a full d-dimensional distance, then the shortlist is
 re-ranked exactly.  Full-precision NDC drops to the re-rank budget; the
 cheap lookups are counted separately so benches can report both.
 
-Two traversal paths share the machinery: :func:`pq_greedy_search` is the
-sequential beam (mirroring :func:`~repro.graphs.search.greedy_search`'s
-entry handling, visited bookkeeping, tombstone traversal, and deadline
-degradation), and :class:`PQRerankSearcher.search_batch` drives the
+Two traversal paths share the machinery: :func:`pq_greedy_search` runs the
+sequential loop, :func:`~repro.graphs.search.beam_search`, with ADC lookups
+as its scorer (so entry handling, visited bookkeeping, tombstone traversal
+and deadline degradation are :func:`~repro.graphs.search.greedy_search`'s
+by construction), and :class:`PQRerankSearcher.search_batch` drives the
 lock-step :class:`~repro.graphs.search.BatchSearchEngine` over an
 :class:`~repro.quantization.adc.ADCComputer`, so the whole frontier of a
 query block is scored with one table gather per hop.
@@ -17,13 +18,11 @@ query block is scored with one table gather per hop.
 
 from __future__ import annotations
 
-import heapq
-import time
-
 import numpy as np
 
 from repro.distances import DistanceComputer
-from repro.graphs.search import BatchSearchEngine, SearchResult, VisitedTable
+from repro.graphs.search import (BatchSearchEngine, SearchResult, VisitedTable,
+                                 beam_search, unique_entries)
 from repro.quantization.adc import ADCComputer
 from repro.quantization.pq import ProductQuantizer
 from repro.utils.validation import check_positive
@@ -49,8 +48,8 @@ def pq_greedy_search(
     just the final ef-pool), ordered by ADC distance: the visited set is a
     strict superset of the pool, so re-ranking a shortlist of it recovers
     recall the approximate ordering lost without widening the beam — the
-    OOD-DiskANN recipe.  Entry handling mirrors
-    :func:`~repro.graphs.search.greedy_search`: excluded (tombstoned)
+    OOD-DiskANN recipe.  As in
+    :func:`~repro.graphs.search.greedy_search`, excluded (tombstoned)
     entries still seed the traversal — they navigate but never surface —
     and a reused visited table is regrown to the code matrix before
     stamping, so searches stay valid after incremental inserts.
@@ -59,60 +58,17 @@ def pq_greedy_search(
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
-    ef = max(ef, k)
     if visited is None:
         visited = VisitedTable(codes.shape[0])
     # A reused table may predate incremental insertion; without this,
     # stamping new node ids raises IndexError (same fix as greedy_search).
     visited.grow(codes.shape[0])
-    visited.next_epoch()
-
-    entry_ids = np.unique(np.asarray(list(entry_points), dtype=np.int64))
-    if entry_ids.size == 0:
-        raise ValueError("at least one entry point is required")
-    visited.mark_many(entry_ids)
-    entry_d = pq.adc_distances(codes[entry_ids], table)
-    n_scored = int(entry_ids.size)
-    all_ids, all_d = [entry_ids], [entry_d]
-
-    candidates: list[tuple[float, int]] = []
-    results: list[tuple[float, int]] = []
-    for node, dist in zip(entry_ids.tolist(), entry_d.tolist()):
-        heapq.heappush(candidates, (dist, node))
-        if excluded is None or node not in excluded:
-            heapq.heappush(results, (-dist, node))
-    while len(results) > ef:
-        heapq.heappop(results)
-
-    degraded = False
-    while candidates:
-        if deadline is not None and time.perf_counter() > deadline:
-            degraded = True
-            break
-        dist_u, u = heapq.heappop(candidates)
-        if len(results) >= ef and dist_u > -results[0][0]:
-            break
-        neigh = neighbors_fn(u)
-        if neigh.size == 0:
-            continue
-        fresh = visited.filter_unvisited(neigh)
-        if fresh.size == 0:
-            continue
-        dists = pq.adc_distances(codes[fresh], table)
-        n_scored += int(fresh.size)
-        all_ids.append(fresh)
-        all_d.append(dists)
-        for node, dist in zip(fresh.tolist(), dists.tolist()):
-            if len(results) >= ef and dist >= -results[0][0]:
-                continue
-            heapq.heappush(candidates, (dist, node))
-            if excluded is None or node not in excluded:
-                heapq.heappush(results, (-dist, node))
-                if len(results) > ef:
-                    heapq.heappop(results)
-
-    ids = np.concatenate(all_ids)
-    d = np.concatenate(all_d)
+    adc_distances = pq.adc_distances
+    _, _, _, degraded, (ids, d) = beam_search(
+        lambda nodes: adc_distances(codes[nodes], table), neighbors_fn,
+        unique_entries(entry_points), max(ef, k), visited, excluded,
+        deadline, collect=True)
+    n_scored = int(ids.shape[0])
     if excluded:
         keep = np.fromiter((int(i) not in excluded for i in ids),
                            dtype=bool, count=ids.shape[0])

@@ -931,10 +931,7 @@ class ServingSearcher:
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
         ids = np.full((queries.shape[0], k), -1, dtype=np.int64)
         distances = np.full((queries.shape[0], k), np.inf)
-        if batch_size == 1:
-            results = (self.search(q, k=k, ef=ef) for q in queries)
-        else:
-            results = self.search_batch(queries, k, ef, batch_size=batch_size)
+        results = self.search_batch(queries, k, ef, batch_size=batch_size)
         for i, result in enumerate(results):
             m = min(k, len(result.ids))
             ids[i, :m] = result.ids[:m]

@@ -6,6 +6,7 @@ that mutate a graph must take a fresh copy (see ``fresh_hnsw``).
 
 from __future__ import annotations
 
+import contextlib
 import signal
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from repro.datasets import CrossModalConfig, make_cross_modal_dataset
 from repro.evalx import compute_ground_truth
 from repro.graphs import HNSW
+from repro.graphs import search as search_module
 
 try:
     import pytest_timeout  # noqa: F401
@@ -97,3 +99,30 @@ def fresh_hnsw(tiny_ds):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@contextlib.contextmanager
+def _lockstep_engine():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search_module, "LOCKSTEP_MIN_ROWS", 0)
+        yield
+
+
+@pytest.fixture(scope="session")
+def lockstep_engine():
+    """Context manager: every engine block runs the lock-step rounds.
+
+    ``BatchSearchEngine`` routes blocks under ``LOCKSTEP_MIN_ROWS`` to the
+    sequential loop, so an engine-vs-sequential comparison on a small block
+    would compare that loop with itself.  Tests whose subject is the
+    lock-step code wrap their batched calls in this (session-scoped so
+    hypothesis tests can take it; ``lockstep_only`` is the fixture form).
+    """
+    return _lockstep_engine
+
+
+@pytest.fixture
+def lockstep_only():
+    """The whole test runs with ``lockstep_engine`` in force."""
+    with _lockstep_engine():
+        yield

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import asyncio
 import socket
-import time
+import threading
 
 import numpy as np
 import pytest
@@ -359,6 +359,32 @@ class TestSharedPQ:
             store.apply_pq(wrong)
 
 
+class _GatedSearcher:
+    """Forwards blocks to a real searcher, recording their sizes; while the
+    gate is shut every block stays in flight (on the door's executor)."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.gate = threading.Event()
+        self.gate.set()
+        self.sizes: list[int] = []
+
+    def search_batch(self, queries, *args, **kwargs):
+        self.sizes.append(len(queries))
+        assert self.gate.wait(30.0)
+        return self.inner.search_batch(queries, *args, **kwargs)
+
+
+async def _until(condition) -> None:
+    """Yield to the loop until ``condition()`` holds (no clock involved: a
+    condition that never comes true is a hang the timeout mark catches)."""
+    while not condition():
+        await asyncio.sleep(0)
+
+
+# Every door below has a 10 s window, so "waited for the window" shows up
+# as this timeout, not as a race against a stopwatch.
+@pytest.mark.timeout(8)
 class TestFrontDoor:
     def test_coalesces_and_matches_direct_path(self, shared_router,
                                                cluster_data):
@@ -377,32 +403,92 @@ class TestFrontDoor:
         for got, want in zip(results, direct):
             np.testing.assert_array_equal(got.ids, want.ids)
 
-    def test_max_batch_dispatches_early(self, shared_router, cluster_data):
+    def test_lone_arrival_is_dispatched_immediately(self, shared_router,
+                                                    cluster_data):
         _, queries = cluster_data
-        door = FrontDoor(shared_router, window_ms=10_000.0, max_batch=4,
-                         k=5, ef=40)
-
-        async def serve():
-            return await asyncio.gather(*(door.search(q)
-                                          for q in queries[:8]))
-
-        t0 = time.perf_counter()
-        results = asyncio.run(serve())
-        assert time.perf_counter() - t0 < 5.0  # size cut, not the window
-        assert len(results) == 8 and door.n_blocks == 2
-        assert door.stats()["mean_batch"] == pytest.approx(4.0)
-
-    def test_lone_query_pays_only_the_window(self, shared_router,
-                                             cluster_data):
-        _, queries = cluster_data
-        door = FrontDoor(shared_router, window_ms=1.0, max_batch=64,
+        door = FrontDoor(shared_router, window_ms=10_000.0, max_batch=64,
                          k=5, ef=40)
 
         async def one():
-            return await door.search(queries[0])
+            result = await door.search(queries[0])
+            await door.drain()
+            return result
 
         result = asyncio.run(one())
         assert len(result.ids) == 5 and door.n_blocks == 1
+
+    def test_riders_leave_when_the_block_ahead_resolves(self, shared_router,
+                                                        cluster_data):
+        _, queries = cluster_data
+        searcher = _GatedSearcher(shared_router)
+        door = FrontDoor(searcher, window_ms=10_000.0, max_batch=64,
+                         k=5, ef=40)
+
+        async def scenario():
+            searcher.gate.clear()
+            first = asyncio.ensure_future(door.search(queries[0]))
+            await _until(lambda: door.stats()["inflight"] == 1)
+            riders = [asyncio.ensure_future(door.search(q))
+                      for q in queries[1:4]]
+            await _until(lambda: door._depth() == 4)
+            assert door.n_blocks == 1  # the riders queue behind the block
+            searcher.gate.set()
+            results = await asyncio.gather(first, *riders)
+            await door.drain()
+            return results
+
+        results = asyncio.run(scenario())
+        assert searcher.sizes == [1, 3]
+        direct = shared_router.search_batch(queries[:4], k=5, ef=40)
+        for got, want in zip(results, direct):
+            np.testing.assert_array_equal(got.ids, want.ids)
+
+    def test_max_batch_dispatches_early(self, shared_router, cluster_data):
+        _, queries = cluster_data
+        searcher = _GatedSearcher(shared_router)
+        door = FrontDoor(searcher, window_ms=10_000.0, max_batch=4,
+                         k=5, ef=40)
+
+        async def serve():
+            results = await asyncio.gather(*(door.search(q)
+                                             for q in queries[:8]))
+            await door.drain()
+            return results
+
+        results = asyncio.run(serve())
+        # The first arrival finds the door idle and goes alone, the next four
+        # fill max_batch, and the last three leave when the door goes idle.
+        assert len(results) == 8 and door.n_blocks == 3
+        assert sorted(searcher.sizes) == [1, 3, 4]
+        assert door.stats()["mean_batch"] == pytest.approx(8 / 3)
+
+    def test_cancelled_dispatch_cancels_its_riders(self, shared_router,
+                                                   cluster_data):
+        """A dispatch future is cancelled when its awaiter is (``drain`` cut
+        short at loop teardown).  ``_resolve`` used to call
+        ``fut.exception()`` on it, which raises inside the done-callback:
+        the loop logged "Exception in callback" and the riders hung."""
+        _, queries = cluster_data
+        searcher = _GatedSearcher(shared_router)
+        door = FrontDoor(searcher, window_ms=10_000.0, k=5, ef=40)
+        callback_errors = []
+
+        async def scenario():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: callback_errors.append(context))
+            searcher.gate.clear()
+            rider = asyncio.ensure_future(door.search(queries[0]))
+            await _until(lambda: door._outstanding)
+            (dispatch,) = door._outstanding
+            dispatch.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await rider
+            searcher.gate.set()
+            await door.drain()
+
+        asyncio.run(scenario())
+        assert not callback_errors
+        assert door.stats()["inflight"] == 0 and not door._outstanding
 
 
 @pytest.mark.timeout(120)

@@ -161,6 +161,42 @@ class TestDistanceComputer:
                                dc.to_query(np.arange(8), q), atol=1e-6)
 
 
+class TestScalarKernelMatchesBlockKernel:
+    """``to_query`` (einsum ``ij,j->i`` over a ``take`` gather) and
+    ``block_to_queries`` (``ij,ij->i`` over fancy-indexed rows) must agree
+    to the last bit: the batch engine's equivalence with the sequential
+    search, and its block-size dispatch, rest on it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           n=st.integers(1, 60), dim=st.integers(1, 70),
+           n_ids=st.integers(0, 40), metric=st.sampled_from(list(Metric)),
+           tiny_query=st.booleans(), memmap=st.booleans(),
+           ids_as=st.sampled_from([np.int32, np.int64, list]))
+    def test_bit_identical(self, tmp_path_factory, seed, n, dim, n_ids,
+                           metric, tiny_query, memmap, ids_as):
+        rng = np.random.default_rng(seed)
+        data = rng.standard_normal((n, dim)).astype(np.float32)
+        dc = DistanceComputer(data, metric)
+        if memmap:
+            dc.use_memmap(tmp_path_factory.mktemp("kernel") / "rows.f32")
+        raw = rng.standard_normal(dim).astype(np.float32)
+        if tiny_query:
+            raw *= np.float32(1e-20)  # COSINE: prepared as float64, unscaled
+        q = dc.prepare_query(raw)
+        assert (q.dtype == np.float64) == (tiny_query
+                                           and metric is Metric.COSINE)
+        picked = rng.integers(0, n, n_ids)
+        ids = picked.tolist() if ids_as is list else picked.astype(ids_as)
+
+        scalar = dc.to_query(ids, q)
+        assert dc.reset_ndc() == n_ids
+        block = dc.block_to_queries(picked, q[None, :],
+                                    np.zeros(n_ids, dtype=np.int64))
+        assert scalar.dtype == block.dtype
+        np.testing.assert_array_equal(scalar, block)
+
+
 @settings(max_examples=40, deadline=None)
 @given(_vectors(4, 3))
 def test_l2_triangle_inequality_on_sqrt(x):

@@ -1,10 +1,14 @@
 """Edge-selection rules: RNG/MRNG, alpha, tau, backfill, random."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.distances import DistanceComputer, Metric
+from repro import TauMNG
+from repro.distances import DistanceComputer, Metric, pairwise_distances
+from repro.graphs import HNSW, Vamana
 from repro.graphs.pruning import (
     alpha_prune,
     mrng_prune,
@@ -168,3 +172,84 @@ def test_rng_prune_invariants(n, max_degree, seed):
     assert len(set(kept)) == len(kept)
     assert 0 not in kept
     assert set(kept) <= set(cands)
+
+
+def _loop_prune(dc, u, candidate_ids, max_degree, margin, distances=None):
+    """The occlusion rule as a per-candidate loop over (distance, id)
+    tuples — the implementation before the bit-packed rewrite, kept as the
+    reference the vectorized code must reproduce decision for decision."""
+    ids = np.asarray(list(candidate_ids), dtype=np.int64)
+    ids = ids[ids != u]
+    if ids.size == 0:
+        return []
+    ids = np.unique(ids)
+    if distances is None:
+        dists = dc.many_between(ids, u)
+    else:
+        lookup = {int(i): float(d) for i, d in zip(candidate_ids, distances)}
+        dists = np.array([lookup[int(i)] for i in ids])
+    order = np.argsort(dists, kind="stable")
+    candidates = [(float(dists[j]), int(ids[j])) for j in order]
+    rows = dc.data[[c for _, c in candidates]]
+    between = pairwise_distances(rows, rows, dc.metric)
+    kept_rows: list[int] = []
+    for i, (d_u, _) in enumerate(candidates):
+        if len(kept_rows) >= max_degree:
+            break
+        if kept_rows and (between[kept_rows, i] < margin(np.float64(d_u))).any():
+            continue
+        kept_rows.append(i)
+    return [candidates[i][1] for i in kept_rows]
+
+
+def _loop_rng(dc, u, candidate_ids, max_degree, distances=None):
+    return _loop_prune(dc, u, candidate_ids, max_degree, lambda d: d,
+                       distances)
+
+
+def _loop_alpha(dc, u, candidate_ids, max_degree, alpha=1.2, distances=None):
+    return _loop_prune(dc, u, candidate_ids, max_degree, lambda d: d / alpha,
+                       distances)
+
+
+def _loop_tau(dc, u, candidate_ids, max_degree, tau=0.0, distances=None):
+    return _loop_prune(dc, u, candidate_ids, max_degree,
+                       lambda d: d - 3.0 * tau, distances)
+
+
+class TestVectorizedPruneBuildsTheSameGraph:
+    """A build makes the same comparisons with the bit-packed rule as with
+    the loop, so it yields the same CSR (hashed) at the same build NDC."""
+
+    BUILDS = {
+        "rng_prune": ("repro.graphs.hnsw.rng_prune", _loop_rng,
+                      lambda ds: HNSW(ds.base, ds.metric, M=8,
+                                      ef_construction=40, seed=3)),
+        "alpha_prune": ("repro.graphs.vamana.alpha_prune", _loop_alpha,
+                        lambda ds: Vamana(ds.base, ds.metric, R=12, L=24,
+                                          seed=0)),
+        "tau_prune": ("repro.graphs.tau_mng.tau_prune", _loop_tau,
+                      lambda ds: TauMNG(ds.base, ds.metric, R=12, L=24,
+                                        knn_k=12, tau=0.05)),
+    }
+
+    @staticmethod
+    def _fingerprint(index):
+        view = index.freeze()
+        digest = hashlib.sha256(view.indptr.tobytes()
+                                + view.indices.tobytes()).hexdigest()
+        return digest, index.dc.ndc
+
+    @pytest.mark.parametrize("rule", list(BUILDS))
+    def test_csr_hash_and_build_ndc(self, tiny_ds, monkeypatch, rule):
+        target, reference, build = self.BUILDS[rule]
+        vectorized = self._fingerprint(build(tiny_ds))
+        monkeypatch.setattr(target, reference)
+        assert self._fingerprint(build(tiny_ds)) == vectorized
+
+    def test_duplicate_candidate_keeps_its_last_distance(self):
+        dc = _dc(np.random.default_rng(2).standard_normal((12, 3)))
+        cands = [3, 5, 3, 7, 9, 5]
+        dists = [0.9, 0.2, 0.1, 0.5, 0.4, 0.8]
+        assert rng_prune(dc, 0, cands, 4, distances=dists) == \
+            _loop_rng(dc, 0, cands, 4, distances=dists)

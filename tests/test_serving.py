@@ -165,6 +165,7 @@ class TestServingStore:
             direct = live.search(q, k=5, ef=30).ids.tolist()
             assert served == direct
 
+    @pytest.mark.usefixtures("lockstep_only")
     def test_batch_matches_sequential_serving(self):
         store = make_store()
         batch = store.search_batch(QUERIES, k=5, ef=30, batch_size=4)
