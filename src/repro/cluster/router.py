@@ -54,7 +54,7 @@ from repro.cluster.stats import merge_stats
 from repro.cluster.worker import shard_wal_dir, worker_main
 from repro.control.policy import make_policy
 from repro.distances import Metric
-from repro.graphs.search import SearchResult
+from repro.graphs.search import SearchResult, pad_results
 from repro.obs import OBS, SECONDS_BUCKETS
 from repro.quantization.pq import ProductQuantizer
 from repro.tuning import coerce_tuned_config
@@ -836,15 +836,8 @@ class ClusterRouter:
                     ef: int | None = None,
                     batch_size: int = 256) -> tuple[np.ndarray, np.ndarray]:
         """Padded (ids, distances) arrays, mirroring the single-store API."""
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
-        ids = np.full((queries.shape[0], k), -1, dtype=np.int64)
-        dists = np.full((queries.shape[0], k), np.inf)
-        for i, result in enumerate(self.search_batch(queries, k, ef,
-                                                     batch_size=batch_size)):
-            m = min(k, len(result.ids))
-            ids[i, :m] = result.ids[:m]
-            dists[i, :m] = result.distances[:m]
-        return ids, dists
+        return pad_results(
+            self.search_batch(queries, k, ef, batch_size=batch_size), k)
 
     # -- failure handling ----------------------------------------------------
 

@@ -32,8 +32,8 @@ from repro.core.escape_hardness import EscapeHardnessResult, escape_hardness
 from repro.core.ngfix import FixOutcome, ngfix_query
 from repro.core.rfix import RFixOutcome, rfix_query
 from repro.evalx.ground_truth import compute_ground_truth
-from repro.graphs.base import GraphIndex, medoid_id
-from repro.graphs.search import BatchSearchEngine, SearchResult, greedy_search
+from repro.graphs.base import GraphIndex, live_graph_engine, medoid_id
+from repro.graphs.search import BatchSearchEngine, SearchResult
 from repro.utils.parallel import chunk_bounds, effective_workers, parallel_map
 from repro.utils.rng_utils import ensure_rng
 from repro.utils.validation import check_matrix
@@ -133,33 +133,17 @@ class NGFixer:
     def search(self, query: np.ndarray, k: int, ef: int | None = None,
                collect_visited: bool = False) -> SearchResult:
         """Greedy search from the medoid over the fixed graph."""
-        if ef is None:
-            ef = max(k, 10)
-        q = self.dc.prepare_query(query)
-        return greedy_search(
-            self.dc, self.index._neighbors_fn(), [self.entry], q, k=k, ef=ef,
-            visited=self.index._visited,
-            excluded=self.adjacency.excluded_ids(),
-            collect_visited=collect_visited, prepared=True,
-        )
+        return self.index._search_from(self.entry_points, query, k, ef,
+                                       collect_visited)
 
     def search_batch(self, queries: np.ndarray, k: int, ef: int | None = None,
                      batch_size: int = 32) -> list[SearchResult]:
         """Batched medoid-entry search; same results as per-query :meth:`search`."""
         if ef is None:
             ef = max(k, 10)
-        engine = self._batch_engine
-        if engine is None or engine.batch_size != batch_size:
-            engine = BatchSearchEngine(
-                self.dc,
-                self.adjacency.neighbors,
-                self.entry_points,
-                excluded_fn=self.adjacency.excluded_ids,
-                batch_size=batch_size,
-                graph_fn=self.adjacency.traversal,
-            )
-            self._batch_engine = engine
-        return engine.search_batch(queries, k, ef)
+        self._batch_engine = live_graph_engine(self._batch_engine, self,
+                                               self.dc, batch_size)
+        return self._batch_engine.search_batch(queries, k, ef)
 
     def stats(self) -> dict:
         """Index statistics plus fixing totals."""

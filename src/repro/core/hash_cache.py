@@ -16,7 +16,7 @@ import hashlib
 
 import numpy as np
 
-from repro.graphs.search import SearchResult
+from repro.graphs.search import SearchResult, pad_results
 from repro.obs import OBS, TRACES, QueryTrace
 
 _CACHE_HITS = OBS.counter(
@@ -190,12 +190,5 @@ class CachedSearcher:
     def search_many(self, queries: np.ndarray, k: int, ef: int | None = None,
                     batch_size: int = 32) -> tuple[np.ndarray, np.ndarray]:
         """Batched search returning padded (ids, distances) arrays."""
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
-        ids = np.full((queries.shape[0], k), -1, dtype=np.int64)
-        distances = np.full((queries.shape[0], k), np.inf)
-        for i, result in enumerate(self.search_batch(queries, k, ef,
-                                                     batch_size=batch_size)):
-            m = min(k, len(result.ids))
-            ids[i, :m] = result.ids[:m]
-            distances[i, :m] = result.distances[:m]
-        return ids, distances
+        return pad_results(
+            self.search_batch(queries, k, ef, batch_size=batch_size), k)

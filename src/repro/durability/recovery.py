@@ -145,14 +145,16 @@ def read_store_config(wal_dir: str | pathlib.Path) -> dict | None:
 
 
 def recover(wal_dir: str | pathlib.Path, *, fix_config=None,
-            serving: bool | None = None, scheduler_mode: str | None = None,
+            scheduler_mode: str | None = None,
             merge_every: int | None = None, sync_every: int | None = None,
             policy=None, policy_config: dict | None = None,
             replay_observes: bool = True, attach_wal: bool = True):
     """Rebuild a store from ``wal_dir``; returns ``(store, report)``.
 
     Keyword overrides default to the values recorded in the directory's
-    ``store-config.json`` (written at original construction).  With
+    ``store-config.json`` (written at original construction; keys this
+    version no longer knows, such as an old file's ``serving``, are
+    ignored).  With
     ``attach_wal`` (default) the recovered store continues logging into
     the same WAL, so it is immediately crash-safe again; pass False for a
     read-mostly post-mortem load.
@@ -165,8 +167,6 @@ def recover(wal_dir: str | pathlib.Path, *, fix_config=None,
     t0 = time.perf_counter()
     wal_dir = pathlib.Path(wal_dir)
     config = read_store_config(wal_dir) or {}
-    if serving is None:
-        serving = bool(config.get("serving", True))
     if scheduler_mode is None:
         scheduler_mode = config.get("scheduler_mode", "inline")
     if merge_every is None:
@@ -175,22 +175,30 @@ def recover(wal_dir: str | pathlib.Path, *, fix_config=None,
         sync_every = int(config.get("sync_every", 8))
     M = int(config.get("M", 16))
     ef_construction = int(config.get("ef_construction", 100))
-    seed = int(config.get("seed", 0))
-    # Compressed-mode settings persist with the store config so a recovered
-    # store serves the same PQ-resident hot path the original did (codes are
-    # re-fit at adopt time; they are derived state, not journaled).
-    compressed = bool(config.get("compressed", False)) and serving
-    pq_m = config.get("pq_m")
-    pq_ks = int(config.get("pq_ks", 32))
-    rerank = int(config.get("rerank", 50))
     if policy is None:
         policy = config.get("policy")
         if policy_config is None:
             policy_config = config.get("policy_config")
-    # The fitted tuned table persists with the config: a recovered store
-    # plans with the same per-bin settings the original served (landmark
-    # entry ids are resolved fresh against the rebuilt graph).
-    tuned_config = config.get("tuned_config")
+    shell = dict(
+        M=M, ef_construction=ef_construction, fix_config=fix_config,
+        seed=int(config.get("seed", 0)), scheduler_mode=scheduler_mode,
+        merge_every=merge_every,
+        # Compressed-mode settings persist with the store config so a
+        # recovered store serves the same PQ-resident hot path the original
+        # did (codes are re-fit at adopt time; they are derived state, not
+        # journaled).
+        compressed=bool(config.get("compressed", False)),
+        pq_m=config.get("pq_m"), pq_ks=int(config.get("pq_ks", 32)),
+        rerank=int(config.get("rerank", 50)),
+        # Absent from configs written before it was persisted: None is the
+        # searcher's own default width.
+        beam_width=config.get("beam_width"),
+        policy=policy, policy_config=policy_config,
+        # The fitted tuned table persists with the config: a recovered
+        # store plans with the same per-bin settings the original served
+        # (landmark entry ids are resolved fresh against the rebuilt
+        # graph).
+        tuned_config=config.get("tuned_config"))
 
     snapshots = SnapshotManager(wal_dir)
     info = snapshots.latest()
@@ -210,14 +218,8 @@ def recover(wal_dir: str | pathlib.Path, *, fix_config=None,
             info.path,
             index_cls=lambda data, m, entry: ReplayableIndex(
                 data, m, entry, M=M, ef_construction=ef_construction))
-        store = VectorStore(
-            dim=dim or index.dc.dim, metric=metric or index.dc.metric,
-            M=M, ef_construction=ef_construction, fix_config=fix_config,
-            seed=seed, serving=serving, scheduler_mode=scheduler_mode,
-            merge_every=merge_every, compressed=compressed, pq_m=pq_m,
-            pq_ks=pq_ks, rerank=rerank,
-            policy=policy, policy_config=policy_config,
-            tuned_config=tuned_config)
+        store = VectorStore(dim=dim or index.dc.dim,
+                            metric=metric or index.dc.metric, **shell)
         payloads = {}
         if info.payloads_path.exists():
             payloads = {int(k): v for k, v in json.loads(
@@ -235,14 +237,8 @@ def recover(wal_dir: str | pathlib.Path, *, fix_config=None,
             raise RecoveryError(
                 f"{wal_dir} has WAL records but no snapshot and no "
                 f"{CONFIG_NAME}; cannot rebuild the store shell")
-        store = VectorStore(
-            dim=int(config["dim"]), metric=config.get("metric", "cosine"),
-            M=M, ef_construction=ef_construction, fix_config=fix_config,
-            seed=seed, serving=serving, scheduler_mode=scheduler_mode,
-            merge_every=merge_every, compressed=compressed, pq_m=pq_m,
-            pq_ks=pq_ks, rerank=rerank,
-            policy=policy, policy_config=policy_config,
-            tuned_config=tuned_config)
+        store = VectorStore(dim=int(config["dim"]),
+                            metric=config.get("metric", "cosine"), **shell)
         snap_seq = 0
         base_n = 0
 
@@ -278,16 +274,11 @@ def recover(wal_dir: str | pathlib.Path, *, fix_config=None,
                 if replay_observes:
                     # Repair directly (bypassing admission control): the
                     # record exists because this repair was acknowledged.
-                    scheduler = store.scheduler
-                    if scheduler is not None:
-                        with scheduler.write_lock:
-                            store._fixer.fix_query(record.query)
-                    else:
+                    with store.scheduler.write_lock:
                         store._fixer.fix_query(record.query)
                 replayed["observe"] += 1
             else:  # merge_cut
-                if store.scheduler is not None:
-                    store.scheduler.merge_now()
+                store.scheduler.merge_now()
                 replayed["merge_cut"] += 1
     if not store.is_built:
         if store._pending:
@@ -313,7 +304,7 @@ def recover(wal_dir: str | pathlib.Path, *, fix_config=None,
         errors.append(
             f"{len(missing)} replayed deletes not tombstoned/compacted: "
             f"{sorted(missing)[:8]}")
-    if store.epochs is not None and store.epochs.overlay is None:
+    if store.epochs.overlay is None:
         errors.append("serving stack attached without an overlay")
 
     if attach_wal:

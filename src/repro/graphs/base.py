@@ -10,7 +10,7 @@ import numpy as np
 from repro.distances import DistanceComputer, Metric
 from repro.graphs.adjacency import AdjacencyStore
 from repro.graphs.search import (BatchSearchEngine, SearchResult, VisitedTable,
-                                 greedy_search)
+                                 greedy_search, pad_results)
 
 
 def medoid_id(dc: DistanceComputer) -> int:
@@ -26,6 +26,27 @@ def medoid_id(dc: DistanceComputer) -> int:
     dists = dc.all_to_query(q)
     dc.ndc = saved  # index-build bookkeeping, not query work
     return int(np.argmin(dists))
+
+
+def live_graph_engine(cached: BatchSearchEngine | None, index, scorer,
+                      batch_size: int, beam_width: int = 1) -> BatchSearchEngine:
+    """The batch engine over ``index``'s live graph, reusing ``cached`` if it fits.
+
+    ``index`` is anything exposing ``adjacency`` and ``entry_points`` (a
+    :class:`GraphIndex`, an ``NGFixer``); ``scorer`` the distance computer
+    blocks are scored with (exact or ADC).  The engine walks the store's
+    frozen CSR whenever its refreeze policy offers one and honors
+    tombstones per block.  A cached engine is kept only while its
+    ``batch_size`` and ``beam_width`` still match.
+    """
+    if (cached is not None and cached.batch_size == batch_size
+            and cached.beam_width == beam_width):
+        return cached
+    adjacency = index.adjacency
+    return BatchSearchEngine(
+        scorer, adjacency.neighbors, index.entry_points,
+        excluded_fn=adjacency.excluded_ids, batch_size=batch_size,
+        graph_fn=adjacency.traversal, beam_width=beam_width)
 
 
 class GraphIndex(abc.ABC):
@@ -76,37 +97,33 @@ class GraphIndex(abc.ABC):
     def search(self, query: np.ndarray, k: int, ef: int | None = None,
                collect_visited: bool = False) -> SearchResult:
         """Greedy-search the bottom layer for the top-``k`` neighbors."""
+        return self._search_from(self.entry_points, query, k, ef,
+                                collect_visited)
+
+    def _search_from(self, entry_points_fn, query: np.ndarray, k: int,
+                    ef: int | None = None,
+                    collect_visited: bool = False) -> SearchResult:
+        """:meth:`search` seeded by ``entry_points_fn(prepared_query)``.
+
+        The one sequential search body over this index's graph; wrappers
+        that only change where the walk starts (``NGFixer``'s medoid entry)
+        call it with their own entry function.
+        """
         if ef is None:
             ef = max(k, 10)
         q = self.dc.prepare_query(query)
-        excluded = self.adjacency.excluded_ids()
         return greedy_search(
             self.dc,
             self._neighbors_fn(),
-            self.entry_points(q),
+            entry_points_fn(q),
             q,
             k=k,
             ef=ef,
             visited=self._visited,
-            excluded=excluded,
+            excluded=self.adjacency.excluded_ids(),
             collect_visited=collect_visited,
             prepared=True,
         )
-
-    def _engine(self, batch_size: int) -> BatchSearchEngine:
-        """The lazily built batch engine (recreated when batch_size changes)."""
-        engine = self._batch_engine
-        if engine is None or engine.batch_size != batch_size:
-            engine = BatchSearchEngine(
-                self.dc,
-                self.adjacency.neighbors,
-                self.entry_points,
-                excluded_fn=self.adjacency.excluded_ids,
-                batch_size=batch_size,
-                graph_fn=self.adjacency.traversal,
-            )
-            self._batch_engine = engine
-        return engine
 
     def search_batch(self, queries: np.ndarray, k: int, ef: int | None = None,
                      batch_size: int = 32) -> list[SearchResult]:
@@ -118,7 +135,9 @@ class GraphIndex(abc.ABC):
         """
         if ef is None:
             ef = max(k, 10)
-        return self._engine(batch_size).search_batch(queries, k, ef)
+        self._batch_engine = live_graph_engine(self._batch_engine, self,
+                                               self.dc, batch_size)
+        return self._batch_engine.search_batch(queries, k, ef)
 
     def search_many(self, queries: np.ndarray, k: int, ef: int | None = None,
                     batch_size: int = 32) -> tuple[np.ndarray, np.ndarray]:
@@ -128,15 +147,8 @@ class GraphIndex(abc.ABC):
         id -1 / distance inf.  Queries run through the batch engine, which
         routes small blocks to the sequential loop by itself.
         """
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
-        ids = np.full((queries.shape[0], k), -1, dtype=np.int64)
-        distances = np.full((queries.shape[0], k), np.inf)
-        results = self.search_batch(queries, k, ef, batch_size=batch_size)
-        for i, result in enumerate(results):
-            m = min(k, len(result.ids))
-            ids[i, :m] = result.ids[:m]
-            distances[i, :m] = result.distances[:m]
-        return ids, distances
+        return pad_results(
+            self.search_batch(queries, k, ef, batch_size=batch_size), k)
 
     def clone(self) -> "GraphIndex":
         """An independent copy sharing nothing mutable with the original.

@@ -134,6 +134,22 @@ class SearchResult:
     degraded: bool = False
 
 
+def pad_results(results: list[SearchResult],
+                k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pack per-query results into ``(ids, distances)`` of shape (nq, k).
+
+    Rows with fewer than ``k`` results are padded with id -1 / distance inf
+    — the array form every ``search_many`` returns.
+    """
+    ids = np.full((len(results), k), -1, dtype=np.int64)
+    distances = np.full((len(results), k), np.inf)
+    for i, result in enumerate(results):
+        m = min(k, len(result.ids))
+        ids[i, :m] = result.ids[:m]
+        distances[i, :m] = result.distances[:m]
+    return ids, distances
+
+
 def unique_entries(entry_points) -> np.ndarray:
     """Sorted, de-duplicated int64 entry ids; at least one is required."""
     entry_ids = np.unique(np.asarray(list(entry_points), dtype=np.int64))

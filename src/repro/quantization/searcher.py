@@ -10,19 +10,29 @@ Two traversal paths share the machinery: :func:`pq_greedy_search` runs the
 sequential loop, :func:`~repro.graphs.search.beam_search`, with ADC lookups
 as its scorer (so entry handling, visited bookkeeping, tombstone traversal
 and deadline degradation are :func:`~repro.graphs.search.greedy_search`'s
-by construction), and :class:`PQRerankSearcher.search_batch` drives the
-lock-step :class:`~repro.graphs.search.BatchSearchEngine` over an
+by construction), and the lock-step
+:class:`~repro.graphs.search.BatchSearchEngine` runs over an
 :class:`~repro.quantization.adc.ADCComputer`, so the whole frontier of a
 query block is scored with one table gather per hop.
+
+The recipe around either traversal — ADC beam, shortlist carved from the
+*visited* set, fallback scan for an empty result, one exact re-rank — is
+written once per traversal shape, in :func:`rerank_one` and
+:func:`rerank_block`.  :class:`PQRerankSearcher` runs them over a live
+graph; :class:`~repro.serving.ServingSearcher` runs the same two functions
+over pinned epoch views.
 """
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
 from repro.distances import DistanceComputer
+from repro.graphs.base import live_graph_engine
 from repro.graphs.search import (BatchSearchEngine, SearchResult, VisitedTable,
-                                 beam_search, unique_entries)
+                                 beam_search, pad_results, unique_entries)
 from repro.quantization.adc import ADCComputer
 from repro.quantization.pq import ProductQuantizer
 from repro.utils.validation import check_positive
@@ -166,6 +176,81 @@ def exact_rerank(dc: DistanceComputer, qmat: np.ndarray,
     return out, total
 
 
+def rerank_one(adc: ADCComputer, dc: DistanceComputer, neighbors_fn,
+               entry_points, q: np.ndarray, k: int, ef: int, budget: int,
+               visited: VisitedTable | None = None,
+               excluded: set[int] | None = None,
+               deadline: float | None = None,
+               ) -> tuple[SearchResult, int, int, float]:
+    """One compressed query on the sequential beam.
+
+    ``q`` is already prepared.  The beam runs at the caller's ``ef``; the
+    shortlist draws from everything it scored, so the re-rank ``budget``
+    (raised to ``k``) costs exact distances only, not traversal width.
+    Returns ``(result, adc_scorings, exact_distances, rerank_seconds)`` —
+    the caller owns its counters; ``rerank_seconds`` is the wall-clock of
+    the exact gather, the path's only full-precision (possibly
+    disk-resident) touches.
+    """
+    budget = max(budget, k)
+    table = adc.begin_query(q)  # syncs codes first
+    shortlist, n_scored, degraded = pq_greedy_search(
+        adc.pq, adc.codes, neighbors_fn, entry_points, table, k=k,
+        ef=max(ef, k), visited=visited, excluded=excluded, deadline=deadline)
+    shortlist = shortlist[:budget]
+    if shortlist.size == 0:
+        shortlist = fallback_shortlist(adc, table, excluded, budget)
+        n_scored += adc.codes.shape[0]
+    t0 = time.perf_counter()
+    ids, distances = shortlist, np.empty(0, dtype=np.float64)
+    if shortlist.size:  # else: nothing servable, the empty int64 shortlist
+        exact = dc.to_query(shortlist, q)
+        order = np.argsort(exact, kind="stable")[:k]
+        ids, distances = shortlist[order], exact[order].astype(np.float64)
+    result = SearchResult(ids=ids, distances=distances, degraded=degraded)
+    return result, n_scored, int(shortlist.size), time.perf_counter() - t0
+
+
+def rerank_block(engine: BatchSearchEngine, adc: ADCComputer,
+                 dc: DistanceComputer, queries: np.ndarray, k: int, ef: int,
+                 budget: int, excluded_fn, deadline: float | None = None,
+                 ) -> tuple[list[SearchResult], int, int, float]:
+    """A block of compressed queries on the lock-step engine.
+
+    ``engine`` scores with ``adc`` (its ``begin_block`` hook precomputes
+    the block's ADC tables), so traversal runs entirely over the code
+    matrix; the final shortlists are re-ranked with a single
+    full-precision block gather.  ``excluded_fn`` returns the ids that may
+    never surface — asked *after* traversal, so it bars from both the
+    shortlist and the fallback scan anything tombstoned or removed by
+    then.  Returns ``(results, adc_scorings, exact_distances,
+    rerank_seconds)`` like :func:`rerank_one`.
+    """
+    budget = max(budget, k)
+    adc0 = adc.ndc
+    qmat = dc.prepare_queries(
+        np.atleast_2d(np.asarray(queries, dtype=np.float32)))
+    # The beam runs at the caller's ef; the shortlist is carved from the
+    # *visited* set (every ADC-scored node), so a large re-rank budget
+    # costs exact distance computations, not traversal width.
+    approx = engine.search_batch(qmat, k=k, ef=max(ef, k), deadline=deadline,
+                                 collect_visited=True, prepared=True)
+    excluded = excluded_fn()
+    shortlists = [
+        visited_shortlist(r.visited_ids, r.visited_distances, excluded, budget)
+        for r in approx]
+    for i, shortlist in enumerate(shortlists):
+        if shortlist.size == 0:
+            shortlists[i] = fallback_shortlist(
+                adc, adc.pq.adc_table(qmat[i]), excluded, budget)
+    t0 = time.perf_counter()
+    results, exact_ndc = exact_rerank(
+        dc, qmat, shortlists, k,
+        degraded=[r.degraded for r in approx],
+        hops=[r.n_hops for r in approx])
+    return results, adc.ndc - adc0, exact_ndc, time.perf_counter() - t0
+
+
 class PQRerankSearcher:
     """ADC traversal over a graph index, exact re-rank of the shortlist.
 
@@ -230,50 +315,17 @@ class PQRerankSearcher:
         if ef is None:
             ef = max(k, 10)
         q = self.dc.prepare_query(query)
-        table = self.adc.begin_query(q)  # syncs codes first
-        budget = max(self.rerank, k)
-        excluded = self.index.adjacency.excluded_ids()
-        # The shortlist draws from everything the beam scored, so the beam
-        # itself runs at the caller's ef — the re-rank budget does not
-        # widen the traversal.
-        shortlist, n_scored, degraded = pq_greedy_search(
-            self.pq, self.adc.codes, self.index.adjacency.neighbors,
-            self.index.entry_points(q), table, k=k,
-            ef=max(ef, k), visited=self._visited, excluded=excluded,
+        adjacency = self.index.adjacency
+        result, n_scored, exact_ndc, _ = rerank_one(
+            self.adc, self.dc, adjacency.neighbors,
+            self.index.entry_points(q), q, k, ef, self.rerank,
+            visited=self._visited, excluded=adjacency.excluded_ids(),
             deadline=deadline)
         self.adc_scored += n_scored
-        shortlist = shortlist[:budget]
-        if shortlist.size == 0:
-            shortlist = fallback_shortlist(self.adc, table, excluded, budget)
-            self.adc_scored += self.adc.codes.shape[0]
-        if shortlist.size == 0:
-            return SearchResult(ids=np.empty(0, dtype=np.int64),
-                                distances=np.empty(0, dtype=np.float64),
-                                degraded=degraded)
-        exact = self.dc.to_query(shortlist, q)
-        self.rerank_ndc += int(shortlist.size)
-        order = np.argsort(exact, kind="stable")[:k]
-        return SearchResult(ids=shortlist[order],
-                            distances=exact[order].astype(np.float64),
-                            degraded=degraded)
+        self.rerank_ndc += exact_ndc
+        return result
 
     # -- batched path --------------------------------------------------------
-
-    def _batch_engine(self, batch_size: int) -> BatchSearchEngine:
-        engine = self._engine
-        if (engine is None or engine.batch_size != batch_size
-                or engine.beam_width != self.beam_width):
-            engine = BatchSearchEngine(
-                self.adc,
-                self.index.adjacency.neighbors,
-                self.index.entry_points,
-                excluded_fn=self.index.adjacency.excluded_ids,
-                batch_size=batch_size,
-                graph_fn=self.index.adjacency.traversal,
-                beam_width=self.beam_width,
-            )
-            self._engine = engine
-        return engine
 
     def search_batch(self, queries: np.ndarray, k: int, ef: int | None = None,
                      batch_size: int = 32,
@@ -288,44 +340,17 @@ class PQRerankSearcher:
             raise ValueError(f"k must be positive, got {k}")
         if ef is None:
             ef = max(k, 10)
-        budget = max(self.rerank, k)
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
-        adc0 = self.adc.ndc
-        qmat = self.dc.prepare_queries(queries)
-        # The beam runs at the caller's ef; the shortlist is carved from the
-        # *visited* set (every ADC-scored node), so a large re-rank budget
-        # costs exact distance computations, not traversal width.
-        approx = self._batch_engine(batch_size).search_batch(
-            qmat, k=k, ef=max(ef, k), deadline=deadline,
-            collect_visited=True, prepared=True)
-        excluded = self.index.adjacency.excluded_ids()
-        shortlists = [
-            visited_shortlist(r.visited_ids, r.visited_distances,
-                              excluded, budget)
-            for r in approx]
-        empties = [i for i, s in enumerate(shortlists) if s.size == 0]
-        if empties:
-            for i in empties:
-                table = self.pq.adc_table(qmat[i])
-                shortlists[i] = fallback_shortlist(self.adc, table,
-                                                   excluded, budget)
-        results, exact_ndc = exact_rerank(
-            self.dc, qmat, shortlists, k,
-            degraded=[r.degraded for r in approx],
-            hops=[r.n_hops for r in approx])
-        self.adc_scored += self.adc.ndc - adc0
+        self._engine = live_graph_engine(self._engine, self.index, self.adc,
+                                         batch_size, self.beam_width)
+        results, n_scored, exact_ndc, _ = rerank_block(
+            self._engine, self.adc, self.dc, queries, k, ef, self.rerank,
+            self.index.adjacency.excluded_ids, deadline)
+        self.adc_scored += n_scored
         self.rerank_ndc += exact_ndc
         return results
 
     def search_many(self, queries: np.ndarray, k: int, ef: int | None = None,
                     batch_size: int = 32) -> tuple[np.ndarray, np.ndarray]:
         """Batched search returning padded (ids, distances) arrays."""
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
-        ids = np.full((queries.shape[0], k), -1, dtype=np.int64)
-        distances = np.full((queries.shape[0], k), np.inf)
-        results = self.search_batch(queries, k, ef, batch_size=batch_size)
-        for i, result in enumerate(results):
-            m = min(k, len(result.ids))
-            ids[i, :m] = result.ids[:m]
-            distances[i, :m] = result.distances[:m]
-        return ids, distances
+        return pad_results(
+            self.search_batch(queries, k, ef, batch_size=batch_size), k)

@@ -48,10 +48,10 @@ import numpy as np
 from repro.control.policy import CadencePolicy, MaintenancePolicy
 from repro.faults import FAULTS
 from repro.graphs.csr import CSRGraphView
-from repro.graphs.search import BatchSearchEngine, SearchResult, VisitedTable, greedy_search
+from repro.graphs.search import (BatchSearchEngine, SearchResult, VisitedTable,
+                                 greedy_search, pad_results)
 from repro.obs import OBS, SECONDS_BUCKETS, TRACES, QueryTrace
-from repro.quantization.searcher import (exact_rerank, fallback_shortlist,
-                                         pq_greedy_search, visited_shortlist)
+from repro.quantization.searcher import rerank_block, rerank_one
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -445,6 +445,16 @@ class ServingSearcher:
     hysteresis, or the O(E) ``freeze`` — epoch-consistency and wait-freedom
     come from the pin.
 
+    Every query runs the same stages, each written once: **resolve** (an
+    explicit ``ef``, or the planner's bin setting), **route**
+    (:meth:`_route`), **pin**, **entries** (:meth:`_entries`), **traverse**
+    (the sequential beam for :meth:`search`, a cached
+    :class:`~repro.graphs.search.BatchSearchEngine` for a block),
+    **re-rank** (compressed routes only —
+    :func:`~repro.quantization.searcher.rerank_one` /
+    :func:`~repro.quantization.searcher.rerank_block`), then **account +
+    trace**.
+
     **Compressed mode.**  When an :class:`~repro.quantization.adc.ADCComputer`
     is attached (``adc=``), traversal scoring runs over its resident uint8
     code matrix — ADC table lookups instead of full-precision rows — and
@@ -455,29 +465,20 @@ class ServingSearcher:
     identically to the uncompressed path.
     """
 
-    def __init__(self, fixer, manager: EpochManager, batch_size: int = 32,
-                 adc=None, rerank: int = 50, beam_width: int | None = None):
+    def __init__(self, fixer, manager: EpochManager, adc=None,
+                 rerank: int = 50, beam_width: int | None = None):
         self.fixer = fixer
         self.manager = manager
-        self.adc = adc
-        self.rerank = rerank
-        # Default beam: wide only where scoring is cheap (ADC); the
-        # full-precision engine keeps width 1 (sequential equivalence).
-        # An explicit beam_width overrides — shard-sized graphs at small
-        # ef are lock-step-round-bound, and a wide beam cuts rounds at the
-        # cost of a few extra (vectorized, cheap) distance evaluations.
-        if beam_width is None:
-            beam_width = 4 if adc is not None else 1
-        self.beam_width = beam_width
         self._visited = VisitedTable(fixer.dc.size)
-        self._engine: BatchSearchEngine | None = None
-        self._engine_batch = batch_size
+        # One engine per (batch_size, beam, use_adc, planned) — see _engine.
+        self._engines: dict[tuple, BatchSearchEngine] = {}
+        self.rerank = rerank
+        self.attach_adc(adc, beam_width=beam_width)
         self._block_pin: EpochPin | None = None
         # Hardness-aware query planner (repro.tuning).  None — the default —
         # leaves every search path bit-identical to the planner-less stack;
         # attach_planner() routes ef-less searches through per-bin settings.
         self.planner = None
-        self._planned_engines: dict[tuple, BatchSearchEngine] = {}
         self.n_degraded = 0
         self.adc_scored = 0     # cumulative ADC scorings (compressed mode)
         self.rerank_ndc = 0     # cumulative exact re-rank computations
@@ -500,8 +501,8 @@ class ServingSearcher:
         return self.adc is not None
 
     def attach_adc(self, adc, rerank: int | None = None,
-                   beam_width: int = 4) -> None:
-        """Swap in (or install) an ADC computer and invalidate the engine.
+                   beam_width: int | None = None) -> None:
+        """Swap in (or install) an ADC computer and invalidate the engines.
 
         The cached :class:`BatchSearchEngine` keys on batch size and beam
         width but not on the distance computer, so a codebook swap (e.g.
@@ -511,9 +512,15 @@ class ServingSearcher:
         self.adc = adc
         if rerank is not None:
             self.rerank = rerank
-        self.beam_width = beam_width if adc is not None else 1
-        self._engine = None
-        self._planned_engines.clear()
+        # Default beam: wide only where scoring is cheap (ADC); the
+        # full-precision engine keeps width 1 (sequential equivalence).
+        # An explicit beam_width overrides — shard-sized graphs at small
+        # ef are lock-step-round-bound, and a wide beam cuts rounds at the
+        # cost of a few extra (vectorized, cheap) distance evaluations.
+        if beam_width is None:
+            beam_width = 4 if adc is not None else 1
+        self.beam_width = beam_width
+        self._engines.clear()
 
     def attach_planner(self, planner) -> None:
         """Install (or remove) the hardness-aware query planner.
@@ -524,7 +531,6 @@ class ServingSearcher:
         planner-less behavior exactly.
         """
         self.planner = planner
-        self._planned_engines.clear()
 
     def stats(self) -> dict:
         """Aggregatable searcher counters (summed across shards via
@@ -540,57 +546,59 @@ class ServingSearcher:
             out["planner"] = self.planner.stats()
         return out
 
-    def _rerank_exact(self, shortlist: np.ndarray, q: np.ndarray, k: int,
-                      degraded: bool) -> SearchResult:
-        """Exact re-rank of one shortlist; the path's only full-dim touches."""
-        t0 = time.perf_counter()
-        if shortlist.size:
-            exact = self.dc.to_query(shortlist, q)
-            order = np.argsort(exact, kind="stable")[:k]
-            result = SearchResult(ids=shortlist[order],
-                                  distances=exact[order].astype(np.float64),
-                                  degraded=degraded)
-        else:
-            result = SearchResult(ids=np.empty(0, dtype=np.int64),
-                                  distances=np.empty(0, dtype=np.float64),
-                                  degraded=degraded)
-        elapsed = time.perf_counter() - t0
-        self.rerank_ndc += int(shortlist.size)
-        self.pagein_seconds += elapsed
-        if OBS.enabled:
-            _RERANK_NDC.observe(int(shortlist.size))
-            _PAGEIN_SECONDS.inc(elapsed)
-        return result
+    # -- pipeline stages -----------------------------------------------------
 
-    def _search_compressed(self, q: np.ndarray, k: int, ef: int,
-                           deadline: float | None,
-                           rerank: int | None = None,
-                           ) -> tuple[SearchResult, tuple[int, int, float]]:
-        """Sequential compressed search against a pinned epoch view."""
-        budget = max(rerank if rerank is not None else self.rerank, k)
-        with self.manager.pin() as pin:
+    def _route(self, setting) -> tuple[bool, int, int]:
+        """Stage *route*: ``(use_adc, beam, re-rank budget)`` for one run.
+
+        ``setting`` is the resolved :class:`~repro.tuning.BinSetting`, or
+        None when the caller passed an explicit ``ef`` (or no planner is
+        attached) and the searcher's own configuration applies.
+        ``route="exact"`` forces full-precision traversal even on a
+        compressed store; ``"pq"``/``"default"`` keep the ADC hot path when
+        codes are attached.
+        """
+        if setting is None:
+            return self.adc is not None, self.beam_width, self.rerank
+        use_adc = self.adc is not None and setting.route != "exact"
+        if setting.beam_width is not None:
+            beam = int(setting.beam_width)
+        elif self.adc is not None and not use_adc:
+            # Exact route on a compressed store: the wide ADC beam exists
+            # to absorb quantization noise; full-precision walks don't pay
+            # it, so default narrow.
+            beam = 1
+        else:
+            beam = self.beam_width
+        return use_adc, beam, (setting.rerank if setting.rerank is not None
+                               else self.rerank)
+
+    def _entries(self, pin: EpochPin, queries: np.ndarray,
+                 planned: bool) -> list[int]:
+        """Stage *entries*: the epoch entry, plus — on planned runs only —
+        the planner's adaptive landmark entry for these (prepared) queries."""
+        entries = [pin.epoch.entry]
+        if planned and self.planner is not None:
             view = pin.view
-            table = self.adc.begin_query(q)  # syncs codes incrementally
-            excluded = view.excluded()
-            # The beam runs at the caller's ef; the shortlist draws from all
-            # visited (ADC-scored) nodes, so the re-rank budget costs exact
-            # distances only, not traversal width.
-            shortlist, n_scored, degraded = pq_greedy_search(
-                self.adc.pq, self.adc.codes, view, [pin.epoch.entry], table,
-                k=k, ef=max(ef, k), visited=self._visited,
-                excluded=excluded, deadline=deadline)
-            shortlist = shortlist[:budget]
-            if shortlist.size == 0:
-                shortlist = fallback_shortlist(self.adc, table, excluded,
-                                               budget)
-                n_scored += self.adc.codes.shape[0]
-            self.adc_scored += n_scored
-            result = self._rerank_exact(shortlist, q, k, degraded)
-            if OBS.enabled:
-                _COMPRESSED_QUERIES.inc()
-                _ADC_SCORED.inc(n_scored)
-            trace = (pin.epoch.epoch_id, view.seq, pin.age())
-        return result, trace
+            extra = self.planner.entry_for_block(
+                queries, n_nodes=view.epoch.n_nodes, excluded=view.excluded())
+            if extra is not None and extra not in entries:
+                entries.append(extra)
+        return entries
+
+    def _account(self, n_queries: int, adc_scored: int, exact_ndc: int,
+                 seconds: float) -> None:
+        """Stage *account*: fold one compressed run into the counters."""
+        self.adc_scored += adc_scored
+        self.rerank_ndc += exact_ndc
+        self.pagein_seconds += seconds
+        if OBS.enabled:
+            _COMPRESSED_QUERIES.inc(n_queries)
+            _ADC_SCORED.inc(adc_scored)
+            _RERANK_NDC.observe(exact_ndc)
+            _PAGEIN_SECONDS.inc(seconds)
+
+    # -- single query --------------------------------------------------------
 
     def search(self, query: np.ndarray, k: int, ef: int | None = None,
                collect_visited: bool = False,
@@ -605,18 +613,10 @@ class ServingSearcher:
 
         With a planner attached (:meth:`attach_planner`), ``ef=None``
         resolves to the query's predicted hardness bin's fitted setting
-        (ef + route); an explicit ``ef`` always bypasses the planner.
+        (ef + route) through the same ``planner.plan()`` a batch of one
+        takes, landmark entry and outcome feedback included; an explicit
+        ``ef`` always bypasses the planner.
         """
-        setting = None
-        if ef is None:
-            if self.planner is not None:
-                setting = self.planner.config.setting(
-                    int(self.planner.predict(
-                        np.atleast_2d(np.asarray(query, dtype=np.float32))
-                    )[0]))
-                ef = setting.ef
-            else:
-                ef = max(k, 10)
         deadline = (None if deadline_ms is None
                     else time.perf_counter() + deadline_ms / 1000.0)
         dc = self.dc
@@ -627,59 +627,51 @@ class ServingSearcher:
         if track:
             t0 = time.perf_counter()
             ndc0 = dc.ndc
-        use_adc = self.adc is not None and (
-            setting is None or setting.route != "exact")
-        if use_adc:
-            result, (epoch_id, seq, pin_s) = self._search_compressed(
-                q, k, ef, deadline,
-                rerank=setting.rerank if setting is not None else None)
-            if result.degraded:
-                self.n_degraded += 1
-                _DEGRADED.inc()
-            if track:
-                trace = QueryTrace(
-                    k=k, ef=ef, n_hops=result.n_hops, ndc=dc.ndc - ndc0,
-                    frontier_peak=result.frontier_peak,
-                    epoch_id=epoch_id, overlay_seq=seq, pin_seconds=pin_s,
-                    elapsed_seconds=time.perf_counter() - t0,
-                    queue_depth=(self.queue_depth_fn()
-                                 if self.queue_depth_fn is not None else 0),
-                    degraded=result.degraded,
-                )
-                if telemetry:
-                    _SERVE_QUERIES.inc()
-                    TRACES.record(trace)
-                if sink is not None:
-                    sink(trace, query=q)
-            return result
+        setting = bins = None
+        if ef is None:
+            if self.planner is not None:
+                bins, ((_bin, _idx, setting),) = self.planner.plan(query)
+                ef = setting.ef
+            else:
+                ef = max(k, 10)
+        use_adc, _beam, budget = self._route(setting)
         with self.manager.pin() as pin:
             view = pin.view
-            result = greedy_search(
-                dc, view, [pin.epoch.entry], q, k=k, ef=ef,
-                visited=self._visited, excluded=view.excluded(),
-                collect_visited=collect_visited, prepared=True,
-                deadline=deadline,
+            entries = self._entries(pin, q, planned=setting is not None)
+            if use_adc:
+                result, n_scored, exact_ndc, seconds = rerank_one(
+                    self.adc, dc, view, entries, q, k, ef, budget,
+                    visited=self._visited, excluded=view.excluded(),
+                    deadline=deadline)
+                self._account(1, n_scored, exact_ndc, seconds)
+            else:
+                result = greedy_search(
+                    dc, view, entries, q, k=k, ef=ef, visited=self._visited,
+                    excluded=view.excluded(),
+                    collect_visited=collect_visited, prepared=True,
+                    deadline=deadline)
+            pin_seconds = pin.age()
+        if result.degraded:
+            self.n_degraded += 1
+            _DEGRADED.inc()
+        if bins is not None:
+            self.planner.note_outcomes(bins, [result])
+        if track:
+            trace = QueryTrace(
+                k=k, ef=ef, n_hops=result.n_hops, ndc=dc.ndc - ndc0,
+                frontier_peak=result.frontier_peak,
+                epoch_id=pin.epoch.epoch_id, overlay_seq=view.seq,
+                pin_seconds=pin_seconds,
+                elapsed_seconds=time.perf_counter() - t0,
+                queue_depth=(self.queue_depth_fn()
+                             if self.queue_depth_fn is not None else 0),
+                degraded=result.degraded,
             )
-            if result.degraded:
-                self.n_degraded += 1
-                _DEGRADED.inc()
-            if track:
-                trace = QueryTrace(
-                    k=k, ef=ef, n_hops=result.n_hops,
-                    ndc=dc.ndc - ndc0,
-                    frontier_peak=result.frontier_peak,
-                    epoch_id=pin.epoch.epoch_id, overlay_seq=view.seq,
-                    pin_seconds=pin.age(),
-                    elapsed_seconds=time.perf_counter() - t0,
-                    queue_depth=(self.queue_depth_fn()
-                                 if self.queue_depth_fn is not None else 0),
-                    degraded=result.degraded,
-                )
-                if telemetry:
-                    _SERVE_QUERIES.inc()
-                    TRACES.record(trace)
-                if sink is not None:
-                    sink(trace, query=q)
+            if telemetry:
+                _SERVE_QUERIES.inc()
+                TRACES.record(trace)
+            if sink is not None:
+                sink(trace, query=q)
         return result
 
     # -- batched path -------------------------------------------------------
@@ -694,6 +686,79 @@ class ServingSearcher:
     def _block_excluded(self) -> set[int] | None:
         return self._block_pin.view.excluded()
 
+    def _engine(self, batch_size: int, beam: int, use_adc: bool,
+                planned: bool) -> BatchSearchEngine:
+        """The cached engine for one ``(batch_size, beam, scorer, entries)``.
+
+        ``planned`` selects the entry function, so an explicit ``ef`` with
+        a planner attached still seeds the epoch entry only.
+        """
+        key = (batch_size, beam, use_adc, planned)
+        engine = self._engines.get(key)
+        if engine is None:
+            engine = self._engines[key] = BatchSearchEngine(
+                self.adc if use_adc else self.dc,
+                # Fallbacks never used: graph_fn always supplies a view and
+                # entries are query-independent within a block, so they
+                # are seeded once per block instead of once per query.
+                lambda u: self._block_pin.view(u),
+                lambda q: [self._block_pin.epoch.entry],
+                excluded_fn=self._block_excluded,
+                batch_size=batch_size,
+                graph_fn=self._pin_block,
+                beam_width=beam,
+                entry_points_block_fn=(
+                    lambda qmat: self._entries(self._block_pin, qmat,
+                                               planned)),
+            )
+        return engine
+
+    def _run_group(self, queries: np.ndarray, k: int, ef: int, setting,
+                   batch_size: int, deadline: float | None,
+                   sink=None) -> list[SearchResult]:
+        """Route → pin → entries → traverse → re-rank → account (→ trace
+        into ``sink``), for rows that share ``ef`` and an optional
+        ``setting``."""
+        use_adc, beam, budget = self._route(setting)
+        engine = self._engine(batch_size, beam, use_adc,
+                              planned=setting is not None)
+        if sink is not None:
+            ndc0 = self.dc.ndc
+        try:
+            if use_adc:
+                # Live exclusion set (superset of any pinned view's):
+                # neither the shortlist nor the fallback scan may surface
+                # a tombstoned/removed id.
+                results, n_scored, exact_ndc, seconds = rerank_block(
+                    engine, self.adc, self.dc, queries, k, ef, budget,
+                    self.fixer.adjacency.excluded_ids, deadline)
+                self._account(len(results), n_scored, exact_ndc, seconds)
+            else:
+                results = engine.search_batch(queries, k, ef,
+                                              deadline=deadline)
+        finally:
+            if self._block_pin is not None:
+                self._block_pin.release()
+                self._block_pin = None
+        if sink is not None:
+            self._sink_batch_traces(sink, queries, results, k, ef, ndc0)
+        return results
+
+    def search_group(self, queries: np.ndarray, k: int, setting,
+                     batch_size: int = 32,
+                     deadline: float | None = None) -> list[SearchResult]:
+        """Run one batch group under a bin's :class:`BinSetting`.
+
+        Public because the tuner measures candidate settings through this
+        exact method — fitted tables describe precisely what serving runs.
+        ``route="exact"`` forces full-precision traversal even on a
+        compressed store; ``route="pq"``/``"default"`` keep the ADC hot
+        path when codes are attached.
+        """
+        qmat = np.atleast_2d(np.asarray(queries, dtype=np.float32))
+        return self._run_group(qmat, k, setting.ef, setting, batch_size,
+                               deadline)
+
     def search_batch(self, queries: np.ndarray, k: int,
                      ef: int | None = None, batch_size: int = 32,
                      deadline_ms: float | None = None) -> list[SearchResult]:
@@ -705,57 +770,34 @@ class ServingSearcher:
 
         With a planner attached (:meth:`attach_planner`), ``ef=None``
         partitions the batch by predicted hardness bin and runs each group
-        under its fitted setting; an explicit ``ef`` always bypasses the
-        planner and runs today's single-setting path unchanged.
+        under its fitted setting — dense sub-batches that keep the
+        lock-step engine's one-gather-per-hop shape, reassembled into
+        caller order; an explicit ``ef`` always bypasses the planner and
+        runs every row as one group under the searcher's own setting.
         """
-        if ef is None:
-            if self.planner is not None:
-                return self._search_batch_planned(queries, k, batch_size,
-                                                  deadline_ms)
-            ef = max(k, 10)
         deadline = (None if deadline_ms is None
                     else time.perf_counter() + deadline_ms / 1000.0)
-        compressed = self.adc is not None
-        engine = self._engine
-        if (engine is None or engine.batch_size != batch_size
-                or engine.beam_width != self.beam_width):
-            engine = BatchSearchEngine(
-                self.adc if compressed else self.dc,
-                # Fallback never used: graph_fn always supplies a view.
-                lambda u: self._block_pin.view(u),
-                lambda q: [self._block_pin.epoch.entry],
-                excluded_fn=self._block_excluded,
-                batch_size=batch_size,
-                graph_fn=self._pin_block,
-                beam_width=self.beam_width,
-                # The epoch entry is query-independent: seed it once per
-                # block instead of once per query.
-                entry_points_block_fn=(
-                    lambda qmat: [self._block_pin.epoch.entry]),
-            )
-            self._engine = engine
         sink = self.trace_sink
-        if sink is not None:
-            ndc0 = self.dc.ndc
-        try:
-            if compressed:
-                results = self._search_batch_compressed(engine, queries, k,
-                                                        ef, deadline)
-            else:
-                results = engine.search_batch(queries, k, ef,
-                                              deadline=deadline)
-            if deadline is not None:
-                n_degraded = sum(1 for r in results if r.degraded)
-                if n_degraded:
-                    self.n_degraded += n_degraded
-                    _DEGRADED.inc(n_degraded)
-            if sink is not None:
-                self._sink_batch_traces(sink, queries, results, k, ef, ndc0)
-            return results
-        finally:
-            if self._block_pin is not None:
-                self._block_pin.release()
-                self._block_pin = None
+        if ef is None and self.planner is not None:
+            qmat = np.atleast_2d(np.asarray(queries, dtype=np.float32))
+            bins, groups = self.planner.plan(qmat)
+            results: list[SearchResult | None] = [None] * qmat.shape[0]
+            for _bin, idx, setting in groups:
+                group = self._run_group(qmat[idx], k, setting.ef, setting,
+                                        batch_size, deadline, sink)
+                for i, r in zip(idx.tolist(), group):
+                    results[i] = r
+            self.planner.note_outcomes(bins, results)
+        else:
+            results = self._run_group(
+                queries, k, ef if ef is not None else max(k, 10), None,
+                batch_size, deadline, sink)
+        if deadline is not None:
+            n_degraded = sum(1 for r in results if r.degraded)
+            if n_degraded:
+                self.n_degraded += n_degraded
+                _DEGRADED.inc(n_degraded)
+        return results
 
     def _sink_batch_traces(self, sink, queries: np.ndarray,
                            results: list[SearchResult], k: int, ef: int,
@@ -773,170 +815,11 @@ class ServingSearcher:
                             frontier_peak=r.frontier_peak, batched=True,
                             degraded=r.degraded), query=row)
 
-    # -- planned path --------------------------------------------------------
-
-    def _planned_block_entries(self, qmat: np.ndarray) -> list[int]:
-        """Epoch entry plus the planner's adaptive landmark entry (if any)."""
-        view = self._block_pin.view
-        entries = [self._block_pin.epoch.entry]
-        if self.planner is not None:
-            extra = self.planner.entry_for_block(
-                qmat, n_nodes=view.epoch.n_nodes, excluded=view.excluded())
-            if extra is not None and extra not in entries:
-                entries.append(extra)
-        return entries
-
-    def _group_engine(self, batch_size: int, beam: int,
-                      use_adc: bool) -> BatchSearchEngine:
-        """Engine for one planned group, cached per (batch, beam, path).
-
-        Kept separate from :attr:`_engine` so the planner-off batched path
-        stays byte-for-byte on today's single engine.
-        """
-        key = (batch_size, beam, use_adc)
-        engine = self._planned_engines.get(key)
-        if engine is None:
-            engine = BatchSearchEngine(
-                self.adc if use_adc else self.dc,
-                lambda u: self._block_pin.view(u),
-                lambda q: [self._block_pin.epoch.entry],
-                excluded_fn=self._block_excluded,
-                batch_size=batch_size,
-                graph_fn=self._pin_block,
-                beam_width=beam,
-                entry_points_block_fn=self._planned_block_entries,
-            )
-            self._planned_engines[key] = engine
-        return engine
-
-    def search_group(self, queries: np.ndarray, k: int, setting,
-                     batch_size: int = 32,
-                     deadline: float | None = None) -> list[SearchResult]:
-        """Run one batch group under a bin's :class:`BinSetting`.
-
-        Public because the tuner measures candidate settings through this
-        exact method — fitted tables describe precisely what serving runs.
-        ``route="exact"`` forces full-precision traversal even on a
-        compressed store; ``route="pq"``/``"default"`` keep the ADC hot
-        path when codes are attached.
-        """
-        qmat = np.atleast_2d(np.asarray(queries, dtype=np.float32))
-        use_adc = self.adc is not None and setting.route != "exact"
-        if setting.beam_width is not None:
-            beam = int(setting.beam_width)
-        elif self.adc is not None and not use_adc:
-            # Exact route on a compressed store: the wide ADC beam exists
-            # to absorb quantization noise; full-precision walks don't pay
-            # it, so default narrow.
-            beam = 1
-        else:
-            beam = self.beam_width
-        engine = self._group_engine(batch_size, beam, use_adc)
-        try:
-            if use_adc:
-                return self._search_batch_compressed(
-                    engine, qmat, k, setting.ef, deadline,
-                    rerank=setting.rerank)
-            return engine.search_batch(qmat, k, setting.ef,
-                                       deadline=deadline)
-        finally:
-            if self._block_pin is not None:
-                self._block_pin.release()
-                self._block_pin = None
-
-    def _search_batch_planned(self, queries: np.ndarray, k: int,
-                              batch_size: int,
-                              deadline_ms: float | None
-                              ) -> list[SearchResult]:
-        """Partition a batch by predicted bin; run each group on its setting.
-
-        Per-block partitioning keeps the lock-step engine's one-gather-
-        per-hop shape — groups run as dense sub-batches, never per-query
-        fallback.  Results reassemble into caller order.
-        """
-        qmat = np.atleast_2d(np.asarray(queries, dtype=np.float32))
-        deadline = (None if deadline_ms is None
-                    else time.perf_counter() + deadline_ms / 1000.0)
-        sink = self.trace_sink
-        bins, groups = self.planner.plan(qmat)
-        results: list[SearchResult | None] = [None] * qmat.shape[0]
-        for _b, idx, setting in groups:
-            if sink is not None:
-                ndc0 = self.dc.ndc
-            group = self.search_group(qmat[idx], k, setting,
-                                      batch_size=batch_size,
-                                      deadline=deadline)
-            for i, r in zip(idx.tolist(), group):
-                results[i] = r
-            if sink is not None:
-                self._sink_batch_traces(sink, qmat[idx], group, k,
-                                        setting.ef, ndc0)
-        if deadline is not None:
-            n_degraded = sum(1 for r in results if r.degraded)
-            if n_degraded:
-                self.n_degraded += n_degraded
-                _DEGRADED.inc(n_degraded)
-        self.planner.note_outcomes(bins, results)
-        return results
-
-    def _search_batch_compressed(self, engine: BatchSearchEngine,
-                                 queries: np.ndarray, k: int, ef: int,
-                                 deadline: float | None,
-                                 rerank: int | None = None,
-                                 ) -> list[SearchResult]:
-        """Batched ADC traversal over pinned views + one exact re-rank gather."""
-        budget = max(rerank if rerank is not None else self.rerank, k)
-        adc0 = self.adc.ndc
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
-        qmat = self.dc.prepare_queries(queries)
-        # Beam at the caller's ef; shortlists carved from the visited set
-        # (see PQRerankSearcher.search_batch for the rationale).
-        approx = engine.search_batch(qmat, k=k, ef=max(ef, k),
-                                     deadline=deadline, collect_visited=True,
-                                     prepared=True)
-        # Live exclusion set (superset of any pinned view's): neither the
-        # shortlist nor the fallback scan may surface a tombstoned/removed
-        # id.
-        excluded = self.fixer.adjacency.excluded_ids()
-        shortlists = [
-            visited_shortlist(r.visited_ids, r.visited_distances,
-                              excluded, budget)
-            for r in approx]
-        empties = [i for i, s in enumerate(shortlists) if s.size == 0]
-        if empties:
-            for i in empties:
-                table = self.adc.pq.adc_table(qmat[i])
-                shortlists[i] = fallback_shortlist(self.adc, table,
-                                                   excluded, budget)
-        t0 = time.perf_counter()
-        results, exact_ndc = exact_rerank(
-            self.dc, qmat, shortlists, k,
-            degraded=[r.degraded for r in approx],
-            hops=[r.n_hops for r in approx])
-        elapsed = time.perf_counter() - t0
-        n_scored = self.adc.ndc - adc0
-        self.adc_scored += n_scored
-        self.rerank_ndc += exact_ndc
-        self.pagein_seconds += elapsed
-        if OBS.enabled:
-            _COMPRESSED_QUERIES.inc(queries.shape[0])
-            _ADC_SCORED.inc(n_scored)
-            _RERANK_NDC.observe(exact_ndc)
-            _PAGEIN_SECONDS.inc(elapsed)
-        return results
-
     def search_many(self, queries: np.ndarray, k: int, ef: int | None = None,
                     batch_size: int = 32) -> tuple[np.ndarray, np.ndarray]:
         """Batched search returning padded (ids, distances) arrays."""
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
-        ids = np.full((queries.shape[0], k), -1, dtype=np.int64)
-        distances = np.full((queries.shape[0], k), np.inf)
-        results = self.search_batch(queries, k, ef, batch_size=batch_size)
-        for i, result in enumerate(results):
-            m = min(k, len(result.ids))
-            ids[i, :m] = result.ids[:m]
-            distances[i, :m] = result.distances[:m]
-        return ids, distances
+        return pad_results(
+            self.search_batch(queries, k, ef, batch_size=batch_size), k)
 
 
 class MaintenanceScheduler:

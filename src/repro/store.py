@@ -55,14 +55,6 @@ class VectorStore:
     fix_config:
         NGFix* configuration; defaults to approximate preprocessing so
         history fitting never needs exact ground truth.
-    serving:
-        When True (default) queries run through the epoch-based serving
-        layer (:mod:`repro.serving`): every search pins an immutable
-        :class:`~repro.serving.GraphEpoch` plus the delta overlay at a fixed
-        sequence number, so results are epoch-consistent under concurrent
-        mutation and the O(E) CSR refreeze never runs on the query path.
-        Set False to search the live graph directly (the pre-epoch
-        behavior).
     scheduler_mode:
         "inline" (deterministic; repairs and merges drain synchronously at
         mutation/observe boundaries) or "thread" (a background worker does
@@ -89,7 +81,7 @@ class VectorStore:
         When True, serving runs the PQ-resident hot path: traversal scores
         candidates with ADC table lookups over a resident uint8 code matrix
         (re-encoded incrementally on insert) and only the top-``rerank``
-        shortlist touches full-precision vectors.  Requires ``serving``.
+        shortlist touches full-precision vectors.
     pq_m, pq_ks:
         Product-quantizer geometry for compressed mode: subspace count
         (``None`` = largest of 8/6/4/3/2/1 dividing ``dim``) and centroids
@@ -113,8 +105,8 @@ class VectorStore:
         instance is also accepted.
     tuned_config:
         A fitted :class:`~repro.tuning.TunedConfig` (instance, dict, or
-        JSON path — ``repro tune`` emits one).  With the serving layer up,
-        a :class:`~repro.tuning.HardnessPlanner` is attached: ``ef``-less
+        JSON path — ``repro tune`` emits one).  Once built, a
+        :class:`~repro.tuning.HardnessPlanner` is attached: ``ef``-less
         searches resolve per-query hardness bins to fitted
         ``ef``/route/rerank settings, batches partition by predicted bin,
         and landmark entry points seed each block.  ``None`` (default)
@@ -125,8 +117,7 @@ class VectorStore:
     def __init__(self, dim: int, metric: Metric | str = Metric.COSINE,
                  M: int = 16, ef_construction: int = 100,
                  fix_config: FixConfig | None = None, seed: int = 0,
-                 serving: bool = True, scheduler_mode: str = "inline",
-                 merge_every: int = 256,
+                 scheduler_mode: str = "inline", merge_every: int = 256,
                  wal_dir: str | pathlib.Path | None = None,
                  sync_every: int = 8, checkpoint_every: int = 0,
                  compressed: bool = False, pq_m: int | None = None,
@@ -140,11 +131,6 @@ class VectorStore:
         check_positive(dim, "dim")
         if beam_width is not None:
             check_positive(beam_width, "beam_width")
-        if compressed and not serving:
-            raise ValueError(
-                "compressed=True runs through the serving layer; it cannot "
-                "be combined with serving=False (use PQRerankSearcher "
-                "directly for unserved PQ search)")
         self.dim = dim
         self.metric = Metric.parse(metric)
         self._build_params = dict(M=M, ef_construction=ef_construction,
@@ -164,7 +150,6 @@ class VectorStore:
         self._fixer: NGFixer | None = None
         self._maintainer: IndexMaintainer | None = None
         self._history: list[np.ndarray] = []
-        self._serving_enabled = serving
         self._scheduler_mode = scheduler_mode
         self._merge_every = merge_every
         # Validate + construct the maintenance policy up front (fail fast
@@ -201,14 +186,13 @@ class VectorStore:
         atomic_write_text(wal_dir / _CONFIG_NAME, json.dumps({
             "dim": self.dim, "metric": self.metric.value,
             "M": M, "ef_construction": ef_construction, "seed": seed,
-            "serving": self._serving_enabled,
             "scheduler_mode": self._scheduler_mode,
             "merge_every": self._merge_every,
             "sync_every": sync_every,
             "checkpoint_every": self._checkpoint_every,
             "compressed": self._compressed,
             "pq_m": self._pq_m, "pq_ks": self._pq_ks,
-            "rerank": self._rerank,
+            "rerank": self._rerank, "beam_width": self._beam_width,
             "policy": self._policy_name,
             "policy_config": self._policy_config,
             "tuned_config": (self._tuned_config.to_dict()
@@ -277,7 +261,7 @@ class VectorStore:
             ids = list(range(first_id, first_id + vectors.shape[0]))
             if self._wal is not None:
                 self._wal.log_insert(first_id, vectors, payloads)
-        elif self._scheduler is not None:
+        else:
             # Journal inside the write lock so the record lands in commit
             # order relative to the scheduler's own observe/merge records.
             with self._scheduler.write_lock, self._deferred_merge_notify():
@@ -289,11 +273,6 @@ class VectorStore:
                 # Feed the policy before the deferred merge callback fires
                 # so the merge decision sees this batch's pressure.
                 self._scheduler.note_mutation_kind("insert", len(ids))
-        else:
-            ids = self._maintainer.insert(vectors)
-            self._sync_codes()
-            if self._wal is not None:
-                self._wal.log_insert(ids[0] if ids else 0, vectors, payloads)
         if payloads is not None:
             for i, payload in zip(ids, payloads):
                 self._payloads[i] = payload
@@ -304,7 +283,7 @@ class VectorStore:
     def _sync_codes(self) -> None:
         """Incrementally re-encode freshly inserted rows into the PQ codes.
 
-        Called on the insert path (inside the write lock under serving) so
+        Called on the insert path (inside the write lock) so
         the compressed searcher's code matrix always covers every published
         node id; searches additionally lazy-sync as a safety net.
         """
@@ -361,8 +340,6 @@ class VectorStore:
             # Spill before fitting PQ codes so the encode pass streams from
             # the file and steady-state RSS never includes the raw matrix.
             self._fixer.dc.use_memmap(self._memmap_path)
-        if not self._serving_enabled:
-            return
         if self._compressed:
             # A shipped codebook (apply_pq before build — the cluster
             # router's code-shipping path) is adopted as-is: ADCComputer
@@ -407,8 +384,6 @@ class VectorStore:
         as the workload-hardness prior when a :class:`SignalPolicy` is
         driving maintenance.
         """
-        if self._searcher is None or self._tuned_config is None:
-            return
         fixer = self._fixer
 
         def locate(vector: np.ndarray) -> int | None:
@@ -430,29 +405,25 @@ class VectorStore:
     def fit_history(self, queries: np.ndarray) -> dict:
         """Run NGFix*/RFix over historical queries (builds first if needed).
 
-        Under serving, the bulk fit runs with overlay logging suspended —
-        in-flight searches keep serving the pre-fit epoch and the fitted
-        graph becomes visible atomically via a fresh epoch cut on exit.
+        The bulk fit runs with overlay logging suspended — in-flight
+        searches keep serving the pre-fit epoch and the fitted graph
+        becomes visible atomically via a fresh epoch cut on exit.
         """
         if self._fixer is None:
             self.build()
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
         self._history.append(queries)
         self._maintainer.history = np.vstack(self._history)
-        if self._scheduler is not None:
-            with self._scheduler.bulk():
-                self._fixer.fit(queries)
-        else:
+        with self._scheduler.bulk():
             self._fixer.fit(queries)
         return self._fixer.stats()
 
     def observe(self, query: np.ndarray) -> bool:
         """Feed one served query back into online fixing.
 
-        Under serving this enqueues the query with the maintenance
-        scheduler, which repairs it with the full NGFix/RFix pass off the
-        query path (synchronously in "inline" mode, on the background
-        worker in "thread" mode).  Without serving it repairs immediately.
+        Enqueues the query with the maintenance scheduler, which repairs
+        it with the full NGFix/RFix pass off the query path (synchronously
+        in "inline" mode, on the background worker in "thread" mode).
 
         Returns True when the query was accepted; False when admission
         control shed it (repair queue saturated or worker dead — repair
@@ -460,13 +431,7 @@ class VectorStore:
         """
         if self._fixer is None:
             raise RuntimeError("build() before observe()")
-        query = np.asarray(query, dtype=np.float32)
-        if self._scheduler is not None:
-            return self._scheduler.observe(query)
-        self._fixer.fix_query(query)
-        if self._wal is not None:
-            self._wal.log_observe(query)
-        return True
+        return self._scheduler.observe(np.asarray(query, dtype=np.float32))
 
     # -- serving ------------------------------------------------------------
 
@@ -480,9 +445,9 @@ class VectorStore:
         to 16x) and post-filters, the standard small-scale strategy, so very
         selective predicates may return fewer than k hits.
 
-        ``deadline_ms`` bounds the search's latency budget (serving layer
-        only): an expired budget returns best-so-far results instead of
-        blocking — see :meth:`ServingSearcher.search
+        ``deadline_ms`` bounds the search's latency budget: an expired
+        budget returns best-so-far results instead of blocking — see
+        :meth:`ServingSearcher.search
         <repro.serving.ServingSearcher.search>`.  Not combinable with
         ``where`` (filtered search re-queries, so one budget does not map
         onto it).
@@ -490,17 +455,12 @@ class VectorStore:
         if self._fixer is None:
             self.build()
         query = np.asarray(query, dtype=np.float32)
-        searcher = self._searcher if self._searcher is not None else self._fixer
-        extra = {}
-        if deadline_ms is not None:
-            if where is not None:
-                raise ValueError("deadline_ms cannot be combined with where=")
-            if searcher is not self._searcher:
-                raise RuntimeError(
-                    "deadline_ms requires the serving layer (serving=True)")
-            extra["deadline_ms"] = deadline_ms
+        searcher = self._searcher
+        if deadline_ms is not None and where is not None:
+            raise ValueError("deadline_ms cannot be combined with where=")
         if where is None:
-            result = searcher.search(query, k=k, ef=ef, **extra)
+            result = searcher.search(query, k=k, ef=ef,
+                                     deadline_ms=deadline_ms)
             return [(int(i), float(d), self._payloads.get(int(i)))
                     for i, d in zip(result.ids, result.distances)]
 
@@ -523,22 +483,15 @@ class VectorStore:
         Returns a list of :class:`~repro.graphs.search.SearchResult` (no
         payload join — use :meth:`get_payload` for that), taking the batched
         lock-step engine which is the throughput-optimal path.
-        ``deadline_ms`` budgets the whole batch (serving layer only);
-        results past the budget come back best-so-far with ``degraded``
-        set.
+        ``deadline_ms`` budgets the whole batch; results past the budget
+        come back best-so-far with ``degraded`` set.
         """
         if self._fixer is None:
             self.build()
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
-        searcher = self._searcher if self._searcher is not None else self._fixer
-        if deadline_ms is not None:
-            if searcher is not self._searcher:
-                raise RuntimeError(
-                    "deadline_ms requires the serving layer (serving=True)")
-            return searcher.search_batch(queries, k, ef,
-                                         batch_size=batch_size,
-                                         deadline_ms=deadline_ms)
-        return searcher.search_batch(queries, k, ef, batch_size=batch_size)
+        return self._searcher.search_batch(queries, k, ef,
+                                           batch_size=batch_size,
+                                           deadline_ms=deadline_ms)
 
     def get_payload(self, vector_id: int) -> Any:
         return self._payloads.get(int(vector_id))
@@ -548,32 +501,27 @@ class VectorStore:
     def delete(self, ids) -> bool:
         """Delete vectors; compaction + NGFix repair fire automatically.
 
-        Under serving, a compaction (which rewires edges store-wide) is
-        immediately followed by an epoch merge so new pins see the compacted
-        graph rather than paying overlay lookups for every rewired node.
+        A compaction (which rewires edges store-wide) is immediately
+        followed by an epoch merge so new pins see the compacted graph
+        rather than paying overlay lookups for every rewired node.
         """
         if self._fixer is None:
             raise RuntimeError("build() before delete()")
-        if self._scheduler is not None:
-            # Journal the delete before the merges it triggers (the
-            # cadence callback and the post-compaction cut below), so WAL
-            # order equals commit order and replay re-cuts the same epochs.
-            with self._scheduler.write_lock:
-                with self._deferred_merge_notify():
-                    compacted = self._maintainer.delete(ids)
-                    if self._wal is not None:
-                        self._wal.log_delete(ids)
-                    # Inside the deferred window: the storm detector must
-                    # see these deletes before the held-back merge-cadence
-                    # callback evaluates its decision on block exit.
-                    self._scheduler.note_mutation_kind(
-                        "delete", np.atleast_1d(np.asarray(ids)).size)
-                if compacted:
-                    self._scheduler.merge_now()
-        else:
-            compacted = self._maintainer.delete(ids)
-            if self._wal is not None:
-                self._wal.log_delete(ids)
+        # Journal the delete before the merges it triggers (the cadence
+        # callback and the post-compaction cut below), so WAL order equals
+        # commit order and replay re-cuts the same epochs.
+        with self._scheduler.write_lock:
+            with self._deferred_merge_notify():
+                compacted = self._maintainer.delete(ids)
+                if self._wal is not None:
+                    self._wal.log_delete(ids)
+                # Inside the deferred window: the storm detector must see
+                # these deletes before the held-back merge-cadence callback
+                # evaluates its decision on block exit.
+                self._scheduler.note_mutation_kind(
+                    "delete", np.atleast_1d(np.asarray(ids)).size)
+            if compacted:
+                self._scheduler.merge_now()
         for i in np.atleast_1d(np.asarray(ids, dtype=np.int64)):
             self._payloads.pop(int(i), None)
         if self._wal is not None:
@@ -581,7 +529,7 @@ class VectorStore:
         return compacted
 
     def flush(self, timeout: float | None = 10.0) -> bool:
-        """Drain pending online repairs and due merges (no-op sans serving).
+        """Drain pending online repairs and due merges (no-op before build).
 
         Returns True once the queue drained; False when the wait timed out
         with work still pending (also counted in ``maintenance_flush_timeouts``),
@@ -604,10 +552,8 @@ class VectorStore:
             raise RuntimeError("checkpoint() requires a store built with wal_dir")
         if self._fixer is None:
             self.build()
-        if self._scheduler is not None:
-            with self._scheduler.write_lock:
-                return self._checkpoint_locked(keep_snapshots)
-        return self._checkpoint_locked(keep_snapshots)
+        with self._scheduler.write_lock:
+            return self._checkpoint_locked(keep_snapshots)
 
     def _checkpoint_locked(self, keep_snapshots: int) -> SnapshotInfo:
         self._wal.sync()
@@ -627,12 +573,11 @@ class VectorStore:
 
     def _attach_wal(self, wal: WriteAheadLog,
                     snapshots: SnapshotManager) -> None:
-        """Adopt an already-open log (recovery attaches after replay)."""
+        """Adopt an already-open log (recovery attaches after replay, built)."""
         self._wal = wal
         self._snapshots = snapshots
         self._last_checkpoint_seq = wal.seq
-        if self._scheduler is not None:
-            self._scheduler.wal = wal
+        self._scheduler.wal = wal
 
     def _adopt_index(self, index, payloads: dict[int, Any]) -> None:
         """Install a reconstructed index (load()/recovery) as the store's own."""
@@ -668,14 +613,12 @@ class VectorStore:
         self._shared_pq = pq
         self._compressed = True
         self._pq_m, self._pq_ks = pq.m, pq.ks
-        if self._fixer is None or not self._serving_enabled:
+        if self._fixer is None:
             return
-        lock = (self._scheduler.write_lock if self._scheduler is not None
-                else contextlib.nullcontext())
-        with lock:
+        with self._scheduler.write_lock:
             self._adc = ADCComputer(self._fixer.dc, pq)
-            if self._searcher is not None:
-                self._searcher.attach_adc(self._adc, rerank=self._rerank)
+            self._searcher.attach_adc(self._adc, rerank=self._rerank,
+                                      beam_width=self._beam_width)
 
     @property
     def tuned_config(self) -> TunedConfig | None:
@@ -687,7 +630,7 @@ class VectorStore:
             config: TunedConfig | dict | str | pathlib.Path | None) -> None:
         """Adopt (or drop, with None) a fitted tuned config at runtime.
 
-        On a built serving store the hardness planner re-attaches
+        On a built store the hardness planner re-attaches
         immediately; on a durable store ``store-config.json`` is rewritten
         so :func:`repro.durability.recover` restores the same table.
         """
@@ -719,17 +662,17 @@ class VectorStore:
 
     @property
     def scheduler(self) -> MaintenanceScheduler | None:
-        """The serving maintenance scheduler (None before build / sans serving)."""
+        """The serving maintenance scheduler (None before build)."""
         return self._scheduler
 
     @property
     def epochs(self) -> EpochManager | None:
-        """The epoch manager (None before build / sans serving)."""
+        """The epoch manager (None before build)."""
         return self._manager
 
     @property
     def searcher(self) -> ServingSearcher | None:
-        """The epoch-pinning searcher (None before build / sans serving).
+        """The epoch-pinning searcher (None before build).
 
         Exposes the raw index protocol (``search`` returning
         :class:`~repro.graphs.search.SearchResult`, ``search_batch``,
@@ -744,21 +687,18 @@ class VectorStore:
         out = self._fixer.stats()
         out["built"] = True
         out["payloads"] = len(self._payloads)
-        if self._scheduler is not None:
-            out["serving"] = self._scheduler.stats()
+        out["serving"] = self._scheduler.stats()
         if self._adc is not None:
-            searcher = self._searcher
             out["compressed"] = {
                 "pq_m": self._adc.pq.m,
                 "pq_ks": self._adc.pq.ks,
                 "rerank": self._rerank,
                 "code_bytes": self._adc.code_bytes,
-            }
-            if searcher is not None:
                 # Aggregatable searcher counters (adc_scored, rerank_ndc,
                 # ...) sum cleanly across shards via cluster.merge_stats.
-                out["compressed"].update(searcher.stats())
-        elif self._searcher is not None:
+                **self._searcher.stats(),
+            }
+        else:
             out["searcher"] = self._searcher.stats()
         if self._tuned_config is not None:
             out["tuned"] = {
@@ -790,8 +730,7 @@ class VectorStore:
 
     @classmethod
     def load(cls, path: str | pathlib.Path,
-             fix_config: FixConfig | None = None,
-             serving: bool = True, compressed: bool = False,
+             fix_config: FixConfig | None = None, compressed: bool = False,
              pq_m: int | None = None, pq_ks: int = 32, rerank: int = 50,
              memmap_dir: str | pathlib.Path | None = None,
              tuned_config: TunedConfig | dict | str | pathlib.Path | None
@@ -818,7 +757,7 @@ class VectorStore:
         path = pathlib.Path(path)
         frozen = load_index(path, memmap_dir=memmap_dir)
         store = cls(dim=frozen.dc.dim, metric=frozen.dc.metric,
-                    fix_config=fix_config, serving=serving,
+                    fix_config=fix_config,
                     compressed=compressed, pq_m=pq_m, pq_ks=pq_ks,
                     rerank=rerank, tuned_config=tuned_config)
         payloads = {}

@@ -36,6 +36,7 @@ import numpy as np
 
 from repro.distances import Metric, pairwise_distances
 from repro.evalx.metrics import recall_per_query
+from repro.graphs.search import pad_results
 from repro.tuning.config import BinSetting, TunedConfig
 
 #: Rough cost of one ADC table lookup relative to one full-precision
@@ -147,14 +148,6 @@ def _crossfit_hardness(qmat: np.ndarray, landmarks: np.ndarray,
 
 # -- measurement -------------------------------------------------------------
 
-def _pad_ids(results, k: int) -> np.ndarray:
-    ids = np.full((len(results), k), -1, dtype=np.int64)
-    for row, result in enumerate(results):
-        got = result.ids[:k]
-        ids[row, :len(got)] = got
-    return ids
-
-
 def _measure(searcher, qmat: np.ndarray, k: int, setting: BinSetting,
              batch_size: int) -> tuple[np.ndarray, float]:
     """Replay ``qmat`` at one setting; returns (padded ids, cost/query).
@@ -176,7 +169,7 @@ def _measure(searcher, qmat: np.ndarray, k: int, setting: BinSetting,
     cost = float(dc.ndc - ndc0)
     if adc is not None:
         cost += ADC_COST_WEIGHT * float(adc.ndc - adc0)
-    return _pad_ids(results, k), cost / max(qmat.shape[0], 1)
+    return pad_results(results, k)[0], cost / max(qmat.shape[0], 1)
 
 
 # -- fitting -----------------------------------------------------------------

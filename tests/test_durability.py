@@ -327,6 +327,31 @@ class TestRecovery:
         assert again._fixer.dc.size == 43
         again.close()
 
+    @pytest.mark.parametrize("rewrite", [
+        lambda config: config.update(serving=False),
+        lambda config: config.pop("beam_width"),
+    ], ids=["serving-false", "no-beam-width"])
+    def test_old_store_config_still_recovers(self, tmp_path, rewrite):
+        """Configs from before this format — carrying the dropped
+        ``serving`` key, or written before ``beam_width`` was persisted —
+        recover into a serving, consistent store."""
+        wal_dir = tmp_path / "wal"
+        store = _make_store(wal_dir, n=40, seed=7)
+        store.checkpoint()
+        store.add(_vectors(3, seed=8))
+        store.close()
+        config_path = wal_dir / "store-config.json"
+        config = json.loads(config_path.read_text())
+        rewrite(config)
+        config_path.write_text(json.dumps(config))
+
+        recovered, report = recover(wal_dir)
+        assert report.consistent, report.errors
+        assert recovered.epochs is not None and recovered.scheduler is not None
+        assert len(recovered.search(_vectors(1, seed=9)[0], k=5,
+                                    deadline_ms=10_000.0)) == 5
+        recovered.close()
+
     def test_empty_dir_raises(self, tmp_path):
         with pytest.raises(RecoveryError):
             recover(tmp_path / "nothing-here")
@@ -459,13 +484,6 @@ class TestGracefulDegradation:
         with pytest.raises(ValueError, match="where"):
             served.search(_vectors(1, seed=4)[0], k=5,
                           deadline_ms=1.0, where=lambda p: True)
-
-    def test_deadline_requires_serving(self):
-        store = VectorStore(dim=8, serving=False)
-        store.add(_vectors(30))
-        store.build()
-        with pytest.raises(RuntimeError, match="serving"):
-            store.search(_vectors(1)[0], k=3, deadline_ms=5.0)
 
 
 class TestAdmissionControl:

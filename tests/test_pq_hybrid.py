@@ -297,7 +297,7 @@ class TestCompressedProperties:
 @pytest.fixture
 def compressed_store(tiny_ds):
     store = VectorStore(dim=tiny_ds.base.shape[1], metric=tiny_ds.metric,
-                        M=8, ef_construction=40, seed=3, serving=True,
+                        M=8, ef_construction=40, seed=3,
                         compressed=True, pq_ks=16, rerank=40)
     store.add(tiny_ds.base)
     store.build()
@@ -307,10 +307,6 @@ def compressed_store(tiny_ds):
 
 @pytest.mark.timeout(120)
 class TestCompressedServing:
-    def test_rejects_unserved_compression(self):
-        with pytest.raises(ValueError, match="serving"):
-            VectorStore(dim=8, compressed=True, serving=False)
-
     def test_recall_and_counters(self, compressed_store, tiny_ds, tiny_gt):
         results = compressed_store.search_batch(tiny_ds.test_queries, 10, 80)
         found = np.stack([r.ids[:10] for r in results])
@@ -320,6 +316,64 @@ class TestCompressedServing:
         assert stats["adc_scored"] > 0
         assert stats["rerank_ndc"] > 0
         assert stats["rerank"] == 40
+
+    def test_matches_pq_rerank_searcher(self, compressed_store, tiny_ds):
+        """Differential oracle: on a quiescent store the serving path and a
+        PQRerankSearcher over the live graph are the same search — ids,
+        distances and both counters — on either traversal shape."""
+        searcher = compressed_store.searcher
+        reference = PQRerankSearcher(compressed_store._fixer,
+                                     compressed_store.adc.pq,
+                                     rerank=searcher.rerank,
+                                     beam_width=searcher.beam_width)
+        queries = tiny_ds.test_queries
+
+        def counters(obj):
+            return np.array([obj.adc_scored, obj.rerank_ndc])
+
+        for serve, refer in (
+                (lambda: compressed_store.search_batch(queries, 10, 60),
+                 lambda: reference.search_batch(queries, 10, 60)),
+                (lambda: [searcher.search(q, 10, 60) for q in queries],
+                 lambda: [reference.search(q, 10, 60) for q in queries])):
+            served0, refer0 = counters(searcher), counters(reference)
+            got, want = serve(), refer()
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g.ids, w.ids)
+                np.testing.assert_array_equal(g.distances, w.distances)
+            spent = counters(searcher) - served0
+            assert spent.all()
+            np.testing.assert_array_equal(spent, counters(reference) - refer0)
+
+    @pytest.mark.parametrize("beam_width", [1, 8])
+    def test_beam_width_survives_apply_pq_and_recovery(self, tiny_ds,
+                                                       tmp_path, beam_width):
+        """A configured beam width is the one served after a codebook
+        re-ship on a built store and after checkpoint -> recover()."""
+        from repro.durability import recover
+        store = VectorStore(dim=16, metric=tiny_ds.metric, M=8,
+                            ef_construction=40, seed=3, compressed=True,
+                            pq_ks=16, rerank=40, beam_width=beam_width,
+                            wal_dir=tmp_path / "dur")
+        store.add(tiny_ds.base)
+        store.build()
+        queries = tiny_ds.test_queries
+
+        def served(s):
+            assert s.searcher.beam_width == beam_width
+            return [r.ids.tolist() for r in s.search_batch(queries, 10, 60)]
+
+        before = served(store)
+        store.apply_pq(store.adc.pq)
+        assert served(store) == before
+        store.checkpoint()
+        store.close()
+        recovered, report = recover(tmp_path / "dur")
+        assert report.consistent
+        assert served(recovered) == before
+        recovered.apply_pq(recovered.adc.pq)
+        assert served(recovered) == before
+        recovered.close()
 
     def test_insert_delete_visibility(self, compressed_store, rng):
         q = rng.standard_normal(16).astype(np.float32)

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import VectorStore
+from repro import VectorStore, obs
 from repro.graphs.adjacency import AdjacencyStore, ObservedTombstones
 from repro.graphs.search import greedy_search
 from repro.serving import DeltaOverlay, EpochManager, MaintenanceScheduler
@@ -33,10 +33,9 @@ EXTRA = _rng.standard_normal((80, DIM)).astype(np.float32)
 QUERIES = _rng.standard_normal((12, DIM)).astype(np.float32)
 
 
-def make_store(merge_every=50, mode="inline", serving=True):
+def make_store(merge_every=50, mode="inline"):
     store = VectorStore(dim=DIM, metric="l2", M=8, ef_construction=40,
-                        serving=serving, scheduler_mode=mode,
-                        merge_every=merge_every)
+                        scheduler_mode=mode, merge_every=merge_every)
     store.add(BASE)
     store.build()
     return store
@@ -220,12 +219,6 @@ class TestServingStore:
         assert store.epochs.current.epoch_id > epoch0
         assert store.epochs.overlay.seq == 0
 
-    def test_serving_disabled_falls_back(self):
-        store = make_store(serving=False)
-        assert store.scheduler is None and store.epochs is None
-        q = QUERIES[0]
-        assert [i for i, _, _ in store.search(q, k=5, ef=30)]
-
     def test_save_load_roundtrip_reattaches_serving(self, tmp_path):
         store = make_store()
         store.delete([5])
@@ -235,6 +228,33 @@ class TestServingStore:
         q = QUERIES[0]
         ids = [i for i, _, _ in loaded.search(q, k=10, ef=30)]
         assert ids and 5 not in ids
+
+    @pytest.mark.parametrize("compressed", [False, True],
+                             ids=["exact", "compressed"])
+    def test_one_search_emits_one_filled_trace(self, compressed):
+        """Either route: one ``search`` records exactly one QueryTrace —
+        to the ring and to the sink — stamped with its pin."""
+        store = VectorStore(dim=DIM, metric="l2", M=8, ef_construction=40,
+                            compressed=compressed, pq_ks=16)
+        store.add(BASE)
+        store.build()
+        sunk = []
+        store.searcher.trace_sink = lambda trace, query: sunk.append(trace)
+        obs.reset()
+        obs.enable()
+        try:
+            recorded0 = obs.TRACES.n_recorded
+            store.searcher.search(QUERIES[0], k=5, ef=30)
+            assert obs.TRACES.n_recorded == recorded0 + 1
+            [trace] = sunk
+            assert trace is obs.TRACES.recent(1)[0]
+        finally:
+            obs.disable()
+            obs.reset()
+        assert trace.epoch_id == store.epochs.current.epoch_id
+        assert trace.overlay_seq == store.epochs.overlay.seq
+        assert trace.pin_seconds > 0.0
+        assert (trace.k, trace.ef, trace.degraded) == (5, 30, False)
 
     def test_stats_expose_serving_block(self):
         store = make_store()

@@ -252,6 +252,30 @@ class TestPlannerRouting:
         hard_ndc = (dc.ndc - before) / len(queries)
         assert easy_ndc <= hard_ndc
 
+    def test_single_query_is_the_planned_block_of_one(self, tiny_ds,
+                                                      tuning_store):
+        """``search(q)`` and ``search_batch(q[None])[0]`` are one planned
+        search: same bin setting, same landmark entry, same feedback."""
+        searcher = tuning_store.searcher
+        tuning_store.apply_tuned_config(make_config(tiny_ds))
+        try:
+            planner = searcher.planner
+            planner.adapt = False  # no landmark drift between the two calls
+            for q in tiny_ds.test_queries[:20]:
+                planned = planner.stats()["planned"]
+                noted = int(planner.confusion.sum())
+                one = searcher.search(q, K)
+                assert planner.stats()["planned"] == planned + 1
+                assert planner.confusion.sum() == noted + 1
+                block = searcher.search_batch(q[None], K)[0]
+                assert planner.stats()["planned"] == planned + 2
+                assert planner.confusion.sum() == noted + 2
+                np.testing.assert_array_equal(one.ids, block.ids)
+                np.testing.assert_array_equal(one.distances, block.distances)
+                assert one.n_hops == block.n_hops
+        finally:
+            tuning_store.apply_tuned_config(None)
+
     def test_entry_for_block_respects_horizon_and_excluded(self, tiny_ds):
         config = make_config(tiny_ds)
         locate_calls = []
