@@ -46,11 +46,13 @@ without killing it, which is exactly a gray failure on demand.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import random
 import select
 import selectors
 import time
+from collections import deque
 
 from repro.cluster.protocol import recv_msg, send_msg
 from repro.obs import OBS, SECONDS_BUCKETS
@@ -90,6 +92,12 @@ class Overloaded(RuntimeError):
 
 # -- latency tracking ---------------------------------------------------------
 
+#: No reply under this many seconds counts as inflated, whatever the baseline.
+INFLATED_FLOOR_S = 0.010
+#: How many of the latest replies a tracker keeps for :meth:`inflation`.
+RECENT_SAMPLES = 64
+
+
 class LatencyTracker:
     """Per-replica EWMA latency statistics and the hedge threshold.
 
@@ -101,11 +109,16 @@ class LatencyTracker:
     conservative ``initial_s`` applies, so cold replicas are not hedged on
     noise.  The first ``warmup`` samples also lock a healthy *baseline*
     mean that :meth:`inflation` compares against — the breaker's sustained
-    latency-inflation trip reads that ratio.
+    latency-inflation trip reads that ratio.  Healthy replies are
+    sub-millisecond, so a ratio against the baseline alone would call one
+    scheduler blip a 4x inflation: the reference is never taken below
+    ``INFLATED_FLOOR_S``, and the ratio is read off the *fastest* of the
+    last few samples (at most ``RECENT_SAMPLES``), so only a run of slow
+    replies moves it.
     """
 
     __slots__ = ("alpha", "warmup", "initial_s", "floor_s", "n", "mean",
-                 "var", "baseline")
+                 "var", "baseline", "recent")
 
     def __init__(self, alpha: float = 0.25, warmup: int = 8,
                  initial_s: float = 0.05, floor_s: float = 0.001):
@@ -117,10 +130,12 @@ class LatencyTracker:
         self.mean = 0.0
         self.var = 0.0
         self.baseline: float | None = None
+        self.recent: deque[float] = deque(maxlen=RECENT_SAMPLES)
 
     def record(self, latency_s: float) -> None:
         latency_s = max(float(latency_s), 0.0)
         self.n += 1
+        self.recent.append(latency_s)
         if self.n == 1:
             self.mean = latency_s
             self.var = 0.0
@@ -141,11 +156,19 @@ class LatencyTracker:
             return self.initial_s
         return max(self.floor_s, self.p95())
 
-    def inflation(self) -> float:
-        """Current EWMA mean relative to the locked healthy baseline."""
-        if self.baseline is None:
+    def inflation(self, samples: int = 1) -> float:
+        """How inflated the last ``samples`` replies *all* were.
+
+        The fastest of them over ``max(baseline, INFLATED_FLOOR_S)``: a
+        value of 4 means every one of the last ``samples`` replies took at
+        least four times the healthy reference, and never less than tens
+        of milliseconds in absolute terms.  1.0 until the baseline is
+        locked and that many samples exist.
+        """
+        if self.baseline is None or len(self.recent) < samples:
             return 1.0
-        return self.mean / self.baseline
+        slowest_run = min(itertools.islice(reversed(self.recent), samples))
+        return slowest_run / max(self.baseline, INFLATED_FLOOR_S)
 
     def reset_window(self) -> None:
         """Forget the (inflated) window after re-admission, keep the baseline.
@@ -157,6 +180,7 @@ class LatencyTracker:
         if self.baseline is not None:
             self.mean = self.baseline
         self.var = 0.0
+        self.recent.clear()
 
 
 # -- retry scheduling ---------------------------------------------------------
@@ -209,9 +233,10 @@ class BreakerConfig:
     """Tunables for one replica's circuit breaker.
 
     ``failure_threshold`` consecutive failures (timeouts, hedge losses,
-    connection/shard errors) trip CLOSED→OPEN, as does a sustained EWMA
-    latency ``inflation_factor``× the replica's locked healthy baseline
-    once ``inflation_min_samples`` samples exist.  ``probe_timeout_s``
+    connection/shard errors) trip CLOSED→OPEN, as do
+    ``inflation_min_samples`` *consecutive* replies each
+    ``inflation_factor``× the replica's healthy reference (see
+    :meth:`LatencyTracker.inflation`).  ``probe_timeout_s``
     bounds how long a half-open probe reply may straggle before the probe
     counts as failed and the backoff doubles.
     """
@@ -291,8 +316,8 @@ class CircuitBreaker:
         self.consecutive_failures = 0
         if (self.config.enabled and self.state == CLOSED
                 and tracker is not None
-                and tracker.n >= self.config.inflation_min_samples
-                and tracker.inflation() >= self.config.inflation_factor):
+                and tracker.inflation(self.config.inflation_min_samples)
+                >= self.config.inflation_factor):
             self.trip("latency")
 
     def record_failure(self, reason: str = "failure") -> None:

@@ -660,8 +660,14 @@ class ClusterRouter:
         again, straggling past ``probe_timeout_s`` → reopen with a longer
         backoff.  Handles still owing stale frames get a tiny drain
         budget; ones that cannot catch up are skipped, not waited on.
+
+        **Fail open.**  Breakers only ever choose *between* replicas: when
+        no replica left to try is admitted, the least latency-inflated of
+        the barred ones serves the read — a slow answer with full recall
+        beats a ``degraded`` one with the partition missing.
         """
         replicas = self.handles[shard_id]
+        barred: list[ShardHandle] = []
         for i in range(self.n_replicas):
             handle = replicas[(self._rr + i) % self.n_replicas]
             if not handle.alive or handle.replica_id in skip:
@@ -671,15 +677,28 @@ class ClusterRouter:
                 self._check_probe(handle)
             if breaker.state == resilience.OPEN and breaker.probe_due():
                 self._send_probe(handle)
-            if not handle.alive or not breaker.allows():
+            if not handle.alive:
                 continue
-            if handle.owes and not resilience.drain_stale(handle, 0.02):
-                # Busy (or just died draining): do not wait on it.
-                if not handle.alive:
-                    self._note_failure()
+            if not breaker.allows():
+                barred.append(handle)
                 continue
-            return handle
+            if self._caught_up(handle):
+                return handle
+        barred.sort(key=lambda h: h.latency.inflation(
+            h.breaker.config.inflation_min_samples))
+        for handle in barred:
+            if self._caught_up(handle):
+                return handle
         return None
+
+    def _caught_up(self, handle: ShardHandle) -> bool:
+        """Whether ``handle``'s socket is free of owed frames (after a tiny
+        drain budget); a busy replica is skipped, not waited on."""
+        if handle.owes and not resilience.drain_stale(handle, 0.02):
+            if not handle.alive:  # died draining
+                self._note_failure()
+            return False
+        return True
 
     def _send_probe(self, handle: ShardHandle) -> None:
         """Fire-and-forget half-open probe; the reply is checked later."""

@@ -220,6 +220,25 @@ class DistanceComputer:
             out = out.astype(np.float64)
         return out
 
+    def native_scorer(self, queries: np.ndarray):
+        """This computer as a :class:`repro.graphs.native.Scorer` over the
+        prepared ``(B, d)`` ``queries``, or None when the native kernel
+        cannot stand in for :meth:`to_query`: a subclass (it may score
+        differently), a base matrix or query block that is not C-contiguous
+        float32 (the float64 block of a degenerate COSINE query).  The
+        matrix is read per call — :meth:`append` reallocates it.
+        """
+        from repro.graphs import native  # repro.graphs imports this module
+
+        data = self._data
+        if (type(self) is not DistanceComputer
+                or not native.dense(data, np.float32, 2)
+                or not native.dense(queries, np.float32, 2)
+                or queries.shape[1] != data.shape[1]):
+            return None
+        return native.Scorer(native.EXACT_KINDS[self.metric.value], data,
+                             queries)
+
     def to_query(self, ids: np.ndarray, query: np.ndarray) -> np.ndarray:
         """Distances from base rows ``ids`` to a *prepared* query vector.
 

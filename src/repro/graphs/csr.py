@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.graphs import native
+
 _EMPTY_I32 = np.empty(0, dtype=np.int32)
 
 
@@ -38,7 +40,7 @@ class CSRGraphView:
     """
 
     __slots__ = ("indptr", "indices", "edge_eh", "n_nodes", "n_edges",
-                 "store_version")
+                 "store_version", "_native")
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray,
                  edge_eh: np.ndarray, store_version: int = -1):
@@ -52,6 +54,7 @@ class CSRGraphView:
         self.n_nodes = indptr.shape[0] - 1
         self.n_edges = indices.shape[0]
         self.store_version = store_version
+        self._native = None  # built on first use (see native_graph)
 
     def neighbors(self, u: int) -> np.ndarray:
         """Out-neighbors of ``u`` as a zero-copy slice of ``indices``."""
@@ -59,6 +62,18 @@ class CSRGraphView:
 
     # A view is drop-in for the ``neighbors_fn`` callables search takes.
     __call__ = neighbors
+
+    def native_graph(self):
+        """This snapshot as a :class:`repro.graphs.native.Graph` (built
+        once: the arrays never change), or None when they are not the
+        dense int32 pair the native kernel walks."""
+        if self._native is None:
+            self._native = (
+                native.Graph(self.indptr, self.indices)
+                if type(self) is CSRGraphView
+                and native.dense(self.indptr, np.int32, 1)
+                and native.dense(self.indices, np.int32, 1) else False)
+        return self._native or None
 
     def neighbors_block(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Bulk gather: concatenated out-neighbors of ``nodes`` + per-node counts.

@@ -5,10 +5,24 @@ max-heap ``R`` of size ``ef`` (the paper's search list size L).  At each step
 the closest unexpanded candidate is popped; if it is farther than the worst
 result and ``R`` is full, the search terminates.  Otherwise its unvisited
 neighbors are batch-scored (one vectorized distance call — this is where NDC
-accrues) and pushed.  There is one copy of that loop, :func:`beam_search`,
-parameterised by a scoring callable: :func:`greedy_search` runs it on the
-exact kernel, :func:`repro.quantization.searcher.pq_greedy_search` on ADC
-lookups.
+accrues) and pushed.
+
+**One algorithm, two executors.**  :func:`beam_search` is the *reference
+executor*: the Python loop, parameterised by a scoring callable
+(:func:`greedy_search` runs it on the exact kernel,
+:func:`repro.quantization.searcher.pq_greedy_search` on ADC lookups).  The
+*native executor* is the same algorithm in C (``_beam.c``, built and loaded
+by :mod:`repro.graphs.native`), about ten times cheaper per hop.
+:func:`native_search` picks between them, once, for every search entry
+point: it asks the scorer and the graph to describe themselves
+(``native_scorer`` / ``native_graph``, looked up on their *exact* type) and
+runs natively when both can — a frozen CSR or epoch view scored by a plain
+:class:`~repro.distances.DistanceComputer` or PQ codes — else the reference
+loop runs: a mutable ``AdjacencyStore`` (index construction, ``fix_query``),
+a proxy scorer, a float64 query, a machine without a C compiler.  The two
+are tested differentially (``tests/test_native.py``): same ids, hops, NDC,
+frontier peak and ``degraded``, distances within float32 rounding of each
+other (NumPy's reduction order is not reproducible in a C loop).
 
 :class:`BatchSearchEngine` advances the same algorithm for a *block* of
 queries in lock step: every round each active query expands its closest
@@ -34,6 +48,7 @@ import time
 import numpy as np
 
 from repro.distances import DistanceComputer
+from repro.graphs import native
 from repro.obs import OBS, SECONDS_BUCKETS
 
 _SEARCH_QUERIES = OBS.counter(
@@ -62,12 +77,35 @@ _BATCH_SECONDS = OBS.histogram(
     "batch_block_seconds", "engine block latency in seconds",
     buckets=SECONDS_BUCKETS)
 
-#: Blocks with fewer rows than this run row by row on :func:`beam_search`
-#: instead of in lock step (width-1 exact engines only): the lock-step
+_NATIVE_QUERIES = OBS.counter(
+    "search_native_queries", "searches run by the native executor")
+_NATIVE_FALLBACKS = OBS.counter(
+    "search_native_fallbacks",
+    "searches that ran on the reference executor instead of the native one")
+OBS.gauge_fn("search_native_enabled", lambda: float(native.enabled()),
+             "1 when the native traversal executor is loaded in this process")
+#: Why a search fell back, one counter each: the library is not loaded (no
+#: compiler, compile error, REPRO_NO_NATIVE); the scorer or the graph has no
+#: native description; the kernel refused the input (id out of range, a
+#: duplicate edge).
+_NATIVE_FALLBACK_REASONS = {
+    reason: OBS.counter(f"search_native_fallback_{reason}", text)
+    for reason, text in (
+        ("unavailable", "fallbacks because the native library is not loaded"),
+        ("scorer", "fallbacks because the scorer has no native description"),
+        ("graph", "fallbacks because the graph has no native description"),
+        ("rejected", "fallbacks because the native kernel refused the input"),
+    )}
+
+#: Without the native executor, blocks with fewer rows than this run row by
+#: row on :func:`beam_search` instead of in lock step (width-1 exact engines
+#: only): the lock-step
 #: rounds cost ~100 NumPy calls whatever the block holds, so a lone query
 #: pays 5x the sequential search, and the two meet at 12 rows — measured on
 #: 2400 rows/ef 60 and on 1200 rows/ef 40 (docs/performance.md).
 LOCKSTEP_MIN_ROWS = 12
+
+_INT32_MAX = int(np.iinfo(np.int32).max)
 
 
 class VisitedTable:
@@ -83,10 +121,22 @@ class VisitedTable:
 
     def next_epoch(self) -> None:
         """Start a new search; previously set marks become invisible."""
-        self._version += 1
-        if self._version == np.iinfo(np.int32).max:
+        self.reserve(1)
+
+    def reserve(self, count: int) -> int:
+        """Claim ``count`` consecutive fresh versions; returns the first.
+
+        A native block marks row ``r`` with version ``first + r``; the last
+        one claimed is the current version afterwards, so Python marks and
+        C marks interoperate.  Stamps are wiped when the int32 counter
+        would run out.
+        """
+        if self._version + count >= _INT32_MAX:
             self._stamps[:] = 0
-            self._version = 1
+            self._version = 0
+        first = self._version + 1
+        self._version += count
+        return first
 
     def grow(self, n: int) -> None:
         """Extend capacity to ``n`` nodes."""
@@ -122,7 +172,9 @@ class SearchResult:
     approximate-NN preprocessing mode) and cover every node whose distance to
     the query was computed.  ``degraded`` is set when a deadline budget
     expired before natural termination: the results are the best found so
-    far, not the full-effort answer.
+    far, not the full-effort answer.  ``executor`` names what ran the
+    traversal: ``"native"`` (``_beam.c``) or ``"reference"`` (the Python
+    loops).
     """
 
     ids: np.ndarray
@@ -132,6 +184,7 @@ class SearchResult:
     visited_distances: np.ndarray | None = None
     frontier_peak: int = 0
     degraded: bool = False
+    executor: str = "reference"
 
 
 def pad_results(results: list[SearchResult],
@@ -152,7 +205,9 @@ def pad_results(results: list[SearchResult],
 
 def unique_entries(entry_points) -> np.ndarray:
     """Sorted, de-duplicated int64 entry ids; at least one is required."""
-    entry_ids = np.unique(np.asarray(list(entry_points), dtype=np.int64))
+    entry_ids = np.asarray(list(entry_points), dtype=np.int64)
+    if entry_ids.size > 1:  # the usual lone entry is already both
+        entry_ids = np.unique(entry_ids)
     if entry_ids.size == 0:
         raise ValueError("at least one entry point is required")
     return entry_ids
@@ -243,15 +298,99 @@ def beam_search(score, neighbors_fn, entry_ids: np.ndarray, ef: int,
     return results, n_hops, frontier_peak, degraded, scored
 
 
-def _search_row(to_query, q: np.ndarray, neighbors_fn, entry_ids: np.ndarray,
+def _spec(obj, name: str, *args):
+    """``obj.<name>(*args)`` with the method looked up on ``obj``'s exact
+    type, None when the type has none.  A proxy that forwards attribute
+    access (the benchmark's kernel probe) or a plain ``neighbors_fn``
+    callable therefore has no native description and lands on the reference
+    executor, whatever it wraps."""
+    method = getattr(type(obj), name, None)
+    return None if method is None else method(obj, *args)
+
+
+def native_search(scorer_owner, graph_owner, queries: np.ndarray,
+                  entry_lists: list[np.ndarray], k: int, ef: int,
+                  beam_width: int, visited: VisitedTable,
+                  excluded: set[int] | None, deadline: float | None,
+                  collect: bool, scorer_args: tuple = (),
+                  ) -> tuple[list[SearchResult], int] | None:
+    """Run a block of searches on the native executor, if it can.
+
+    The single place an executor is chosen.  ``scorer_owner`` and
+    ``graph_owner`` are whatever the caller scores and walks with; they
+    are asked for ``native_scorer(*scorer_args, queries)`` and
+    ``native_graph()``.  Returns ``(results, distances_computed)`` — the
+    caller owns its NDC counter — or None (with the reason counted) when
+    the reference executor has to run.
+    ``entry_lists`` holds one :func:`unique_entries` array per query row
+    (the same object repeated when the rows share their entries).
+    """
+    n_queries = len(entry_lists)
+    if not native.enabled():
+        reason = "unavailable"
+    elif (graph := _spec(graph_owner, "native_graph")) is None:
+        # Asked first: a mutable store's bound ``neighbors`` (construction,
+        # ``fix_query``) answers with one getattr, before any scorer is built.
+        reason = "graph"
+    elif (scorer := _spec(scorer_owner, "native_scorer", *scorer_args,
+                          queries)) is None:
+        reason = "scorer"
+    else:
+        entries, offsets = entry_lists[0], None
+        if any(e is not entries for e in entry_lists):
+            offsets = np.zeros(n_queries + 1, dtype=np.int64)
+            np.cumsum([e.shape[0] for e in entry_lists], out=offsets[1:])
+            entries = np.concatenate(entry_lists)
+        visited.grow(scorer.rows.shape[0])
+        rows = native.beam_block(
+            graph, scorer, entries, offsets, k, ef, beam_width,
+            visited._stamps, visited.reserve(n_queries),
+            graph.mask_for(excluded), deadline, collect)
+        reason = "rejected" if rows is None else None
+    if reason is not None:
+        if OBS.enabled:
+            _NATIVE_FALLBACKS.inc()
+            _NATIVE_FALLBACK_REASONS[reason].inc()
+        return None
+    _NATIVE_QUERIES.inc(n_queries)
+    ndc = 0
+    results = []
+    for ids, distances, n_hops, frontier_peak, row_ndc, degraded, v_ids, v_d \
+            in rows:
+        ndc += row_ndc
+        results.append(SearchResult(
+            ids=ids, distances=distances, n_hops=n_hops,
+            visited_ids=v_ids, visited_distances=v_d,
+            frontier_peak=frontier_peak, degraded=degraded,
+            executor="native"))
+    return results, ndc
+
+
+def _search_row(dc, q: np.ndarray, neighbors_fn, entry_ids: np.ndarray,
                 k: int, ef: int, visited: VisitedTable,
                 excluded: set[int] | None, deadline: float | None,
                 collect_visited: bool) -> SearchResult:
-    """One exact-scored :func:`beam_search` as a :class:`SearchResult`.
+    """One exact-scored search as a :class:`SearchResult`, on whichever
+    executor :func:`native_search` picks.
 
-    Shared by :func:`greedy_search` and the batch engine's small-block
+    Shared by :func:`greedy_search` and the batch engine's row-by-row
     route, which makes the two bit-identical by construction.
     """
+    found = native_search(dc, neighbors_fn, q[None, :], [entry_ids], k, ef, 1,
+                          visited, excluded, deadline, collect_visited)
+    if found is not None:
+        dc.ndc += found[1]
+        return found[0][0]
+    return _reference_row(dc, q, neighbors_fn, entry_ids, k, ef, visited,
+                          excluded, deadline, collect_visited)
+
+
+def _reference_row(dc, q: np.ndarray, neighbors_fn, entry_ids: np.ndarray,
+                   k: int, ef: int, visited: VisitedTable,
+                   excluded: set[int] | None, deadline: float | None,
+                   collect_visited: bool) -> SearchResult:
+    """One exact-scored :func:`beam_search` as a :class:`SearchResult`."""
+    to_query = dc.to_query
     results, n_hops, frontier_peak, degraded, scored = beam_search(
         lambda ids: to_query(ids, q), neighbors_fn, entry_ids, ef, visited,
         excluded, deadline, collect_visited)
@@ -315,9 +454,9 @@ def greedy_search(
     # A reused table may predate incremental insertion (dc.append +
     # adjacency.grow); without this, stamping new node ids raises IndexError.
     visited.grow(dc.size)
-    result = _search_row(dc.to_query, q, neighbors_fn,
-                         unique_entries(entry_points), k, max(ef, k), visited,
-                         excluded, deadline, collect_visited)
+    result = _search_row(dc, q, neighbors_fn, unique_entries(entry_points),
+                         k, max(ef, k), visited, excluded, deadline,
+                         collect_visited)
     if telemetry:
         _SEARCH_QUERIES.inc()
         _SEARCH_HOPS.observe(result.n_hops)
@@ -328,10 +467,18 @@ def greedy_search(
 
 
 class BatchSearchEngine:
-    """Lock-step batched beam search over one graph.
+    """Batched beam search over one graph.
 
-    Runs Algorithm 1 for a block of up to ``batch_size`` queries
-    simultaneously.  Each round every active query expands its closest
+    Runs Algorithm 1 for a block of up to ``batch_size`` queries.  Per
+    block it resolves the graph snapshot, the excluded set, the prepared
+    queries and the entries once, then hands the block to
+    :func:`native_search` — one C call that walks the rows one after the
+    other, at any block size and ``beam_width``.  What follows describes
+    the *reference executor* of a block, which runs when the native one
+    cannot (no compiler, a mutable graph, a proxy scorer) and is what the
+    native one is differentially tested against.
+
+    **Lock-step rounds.**  Each round every active query expands its closest
     unexpanded candidate; the unvisited frontier neighbors of the whole
     block are gathered and scored in a single
     :meth:`~repro.distances.DistanceComputer.block_to_queries` call, then
@@ -342,18 +489,22 @@ class BatchSearchEngine:
     ``batch_size * n_nodes`` int32 stamps.
 
     **Small blocks.**  Each lock-step round costs the same ~100 NumPy
-    calls whether the block holds one row or sixty-four.  A block of fewer
-    than ``LOCKSTEP_MIN_ROWS`` rows therefore runs row by row on
-    :func:`beam_search` when ``beam_width == 1`` and the scorer is exact —
+    calls whether the block holds one row or sixty-four.  On the reference
+    executor a block of fewer than ``LOCKSTEP_MIN_ROWS`` rows therefore
+    runs row by row on :func:`beam_search` when ``beam_width == 1`` and
+    the scorer is exact —
     the configuration whose contract is the equivalence below, so the
     route cannot change a result.  ``graph_fn``, ``excluded_fn`` and entry
     resolution still run once per block and the ``batch_*`` metrics count
     the block whichever route ran it.  (A deadline that expires mid-block
-    leaves later rows of such a block with their entry points only, as it
-    leaves later *blocks* of a lock-step batch.)
+    leaves later rows of such a block with their entry points only — the
+    native executor's semantics at every block size, see
+    :meth:`search_batch`.)
 
-    **Equivalence.** The engine returns the same (ids, distances, NDC) as
-    running :func:`greedy_search` per query: candidate selection uses the
+    **Equivalence.** On one executor the engine returns the same (ids,
+    distances, NDC) as running :func:`greedy_search` per query — natively
+    because a single query *is* a block of one, and on the reference
+    executor because candidate selection uses the
     same (distance, id) order, expansion stops at the same bound, the
     frontier is scored before bound-pruning exactly as the sequential code
     does, and the distance kernel shares its per-row reduction with
@@ -422,9 +573,16 @@ class BatchSearchEngine:
                      prepared: bool = False) -> list[SearchResult]:
         """Search all ``queries``; returns one :class:`SearchResult` per row.
 
-        ``deadline`` (absolute ``time.perf_counter()``) applies to the whole
-        batch: blocks check it each lock-step round and finalize their
-        still-active rows best-so-far, flagged ``degraded``, once it passes.
+        ``deadline`` (absolute ``time.perf_counter()``) is one budget for
+        the whole batch; a row it cut short is flagged ``degraded``.  The
+        native executor walks the rows one after the other against it, at
+        every block size: rows finished before it passes are full-effort,
+        the row it interrupts returns its best so far, and every row after
+        that — in this block and in later ones — returns only its scored
+        entry points.  (``degraded`` is therefore monotone over the batch.)
+        The lock-step rounds check it once per round and finalize all
+        still-active rows of the block best-so-far together; rows of later
+        blocks get their entry points only, as natively.
         ``collect_visited`` additionally records every (node, distance)
         scored for each query — the batched counterpart of
         :func:`greedy_search`'s flag, and what the compressed path re-ranks
@@ -499,16 +657,25 @@ class BatchSearchEngine:
             entry_lists = [unique_entries(self.entry_points_fn(q))
                            for q in qmat]
 
-        # Row by row only where the engine's contract is bit-identity with
-        # the sequential search: width-1 beam, exact scorer (an ADC computer
-        # announces itself with ``begin_block``).
-        if (n_queries < LOCKSTEP_MIN_ROWS and self.beam_width == 1
+        # The native executor takes a block of any size or width in one
+        # call.  Without it: row by row only where the engine's contract is
+        # bit-identity with the sequential search — width-1 beam, exact
+        # scorer (an ADC computer announces itself with ``begin_block``) —
+        # else the lock-step rounds.
+        neighbors_fn = graph if graph is not None else self.neighbors_fn
+        found = native_search(dc, neighbors_fn, qmat, entry_lists, k, ef,
+                              self.beam_width, self._visited, excluded,
+                              deadline, collect_visited)
+        if found is not None:
+            final, ndc = found
+            dc.ndc += ndc
+            rounds = max(r.n_hops for r in final)
+        elif (n_queries < LOCKSTEP_MIN_ROWS and self.beam_width == 1
                 and begin_block is None):
-            neighbors_fn = graph if graph is not None else self.neighbors_fn
             self._visited.grow(dc.size)
-            final = [_search_row(dc.to_query, q, neighbors_fn, entries, k, ef,
-                                 self._visited, excluded, deadline,
-                                 collect_visited)
+            final = [_reference_row(dc, q, neighbors_fn, entries, k, ef,
+                                    self._visited, excluded, deadline,
+                                    collect_visited)
                      for q, entries in zip(qmat, entry_lists)]
             rounds = max(r.n_hops for r in final)
         else:

@@ -33,6 +33,7 @@ class QueryTrace:
     batched: bool = False
     queue_depth: int = 0
     degraded: bool = False
+    executor: str = "reference"  # "native" (_beam.c) | "reference" (Python)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -123,6 +123,17 @@ class ADCComputer:
         self._flat_tables = np.ascontiguousarray(
             self.pq.adc_tables(qmat)).reshape(-1)
 
+    def native_scorer(self, queries: np.ndarray):
+        """The block opened by :meth:`begin_block` as a native ADC scorer
+        (see :meth:`ProductQuantizer.native_scorer`): the code matrix and
+        that block's lookup tables, one per row of ``queries``."""
+        tables = self._flat_tables
+        shape = (queries.shape[0], self.pq.m, self.pq.ks)
+        if (type(self) is not ADCComputer or tables is None
+                or tables.size != shape[0] * shape[1] * shape[2]):
+            return None
+        return self.pq.native_scorer(self.codes, tables.reshape(shape))
+
     def block_to_queries(self, ids: np.ndarray, queries: np.ndarray,
                          owners: np.ndarray) -> np.ndarray:
         """ADC scores of code rows ``ids[i]`` against query ``owners[i]``.

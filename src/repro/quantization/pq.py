@@ -145,6 +145,22 @@ class ProductQuantizer:
         codes = np.asarray(codes, dtype=np.int64)
         return table[np.arange(self.m), codes].sum(axis=-1)
 
+    def native_scorer(self, codes: np.ndarray, tables: np.ndarray):
+        """ADC over ``codes`` as a :class:`repro.graphs.native.Scorer`, one
+        ``(m, ks)`` lookup table of ``tables`` per query; None when the
+        native kernel cannot stand in for :meth:`adc_distances` (a
+        subclass, or arrays that are not dense uint8 codes / float64
+        tables of this quantizer's shape)."""
+        from repro.graphs import native
+
+        if (type(self) is not ProductQuantizer
+                or not native.dense(codes, np.uint8, 2)
+                or not native.dense(tables, np.float64, 3)
+                or codes.shape[1] != self.m
+                or tables.shape[1:] != (self.m, self.ks)):
+            return None
+        return native.Scorer(native.ADC, codes, tables)
+
     def quantization_error(self, data: np.ndarray) -> float:
         """Mean squared reconstruction error (diagnostic)."""
         approx = self.decode(self.encode(data))

@@ -6,14 +6,18 @@ lookups instead of a full d-dimensional distance, then the shortlist is
 re-ranked exactly.  Full-precision NDC drops to the re-rank budget; the
 cheap lookups are counted separately so benches can report both.
 
-Two traversal paths share the machinery: :func:`pq_greedy_search` runs the
-sequential loop, :func:`~repro.graphs.search.beam_search`, with ADC lookups
-as its scorer (so entry handling, visited bookkeeping, tombstone traversal
-and deadline degradation are :func:`~repro.graphs.search.greedy_search`'s
-by construction), and the lock-step
-:class:`~repro.graphs.search.BatchSearchEngine` runs over an
-:class:`~repro.quantization.adc.ADCComputer`, so the whole frontier of a
-query block is scored with one table gather per hop.
+Two traversal shapes share the machinery: :func:`pq_greedy_search` runs
+one query with ADC lookups as its scorer, and
+:class:`~repro.graphs.search.BatchSearchEngine` runs a block over an
+:class:`~repro.quantization.adc.ADCComputer`.  Both go through
+:func:`~repro.graphs.search.native_search` — the C traversal core when the
+graph is frozen and the codes are plain uint8 — and otherwise through the
+reference executors: the sequential loop
+:func:`~repro.graphs.search.beam_search` (so entry handling, visited
+bookkeeping, tombstone traversal and deadline degradation are
+:func:`~repro.graphs.search.greedy_search`'s by construction) and the
+lock-step rounds, which score the whole frontier of a query block with one
+table gather per hop.
 
 The recipe around either traversal — ADC beam, shortlist carved from the
 *visited* set, fallback scan for an empty result, one exact re-rank — is
@@ -32,7 +36,8 @@ import numpy as np
 from repro.distances import DistanceComputer
 from repro.graphs.base import live_graph_engine
 from repro.graphs.search import (BatchSearchEngine, SearchResult, VisitedTable,
-                                 beam_search, pad_results, unique_entries)
+                                 beam_search, native_search, pad_results,
+                                 unique_entries)
 from repro.quantization.adc import ADCComputer
 from repro.quantization.pq import ProductQuantizer
 from repro.utils.validation import check_positive
@@ -66,6 +71,15 @@ def pq_greedy_search(
     ``deadline`` (absolute ``time.perf_counter()``) stops the expansion
     best-so-far once it passes.
     """
+    return _pq_traverse(pq, codes, neighbors_fn, entry_points, table, k, ef,
+                        visited, excluded, deadline)[:3]
+
+
+def _pq_traverse(pq, codes, neighbors_fn, entry_points, table, k, ef,
+                 visited, excluded, deadline,
+                 ) -> tuple[np.ndarray, int, bool, int, str]:
+    """:func:`pq_greedy_search` plus what the serving path also reports:
+    ``(ids, n_scored, degraded, n_hops, executor)``."""
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
     if visited is None:
@@ -73,18 +87,27 @@ def pq_greedy_search(
     # A reused table may predate incremental insertion; without this,
     # stamping new node ids raises IndexError (same fix as greedy_search).
     visited.grow(codes.shape[0])
-    adc_distances = pq.adc_distances
-    _, _, _, degraded, (ids, d) = beam_search(
-        lambda nodes: adc_distances(codes[nodes], table), neighbors_fn,
-        unique_entries(entry_points), max(ef, k), visited, excluded,
-        deadline, collect=True)
+    entry_ids = unique_entries(entry_points)
+    found = native_search(pq, neighbors_fn, table[None], [entry_ids], k,
+                          max(ef, k), 1, visited, excluded, deadline,
+                          collect=True, scorer_args=(codes,))
+    if found is not None:
+        (result,), _ = found
+        ids, d = result.visited_ids, result.visited_distances
+        degraded, n_hops = result.degraded, result.n_hops
+    else:
+        adc_distances = pq.adc_distances
+        _, n_hops, _, degraded, (ids, d) = beam_search(
+            lambda nodes: adc_distances(codes[nodes], table), neighbors_fn,
+            entry_ids, max(ef, k), visited, excluded, deadline, collect=True)
     n_scored = int(ids.shape[0])
     if excluded:
         keep = np.fromiter((int(i) not in excluded for i in ids),
                            dtype=bool, count=ids.shape[0])
         ids, d = ids[keep], d[keep]
     order = np.lexsort((ids, d))  # distance-then-id, matching the heap order
-    return ids[order], n_scored, degraded
+    return (ids[order], n_scored, degraded, n_hops,
+            "reference" if found is None else "native")
 
 
 def visited_shortlist(ids: np.ndarray, dists: np.ndarray,
@@ -194,9 +217,9 @@ def rerank_one(adc: ADCComputer, dc: DistanceComputer, neighbors_fn,
     """
     budget = max(budget, k)
     table = adc.begin_query(q)  # syncs codes first
-    shortlist, n_scored, degraded = pq_greedy_search(
-        adc.pq, adc.codes, neighbors_fn, entry_points, table, k=k,
-        ef=max(ef, k), visited=visited, excluded=excluded, deadline=deadline)
+    shortlist, n_scored, degraded, n_hops, executor = _pq_traverse(
+        adc.pq, adc.codes, neighbors_fn, entry_points, table, k, max(ef, k),
+        visited, excluded, deadline)
     shortlist = shortlist[:budget]
     if shortlist.size == 0:
         shortlist = fallback_shortlist(adc, table, excluded, budget)
@@ -207,7 +230,8 @@ def rerank_one(adc: ADCComputer, dc: DistanceComputer, neighbors_fn,
         exact = dc.to_query(shortlist, q)
         order = np.argsort(exact, kind="stable")[:k]
         ids, distances = shortlist[order], exact[order].astype(np.float64)
-    result = SearchResult(ids=ids, distances=distances, degraded=degraded)
+    result = SearchResult(ids=ids, distances=distances, n_hops=n_hops,
+                          degraded=degraded, executor=executor)
     return result, n_scored, int(shortlist.size), time.perf_counter() - t0
 
 
@@ -248,6 +272,8 @@ def rerank_block(engine: BatchSearchEngine, adc: ADCComputer,
         dc, qmat, shortlists, k,
         degraded=[r.degraded for r in approx],
         hops=[r.n_hops for r in approx])
+    for result, traversal in zip(results, approx):
+        result.executor = traversal.executor
     return results, adc.ndc - adc0, exact_ndc, time.perf_counter() - t0
 
 
@@ -316,8 +342,9 @@ class PQRerankSearcher:
             ef = max(k, 10)
         q = self.dc.prepare_query(query)
         adjacency = self.index.adjacency
+        # The frozen CSR when the store offers one (as GraphIndex.search).
         result, n_scored, exact_ndc, _ = rerank_one(
-            self.adc, self.dc, adjacency.neighbors,
+            self.adc, self.dc, adjacency.traversal() or adjacency.neighbors,
             self.index.entry_points(q), q, k, ef, self.rerank,
             visited=self._visited, excluded=adjacency.excluded_ids(),
             deadline=deadline)

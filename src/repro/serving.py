@@ -47,6 +47,7 @@ import numpy as np
 
 from repro.control.policy import CadencePolicy, MaintenancePolicy
 from repro.faults import FAULTS
+from repro.graphs import native
 from repro.graphs.csr import CSRGraphView
 from repro.graphs.search import (BatchSearchEngine, SearchResult, VisitedTable,
                                  greedy_search, pad_results)
@@ -119,13 +120,17 @@ class DeltaOverlay:
     writes land.
     """
 
-    __slots__ = ("base_n_nodes", "seq", "_node_log", "_tomb_log")
+    __slots__ = ("base_n_nodes", "seq", "_node_log", "_tomb_log", "_prefix")
 
     def __init__(self, base_n_nodes: int):
         self.base_n_nodes = base_n_nodes
         self.seq = 0  # last *published* sequence number
         self._node_log: dict[int, list[tuple[int, np.ndarray]]] = {}
         self._tomb_log: list[tuple[int, int]] = []
+        # What views pinned at the newest sequence number share (see
+        # EpochView._shared): the log is append-only, so a prefix once
+        # materialised is valid for every view pinned at that ``seq``.
+        self._prefix: _Prefix | None = None
 
     @property
     def n_ops(self) -> int:
@@ -149,6 +154,8 @@ class DeltaOverlay:
         log = self._node_log.get(u)
         if not log:
             return None
+        if log[-1][0] <= seq:  # the usual case: the pin is the newest
+            return log[-1][1]
         i = bisect.bisect_right(log, seq, key=lambda entry: entry[0])
         return log[i - 1][1] if i else None
 
@@ -165,6 +172,24 @@ class DeltaOverlay:
         return len(self._node_log)
 
 
+class _Prefix:
+    """What every view pinned at one ``(epoch, overlay seq)`` shares.
+
+    ``excluded`` is the id set barred from results (epoch tombstones plus
+    ``fresh``, the overlay's tombstones up to ``seq``); ``native`` the
+    view's :class:`repro.graphs.native.Graph`, built on first use (None =
+    not yet, False = the epoch's CSR has no native description).
+    """
+
+    __slots__ = ("seq", "excluded", "fresh", "native")
+
+    def __init__(self, seq: int, excluded: set[int], fresh: set[int]):
+        self.seq = seq
+        self.excluded = excluded
+        self.fresh = fresh
+        self.native = None
+
+
 class GraphEpoch:
     """One immutable serving snapshot of the graph.
 
@@ -174,7 +199,8 @@ class GraphEpoch:
     reproducible bit-for-bit for as long as they hold the pin.
     """
 
-    __slots__ = ("epoch_id", "graph", "entry", "tombstones", "n_nodes")
+    __slots__ = ("epoch_id", "graph", "entry", "tombstones", "n_nodes",
+                 "_mask")
 
     def __init__(self, epoch_id: int, graph: CSRGraphView, entry: int,
                  tombstones: frozenset[int]):
@@ -183,6 +209,14 @@ class GraphEpoch:
         self.entry = int(entry)
         self.tombstones = tombstones
         self.n_nodes = graph.n_nodes
+        self._mask: np.ndarray | None = None
+
+    def tombstone_mask(self) -> np.ndarray:
+        """``tombstones`` as a uint8 bitmap over this epoch's nodes (built
+        once; what the native executor tests instead of a set)."""
+        if self._mask is None:
+            self._mask = native.excluded_mask(self.tombstones, self.n_nodes)
+        return self._mask
 
 
 class EpochView:
@@ -195,13 +229,27 @@ class EpochView:
     per-node assembly.
     """
 
-    __slots__ = ("epoch", "overlay", "seq", "_excluded")
+    __slots__ = ("epoch", "overlay", "seq", "_prefix")
 
     def __init__(self, epoch: GraphEpoch, overlay: DeltaOverlay, seq: int):
         self.epoch = epoch
         self.overlay = overlay
         self.seq = seq
-        self._excluded: set[int] | None = None
+        self._prefix: _Prefix | None = None
+
+    def _shared(self) -> _Prefix:
+        """This view's :class:`_Prefix`, taken from (or published to) the
+        overlay so the next view pinned at the same ``seq`` reuses it."""
+        prefix = self._prefix
+        if prefix is None:
+            prefix = self.overlay._prefix
+            if prefix is None or prefix.seq != self.seq:
+                fresh = self.overlay.tombstones_at(self.seq)
+                prefix = _Prefix(self.seq, fresh | self.epoch.tombstones,
+                                 fresh)
+                self.overlay._prefix = prefix
+            self._prefix = prefix
+        return prefix
 
     def neighbors(self, u: int) -> np.ndarray:
         """Out-neighbors of ``u`` under this view."""
@@ -250,12 +298,57 @@ class EpochView:
         return np.concatenate(parts), new_counts
 
     def excluded(self) -> set[int] | None:
-        """Ids barred from results: epoch tombstones + overlay prefix."""
-        if self._excluded is None:
-            combined = set(self.epoch.tombstones)
-            combined |= self.overlay.tombstones_at(self.seq)
-            self._excluded = combined
-        return self._excluded or None
+        """Ids barred from results: epoch tombstones + overlay prefix.
+
+        Shared by every view of this prefix — read-only to callers.
+        """
+        return self._shared().excluded or None
+
+    def native_graph(self):
+        """This view as a :class:`repro.graphs.native.Graph`, or None.
+
+        The epoch's CSR, plus the overlay prefix at ``seq`` materialised as
+        a second, small CSR over the touched nodes (``patch_slot[u]`` is
+        ``u``'s row in it, -1 for a clean node), plus :meth:`excluded` as a
+        bitmap.  Built once per prefix and shared through the overlay: a
+        search pays for the materialisation only when it is the first to
+        pin after a write.
+        """
+        prefix = self._shared()
+        if prefix.native is None:
+            prefix.native = self._materialise(prefix) or False
+        return prefix.native or None
+
+    def _materialise(self, prefix: _Prefix):
+        base = self.epoch.graph.native_graph()
+        if base is None:
+            return None
+        overlay, seq, n0 = self.overlay, self.seq, self.epoch.n_nodes
+        nodes, deltas = [], []
+        # list(): a writer may add keys while this reader walks the log.
+        for u in list(overlay._node_log):
+            delta = overlay.resolve(u, seq)
+            if delta is not None:
+                nodes.append(u)
+                deltas.append(delta)
+        patch = None
+        if nodes:
+            slot = np.full(max(n0, max(nodes) + 1), -1, dtype=np.int32)
+            slot[nodes] = np.arange(len(nodes), dtype=np.int32)
+            indptr = np.zeros(len(nodes) + 1, dtype=np.int32)
+            np.cumsum([d.shape[0] for d in deltas], out=indptr[1:])
+            patch = (slot, indptr, np.concatenate(deltas).astype(np.int32))
+        mask = self.epoch.tombstone_mask()
+        if prefix.fresh:
+            ids = np.fromiter(prefix.fresh, dtype=np.int64,
+                              count=len(prefix.fresh))
+            grown = np.zeros(max(mask.shape[0], int(ids.max()) + 1),
+                             dtype=np.uint8)
+            grown[:mask.shape[0]] = mask
+            grown[ids] = 1
+            mask = grown
+        return native.Graph(base.indptr, base.indices, patch,
+                            prefix.excluded, mask)
 
 
 class EpochPin:
@@ -469,7 +562,10 @@ class ServingSearcher:
                  rerank: int = 50, beam_width: int | None = None):
         self.fixer = fixer
         self.manager = manager
-        self._visited = VisitedTable(fixer.dc.size)
+        # Per-thread visited stamps for :meth:`search`: the native executor
+        # releases the GIL for the whole traversal (and the reference loop
+        # yields it between hops), so two threads may not share one table.
+        self._scratch = threading.local()
         # One engine per (batch_size, beam, use_adc, planned) — see _engine.
         self._engines: dict[tuple, BatchSearchEngine] = {}
         self.rerank = rerank
@@ -499,6 +595,15 @@ class ServingSearcher:
     @property
     def compressed(self) -> bool:
         return self.adc is not None
+
+    @property
+    def _visited(self) -> VisitedTable:
+        """The calling thread's visited table (grown by the searches)."""
+        try:
+            return self._scratch.visited
+        except AttributeError:
+            table = self._scratch.visited = VisitedTable(self.dc.size)
+            return table
 
     def attach_adc(self, adc, rerank: int | None = None,
                    beam_width: int | None = None) -> None:
@@ -541,6 +646,9 @@ class ServingSearcher:
             "rerank_ndc": self.rerank_ndc,
             "pagein_seconds": self.pagein_seconds,
             "compressed": self.compressed,
+            # Which traversal executor this process is on, and if it is the
+            # reference one, why (no compiler, REPRO_NO_NATIVE, ...).
+            "native": native.status(),
         }
         if self.planner is not None:
             out["planner"] = self.planner.stats()
@@ -665,7 +773,7 @@ class ServingSearcher:
                 elapsed_seconds=time.perf_counter() - t0,
                 queue_depth=(self.queue_depth_fn()
                              if self.queue_depth_fn is not None else 0),
-                degraded=result.degraded,
+                degraded=result.degraded, executor=result.executor,
             )
             if telemetry:
                 _SERVE_QUERIES.inc()
@@ -764,9 +872,15 @@ class ServingSearcher:
                      deadline_ms: float | None = None) -> list[SearchResult]:
         """Batched pinned search; each engine block sees one epoch view.
 
-        ``deadline_ms`` budgets the whole batch: the engine checks it once
-        per lock-step round and finalizes still-active queries best-so-far
-        (flagged ``degraded``) when it expires.
+        ``deadline_ms`` budgets the whole batch, and every answer that
+        stopped short of full effort is flagged ``degraded``.  How the
+        shortfall is spread depends on the executor (see
+        :meth:`BatchSearchEngine.search_batch
+        <repro.graphs.search.BatchSearchEngine.search_batch>`): the native
+        one walks a block's rows in order, so rows that started before the
+        budget ran out are full-effort (or best-so-far) and every later row
+        returns its scored entry points only; the lock-step rounds stop all
+        still-active rows of a block best-so-far at once.
 
         With a planner attached (:meth:`attach_planner`), ``ef=None``
         partitions the batch by predicted hardness bin and runs each group
@@ -813,7 +927,8 @@ class ServingSearcher:
         for row, r in zip(qmat, results):
             sink(QueryTrace(k=k, ef=ef, n_hops=r.n_hops, ndc=ndc_each,
                             frontier_peak=r.frontier_peak, batched=True,
-                            degraded=r.degraded), query=row)
+                            degraded=r.degraded, executor=r.executor),
+                 query=row)
 
     def search_many(self, queries: np.ndarray, k: int, ef: int | None = None,
                     batch_size: int = 32) -> tuple[np.ndarray, np.ndarray]:

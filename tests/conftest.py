@@ -7,6 +7,7 @@ that mutate a graph must take a fresh copy (see ``fresh_hnsw``).
 from __future__ import annotations
 
 import contextlib
+import functools
 import signal
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 
 from repro.datasets import CrossModalConfig, make_cross_modal_dataset
 from repro.evalx import compute_ground_truth
-from repro.graphs import HNSW
+from repro.graphs import HNSW, native
 from repro.graphs import search as search_module
 
 try:
@@ -52,6 +53,35 @@ def pytest_runtest_call(item):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
+
+
+#: Suites whose subject is the reference executors themselves — the Python
+#: loop against the lock-step rounds, the frozen CSR against the dynamic
+#: store — and whose contract is bit-identity *between them*.  A frozen graph
+#: would put one side of each comparison on the native executor (same ids,
+#: hops and NDC, distances an ulp apart), so these files run with it
+#: switched off; native ≡ reference is ``test_native.py``'s subject.
+REFERENCE_SUITES = ("test_batch_search.py", "test_csr_parallel.py")
+
+
+@contextlib.contextmanager
+def reference_executor(lockstep: bool = False):
+    """Run the body on the reference executor (and, with ``lockstep``, every
+    engine block on the lock-step rounds whatever its size)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(native, "_LIB", None)
+        if lockstep:
+            patch.setattr(search_module, "LOCKSTEP_MIN_ROWS", 0)
+        yield
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _reference_suites(request):
+    if request.path.name not in REFERENCE_SUITES:
+        yield
+        return
+    with reference_executor():
+        yield
 
 
 TINY = CrossModalConfig(
@@ -101,28 +131,87 @@ def rng():
     return np.random.default_rng(0)
 
 
-@contextlib.contextmanager
-def _lockstep_engine():
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(search_module, "LOCKSTEP_MIN_ROWS", 0)
-        yield
-
-
 @pytest.fixture(scope="session")
 def lockstep_engine():
     """Context manager: every engine block runs the lock-step rounds.
 
-    ``BatchSearchEngine`` routes blocks under ``LOCKSTEP_MIN_ROWS`` to the
-    sequential loop, so an engine-vs-sequential comparison on a small block
-    would compare that loop with itself.  Tests whose subject is the
-    lock-step code wrap their batched calls in this (session-scoped so
+    ``BatchSearchEngine`` hands every block to the native executor when it
+    is loaded, and without it routes blocks under ``LOCKSTEP_MIN_ROWS`` to
+    the sequential loop, so an engine-vs-sequential comparison would compare
+    one loop with itself.  Tests whose subject is the lock-step code wrap
+    their batched calls in this: the native core off and the row minimum
+    zero, so both sides run on the reference executor (session-scoped so
     hypothesis tests can take it; ``lockstep_only`` is the fixture form).
     """
-    return _lockstep_engine
+    return functools.partial(reference_executor, lockstep=True)
 
 
 @pytest.fixture
 def lockstep_only():
     """The whole test runs with ``lockstep_engine`` in force."""
-    with _lockstep_engine():
+    with reference_executor(lockstep=True):
         yield
+
+
+def _near_tie(x: float, y: float) -> bool:
+    """Within 4 float32 ulp of each other."""
+    return abs(x - y) <= 4.0 * float(np.spacing(np.float32(max(abs(x), abs(y)))))
+
+
+def tie_tolerant_equal(result_a, result_b, dc, q, ndc=None) -> bool:
+    """Whether two executors' results for one search are the same search.
+
+    The native/reference contract: identical ``degraded``, ``n_hops``,
+    ``frontier_peak`` (and NDC, when the caller passes ``ndc=(a, b)``, and
+    the scored set, when both results collected it), identical ids, and
+    distances within 1e-6 of each other — float32 reductions in a C loop and
+    in NumPy round differently.  One thing may differ: two candidates whose
+    *reference* distances to ``q`` (``dc.to_query``) are within 4 float32
+    ulp may swap places, and a search that had scored such a pair *before
+    its scoring order left the other's* may then have taken a different
+    number of hops.  Nothing else may.
+    """
+    if result_a.degraded != result_b.degraded:
+        return False
+    ids_a, ids_b = np.asarray(result_a.ids), np.asarray(result_b.ids)
+    if ids_a.shape != ids_b.shape:
+        return False
+    if not np.allclose(result_a.distances, result_b.distances,
+                       rtol=1e-6, atol=1e-6):
+        return False
+
+    def reference(ids):
+        saved = dc.ndc
+        out = np.asarray(dc.to_query(np.asarray(ids, dtype=np.int64), q),
+                         dtype=np.float64)
+        dc.ndc = saved
+        return out
+
+    differ = np.flatnonzero(ids_a != ids_b)
+    if differ.size:
+        d_a, d_b = reference(ids_a[differ]), reference(ids_b[differ])
+        if not all(_near_tie(x, y) for x, y in zip(d_a, d_b)):
+            return False
+    counters_equal = (
+        result_a.n_hops == result_b.n_hops
+        and result_a.frontier_peak == result_b.frontier_peak
+        and (ndc is None or ndc[0] == ndc[1]))
+    scored_a, scored_b = result_a.visited_ids, result_b.visited_ids
+    if scored_a is not None and scored_b is not None:
+        counters_equal = counters_equal and np.array_equal(
+            np.sort(scored_a), np.sort(scored_b))
+    if counters_equal:
+        return True
+    # The traversals diverged: legitimate only at a near-tie, and a flipped
+    # decision (which of two candidates pops first, a candidate against the
+    # bound) compares two nodes both executors had already scored.  So the
+    # pair must sit in what was scored before the scoring orders part ways —
+    # the longest prefix over which they cover the same nodes — not anywhere
+    # among what either search went on to score.
+    if scored_a is None or scored_b is None:
+        return False
+    shared = max(i for i in range(min(scored_a.size, scored_b.size) + 1)
+                 if np.array_equal(np.sort(scored_a[:i]),
+                                   np.sort(scored_b[:i])))
+    d = np.sort(reference(np.unique(scored_a[:shared])))
+    return any(_near_tie(x, y) for x, y in zip(d[:-1], d[1:]))

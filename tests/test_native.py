@@ -1,0 +1,679 @@
+"""The native traversal core against the reference executor, and its loader.
+
+One algorithm, two executors: ``_beam.c`` must be the search
+``beam_search`` / the lock-step rounds run, up to float32 rounding
+(``conftest.tie_tolerant_equal``); a native single query and a native block
+of one are the same code and must agree bit for bit; and a machine without
+a usable compiler must end up on a working reference executor that says
+why.  Everything that needs the compiled library is skipped with the
+loader's reason when there is none.
+"""
+
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
+import threading
+import time
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.cluster.stats import merge_stats
+from repro.distances import DistanceComputer, Metric
+from repro.graphs import native
+from repro.graphs.csr import CSRGraphView
+from repro.graphs.search import (BatchSearchEngine, SearchResult,
+                                 VisitedTable, _reference_row, greedy_search,
+                                 unique_entries)
+from repro.obs import OBS, TRACES
+from repro.quantization.adc import ADCComputer
+from repro.quantization.pq import ProductQuantizer
+from repro.quantization.searcher import PQRerankSearcher
+from repro.store import VectorStore
+from tests.conftest import reference_executor, tie_tolerant_equal
+
+needs_native = pytest.mark.skipif(
+    not native.enabled(),
+    reason=f"no native executor: {native.status()['reason']}")
+needs_compiler = pytest.mark.skipif(
+    native.find_compiler() is None, reason="no C compiler on PATH")
+
+SRC = str(pathlib.Path(native.__file__).resolve().parents[2])
+PROPERTY = settings(max_examples=60, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+def csr_view(lists) -> CSRGraphView:
+    indptr = np.zeros(len(lists) + 1, dtype=np.int32)
+    np.cumsum([len(row) for row in lists], out=indptr[1:])
+    indices = np.fromiter((v for row in lists for v in row), dtype=np.int32,
+                          count=int(indptr[-1]))
+    return CSRGraphView(indptr, indices, np.full(indices.shape[0], np.nan))
+
+
+@st.composite
+def worlds(draw, duplicates: bool):
+    """Random data + a random CSR graph: isolated nodes, self-loops and
+    (optionally) duplicate edges included, ``n`` from 1."""
+    n = draw(st.integers(1, 48))
+    dim = draw(st.integers(1, 19))
+    seed = draw(st.integers(0, 2**20))
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal((n, dim)).astype(np.float32) + 0.1
+    max_degree = draw(st.integers(0, 7))
+    lists = []
+    for _ in range(n):
+        degree = int(rng.integers(0, max_degree + 1))  # 0 = isolated
+        row = rng.integers(0, n, size=degree)          # self-loops happen
+        if not duplicates:
+            row = np.unique(row)
+            rng.shuffle(row)
+        lists.append(row.tolist())
+    metric = draw(st.sampled_from(list(Metric)))
+    n_entries = draw(st.integers(1, min(n, 4)))
+    entries = unique_entries(rng.choice(n, size=n_entries, replace=False))
+    excluded = draw(st.sampled_from(["none", "some", "entries", "all"]))
+    barred = {"none": None,
+              "some": set(rng.choice(n, size=max(n // 3, 1),
+                                     replace=False).tolist()),
+              "entries": set(entries.tolist()),
+              "all": set(range(n))}[excluded]
+    k = draw(st.integers(1, 12))
+    ef = draw(st.integers(1, 70))                      # < k and > n both
+    queries = rng.standard_normal((3, dim)).astype(np.float32)
+    return (DistanceComputer(data, metric), csr_view(lists), entries, barred,
+            k, max(ef, k), queries)
+
+
+def deadlines():
+    return st.sampled_from(["none", "generous", "expired"])
+
+
+def as_deadline(kind: str) -> float | None:
+    return {"none": None, "generous": time.perf_counter() + 60.0,
+            "expired": time.perf_counter() - 1.0}[kind]
+
+
+# -- the comparator itself ----------------------------------------------------
+
+class TestTieTolerantEqual:
+    """One-dimensional L2 data, query at the origin: a node's distance is its
+    coordinate squared, so near-ties can be placed by hand."""
+
+    @staticmethod
+    def _pair(coords, scored_a, scored_b):
+        dc = DistanceComputer(np.asarray(coords, dtype=np.float32)[:, None],
+                              "l2")
+        q = dc.prepare_query(np.zeros(1, dtype=np.float32))
+
+        def result(scored, n_hops):
+            scored = np.asarray(scored, dtype=np.int64)
+            return SearchResult(
+                ids=np.array([0], dtype=np.int64),
+                distances=dc.to_query(np.array([0]), q).astype(np.float64),
+                n_hops=n_hops, visited_ids=scored,
+                visited_distances=dc.to_query(scored, q))
+
+        return result(scored_a, 2), result(scored_b, 3), dc, q
+
+    def test_a_near_tie_scored_before_the_divergence_excuses_it(self):
+        tied = np.nextafter(np.float32(2.0), np.float32(3.0))
+        a, b, dc, q = self._pair([1.0, 2.0, tied, 3.0, 4.0, 5.0],
+                                 [0, 1, 2, 3], [0, 1, 2, 4, 5])
+        assert tie_tolerant_equal(a, b, dc, q)
+
+    def test_a_near_tie_scored_after_it_does_not(self):
+        tied = np.nextafter(np.float32(5.0), np.float32(6.0))
+        a, b, dc, q = self._pair([1.0, 2.0, 3.0, 4.0, 5.0, tied],
+                                 [0, 1, 2, 3], [0, 1, 2, 4, 5])
+        assert not tie_tolerant_equal(a, b, dc, q)
+        a.n_hops = b.n_hops
+        a.visited_ids = b.visited_ids
+        assert tie_tolerant_equal(a, b, dc, q)
+
+
+# -- exact scorer, one candidate wide ----------------------------------------
+
+@needs_native
+class TestExactSequential:
+    @PROPERTY
+    @given(worlds(duplicates=True), st.booleans(), deadlines())
+    def test_matches_reference(self, world, collect, deadline_kind):
+        dc, view, entries, barred, k, ef, queries = world
+        visited = VisitedTable(dc.size)
+        for query in queries:
+            q = dc.prepare_query(query)
+            deadline = as_deadline(deadline_kind)
+            dc.reset_ndc()
+            want = _reference_row(dc, q, view, entries, k, ef, visited,
+                                  barred, deadline, collect)
+            ndc_want = dc.reset_ndc()
+            got = greedy_search(dc, view, entries, q, k, ef, visited, barred,
+                                collect, prepared=True, deadline=deadline)
+            ndc_got = dc.reset_ndc()
+            if got.executor == "reference":
+                # A duplicate edge can score a node twice; the kernel's
+                # scratch is sized for once and it hands the search back.
+                assert any(len(set(row)) < len(row) for row in (
+                    view.neighbors(u).tolist() for u in range(dc.size)))
+                continue
+            assert tie_tolerant_equal(want, got, dc, q,
+                                      ndc=(ndc_want, ndc_got))
+            if deadline_kind == "expired":
+                assert got.degraded and got.n_hops == 0
+            else:
+                assert not got.degraded
+            if barred:
+                assert not set(got.ids.tolist()) & barred
+            if collect:
+                np.testing.assert_array_equal(want.visited_ids,
+                                              got.visited_ids)
+
+    @PROPERTY
+    @given(worlds(duplicates=False))
+    def test_one_query_is_a_block_of_one_bit_for_bit(self, world):
+        dc, view, entries, barred, k, ef, queries = world
+        qmat = dc.prepare_queries(queries)
+        visited = VisitedTable(dc.size)
+        singles = [greedy_search(dc, view, entries, q, k, ef, visited, barred,
+                                 prepared=True) for q in qmat]
+        engine = BatchSearchEngine(dc, view, lambda q: entries,
+                                   excluded_fn=lambda: barred,
+                                   graph_fn=lambda: view, batch_size=2)
+        block = engine.search_batch(qmat, k, ef, prepared=True)
+        for one, row in zip(singles, block):
+            assert one.executor == row.executor == "native"
+            np.testing.assert_array_equal(one.ids, row.ids)
+            np.testing.assert_array_equal(one.distances, row.distances)
+            assert (one.n_hops, one.frontier_peak) == (row.n_hops,
+                                                       row.frontier_peak)
+
+    def test_float64_query_and_foreign_layouts_fall_back(self):
+        rng = np.random.default_rng(0)
+        dc = DistanceComputer(rng.standard_normal((20, 4)), "cosine")
+        view = csr_view([[(u + 1) % 20, (u + 7) % 20] for u in range(20)])
+        zero = dc.prepare_query(np.zeros(4, dtype=np.float32))
+        assert zero.dtype == np.float64  # the degenerate-norm query
+        assert greedy_search(dc, view, [0], zero, 3, 8,
+                             prepared=True).executor == "reference"
+        q = dc.prepare_query(rng.standard_normal(4))
+        assert greedy_search(dc, view, [0], q, 3, 8,
+                             prepared=True).executor == "native"
+        # A plain callable has no native description, whatever it wraps.
+        assert greedy_search(dc, view.neighbors, [0], q, 3, 8,
+                             prepared=True).executor == "reference"
+        dc._data = np.asfortranarray(dc._data)
+        assert greedy_search(dc, view, [0], q, 3, 8,
+                             prepared=True).executor == "reference"
+
+    def test_proxy_scorer_lands_on_the_reference_executor(self):
+        """benchmarks/perf's KernelProbe forwards attributes; its kernel
+        spans are real only if the Python loop calls it."""
+        class Proxy:
+            def __init__(self, inner):
+                self._inner = inner
+                self.calls = 0
+
+            def to_query(self, ids, q):
+                self.calls += 1
+                return self._inner.to_query(ids, q)
+
+            def __getattr__(self, name):
+                return getattr(self._inner, name)
+
+        rng = np.random.default_rng(1)
+        dc = DistanceComputer(rng.standard_normal((30, 5)), "l2")
+        view = csr_view([[(u + 1) % 30, (u + 11) % 30] for u in range(30)])
+        proxy = Proxy(dc)
+        q = rng.standard_normal(5).astype(np.float32)
+        result = greedy_search(proxy, view, [0], q, 3, 8)
+        assert result.executor == "reference" and proxy.calls > 0
+        engine = BatchSearchEngine(proxy, view, lambda q: [0],
+                                   graph_fn=lambda: view)
+        assert engine.search_batch(q[None], 3, 8)[0].executor == "reference"
+
+
+# -- wide beam and ADC: the block engine -------------------------------------
+
+def _engine_pair(scorer, view, entries, barred, width):
+    return BatchSearchEngine(scorer, view, lambda q: entries,
+                             excluded_fn=lambda: barred,
+                             graph_fn=lambda: view, batch_size=8,
+                             beam_width=width)
+
+
+@needs_native
+class TestBlocks:
+    @PROPERTY
+    @given(worlds(duplicates=False), st.sampled_from([1, 4, 8]), deadlines())
+    def test_exact_block_matches_lockstep_rounds(self, world, width,
+                                                 deadline_kind):
+        dc, view, entries, barred, k, ef, queries = world
+        qmat = dc.prepare_queries(queries)
+        engine = _engine_pair(dc, view, entries, barred, width)
+        with reference_executor(lockstep=True):
+            dc.reset_ndc()
+            want = engine.search_batch(qmat, k, ef, as_deadline(deadline_kind),
+                                       collect_visited=True, prepared=True)
+            ndc_want = dc.reset_ndc()
+        got = engine.search_batch(qmat, k, ef, as_deadline(deadline_kind),
+                                  collect_visited=True, prepared=True)
+        ndc_got = dc.reset_ndc()
+        assert all(r.executor == "native" for r in got)
+        assert ndc_want == ndc_got
+        for a, b, q in zip(want, got, qmat):
+            b.frontier_peak = a.frontier_peak  # the rounds do not report one
+            assert tie_tolerant_equal(a, b, dc, q)
+
+    def test_deadline_expiring_partway_through_a_block(self):
+        """One budget, rows in order: full-effort rows, at most one row cut
+        short best-so-far, then entry points only — ``degraded`` monotone."""
+        rng = np.random.default_rng(5)
+        n, dim, rows = 3000, 24, 64
+        dc = DistanceComputer(rng.standard_normal((n, dim)), "l2")
+        view = csr_view([rng.choice(n, size=12, replace=False).tolist()
+                         for _ in range(n)])
+        entries = unique_entries([0, 1])
+        qmat = dc.prepare_queries(rng.standard_normal((rows, dim)))
+        engine = BatchSearchEngine(dc, view, lambda q: entries,
+                                   graph_fn=lambda: view, batch_size=rows)
+        t0 = time.perf_counter()
+        full = engine.search_batch(qmat, 10, 300, prepared=True)
+        full_s = time.perf_counter() - t0
+        for _ in range(5):  # the budget is wall time: allow a noisy neighbour
+            got = engine.search_batch(
+                qmat, 10, 300, time.perf_counter() + full_s / 4,
+                prepared=True)
+            flags = [r.degraded for r in got]
+            first = flags.index(True) if True in flags else rows
+            assert all(flags[first:])
+            for want, row in zip(full[:first], got[:first]):
+                np.testing.assert_array_equal(want.ids, row.ids)
+                np.testing.assert_array_equal(want.distances, row.distances)
+            for row in got[first + 1:]:
+                assert row.n_hops == 0
+                assert set(row.ids.tolist()) <= set(entries.tolist())
+            if 0 < first < rows - 1:
+                break
+        else:
+            pytest.fail(f"no run expired mid-block (last split at {first})")
+
+    @PROPERTY
+    @given(st.integers(16, 64), st.sampled_from([1, 3, 5]),
+           st.integers(1, 3), st.sampled_from(list(Metric)),
+           st.sampled_from([1, 4, 8]), st.integers(0, 2**20))
+    def test_adc_block_matches_lockstep_rounds(self, n, m, d_sub, metric,
+                                               width, seed):
+        """ADC, with subspace counts the table loop cannot unroll evenly.
+        The kernel sums a code's table entries in subspace order like
+        ``ADCComputer.block_to_queries``, so on the same tables the two
+        executors see *bit-identical* distances and must score the same
+        set — except past an exact tie (two codes, one sum), where a
+        round's ``argpartition`` keeps whichever it likes."""
+        rng = np.random.default_rng(seed)
+        dc = DistanceComputer(rng.standard_normal((n, m * d_sub)), metric)
+        view = csr_view([rng.choice(n, size=4, replace=False).tolist()
+                         for _ in range(n)])
+        entries = unique_entries(rng.choice(n, size=2, replace=False))
+        barred = set(rng.choice(n, size=n // 4, replace=False).tolist())
+        adc = ADCComputer(dc, ProductQuantizer(m=m, ks=16, metric=metric))
+        qmat = dc.prepare_queries(rng.standard_normal((4, m * d_sub)))
+        engine = _engine_pair(adc, view, entries, barred, width)
+        with reference_executor(lockstep=True):
+            want = engine.search_batch(qmat, 5, 12, collect_visited=True,
+                                       prepared=True)
+        got = engine.search_batch(qmat, 5, 12, collect_visited=True,
+                                  prepared=True)
+        for a, b in zip(want, got):
+            assert b.executor == "native"
+            if np.unique(a.visited_distances).size < a.visited_ids.size:
+                continue  # an exact tie among the scored
+            np.testing.assert_array_equal(a.ids, b.ids)
+            np.testing.assert_array_equal(a.distances, b.distances)
+            assert a.n_hops == b.n_hops
+            np.testing.assert_array_equal(np.sort(a.visited_ids),
+                                          np.sort(b.visited_ids))
+
+    def test_adc_scalar_matches_pq_rerank_reference(self, tiny_ds,
+                                                    shared_hnsw):
+        shared_hnsw.adjacency.freeze()
+        searcher = PQRerankSearcher(shared_hnsw, rerank=30)
+        queries = tiny_ds.test_queries[:25]
+
+        def run():
+            searcher.adc_scored = searcher.rerank_ndc = 0
+            results = [searcher.search(q, 10, 40) for q in queries]
+            return results, searcher.adc_scored, searcher.rerank_ndc
+
+        with reference_executor():
+            want, scored_want, rerank_want = run()
+        got, scored_got, rerank_got = run()
+        assert (scored_want, rerank_want) == (scored_got, rerank_got)
+        for a, b in zip(want, got):
+            assert (a.executor, b.executor) == ("reference", "native")
+            np.testing.assert_array_equal(a.ids, b.ids)
+            assert a.n_hops == b.n_hops > 0
+
+
+# -- epoch views: overlay patches, post-horizon nodes, tombstones -------------
+
+def _view_searches(store, queries, k, ef):
+    """native(view) and reference(same pinned view) for every query."""
+    dc = store.dc
+    visited = VisitedTable(dc.size)
+    with store.epochs.pin() as pin:
+        view = pin.view
+        for query in queries:
+            q = dc.prepare_query(query)
+            entries = unique_entries([pin.epoch.entry])
+            dc.reset_ndc()
+            want = _reference_row(dc, q, view, entries, k, ef, visited,
+                                  view.excluded(), None, True)
+            ndc_want = dc.reset_ndc()
+            got = greedy_search(dc, view, entries, q, k, ef, visited,
+                                view.excluded(), True, prepared=True)
+            yield want, got, (ndc_want, dc.reset_ndc()), q
+
+
+@needs_native
+class TestEpochViews:
+    def test_store_interleave(self, tiny_ds):
+        """add / delete / observe / merge_now in a seeded shuffle; after
+        every step the pinned view searches the same on both executors."""
+        rng = np.random.default_rng(11)
+        store = VectorStore(dim=tiny_ds.base.shape[1], metric=tiny_ds.metric,
+                            M=8, ef_construction=40, merge_every=10_000,
+                            seed=3)
+        ids = store.add(tiny_ds.base[:300])
+        store.build()
+        queries = tiny_ds.test_queries[:6]
+        live = list(ids)
+        spare = iter(tiny_ds.base[300:])
+        saw_patch = saw_horizon = saw_tombstone = False
+        for step in range(40):
+            op = rng.choice(["add", "delete", "observe", "merge"],
+                            p=[0.35, 0.3, 0.25, 0.1])
+            if op == "add":
+                live.extend(store.add(next(spare)[None, :]))
+            elif op == "delete" and len(live) > 50:
+                store.delete([live.pop(int(rng.integers(len(live))))])
+            elif op == "observe":
+                store.observe(tiny_ds.train_queries[step % 80])
+            else:
+                store.scheduler.merge_now()
+            for want, got, ndc, q in _view_searches(store, queries, 10, 30):
+                assert got.executor == "native"
+                assert tie_tolerant_equal(want, got, store.dc, q, ndc=ndc)
+            with store.epochs.pin() as pin:
+                graph = pin.view.native_graph()
+                saw_patch |= graph.patch is not None
+                saw_horizon |= (graph.patch is not None and
+                                graph.patch[0].shape[0] > pin.epoch.n_nodes)
+                saw_tombstone |= bool(pin.view.overlay.tombstones_at(
+                    pin.view.seq))
+        assert saw_patch and saw_horizon and saw_tombstone
+
+    def test_prefix_is_shared_between_views_and_rebuilt_after_a_write(
+            self, tiny_ds):
+        store = VectorStore(dim=tiny_ds.base.shape[1], metric=tiny_ds.metric,
+                            M=8, ef_construction=40, seed=3)
+        store.add(tiny_ds.base[:200])
+        store.build()
+        with store.epochs.pin() as a, store.epochs.pin() as b:
+            assert a.view.native_graph() is b.view.native_graph()
+            assert a.view.excluded() is b.view.excluded()
+            before = a.view.native_graph()
+        store.delete([5])
+        with store.epochs.pin() as c:
+            after = c.view.native_graph()
+            assert after is not before
+            assert after.excluded_mask[5] == 1
+            assert after.mask_for(c.view.excluded()) is after.excluded_mask
+
+    def test_serving_search_reports_executor_and_hops(self, tiny_ds):
+        store = VectorStore(dim=tiny_ds.base.shape[1], metric=tiny_ds.metric,
+                            M=8, ef_construction=40, seed=3, compressed=True,
+                            pq_m=4, pq_ks=16)
+        store.add(tiny_ds.base[:300])
+        store.build()
+        OBS.enable()
+        try:
+            TRACES.clear()
+            result = store.searcher.search(tiny_ds.test_queries[0], k=5,
+                                           ef=30)
+            trace = TRACES.recent(1)[0]
+        finally:
+            OBS.disable()
+            OBS.reset()
+        assert result.executor == trace.executor == "native"
+        assert result.n_hops == trace.n_hops > 0
+
+
+# -- visited versions and threads ---------------------------------------------
+
+class TestVisitedVersions:
+    def test_reserve_survives_the_int32_wrap(self):
+        table = VisitedTable(16)
+        table._version = np.iinfo(np.int32).max - 3
+        table._stamps[:] = table._version      # stale marks everywhere
+        first = table.reserve(8)
+        assert first == 1 and table._version == 8
+        assert not table._stamps.any()
+        table.next_epoch()
+        assert table._version == 9
+
+    @needs_native
+    def test_a_block_of_eight_across_the_wrap(self):
+        rng = np.random.default_rng(2)
+        dc = DistanceComputer(rng.standard_normal((40, 6)), "l2")
+        view = csr_view([rng.choice(40, size=5, replace=False).tolist()
+                         for _ in range(40)])
+        qmat = dc.prepare_queries(rng.standard_normal((8, 6)))
+        engine = BatchSearchEngine(dc, view, lambda q: [0],
+                                   graph_fn=lambda: view, batch_size=8)
+        want = engine.search_batch(qmat, 5, 12, prepared=True)
+        engine._visited._version = np.iinfo(np.int32).max - 3
+        got = engine.search_batch(qmat, 5, 12, prepared=True)
+        assert engine._visited._version == 8
+        for a, b in zip(want, got):
+            np.testing.assert_array_equal(a.ids, b.ids)
+            np.testing.assert_array_equal(a.distances, b.distances)
+
+    def test_two_threads_share_one_searcher(self, tiny_ds):
+        store = VectorStore(dim=tiny_ds.base.shape[1], metric=tiny_ds.metric,
+                            M=8, ef_construction=40, seed=3)
+        store.add(tiny_ds.base)
+        store.build()
+        queries = np.resize(tiny_ds.test_queries, (500, tiny_ds.base.shape[1]))
+        want = [store.search(q, k=10, ef=40) for q in queries]
+        outcomes: dict[int, list] = {}
+
+        def worker(slot):
+            outcomes[slot] = [store.search(q, k=10, ef=40) for q in queries]
+
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        for slot in range(2):
+            for a, b in zip(want, outcomes[slot]):
+                ids = [hit[0] for hit in b]
+                assert len(set(ids)) == len(ids) == 10
+                assert b == a
+
+
+# -- observability --------------------------------------------------------------
+
+class TestObservability:
+    def test_status_shape(self):
+        status = native.status()
+        assert set(status) == {"enabled", "path", "compiler", "flags",
+                               "reason"}
+        assert status["enabled"] == native.enabled()
+        assert (status["reason"] is None) == status["enabled"]
+
+    def test_store_stats_and_cluster_merge(self, tiny_ds):
+        store = VectorStore(dim=tiny_ds.base.shape[1], metric=tiny_ds.metric,
+                            M=8, ef_construction=40, seed=3)
+        store.add(tiny_ds.base[:100])
+        store.build()
+        mine = store.stats()["searcher"]["native"]
+        assert mine == native.status()
+        other = dict(mine, enabled=False, reason="no C compiler on PATH")
+        on = merge_stats([{"searcher": {"native": dict(mine, enabled=True)}},
+                          {"searcher": {"native": dict(mine, enabled=True)}}])
+        mixed = merge_stats([{"searcher": {"native": dict(mine, enabled=True)}},
+                             {"searcher": {"native": other}}])
+        assert on["searcher"]["native"]["enabled"] is True
+        assert mixed["searcher"]["native"]["enabled"] is False
+
+    def test_counters_name_the_executor_and_the_fallback_reason(self):
+        rng = np.random.default_rng(3)
+        dc = DistanceComputer(rng.standard_normal((20, 4)), "l2")
+        view = csr_view([[(u + 1) % 20] for u in range(20)])
+        q = rng.standard_normal(4).astype(np.float32)
+        OBS.enable()
+        try:
+            OBS.reset()
+            greedy_search(dc, view, [0], q, 3, 8)
+            greedy_search(dc, view.neighbors, [0], q, 3, 8)
+            with reference_executor():
+                greedy_search(dc, view, [0], q, 3, 8)
+            snapshot = OBS.snapshot()
+        finally:
+            OBS.disable()
+            OBS.reset()
+        native_on = int(native.enabled())
+        assert snapshot["search_native_queries"] == native_on
+        assert snapshot["search_native_fallbacks"] == 3 - native_on
+        assert snapshot["search_native_fallback_graph"] == native_on
+        assert snapshot["search_native_fallback_unavailable"] == (
+            3 - 2 * native_on)
+
+    def test_catalog_lists_the_metrics(self):
+        catalog = (pathlib.Path(SRC).parent / "docs"
+                   / "observability.md").read_text()
+        for name in ("search_native_enabled", "search_native_queries_total",
+                     "search_native_fallbacks_total",
+                     "search_native_fallback_unavailable_total",
+                     "search_native_fallback_scorer_total",
+                     "search_native_fallback_graph_total",
+                     "search_native_fallback_rejected_total"):
+            assert name in catalog
+
+
+# -- the loader -----------------------------------------------------------------
+
+def _python(code: str, **env) -> subprocess.CompletedProcess:
+    environ = {k: v for k, v in os.environ.items() if k != native.SWITCH}
+    environ.update(PYTHONPATH=SRC, **env)
+    return subprocess.run([sys.executable, "-W", "always", "-c",
+                           textwrap.dedent(code)], env=environ,
+                          capture_output=True, text=True, timeout=120)
+
+
+SEARCH_ON_REFERENCE = """
+    import warnings
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        import numpy as np
+        import repro
+        from repro.graphs import native
+        from repro.obs import OBS
+    from repro import HNSW
+    rng = np.random.default_rng(0)
+    index = HNSW(rng.standard_normal((60, 4)).astype(np.float32), "l2", M=4,
+                 ef_construction=10, single_layer=True, seed=1)
+    index.adjacency.freeze()
+    OBS.enable()
+    result = index.search(rng.standard_normal(4).astype(np.float32), k=3)
+    counters = OBS.snapshot()
+    print(native.status()["enabled"], "|", native.status()["reason"], "|",
+          result.executor, len(result.ids),
+          counters["search_native_fallback_unavailable"],
+          sum("native traversal core" in str(w.message) for w in caught))
+"""
+
+
+class TestLoader:
+    def test_no_compiler_on_path(self):
+        done = _python(SEARCH_ON_REFERENCE, PATH="")
+        assert done.returncode == 0, done.stderr
+        enabled, reason, rest = [s.strip() for s in
+                                 done.stdout.strip().split("|")]
+        assert enabled == "False" and "no C compiler" in reason
+        assert rest == "reference 3 1 1"   # answered, counted, warned once
+
+    def test_switch_forces_the_reference_without_a_warning(self):
+        done = _python(SEARCH_ON_REFERENCE, **{native.SWITCH: "1"})
+        assert done.returncode == 0, done.stderr
+        enabled, reason, rest = [s.strip() for s in
+                                 done.stdout.strip().split("|")]
+        assert enabled == "False" and native.SWITCH in reason
+        assert rest == "reference 3 1 0"
+
+    @needs_compiler
+    def test_compile_error_is_a_reason_not_an_exception(self, tmp_path):
+        garbage = tmp_path / "garbage.c"
+        garbage.write_text("this is not C;\n")
+        path, status = native.build(source=garbage, dirs=[tmp_path / "out"])
+        assert path is None and not status["enabled"]
+        assert status["reason"].startswith("compile failed")
+        assert list((tmp_path / "out").iterdir()) == []   # no litter
+
+    @needs_compiler
+    def test_unwritable_cache_dirs(self, tmp_path):
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        # A path under a regular file cannot be created by anyone, root
+        # included (a 0500 directory would not stop root).
+        path, status = native.build(dirs=[blocker / "cache"])
+        assert path is None
+        assert "no writable cache directory" in status["reason"]
+        path, status = native.build(dirs=[blocker / "cache", tmp_path / "ok"])
+        assert path is not None and path.parent == tmp_path / "ok"
+        assert status["enabled"] and status["reason"] is None
+
+    @needs_compiler
+    def test_foreign_file_is_never_loaded(self, tmp_path, monkeypatch):
+        path, _ = native.build(dirs=[tmp_path])
+        monkeypatch.setattr(native, "_own", lambda p: False)
+        again, status = native.build(dirs=[tmp_path])
+        assert again is None and "no writable" in status["reason"]
+        assert path.exists()
+
+    @needs_compiler
+    def test_two_processes_race_one_hash(self, tmp_path):
+        code = f"""
+            import pathlib
+            from repro.graphs import native
+            path, status = native.build(dirs=[pathlib.Path({str(tmp_path)!r})])
+            native._bind(path)
+            print(path.name, status["enabled"])
+        """
+        environ = dict(os.environ, PYTHONPATH=SRC)
+        racers = [subprocess.Popen(
+            [sys.executable, "-c", textwrap.dedent(code)], env=environ,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+            for _ in range(2)]
+        outputs = [r.communicate(timeout=120) for r in racers]
+        assert all(r.returncode == 0 for r in racers), outputs
+        assert len({out.strip() for out, _ in outputs}) == 1
+        built = list(tmp_path.iterdir())
+        assert len(built) == 1 and built[0].suffix == ".so"   # no temp left
+
+    @needs_compiler
+    def test_build_is_content_addressed(self, tmp_path):
+        first, _ = native.build(dirs=[tmp_path])
+        stamp = first.stat().st_mtime_ns
+        second, _ = native.build(dirs=[tmp_path])
+        assert second == first and second.stat().st_mtime_ns == stamp
+        edited = tmp_path / "edited.c"
+        edited.write_text(native.SOURCE.read_text() + "\n/* edited */\n")
+        third, _ = native.build(source=edited, dirs=[tmp_path])
+        assert third != first

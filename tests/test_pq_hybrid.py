@@ -107,6 +107,14 @@ class TestMutationRegressions:
         batched = searcher.search_batch(q[None, :], k=10, ef=60)[0]
         assert new_id not in batched.ids.tolist()
 
+    def test_scalar_search_reports_its_hops(self, shared_hnsw, tiny_ds):
+        """``rerank_one`` used to build its result without ``n_hops``, which
+        blinded QueryTrace, the planner and NavigabilitySignals on the
+        compressed scalar path."""
+        searcher = PQRerankSearcher(shared_hnsw, rerank=40)
+        for q in tiny_ds.test_queries[:5]:
+            assert searcher.search(q, k=10, ef=40).n_hops > 0
+
     def test_mark_many_stamps_entries(self, shared_hnsw, tiny_ds):
         """satellite-2: entries go through VisitedTable.mark_many.
 

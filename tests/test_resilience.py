@@ -631,3 +631,89 @@ class TestWorkerOps:
             assert np.all(np.diff(gids) > 0)  # sorted, unique
             assert np.all(gids % 2 == 0)  # partition 0 owns even gids
             assert handle.rpc({"op": "disarm_faults"})["ok"]
+
+
+# -- unit: sustained inflation and fail-open routing (injected clock) ---------
+
+class TestSustainedInflation:
+    def test_one_blip_on_a_sub_millisecond_replica_does_not_trip(self):
+        clock = FakeClock()
+        br = _breaker(clock, inflation_factor=4.0, inflation_min_samples=4)
+        tr = LatencyTracker(warmup=4)
+        for _ in range(8):
+            tr.record(0.0004)
+            br.record_success(tr)
+        assert tr.baseline == tr.floor_s  # healthy replies sit under the floor
+        tr.record(0.016)                  # a scheduler blip, 16x the baseline
+        br.record_success(tr)
+        assert br.state == resilience.CLOSED
+        # Sustained, but under the absolute floor: 8 ms is 8x a 1 ms baseline
+        # and still not "tens of milliseconds".
+        for _ in range(10):
+            tr.record(0.008)
+            br.record_success(tr)
+        assert br.state == resilience.CLOSED
+
+    def test_trip_needs_consecutive_inflated_samples(self):
+        clock = FakeClock()
+        br = _breaker(clock, inflation_factor=4.0, inflation_min_samples=4)
+        tr = LatencyTracker(warmup=4)
+        for _ in range(8):
+            tr.record(0.0004)
+        for latency in (0.1, 0.1, 0.1, 0.0004, 0.1, 0.1, 0.1):
+            tr.record(latency)            # a fast reply breaks the run
+            br.record_success(tr)
+            assert br.state == resilience.CLOSED
+        tr.record(0.1)                    # the fourth in a row
+        br.record_success(tr)
+        assert br.state == resilience.OPEN
+        assert br.last_trip_reason == "latency"
+
+
+class TestFailOpen:
+    """``_pick_replica`` on handles that never spawn: breakers on a fake
+    clock that is never advanced, so no probe comes due and no socket is
+    touched."""
+
+    @staticmethod
+    def _partition(slow_by_replica):
+        from repro.cluster.router import ShardHandle
+
+        clock = FakeClock()
+        router = ClusterRouter.__new__(ClusterRouter)
+        handles = []
+        for replica_id, slow in enumerate(slow_by_replica):
+            handle = ShardHandle(0, replica_id, {}, rpc_timeout=1.0,
+                                 breaker=_breaker(clock,
+                                                  inflation_min_samples=4))
+            handle.alive = True
+            for _ in range(8):
+                handle.latency.record(0.001)
+            for _ in range(4):
+                handle.latency.record(slow)
+            handles.append(handle)
+        router.handles, router.n_replicas, router._rr = [handles], len(
+            handles), 0
+        return router, handles
+
+    def test_every_replica_open_routes_to_the_least_inflated(self):
+        router, (a, b, c) = self._partition([0.2, 0.05, 0.4])
+        for handle in (a, b, c):
+            handle.breaker.trip("latency")
+            assert not handle.breaker.allows()
+        assert router._pick_replica(0, set()) is b
+        assert router._pick_replica(0, {b.replica_id}) is a
+        assert router._pick_replica(0, {a.replica_id, b.replica_id}) is c
+        assert router._pick_replica(0, {0, 1, 2}) is None
+
+    def test_breakers_still_choose_between_replicas(self):
+        router, (a, b) = self._partition([0.2, 0.05])
+        a.breaker.trip("latency")
+        assert router._pick_replica(0, set()) is b      # the admitted one
+        b.breaker.trip("latency")
+        b.breaker.close()
+        assert router._pick_replica(0, set()) is b
+        b.alive = False                                  # dead is not gray
+        assert router._pick_replica(0, set()) is a      # fail open to it
+        a.alive = False
+        assert router._pick_replica(0, set()) is None
