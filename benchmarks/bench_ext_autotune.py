@@ -11,7 +11,7 @@ Per dataset, two arms share one store and one fitted :class:`TunedConfig`:
   the compressed-path rerank refinement on PQ stores).
 
 Queries are tiled ``TILE``× so each arm serves planner-realistic volume:
-the lock-step engine amortizes per-block round costs over group size, so
+every planner group pays its own pin, entry resolution and engine call, so
 tiny batches understate (and occasionally invert) the tuned arm.
 
 Contracts:

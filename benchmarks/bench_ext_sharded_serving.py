@@ -126,8 +126,9 @@ _BASELINE: dict = {}
 def _get_router(n_shards: int) -> ClusterRouter:
     """Serving-tuned router: NGFix-trained shards searched with a wide beam.
 
-    Small per-shard graphs are lock-step-round-bound at the tiny ef they
-    need, so the shards run ``beam_width=SHARD_BEAM`` and train their
+    The shards run ``beam_width=SHARD_BEAM`` (chosen when a block advanced
+    in NumPy lock-step rounds and small graphs at tiny ef were bound by
+    them; kept so the recorded arms stay comparable) and train their
     repair edges on the dataset's historical queries (the same query
     stream every other arm of this suite uses for training).
     """

@@ -325,10 +325,10 @@ class ClusterRouter:
         shard's codes are mutually comparable (per-shard PQ training with
         code shipping).
     beam_width:
-        Per-shard engine beam width.  Shard graphs are N× smaller than the
-        corpus, so their batched searches at small ``ef`` are bound by
-        lock-step rounds, not distance work; a wide beam (e.g. 4) cuts
-        rounds per block.  ``None`` keeps each store's default.
+        Per-shard engine beam width: candidates expanded per query per
+        round (a wide beam scores a superset of what width 1 scores, which
+        is what a compressed shard's exact re-rank draws from).  ``None``
+        keeps each store's default.
     merge_reserve:
         Fraction of any deadline budget withheld from shards for the
         scatter/merge hop (see :func:`shard_budget_ms`).

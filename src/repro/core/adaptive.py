@@ -110,9 +110,9 @@ class AdaptiveSearcher:
         """Top-k id matrix for one (bin, ef) calibration cell.
 
         Routed through the index's batched engine when it has one —
-        lock-step batched search is bit-identical to the sequential path
-        at its defaults, so the chosen efs do not change; only the
-        O(bins x grid x queries) python loop does.
+        batched search returns the sequential path's ids at its defaults,
+        so the chosen efs do not change; only the O(bins x grid x queries)
+        python loop does.
         """
         search_batch = getattr(self.index, "search_batch", None)
         if search_batch is not None:

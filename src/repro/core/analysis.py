@@ -19,6 +19,7 @@ import numpy as np
 from repro.core.qng import build_qng, average_reachable
 from repro.evalx.ground_truth import GroundTruth
 from repro.evalx.metrics import recall_per_query
+from repro.graphs.search import greedy_search
 
 
 def recall_histogram(recalls: np.ndarray, edges=(0.0, 0.25, 0.5, 0.75, 0.9, 1.0)) -> dict:
@@ -59,17 +60,16 @@ def phase_reach_stats(index, queries: np.ndarray, gt: GroundTruth, k: int,
 def discovery_edge_stats(index, queries: np.ndarray, k: int, ef: int) -> dict:
     """How results are *discovered*: via base edges or NGFix extra edges.
 
-    Replays greedy search recording, for every visited node, the edge that
-    first reached it; then classifies the discovery edges of the returned
-    top-k.  A healthy fixed index discovers a meaningful share of results
-    through extra edges on the workload it was fixed for — direct evidence
-    the added edges carry traffic, not just bytes.
+    Replays :func:`~repro.graphs.search.greedy_search` through a
+    ``neighbors_fn`` that records, for every node, the edge that first
+    reached it; then classifies the discovery edges of the returned top-k.
+    A healthy fixed index discovers a meaningful share of results through
+    extra edges on the workload it was fixed for — direct evidence the
+    added edges carry traffic, not just bytes.
 
     Works on any object exposing ``dc``, ``adjacency`` and
     ``entry_points`` (indexes and NGFixer alike).
     """
-    import heapq
-
     dc = index.dc
     adjacency = index.adjacency
     total_results = 0
@@ -79,32 +79,20 @@ def discovery_edge_stats(index, queries: np.ndarray, k: int, ef: int) -> dict:
         q = dc.prepare_query(query)
         entries = index.entry_points(q)
         parent: dict[int, int | None] = {int(e): None for e in entries}
-        candidates = []
-        results: list[tuple[float, int]] = []
-        for e in entries:
-            d = dc.one_to_query(int(e), q)
-            heapq.heappush(candidates, (d, int(e)))
-            heapq.heappush(results, (-d, int(e)))
-        while len(results) > ef:
-            heapq.heappop(results)
-        while candidates:
-            dist_u, u = heapq.heappop(candidates)
-            if len(results) >= ef and dist_u > -results[0][0]:
-                break
-            for v in adjacency.neighbors(u).tolist():
-                if v in parent:
-                    continue
-                parent[v] = u
-                d = dc.one_to_query(v, q)
-                if len(results) < ef or d < -results[0][0]:
-                    heapq.heappush(candidates, (d, v))
-                    heapq.heappush(results, (-d, v))
-                    if len(results) > ef:
-                        heapq.heappop(results)
-        top = sorted((-d, node) for d, node in results)[:k]
-        for _, node in top:
+
+        def expand(u: int) -> np.ndarray:
+            neighbors = adjacency.neighbors(u)
+            for v in neighbors.tolist():
+                parent.setdefault(v, u)
+            return neighbors
+
+        # A plain callable walks the live store on the reference executor.
+        found = greedy_search(dc, expand, entries, q, k=k, ef=ef,
+                              excluded=adjacency.excluded_ids(),
+                              prepared=True)
+        for node in found.ids.tolist():
             total_results += 1
-            origin = parent.get(node)
+            origin = parent[node]
             if origin is None:
                 via_entry += 1
             elif node in adjacency.extra_neighbors(origin):

@@ -130,8 +130,9 @@ class GraphIndex(abc.ABC):
         """Batched search: one :class:`SearchResult` per query row.
 
         Produces the same (ids, distances, NDC) as calling :meth:`search`
-        per query, but advances ``batch_size`` queries in lock step so
-        distance work coalesces into block kernels.
+        per query, but resolves the graph snapshot, tombstones and entries
+        once per block of ``batch_size`` queries and walks the block in one
+        native call.
         """
         if ef is None:
             ef = max(k, 10)
@@ -144,8 +145,7 @@ class GraphIndex(abc.ABC):
         """Search a batch; returns (ids, distances) of shape (nq, k).
 
         Rows whose graph region yields fewer than k results are padded with
-        id -1 / distance inf.  Queries run through the batch engine, which
-        routes small blocks to the sequential loop by itself.
+        id -1 / distance inf.  Queries run through the batch engine.
         """
         return pad_results(
             self.search_batch(queries, k, ef, batch_size=batch_size), k)

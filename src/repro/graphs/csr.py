@@ -4,11 +4,9 @@ The dynamic store keeps per-node Python lists/dicts so NGFix/RFix can mutate
 edges cheaply, but the query hot path only *reads* the graph.  A
 :class:`CSRGraphView` packs the combined base+extra adjacency into two
 contiguous ``int32`` arrays (``indptr``/``indices``, DiskANN/Vamana style)
-plus a parallel per-edge EH-tag array, so
-
-- per-node reads are an O(1) slice (no cache checks, no dict walks), and
-- a whole batch frontier is gathered with one :meth:`neighbors_block` call
-  instead of one Python call per expanded node.
+plus a parallel per-edge EH-tag array, so per-node reads are an O(1) slice
+(no cache checks, no dict walks) and the native executor
+(:mod:`repro.graphs.native`) can walk the two arrays directly.
 
 Neighbor order inside a node is exactly the dynamic store's order (base
 edges first, then extra edges in insertion order), which keeps every search
@@ -23,8 +21,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graphs import native
-
-_EMPTY_I32 = np.empty(0, dtype=np.int32)
 
 
 class CSRGraphView:
@@ -74,25 +70,6 @@ class CSRGraphView:
                 and native.dense(self.indptr, np.int32, 1)
                 and native.dense(self.indices, np.int32, 1) else False)
         return self._native or None
-
-    def neighbors_block(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Bulk gather: concatenated out-neighbors of ``nodes`` + per-node counts.
-
-        Returns ``(flat, counts)`` where ``flat`` holds the neighbors of
-        ``nodes[0]``, then ``nodes[1]``, … (each in CSR order) and
-        ``counts[i]`` is the out-degree of ``nodes[i]``.  One fancy-index
-        gather replaces a Python-level call per node.
-        """
-        starts = self.indptr[nodes]
-        counts = (self.indptr[np.asarray(nodes) + 1] - starts).astype(np.int64)
-        total = int(counts.sum())
-        if total == 0:
-            return _EMPTY_I32, counts
-        # Position e of the output maps to starts[i] + (e - first_out[i]) for
-        # the node i owning slot e; np.repeat broadcasts the per-node offset.
-        first_out = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        flat_pos = np.repeat(starts - first_out, counts) + np.arange(total)
-        return self.indices[flat_pos], counts
 
     def out_degree(self, u: int) -> int:
         return int(self.indptr[u + 1] - self.indptr[u])

@@ -18,6 +18,8 @@ collapses to the re-rank budget.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from repro.distances import DistanceComputer
@@ -57,8 +59,10 @@ class ADCComputer:
         # faster than one 3-d fancy-index on the same data).
         self._codes_t = np.ascontiguousarray(self.codes.T)
         self._offsets = (np.arange(self.pq.m) * self.pq.ks).astype(np.int64)
-        self._flat_tables: np.ndarray | None = None  # (B * m * ks,) per block
-        self._table: np.ndarray | None = None        # (m, ks) sequential path
+        # The open block's tables, (B * m * ks,), and the sequential path's
+        # (m, ks) one: per thread, because concurrent readers share this
+        # computer and each opens its own block.
+        self._open = threading.local()
 
     @staticmethod
     def _default_m(dim: int) -> int:
@@ -120,14 +124,14 @@ class ADCComputer:
     def begin_block(self, qmat: np.ndarray) -> None:
         """Engine hook: precompute the block's per-query ADC tables."""
         self.sync()
-        self._flat_tables = np.ascontiguousarray(
+        self._open.flat_tables = np.ascontiguousarray(
             self.pq.adc_tables(qmat)).reshape(-1)
 
     def native_scorer(self, queries: np.ndarray):
         """The block opened by :meth:`begin_block` as a native ADC scorer
         (see :meth:`ProductQuantizer.native_scorer`): the code matrix and
         that block's lookup tables, one per row of ``queries``."""
-        tables = self._flat_tables
+        tables = getattr(self._open, "flat_tables", None)
         shape = (queries.shape[0], self.pq.m, self.pq.ks)
         if (type(self) is not ADCComputer or tables is None
                 or tables.size != shape[0] * shape[1] * shape[2]):
@@ -148,7 +152,7 @@ class ADCComputer:
         if ids.size and int(ids.max()) >= self.codes.shape[0]:
             self.sync()  # id published after begin_block's sync
         self.ndc += ids.shape[0]
-        flat, codes_t = self._flat_tables, self._codes_t
+        flat, codes_t = self._open.flat_tables, self._codes_t
         base = owners * self._offsets.shape[0] * self.pq.ks
         acc = flat.take(base + codes_t[0].take(ids))
         for j in range(1, self._offsets.shape[0]):
@@ -160,8 +164,8 @@ class ADCComputer:
     def begin_query(self, q: np.ndarray) -> np.ndarray:
         """Prepare the single-query ADC table (sequential counterpart)."""
         self.sync()
-        self._table = self.pq.adc_table(q)
-        return self._table
+        table = self._open.table = self.pq.adc_table(q)
+        return table
 
     def to_query(self, ids: np.ndarray, query: np.ndarray) -> np.ndarray:
         """ADC scores against the table prepared by :meth:`begin_query`."""
@@ -169,7 +173,7 @@ class ADCComputer:
         if ids.size and int(ids.max()) >= self.codes.shape[0]:
             self.sync()
         self.ndc += ids.shape[0]
-        return self.pq.adc_distances(self.codes[ids], self._table)
+        return self.pq.adc_distances(self.codes[ids], self._open.table)
 
     def all_scores(self, table: np.ndarray) -> np.ndarray:
         """ADC scores of every code row against one table (fallback scan)."""

@@ -12,12 +12,9 @@ one query with ADC lookups as its scorer, and
 :class:`~repro.quantization.adc.ADCComputer`.  Both go through
 :func:`~repro.graphs.search.native_search` — the C traversal core when the
 graph is frozen and the codes are plain uint8 — and otherwise through the
-reference executors: the sequential loop
-:func:`~repro.graphs.search.beam_search` (so entry handling, visited
-bookkeeping, tombstone traversal and deadline degradation are
-:func:`~repro.graphs.search.greedy_search`'s by construction) and the
-lock-step rounds, which score the whole frontier of a query block with one
-table gather per hop.
+reference executor, :func:`~repro.graphs.search.beam_search` (so entry
+handling, visited bookkeeping, tombstone traversal and deadline degradation
+are :func:`~repro.graphs.search.greedy_search`'s by construction).
 
 The recipe around either traversal — ADC beam, shortlist carved from the
 *visited* set, fallback scan for an empty result, one exact re-rank — is
@@ -239,7 +236,7 @@ def rerank_block(engine: BatchSearchEngine, adc: ADCComputer,
                  dc: DistanceComputer, queries: np.ndarray, k: int, ef: int,
                  budget: int, excluded_fn, deadline: float | None = None,
                  ) -> tuple[list[SearchResult], int, int, float]:
-    """A block of compressed queries on the lock-step engine.
+    """A block of compressed queries on the batch engine.
 
     ``engine`` scores with ``adc`` (its ``begin_block`` hook precomputes
     the block's ADC tables), so traversal runs entirely over the code
@@ -291,10 +288,9 @@ class PQRerankSearcher:
         Shortlist size re-scored with exact distances (>= k at search).
     beam_width:
         Engine candidates expanded per query per round on the batched path.
-        ADC scoring is cheap enough that a wide beam pays: rounds (where the
-        lock-step engine's per-round overhead lives) shrink ~beam_width-fold
-        while the enlarged visited set feeds the exact re-rank.  Width 1
-        reproduces the uncompressed engine's expansion order exactly.
+        ADC scoring is cheap enough that a wide beam pays: the enlarged
+        visited set feeds the exact re-rank.  Width 1 reproduces the
+        uncompressed engine's expansion order exactly.
 
     The searcher stays valid across store mutations: codes are re-encoded
     incrementally (only rows appended since the last search) and the
@@ -359,7 +355,7 @@ class PQRerankSearcher:
                      deadline: float | None = None) -> list[SearchResult]:
         """Batched ADC traversal + one exact re-rank gather per batch.
 
-        The lock-step engine runs entirely over the code matrix (its
+        The engine runs entirely over the code matrix (its
         ``begin_block`` hook precomputes the block's ADC tables); the final
         shortlists are re-ranked with a single full-precision block gather.
         """

@@ -18,9 +18,7 @@ query hot path never pays for — or races with — index repair:
 - :class:`EpochView` — the read view the search paths traverse: the epoch's
   CSR plus the overlay prefix at a pinned sequence number.  It is callable
   (drop-in ``neighbors_fn`` for :func:`~repro.graphs.search.greedy_search`)
-  and implements ``neighbors_block`` for the
-  :class:`~repro.graphs.search.BatchSearchEngine`, overlaying per-node deltas
-  after the bulk CSR gather.
+  and describes itself to the native executor (``native_graph``).
 
 :class:`EpochManager` owns the current (epoch, overlay) pair and hands out
 :class:`EpochPin` handles; :class:`ServingSearcher` is the index-protocol
@@ -31,9 +29,11 @@ and repairs queries flagged hard while serving via NGFix/RFix.
 
 Concurrency model: one writer at a time (everything mutating the graph holds
 ``MaintenanceScheduler.write_lock``), any number of readers, no reader locks.
-Reader safety rests on three invariants: epoch arrays are immutable, overlay
-logs are append-only with publish-after-write sequence numbers, and CPython
-list appends are atomic under the GIL.
+Reader safety rests on four invariants: epoch arrays are immutable, overlay
+logs are append-only with publish-after-write sequence numbers, CPython
+list appends are atomic under the GIL, and everything a search writes while
+it runs (visited stamps, the block's pin, the batch engines that hold both)
+is per thread.
 """
 
 from __future__ import annotations
@@ -222,11 +222,7 @@ class GraphEpoch:
 class EpochView:
     """Consistent read view: epoch CSR + overlay prefix at a fixed ``seq``.
 
-    Callable with a node id (drop-in ``neighbors_fn``), and provides
-    ``neighbors_block`` so the batch engine can keep its one-gather-per-hop
-    shape: the bulk CSR gather is used verbatim whenever no node in the
-    frontier has an overlay delta, and only deltaed frontiers fall back to
-    per-node assembly.
+    Callable with a node id (drop-in ``neighbors_fn``).
     """
 
     __slots__ = ("epoch", "overlay", "seq", "_prefix")
@@ -261,41 +257,6 @@ class EpochView:
         return _EMPTY  # node inserted after this view's horizon
 
     __call__ = neighbors
-
-    def neighbors_block(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Bulk frontier gather with overlay patch-up after the CSR gather."""
-        log = self.overlay._node_log
-        n0 = self.epoch.n_nodes
-        in_horizon = not nodes.size or int(nodes.max()) < n0
-        if not log and in_horizon:
-            return self.epoch.graph.neighbors_block(nodes)
-        # Only deltaed or post-horizon nodes need individual assembly; the
-        # clean majority keeps the one vectorized CSR gather per hop.
-        patches: dict[int, np.ndarray] = {}
-        for i, u in enumerate(nodes.tolist()):
-            if u >= n0:
-                patches[i] = self.neighbors(u)
-            elif u in log:
-                delta = self.overlay.resolve(u, self.seq)
-                if delta is not None:
-                    patches[i] = delta
-        if in_horizon:
-            flat, counts = self.epoch.graph.neighbors_block(nodes)
-        else:
-            # Post-horizon ids are all patched; gather placeholder rows.
-            flat, counts = self.epoch.graph.neighbors_block(
-                np.where(nodes < n0, nodes, 0))
-        if not patches:
-            return flat, counts
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        parts = [patches.get(i, flat[offsets[i]:offsets[i + 1]])
-                 for i in range(len(nodes))]
-        new_counts = counts.copy()
-        for i, arr in patches.items():
-            new_counts[i] = arr.size
-        if not int(new_counts.sum()):
-            return _EMPTY, new_counts
-        return np.concatenate(parts), new_counts
 
     def excluded(self) -> set[int] | None:
         """Ids barred from results: epoch tombstones + overlay prefix.
@@ -527,6 +488,22 @@ class EpochManager:
             }
 
 
+class _Scratch(threading.local):
+    """What one thread's searches write while they run.
+
+    The native executor releases the GIL for a whole traversal (and the
+    reference loop yields it between hops), so nothing here may be shared
+    between threads: the visited stamps of :meth:`ServingSearcher.search`,
+    the pin of the engine block in flight, and the batch engines — each
+    owns a visited table and reads that pin.
+    """
+
+    def __init__(self):  # runs once per thread, on first access
+        self.visited = VisitedTable(1)  # grown by the searches
+        self.block_pin: EpochPin | None = None
+        self.engines: dict[tuple, BatchSearchEngine] = {}
+
+
 class ServingSearcher:
     """Index-protocol facade serving epoch-pinned searches.
 
@@ -562,15 +539,9 @@ class ServingSearcher:
                  rerank: int = 50, beam_width: int | None = None):
         self.fixer = fixer
         self.manager = manager
-        # Per-thread visited stamps for :meth:`search`: the native executor
-        # releases the GIL for the whole traversal (and the reference loop
-        # yields it between hops), so two threads may not share one table.
-        self._scratch = threading.local()
-        # One engine per (batch_size, beam, use_adc, planned) — see _engine.
-        self._engines: dict[tuple, BatchSearchEngine] = {}
+        self._scratch = _Scratch()
         self.rerank = rerank
         self.attach_adc(adc, beam_width=beam_width)
-        self._block_pin: EpochPin | None = None
         # Hardness-aware query planner (repro.tuning).  None — the default —
         # leaves every search path bit-identical to the planner-less stack;
         # attach_planner() routes ef-less searches through per-bin settings.
@@ -596,36 +567,25 @@ class ServingSearcher:
     def compressed(self) -> bool:
         return self.adc is not None
 
-    @property
-    def _visited(self) -> VisitedTable:
-        """The calling thread's visited table (grown by the searches)."""
-        try:
-            return self._scratch.visited
-        except AttributeError:
-            table = self._scratch.visited = VisitedTable(self.dc.size)
-            return table
-
     def attach_adc(self, adc, rerank: int | None = None,
                    beam_width: int | None = None) -> None:
-        """Swap in (or install) an ADC computer and invalidate the engines.
+        """Swap in (or install) an ADC computer.
 
-        The cached :class:`BatchSearchEngine` keys on batch size and beam
-        width but not on the distance computer, so a codebook swap (e.g.
-        the cluster router shipping a shared PQ) must drop it explicitly —
-        otherwise blocks would keep scoring with the old codes.
+        Cached engines notice by themselves: :meth:`_engine` rebuilds one
+        whose scorer is no longer the searcher's, so after a codebook swap
+        (e.g. the cluster router shipping a shared PQ) no block keeps
+        scoring with the old codes.
         """
         self.adc = adc
         if rerank is not None:
             self.rerank = rerank
-        # Default beam: wide only where scoring is cheap (ADC); the
-        # full-precision engine keeps width 1 (sequential equivalence).
-        # An explicit beam_width overrides — shard-sized graphs at small
-        # ef are lock-step-round-bound, and a wide beam cuts rounds at the
-        # cost of a few extra (vectorized, cheap) distance evaluations.
+        # Default beam: wide only where scoring is cheap (ADC) and its
+        # larger scored set feeds the exact re-rank; the full-precision
+        # engine keeps width 1 (sequential equivalence).  An explicit
+        # beam_width overrides.
         if beam_width is None:
             beam_width = 4 if adc is not None else 1
         self.beam_width = beam_width
-        self._engines.clear()
 
     def attach_planner(self, planner) -> None:
         """Install (or remove) the hardness-aware query planner.
@@ -749,12 +709,13 @@ class ServingSearcher:
             if use_adc:
                 result, n_scored, exact_ndc, seconds = rerank_one(
                     self.adc, dc, view, entries, q, k, ef, budget,
-                    visited=self._visited, excluded=view.excluded(),
+                    visited=self._scratch.visited, excluded=view.excluded(),
                     deadline=deadline)
                 self._account(1, n_scored, exact_ndc, seconds)
             else:
                 result = greedy_search(
-                    dc, view, entries, q, k=k, ef=ef, visited=self._visited,
+                    dc, view, entries, q, k=k, ef=ef,
+                    visited=self._scratch.visited,
                     excluded=view.excluded(),
                     collect_visited=collect_visited, prepared=True,
                     deadline=deadline)
@@ -786,37 +747,38 @@ class ServingSearcher:
 
     def _pin_block(self) -> EpochView:
         """graph_fn hook: re-pin at each engine block boundary."""
-        if self._block_pin is not None:
-            self._block_pin.release()
-        self._block_pin = self.manager.pin()
-        return self._block_pin.view
-
-    def _block_excluded(self) -> set[int] | None:
-        return self._block_pin.view.excluded()
+        scratch = self._scratch
+        if scratch.block_pin is not None:
+            scratch.block_pin.release()
+        scratch.block_pin = self.manager.pin()
+        return scratch.block_pin.view
 
     def _engine(self, batch_size: int, beam: int, use_adc: bool,
                 planned: bool) -> BatchSearchEngine:
-        """The cached engine for one ``(batch_size, beam, scorer, entries)``.
+        """The calling thread's cached engine for one ``(batch_size, beam,
+        scorer, entries)``.
 
         ``planned`` selects the entry function, so an explicit ``ef`` with
         a planner attached still seeds the epoch entry only.
         """
+        scratch = self._scratch
+        scorer = self.adc if use_adc else self.dc
         key = (batch_size, beam, use_adc, planned)
-        engine = self._engines.get(key)
-        if engine is None:
-            engine = self._engines[key] = BatchSearchEngine(
-                self.adc if use_adc else self.dc,
+        engine = scratch.engines.get(key)
+        if engine is None or engine.dc is not scorer:
+            engine = scratch.engines[key] = BatchSearchEngine(
+                scorer,
                 # Fallbacks never used: graph_fn always supplies a view and
                 # entries are query-independent within a block, so they
                 # are seeded once per block instead of once per query.
-                lambda u: self._block_pin.view(u),
-                lambda q: [self._block_pin.epoch.entry],
-                excluded_fn=self._block_excluded,
+                lambda u: scratch.block_pin.view(u),
+                lambda q: [scratch.block_pin.epoch.entry],
+                excluded_fn=lambda: scratch.block_pin.view.excluded(),
                 batch_size=batch_size,
                 graph_fn=self._pin_block,
                 beam_width=beam,
                 entry_points_block_fn=(
-                    lambda qmat: self._entries(self._block_pin, qmat,
+                    lambda qmat: self._entries(scratch.block_pin, qmat,
                                                planned)),
             )
         return engine
@@ -845,9 +807,10 @@ class ServingSearcher:
                 results = engine.search_batch(queries, k, ef,
                                               deadline=deadline)
         finally:
-            if self._block_pin is not None:
-                self._block_pin.release()
-                self._block_pin = None
+            scratch = self._scratch
+            if scratch.block_pin is not None:
+                scratch.block_pin.release()
+                scratch.block_pin = None
         if sink is not None:
             self._sink_batch_traces(sink, queries, results, k, ef, ndc0)
         return results
@@ -873,21 +836,18 @@ class ServingSearcher:
         """Batched pinned search; each engine block sees one epoch view.
 
         ``deadline_ms`` budgets the whole batch, and every answer that
-        stopped short of full effort is flagged ``degraded``.  How the
-        shortfall is spread depends on the executor (see
+        stopped short of full effort is flagged ``degraded``.  The rows
+        are walked in order against it (see
         :meth:`BatchSearchEngine.search_batch
-        <repro.graphs.search.BatchSearchEngine.search_batch>`): the native
-        one walks a block's rows in order, so rows that started before the
-        budget ran out are full-effort (or best-so-far) and every later row
-        returns its scored entry points only; the lock-step rounds stop all
-        still-active rows of a block best-so-far at once.
+        <repro.graphs.search.BatchSearchEngine.search_batch>`): rows that
+        started before the budget ran out are full-effort (or best-so-far)
+        and every later row returns its scored entry points only.
 
         With a planner attached (:meth:`attach_planner`), ``ef=None``
         partitions the batch by predicted hardness bin and runs each group
-        under its fitted setting — dense sub-batches that keep the
-        lock-step engine's one-gather-per-hop shape, reassembled into
-        caller order; an explicit ``ef`` always bypasses the planner and
-        runs every row as one group under the searcher's own setting.
+        under its fitted setting, reassembled into caller order; an
+        explicit ``ef`` always bypasses the planner and runs every row as
+        one group under the searcher's own setting.
         """
         deadline = (None if deadline_ms is None
                     else time.perf_counter() + deadline_ms / 1000.0)

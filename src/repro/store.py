@@ -481,8 +481,8 @@ class VectorStore:
         """Batched top-k over many queries; one epoch pin per engine block.
 
         Returns a list of :class:`~repro.graphs.search.SearchResult` (no
-        payload join — use :meth:`get_payload` for that), taking the batched
-        lock-step engine which is the throughput-optimal path.
+        payload join — use :meth:`get_payload` for that), taking the batch
+        engine, which is the throughput-optimal path.
         ``deadline_ms`` budgets the whole batch; results past the budget
         come back best-so-far with ``degraded`` set.
         """

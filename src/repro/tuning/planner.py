@@ -149,9 +149,10 @@ class HardnessPlanner:
         setting)`` triples in ascending bin order; indices are positions
         into the original batch, so results regroup into caller order
         afterwards.  Bins whose fitted settings are identical coalesce
-        into one group — the lock-step engine pays per-block round costs,
-        so splitting a batch between bins that would run the exact same
-        search is pure overhead.  Also advances landmark adaptation.
+        into one group — every group pays its own pin, entry resolution and
+        engine call, so splitting a batch between bins that would run the
+        exact same search is pure overhead.  Also advances landmark
+        adaptation.
         """
         qmat = np.atleast_2d(np.asarray(queries, dtype=np.float32))
         bins = self.predict(qmat)

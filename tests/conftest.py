@@ -7,7 +7,6 @@ that mutate a graph must take a fresh copy (see ``fresh_hnsw``).
 from __future__ import annotations
 
 import contextlib
-import functools
 import signal
 
 import numpy as np
@@ -16,7 +15,6 @@ import pytest
 from repro.datasets import CrossModalConfig, make_cross_modal_dataset
 from repro.evalx import compute_ground_truth
 from repro.graphs import HNSW, native
-from repro.graphs import search as search_module
 
 try:
     import pytest_timeout  # noqa: F401
@@ -55,23 +53,20 @@ def pytest_runtest_call(item):
         signal.signal(signal.SIGALRM, previous)
 
 
-#: Suites whose subject is the reference executors themselves — the Python
-#: loop against the lock-step rounds, the frozen CSR against the dynamic
-#: store — and whose contract is bit-identity *between them*.  A frozen graph
-#: would put one side of each comparison on the native executor (same ids,
-#: hops and NDC, distances an ulp apart), so these files run with it
-#: switched off; native ≡ reference is ``test_native.py``'s subject.
+#: Suites whose contract is bit-identity on *one* executor — the engine's
+#: block against the sequential search, the frozen CSR against the dynamic
+#: store.  A frozen graph would put one side of each comparison on the
+#: native executor (same ids, hops and NDC, distances an ulp apart), so these
+#: files run with it switched off; native ≡ reference is ``test_native.py``'s
+#: subject.
 REFERENCE_SUITES = ("test_batch_search.py", "test_csr_parallel.py")
 
 
 @contextlib.contextmanager
-def reference_executor(lockstep: bool = False):
-    """Run the body on the reference executor (and, with ``lockstep``, every
-    engine block on the lock-step rounds whatever its size)."""
+def reference_executor():
+    """Run the body on the reference executor."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(native, "_LIB", None)
-        if lockstep:
-            patch.setattr(search_module, "LOCKSTEP_MIN_ROWS", 0)
         yield
 
 
@@ -129,28 +124,6 @@ def fresh_hnsw(tiny_ds):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
-
-
-@pytest.fixture(scope="session")
-def lockstep_engine():
-    """Context manager: every engine block runs the lock-step rounds.
-
-    ``BatchSearchEngine`` hands every block to the native executor when it
-    is loaded, and without it routes blocks under ``LOCKSTEP_MIN_ROWS`` to
-    the sequential loop, so an engine-vs-sequential comparison would compare
-    one loop with itself.  Tests whose subject is the lock-step code wrap
-    their batched calls in this: the native core off and the row minimum
-    zero, so both sides run on the reference executor (session-scoped so
-    hypothesis tests can take it; ``lockstep_only`` is the fixture form).
-    """
-    return functools.partial(reference_executor, lockstep=True)
-
-
-@pytest.fixture
-def lockstep_only():
-    """The whole test runs with ``lockstep_engine`` in force."""
-    with reference_executor(lockstep=True):
-        yield
 
 
 def _near_tie(x: float, y: float) -> bool:

@@ -49,6 +49,27 @@ class TestDiscoveryEdges:
         assert stats["via_extra_edges"] == 0
         assert stats["total_results"] == 80
 
+    def test_classifies_exactly_what_search_returns(self, tiny_ds, fresh_hnsw,
+                                                    monkeypatch):
+        """The replay is ``greedy_search`` itself: every query contributes
+        its k results, and they are ``index.search``'s ids."""
+        from repro.core import analysis
+        fresh_hnsw.adjacency.tombstones.update(range(0, 400, 7))
+        classified = []
+        replay = analysis.greedy_search
+
+        def recording(*args, **kwargs):
+            result = replay(*args, **kwargs)
+            classified.append(result.ids.tolist())
+            return result
+
+        monkeypatch.setattr(analysis, "greedy_search", recording)
+        queries = tiny_ds.test_queries[:12]
+        stats = analysis.discovery_edge_stats(fresh_hnsw, queries, k=8, ef=20)
+        assert stats["total_results"] == len(queries) * 8
+        assert classified == [fresh_hnsw.search(q, k=8, ef=20).ids.tolist()
+                              for q in queries]
+
     def test_extra_edges_carry_results_after_fixing(self, tiny_ds, fresh_hnsw):
         from repro.core import FixConfig, NGFixer
         from repro.core.analysis import discovery_edge_stats

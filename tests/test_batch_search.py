@@ -1,7 +1,5 @@
 """Batch engine ≡ sequential search: bit-level ids/distances/NDC equality."""
 
-import contextlib
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,8 +8,7 @@ from repro.datasets import list_datasets, load_dataset
 from repro.distances import DistanceComputer, Metric
 from repro.graphs import HNSW
 from repro.graphs.adjacency import AdjacencyStore
-from repro.graphs.search import (LOCKSTEP_MIN_ROWS, BatchSearchEngine,
-                                 VisitedTable, greedy_search)
+from repro.graphs.search import BatchSearchEngine, VisitedTable, greedy_search
 from repro.store import VectorStore
 
 
@@ -32,11 +29,11 @@ def world_with_graph(draw):
     return data, adjacency, metric, seed
 
 
-def _assert_equivalent(dc, adjacency, queries, k, ef, lockstep_engine,
-                       excluded=None, entry=0, batch_size=8):
-    """Sequential per-query search and the batch engine must agree bitwise:
-    on the lock-step rounds (the subject here — these blocks are all under
-    the dispatch crossover) and on the route ``search_batch`` picks itself."""
+def _assert_equivalent(dc, adjacency, queries, k, ef, excluded=None, entry=0,
+                       batch_size=8):
+    """Sequential per-query search and the batch engine must agree bitwise
+    (this file runs on the reference executor: ``to_query`` per row against
+    ``block_to_queries`` per block)."""
     visited = VisitedTable(dc.size)
     dc.reset_ndc()
     seq = [greedy_search(dc, adjacency.neighbors, [entry], q, k=k, ef=ef,
@@ -46,16 +43,13 @@ def _assert_equivalent(dc, adjacency, queries, k, ef, lockstep_engine,
     engine = BatchSearchEngine(dc, adjacency.neighbors, lambda q: [entry],
                                excluded_fn=lambda: excluded,
                                batch_size=batch_size)
-    for route in (lockstep_engine, contextlib.nullcontext):
-        with route():
-            bat = engine.search_batch(np.asarray(queries, dtype=np.float32),
-                                      k, ef)
-        assert dc.reset_ndc() == ndc_seq
-        for s, b in zip(seq, bat):
-            np.testing.assert_array_equal(s.ids, b.ids)
-            # Bit-level, not allclose: both paths share one distance kernel.
-            np.testing.assert_array_equal(s.distances, b.distances)
-            assert s.n_hops == b.n_hops
+    bat = engine.search_batch(np.asarray(queries, dtype=np.float32), k, ef)
+    assert dc.reset_ndc() == ndc_seq
+    for s, b in zip(seq, bat):
+        np.testing.assert_array_equal(s.ids, b.ids)
+        # Bit-level, not allclose: both kernels share one per-row reduction.
+        np.testing.assert_array_equal(s.distances, b.distances)
+        assert (s.n_hops, s.frontier_peak) == (b.n_hops, b.frontier_peak)
     return seq
 
 
@@ -63,19 +57,17 @@ class TestBatchEquivalenceProperties:
     @settings(max_examples=40, deadline=None)
     @given(world_with_graph(), st.integers(1, 6), st.integers(1, 24),
            st.integers(1, 7))
-    def test_matches_sequential_all_metrics(self, lockstep_engine, world, k,
-                                            ef, batch_size):
+    def test_matches_sequential_all_metrics(self, world, k, ef, batch_size):
         data, adjacency, metric, seed = world
         dc = DistanceComputer(data, metric)
         queries = np.random.default_rng(seed + 2).standard_normal(
             (5, data.shape[1])).astype(np.float32)
-        _assert_equivalent(dc, adjacency, queries, k, ef, lockstep_engine,
+        _assert_equivalent(dc, adjacency, queries, k, ef,
                            batch_size=batch_size)
 
     @settings(max_examples=25, deadline=None)
     @given(world_with_graph(), st.integers(1, 5), st.integers(2, 16))
-    def test_matches_sequential_with_tombstones(self, lockstep_engine, world,
-                                                k, ef):
+    def test_matches_sequential_with_tombstones(self, world, k, ef):
         data, adjacency, metric, seed = world
         n = data.shape[0]
         rng = np.random.default_rng(seed + 3)
@@ -83,12 +75,11 @@ class TestBatchEquivalenceProperties:
                        rng.choice(n, size=min(5, n - 1), replace=False))
         dc = DistanceComputer(data, metric)
         queries = rng.standard_normal((4, data.shape[1])).astype(np.float32)
-        _assert_equivalent(dc, adjacency, queries, k, ef, lockstep_engine,
-                           excluded=excluded)
+        _assert_equivalent(dc, adjacency, queries, k, ef, excluded=excluded)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**16), st.sampled_from(list(Metric)))
-    def test_short_results_padding(self, lockstep_engine, seed, metric):
+    def test_short_results_padding(self, seed, metric):
         """Entry confined to a 2-node component: both paths return the same
         short result rows, and search_many pads them with -1/inf."""
         rng = np.random.default_rng(seed)
@@ -100,20 +91,17 @@ class TestBatchEquivalenceProperties:
             adjacency.add_base_edge(u, 2 + (u - 1) % 10)
         dc = DistanceComputer(data, metric)
         queries = rng.standard_normal((3, 3)).astype(np.float32)
-        seq = _assert_equivalent(dc, adjacency, queries, 5, 8,
-                                 lockstep_engine)
+        seq = _assert_equivalent(dc, adjacency, queries, 5, 8)
         assert all(len(s.ids) == 2 for s in seq)
 
 
 class TestIndexBatchPaths:
-    def test_search_many_batched_equals_sequential(self, tiny_ds, shared_hnsw,
-                                                   lockstep_engine):
+    def test_search_many_batched_equals_sequential(self, tiny_ds, shared_hnsw):
         queries = tiny_ds.test_queries[:20]
         ids_seq, d_seq = shared_hnsw.search_many(queries, k=5, ef=30,
                                                  batch_size=1)
-        with lockstep_engine():
-            ids_bat, d_bat = shared_hnsw.search_many(queries, k=5, ef=30,
-                                                     batch_size=7)
+        ids_bat, d_bat = shared_hnsw.search_many(queries, k=5, ef=30,
+                                                 batch_size=7)
         np.testing.assert_array_equal(ids_seq, ids_bat)
         np.testing.assert_array_equal(d_seq, d_bat)
 
@@ -124,7 +112,6 @@ class TestIndexBatchPaths:
         assert (ids[:, 3:] == -1).all()
         assert np.isinf(dists[:, 3:]).all()
 
-    @pytest.mark.usefixtures("lockstep_only")
     def test_search_batch_ndc_matches_sequential(self, tiny_ds, shared_hnsw):
         queries = tiny_ds.test_queries[:10]
         shared_hnsw.dc.reset_ndc()
@@ -154,7 +141,6 @@ class TestIndexBatchPaths:
             np.testing.assert_array_equal(a.ids, b.ids)
 
 
-@pytest.mark.usefixtures("lockstep_only")
 @pytest.mark.parametrize("name", list_datasets())
 def test_registry_dataset_equivalence(name):
     """Acceptance: batched ≡ sequential (ids, distances, NDC) on every
@@ -183,12 +169,11 @@ def _assert_same_answers(sequential, batched):
         assert (s.n_hops, s.degraded) == (b.n_hops, b.degraded)
 
 
-@pytest.mark.parametrize("size", [1, LOCKSTEP_MIN_ROWS - 1,
-                                  LOCKSTEP_MIN_ROWS, 64])
+@pytest.mark.parametrize("size", [1, 64])
 class TestBlockSizeDispatch:
-    """One block on either side of the crossover, through the public batched
-    entry points: whichever route the engine picks, the answers and the
-    total NDC are those of per-query ``search``."""
+    """A block of one and a full block through the public batched entry
+    points: the answers and the total NDC are those of per-query
+    ``search``."""
 
     def test_graph_index_under_tombstones(self, tiny_ds, fresh_hnsw, rng,
                                           size):
@@ -243,9 +228,9 @@ class TestBlockSizeDispatch:
 
 
 class TestWideBeam:
-    """beam_width > 1 trades the W=1 bit-equivalence contract for fewer
-    lock-step rounds; what it must preserve: the result list is the exact
-    top-k of everything the beam scored, and recall stays in a band of the
+    """beam_width > 1 trades the W=1 bit-equivalence contract for a larger
+    scored set; what it must preserve: the result list is the exact top-k
+    of everything the beam scored, and recall stays in a band of the
     sequential-equivalent W=1 engine."""
 
     def test_beam_width_validation(self):

@@ -9,8 +9,6 @@ Two equivalence contracts guard the PR's perf layer:
    identical graphs, identical ground truth, identical NDC accounting.
 """
 
-import contextlib
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -64,20 +62,6 @@ class TestCSRLayout:
             np.testing.assert_array_equal(view(u), adjacency.neighbors(u))
             assert view.out_degree(u) == adjacency.out_degree(u)
 
-    @settings(max_examples=40, deadline=None)
-    @given(store_with_extras(), st.integers(0, 2**16))
-    def test_neighbors_block_matches_per_node(self, world, seed):
-        _, adjacency, _, _ = world
-        view = adjacency.freeze()
-        rng = np.random.default_rng(seed)
-        nodes = rng.integers(0, adjacency.n_nodes, size=7)
-        flat, counts = view.neighbors_block(nodes)
-        per_node = [view.neighbors(int(u)) for u in nodes]
-        np.testing.assert_array_equal(counts,
-                                      [a.size for a in per_node])
-        if flat.size:
-            np.testing.assert_array_equal(flat, np.concatenate(per_node))
-
     @settings(max_examples=20, deadline=None)
     @given(store_with_extras())
     def test_extra_edge_tags(self, world):
@@ -111,8 +95,8 @@ class TestFrozenSearchEquivalence:
     @settings(max_examples=25, deadline=None)
     @given(store_with_extras(), st.integers(1, 5), st.integers(2, 16),
            st.integers(1, 7))
-    def test_batch_engine_over_view_matches_dynamic(self, lockstep_engine,
-                                                    world, k, ef, batch_size):
+    def test_batch_engine_over_view_matches_dynamic(self, world, k, ef,
+                                                    batch_size):
         data, adjacency, metric, seed = world
         n = data.shape[0]
         rng = np.random.default_rng(seed + 3)
@@ -131,22 +115,16 @@ class TestFrozenSearchEquivalence:
                                        excluded_fn=lambda: excluded,
                                        batch_size=batch_size,
                                        graph_fn=lambda: view)
-        # The bulk CSR gather only exists in the lock-step rounds, and these
-        # blocks are all under the dispatch crossover: force them, then check
-        # the route search_batch picks by itself as well.
-        for route in (lockstep_engine, contextlib.nullcontext):
-            with route():
-                dc.reset_ndc()
-                dyn = dyn_engine.search_batch(queries, k, ef)
-                ndc_dyn = dc.reset_ndc()
-                frz = csr_engine.search_batch(queries, k, ef)
-            assert dc.reset_ndc() == ndc_dyn
-            for a, b in zip(dyn, frz):
-                _assert_same_results(a, b)
+        dc.reset_ndc()
+        dyn = dyn_engine.search_batch(queries, k, ef)
+        ndc_dyn = dc.reset_ndc()
+        frz = csr_engine.search_batch(queries, k, ef)
+        assert dc.reset_ndc() == ndc_dyn
+        for a, b in zip(dyn, frz):
+            _assert_same_results(a, b)
 
     @pytest.mark.parametrize("builder", ["hnsw", "nsg", "tau-mng",
                                          "roargraph", "vamana"])
-    @pytest.mark.usefixtures("lockstep_only")
     def test_all_graph_classes(self, tiny_ds, builder):
         """index.search over the frozen view ≡ the raw dynamic path."""
         if builder == "hnsw":

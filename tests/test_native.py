@@ -1,7 +1,7 @@
 """The native traversal core against the reference executor, and its loader.
 
 One algorithm, two executors: ``_beam.c`` must be the search
-``beam_search`` / the lock-step rounds run, up to float32 rounding
+``beam_search`` runs, at every beam width, up to float32 rounding
 (``conftest.tie_tolerant_equal``); a native single query and a native block
 of one are the same code and must agree bit for bit; and a machine without
 a usable compiler must end up on a working reference executor that says
@@ -9,6 +9,7 @@ why.  Everything that needs the compiled library is skipped with the
 loader's reason when there is none.
 """
 
+import contextlib
 import os
 import pathlib
 import subprocess
@@ -148,8 +149,9 @@ class TestExactSequential:
             q = dc.prepare_query(query)
             deadline = as_deadline(deadline_kind)
             dc.reset_ndc()
-            want = _reference_row(dc, q, view, entries, k, ef, visited,
-                                  barred, deadline, collect)
+            want = _reference_row(lambda ids: dc.to_query(ids, q), view,
+                                  entries, k, ef, 1, visited, barred,
+                                  deadline, collect)
             ndc_want = dc.reset_ndc()
             got = greedy_search(dc, view, entries, q, k, ef, visited, barred,
                                 collect, prepared=True, deadline=deadline)
@@ -245,16 +247,18 @@ def _engine_pair(scorer, view, entries, barred, width):
                              beam_width=width)
 
 
-@needs_native
 class TestBlocks:
+    @needs_native
     @PROPERTY
-    @given(worlds(duplicates=False), st.sampled_from([1, 4, 8]), deadlines())
+    @given(worlds(duplicates=False), st.sampled_from([1, 2, 4, 8]),
+           deadlines())
     def test_exact_block_matches_lockstep_rounds(self, world, width,
                                                  deadline_kind):
+        """The kernel's round against ``beam_search(beam_width=width)``."""
         dc, view, entries, barred, k, ef, queries = world
         qmat = dc.prepare_queries(queries)
         engine = _engine_pair(dc, view, entries, barred, width)
-        with reference_executor(lockstep=True):
+        with reference_executor():
             dc.reset_ndc()
             want = engine.search_batch(qmat, k, ef, as_deadline(deadline_kind),
                                        collect_visited=True, prepared=True)
@@ -264,13 +268,14 @@ class TestBlocks:
         ndc_got = dc.reset_ndc()
         assert all(r.executor == "native" for r in got)
         assert ndc_want == ndc_got
+        assert all(r.executor == "reference" for r in want)
         for a, b, q in zip(want, got, qmat):
-            b.frontier_peak = a.frontier_peak  # the rounds do not report one
             assert tie_tolerant_equal(a, b, dc, q)
 
     def test_deadline_expiring_partway_through_a_block(self):
-        """One budget, rows in order: full-effort rows, at most one row cut
-        short best-so-far, then entry points only — ``degraded`` monotone."""
+        """One budget, rows in order, on either executor: full-effort rows,
+        at most one row cut short best-so-far, then entry points only —
+        ``degraded`` monotone."""
         rng = np.random.default_rng(5)
         n, dim, rows = 3000, 24, 64
         dc = DistanceComputer(rng.standard_normal((n, dim)), "l2")
@@ -280,9 +285,20 @@ class TestBlocks:
         qmat = dc.prepare_queries(rng.standard_normal((rows, dim)))
         engine = BatchSearchEngine(dc, view, lambda q: entries,
                                    graph_fn=lambda: view, batch_size=rows)
+        executors = {"reference": reference_executor}
+        if native.enabled():
+            executors["native"] = contextlib.nullcontext
+        for name, executor in executors.items():
+            with executor():
+                self._expires_mid_block(engine, qmat, entries, name)
+
+    @staticmethod
+    def _expires_mid_block(engine, qmat, entries, executor):
+        rows = qmat.shape[0]
         t0 = time.perf_counter()
         full = engine.search_batch(qmat, 10, 300, prepared=True)
         full_s = time.perf_counter() - t0
+        assert all(r.executor == executor for r in full)
         for _ in range(5):  # the budget is wall time: allow a noisy neighbour
             got = engine.search_batch(
                 qmat, 10, 300, time.perf_counter() + full_s / 4,
@@ -299,20 +315,22 @@ class TestBlocks:
             if 0 < first < rows - 1:
                 break
         else:
-            pytest.fail(f"no run expired mid-block (last split at {first})")
+            pytest.fail(f"no {executor} run expired mid-block "
+                        f"(last split at {first})")
 
+    @needs_native
     @PROPERTY
     @given(st.integers(16, 64), st.sampled_from([1, 3, 5]),
            st.integers(1, 3), st.sampled_from(list(Metric)),
-           st.sampled_from([1, 4, 8]), st.integers(0, 2**20))
+           st.sampled_from([1, 2, 4, 8]), st.integers(0, 2**20))
     def test_adc_block_matches_lockstep_rounds(self, n, m, d_sub, metric,
                                                width, seed):
         """ADC, with subspace counts the table loop cannot unroll evenly.
         The kernel sums a code's table entries in subspace order like
         ``ADCComputer.block_to_queries``, so on the same tables the two
-        executors see *bit-identical* distances and must score the same
-        set — except past an exact tie (two codes, one sum), where a
-        round's ``argpartition`` keeps whichever it likes."""
+        executors see *bit-identical* distances, break exact ties (two
+        codes, one sum) by the same (distance, id) order, and must run the
+        same search."""
         rng = np.random.default_rng(seed)
         dc = DistanceComputer(rng.standard_normal((n, m * d_sub)), metric)
         view = csr_view([rng.choice(n, size=4, replace=False).tolist()
@@ -322,21 +340,23 @@ class TestBlocks:
         adc = ADCComputer(dc, ProductQuantizer(m=m, ks=16, metric=metric))
         qmat = dc.prepare_queries(rng.standard_normal((4, m * d_sub)))
         engine = _engine_pair(adc, view, entries, barred, width)
-        with reference_executor(lockstep=True):
+        with reference_executor():
             want = engine.search_batch(qmat, 5, 12, collect_visited=True,
                                        prepared=True)
+            ndc_want = adc.reset_ndc()
         got = engine.search_batch(qmat, 5, 12, collect_visited=True,
                                   prepared=True)
+        assert adc.reset_ndc() == ndc_want
         for a, b in zip(want, got):
-            assert b.executor == "native"
-            if np.unique(a.visited_distances).size < a.visited_ids.size:
-                continue  # an exact tie among the scored
+            assert (a.executor, b.executor) == ("reference", "native")
             np.testing.assert_array_equal(a.ids, b.ids)
             np.testing.assert_array_equal(a.distances, b.distances)
-            assert a.n_hops == b.n_hops
-            np.testing.assert_array_equal(np.sort(a.visited_ids),
-                                          np.sort(b.visited_ids))
+            assert (a.n_hops, a.frontier_peak) == (b.n_hops, b.frontier_peak)
+            np.testing.assert_array_equal(a.visited_ids, b.visited_ids)
+            np.testing.assert_array_equal(a.visited_distances,
+                                          b.visited_distances)
 
+    @needs_native
     def test_adc_scalar_matches_pq_rerank_reference(self, tiny_ds,
                                                     shared_hnsw):
         shared_hnsw.adjacency.freeze()
@@ -370,7 +390,8 @@ def _view_searches(store, queries, k, ef):
             q = dc.prepare_query(query)
             entries = unique_entries([pin.epoch.entry])
             dc.reset_ndc()
-            want = _reference_row(dc, q, view, entries, k, ef, visited,
+            want = _reference_row(lambda ids: dc.to_query(ids, q), view,
+                                  entries, k, ef, 1, visited,
                                   view.excluded(), None, True)
             ndc_want = dc.reset_ndc()
             got = greedy_search(dc, view, entries, q, k, ef, visited,

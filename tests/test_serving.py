@@ -11,6 +11,9 @@ The load-bearing guarantees under test:
   CSR; only scheduler merges do.
 """
 
+import contextlib
+import sys
+import threading
 import time
 
 import numpy as np
@@ -19,9 +22,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import VectorStore, obs
+from repro.graphs import native
 from repro.graphs.adjacency import AdjacencyStore, ObservedTombstones
 from repro.graphs.search import greedy_search
 from repro.serving import DeltaOverlay, EpochManager, MaintenanceScheduler
+from tests.conftest import reference_executor
 
 pytestmark = pytest.mark.timeout(120)
 
@@ -107,29 +112,6 @@ class TestEpochView:
         adjacency.set_base_neighbors(4, [0])
         assert manager.pin().view.neighbors(4).tolist() == [0]
 
-    def test_neighbors_block_matches_per_node(self):
-        adjacency = AdjacencyStore(5)
-        for u, v in [(0, 1), (1, 2), (2, 3), (3, 4)]:
-            adjacency.add_base_edge(u, v)
-        manager = EpochManager(adjacency, entry=0)
-        adjacency.add_base_edge(1, 4)
-        adjacency.grow(1)
-        adjacency.set_base_neighbors(5, [2, 3])
-        view = manager.pin().view
-        nodes = np.array([0, 1, 5, 4], dtype=np.int64)
-        flat, counts = view.neighbors_block(nodes)
-        per_node = [view.neighbors(int(u)).tolist() for u in nodes]
-        assert counts.tolist() == [len(p) for p in per_node]
-        assert flat.tolist() == [x for p in per_node for x in p]
-
-    def test_block_fast_path_on_clean_overlay(self):
-        adjacency = AdjacencyStore(4)
-        adjacency.add_base_edge(0, 1)
-        manager = EpochManager(adjacency, entry=0)
-        view = manager.pin().view
-        flat, counts = view.neighbors_block(np.array([0, 1], dtype=np.int64))
-        assert flat.tolist() == [1] and counts.tolist() == [1, 0]
-
 
 class TestEpochManager:
     def test_pin_counting_and_release_idempotent(self):
@@ -164,7 +146,6 @@ class TestServingStore:
             direct = live.search(q, k=5, ef=30).ids.tolist()
             assert served == direct
 
-    @pytest.mark.usefixtures("lockstep_only")
     def test_batch_matches_sequential_serving(self):
         store = make_store()
         batch = store.search_batch(QUERIES, k=5, ef=30, batch_size=4)
@@ -300,6 +281,65 @@ class TestPinnedConsistency:
             served = [i for i, _, _ in store.search(q, k=10, ef=40)]
             assert not set(served) & set(deleted)
         pin.release()
+
+
+class TestConcurrentReaders:
+    """"Any number of readers, no reader locks" (module docstring of
+    ``repro.serving``): whatever a search writes while it runs is the
+    calling thread's own."""
+
+    @pytest.mark.timeout(120)
+    @pytest.mark.parametrize("compressed", [False, True],
+                             ids=["exact", "compressed"])
+    @pytest.mark.parametrize("executor", ["native", "reference"])
+    def test_search_batch_from_many_threads(self, executor, compressed):
+        if executor == "native" and not native.enabled():
+            pytest.skip(f"no native executor: {native.status()['reason']}")
+        rng = np.random.default_rng(3)
+        store = VectorStore(dim=DIM, metric="l2", M=8, ef_construction=40,
+                            compressed=compressed, rerank=40)
+        store.add(rng.standard_normal((600, DIM)).astype(np.float32))
+        store.build()
+        queries = rng.standard_normal((128, DIM)).astype(np.float32)
+        n_threads, n_rounds = 4, 6
+        errors: list[Exception] = []
+        answers: list[list[np.ndarray]] = [[] for _ in range(n_threads)]
+
+        def batch_ids():
+            return np.vstack([r.ids for r in store.search_batch(
+                queries, k=10, ef=40, batch_size=32)])
+
+        def reader(slot):
+            try:
+                for _ in range(n_rounds):
+                    answers[slot].append(batch_ids())
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        with (contextlib.nullcontext if executor == "native"
+              else reference_executor)():
+            want = batch_ids()
+            # The reference loop only yields the GIL between bytecodes:
+            # switch often enough that two blocks really interleave.
+            sys.setswitchinterval(1e-5)
+            try:
+                threads = [threading.Thread(target=reader, args=(slot,))
+                           for slot in range(n_threads)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=90)
+            finally:
+                sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        wrong = sum(int((got != want).any(axis=1).sum())
+                    for rows in answers for got in rows)
+        assert wrong == 0, f"{wrong} of {n_threads * n_rounds * 128} rows"
+        assert all(len(rows) == n_rounds for rows in answers)
+        assert store.epochs.active_pins() == 0
+        store.close()
 
 
 class TestThreadScheduler:

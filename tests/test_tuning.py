@@ -1,8 +1,6 @@
 """Trace-driven autotuner + hardness planner: config round-trips, fitting,
 routing budgets, and planner-off bit-identity."""
 
-import contextlib
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -331,40 +329,33 @@ class TestPlannerOffIdentity:
            n=st.integers(min_value=1, max_value=8),
            ef=st.sampled_from([10, 17, 30, 55]))
     def test_explicit_ef_bypasses_planner(self, tiny_ds, tuning_store,
-                                          fitted_config, lockstep_engine,
-                                          start, n, ef):
+                                          fitted_config, start, n, ef):
         queries = tiny_ds.test_queries[start:start + n]
         searcher = tuning_store.searcher
-        # Blocks of 1-8 rows sit under the engine's dispatch crossover:
-        # check the lock-step rounds as well as the route it picks itself.
-        for route in (lockstep_engine, contextlib.nullcontext):
-            with route():
-                tuning_store.apply_tuned_config(None)
-                baseline = searcher.search_batch(queries, K, ef)
-                tuning_store.apply_tuned_config(fitted_config)
-                try:
-                    planned = searcher.search_batch(queries, K, ef)
-                finally:
-                    tuning_store.apply_tuned_config(None)
-            for b, p in zip(baseline, planned):
-                np.testing.assert_array_equal(b.ids, p.ids)
-                np.testing.assert_allclose(b.distances, p.distances)
+        tuning_store.apply_tuned_config(None)
+        baseline = searcher.search_batch(queries, K, ef)
+        tuning_store.apply_tuned_config(fitted_config)
+        try:
+            planned = searcher.search_batch(queries, K, ef)
+        finally:
+            tuning_store.apply_tuned_config(None)
+        for b, p in zip(baseline, planned):
+            np.testing.assert_array_equal(b.ids, p.ids)
+            np.testing.assert_allclose(b.distances, p.distances)
 
     @settings(max_examples=10, deadline=None)
     @given(start=st.integers(min_value=0, max_value=30),
            n=st.integers(min_value=1, max_value=8))
     def test_no_planner_default_matches_explicit(self, tiny_ds, tuning_store,
-                                                 lockstep_engine, start, n):
+                                                 start, n):
         queries = tiny_ds.test_queries[start:start + n]
         searcher = tuning_store.searcher
         tuning_store.apply_tuned_config(None)
-        for route in (lockstep_engine, contextlib.nullcontext):
-            with route():
-                defaulted = searcher.search_batch(queries, K, None)
-                explicit = searcher.search_batch(queries, K, max(K, 10))
-            for d, e in zip(defaulted, explicit):
-                np.testing.assert_array_equal(d.ids, e.ids)
-                np.testing.assert_allclose(d.distances, e.distances)
+        defaulted = searcher.search_batch(queries, K, None)
+        explicit = searcher.search_batch(queries, K, max(K, 10))
+        for d, e in zip(defaulted, explicit):
+            np.testing.assert_array_equal(d.ids, e.ids)
+            np.testing.assert_allclose(d.distances, e.distances)
 
     def test_single_query_explicit_ef_identical(self, tiny_ds, tuning_store,
                                                 fitted_config):
