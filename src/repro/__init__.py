@@ -68,6 +68,7 @@ from repro.serving import (
     MaintenanceScheduler,
     ServingSearcher,
 )
+from repro.config import StoreConfig
 from repro.store import VectorStore
 from repro.durability import (
     RecoveryError,
@@ -175,6 +176,7 @@ __all__ = [
     "make_drifting_workload",
     "DriftingWorkload",
     "VectorStore",
+    "StoreConfig",
     "OBS",
     "TRACES",
     "MetricsRegistry",

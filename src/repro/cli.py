@@ -78,16 +78,32 @@ def _add_policy(parser: argparse.ArgumentParser) -> None:
                              "'{\"storm_deletes\": 16, \"min_traces\": 8}'")
 
 
-def _policy_kwargs(args) -> dict:
+def _store_kwargs(args) -> dict:
+    """Store settings shared by churn, stats, tune and cluster (which hands
+    them to the router): the CLI's build geometry plus whichever of the
+    policy / compressed / tuned flag groups the command registered."""
     import json as _json
-    kwargs = {}
+    kwargs = dict(M=12, ef_construction=60, seed=args.seed)
     if getattr(args, "policy", None):
         kwargs["policy"] = args.policy
         if getattr(args, "policy_config", None):
             kwargs["policy_config"] = _json.loads(args.policy_config)
     elif getattr(args, "policy_config", None):
         raise SystemExit("--policy-config requires --policy")
+    if getattr(args, "compressed", False):
+        kwargs.update(compressed=True, pq_m=args.pq_m, pq_ks=args.pq_ks,
+                      rerank=args.rerank)
+    if getattr(args, "tuned_config", None):
+        kwargs["tuned_config"] = args.tuned_config
     return kwargs
+
+
+def _memmap_kwargs(args) -> dict:
+    """Where a single-process store spills its raw vectors."""
+    import pathlib
+    if getattr(args, "memmap_dir", None):
+        return {"memmap_path": pathlib.Path(args.memmap_dir) / "vectors.vecs"}
+    return {}
 
 
 def _print_policy_stats(store) -> None:
@@ -113,23 +129,6 @@ def _add_tuned(parser: argparse.ArgumentParser) -> None:
                         help="fitted TunedConfig JSON (from `repro tune`); "
                              "attaches the hardness-aware planner, so "
                              "ef-less searches route per predicted bin")
-
-
-def _tuned_kwargs(args) -> dict:
-    tuned = getattr(args, "tuned_config", None)
-    return {"tuned_config": tuned} if tuned else {}
-
-
-def _store_compressed_kwargs(args) -> dict:
-    import pathlib
-    kwargs = {}
-    if getattr(args, "compressed", False):
-        kwargs.update(compressed=True, pq_m=args.pq_m, pq_ks=args.pq_ks,
-                      rerank=args.rerank)
-    if getattr(args, "memmap_dir", None):
-        kwargs["memmap_path"] = (
-            pathlib.Path(args.memmap_dir) / "vectors.vecs")
-    return kwargs
 
 
 def _print_compressed_stats(store) -> None:
@@ -434,12 +433,9 @@ def _cmd_churn(args) -> int:
                              format_percentiles, interleaved_workload)
     ds = _load_dataset(args)
     store = VectorStore(dim=ds.base.shape[1], metric=ds.metric,
-                        M=12, ef_construction=60, seed=args.seed,
                         merge_every=args.merge_every,
                         wal_dir=args.wal_dir, sync_every=args.sync_every,
-                        **_policy_kwargs(args),
-                        **_store_compressed_kwargs(args),
-                        **_tuned_kwargs(args))
+                        **_store_kwargs(args), **_memmap_kwargs(args))
     store.add(ds.base)
     store.build()
     store.fit_history(ds.train_queries)
@@ -551,10 +547,8 @@ def _cmd_stats(args) -> int:
     obs.enable()
     ds = _load_dataset(args)
     store = VectorStore(dim=ds.base.shape[1], metric=ds.metric,
-                        M=12, ef_construction=60, seed=args.seed,
                         scheduler_mode="thread",
-                        **_policy_kwargs(args),
-                        **_store_compressed_kwargs(args))
+                        **_store_kwargs(args), **_memmap_kwargs(args))
     store.add(ds.base)
     store.build()
     try:
@@ -598,18 +592,11 @@ def _cmd_cluster(args) -> int:
     ds = _load_dataset(args)
     gt = compute_ground_truth(ds.base, ds.test_queries, args.k, ds.metric,
                               n_workers=args.n_workers)
-    kwargs = {}
-    if args.compressed:
-        kwargs.update(compressed=True, pq_m=args.pq_m, pq_ks=args.pq_ks,
-                      rerank=args.rerank)
-    kwargs.update(_policy_kwargs(args))
-    kwargs.update(_tuned_kwargs(args))
     router = ClusterRouter(
         dim=ds.base.shape[1], metric=ds.metric, n_shards=args.n_shards,
         n_replicas=args.n_replicas, base_dir=args.base_dir,
-        M=12, ef_construction=60, seed=args.seed,
         hedge=not args.no_hedge, hedge_ms=args.hedge_ms,
-        max_pending=args.max_pending, **kwargs)
+        max_pending=args.max_pending, **_store_kwargs(args))
     try:
         router.load(ds.base, train_queries=ds.train_queries)
         k, ef = args.k, max(args.ef, args.k)
@@ -712,9 +699,7 @@ def _cmd_tune(args) -> int:
     from repro.tuning import fit_tuned_config, replay_traces
     ds = _load_dataset(args)
     store = VectorStore(dim=ds.base.shape[1], metric=ds.metric,
-                        M=12, ef_construction=60, seed=args.seed,
-                        **_policy_kwargs(args),
-                        **_store_compressed_kwargs(args))
+                        **_store_kwargs(args), **_memmap_kwargs(args))
     store.add(ds.base)
     store.build()
     store.fit_history(ds.train_queries)

@@ -52,12 +52,11 @@ from repro.cluster.resilience import (BreakerConfig, CircuitBreaker,
                                       LatencyTracker, scatter_gather)
 from repro.cluster.stats import merge_stats
 from repro.cluster.worker import shard_wal_dir, worker_main
-from repro.control.policy import make_policy
+from repro.config import StoreConfig
 from repro.distances import Metric
 from repro.graphs.search import SearchResult, pad_results
 from repro.obs import OBS, SECONDS_BUCKETS
 from repro.quantization.pq import ProductQuantizer
-from repro.tuning import coerce_tuned_config
 from repro.utils.validation import check_positive
 
 _SEARCHES = OBS.counter(
@@ -310,7 +309,10 @@ class ClusterRouter:
     Parameters
     ----------
     dim, metric:
-        Vector geometry, forwarded to every shard's store.
+        Vector geometry, forwarded to every shard's store.  These and the
+        store settings below are validated once into :attr:`config` (a
+        :class:`~repro.config.StoreConfig`); a worker's spec is its
+        ``to_dict()`` plus the shard's ids, WAL directory and seed.
     n_shards, n_replicas:
         Partition count and replicas per partition (replicas serve reads
         round-robin and mask single-replica death).
@@ -362,31 +364,34 @@ class ClusterRouter:
     def __init__(self, dim: int, metric: Metric | str = Metric.COSINE,
                  n_shards: int = 4, n_replicas: int = 1,
                  base_dir: str | pathlib.Path | None = None,
-                 M: int = 12, ef_construction: int = 60, seed: int = 0,
-                 merge_every: int = 256, sync_every: int = 8,
-                 compressed: bool = False, pq_m: int | None = None,
-                 pq_ks: int = 32, rerank: int = 50,
-                 beam_width: int | None = None,
+                 M: int = 12, ef_construction: int = 60, seed: int = StoreConfig.seed,
+                 merge_every: int = StoreConfig.merge_every,
+                 sync_every: int = StoreConfig.sync_every,
+                 compressed: bool = StoreConfig.compressed, pq_m: int | None = StoreConfig.pq_m,
+                 pq_ks: int = StoreConfig.pq_ks, rerank: int = StoreConfig.rerank,
+                 beam_width: int | None = StoreConfig.beam_width,
                  merge_reserve: float = MERGE_RESERVE,
                  rpc_timeout: float = 120.0,
-                 policy: str | None = None,
-                 policy_config: dict | None = None,
-                 tuned_config=None,
+                 policy: str | None = StoreConfig.policy,
+                 policy_config: dict | None = StoreConfig.policy_config,
+                 tuned_config=StoreConfig.tuned_config,
                  hedge: bool = True, hedge_ms: float | None = None,
                  breaker_config=None, max_pending: int = 1024):
         check_positive(n_shards, "n_shards")
         check_positive(n_replicas, "n_replicas")
-        # Fail fast on a bad policy spec here rather than as a worker
-        # startup error n_shards*n_replicas times.
-        make_policy(policy, merge_every, policy_config)
-        self.policy = policy
-        # Fitted tuned tables ship in the worker spec as plain dicts (specs
-        # cross the process boundary as JSON); every shard plans with the
-        # same per-bin settings.  Validate here, once, not per worker.
-        tuned = coerce_tuned_config(tuned_config)
-        self.tuned_config = tuned.to_dict() if tuned is not None else None
+        # Validate here, once, not as a worker startup error per replica.
+        # Specs carry the config's plain-dict form across the process
+        # boundary, so every shard runs the same settings.
+        self.config = StoreConfig(
+            dim=dim, metric=metric, M=M, ef_construction=ef_construction,
+            seed=seed, merge_every=merge_every, sync_every=sync_every,
+            compressed=compressed, pq_m=pq_m, pq_ks=pq_ks, rerank=rerank,
+            beam_width=beam_width, policy=policy,
+            policy_config=policy_config, tuned_config=tuned_config)
+        settings = self.config.to_dict()
+        self.tuned_config = settings["tuned_config"]
         self.dim = dim
-        self.metric = Metric.parse(metric)
+        self.metric = self.config.metric
         self.n_shards = n_shards
         self.n_replicas = n_replicas
         self.merge_reserve = merge_reserve
@@ -398,9 +403,6 @@ class ClusterRouter:
         self.base_dir = pathlib.Path(base_dir)
         self.compressed = compressed
         self._pq: ProductQuantizer | None = None
-        self._pq_m = pq_m
-        self._pq_ks = pq_ks
-        self._seed = seed
         self.dc = _NDCShim()
         self.adc_scored = 0
         self._next_gid = 0
@@ -431,15 +433,8 @@ class ClusterRouter:
             replicas = []
             for r in range(n_replicas):
                 spec = dict(
-                    shard_id=s, replica_id=r, dim=dim,
-                    metric=self.metric.value,
-                    wal_dir=str(shard_wal_dir(self.base_dir, s, r)),
-                    M=M, ef_construction=ef_construction, seed=seed + s,
-                    merge_every=merge_every, sync_every=sync_every,
-                    compressed=compressed, pq_m=pq_m, pq_ks=pq_ks,
-                    rerank=rerank, beam_width=beam_width,
-                    policy=policy, policy_config=policy_config,
-                    tuned_config=self.tuned_config)
+                    settings, seed=seed + s, shard_id=s, replica_id=r,
+                    wal_dir=str(shard_wal_dir(self.base_dir, s, r)))
                 breaker = CircuitBreaker(self.breaker_config,
                                          seed=seed * 31 + s * n_replicas + r)
                 replicas.append(ShardHandle(s, r, spec, rpc_timeout,
@@ -497,8 +492,8 @@ class ClusterRouter:
             norms = np.linalg.norm(sample, axis=1, keepdims=True)
             sample = sample / np.maximum(norms, 1e-12)
         pq = ProductQuantizer(
-            m=self._pq_m or ADCComputer._default_m(self.dim),
-            ks=self._pq_ks, metric=self.metric, seed=self._seed)
+            m=self.config.pq_m or ADCComputer._default_m(self.dim),
+            ks=self.config.pq_ks, metric=self.metric, seed=self.config.seed)
         pq.fit(sample)
         self._pq = pq
         sig = pq_signature(pq)
@@ -585,8 +580,8 @@ class ClusterRouter:
         """
         vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float32))
         if self.compressed and self._pq is None:
-            rng = np.random.default_rng(self._seed)
-            n = min(vectors.shape[0], max(4 * self._pq_ks, 1024))
+            rng = np.random.default_rng(self.config.seed)
+            n = min(vectors.shape[0], max(4 * self.config.pq_ks, 1024))
             self.train_pq(vectors[rng.choice(vectors.shape[0], size=n,
                                              replace=False)])
         gids = np.arange(self._next_gid, self._next_gid + vectors.shape[0],

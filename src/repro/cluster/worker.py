@@ -1,9 +1,10 @@
 """Shard worker: one process owning one partition's :class:`VectorStore`.
 
 A worker is forked by the router with one end of a ``socketpair`` and a
-*spec* describing its partition: shard/replica ids, store geometry, an
-optional WAL directory (each shard journals to — and recovers from — its
-own directory), and compressed-mode settings.  It then serves a
+*spec* describing its partition: shard/replica ids, an optional WAL
+directory (each shard journals to — and recovers from — its own directory)
+and the store's settings as :meth:`StoreConfig.to_dict
+<repro.config.StoreConfig.to_dict>` keys.  It then serves a
 request/reply loop over the length-prefixed frames of
 :mod:`repro.cluster.protocol`.
 
@@ -34,7 +35,7 @@ import traceback
 import numpy as np
 
 from repro.cluster.protocol import recv_msg, send_msg
-from repro.distances import Metric
+from repro.config import StoreConfig
 from repro.faults import FAULTS, FaultPlan
 from repro.quantization.pq import ProductQuantizer
 
@@ -89,33 +90,10 @@ class _ShardServer:
 
     # -- store lifecycle ----------------------------------------------------
 
-    def _store_kwargs(self) -> dict:
-        spec = self.spec
-        return dict(
-            M=int(spec.get("M", 12)),
-            ef_construction=int(spec.get("ef_construction", 60)),
-            seed=int(spec.get("seed", 0)),
-            merge_every=int(spec.get("merge_every", 256)),
-            scheduler_mode=spec.get("scheduler_mode", "inline"),
-            compressed=bool(spec.get("compressed", False)),
-            pq_m=spec.get("pq_m"),
-            pq_ks=int(spec.get("pq_ks", 32)),
-            rerank=int(spec.get("rerank", 50)),
-            beam_width=(int(spec["beam_width"])
-                        if spec.get("beam_width") else None),
-            policy=spec.get("policy"),
-            policy_config=spec.get("policy_config"),
-            tuned_config=spec.get("tuned_config"),
-        )
-
     def _fresh_store(self) -> None:
         from repro.store import VectorStore
-        spec = self.spec
-        wal_dir = spec.get("wal_dir")
-        self.store = VectorStore(
-            dim=int(spec["dim"]), metric=spec.get("metric", "cosine"),
-            wal_dir=wal_dir, sync_every=int(spec.get("sync_every", 8)),
-            **self._store_kwargs())
+        self.store = VectorStore(wal_dir=self.spec.get("wal_dir"),
+                                 **vars(StoreConfig.from_dict(self.spec)))
 
     def _recover(self) -> None:
         from repro.durability import recover
@@ -202,9 +180,8 @@ class _ShardServer:
         """Adopt the router-trained codebook (per-shard PQ code shipping)."""
         codebooks = np.asarray(msg["codebooks"], dtype=np.float32)
         m, ks, d_sub = codebooks.shape
-        pq = ProductQuantizer(m=m, ks=ks,
-                              metric=self.spec.get("metric", "cosine"),
-                              seed=int(self.spec.get("seed", 0)))
+        pq = ProductQuantizer(m=m, ks=ks, metric=self.store.metric,
+                              seed=self.store.config.seed)
         pq.codebooks = codebooks
         pq.dim = m * d_sub
         self.shared_pq = pq
@@ -342,7 +319,6 @@ def worker_main(sock, parent_sock, spec: dict) -> None:
             parent_sock.close()
         except OSError:
             pass
-    Metric.parse(spec.get("metric", "cosine"))  # fail fast on bad spec
     try:
         server = _ShardServer(spec)
     except Exception as exc:

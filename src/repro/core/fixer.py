@@ -76,8 +76,9 @@ class FixConfig:
             raise ValueError(f"hard_ratio must be >= 1, got {self.hard_ratio}")
         if self.preprocess not in ("exact", "approx"):
             raise ValueError(f"preprocess must be 'exact' or 'approx', got {self.preprocess!r}")
-        if self.rounds is None:
-            self.rounds = (self.k,)
+        # A JSON round trip hands the schedule back as a list.
+        self.rounds = ((self.k,) if self.rounds is None
+                       else tuple(self.rounds))
         if any(r <= 0 for r in self.rounds):
             raise ValueError(f"rounds must be positive, got {self.rounds}")
 

@@ -35,6 +35,7 @@ import time
 
 import numpy as np
 
+from repro.config import CONFIG_NAME, StoreConfig
 from repro.durability.snapshot import SnapshotManager
 from repro.durability.wal import WriteAheadLog, read_wal
 from repro.graphs.base import medoid_id
@@ -42,10 +43,6 @@ from repro.graphs.pruning import rng_prune_backfill
 from repro.graphs.search import greedy_search
 from repro.io import FrozenIndex, load_index
 from repro.obs import OBS, SECONDS_BUCKETS
-
-#: Written by VectorStore into its wal_dir so recovery can rebuild the
-#: store shell without the original constructor arguments.
-CONFIG_NAME = "store-config.json"
 
 _RECOVERIES = OBS.counter(
     "recovery_runs", "recovery attempts")
@@ -74,7 +71,7 @@ class ReplayableIndex(FrozenIndex):
     """
 
     def __init__(self, data: np.ndarray, metric, entry: int, *,
-                 M: int = 16, ef_construction: int = 100):
+                 M: int, ef_construction: int):
         super().__init__(data, metric, entry)
         self.M0 = 2 * M
         self.ef_construction = ef_construction
@@ -137,13 +134,6 @@ class RecoveryReport:
         return out
 
 
-def read_store_config(wal_dir: str | pathlib.Path) -> dict | None:
-    path = pathlib.Path(wal_dir) / CONFIG_NAME
-    if not path.exists():
-        return None
-    return json.loads(path.read_text())
-
-
 def recover(wal_dir: str | pathlib.Path, *, fix_config=None,
             scheduler_mode: str | None = None,
             merge_every: int | None = None, sync_every: int | None = None,
@@ -151,10 +141,12 @@ def recover(wal_dir: str | pathlib.Path, *, fix_config=None,
             replay_observes: bool = True, attach_wal: bool = True):
     """Rebuild a store from ``wal_dir``; returns ``(store, report)``.
 
-    Keyword overrides default to the values recorded in the directory's
-    ``store-config.json`` (written at original construction; keys this
-    version no longer knows, such as an old file's ``serving``, are
-    ignored).  With
+    The store restarts with the :class:`~repro.config.StoreConfig` recorded
+    in the directory's ``store-config.json`` (every field; keys this version
+    no longer knows, such as an old file's ``serving``, are ignored and keys
+    an older version did not write take today's defaults).  The keyword
+    overrides replace single fields of it for this process; a ``policy``
+    override also replaces the recorded ``policy_config``.  With
     ``attach_wal`` (default) the recovered store continues logging into
     the same WAL, so it is immediately crash-safe again; pass False for a
     read-mostly post-mortem load.
@@ -166,64 +158,43 @@ def recover(wal_dir: str | pathlib.Path, *, fix_config=None,
 
     t0 = time.perf_counter()
     wal_dir = pathlib.Path(wal_dir)
-    config = read_store_config(wal_dir) or {}
-    if scheduler_mode is None:
-        scheduler_mode = config.get("scheduler_mode", "inline")
-    if merge_every is None:
-        merge_every = int(config.get("merge_every", 256))
-    if sync_every is None:
-        sync_every = int(config.get("sync_every", 8))
-    M = int(config.get("M", 16))
-    ef_construction = int(config.get("ef_construction", 100))
-    if policy is None:
-        policy = config.get("policy")
-        if policy_config is None:
-            policy_config = config.get("policy_config")
-    shell = dict(
-        M=M, ef_construction=ef_construction, fix_config=fix_config,
-        seed=int(config.get("seed", 0)), scheduler_mode=scheduler_mode,
-        merge_every=merge_every,
-        # Compressed-mode settings persist with the store config so a
-        # recovered store serves the same PQ-resident hot path the original
-        # did (codes are re-fit at adopt time; they are derived state, not
-        # journaled).
-        compressed=bool(config.get("compressed", False)),
-        pq_m=config.get("pq_m"), pq_ks=int(config.get("pq_ks", 32)),
-        rerank=int(config.get("rerank", 50)),
-        # Absent from configs written before it was persisted: None is the
-        # searcher's own default width.
-        beam_width=config.get("beam_width"),
-        policy=policy, policy_config=policy_config,
-        # The fitted tuned table persists with the config: a recovered
-        # store plans with the same per-bin settings the original served
-        # (landmark entry ids are resolved fresh against the rebuilt
-        # graph).
-        tuned_config=config.get("tuned_config"))
+    config_path = wal_dir / CONFIG_NAME
+    stored = json.loads(config_path.read_text()) if config_path.exists() else {}
+    overrides = {name: value for name, value in (
+        ("fix_config", fix_config), ("scheduler_mode", scheduler_mode),
+        ("merge_every", merge_every), ("sync_every", sync_every),
+        ("policy_config", policy_config)) if value is not None}
+    if policy is not None:
+        overrides.update(policy=policy, policy_config=policy_config)
 
-    snapshots = SnapshotManager(wal_dir)
-    info = snapshots.latest()
-    # Opening the log truncates any torn tail *before* replay reads it.
-    wal = WriteAheadLog(wal_dir, sync_every=sync_every)
+    def shell_config(**geometry) -> StoreConfig:
+        # A directory that lost its config file still recovers from a
+        # snapshot: ``geometry`` is the dim and metric the snapshot knows.
+        return dataclasses.replace(
+            StoreConfig.from_dict({**geometry, **stored}), **overrides)
 
-    if info is None and wal.n_records == 0:
-        wal.close()
+    info = SnapshotManager(wal_dir).latest()
+    if info is None and "dim" not in stored:
         raise RecoveryError(
-            f"{wal_dir} has no committed snapshot and no WAL records")
+            f"{wal_dir} has no committed snapshot and no {CONFIG_NAME}; "
+            "cannot rebuild the store shell")
 
     errors: list[str] = []
     if info is not None:
-        dim = int(config.get("dim", 0))
-        metric = config.get("metric")
-        index = load_index(
-            info.path,
-            index_cls=lambda data, m, entry: ReplayableIndex(
-                data, m, entry, M=M, ef_construction=ef_construction))
-        store = VectorStore(dim=dim or index.dc.dim,
-                            metric=metric or index.dc.metric, **shell)
+        def replayable(data, metric, entry):
+            config = shell_config(dim=data.shape[1], metric=metric)
+            return ReplayableIndex(data, metric, entry, M=config.M,
+                                   ef_construction=config.ef_construction)
+
+        index = load_index(info.path, index_cls=replayable)
+        store = VectorStore(**vars(shell_config(
+            dim=index.dc.dim, metric=index.dc.metric)))
         payloads = {}
         if info.payloads_path.exists():
             payloads = {int(k): v for k, v in json.loads(
                 info.payloads_path.read_text()).items()}
+        # PQ codes are derived state, not journaled: a compressed store
+        # re-fits them here.
         store._adopt_index(index, payloads)
         snap_seq = info.wal_seq
         base_n = info.n_vectors
@@ -232,15 +203,16 @@ def recover(wal_dir: str | pathlib.Path, *, fix_config=None,
                 f"snapshot {info.snapshot_id} holds {index.dc.size} vectors, "
                 f"manifest says {base_n}")
     else:
-        if "dim" not in config:
-            wal.close()
-            raise RecoveryError(
-                f"{wal_dir} has WAL records but no snapshot and no "
-                f"{CONFIG_NAME}; cannot rebuild the store shell")
-        store = VectorStore(dim=int(config["dim"]),
-                            metric=config.get("metric", "cosine"), **shell)
+        store = VectorStore(**vars(shell_config()))
         snap_seq = 0
         base_n = 0
+
+    # Opening the log truncates any torn tail *before* replay reads it.
+    wal = WriteAheadLog(wal_dir, sync_every=store.config.sync_every)
+    if info is None and wal.n_records == 0:
+        wal.close()
+        raise RecoveryError(
+            f"{wal_dir} has no committed snapshot and no WAL records")
 
     replayed = {"insert": 0, "build": 0, "delete": 0, "observe": 0,
                 "merge_cut": 0, "rows_inserted": 0}

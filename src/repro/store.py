@@ -16,12 +16,14 @@ API; the store only sequences it.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import json
 import pathlib
 from typing import Any, Sequence
 
 import numpy as np
 
+from repro.config import CONFIG_NAME, StoreConfig
 from repro.control.policy import MaintenancePolicy, make_policy
 from repro.core.fixer import FixConfig, NGFixer
 from repro.core.maintenance import IndexMaintainer
@@ -33,16 +35,15 @@ from repro.io import load_index, save_index
 from repro.quantization.adc import ADCComputer
 from repro.quantization.pq import ProductQuantizer
 from repro.serving import EpochManager, MaintenanceScheduler, ServingSearcher
-from repro.tuning import HardnessPlanner, TunedConfig, coerce_tuned_config
-from repro.utils.validation import check_positive
-
-#: Constructor parameters persisted into the wal_dir so
-#: :func:`repro.durability.recover` can rebuild the store shell.
-_CONFIG_NAME = "store-config.json"
+from repro.tuning import HardnessPlanner, TunedConfig
 
 
 class VectorStore:
     """A small vector database around an NGFix*-maintained HNSW graph.
+
+    Every keyword except the two locations (``wal_dir``, ``memmap_path``)
+    is a field of :class:`~repro.config.StoreConfig`, which holds the
+    defaults and the validation; the validated object is :attr:`config`.
 
     Parameters
     ----------
@@ -52,8 +53,11 @@ class VectorStore:
         "l2", "ip", or "cosine".
     M, ef_construction:
         Base-graph build parameters.
+    seed:
+        Seeds graph construction and PQ codebook fitting.
     fix_config:
-        NGFix* configuration; defaults to approximate preprocessing so
+        NGFix* configuration (a :class:`~repro.core.fixer.FixConfig` or
+        its dict form); defaults to approximate preprocessing so
         history fitting never needs exact ground truth.
     scheduler_mode:
         "inline" (deterministic; repairs and merges drain synchronously at
@@ -89,6 +93,10 @@ class VectorStore:
     rerank:
         Exact re-rank budget of the compressed path (shortlist length
         re-scored with full-precision distances; >= k at search time).
+    beam_width:
+        Candidates the traversal expands per round (``None`` = the
+        searcher's own default: 1 on the exact path, wide on the
+        compressed one).
     memmap_path:
         When set, :meth:`build` spills the raw vector matrix to this file
         and serves it through ``np.memmap`` — the disk-resident vector
@@ -114,66 +122,56 @@ class VectorStore:
         ``store-config.json`` so recovery restores it.
     """
 
-    def __init__(self, dim: int, metric: Metric | str = Metric.COSINE,
-                 M: int = 16, ef_construction: int = 100,
-                 fix_config: FixConfig | None = None, seed: int = 0,
-                 scheduler_mode: str = "inline", merge_every: int = 256,
+    def __init__(self, dim: int, metric: Metric | str = StoreConfig.metric,
+                 M: int = StoreConfig.M, ef_construction: int = StoreConfig.ef_construction,
+                 fix_config: FixConfig | dict | None = StoreConfig.fix_config,
+                 seed: int = StoreConfig.seed, scheduler_mode: str = StoreConfig.scheduler_mode,
+                 merge_every: int = StoreConfig.merge_every,
                  wal_dir: str | pathlib.Path | None = None,
-                 sync_every: int = 8, checkpoint_every: int = 0,
-                 compressed: bool = False, pq_m: int | None = None,
-                 pq_ks: int = 32, rerank: int = 50,
+                 sync_every: int = StoreConfig.sync_every,
+                 checkpoint_every: int = StoreConfig.checkpoint_every,
+                 compressed: bool = StoreConfig.compressed, pq_m: int | None = StoreConfig.pq_m,
+                 pq_ks: int = StoreConfig.pq_ks, rerank: int = StoreConfig.rerank,
                  memmap_path: str | pathlib.Path | None = None,
-                 beam_width: int | None = None,
-                 policy: str | MaintenancePolicy | None = None,
-                 policy_config: dict | None = None,
+                 beam_width: int | None = StoreConfig.beam_width,
+                 policy: str | MaintenancePolicy | None = StoreConfig.policy,
+                 policy_config: dict | None = StoreConfig.policy_config,
                  tuned_config: TunedConfig | dict | str | pathlib.Path | None
-                 = None):
-        check_positive(dim, "dim")
-        if beam_width is not None:
-            check_positive(beam_width, "beam_width")
-        self.dim = dim
-        self.metric = Metric.parse(metric)
-        self._build_params = dict(M=M, ef_construction=ef_construction,
-                                  single_layer=True, seed=seed)
-        self._compressed = compressed
-        self._pq_m = pq_m
-        self._pq_ks = pq_ks
-        self._rerank = rerank
-        self._beam_width = beam_width
+                 = StoreConfig.tuned_config):
+        config = self.config = StoreConfig(
+            dim=dim, metric=metric, M=M, ef_construction=ef_construction,
+            seed=seed, scheduler_mode=scheduler_mode,
+            merge_every=merge_every, sync_every=sync_every,
+            checkpoint_every=checkpoint_every, compressed=compressed,
+            pq_m=pq_m, pq_ks=pq_ks, rerank=rerank, beam_width=beam_width,
+            policy=policy, policy_config=policy_config,
+            tuned_config=tuned_config, fix_config=fix_config)
+        # No runtime path changes these three, so they stay plain attributes.
+        self.dim, self.metric = config.dim, config.metric
+        self.fix_config = config.fix_config
         self._memmap_path = (None if memmap_path is None
                              else pathlib.Path(memmap_path))
         self._adc: ADCComputer | None = None
         self._shared_pq: ProductQuantizer | None = None
-        self.fix_config = fix_config or FixConfig(preprocess="approx")
         self._payloads: dict[int, Any] = {}
         self._pending: list[np.ndarray] = []
         self._fixer: NGFixer | None = None
         self._maintainer: IndexMaintainer | None = None
         self._history: list[np.ndarray] = []
-        self._scheduler_mode = scheduler_mode
-        self._merge_every = merge_every
-        # Validate + construct the maintenance policy up front (fail fast
-        # on unknown names/bad config); None keeps the scheduler's own
+        # This store's own (stateful) policy; None keeps the scheduler's
         # cadence default so the historical path is untouched.
-        self._policy = make_policy(policy, merge_every, policy_config)
-        self._policy_name = (policy if isinstance(policy, str)
-                             else self._policy.name
-                             if self._policy is not None else None)
-        self._policy_config = dict(policy_config) if policy_config else None
-        self._tuned_config = coerce_tuned_config(tuned_config)
+        self._policy = make_policy(config.policy, config.merge_every,
+                                   config.policy_config)
         self._manager: EpochManager | None = None
         self._searcher: ServingSearcher | None = None
         self._scheduler: MaintenanceScheduler | None = None
         self._wal: WriteAheadLog | None = None
         self._snapshots: SnapshotManager | None = None
-        self._checkpoint_every = checkpoint_every
         self._last_checkpoint_seq = 0
         if wal_dir is not None:
-            self._init_durability(pathlib.Path(wal_dir), sync_every,
-                                  M, ef_construction, seed)
+            self._init_durability(pathlib.Path(wal_dir))
 
-    def _init_durability(self, wal_dir: pathlib.Path, sync_every: int,
-                         M: int, ef_construction: int, seed: int) -> None:
+    def _init_durability(self, wal_dir: pathlib.Path) -> None:
         wal_dir.mkdir(parents=True, exist_ok=True)
         has_history = (
             any(p.stat().st_size > 0 for p in wal_dir.glob("wal-*.log"))
@@ -183,23 +181,16 @@ class VectorStore:
                 f"{wal_dir} already holds WAL records or snapshots; "
                 "restart through repro.durability.recover() instead of "
                 "constructing a fresh store over existing history")
-        atomic_write_text(wal_dir / _CONFIG_NAME, json.dumps({
-            "dim": self.dim, "metric": self.metric.value,
-            "M": M, "ef_construction": ef_construction, "seed": seed,
-            "scheduler_mode": self._scheduler_mode,
-            "merge_every": self._merge_every,
-            "sync_every": sync_every,
-            "checkpoint_every": self._checkpoint_every,
-            "compressed": self._compressed,
-            "pq_m": self._pq_m, "pq_ks": self._pq_ks,
-            "rerank": self._rerank, "beam_width": self._beam_width,
-            "policy": self._policy_name,
-            "policy_config": self._policy_config,
-            "tuned_config": (self._tuned_config.to_dict()
-                             if self._tuned_config is not None else None),
-        }))
-        self._wal = WriteAheadLog(wal_dir, sync_every=sync_every)
+        self._wal = WriteAheadLog(wal_dir, sync_every=self.config.sync_every)
         self._snapshots = SnapshotManager(wal_dir)
+        self._persist_config()
+
+    def _persist_config(self) -> None:
+        """Write the running settings next to the WAL (no-op unless durable):
+        what :func:`repro.durability.recover` restarts the store with."""
+        if self._wal is not None:
+            atomic_write_text(self._wal.directory / CONFIG_NAME,
+                              json.dumps(self.config.to_dict()))
 
     # -- ingestion ----------------------------------------------------------
 
@@ -321,7 +312,9 @@ class VectorStore:
             raise RuntimeError("add() vectors before build()")
         data = np.vstack(self._pending)
         self._pending = []
-        base = HNSW(data, self.metric, **self._build_params)
+        base = HNSW(data, self.metric, M=self.config.M,
+                    ef_construction=self.config.ef_construction,
+                    single_layer=True, seed=self.config.seed)
         self._fixer = NGFixer(base, self.fix_config)
         self._maintainer = IndexMaintainer(
             self._fixer, np.empty((0, self.dim), dtype=np.float32)
@@ -336,27 +329,27 @@ class VectorStore:
 
     def _attach_serving(self) -> None:
         """Stand up the epoch serving stack around the built index."""
+        config = self.config
         if self._memmap_path is not None and not self._fixer.dc.is_memmap:
             # Spill before fitting PQ codes so the encode pass streams from
             # the file and steady-state RSS never includes the raw matrix.
             self._fixer.dc.use_memmap(self._memmap_path)
-        if self._compressed:
+        if config.compressed:
             # A shipped codebook (apply_pq before build — the cluster
             # router's code-shipping path) is adopted as-is: ADCComputer
             # only fits an unfitted quantizer, so shared codes stay
             # mutually comparable across shards.
             pq = self._shared_pq or ProductQuantizer(
-                m=self._pq_m or ADCComputer._default_m(self.dim),
-                ks=self._pq_ks, metric=self.metric,
-                seed=self._build_params["seed"])
+                m=config.pq_m or ADCComputer._default_m(config.dim),
+                ks=config.pq_ks, metric=config.metric, seed=config.seed)
             self._adc = ADCComputer(self._fixer.dc, pq)
         self._manager = EpochManager(self._fixer.adjacency, self._fixer.entry)
         self._searcher = ServingSearcher(self._fixer, self._manager,
-                                         adc=self._adc, rerank=self._rerank,
-                                         beam_width=self._beam_width)
+                                         adc=self._adc, rerank=config.rerank,
+                                         beam_width=config.beam_width)
         self._scheduler = MaintenanceScheduler(
-            self._fixer, self._manager, merge_every=self._merge_every,
-            mode=self._scheduler_mode, policy=self._policy)
+            self._fixer, self._manager, merge_every=config.merge_every,
+            mode=config.scheduler_mode, policy=self._policy)
         self._maintainer.on_change = self._scheduler.note_mutations
         scheduler = self._scheduler
 
@@ -370,9 +363,9 @@ class VectorStore:
             # path builds no traces unless telemetry is on.
             self._searcher.trace_sink = self._scheduler.note_trace
         self._scheduler.wal = self._wal
-        if self._tuned_config is not None:
+        if config.tuned_config is not None:
             self._attach_planner()
-        if self._scheduler_mode == "thread":
+        if config.scheduler_mode == "thread":
             self._scheduler.start()
 
     def _attach_planner(self) -> None:
@@ -398,7 +391,7 @@ class VectorStore:
         signals = getattr(self._policy, "signals", None)
         score_fn = signals.hardness_prior if signals is not None else None
         self._searcher.attach_planner(HardnessPlanner(
-            self._tuned_config, score_fn=score_fn, locate_fn=locate))
+            self.config.tuned_config, score_fn=score_fn, locate_fn=locate))
 
     # -- fixing -------------------------------------------------------------
 
@@ -566,9 +559,9 @@ class VectorStore:
         return info
 
     def _maybe_checkpoint(self) -> None:
-        if (self._checkpoint_every > 0 and self._fixer is not None
-                and self._wal.seq - self._last_checkpoint_seq
-                >= self._checkpoint_every):
+        every = self.config.checkpoint_every
+        if (every > 0 and self._fixer is not None
+                and self._wal.seq - self._last_checkpoint_seq >= every):
             self.checkpoint()
 
     def _attach_wal(self, wal: WriteAheadLog,
@@ -603,7 +596,9 @@ class VectorStore:
         serving stack comes up; on a built store the resident codes are
         re-encoded immediately and the searcher's cached engine is
         invalidated (see :meth:`ServingSearcher.attach_adc
-        <repro.serving.ServingSearcher.attach_adc>`).
+        <repro.serving.ServingSearcher.attach_adc>`).  On a durable store
+        the switch to the compressed tier is persisted, so recovery serves
+        compressed too.
         """
         if not pq.is_fitted:
             raise ValueError("apply_pq expects a fitted ProductQuantizer")
@@ -611,19 +606,20 @@ class VectorStore:
             raise ValueError(
                 f"codebook dimension {pq.dim} != store dimension {self.dim}")
         self._shared_pq = pq
-        self._compressed = True
-        self._pq_m, self._pq_ks = pq.m, pq.ks
+        self.config = dataclasses.replace(
+            self.config, compressed=True, pq_m=pq.m, pq_ks=pq.ks)
+        self._persist_config()
         if self._fixer is None:
             return
         with self._scheduler.write_lock:
             self._adc = ADCComputer(self._fixer.dc, pq)
-            self._searcher.attach_adc(self._adc, rerank=self._rerank,
-                                      beam_width=self._beam_width)
+            self._searcher.attach_adc(self._adc, rerank=self.config.rerank,
+                                      beam_width=self.config.beam_width)
 
     @property
     def tuned_config(self) -> TunedConfig | None:
         """The adopted tuned serving table (None = fixed defaults)."""
-        return self._tuned_config
+        return self.config.tuned_config
 
     def apply_tuned_config(
             self,
@@ -634,23 +630,18 @@ class VectorStore:
         immediately; on a durable store ``store-config.json`` is rewritten
         so :func:`repro.durability.recover` restores the same table.
         """
-        self._tuned_config = coerce_tuned_config(config)
+        self.config = dataclasses.replace(self.config, tuned_config=config)
         if self._searcher is not None:
-            if self._tuned_config is None:
+            if self.config.tuned_config is None:
                 self._searcher.attach_planner(None)
             else:
                 self._attach_planner()
-        if self._wal is not None:
-            config_path = self._wal.directory / _CONFIG_NAME
-            stored = json.loads(config_path.read_text())
-            stored["tuned_config"] = (
-                self._tuned_config.to_dict()
-                if self._tuned_config is not None else None)
-            atomic_write_text(config_path, json.dumps(stored))
+        self._persist_config()
 
     def close(self) -> None:
         """Stop background work and seal the WAL (flushes + fsyncs)."""
-        if self._scheduler is not None and self._scheduler_mode == "thread":
+        if (self._scheduler is not None
+                and self.config.scheduler_mode == "thread"):
             self._scheduler.stop()
         if self._wal is not None:
             self._wal.close()
@@ -692,7 +683,7 @@ class VectorStore:
             out["compressed"] = {
                 "pq_m": self._adc.pq.m,
                 "pq_ks": self._adc.pq.ks,
-                "rerank": self._rerank,
+                "rerank": self.config.rerank,
                 "code_bytes": self._adc.code_bytes,
                 # Aggregatable searcher counters (adc_scored, rerank_ndc,
                 # ...) sum cleanly across shards via cluster.merge_stats.
@@ -700,11 +691,12 @@ class VectorStore:
             }
         else:
             out["searcher"] = self._searcher.stats()
-        if self._tuned_config is not None:
+        tuned = self.config.tuned_config
+        if tuned is not None:
             out["tuned"] = {
-                "n_bins": self._tuned_config.n_bins,
-                "default_ef": self._tuned_config.default_ef,
-                "target_recall": self._tuned_config.target_recall,
+                "n_bins": tuned.n_bins,
+                "default_ef": tuned.default_ef,
+                "target_recall": tuned.target_recall,
             }
         if self._fixer.dc.is_memmap:
             out["memmap"] = {
@@ -730,11 +722,12 @@ class VectorStore:
 
     @classmethod
     def load(cls, path: str | pathlib.Path,
-             fix_config: FixConfig | None = None, compressed: bool = False,
-             pq_m: int | None = None, pq_ks: int = 32, rerank: int = 50,
+             fix_config: FixConfig | dict | None = StoreConfig.fix_config,
+             compressed: bool = StoreConfig.compressed, pq_m: int | None = StoreConfig.pq_m,
+             pq_ks: int = StoreConfig.pq_ks, rerank: int = StoreConfig.rerank,
              memmap_dir: str | pathlib.Path | None = None,
              tuned_config: TunedConfig | dict | str | pathlib.Path | None
-             = None) -> "VectorStore":
+             = StoreConfig.tuned_config) -> "VectorStore":
         """Reload a saved store for serving and repair — **not insertion**.
 
         ``compressed``/``pq_m``/``pq_ks``/``rerank`` enable the PQ-resident

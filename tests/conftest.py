@@ -188,3 +188,29 @@ def tie_tolerant_equal(result_a, result_b, dc, q, ndc=None) -> bool:
                                    np.sort(scored_b[:i])))
     d = np.sort(reference(np.unique(scored_a[:shared])))
     return any(_near_tie(x, y) for x, y in zip(d[:-1], d[1:]))
+
+
+#: A non-default value for every ``StoreConfig`` field (the round-trip
+#: suites in ``test_durability.py`` and ``test_cluster.py`` parametrize over
+#: ``dataclasses.fields(StoreConfig)`` and look values up here, so a field
+#: added without an entry — or without codec support — fails by
+#: construction).  ``dim`` has no default; it differs from the suites'
+#: usual 8 only to show it is carried.
+NONDEFAULT_STORE_SETTINGS = dict(
+    dim=12, metric="l2", M=6, ef_construction=30, seed=9,
+    scheduler_mode="thread", merge_every=17, sync_every=3,
+    checkpoint_every=5, compressed=True, pq_m=2, pq_ks=16, rerank=20,
+    beam_width=2, policy="signal", policy_config={"min_traces": 4},
+    tuned_config={"k": 5, "target_recall": 0.9, "edges": [0.5],
+                  "bins": [{"ef": 20}, {"ef": 40, "route": "exact"}],
+                  "landmarks": [[0.25] * 8], "default_ef": 30},
+    fix_config={"k": 5, "max_extra_degree": 3, "rounds": [5, 3]})
+
+
+def store_settings_with(field: str) -> dict:
+    """Constructor keywords for a dim-8 store whose ``field`` is set to its
+    non-default value (plus what that value needs to be valid)."""
+    settings = {"dim": 8, field: NONDEFAULT_STORE_SETTINGS[field]}
+    if field == "policy_config":
+        settings["policy"] = "signal"
+    return settings

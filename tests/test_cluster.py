@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import socket
 import threading
 
@@ -24,7 +25,10 @@ from repro.cluster import (
     send_msg,
     shard_budget_ms,
 )
+from repro.cluster.worker import _ShardServer
+from repro.config import StoreConfig
 from repro.store import VectorStore
+from tests.conftest import store_settings_with
 
 DIM = 16
 
@@ -227,6 +231,32 @@ class TestPartitioningAndBudget:
         assert shard_budget_ms(100.0) == pytest.approx(85.0)
         assert shard_budget_ms(100.0, merge_reserve=0.5) == pytest.approx(50.0)
         assert shard_budget_ms(0.0) == pytest.approx(0.1)  # floor, not zero
+
+
+class TestWorkerSpec:
+    """A worker's store is exactly the ``StoreConfig`` its spec carries."""
+
+    @pytest.mark.parametrize(
+        "field", [f.name for f in dataclasses.fields(StoreConfig)])
+    def test_every_field_reaches_the_shard_store(self, field):
+        config = StoreConfig(**store_settings_with(field))
+        server = _ShardServer({**config.to_dict(), "shard_id": 0})
+        assert server.store.config == config
+        server.store.close()
+
+    def test_zero_beam_width_is_rejected_not_coerced(self):
+        with pytest.raises(ValueError, match="beam_width"):
+            _ShardServer({"dim": DIM, "shard_id": 0, "beam_width": 0})
+
+    def test_router_specs_differ_only_by_shard_identity(self, shared_router):
+        settings = shared_router.config.to_dict()
+        assert (settings["M"], settings["metric"]) == (8, "l2")
+        for s, replicas in enumerate(shared_router.handles):
+            for r, handle in enumerate(replicas):
+                spec = dict(handle.spec)
+                assert (spec.pop("shard_id"), spec.pop("replica_id")) == (s, r)
+                assert spec.pop("wal_dir")
+                assert spec == {**settings, "seed": settings["seed"] + s}
 
 
 class TestRouter:

@@ -5,6 +5,7 @@ The chaos suite (kill-mid-churn, subprocess death) lives in
 serving layer's graceful-degradation paths in isolation.
 """
 
+import dataclasses
 import json
 import struct
 import threading
@@ -12,7 +13,10 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.config import CONFIG_NAME, StoreConfig
+from repro.core.fixer import FixConfig
 from repro.durability import (
     RecoveryError,
     SnapshotManager,
@@ -22,7 +26,9 @@ from repro.durability import (
 )
 from repro.durability.wal import _HEADER
 from repro.faults import FAULTS, FaultInjected, FaultPlan
+from repro.quantization.pq import ProductQuantizer
 from repro.store import VectorStore
+from tests.conftest import NONDEFAULT_STORE_SETTINGS, store_settings_with
 
 
 @pytest.fixture(autouse=True)
@@ -352,6 +358,20 @@ class TestRecovery:
                                     deadline_ms=10_000.0)) == 5
         recovered.close()
 
+    def test_config_without_fix_config_recovers_default(self, tmp_path):
+        """A file written before ``fix_config`` was persisted recovers with
+        today's default NGFix* settings."""
+        wal_dir = tmp_path / "wal"
+        _make_store(wal_dir, n=40, seed=7).close()
+        config_path = wal_dir / CONFIG_NAME
+        config = json.loads(config_path.read_text())
+        del config["fix_config"]
+        config_path.write_text(json.dumps(config))
+        recovered, report = recover(wal_dir)
+        assert report.consistent, report.errors
+        assert recovered.fix_config == FixConfig(preprocess="approx")
+        recovered.close()
+
     def test_empty_dir_raises(self, tmp_path):
         with pytest.raises(RecoveryError):
             recover(tmp_path / "nothing-here")
@@ -406,6 +426,138 @@ class TestRecovery:
 
         recovered, report = recover(wal_dir)
         assert report.consistent, report.errors
+        recovered.close()
+
+
+@st.composite
+def _store_configs(draw):
+    """Arbitrary valid configs (nested ``fix_config`` / policy arguments
+    included; the tuned table has its own round-trip suite)."""
+    small = st.integers(1, 64)
+    optional = st.one_of(st.none(), small)
+    policy = draw(st.sampled_from([None, "cadence", "signal"]))
+    return StoreConfig(
+        dim=draw(small), metric=draw(st.sampled_from(["l2", "ip", "cosine"])),
+        M=draw(small), ef_construction=draw(small),
+        seed=draw(st.integers(0, 2**31)),
+        scheduler_mode=draw(st.sampled_from(["inline", "thread"])),
+        merge_every=draw(small), sync_every=draw(st.integers(0, 64)),
+        checkpoint_every=draw(st.integers(0, 64)),
+        compressed=draw(st.booleans()), pq_m=draw(optional),
+        pq_ks=draw(small), rerank=draw(small), beam_width=draw(optional),
+        policy=policy,
+        policy_config=({"min_traces": draw(small)}
+                       if policy == "signal" and draw(st.booleans())
+                       else None),
+        tuned_config=draw(st.sampled_from(
+            [None, NONDEFAULT_STORE_SETTINGS["tuned_config"]])),
+        fix_config=draw(st.one_of(st.none(), st.builds(
+            FixConfig, k=small, max_extra_degree=small,
+            hard_ratio=st.floats(1.0, 4.0),
+            eh_threshold=st.one_of(st.none(), st.floats(1.0, 64.0)),
+            preprocess=st.sampled_from(["exact", "approx"]),
+            rounds=st.one_of(st.none(), st.lists(small, min_size=1,
+                                                 max_size=3)),
+            rfix=st.booleans()))))
+
+
+_NONDEFAULT = StoreConfig(**NONDEFAULT_STORE_SETTINGS)
+
+
+class TestStoreConfig:
+    """One declaration of the store's settings, carried by one codec."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(config=_store_configs())
+    def test_json_round_trip(self, config):
+        assert StoreConfig.from_dict(
+            json.loads(json.dumps(config.to_dict()))) == config
+
+    def test_table_covers_every_field(self):
+        fields = [f.name for f in dataclasses.fields(StoreConfig)]
+        assert set(NONDEFAULT_STORE_SETTINGS) == set(fields)
+        defaults = StoreConfig(dim=8)
+        for name in fields:
+            assert getattr(_NONDEFAULT, name) != getattr(defaults, name), name
+
+    @pytest.mark.parametrize(
+        "field", [f.name for f in dataclasses.fields(StoreConfig)])
+    def test_every_field_survives_recovery(self, tmp_path, field):
+        """Whatever the constructor was told, ``recover()`` tells the next
+        one: no field is dropped by the file or by the shell rebuild."""
+        store = _make_store(tmp_path / "wal", **store_settings_with(field))
+        store.close()
+        recovered, report = recover(tmp_path / "wal")
+        try:
+            assert report.consistent, report.errors
+            assert recovered.config == store.config
+            assert (getattr(recovered.config, field)
+                    == getattr(_NONDEFAULT, field))
+        finally:
+            recovered.close()
+
+    def test_unknown_keys_ignored_missing_keys_defaulted(self):
+        config = StoreConfig.from_dict({"dim": 8, "serving": False,
+                                        "shard_id": 3})
+        assert config == StoreConfig(dim=8)
+
+    @pytest.mark.parametrize("bad", [
+        {"dim": 0}, {"beam_width": 0}, {"pq_m": 0}, {"sync_every": -1},
+        {"scheduler_mode": "fiber"}, {"metric": "manhattan"},
+        {"policy": "astrology"}, {"policy_config": {"min_traces": 4}},
+        {"fix_config": {"k": 0}},
+    ], ids=lambda bad: next(iter(bad)))
+    def test_bad_values_fail_at_construction(self, bad):
+        with pytest.raises(ValueError):
+            StoreConfig(**{"dim": 8, **bad})
+
+    def test_recovered_store_checkpoints_on_cadence_again(self, tmp_path):
+        wal_dir = tmp_path / "wal"
+        _make_store(wal_dir, n=40, checkpoint_every=5).close()
+        recovered, report = recover(wal_dir)
+        assert report.consistent, report.errors
+        before = recovered.stats()["last_checkpoint_seq"]
+        for row in _vectors(20, seed=3):
+            recovered.add(row[None, :])
+        assert recovered.stats()["last_checkpoint_seq"] >= before + 15
+        assert SnapshotManager(wal_dir).latest() is not None
+        recovered.close()
+
+    def test_recovered_store_repairs_with_original_ngfix_settings(
+            self, tmp_path):
+        fix = FixConfig(preprocess="approx", max_extra_degree=3, k=5)
+        store = _make_store(tmp_path / "wal", n=40, fix_config=fix)
+        store.observe(_vectors(1, seed=2)[0])
+        store.close()
+        recovered, report = recover(tmp_path / "wal")
+        assert report.consistent and report.replayed["observe"] == 1
+        assert recovered.fix_config == fix
+        assert recovered._fixer.config == fix
+        recovered.close()
+
+    def test_apply_pq_persists_the_compressed_tier(self, tmp_path):
+        """A store switched to the compressed tier at runtime recovers
+        compressed, with the shipped quantizer's geometry."""
+        wal_dir = tmp_path / "wal"
+        store = _make_store(wal_dir, n=60)
+        pq = ProductQuantizer(m=2, ks=16, metric=store.metric, seed=0)
+        pq.fit(store.dc.data)
+        store.apply_pq(pq)
+        store.close()
+        recovered, report = recover(wal_dir)
+        assert report.consistent, report.errors
+        assert recovered.config == store.config
+        assert recovered.adc is not None
+        assert (recovered.adc.pq.m, recovered.adc.pq.ks) == (2, 16)
+        recovered.close()
+
+    def test_recover_override_replaces_one_field(self, tmp_path):
+        wal_dir = tmp_path / "wal"
+        store = _make_store(wal_dir, n=40, merge_every=17, rerank=20)
+        store.close()
+        recovered, _ = recover(wal_dir, merge_every=5)
+        assert recovered.config == dataclasses.replace(store.config,
+                                                       merge_every=5)
         recovered.close()
 
 

@@ -1,8 +1,14 @@
 """VectorStore facade: lifecycle, payloads, persistence."""
 
+import dataclasses
+import inspect
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
+from repro.config import StoreConfig
 from repro.store import VectorStore
 
 
@@ -127,3 +133,34 @@ class TestPersistence:
         s = store.stats()
         assert s["built"]
         assert s["payloads"] == 400
+
+
+class TestSettingsDocs:
+    """The store's settings are one list: the dataclass's fields, the
+    constructor's keywords and what the docs name are the same set."""
+
+    FIELDS = [f.name for f in dataclasses.fields(StoreConfig)]
+    LOCATIONS = {"wal_dir", "memmap_path"}
+
+    def test_constructor_keywords_are_the_fields_plus_locations(self):
+        params = inspect.signature(VectorStore.__init__).parameters
+        assert (set(params) - {"self"} - self.LOCATIONS
+                == set(self.FIELDS))
+        defaults = StoreConfig(dim=8)
+        for name in self.FIELDS[1:]:
+            assert (StoreConfig(dim=8, **{name: params[name].default})
+                    == defaults), name
+
+    def test_docstring_documents_every_keyword(self):
+        documented = inspect.getdoc(VectorStore).split("Parameters", 1)[1]
+        headers = {name.strip()
+                   for line in re.findall(r"^([\w, ]+):$", documented, re.M)
+                   for name in line.split(",")}
+        assert headers == set(self.FIELDS) | self.LOCATIONS
+
+    def test_durability_doc_lists_every_key(self):
+        text = (pathlib.Path(__file__).parent.parent / "docs"
+                / "durability.md").read_text()
+        listed = text.split("store-config keys: begin", 1)[1].split(
+            "store-config keys: end", 1)[0]
+        assert re.findall(r"`(\w+)`", listed) == self.FIELDS
