@@ -59,7 +59,7 @@ def explain_query(index, query: np.ndarray, k: int = 10,
 
     entry = index.entry_points(q)[0] if hasattr(index, "entry_points") \
         else medoid_id(dc)
-    probe = greedy_search(dc, index.adjacency.neighbors, [entry], q,
+    probe = greedy_search(dc, index.adjacency, [entry], q,
                           k=1, ef=k, prepared=True)
     reaches = search_reaches_vicinity(float(probe.distances[0]), kth_distance)
 

@@ -26,6 +26,7 @@ from repro.core.escape_hardness import escape_hardness
 from repro.core.fixer import NGFixer
 from repro.core.ngfix import ngfix_query
 from repro.distances import pairwise_distances
+from repro.graphs.base import medoid_id
 from repro.utils.rng_utils import ensure_rng
 from repro.utils.validation import check_fraction, check_matrix
 
@@ -85,13 +86,9 @@ class IndexMaintainer:
                 f"base index {type(self.fixer.index).__name__} does not "
                 "support incremental insertion")
         ids = [self.fixer.index.insert(v) for v in vectors]
-        # The medoid drifts as data grows; recompute the fixed entry.  A
-        # compacted row can win the medoid computation (its vector is still
-        # in the data matrix) but its node is edgeless — keep the current
-        # entry in that case.
-        entry = self.fixer.index.medoid()
-        if entry not in self.fixer.adjacency.removed:
-            self.fixer.entry = entry
+        # The medoid drifts as data grows; re-elect the fixed entry (one
+        # search from the current one — the index never elects a dead row).
+        self.fixer.entry = self.fixer.index.medoid()
         self._notify()
         return ids
 
@@ -198,12 +195,11 @@ class IndexMaintainer:
         # Accumulate across compactions: ids are never reused, so every
         # compacted id stays dead for the store's whole lifetime.
         self._deleted_ids = getattr(self, "_deleted_ids", set()) | deleted
-        # Entry point may have been deleted; move it to a surviving node
+        # Entry point may have been deleted; re-elect among the survivors
         # (adjacency.removed covers this round and every earlier one).
         if self.fixer.entry in deleted:
-            gone = self.fixer.adjacency.removed
-            self.fixer.entry = next(
-                i for i in range(self.fixer.dc.size) if i not in gone)
+            self.fixer.entry = medoid_id(self.fixer.dc,
+                                         self.fixer.adjacency.removed)
         self.last_compaction_seconds = time.perf_counter() - start
         self._notify()
         return {

@@ -84,7 +84,7 @@ def rfix_query(
     rounds = 0
     needed = False
     while rounds < max_rounds:
-        probe = greedy_search(dc, adjacency.neighbors, [entry_point], q,
+        probe = greedy_search(dc, adjacency, [entry_point], q,
                               k=1, ef=search_ef, visited=visited, prepared=True)
         anchor = int(probe.ids[0])
         anchor_distance = float(probe.distances[0])
@@ -96,7 +96,7 @@ def rfix_query(
         # Extended candidate set: every point strictly closer to the query
         # than the anchor, gathered by a wider beam (the brute-force
         # replacement described in the paper) plus the known NNs themselves.
-        wide = greedy_search(dc, adjacency.neighbors, [entry_point], q,
+        wide = greedy_search(dc, adjacency, [entry_point], q,
                              k=expand_ef, ef=expand_ef, visited=visited,
                              collect_visited=True, prepared=True)
         closer = wide.visited_ids[wide.visited_distances < anchor_distance]
@@ -119,7 +119,7 @@ def rfix_query(
         if new_this_round == 0:
             break
 
-    probe = greedy_search(dc, adjacency.neighbors, [entry_point], q,
+    probe = greedy_search(dc, adjacency, [entry_point], q,
                           k=1, ef=search_ef, visited=visited, prepared=True)
     reached = search_reaches_vicinity(float(probe.distances[0]), kth_distance)
     return RFixOutcome(added, rounds, reached, needed)

@@ -15,6 +15,7 @@ import pathlib
 import numpy as np
 
 from repro.distances.metrics import Metric, normalize_rows
+from repro.utils.growth import with_capacity
 from repro.utils.validation import check_matrix, check_vector
 
 
@@ -34,7 +35,10 @@ class DistanceComputer:
         data = check_matrix(data, "data")
         if self.metric is Metric.COSINE:
             data = normalize_rows(data)
-        self._data = data
+        # ``_data`` is the live ``[:size]`` view of ``_rows``, the
+        # capacity-doubling array :meth:`append` writes into.
+        self._rows = self._data = data
+        self._row_sum: np.ndarray | None = None  # see centroid()
         self.ndc = 0
         self._memmap_path: pathlib.Path | None = None
 
@@ -104,6 +108,7 @@ class DistanceComputer:
             f.flush()
             os.fsync(f.fileno())
         del arr
+        self._rows = None  # release the resident copy
         self._data = self._open_memmap(path, shape)
         self._memmap_path = path
         return path
@@ -142,6 +147,7 @@ class DistanceComputer:
         self.metric = Metric.parse(metric)
         self._data = self._open_memmap(path,
                                        (nbytes // (itemsize * dim), dim))
+        self._rows = self._row_sum = None
         self.ndc = 0
         self._memmap_path = path
         return self
@@ -160,6 +166,8 @@ class DistanceComputer:
         if self.metric is Metric.COSINE:
             rows = normalize_rows(rows)
         first_new = self.size
+        if self._row_sum is not None:
+            self._row_sum += rows.sum(axis=0, dtype=np.float64)
         if self._memmap_path is not None:
             # Disk-resident tier: append the prepared rows to the spill file
             # and remap at the new length — existing pages stay shared.
@@ -170,8 +178,19 @@ class DistanceComputer:
             self._data = self._open_memmap(
                 self._memmap_path, (first_new + rows.shape[0], self.dim))
         else:
-            self._data = np.ascontiguousarray(np.vstack([self._data, rows]))
+            size = first_new + rows.shape[0]
+            self._rows = with_capacity(self._rows, first_new, size)
+            self._rows[first_new:size] = rows
+            self._data = self._rows[:size]
         return first_new
+
+    def centroid(self) -> np.ndarray:
+        """Mean of the stored rows (float32).  The first call sums the
+        matrix; from then on :meth:`append` keeps the float64 sum running,
+        so re-electing an entry after an insert costs O(d), not O(n·d)."""
+        if self._row_sum is None:
+            self._row_sum = self._data.sum(axis=0, dtype=np.float64)
+        return (self._row_sum / self.size).astype(np.float32)
 
     def reset_ndc(self) -> int:
         """Zero the NDC counter, returning the previous value."""
@@ -220,24 +239,35 @@ class DistanceComputer:
             out = out.astype(np.float64)
         return out
 
-    def native_scorer(self, queries: np.ndarray):
-        """This computer as a :class:`repro.graphs.native.Scorer` over the
-        prepared ``(B, d)`` ``queries``, or None when the native kernel
-        cannot stand in for :meth:`to_query`: a subclass (it may score
-        differently), a base matrix or query block that is not C-contiguous
-        float32 (the float64 block of a degenerate COSINE query).  The
-        matrix is read per call — :meth:`append` reallocates it.
+    def native_rows(self):
+        """``(kind, base matrix)`` as the native core reads them in place,
+        or None when it cannot stand in for this computer's kernels: a
+        subclass (it may score differently), a base matrix that is not a
+        C-contiguous float32 ndarray.  The matrix is read
+        per call — :meth:`append` re-slices (and, past its capacity,
+        reallocates) it.
         """
         from repro.graphs import native  # repro.graphs imports this module
 
         data = self._data
         if (type(self) is not DistanceComputer
-                or not native.dense(data, np.float32, 2)
-                or not native.dense(queries, np.float32, 2)
-                or queries.shape[1] != data.shape[1]):
+                or not native.dense(data, np.float32, 2)):
             return None
-        return native.Scorer(native.EXACT_KINDS[self.metric.value], data,
-                             queries)
+        return native.EXACT_KINDS[self.metric.value], data
+
+    def native_scorer(self, queries: np.ndarray):
+        """This computer as a :class:`repro.graphs.native.Scorer` over the
+        prepared ``(B, d)`` ``queries``, or None when :meth:`native_rows`
+        has none or the query block is not C-contiguous float32 (the
+        float64 block of a degenerate COSINE query).
+        """
+        from repro.graphs import native
+
+        rows = self.native_rows()
+        if (rows is None or not native.dense(queries, np.float32, 2)
+                or queries.shape[1] != rows[1].shape[1]):
+            return None
+        return native.Scorer(*rows, queries)
 
     def to_query(self, ids: np.ndarray, query: np.ndarray) -> np.ndarray:
         """Distances from base rows ``ids`` to a *prepared* query vector.

@@ -21,8 +21,8 @@
    :class:`RecoveryReport`.
 
 Snapshots are loaded as :class:`ReplayableIndex` — a
-:class:`~repro.io.FrozenIndex` extended with single-layer greedy
-insertion — so a recovered store accepts new writes, unlike a plain
+:class:`~repro.io.FrozenIndex` extended with the live store's single-layer
+insertion routine — so a recovered store accepts new writes, unlike a plain
 ``VectorStore.load()`` store.
 """
 
@@ -38,9 +38,7 @@ import numpy as np
 from repro.config import CONFIG_NAME, StoreConfig
 from repro.durability.snapshot import SnapshotManager
 from repro.durability.wal import WriteAheadLog, read_wal
-from repro.graphs.base import medoid_id
-from repro.graphs.pruning import rng_prune_backfill
-from repro.graphs.search import greedy_search
+from repro.graphs.insertion import BottomLayer
 from repro.io import FrozenIndex, load_index
 from repro.obs import OBS, SECONDS_BUCKETS
 
@@ -59,15 +57,14 @@ class RecoveryError(RuntimeError):
     """Recovery cannot proceed (no snapshot and no replayable WAL)."""
 
 
-class ReplayableIndex(FrozenIndex):
+class ReplayableIndex(BottomLayer, FrozenIndex):
     """A loaded snapshot that supports incremental insertion.
 
     ``FrozenIndex`` is searchable but rejects writes; WAL replay (and any
-    post-recovery traffic) needs ``insert``.  Insertion here is the
-    single-layer core of HNSW's algorithm: greedy-search the graph for
-    ``ef_construction`` candidates, RNG-prune (with nearest backfill) to
-    the degree budget, link both directions, and re-prune any reverse
-    neighbor that overflowed its budget past the shrink slack.
+    post-recovery traffic) needs ``insert``.  Insertion here is the live
+    store's: :class:`~repro.graphs.insertion.BottomLayer`'s single-layer
+    routine, entered at the navigating node — which starts out as the
+    snapshot's entry, the live store's own at the checkpoint.
     """
 
     def __init__(self, data: np.ndarray, metric, entry: int, *,
@@ -75,38 +72,14 @@ class ReplayableIndex(FrozenIndex):
         super().__init__(data, metric, entry)
         self.M0 = 2 * M
         self.ef_construction = ef_construction
-        self._shrink_slack = 4
-        self._medoid: int | None = None
+        self._medoid, self._medoid_size = self.entry, self.dc.size
 
     def insert(self, vector: np.ndarray) -> int:
-        new_id = self.dc.append(vector)
+        self.entry = self.medoid()
+        new_id = self.dc.append(vector)  # normalizes (cosine)
         self.adjacency.grow(1)
-        self._visited.grow(self.dc.size)
-        self._medoid = None
-        q = self.dc.data[new_id]  # append already normalized (cosine)
-        result = greedy_search(
-            self.dc, self.adjacency.neighbors, [self.entry], q,
-            k=self.ef_construction, ef=self.ef_construction,
-            visited=self._visited, prepared=True,
-        )
-        keep = result.ids != new_id
-        cand_ids, cand_d = result.ids[keep], result.distances[keep]
-        selected = rng_prune_backfill(self.dc, new_id, cand_ids, self.M0,
-                                      distances=cand_d)
-        self.adjacency.set_base_neighbors(new_id, selected)
-        for v in selected:
-            self.adjacency.add_base_edge(v, new_id)
-            if self.adjacency.base_degree(v) > self.M0 + self._shrink_slack:
-                neigh = np.asarray(self.adjacency.base_neighbors_ro(v),
-                                   dtype=np.int64)
-                self.adjacency.set_base_neighbors(
-                    v, rng_prune_backfill(self.dc, v, neigh, self.M0))
+        self._insert_bottom(new_id, [self.entry])
         return new_id
-
-    def medoid(self) -> int:
-        if self._medoid is None:
-            self._medoid = medoid_id(self.dc)
-        return self._medoid
 
 
 @dataclasses.dataclass

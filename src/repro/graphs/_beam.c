@@ -1,4 +1,6 @@
-/* Native executor of paper Algorithm 1 (greedy beam search) over a frozen CSR.
+/* Native executor of paper Algorithm 1 (greedy beam search) over a frozen CSR,
+ * an epoch view or the mutable adjacency slab, and of the occlusion rule
+ * behind every prune (repro_occlusion_prune, at the end).
  *
  * The reference executor is repro.graphs.search.beam_search (Python); this
  * file is the same algorithm, not a second one: same candidate order
@@ -29,7 +31,9 @@ enum {
 
 /* Frozen CSR plus the overlay prefix of an epoch view (EpochView.neighbors):
  * a node with a patch row reads it, a clean node below the horizon reads the
- * CSR, a node at or past the horizon without a patch has no out-edges. */
+ * CSR, a node at or past the horizon without a patch has no out-edges.
+ * Or, when slab is not NULL, the mutable graph read in place
+ * (AdjacencyStore): node u's out-neighbours are slab[u * stride ..][:deg[u]]. */
 typedef struct {
     const int32_t *indptr;
     const int32_t *indices;
@@ -38,6 +42,10 @@ typedef struct {
     int64_t patch_n;            /* length of patch_slot */
     const int32_t *patch_indptr;
     const int32_t *patch_indices;
+    const int32_t *slab;        /* (slab_n, stride) neighbour rows; NULL = the CSR above */
+    const int32_t *deg;         /* per node: how much of its slab row is live */
+    int64_t stride;
+    int64_t slab_n;
 } beam_graph;
 
 typedef struct {
@@ -164,8 +172,16 @@ static inline double score(const beam_scorer *s, const void *query, int32_t id)
     return 1.0f - dot8(row, q, s->width);
 }
 
+/* Out-neighbours of u; -1 when the slab has no valid row for it (a spec that
+ * predates a grow, a degree past the row). */
 static inline int64_t neighbors(const beam_graph *g, int32_t u, const int32_t **out)
 {
+    if (g->slab != NULL) {
+        if (u >= g->slab_n || g->deg[u] < 0 || g->deg[u] > g->stride)
+            return -1;
+        *out = g->slab + (int64_t)u * g->stride;
+        return g->deg[u];
+    }
     if (g->patch_slot != NULL && u < g->patch_n && g->patch_slot[u] >= 0) {
         int32_t slot = g->patch_slot[u];
         *out = g->patch_indices + g->patch_indptr[slot];
@@ -297,6 +313,8 @@ static int beam_one(beam_state *st, const int64_t *entries, int64_t n_entries,
         for (int64_t s = 0; s < n_sel; s++) {
             const int32_t *neigh;
             int64_t degree = neighbors(st->graph, sel[s], &neigh);
+            if (degree < 0)
+                return BEAM_BAD_ID;
             for (int64_t j = 0; j < degree; j++) {
                 int32_t v = neigh[j];
                 if (v < 0 || v >= n)
@@ -387,4 +405,33 @@ int repro_beam_block(const beam_graph *graph, const beam_scorer *scorer,
             return rc;
     }
     return BEAM_OK;
+}
+
+/* The occlusion rule behind rng/alpha/tau_prune (pruning._occlusion_prune is
+ * the reference): walk the candidates ids[0..count) — ascending by distance
+ * to u — and keep candidate i unless an already kept s has
+ * d(s, i) < margin[i]; stop at max_degree.  Distances between stored rows
+ * are float32, as score() computes them.  Writes the kept candidates'
+ * positions in ids to kept and returns how many, or BEAM_BAD_ID. */
+int64_t repro_occlusion_prune(int32_t kind, const float *rows, int64_t n,
+                              int64_t dim, const int64_t *ids,
+                              const double *margin, int64_t count,
+                              int64_t max_degree, int64_t *kept)
+{
+    int64_t n_kept = 0;
+    for (int64_t i = 0; i < count && n_kept < max_degree; i++) {
+        if (ids[i] < 0 || ids[i] >= n)
+            return BEAM_BAD_ID;
+        const float *c = rows + ids[i] * dim;
+        int occluded = 0;
+        for (int64_t j = 0; j < n_kept && !occluded; j++) {
+            const float *s = rows + ids[kept[j]] * dim;
+            float d = kind == SCORE_L2 ? l2sq8(s, c, dim)
+                : kind == SCORE_IP ? -dot8(s, c, dim) : 1.0f - dot8(s, c, dim);
+            occluded = d < margin[i];
+        }
+        if (!occluded)
+            kept[n_kept++] = i;
+    }
+    return n_kept;
 }

@@ -7,25 +7,31 @@ Escape Hardness value (the paper stores 16 bits per extra edge) which drives
 eviction when a node's extra out-degree budget is exhausted, and partial
 rebuilds drop only extra edges.  Tombstones implement lazy deletion.
 
-Two read paths coexist:
+The edge *sets* live in per-node Python lists/dicts (what NGFix/RFix mutate
+and reason about); what a traversal reads is the **slab**: every node's
+combined out-neighbours (base, then extra, in insertion order) in one int32
+array ``(capacity, width)`` plus a degree vector, rewritten for the touched
+node at the single choke point :meth:`AdjacencyStore._touch`.  Both
+executors read it in place — :meth:`AdjacencyStore.neighbors` is a row view
+and :meth:`AdjacencyStore.native_graph` hands the two arrays to ``_beam.c``
+— so construction, ``add``, WAL replay and ``fix_query`` search the graph
+they are writing without freezing it.  A call site names this graph by the
+store itself (it is callable like a ``neighbors_fn``), never by its bound
+``neighbors``: a plain callable has no native description.
 
-- the **dynamic** path (``neighbors``/per-node caches) serves construction
-  and fixing, where edges mutate constantly;
-- the **frozen** path (:meth:`freeze` → :class:`~repro.graphs.csr.CSRGraphView`)
-  serves the query hot path: a contiguous CSR snapshot whose bulk gather
-  lets the batch engine expand a whole frontier with array ops.  Every
-  mutation marks the snapshot dirty; :meth:`traversal` refreezes once reads
-  settle (see its docstring), so callers transparently get whichever
-  representation is currently profitable.
+:meth:`freeze` (→ :class:`~repro.graphs.csr.CSRGraphView`) gathers the slab
+into the immutable CSR snapshot the serving epochs pin.  Every mutation
+marks the snapshot dirty; :meth:`traversal` refreezes once reads settle (see
+its docstring).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.graphs import native
 from repro.graphs.csr import CSRGraphView
-
-_EMPTY = np.empty(0, dtype=np.int64)
+from repro.utils.growth import with_capacity
 
 # Sentinel EH for edges that must never be evicted (RFix navigation edges).
 EH_INFINITE = float("inf")
@@ -69,9 +75,9 @@ FREEZE_AFTER_READS = 2
 class AdjacencyStore:
     """Per-node base neighbors, extra neighbors (with EH tags), tombstones.
 
-    The combined neighbor array of each node is cached as a NumPy array for
-    the dynamic search path and invalidated on mutation; a whole-graph CSR
-    snapshot (:meth:`freeze`) serves the batched query path.
+    The combined neighbor row of each node is kept current in the slab (see
+    the module docstring) for searches over the live graph; a whole-graph
+    CSR snapshot (:meth:`freeze`) serves the epoch query path.
     """
 
     def __init__(self, n_nodes: int):
@@ -79,7 +85,12 @@ class AdjacencyStore:
             raise ValueError(f"n_nodes must be positive, got {n_nodes}")
         self._base: list[list[int]] = [[] for _ in range(n_nodes)]
         self._extra: list[dict[int, float]] = [{} for _ in range(n_nodes)]
-        self._cache: list[np.ndarray | None] = [None] * n_nodes
+        # ``_slab[u, :_degree[u]]`` = ``_base[u] + list(_extra[u])``.  Rows
+        # widen (doubling) when a node outgrows them; ``_native`` is the
+        # spec of the current arrays at the current node count.
+        self._slab = np.zeros((n_nodes, 8), dtype=np.int32)
+        self._degree = np.zeros(n_nodes, dtype=np.int32)
+        self._native: native.Graph | None = None
         self.tombstones: set[int] = set()
         # Ids physically compacted away (edges stripped, row still in the
         # data matrix).  Unlike tombstones this set is never cleared: a
@@ -109,17 +120,25 @@ class AdjacencyStore:
         self._node_stamp[u] = self._mutation_version
         self._frozen = None
         self._reads_since_mutation = 0
-        overlay = self._overlay
-        if overlay is None:
-            self._cache[u] = None
-        else:
-            # Snapshot the post-mutation combined array: it doubles as the
-            # dynamic-path cache and the overlay's frozen per-node record
-            # (bit-identical to ``neighbors(u)`` by construction).
-            combined = self._base[u] + list(self._extra[u])
-            arr = np.array(combined, dtype=np.int64) if combined else _EMPTY
-            self._cache[u] = arr
-            overlay.record_node(u, arr)
+        base, extra = self._base[u], self._extra[u]
+        n_base = len(base)
+        degree = n_base + len(extra)
+        if degree > self._slab.shape[1]:
+            # New array, not a resize: a spec taken earlier stays readable.
+            wide = np.zeros((self._slab.shape[0],
+                             max(degree, 2 * self._slab.shape[1])),
+                            dtype=np.int32)
+            wide[:, :self._slab.shape[1]] = self._slab
+            self._slab, self._native = wide, None
+        row = self._slab[u]
+        row[:n_base] = base
+        if extra:
+            row[n_base:degree] = list(extra)
+        self._degree[u] = degree
+        if self._overlay is not None:
+            # The overlay's frozen per-node record: a copy, the row itself
+            # is rewritten by the next mutation.
+            self._overlay.record_node(u, row[:degree].copy())
 
     # -- serving overlay ----------------------------------------------------
 
@@ -150,11 +169,15 @@ class AdjacencyStore:
             raise ValueError(f"n_new must be non-negative, got {n_new}")
         if n_new == 0:
             return
+        size = self.n_nodes
         self._base.extend([] for _ in range(n_new))
         self._extra.extend({} for _ in range(n_new))
-        self._cache.extend([None] * n_new)
-        self._node_stamp = np.concatenate(
-            [self._node_stamp, np.zeros(n_new, dtype=np.int64)])
+        slab = self._slab
+        self._node_stamp = with_capacity(self._node_stamp, size, size + n_new)
+        self._degree = with_capacity(self._degree, size, size + n_new)
+        self._slab = with_capacity(slab, size, size + n_new)
+        if self._slab is not slab:
+            self._native = None
         self._mutation_version += 1
         self._frozen = None
         self._reads_since_mutation = 0
@@ -252,13 +275,26 @@ class AdjacencyStore:
         return self._extra[u]
 
     def neighbors(self, u: int) -> np.ndarray:
-        """Combined base+extra out-neighbors as an int64 array (cached)."""
-        cached = self._cache[u]
-        if cached is None:
-            combined = self._base[u] + list(self._extra[u])
-            cached = np.array(combined, dtype=np.int64) if combined else _EMPTY
-            self._cache[u] = cached
-        return cached
+        """Combined base+extra out-neighbors: ``u``'s live slab row (a
+        read-only view by contract — the next mutation of ``u`` rewrites
+        it in place)."""
+        return self._slab[u, :self._degree[u]]
+
+    # The store is drop-in for the ``neighbors_fn`` callables search takes,
+    # and — unlike its bound ``neighbors`` — carries ``native_graph``.
+    __call__ = neighbors
+
+    def native_graph(self):
+        """The live graph as a :class:`repro.graphs.native.Graph` the
+        kernel reads in place (rebuilt when the node count moved or the
+        arrays were replaced), or None for a subclass."""
+        graph = self._native
+        if graph is None or graph.n != len(self._base):
+            if type(self) is not AdjacencyStore:
+                return None
+            graph = self._native = native.Graph.mutable(
+                self._slab, self._degree, len(self._base))
+        return graph
 
     def out_degree(self, u: int) -> int:
         return len(self._base[u]) + len(self._extra[u])
@@ -297,31 +333,29 @@ class AdjacencyStore:
 
         Neighbor order per node matches :meth:`neighbors` exactly (base
         edges in list order, then extra edges in insertion order), so any
-        search over the view is bit-identical to the dynamic path.
+        search over the view is bit-identical to one over the live store.
         """
         frozen = self.csr_view()
         if frozen is not None:
             return frozen
         n = self.n_nodes
+        degree = self._degree[:n]
         indptr = np.zeros(n + 1, dtype=np.int32)
-        counts = np.fromiter(
-            (len(b) + len(e) for b, e in zip(self._base, self._extra)),
-            dtype=np.int32, count=n)
-        np.cumsum(counts, out=indptr[1:])
-        n_edges = int(indptr[-1])
-        indices = np.empty(n_edges, dtype=np.int32)
-        edge_eh = np.full(n_edges, np.nan)
-        pos = 0
-        for base, extra in zip(self._base, self._extra):
-            nb = len(base)
-            if nb:
-                indices[pos:pos + nb] = base
-                pos += nb
-            if extra:
-                ne = len(extra)
-                indices[pos:pos + ne] = list(extra.keys())
-                edge_eh[pos:pos + ne] = list(extra.values())
-                pos += ne
+        np.cumsum(degree, out=indptr[1:])
+        # Row-major gather of the live part of every row = CSR order.
+        live = np.arange(self._slab.shape[1], dtype=np.int32) < degree[:, None]
+        indices = self._slab[:n][live]
+        edge_eh = np.full(indices.shape[0], np.nan)
+        owners = [u for u, extra in enumerate(self._extra) if extra]
+        if owners:
+            # A node's extra edges close its CSR range.
+            counts = np.array([len(self._extra[u]) for u in owners])
+            ends = np.cumsum(counts)
+            starts = indptr[1:][owners] - counts
+            slots = (np.repeat(starts - (ends - counts), counts)
+                     + np.arange(ends[-1]))
+            edge_eh[slots] = [eh for u in owners
+                              for eh in self._extra[u].values()]
         self._frozen = CSRGraphView(indptr, indices, edge_eh,
                                     store_version=self._mutation_version)
         self.n_freezes += 1
@@ -351,8 +385,8 @@ class AdjacencyStore:
         dirty, each call counts as one clean read; after
         ``FREEZE_AFTER_READS`` consecutive reads with no interleaved
         mutation the store refreezes (an O(E) rebuild) and returns the
-        fresh view.  Until then it returns None and the caller falls back
-        to the dynamic :meth:`neighbors` path — which keeps fixing loops
+        fresh view.  Until then it returns None and the caller walks the
+        live store itself — which keeps fixing loops
         (mutate, search, mutate, …) from thrashing O(E) refreezes.
         """
         frozen = self.csr_view()
@@ -451,8 +485,10 @@ class AdjacencyStore:
         out = AdjacencyStore(self.n_nodes)
         out._base = [list(lst) for lst in self._base]
         out._extra = [dict(d) for d in self._extra]
+        out._slab = self._slab[:self.n_nodes].copy()
+        out._degree = self._degree[:self.n_nodes].copy()
         out.tombstones = set(self.tombstones)
         out.removed = set(self.removed)
         out._mutation_version = self._mutation_version
-        out._node_stamp = self._node_stamp.copy()
+        out._node_stamp = self._node_stamp[:self.n_nodes].copy()
         return out

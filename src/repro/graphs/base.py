@@ -13,18 +13,21 @@ from repro.graphs.search import (BatchSearchEngine, SearchResult, VisitedTable,
                                  greedy_search, pad_results)
 
 
-def medoid_id(dc: DistanceComputer) -> int:
+def medoid_id(dc: DistanceComputer, dead=None) -> int:
     """Id of the base point closest to the dataset centroid.
 
     The paper fixes the search entry point at "the centroid of the base data"
     (Sec. 5.4); since the centroid itself is not a data point, the nearest
     base point (the medoid in this loose sense) is used, as NSG does.
+    ``dead`` (a set of ids, or None) are rows that may not be elected —
+    tombstoned or compacted nodes whose vectors linger in the matrix.
     """
-    centroid = dc.data.mean(axis=0)
-    q = dc.prepare_query(centroid)
+    q = dc.prepare_query(dc.centroid())
     saved = dc.ndc
     dists = dc.all_to_query(q)
     dc.ndc = saved  # index-build bookkeeping, not query work
+    if dead:
+        dists[np.fromiter(dead, dtype=np.int64, count=len(dead))] = np.inf
     return int(np.argmin(dists))
 
 
@@ -36,7 +39,8 @@ def live_graph_engine(cached: BatchSearchEngine | None, index, scorer,
     :class:`GraphIndex`, an ``NGFixer``); ``scorer`` the distance computer
     blocks are scored with (exact or ADC).  The engine walks the store's
     frozen CSR whenever its refreeze policy offers one and honors
-    tombstones per block.  A cached engine is kept only while its
+    tombstones per block; in between it walks the store itself, which both
+    executors read in place.  A cached engine is kept only while its
     ``batch_size`` and ``beam_width`` still match.
     """
     if (cached is not None and cached.batch_size == batch_size
@@ -44,7 +48,7 @@ def live_graph_engine(cached: BatchSearchEngine | None, index, scorer,
         return cached
     adjacency = index.adjacency
     return BatchSearchEngine(
-        scorer, adjacency.neighbors, index.entry_points,
+        scorer, adjacency, index.entry_points,
         excluded_fn=adjacency.excluded_ids, batch_size=batch_size,
         graph_fn=adjacency.traversal, beam_width=beam_width)
 
@@ -84,15 +88,16 @@ class GraphIndex(abc.ABC):
         return self.adjacency.freeze()
 
     def _neighbors_fn(self):
-        """The traversal callable for the current store state.
+        """The traversal source for the current store state.
 
         The frozen :class:`~repro.graphs.csr.CSRGraphView` when one is
-        available under the store's refreeze policy (it is callable), the
-        dynamic per-node path otherwise.  Either returns the same neighbor
-        sequence per node, so search results are identical.
+        available under the store's refreeze policy, the live store
+        otherwise (both are callable and carry ``native_graph``).  Either
+        returns the same neighbor sequence per node, so search results are
+        identical.
         """
         view = self.adjacency.traversal()
-        return view if view is not None else self.adjacency.neighbors
+        return view if view is not None else self.adjacency
 
     def search(self, query: np.ndarray, k: int, ef: int | None = None,
                collect_visited: bool = False) -> SearchResult:

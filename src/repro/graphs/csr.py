@@ -1,14 +1,14 @@
 """Frozen CSR snapshot of an :class:`~repro.graphs.adjacency.AdjacencyStore`.
 
-The dynamic store keeps per-node Python lists/dicts so NGFix/RFix can mutate
-edges cheaply, but the query hot path only *reads* the graph.  A
+The live store is mutated in place (NGFix/RFix, insertion, compaction), but
+the serving path must read a graph that cannot change under it.  A
 :class:`CSRGraphView` packs the combined base+extra adjacency into two
 contiguous ``int32`` arrays (``indptr``/``indices``, DiskANN/Vamana style)
 plus a parallel per-edge EH-tag array, so per-node reads are an O(1) slice
 (no cache checks, no dict walks) and the native executor
 (:mod:`repro.graphs.native`) can walk the two arrays directly.
 
-Neighbor order inside a node is exactly the dynamic store's order (base
+Neighbor order inside a node is exactly the live store's order (base
 edges first, then extra edges in insertion order), which keeps every search
 over the view bit-identical to a search over the live store.  The view is a
 *snapshot*: mutations to the originating store do not show through — the

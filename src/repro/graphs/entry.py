@@ -107,7 +107,7 @@ class MultiEntryIndex:
             ef = max(k, 10)
         q = self.index.dc.prepare_query(query)
         return greedy_search(
-            self.index.dc, self.index.adjacency.neighbors,
+            self.index.dc, self.index.adjacency,
             self.strategy.entries(self.index.dc, q), q, k=k, ef=ef,
             visited=self.index._visited,
             excluded=self.index.adjacency.excluded_ids(),

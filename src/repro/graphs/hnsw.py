@@ -19,8 +19,9 @@ import math
 import numpy as np
 
 from repro.distances import Metric
-from repro.graphs.base import GraphIndex, medoid_id
-from repro.graphs.pruning import rng_prune
+from repro.graphs.base import GraphIndex
+from repro.graphs.insertion import BottomLayer
+from repro.graphs.pruning import rng_prune, rng_prune_backfill
 from repro.graphs.search import greedy_search
 from repro.utils.rng_utils import ensure_rng
 from repro.utils.validation import check_positive
@@ -28,8 +29,13 @@ from repro.utils.validation import check_positive
 _EMPTY = np.empty(0, dtype=np.int64)
 
 
-class HNSW(GraphIndex):
+class HNSW(BottomLayer, GraphIndex):
     """Hierarchical Navigable Small World index.
+
+    The bottom layer — all of the index in ``single_layer`` mode — is
+    :class:`~repro.graphs.insertion.BottomLayer`'s routine over the
+    adjacency store; the upper layers (dict-of-lists, 1/M of the nodes) are
+    walked here on the reference executor.
 
     Parameters
     ----------
@@ -69,11 +75,12 @@ class HNSW(GraphIndex):
         self.keep_pruned = keep_pruned
         self._rng = ensure_rng(seed)
         self._mult = 1.0 / math.log(M)
-        self._shrink_slack = 4
+        # hnswlib's ``keepPrunedConnections``: backfill pruned candidates
+        # up to the degree budget.
+        self._select = rng_prune_backfill if keep_pruned else rng_prune
         self._levels: list[int] = []
         self._upper: list[dict[int, list[int]]] = []  # layers 1..max_level
         self._entry: int | None = None
-        self._medoid: int | None = None
 
         for i in range(self.dc.size):
             self._insert_node(i)
@@ -84,17 +91,6 @@ class HNSW(GraphIndex):
         if self.single_layer:
             return 0
         return int(-math.log(max(self._rng.random(), 1e-12)) * self._mult)
-
-    def _layer_neighbors_fn(self, level: int):
-        if level == 0:
-            return self.adjacency.neighbors
-        layer = self._upper[level - 1]
-
-        def fn(u: int) -> np.ndarray:
-            lst = layer.get(u)
-            return np.array(lst, dtype=np.int64) if lst else _EMPTY
-
-        return fn
 
     def _descend(self, q: np.ndarray, start: int, from_level: int,
                  to_level: int) -> int:
@@ -117,41 +113,30 @@ class HNSW(GraphIndex):
                     improved = True
         return cur
 
-    def _select_neighbors(self, u: int, candidate_ids: np.ndarray,
-                          candidate_dists: np.ndarray, max_degree: int) -> list[int]:
-        """RNG-heuristic selection with optional pruned backfill."""
-        candidate_ids = np.asarray(candidate_ids, dtype=np.int64)
-        if candidate_dists is None:
-            candidate_dists = self.dc.many_between(candidate_ids, u)
-        kept = rng_prune(self.dc, u, candidate_ids, max_degree,
-                         distances=candidate_dists)
-        if self.keep_pruned and len(kept) < max_degree:
-            kept_set = set(kept)
-            order = np.argsort(candidate_dists, kind="stable")
-            for j in order:
-                c = int(candidate_ids[j])
-                if c != u and c not in kept_set:
-                    kept.append(c)
-                    kept_set.add(c)
-                    if len(kept) >= max_degree:
-                        break
-        return kept
+    def _insert_upper(self, new_id: int, q: np.ndarray, eps: list[int],
+                      level: int) -> list[int]:
+        """Link ``new_id`` into upper layer ``level``; returns the
+        candidates found (the next layer's entries)."""
+        layer = self._upper[level - 1]
 
-    def _shrink(self, v: int, level: int) -> None:
-        """Re-prune node ``v``'s links on ``level`` back to the degree cap."""
-        if level == 0:
-            neigh = self.adjacency.base_neighbors_ro(v)
-            cap = self.M0
-            if len(neigh) <= cap:
-                return
-            self.adjacency.set_base_neighbors(
-                v, self._select_neighbors(v, np.array(neigh), None, cap))
-        else:
-            layer = self._upper[level - 1]
-            neigh = layer.get(v, [])
-            if len(neigh) <= self.M:
-                return
-            layer[v] = self._select_neighbors(v, np.array(neigh), None, self.M)
+        def neighbors(u: int) -> np.ndarray:
+            lst = layer.get(u)
+            return np.array(lst, dtype=np.int64) if lst else _EMPTY
+
+        result = greedy_search(
+            self.dc, neighbors, eps, q, k=self.ef_construction,
+            ef=self.ef_construction, visited=self._visited, prepared=True)
+        keep = result.ids != new_id
+        cand_ids = result.ids[keep]
+        selected = self._select(self.dc, new_id, cand_ids, self.M,
+                                distances=result.distances[keep])
+        layer[new_id] = list(selected)
+        for v in selected:
+            neigh = layer.setdefault(v, [])
+            neigh.append(new_id)
+            if len(neigh) > self.M + self._shrink_slack:
+                layer[v] = self._select(self.dc, v, np.array(neigh), self.M)
+        return cand_ids.tolist() or eps
 
     def _insert_node(self, new_id: int) -> None:
         level = self._assign_level()
@@ -160,7 +145,6 @@ class HNSW(GraphIndex):
             self._upper.append({})
         for lv in range(1, level + 1):
             self._upper[lv - 1].setdefault(new_id, [])
-        self._medoid = None  # invalidated by any insertion
 
         if self._entry is None:
             self._entry = new_id
@@ -172,54 +156,28 @@ class HNSW(GraphIndex):
             entry = self._descend(q, entry, top, level)
 
         eps = [entry]
-        for lv in range(min(level, top), -1, -1):
-            result = greedy_search(
-                self.dc, self._layer_neighbors_fn(lv), eps, q,
-                k=self.ef_construction, ef=self.ef_construction,
-                visited=self._visited, prepared=True,
-            )
-            cand_ids = result.ids[result.ids != new_id]
-            cand_d = result.distances[result.ids != new_id]
-            cap = self.M0 if lv == 0 else self.M
-            selected = self._select_neighbors(new_id, cand_ids, cand_d, cap)
-            if lv == 0:
-                self.adjacency.set_base_neighbors(new_id, selected)
-            else:
-                self._upper[lv - 1][new_id] = list(selected)
-            for v in selected:
-                if lv == 0:
-                    self.adjacency.add_base_edge(v, new_id)
-                    # Shrink with a small slack so re-pruning amortizes over
-                    # several reverse-edge additions instead of firing on
-                    # every one (quality is unaffected: degree only ever
-                    # overshoots the cap by the slack).
-                    if self.adjacency.base_degree(v) > self.M0 + self._shrink_slack:
-                        self._shrink(v, 0)
-                else:
-                    layer = self._upper[lv - 1]
-                    layer.setdefault(v, []).append(new_id)
-                    if len(layer[v]) > self.M + self._shrink_slack:
-                        self._shrink(v, lv)
-            eps = cand_ids.tolist() or [entry]
+        for lv in range(min(level, top), 0, -1):
+            eps = self._insert_upper(new_id, q, eps, lv)
+        self._insert_bottom(new_id, eps, self._select)
 
-        if level > self._levels[self._entry]:
+        if level > top:
             self._entry = new_id
 
     # -- public API ---------------------------------------------------------
 
     def insert(self, vector: np.ndarray) -> int:
-        """Insert one new vector, returning its id (paper Sec. 5.5.1)."""
+        """Insert one new vector, returning its id (paper Sec. 5.5.1).
+
+        In single-layer mode the insert enters where searches do, at the
+        navigating node as it stands before the row lands — never at a node
+        a deletion has since stripped of its edges.
+        """
+        if self.single_layer:
+            self._entry = self.medoid()
         new_id = self.dc.append(vector)
         self.adjacency.grow(1)
-        self._visited.grow(self.dc.size)
         self._insert_node(new_id)
         return new_id
-
-    def medoid(self) -> int:
-        """Medoid entry point used in single-layer mode (cached)."""
-        if self._medoid is None:
-            self._medoid = medoid_id(self.dc)
-        return self._medoid
 
     def entry_points(self, query: np.ndarray) -> list[int]:
         if self.single_layer or not self._upper:

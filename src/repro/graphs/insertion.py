@@ -1,0 +1,112 @@
+"""Single-layer insertion: the one routine behind build, ``add`` and WAL replay.
+
+HNSW's bottom layer is what NGFix repairs (paper Sec. 6.1) and what every
+incremental write lands in (Sec. 5.5.1): search the live graph for
+``ef_construction`` candidates, select with the RNG heuristic (nearest
+backfill), link both directions, re-prune a reverse neighbour that overflowed
+its budget past the shrink slack.  :class:`BottomLayer` is that routine plus
+the navigating node it starts from, mixed into the two indexes that grow —
+:class:`~repro.graphs.hnsw.HNSW` (construction and ``insert``) and
+:class:`~repro.durability.recovery.ReplayableIndex` (replay and post-recovery
+writes) — so a recovered store's inserts are the live store's.  The search
+names the graph by the store itself and the selection goes through
+:mod:`repro.graphs.pruning`: both run on the native core when it is loaded.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.graphs.base import medoid_id
+from repro.graphs.pruning import rng_prune_backfill
+from repro.graphs.search import greedy_search
+
+
+class BottomLayer:
+    """Mixin of a :class:`~repro.graphs.base.GraphIndex` that grows.
+
+    The host provides ``dc``, ``adjacency`` and ``_visited`` (every
+    ``GraphIndex`` does) and sets ``M0`` (bottom-layer degree budget) and
+    ``ef_construction``.
+    """
+
+    M0: int
+    ef_construction: int
+    # Shrink with a small slack so re-pruning amortizes over several
+    # reverse-edge additions instead of firing on every one (quality is
+    # unaffected: degree only ever overshoots the cap by the slack).
+    _shrink_slack = 4
+    #: The navigating node and the row count it was elected at.
+    _medoid: int | None = None
+    _medoid_size = 0
+
+    def _is_dead(self, node: int) -> bool:
+        return (node in self.adjacency.tombstones
+                or node in self.adjacency.removed)
+
+    def medoid(self) -> int:
+        """The navigating node: a live row nearest the base-data centroid.
+
+        Exact (one scan of the rows, compacted and tombstoned ones masked)
+        the first time and whenever the current one died; after rows were
+        appended it is re-elected NSG/Vamana style, by one search for the
+        centroid starting from the current one — O(ef) instead of O(n) per
+        ``add`` (the centroid itself is a running sum, see
+        ``DistanceComputer.centroid``).
+        """
+        dc = self.dc
+        if self._medoid is None or self._is_dead(self._medoid):
+            self._medoid = medoid_id(dc, self.adjacency.excluded_ids())
+        elif self._medoid_size != dc.size:
+            saved = dc.ndc
+            found = greedy_search(
+                dc, self.adjacency, [self._medoid], dc.centroid(),
+                k=self.ef_construction, ef=self.ef_construction,
+                visited=self._visited)
+            dc.ndc = saved  # index bookkeeping, not query work
+            self._medoid = next((i for i in found.ids.tolist()
+                                 if not self._is_dead(i)), self._medoid)
+        self._medoid_size = dc.size
+        return self._medoid
+
+    def _live_entries(self, entries: list[int], new_id: int) -> list[int]:
+        """``entries`` without the dead ones; when none is left, the
+        navigating node if it is alive, else any live node.  A compacted
+        node has no edges: an insert that entered there would link to it
+        alone and be unreachable from everywhere else."""
+        adjacency = self.adjacency
+        if not adjacency.tombstones and not adjacency.removed:
+            return entries
+        live = [e for e in entries if not self._is_dead(e)]
+        if live:
+            return live
+        if self._medoid is not None and not self._is_dead(self._medoid):
+            return [self._medoid]
+        return [next((i for i in range(self.dc.size)
+                      if i != new_id and not self._is_dead(i)), entries[0])]
+
+    def _insert_bottom(self, new_id: int, entries: list[int],
+                       select=rng_prune_backfill) -> np.ndarray:
+        """Link row ``new_id`` (already in ``dc`` and ``adjacency``) into
+        the bottom layer, searching from ``entries``; returns the candidate
+        ids the search found.  ``select`` is the neighbour-selection rule,
+        ``(dc, u, candidate_ids, max_degree, distances=None) -> ids``.
+        """
+        dc, adjacency, cap = self.dc, self.adjacency, self.M0
+        found = greedy_search(
+            dc, adjacency, self._live_entries(entries, new_id),
+            dc.data[new_id], k=self.ef_construction, ef=self.ef_construction,
+            visited=self._visited, prepared=True)
+        keep = found.ids != new_id
+        if adjacency.removed:  # stale rows must never be re-linked
+            keep &= [i not in adjacency.removed for i in found.ids.tolist()]
+        cand_ids, cand_d = found.ids[keep], found.distances[keep]
+        selected = select(dc, new_id, cand_ids, cap, distances=cand_d)
+        adjacency.set_base_neighbors(new_id, selected)
+        for v in selected:
+            adjacency.add_base_edge(v, new_id)
+            if adjacency.base_degree(v) > cap + self._shrink_slack:
+                neigh = np.array(adjacency.base_neighbors_ro(v),
+                                 dtype=np.int64)
+                adjacency.set_base_neighbors(v, select(dc, v, neigh, cap))
+        return cand_ids

@@ -1,10 +1,11 @@
 """Loader and call shim of the native traversal core (``_beam.c``).
 
-``_beam.c`` is paper Algorithm 1 written once in C; this module compiles it
-with whatever C compiler the machine has, loads it with :mod:`ctypes`, and
-exposes one call, :func:`beam_block`.  :mod:`repro.graphs.search` imports
-this module — so the build happens at import, never inside a timed build or
-a first query — and decides per search which executor runs: the native one
+``_beam.c`` is paper Algorithm 1 written once in C, with the occlusion rule
+of the prunes beside it; this module compiles it with whatever C compiler
+the machine has, loads it with :mod:`ctypes`, and exposes one call each,
+:func:`beam_block` and :func:`occlusion_prune`.  :mod:`repro.graphs.search`
+imports this module — so the build happens at import, never inside a timed
+build or a first query — and decides per search which executor runs: the native one
 when the library is loaded *and* both the scorer and the graph can describe
 themselves as a :class:`Scorer` / :class:`Graph` spec, else the Python
 reference loop.  A missing compiler is therefore never an error, only a
@@ -59,7 +60,9 @@ class _CGraph(ctypes.Structure):
                 ("n0", ctypes.c_int64), ("patch_slot", ctypes.c_void_p),
                 ("patch_n", ctypes.c_int64),
                 ("patch_indptr", ctypes.c_void_p),
-                ("patch_indices", ctypes.c_void_p)]
+                ("patch_indices", ctypes.c_void_p),
+                ("slab", ctypes.c_void_p), ("deg", ctypes.c_void_p),
+                ("stride", ctypes.c_int64), ("slab_n", ctypes.c_int64)]
 
 
 class _CScorer(ctypes.Structure):
@@ -78,10 +81,18 @@ class Graph:
     same set as a uint8 bitmap: a search handed that very set reuses the
     bitmap instead of rebuilding it.  Immutable once built, so the C
     struct is filled once.
+
+    :meth:`mutable` describes a graph that is still being written instead
+    (``AdjacencyStore.native_graph``): the kernel reads node ``u``'s
+    out-neighbours in place, ``slab[u, :degree[u]]``, for the first ``n``
+    nodes.  The spec holds the two arrays, and the store replaces them with
+    new ones when it outgrows them (never resizes in place), so a spec taken
+    before a ``grow`` is stale — the kernel answers ``BEAM_BAD_ID`` for a
+    node past its ``n`` — but never dangling.
     """
 
     __slots__ = ("indptr", "indices", "patch", "excluded", "excluded_mask",
-                 "c")
+                 "slab", "degree", "n", "c")
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, patch=None,
                  excluded=None, excluded_mask: np.ndarray | None = None):
@@ -90,12 +101,30 @@ class Graph:
         self.indptr, self.indices, self.patch = indptr, indices, patch
         self.excluded = excluded
         self.excluded_mask = excluded_mask
+        self.slab = self.degree = None
+        self.n = indptr.shape[0] - 1
         self.c = _CGraph(
-            indptr.ctypes.data, indices.ctypes.data, indptr.shape[0] - 1,
+            indptr.ctypes.data, indices.ctypes.data, self.n,
             None if slot is None else slot.ctypes.data,
             0 if slot is None else slot.shape[0],
             None if slot is None else patch_indptr.ctypes.data,
             None if slot is None else patch_indices.ctypes.data)
+
+    @classmethod
+    def mutable(cls, slab: np.ndarray, degree: np.ndarray,
+                n: int) -> "Graph | None":
+        """The spec of the first ``n`` rows of ``slab``/``degree``, or None
+        when they are not the dense int32 pair the kernel reads."""
+        if not (dense(slab, np.int32, 2) and dense(degree, np.int32, 1)
+                and 0 <= n <= min(slab.shape[0], degree.shape[0])):
+            return None
+        self = cls.__new__(cls)
+        self.indptr = self.indices = self.patch = None
+        self.excluded = self.excluded_mask = None
+        self.slab, self.degree, self.n = slab, degree, n
+        self.c = _CGraph(slab=slab.ctypes.data, deg=degree.ctypes.data,
+                         stride=slab.shape[1], slab_n=n)
+        return self
 
     def mask_for(self, excluded) -> np.ndarray | None:
         """``excluded`` (a set of ids, or None) as a uint8 bitmap."""
@@ -137,6 +166,16 @@ def dense(array, dtype, ndim: int) -> bool:
     — the only layout the kernel reads."""
     return (isinstance(array, np.ndarray) and array.dtype == dtype
             and array.ndim == ndim and array.flags.c_contiguous)
+
+
+def spec(obj, name: str, *args):
+    """``obj.<name>(*args)`` with the method looked up on ``obj``'s exact
+    type, None when the type has none.  A proxy that forwards attribute
+    access (the benchmark's kernel probe) or a plain ``neighbors_fn``
+    callable therefore has no native description and lands on the reference
+    executor, whatever it wraps."""
+    method = getattr(type(obj), name, None)
+    return None if method is None else method(obj, *args)
 
 
 # -- loading -----------------------------------------------------------------
@@ -243,15 +282,18 @@ def build(source: pathlib.Path = SOURCE, dirs=None,
 
 
 def _bind(path: pathlib.Path):
+    """The loaded library, its two entry points typed."""
     # CDLL, not PyDLL: the GIL is released for the whole call.
     lib = ctypes.CDLL(str(path))
-    fn = lib.repro_beam_block
+    beam, prune = lib.repro_beam_block, lib.repro_occlusion_prune
     p, i64 = ctypes.c_void_p, ctypes.c_int64
-    fn.argtypes = [ctypes.POINTER(_CGraph), ctypes.POINTER(_CScorer),
-                   i64, i64, p, p, i64, i64, i64, i64, p, ctypes.c_int32,
-                   p, i64, ctypes.c_double, p, p, p, p, p, p, p, p]
-    fn.restype = ctypes.c_int
-    return fn
+    beam.argtypes = [ctypes.POINTER(_CGraph), ctypes.POINTER(_CScorer),
+                     i64, i64, p, p, i64, i64, i64, i64, p, ctypes.c_int32,
+                     p, i64, ctypes.c_double, p, p, p, p, p, p, p, p]
+    beam.restype = ctypes.c_int
+    prune.argtypes = [ctypes.c_int32, p, i64, i64, p, p, i64, i64, p]
+    prune.restype = i64
+    return lib
 
 
 def _load() -> None:
@@ -345,12 +387,12 @@ def beam_block(graph: Graph, scorer: Scorer, entries: np.ndarray,
         c_scorer.queries = queries_p + start * query_bytes
         budget = (float("inf") if deadline is None
                   else deadline - time.perf_counter())
-        rc = _LIB(graph.c, c_scorer, n, count, entries_p,
-                  None if offsets_p is None else offsets_p + 8 * start,
-                  entries.shape[0], k, ef, beam_width, stamps_p,
-                  version0 + start,
-                  mask_p, mask_n, budget, cand_p, res_p, sel_p,
-                  ids_p, dist_p, counts_p, seen_p, seen_d_p)
+        rc = _LIB.repro_beam_block(
+            graph.c, c_scorer, n, count, entries_p,
+            None if offsets_p is None else offsets_p + 8 * start,
+            entries.shape[0], k, ef, beam_width, stamps_p, version0 + start,
+            mask_p, mask_n, budget, cand_p, res_p, sel_p,
+            ids_p, dist_p, counts_p, seen_p, seen_d_p)
         if rc != 0:
             return None
         for r in range(count):
@@ -363,6 +405,27 @@ def beam_block(graph: Graph, scorer: Scorer, entries: np.ndarray,
             out.append((ids[lo:lo + found].copy(), dist[lo:lo + found].copy(),
                         hops, peak, ndc, bool(degraded), scored, scored_d))
     return out
+
+
+def occlusion_prune(kind: int, rows: np.ndarray, ids: np.ndarray,
+                    margin: np.ndarray, max_degree: int) -> list[int] | None:
+    """The occlusion rule on the native core: which of ``ids`` survive.
+
+    ``rows`` is the C-contiguous float32 base matrix scored by ``kind`` (one
+    of the exact kinds), ``ids`` the int64 candidates ascending by distance
+    to the pruned node and ``margin`` (float64) each one's occlusion
+    margin; see ``pruning._occlusion_prune``, the reference.  Returns the
+    kept ids in candidate order, or None when the kernel refused an id
+    outside ``rows``.
+    """
+    count = ids.shape[0]
+    kept, kept_p = _buffer("kept", count, np.int64)
+    n_kept = _LIB.repro_occlusion_prune(
+        kind, rows.ctypes.data, rows.shape[0], rows.shape[1],
+        ids.ctypes.data, margin.ctypes.data, count, max_degree, kept_p)
+    if n_kept < 0:
+        return None
+    return ids[kept[:n_kept]].tolist()
 
 
 _load()

@@ -58,7 +58,7 @@ class NSW(GraphIndex):
             return
         entry = self._inserted[0]
         result = greedy_search(
-            self.dc, self.adjacency.neighbors, [entry],
+            self.dc, self.adjacency, [entry],
             self.dc.data[new_id], k=self.f, ef=self.ef_construction,
             visited=self._visited, prepared=True)
         for v in result.ids.tolist():

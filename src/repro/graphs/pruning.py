@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.distances import DistanceComputer, pairwise_distances
+from repro.distances import DistanceComputer, Metric, pairwise_distances
+from repro.graphs import native
 from repro.utils.rng_utils import ensure_rng
 
 
@@ -30,29 +31,30 @@ from repro.utils.rng_utils import ensure_rng
 _POOL_CAP = 1024
 
 
-def _occlusion_prune(
-    dc: DistanceComputer,
-    ids: np.ndarray,
-    d_u: np.ndarray,
-    max_degree: int,
-    margin_fn,
-) -> list[int]:
+def _occlusion_prune(dc: DistanceComputer, ids: np.ndarray,
+                     margin: np.ndarray, max_degree: int) -> list[int]:
     """Generic occlusion rule: keep c unless some kept s occludes it.
 
-    ``ids`` are the candidates sorted ascending by ``d_u``, their distances
-    to ``u``; ``margin_fn`` maps the ``d_u`` array to each candidate's
-    occlusion margin.  All candidate-to-candidate distances are computed as
-    one pairwise matrix (pool sizes are modest — see ``_POOL_CAP``) and
-    compared against the margins in one shot; row ``i`` of that occlusion
-    matrix is packed into a Python int with bit ``s`` set when candidate
-    ``s`` would occlude ``i``, so the selection loop is one ``&`` against
-    the kept-set bits per candidate instead of one NumPy call.
+    The reference executor of the rule (``repro_occlusion_prune`` in
+    ``_beam.c`` is the native one; :func:`_prune` chooses).  ``ids`` are the
+    candidates sorted ascending by their distance to ``u``; ``margin`` is
+    each candidate's occlusion margin (that distance under the RNG rule).  All
+    candidate-to-candidate distances are computed as one pairwise matrix
+    (pool sizes are modest — see ``_POOL_CAP``) and compared against the
+    margins in one shot; row ``i`` of that occlusion matrix is packed into a
+    Python int with bit ``s`` set when candidate ``s`` would occlude ``i``,
+    so the selection loop is one ``&`` against the kept-set bits per
+    candidate instead of one NumPy call.
     """
     if ids.size == 0:
         return []
     rows = dc.data[ids]
-    between = pairwise_distances(rows, rows, dc.metric)
-    occluded_by = np.packbits(between.T < margin_fn(d_u)[:, None], axis=1,
+    if dc.metric is Metric.L2:
+        between = pairwise_distances(rows, rows, Metric.L2)
+    else:  # stored COSINE rows are unit already: no second normalisation
+        dots = rows @ rows.T
+        between = -dots if dc.metric is Metric.INNER_PRODUCT else 1.0 - dots
+    occluded_by = np.packbits(between.T < margin[:, None], axis=1,
                               bitorder="little")
     kept_bits = 0
     kept: list[int] = []
@@ -66,29 +68,59 @@ def _occlusion_prune(
     return kept
 
 
+def _prune(dc: DistanceComputer, ids: np.ndarray, margin: np.ndarray,
+           max_degree: int) -> list[int]:
+    """:func:`_occlusion_prune` on whichever executor can run it.
+
+    The one place the rule's executor is chosen, by the contract of
+    :func:`repro.graphs.search.native_search`: natively when the library is
+    loaded and ``dc`` describes its rows (``native_rows``, looked up on its
+    exact type), else — a proxy scorer, ``REPRO_NO_NATIVE=1``, an id the
+    kernel refuses — the Python reference.  Same kept list up to
+    float32 near-ties between a candidate distance and its margin.
+    """
+    if native.enabled() and ids.size:
+        rows = native.spec(dc, "native_rows")
+        if rows is not None:
+            kept = native.occlusion_prune(*rows, ids, margin, max_degree)
+            if kept is not None:
+                return kept
+    return _occlusion_prune(dc, ids, margin, max_degree)
+
+
 def _sorted_candidates(
     dc: DistanceComputer, u: int, candidate_ids, distances=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Unique candidates other than ``u`` as ``(ids, distances to u)``,
     ascending by distance (ties by id) and capped at ``_POOL_CAP``."""
-    ids = np.asarray(list(candidate_ids), dtype=np.int64)
-    if distances is None:
-        ids = np.unique(ids[ids != u])
-        dists = dc.many_between(ids, u) if ids.size else np.empty(0)
-    else:
+    if not isinstance(candidate_ids, np.ndarray):
+        candidate_ids = list(candidate_ids)
+    ids = np.asarray(candidate_ids, dtype=np.int64)
+    if distances is not None:
+        distances = np.asarray(distances, dtype=np.float64)
+    keep = ids != u
+    if not keep.all():
+        ids = ids[keep]
+        if distances is not None:
+            distances = distances[keep]
+    # A search result or a neighbour list is unique by construction; only a
+    # caller's hand-made pool pays for the de-duplication.
+    if len(set(ids.tolist())) != ids.size:
         # A candidate listed twice keeps its last distance.
-        keep = ids != u
-        ids, last = np.unique(ids[keep][::-1], return_index=True)
-        dists = np.asarray(distances, dtype=np.float64)[keep][::-1][last]
-    order = np.argsort(dists, kind="stable")[:_POOL_CAP]
-    return ids[order], dists[order].astype(np.float64, copy=False)
+        ids, last = np.unique(ids[::-1], return_index=True)
+        if distances is not None:
+            distances = distances[::-1][last]
+    if distances is None:
+        distances = dc.many_between(ids, u) if ids.size else np.empty(0)
+    order = np.lexsort((ids, distances))[:_POOL_CAP]
+    return ids[order], distances[order].astype(np.float64, copy=False)
 
 
 def rng_prune(dc: DistanceComputer, u: int, candidate_ids, max_degree: int,
               distances=None) -> list[int]:
     """RNG rule: keep c iff every kept s satisfies d(s, c) >= d(u, c)."""
     ids, d_u = _sorted_candidates(dc, u, candidate_ids, distances)
-    return _occlusion_prune(dc, ids, d_u, max_degree, lambda d: d)
+    return _prune(dc, ids, d_u, max_degree)
 
 
 # MRNG's local selection rule coincides with the RNG occlusion test applied
@@ -102,7 +134,7 @@ def alpha_prune(dc: DistanceComputer, u: int, candidate_ids, max_degree: int,
     if alpha < 1.0:
         raise ValueError(f"alpha must be >= 1, got {alpha}")
     ids, d_u = _sorted_candidates(dc, u, candidate_ids, distances)
-    return _occlusion_prune(dc, ids, d_u, max_degree, lambda d: d / alpha)
+    return _prune(dc, ids, d_u / alpha, max_degree)
 
 
 def tau_prune(dc: DistanceComputer, u: int, candidate_ids, max_degree: int,
@@ -115,8 +147,7 @@ def tau_prune(dc: DistanceComputer, u: int, candidate_ids, max_degree: int,
     if tau < 0:
         raise ValueError(f"tau must be non-negative, got {tau}")
     ids, d_u = _sorted_candidates(dc, u, candidate_ids, distances)
-    return _occlusion_prune(dc, ids, d_u, max_degree,
-                            lambda d: d - 3.0 * tau)
+    return _prune(dc, ids, d_u - 3.0 * tau, max_degree)
 
 
 def rng_prune_backfill(dc: DistanceComputer, u: int, candidate_ids,
@@ -130,7 +161,7 @@ def rng_prune_backfill(dc: DistanceComputer, u: int, candidate_ids,
     pools.
     """
     ids, d_u = _sorted_candidates(dc, u, candidate_ids, distances)
-    kept = _occlusion_prune(dc, ids, d_u, max_degree, lambda d: d)
+    kept = _prune(dc, ids, d_u, max_degree)
     if len(kept) < max_degree:
         kept_set = set(kept)
         for c in ids.tolist():

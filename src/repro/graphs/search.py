@@ -16,10 +16,12 @@ by :mod:`repro.graphs.native`), about ten times cheaper per hop.
 :func:`native_search` picks between them, once, for every search entry
 point: it asks the scorer and the graph to describe themselves
 (``native_scorer`` / ``native_graph``, looked up on their *exact* type) and
-runs natively when both can — a frozen CSR or epoch view scored by a plain
-:class:`~repro.distances.DistanceComputer` or PQ codes — else the reference
-loop runs: a mutable ``AdjacencyStore`` (index construction, ``fix_query``),
-a proxy scorer, a float64 query, a machine without a C compiler.  The two
+runs natively when both can — a frozen CSR, an epoch view or the live
+``AdjacencyStore`` (index construction, ``add``, ``fix_query``) scored by a
+plain :class:`~repro.distances.DistanceComputer` or PQ codes — else the
+reference loop runs: a plain ``neighbors_fn`` callable, a proxy scorer, a
+float64 query, a machine without a C compiler.  A call site therefore names
+its graph by the object (store, view), never by a bound method.  The two
 are tested differentially (``tests/test_native.py``): same ids, hops, NDC,
 frontier peak and ``degraded``, distances within float32 rounding of each
 other (NumPy's reduction order is not reproducible in a C loop).
@@ -44,6 +46,7 @@ import numpy as np
 from repro.distances import DistanceComputer
 from repro.graphs import native
 from repro.obs import OBS, SECONDS_BUCKETS
+from repro.utils.growth import with_capacity
 
 _SEARCH_QUERIES = OBS.counter(
     "search_queries", "sequential greedy searches served")
@@ -125,10 +128,10 @@ class VisitedTable:
         return first
 
     def grow(self, n: int) -> None:
-        """Extend capacity to ``n`` nodes."""
-        if n > self._stamps.shape[0]:
-            extra = np.zeros(n - self._stamps.shape[0], dtype=np.int32)
-            self._stamps = np.concatenate([self._stamps, extra])
+        """Extend capacity to at least ``n`` nodes (doubling: a store that
+        grows one row at a time copies the stamps O(log n) times)."""
+        stamps = self._stamps
+        self._stamps = with_capacity(stamps, stamps.shape[0], n)
 
     def filter_unvisited(self, ids: np.ndarray) -> np.ndarray:
         """Return the subset of ``ids`` not yet visited, marking them visited."""
@@ -324,16 +327,6 @@ def beam_search(score, neighbors_fn, entry_ids: np.ndarray, ef: int,
     return results, n_hops, frontier_peak, degraded, scored
 
 
-def _spec(obj, name: str, *args):
-    """``obj.<name>(*args)`` with the method looked up on ``obj``'s exact
-    type, None when the type has none.  A proxy that forwards attribute
-    access (the benchmark's kernel probe) or a plain ``neighbors_fn``
-    callable therefore has no native description and lands on the reference
-    executor, whatever it wraps."""
-    method = getattr(type(obj), name, None)
-    return None if method is None else method(obj, *args)
-
-
 def native_search(scorer_owner, graph_owner, queries: np.ndarray,
                   entry_lists: list[np.ndarray], k: int, ef: int,
                   beam_width: int, visited: VisitedTable,
@@ -354,12 +347,12 @@ def native_search(scorer_owner, graph_owner, queries: np.ndarray,
     n_queries = len(entry_lists)
     if not native.enabled():
         reason = "unavailable"
-    elif (graph := _spec(graph_owner, "native_graph")) is None:
-        # Asked first: a mutable store's bound ``neighbors`` (construction,
-        # ``fix_query``) answers with one getattr, before any scorer is built.
+    elif (graph := native.spec(graph_owner, "native_graph")) is None:
+        # Asked first: a plain ``neighbors_fn`` answers with one getattr,
+        # before any scorer is built.
         reason = "graph"
-    elif (scorer := _spec(scorer_owner, "native_scorer", *scorer_args,
-                          queries)) is None:
+    elif (scorer := native.spec(scorer_owner, "native_scorer", *scorer_args,
+                                queries)) is None:
         reason = "scorer"
     else:
         entries, offsets = entry_lists[0], None
@@ -431,7 +424,10 @@ def greedy_search(
     dc:
         Distance computer over the base vectors (counts NDC).
     neighbors_fn:
-        ``node_id -> np.ndarray`` of out-neighbors.
+        ``node_id -> np.ndarray`` of out-neighbors: the graph object itself
+        (an ``AdjacencyStore``, a frozen or epoch view — callable, and what
+        the native executor can walk) or any plain callable (reference
+        executor only).
     entry_points:
         Iterable of starting node ids.
     k, ef:
@@ -488,8 +484,8 @@ class BatchSearchEngine:
     block it resolves the graph snapshot, the excluded set, the prepared
     queries and the entries once, then hands the block to
     :func:`native_search` — one C call that walks the rows one after the
-    other.  When the native executor cannot take it (no compiler, a mutable
-    graph, a proxy scorer) the rows run one after the other on
+    other.  When the native executor cannot take it (no compiler, a plain
+    ``neighbors_fn``, a proxy scorer) the rows run one after the other on
     :func:`beam_search`, each scored through the block's
     ``dc.block_to_queries`` — slower, same answers.  ``graph_fn``,
     ``excluded_fn`` and entry resolution run once per block and the
@@ -506,7 +502,8 @@ class BatchSearchEngine:
     dc:
         Distance computer over the base vectors (counts NDC).
     neighbors_fn:
-        ``node_id -> np.ndarray`` of out-neighbors.
+        ``node_id -> np.ndarray`` of out-neighbors (see
+        :func:`greedy_search`).
     entry_points_fn:
         ``prepared_query -> iterable of entry node ids``.
     excluded_fn:

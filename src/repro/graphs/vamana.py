@@ -78,7 +78,7 @@ class Vamana(GraphIndex):
         for u in order:
             u = int(u)
             result = greedy_search(
-                self.dc, self.adjacency.neighbors, [self._medoid],
+                self.dc, self.adjacency, [self._medoid],
                 self.dc.data[u], k=self.L, ef=self.L, visited=self._visited,
                 collect_visited=True, prepared=True)
             pool = set(result.visited_ids.tolist())

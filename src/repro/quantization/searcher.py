@@ -340,7 +340,7 @@ class PQRerankSearcher:
         adjacency = self.index.adjacency
         # The frozen CSR when the store offers one (as GraphIndex.search).
         result, n_scored, exact_ndc, _ = rerank_one(
-            self.adc, self.dc, adjacency.traversal() or adjacency.neighbors,
+            self.adc, self.dc, adjacency.traversal() or adjacency,
             self.index.entry_points(q), q, k, ef, self.rerank,
             visited=self._visited, excluded=adjacency.excluded_ids(),
             deadline=deadline)

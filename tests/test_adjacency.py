@@ -1,6 +1,8 @@
 """AdjacencyStore: base/extra edge semantics, eviction, maintenance hooks."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.graphs.adjacency import EH_INFINITE, AdjacencyStore
 
@@ -202,3 +204,83 @@ class TestMaintenanceHooks:
 def test_invalid_node_count():
     with pytest.raises(ValueError):
         AdjacencyStore(0)
+
+
+# -- the slab: what traversals read, against the edge sets ---------------------
+
+def _loop_freeze(store: AdjacencyStore):
+    """``freeze()`` as the per-node Python loop it was before the slab:
+    ``(indptr, indices, edge_eh)`` straight from the lists and dicts."""
+    indptr, indices, edge_eh = [0], [], []
+    for base, extra in zip(store._base, store._extra):
+        indices += base + list(extra)
+        edge_eh += [np.nan] * len(base) + list(extra.values())
+        indptr.append(len(indices))
+    return (np.array(indptr, dtype=np.int32),
+            np.array(indices, dtype=np.int32),
+            np.array(edge_eh, dtype=np.float64))
+
+
+_NODE = st.integers(0, 10**6)  # reduced modulo the node count at use
+_OPS = st.one_of(
+    # up to 20 neighbours: a row that outgrows the slab's initial width
+    st.tuples(st.just("set_base"), _NODE, st.lists(_NODE, max_size=20)),
+    st.tuples(st.just("add_base"), _NODE, _NODE),
+    st.tuples(st.just("add_extra"), _NODE, _NODE,
+              st.sampled_from([0.0, 1.0, 2.5, EH_INFINITE])),
+    st.tuples(st.just("evict"), _NODE),
+    st.tuples(st.just("remove_extra"), _NODE, _NODE),
+    st.tuples(st.just("remove_nodes"), st.sets(_NODE, max_size=3)),
+    st.tuples(st.just("drop_extra"), st.sampled_from([0.0, 0.5, 1.0]),
+              st.integers(0, 9)),
+    # 1..9 new nodes from 3: several grows past the arrays' capacity
+    st.tuples(st.just("grow"), st.integers(1, 9)),
+    st.tuples(st.just("copy")),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(_OPS, max_size=40))
+def test_slab_and_freeze_follow_the_edge_sets(ops):
+    """After any mutation sequence: ``neighbors(u)`` (the slab row) is
+    ``base + extra`` for every node, ``freeze()`` gathered from the slab is
+    the per-node loop's CSR, and a spec taken before the sequence still
+    points at arrays it owns."""
+    store = AdjacencyStore(3)
+    first_spec = store.native_graph()
+    for op in ops:
+        n = store.n_nodes
+        kind, args = op[0], op[1:]
+        if kind == "set_base":
+            store.set_base_neighbors(args[0] % n, [v % n for v in args[1]])
+        elif kind == "add_base":
+            store.add_base_edge(args[0] % n, args[1] % n)
+        elif kind == "add_extra":
+            store.add_extra_edge(args[0] % n, args[1] % n, args[2])
+        elif kind == "evict":
+            store.evict_lowest_eh(args[0] % n)
+        elif kind == "remove_extra":
+            store.remove_extra_edge(args[0] % n, args[1] % n)
+        elif kind == "remove_nodes":
+            store.remove_node_edges({v % n for v in args[0]})
+        elif kind == "drop_extra":
+            store.drop_extra_fraction(args[0],
+                                      np.random.default_rng(args[1]))
+        elif kind == "grow":
+            store.grow(args[0])
+        else:
+            store = store.copy()
+        for u in range(store.n_nodes):
+            combined = store._base[u] + list(store._extra[u])
+            assert store.neighbors(u).tolist() == combined
+            assert store(u).tolist() == combined
+    view = store.freeze()
+    indptr, indices, edge_eh = _loop_freeze(store)
+    np.testing.assert_array_equal(view.indptr, indptr)
+    np.testing.assert_array_equal(view.indices, indices)
+    np.testing.assert_array_equal(view.edge_eh, edge_eh)
+    assert view.indptr.dtype == view.indices.dtype == np.int32
+    spec = store.native_graph()
+    assert spec.n == store.n_nodes
+    assert spec.slab is store._slab and spec.degree is store._degree
+    assert first_spec.n == 3 and first_spec.slab.shape[0] >= 3

@@ -24,8 +24,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.cluster.stats import merge_stats
 from repro.distances import DistanceComputer, Metric
-from repro.graphs import native
+from repro.graphs import HNSW, native
+from repro.graphs.adjacency import AdjacencyStore
 from repro.graphs.csr import CSRGraphView
+from repro.graphs.pruning import _occlusion_prune, rng_prune
 from repro.graphs.search import (BatchSearchEngine, SearchResult,
                                  VisitedTable, _reference_row, greedy_search,
                                  unique_entries)
@@ -376,6 +378,171 @@ class TestBlocks:
             assert (a.executor, b.executor) == ("reference", "native")
             np.testing.assert_array_equal(a.ids, b.ids)
             assert a.n_hops == b.n_hops > 0
+
+
+# -- the mutable graph: the slab read in place ----------------------------------
+
+def _store_of(view: CSRGraphView, n: int) -> AdjacencyStore:
+    """The view's graph as a live store (self-loops dropped, every third
+    node's tail kept as extra edges), grown node by node so the slab has
+    been regrown along the way."""
+    store = AdjacencyStore(1)
+    store.grow(n - 1)
+    for u in range(n):
+        row = [v for v in view.neighbors(u).tolist() if v != u]
+        cut = len(row) // 2 if u % 3 == 0 else len(row)
+        store.set_base_neighbors(u, row[:cut])
+        for v in row[cut:]:
+            store.add_extra_edge(u, v, 1.0)
+    return store
+
+
+@needs_native
+class TestMutableGraph:
+    @PROPERTY
+    @given(worlds(duplicates=False), st.booleans())
+    def test_matches_reference_over_the_live_store(self, world, collect):
+        dc, view, entries, barred, k, ef, queries = world
+        store = _store_of(view, dc.size)
+        visited = VisitedTable(1)  # grown by the search
+        for query in queries:
+            q = dc.prepare_query(query)
+            dc.reset_ndc()
+            want = _reference_row(lambda ids: dc.to_query(ids, q),
+                                  store.neighbors, entries, k, ef, 1,
+                                  VisitedTable(dc.size), barred, None,
+                                  collect)
+            ndc_want = dc.reset_ndc()
+            got = greedy_search(dc, store, entries, q, k, ef, visited, barred,
+                                collect, prepared=True)
+            assert got.executor == "native"
+            assert tie_tolerant_equal(want, got, dc, q,
+                                      ndc=(ndc_want, dc.reset_ndc()))
+        # Mutate in place, search again through the same spec.
+        spec = store.native_graph()
+        store.add_base_edge(0, dc.size - 1)
+        store.remove_node_edges({int(entries[0])})
+        assert store.native_graph() is spec
+        q = dc.prepare_query(queries[0])
+        want = _reference_row(lambda ids: dc.to_query(ids, q),
+                              store.neighbors, entries, k, ef, 1,
+                              VisitedTable(dc.size), barred, None, False)
+        got = greedy_search(dc, store, entries, q, k, ef, visited, barred,
+                            prepared=True)
+        assert got.executor == "native"
+        assert tie_tolerant_equal(want, got, dc, q)
+
+    def test_a_spec_taken_before_a_grow_is_stale_never_dangling(self):
+        rng = np.random.default_rng(4)
+        dc = DistanceComputer(rng.standard_normal((4, 5)), "l2")
+        store = AdjacencyStore(4)
+        for u in range(4):
+            store.set_base_neighbors(u, [(u + 1) % 4, (u + 2) % 4])
+        stale = store.native_graph()
+        held = (stale.slab, stale.degree)
+        for row in rng.standard_normal((60, 5)):   # several regrows
+            new = dc.append(row)
+            store.grow(1)
+            store.set_base_neighbors(new, list(range(max(0, new - 12), new)))
+            store.add_base_edge(new - 1, new)      # and rows past the width
+        assert store._slab is not held[0] and store._degree is not held[1]
+        assert (stale.slab, stale.degree) == held  # the spec owns its arrays
+        assert stale.slab.shape[0] < dc.size
+        q = dc.prepare_queries(rng.standard_normal((1, 5)))
+        scorer = dc.native_scorer(q)
+        stamps = np.zeros(dc.size, dtype=np.int32)
+        old = native.beam_block(stale, scorer, unique_entries([0]), None, 3,
+                                8, 1, stamps, 1, None, None, False)
+        assert old is not None and set(old[0][0].tolist()) <= {0, 1, 2, 3}
+        # A node the stale spec has no row for: refused, not read.
+        assert native.beam_block(stale, scorer, unique_entries([40]), None,
+                                 3, 8, 1, stamps, 2, None, None,
+                                 False) is None
+        fresh = greedy_search(dc, store, [40], q[0], 3, 8, prepared=True)
+        assert fresh.executor == "native" and fresh.ids.size == 3
+
+    def test_a_degree_past_the_row_is_refused(self):
+        rng = np.random.default_rng(5)
+        dc = DistanceComputer(rng.standard_normal((6, 3)), "l2")
+        store = AdjacencyStore(6)
+        for u in range(6):
+            store.set_base_neighbors(u, [(u + 1) % 6])
+        q = dc.prepare_query(rng.standard_normal(3))
+        assert greedy_search(dc, store, [0], q, 2, 4,
+                             prepared=True).executor == "native"
+        for corrupt in (store._slab.shape[1] + 1, -1):
+            store._degree[2] = corrupt
+            stamps = np.zeros(6, dtype=np.int32)
+            # The kernel hands the search back instead of reading past the
+            # row; the reference executor's slice cannot leave it either.
+            assert native.beam_block(
+                store.native_graph(), dc.native_scorer(q[None]),
+                unique_entries([0]), None, 2, 4, 1, stamps, 1, None, None,
+                False) is None
+            assert greedy_search(dc, store, [0], q, 2, 4,
+                                 prepared=True).executor == "reference"
+        assert native.Graph.mutable(store._slab[:, ::2], store._degree,
+                                    6) is None
+        assert native.Graph.mutable(store._slab, store._degree, 7) is None
+        assert native.Graph.mutable(store._slab.astype(np.int64),
+                                    store._degree, 6) is None
+
+    def test_build_and_inserts_across_regrows_match_the_reference(self):
+        rng = np.random.default_rng(6)
+        data = rng.standard_normal((90, 7)).astype(np.float32)
+
+        def build():
+            index = HNSW(data[:20], "cosine", M=6, ef_construction=20,
+                         single_layer=True, seed=1)
+            for row in data[20:]:          # 20 -> 90 rows: two doublings
+                index.insert(row)
+            return index
+
+        got = build()
+        with reference_executor():
+            want = build()
+        assert got.adjacency._slab.shape[0] >= 90
+        queries = rng.standard_normal((20, 7)).astype(np.float32)
+        same = [np.array_equal(got.search(q, 5, 30).ids,
+                               want.search(q, 5, 30).ids) for q in queries]
+        assert np.mean(same) >= 0.9   # a near-tie may move an edge
+
+
+# -- the prune kernel -------------------------------------------------------------
+
+@needs_native
+class TestPruneKernel:
+    @pytest.fixture
+    def dc(self):
+        return DistanceComputer(
+            np.random.default_rng(8).standard_normal((30, 6)), "ip")
+
+    def _pool(self, dc, ids):
+        ids = np.asarray(ids, dtype=np.int64)
+        d_u = dc.many_between(ids, 0).astype(np.float64)
+        order = np.lexsort((ids, d_u))
+        return ids[order], d_u[order]
+
+    def test_empty_pool_pool_of_one_and_budget_past_the_pool(self, dc):
+        kind, rows = dc.native_rows()
+        none = np.empty(0, dtype=np.int64)
+        assert native.occlusion_prune(kind, rows, none,
+                                      np.empty(0), 4) == []
+        assert rng_prune(dc, 0, [], 4) == []
+        ids, d_u = self._pool(dc, [7])
+        assert native.occlusion_prune(kind, rows, ids, d_u, 4) == [7]
+        ids, d_u = self._pool(dc, range(1, 30))
+        for budget in (1, 5, 29, 30, 10**6):
+            got = native.occlusion_prune(kind, rows, ids, d_u, budget)
+            assert got == _occlusion_prune(dc, ids, d_u, budget)
+            assert 1 <= len(got) <= min(budget, 29) and got[0] == ids[0]
+
+    def test_an_id_outside_the_rows_is_refused(self, dc):
+        kind, rows = dc.native_rows()
+        for bad in (30, -1, 2**40):
+            ids = np.array([3, bad, 5], dtype=np.int64)
+            assert native.occlusion_prune(kind, rows, ids, np.zeros(3),
+                                          4) is None
 
 
 # -- epoch views: overlay patches, post-horizon nodes, tombstones -------------

@@ -8,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro import TauMNG
 from repro.distances import DistanceComputer, Metric, pairwise_distances
-from repro.graphs import HNSW, Vamana
+from repro.graphs import HNSW, Vamana, native
 from repro.graphs.pruning import (
+    _POOL_CAP,
+    _occlusion_prune,
     alpha_prune,
     mrng_prune,
     random_prune,
@@ -17,6 +19,7 @@ from repro.graphs.pruning import (
     rng_prune_backfill,
     tau_prune,
 )
+from tests.conftest import reference_executor
 
 
 def _dc(points):
@@ -207,6 +210,23 @@ def _loop_rng(dc, u, candidate_ids, max_degree, distances=None):
                        distances)
 
 
+def _loop_rng_backfill(dc, u, candidate_ids, max_degree, distances=None):
+    """``_loop_rng`` plus HNSW's keepPrunedConnections backfill, as
+    ``HNSW._select_neighbors`` wrote it before it was folded into
+    ``rng_prune_backfill``."""
+    candidate_ids = np.asarray(candidate_ids, dtype=np.int64)
+    if distances is None:
+        distances = dc.many_between(candidate_ids, u)
+    kept = _loop_rng(dc, u, candidate_ids, max_degree, distances)
+    for j in np.argsort(distances, kind="stable"):
+        c = int(candidate_ids[j])
+        if len(kept) >= max_degree:
+            break
+        if c != u and c not in kept:
+            kept.append(c)
+    return kept
+
+
 def _loop_alpha(dc, u, candidate_ids, max_degree, alpha=1.2, distances=None):
     return _loop_prune(dc, u, candidate_ids, max_degree, lambda d: d / alpha,
                        distances)
@@ -219,10 +239,13 @@ def _loop_tau(dc, u, candidate_ids, max_degree, tau=0.0, distances=None):
 
 class TestVectorizedPruneBuildsTheSameGraph:
     """A build makes the same comparisons with the bit-packed rule as with
-    the loop, so it yields the same CSR (hashed) at the same build NDC."""
+    the loop, so it yields the same CSR (hashed) at the same build NDC.
+    Bit-identity holds on one executor: both builds run on the reference
+    one (the native rule against it is ``TestNativePrune``)."""
 
     BUILDS = {
-        "rng_prune": ("repro.graphs.hnsw.rng_prune", _loop_rng,
+        "rng_prune": ("repro.graphs.hnsw.rng_prune_backfill",
+                      _loop_rng_backfill,
                       lambda ds: HNSW(ds.base, ds.metric, M=8,
                                       ef_construction=40, seed=3)),
         "alpha_prune": ("repro.graphs.vamana.alpha_prune", _loop_alpha,
@@ -243,9 +266,10 @@ class TestVectorizedPruneBuildsTheSameGraph:
     @pytest.mark.parametrize("rule", list(BUILDS))
     def test_csr_hash_and_build_ndc(self, tiny_ds, monkeypatch, rule):
         target, reference, build = self.BUILDS[rule]
-        vectorized = self._fingerprint(build(tiny_ds))
-        monkeypatch.setattr(target, reference)
-        assert self._fingerprint(build(tiny_ds)) == vectorized
+        with reference_executor():
+            vectorized = self._fingerprint(build(tiny_ds))
+            monkeypatch.setattr(target, reference)
+            assert self._fingerprint(build(tiny_ds)) == vectorized
 
     def test_duplicate_candidate_keeps_its_last_distance(self):
         dc = _dc(np.random.default_rng(2).standard_normal((12, 3)))
@@ -253,3 +277,91 @@ class TestVectorizedPruneBuildsTheSameGraph:
         dists = [0.9, 0.2, 0.1, 0.5, 0.4, 0.8]
         assert rng_prune(dc, 0, cands, 4, distances=dists) == \
             _loop_rng(dc, 0, cands, 4, distances=dists)
+
+
+# -- the native executor of the occlusion rule ---------------------------------
+
+@st.composite
+def exact_pools(draw):
+    """``(dc, u, candidates, max_degree)`` whose every distance is exact in
+    float32 — small integer coordinates for L2 and inner product, rows of
+    four +-1 in eight dimensions (unit after dividing by 2) for cosine — so
+    both executors compare the same numbers: duplicate vectors (distance
+    0), exact ties by the dozen, pools of one and pools past ``_POOL_CAP``."""
+    metric = draw(st.sampled_from(list(Metric)))
+    n = draw(st.one_of(st.integers(2, 40), st.integers(2, 40),
+                       st.just(_POOL_CAP + 60)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**20)))
+    if metric is Metric.COSINE:
+        data = np.zeros((n, 8), dtype=np.float32)
+        for row in data:
+            row[rng.choice(8, size=4, replace=False)] = rng.choice(
+                [-1.0, 1.0], size=4)
+    else:
+        data = rng.integers(-3, 4, size=(n, draw(st.integers(1, 9))))
+    dc = DistanceComputer(data.astype(np.float32), metric)
+    u = int(rng.integers(n))
+    size = n if n > _POOL_CAP else int(rng.integers(0, 2 * n))
+    candidates = rng.integers(0, n, size=size)  # repeats and u included
+    max_degree = draw(st.sampled_from([1, 2, 5, 64]))
+    return dc, u, candidates, max_degree
+
+
+needs_native = pytest.mark.skipif(
+    not native.enabled(),
+    reason=f"no native executor: {native.status()['reason']}")
+
+
+@needs_native
+class TestNativePrune:
+    @settings(max_examples=150, deadline=None)
+    @given(exact_pools(),
+           st.sampled_from([(rng_prune, {}), (rng_prune_backfill, {}),
+                            (alpha_prune, {"alpha": 1.0}),
+                            (alpha_prune, {"alpha": 1.5}),
+                            (tau_prune, {"tau": 0.0}),
+                            (tau_prune, {"tau": 0.25})]),
+           st.booleans())
+    def test_same_kept_list_as_the_reference(self, pool, rule, with_distances):
+        dc, u, candidates, max_degree = pool
+        prune, kwargs = rule
+        if with_distances:
+            kwargs = dict(kwargs,
+                          distances=dc.many_between(candidates, u))
+        with reference_executor():
+            want = prune(dc, u, candidates, max_degree, **kwargs)
+        assert prune(dc, u, candidates, max_degree, **kwargs) == want
+
+    def test_kernel_against_the_reference_on_a_real_pool(self, tiny_ds):
+        """Float data: the kernel's float32 row distances against NumPy's
+        matrix product — equal lists on pools without a near-tie."""
+        dc = DistanceComputer(tiny_ds.base, tiny_ds.metric)
+        kind, rows = dc.native_rows()
+        rng = np.random.default_rng(5)
+        for u in rng.choice(dc.size, size=40, replace=False).tolist():
+            ids = np.setdiff1d(rng.choice(dc.size, size=60, replace=False),
+                               [u])
+            d_u = dc.many_between(ids, u).astype(np.float64)
+            order = np.lexsort((ids, d_u))
+            ids, d_u = ids[order], d_u[order]
+            assert (native.occlusion_prune(kind, rows, ids, d_u, 16)
+                    == _occlusion_prune(dc, ids, d_u, 16))
+
+    def test_subclass_and_foreign_layouts_stay_on_the_reference(
+            self, monkeypatch):
+        data = np.random.default_rng(0).standard_normal((20, 4))
+        pool = list(range(1, 20))
+        want = rng_prune(DistanceComputer(data, "l2"), 0, pool, 4)
+        calls = []
+        monkeypatch.setattr(native, "occlusion_prune",
+                            lambda *args: calls.append(args))
+        fortran = DistanceComputer(data, "l2")
+        fortran._data = np.asfortranarray(fortran._data)
+
+        class Sub(DistanceComputer):
+            pass
+
+        for dc in (fortran, Sub(data, "l2")):
+            assert dc.native_rows() is None
+            assert rng_prune(dc, 0, pool, 4) == want
+        assert calls == []
