@@ -1,12 +1,15 @@
 /* Native executor of paper Algorithm 1 (greedy beam search) over a frozen CSR,
- * an epoch view or the mutable adjacency slab, and of the occlusion rule
+ * an epoch view or the mutable adjacency slab, of the compressed recipe's
+ * exact re-rank after an ADC beam (rerank_row), and of the occlusion rule
  * behind every prune (repro_occlusion_prune, at the end).
  *
  * The reference executor is repro.graphs.search.beam_search (Python); this
  * file is the same algorithm, not a second one: same candidate order
  * (distance, then id), same eviction tie rule in the result heap, same
- * deadline test before every pop, same NDC accounting.  The two are tested
- * differentially (tests/test_native.py).  Built by repro.graphs.native with
+ * deadline test before every pop, same NDC accounting.  The re-rank's
+ * reference is repro.quantization.searcher.rerank_one / rerank_block.  The
+ * two are tested differentially (tests/test_native.py).  Built by
+ * repro.graphs.native with
  * `cc -O2 -shared -fPIC -std=c11` and called through ctypes; no Python.h.
  *
  * No -ffast-math and ISO mode (no FMA contraction): NaN/inf ordering stays
@@ -56,6 +59,18 @@ typedef struct {
     const void *queries;  /* float32 (B, dim) prepared queries | float64 (B, m, ks) ADC tables */
 } beam_scorer;
 
+/* The compressed recipe's last stage: what an ADC beam scored, cut to the
+ * `budget` best and re-scored by an exact scorer over the base rows. */
+typedef struct {
+    beam_scorer exact;    /* SCORE_L2/IP/COSINE, one prepared query per row */
+    int64_t n;            /* rows of exact.rows */
+    int64_t budget;       /* shortlist size */
+} beam_rerank;
+
+/* Per-row counts: {n_results, n_hops, frontier_peak, ndc, degraded,
+ * shortlist size, re-rank nanoseconds}. */
+enum { N_COUNTS = 7 };
+
 typedef struct {
     double d;
     int32_t id;
@@ -102,6 +117,52 @@ static inline void sift_down(beam_item *heap, int64_t size, int64_t pos, int ord
         pos = child;
     }
     heap[pos] = item;
+}
+
+static inline void swap_items(beam_item *a, beam_item *b)
+{
+    beam_item t = *a;
+    *a = *b;
+    *b = t;
+}
+
+/* Reorder items[0..size) so that items[0..count) are the count smallest by
+ * (distance, id), in no particular order: quickselect, median-of-three. */
+static void select_smallest(beam_item *items, int64_t size, int64_t count)
+{
+    int64_t lo = 0, hi = size;  /* items[..lo) <= items[lo..hi) <= items[hi..) */
+    while (lo < count && count < hi && hi - lo > 1) {
+        int64_t mid = lo + (hi - lo) / 2, last = hi - 1;
+        if (before(&items[mid], &items[lo], ORDER_MIN))
+            swap_items(&items[mid], &items[lo]);
+        if (before(&items[last], &items[lo], ORDER_MIN))
+            swap_items(&items[last], &items[lo]);
+        if (before(&items[mid], &items[last], ORDER_MIN))
+            swap_items(&items[mid], &items[last]);
+        const beam_item pivot = items[last];  /* the median of the three */
+        int64_t p = lo;
+        for (int64_t i = lo; i < last; i++)
+            if (before(&items[i], &pivot, ORDER_MIN))
+                swap_items(&items[i], &items[p++]);
+        swap_items(&items[p], &items[last]);
+        if (p < count)
+            lo = p + 1;
+        else
+            hi = p;
+    }
+}
+
+/* items[0..size) ascending by (distance, id): heapsort in place. */
+static void sort_ascending(beam_item *items, int64_t size)
+{
+    for (int64_t i = size / 2 - 1; i >= 0; i--)
+        sift_down(items, size, i, ORDER_MAX);
+    for (int64_t end = size - 1; end > 0; end--) {
+        beam_item top = items[0];
+        items[0] = items[end];
+        items[end] = top;
+        sift_down(items, end, 0, ORDER_MAX);
+    }
 }
 
 static inline float dot8(const float *a, const float *b, int64_t d)
@@ -223,6 +284,11 @@ typedef struct {
     double *collect_d;
 } beam_state;
 
+static inline int is_excluded(const beam_state *st, int32_t v)
+{
+    return st->excluded != NULL && v < st->excluded_n && st->excluded[v];
+}
+
 /* Score node v and fold it into both heaps. */
 static inline int visit(beam_state *st, int32_t v)
 {
@@ -239,7 +305,7 @@ static inline int visit(beam_state *st, int32_t v)
     beam_item item = { d, v };
     st->cand[st->cand_n] = item;
     sift_up(st->cand, st->cand_n++, ORDER_MIN);
-    if (st->excluded != NULL && v < st->excluded_n && st->excluded[v])
+    if (is_excluded(st, v))
         return BEAM_OK;  /* tombstones navigate, never surface */
     if (st->res_n < st->ef) {
         st->res[st->res_n] = item;
@@ -258,7 +324,7 @@ static inline int visit(beam_state *st, int32_t v)
     return BEAM_OK;
 }
 
-/* One query.  counts = {n_results, n_hops, frontier_peak, ndc, degraded}. */
+/* One query; fills counts[0..5). */
 static int beam_one(beam_state *st, const int64_t *entries, int64_t n_entries,
                     int64_t k, int32_t *sel, double budget,
                     const struct timespec *t0, int64_t *out_ids,
@@ -336,17 +402,9 @@ static int beam_one(beam_state *st, const int64_t *entries, int64_t n_entries,
         }
     }
 
-    /* Results ascending by (distance, id): heapsort in place. */
     beam_item *res = st->res;
-    int64_t size = st->res_n;
-    for (int64_t i = size / 2 - 1; i >= 0; i--)
-        sift_down(res, size, i, ORDER_MAX);
-    for (int64_t end = size - 1; end > 0; end--) {
-        beam_item top = res[0];
-        res[0] = res[end];
-        res[end] = top;
-        sift_down(res, end, 0, ORDER_MAX);
-    }
+    const int64_t size = st->res_n;
+    sort_ascending(res, size);
     int64_t n_results = size < k ? size : k;
     for (int64_t i = 0; i < n_results; i++) {
         out_ids[i] = res[i].id;
@@ -360,15 +418,83 @@ static int beam_one(beam_state *st, const int64_t *entries, int64_t n_entries,
     return BEAM_OK;
 }
 
+/* Whether a shortlisted node (exact distance e, ADC pair c) ranks before
+ * another (f, g): by exact distance, ties by (ADC distance, id) — which is
+ * the shortlist's own order, so this is a stable sort by exact distance. */
+static inline int ranks_before(double e, const beam_item *c, double f,
+                               const beam_item *g)
+{
+    return e != f ? e < f : before(c, g, ORDER_MIN);
+}
+
+/* The re-rank of one row, after beam_one (which leaves the scored pairs in
+ * st->collect_*, and the candidate and result heaps free for scratch).
+ * Keeps the rr->budget smallest non-excluded scored pairs by (ADC distance,
+ * id) — what a lexsort of the scored set cut at the budget keeps, a node
+ * scored twice included twice — scores them with the exact scorer in float32
+ * and writes the k best in ranks_before order, the order of a stable argsort
+ * of the exact distances over the sorted shortlist.  Overwrites counts[0] and
+ * fills counts[5..7); a shortlist of 0 (nothing servable was scored) writes
+ * no result and leaves the fallback scan to the caller. */
+static int rerank_row(beam_state *st, const beam_rerank *rr, const void *query,
+                      int64_t k, int64_t *out_ids, double *out_d,
+                      int64_t *counts)
+{
+    beam_item *shortlist = st->cand;  /* capacity n >= ndc */
+    int64_t size = 0;
+    for (int64_t i = 0; i < st->ndc; i++) {
+        int32_t v = (int32_t)st->collect_ids[i];
+        if (!is_excluded(st, v)) {
+            beam_item item = { st->collect_d[i], v };
+            shortlist[size++] = item;
+        }
+    }
+    if (size > rr->budget) {
+        select_smallest(shortlist, size, rr->budget);
+        size = rr->budget;
+    }
+
+    struct timespec t0;
+    clock_gettime(CLOCK_MONOTONIC, &t0);
+    /* Insertion into the k best so far, ascending: their ADC pairs in
+     * best[], their exact distances in out_d[]. */
+    beam_item *best = st->res;        /* capacity >= k */
+    int64_t kept = 0;
+    for (int64_t i = 0; i < size && k > 0; i++) {
+        const beam_item c = shortlist[i];
+        if (c.id >= rr->n)
+            return BEAM_BAD_ID;
+        const double e = score(&rr->exact, query, c.id);
+        if (kept == k && !ranks_before(e, &c, out_d[k - 1], &best[k - 1]))
+            continue;
+        int64_t j = kept < k ? kept++ : k - 1;
+        for (; j > 0 && ranks_before(e, &c, out_d[j - 1], &best[j - 1]); j--) {
+            best[j] = best[j - 1];
+            out_d[j] = out_d[j - 1];
+        }
+        best[j] = c;
+        out_d[j] = e;
+    }
+    for (int64_t i = 0; i < kept; i++)
+        out_ids[i] = best[i].id;
+    counts[0] = kept;
+    counts[5] = size;
+    counts[6] = (int64_t)(1e9 * elapsed_since(&t0));
+    return BEAM_OK;
+}
+
 /* A block of n_queries searches, one after the other, sharing the graph,
  * the scorer's rows, the exclusion bitmap, the scratch heaps and one time
  * budget (seconds from this call; INFINITY = none).  Row r searches with
  * query r of the scorer, visited version version0 + r, and the sorted unique
  * entries[entry_offsets[r]:entry_offsets[r+1]] — or, when entry_offsets is
  * NULL, the n_shared entries every row starts from.  Outputs are row-major
- * (n_queries, k) ids/distances, (n_queries, 5) counts and, when collect_ids
- * is not NULL, (n_queries, n) scored ids/distances.  A single query is a
- * block of one. */
+ * (n_queries, k) ids/distances, (n_queries, N_COUNTS) counts and, when
+ * collect_ids is not NULL and rerank is NULL, (n_queries, n) scored
+ * ids/distances.  With rerank, row r is then re-ranked by rerank_row against
+ * the exact scorer's query r; collect_ids/collect_d are its scratch, n
+ * entries reused by every row, and res must hold max(ef, k) items.  A single
+ * query is a block of one. */
 int repro_beam_block(const beam_graph *graph, const beam_scorer *scorer,
                      int64_t n, int64_t n_queries,
                      const int64_t *entries, const int64_t *entry_offsets,
@@ -378,7 +504,8 @@ int repro_beam_block(const beam_graph *graph, const beam_scorer *scorer,
                      double budget,
                      beam_item *cand, beam_item *res, int32_t *sel,
                      int64_t *out_ids, double *out_d, int64_t *out_counts,
-                     int64_t *collect_ids, double *collect_d)
+                     int64_t *collect_ids, double *collect_d,
+                     const beam_rerank *rerank)
 {
     struct timespec t0;
     clock_gettime(CLOCK_MONOTONIC, &t0);
@@ -394,13 +521,22 @@ int repro_beam_block(const beam_graph *graph, const beam_scorer *scorer,
     for (int64_t r = 0; r < n_queries; r++) {
         st.query = (const char *)scorer->queries + r * query_stride;
         st.version = version0 + (int32_t)r;
-        st.collect_ids = collect_ids != NULL ? collect_ids + r * n : NULL;
-        st.collect_d = collect_ids != NULL ? collect_d + r * n : NULL;
+        const int64_t row = rerank != NULL ? 0 : r * n;
+        st.collect_ids = collect_ids != NULL ? collect_ids + row : NULL;
+        st.collect_d = collect_ids != NULL ? collect_d + row : NULL;
         const int64_t first = entry_offsets != NULL ? entry_offsets[r] : 0;
         const int64_t n_entries = entry_offsets != NULL
             ? entry_offsets[r + 1] - first : n_shared;
+        int64_t *counts = out_counts + r * N_COUNTS;
+        counts[5] = counts[6] = 0;
         int rc = beam_one(&st, entries + first, n_entries, k, sel, budget, &t0,
-                          out_ids + r * k, out_d + r * k, out_counts + r * 5);
+                          out_ids + r * k, out_d + r * k, counts);
+        if (rc == BEAM_OK && rerank != NULL) {
+            const float *query = (const float *)rerank->exact.queries
+                + r * rerank->exact.width;
+            rc = rerank_row(&st, rerank, query, k, out_ids + r * k,
+                            out_d + r * k, counts);
+        }
         if (rc != BEAM_OK)
             return rc;
     }

@@ -1,9 +1,10 @@
 """Loader and call shim of the native traversal core (``_beam.c``).
 
-``_beam.c`` is paper Algorithm 1 written once in C, with the occlusion rule
-of the prunes beside it; this module compiles it with whatever C compiler
-the machine has, loads it with :mod:`ctypes`, and exposes one call each,
-:func:`beam_block` and :func:`occlusion_prune`.  :mod:`repro.graphs.search`
+``_beam.c`` is paper Algorithm 1 written once in C, with the compressed
+recipe's exact re-rank and the occlusion rule of the prunes beside it; this
+module compiles it with whatever C compiler the machine has, loads it with
+:mod:`ctypes`, and exposes one call each, :func:`beam_block` and
+:func:`occlusion_prune`.  :mod:`repro.graphs.search`
 imports this module — so the build happens at import, never inside a timed
 build or a first query — and decides per search which executor runs: the native one
 when the library is loaded *and* both the scorer and the graph can describe
@@ -69,6 +70,11 @@ class _CScorer(ctypes.Structure):
     _fields_ = [("kind", ctypes.c_int32), ("rows", ctypes.c_void_p),
                 ("width", ctypes.c_int64), ("ks", ctypes.c_int64),
                 ("queries", ctypes.c_void_p)]
+
+
+class _CRerank(ctypes.Structure):
+    _fields_ = [("exact", _CScorer), ("n", ctypes.c_int64),
+                ("budget", ctypes.c_int64)]
 
 
 class Graph:
@@ -289,7 +295,8 @@ def _bind(path: pathlib.Path):
     p, i64 = ctypes.c_void_p, ctypes.c_int64
     beam.argtypes = [ctypes.POINTER(_CGraph), ctypes.POINTER(_CScorer),
                      i64, i64, p, p, i64, i64, i64, i64, p, ctypes.c_int32,
-                     p, i64, ctypes.c_double, p, p, p, p, p, p, p, p]
+                     p, i64, ctypes.c_double, p, p, p, p, p, p, p, p,
+                     ctypes.POINTER(_CRerank)]
     beam.restype = ctypes.c_int
     prune.argtypes = [ctypes.c_int32, p, i64, i64, p, p, i64, i64, p]
     prune.restype = i64
@@ -339,7 +346,8 @@ def beam_block(graph: Graph, scorer: Scorer, entries: np.ndarray,
                entry_offsets: np.ndarray | None, k: int, ef: int,
                beam_width: int, stamps: np.ndarray, version0: int,
                mask: np.ndarray | None, deadline: float | None,
-               collect: bool) -> list[tuple] | None:
+               collect: bool,
+               rerank: tuple[Scorer, int] | None = None) -> list[tuple] | None:
     """Run one search per row of ``scorer.queries`` on the native core.
 
     ``entries`` are sorted unique int64 ids shared by every row, or — with
@@ -350,11 +358,18 @@ def beam_block(graph: Graph, scorer: Scorer, entries: np.ndarray,
     the block; the kernel receives what is left of it in seconds and counts
     on its own monotonic clock.
 
+    ``rerank`` is None or ``(exact, budget)``: an exact :class:`Scorer` over
+    the base rows with one prepared query per row, and a shortlist size.
+    The kernel then carves each row's top-``budget`` non-excluded scored
+    nodes by (distance, id), scores them exactly and returns their exact
+    top-``k`` instead of the beam's (``collect`` is ignored).
+
     Returns one ``(ids, distances, n_hops, frontier_peak, ndc, degraded,
-    scored_ids, scored_distances)`` per row (the last two None unless
-    ``collect``), or None when the kernel refused the input — an id outside
-    the scorer's rows, or a duplicate edge that would score a node twice —
-    and the reference executor must decide.
+    scored_ids, scored_distances, shortlist, rerank_seconds)`` per row (the
+    scored pair None unless ``collect``, the last two 0 unless ``rerank``),
+    or None when the kernel refused the input — an id outside the scorer's
+    rows, or a duplicate edge that would score a node twice — and the
+    reference executor must decide.
     """
     rows, queries = scorer.rows, scorer.queries
     n, n_queries = rows.shape[0], queries.shape[0]
@@ -362,19 +377,31 @@ def beam_block(graph: Graph, scorer: Scorer, entries: np.ndarray,
         return None
     c_scorer = _CScorer(scorer.kind, rows.ctypes.data, rows.shape[1],
                         queries.shape[2] if scorer.kind == ADC else 0, 0)
+    c_rerank = None
+    if rerank is not None:
+        exact, budget = rerank
+        if exact.queries.shape[0] != n_queries:
+            return None
+        c_rerank = _CRerank(
+            _CScorer(exact.kind, exact.rows.ctypes.data, exact.rows.shape[1],
+                     0, exact.queries.ctypes.data),
+            exact.rows.shape[0], budget)
+        collect = False
     query_bytes = queries.strides[0]
     cand_p = _buffer("cand", 2 * n, np.float64)[1]      # 16-byte items
-    res_p = _buffer("res", 2 * ef, np.float64)[1]
+    res_p = _buffer("res", 2 * max(ef, k), np.float64)[1]
     sel_p = _buffer("sel", beam_width, np.int32)[1]
     step = max(1, _COLLECT_CAP // max(n, 1)) if collect else n_queries
     step = min(step, n_queries)
     ids, ids_p = _buffer("ids", step * k, np.int64)
     dist, dist_p = _buffer("dist", step * k, np.float64)
-    counts, counts_p = _buffer("counts", step * 5, np.int64)
+    counts, counts_p = _buffer("counts", step * 7, np.int64)  # N_COUNTS
     seen = seen_d = seen_p = seen_d_p = None
-    if collect:
-        seen, seen_p = _buffer("seen", step * n, np.int64)
-        seen_d, seen_d_p = _buffer("seen_d", step * n, np.float64)
+    if collect or rerank is not None:
+        # One row's scored pairs as the re-rank's scratch, else every row's.
+        scratch = n if rerank is not None else step * n
+        seen, seen_p = _buffer("seen", scratch, np.int64)
+        seen_d, seen_d_p = _buffer("seen_d", scratch, np.float64)
     stamps_p = stamps.ctypes.data
     entries_p = entries.ctypes.data
     offsets_p = None if entry_offsets is None else entry_offsets.ctypes.data
@@ -392,18 +419,24 @@ def beam_block(graph: Graph, scorer: Scorer, entries: np.ndarray,
             None if offsets_p is None else offsets_p + 8 * start,
             entries.shape[0], k, ef, beam_width, stamps_p, version0 + start,
             mask_p, mask_n, budget, cand_p, res_p, sel_p,
-            ids_p, dist_p, counts_p, seen_p, seen_d_p)
+            ids_p, dist_p, counts_p, seen_p, seen_d_p, c_rerank)
         if rc != 0:
             return None
+        # Rows are views of one copy of the block's outputs: the scratch
+        # buffers are reused by this thread's next call.
+        block_ids, block_d = ids[:count * k].copy(), dist[:count * k].copy()
+        block_counts = counts[:7 * count].tolist()
         for r in range(count):
-            found, hops, peak, ndc, degraded = counts[5 * r:5 * r + 5].tolist()
+            (found, hops, peak, ndc, degraded, shortlist,
+             rerank_ns) = block_counts[7 * r:7 * r + 7]
             lo = r * k
             scored = scored_d = None
             if collect:
                 scored = seen[r * n:r * n + ndc].copy()
                 scored_d = seen_d[r * n:r * n + ndc].copy()
-            out.append((ids[lo:lo + found].copy(), dist[lo:lo + found].copy(),
-                        hops, peak, ndc, bool(degraded), scored, scored_d))
+            out.append((block_ids[lo:lo + found], block_d[lo:lo + found],
+                        hops, peak, ndc, bool(degraded), scored, scored_d,
+                        shortlist, 1e-9 * rerank_ns))
     return out
 
 

@@ -21,7 +21,10 @@ runs natively when both can — a frozen CSR, an epoch view or the live
 plain :class:`~repro.distances.DistanceComputer` or PQ codes — else the
 reference loop runs: a plain ``neighbors_fn`` callable, a proxy scorer, a
 float64 query, a machine without a C compiler.  A call site therefore names
-its graph by the object (store, view), never by a bound method.  The two
+its graph by the object (store, view), never by a bound method.  A
+compressed search may also hand the native executor the recipe's last
+stage (``rerank``: shortlist the ADC-scored set, re-rank it exactly), whose
+reference is the Python recipe in :mod:`repro.quantization.searcher`.  The two
 are tested differentially (``tests/test_native.py``): same ids, hops, NDC,
 frontier peak and ``degraded``, distances within float32 rounding of each
 other (NumPy's reduction order is not reproducible in a C loop).
@@ -163,7 +166,12 @@ class SearchResult:
     expired before natural termination: the results are the best found so
     far, not the full-effort answer.  ``executor`` names what ran the
     traversal: ``"native"`` (``_beam.c``) or ``"reference"`` (the Python
-    loops).
+    loops).  ``ndc`` counts the traversal's own scorings (ADC lookups on a
+    compressed route).  ``rerank`` is ``(shortlist size, seconds)`` when
+    the native core also ran the compressed recipe's exact re-rank for
+    this search (:func:`native_search`'s ``rerank``): ``ids``/``distances``
+    are then the exact top-k of that shortlist, and a shortlist of 0 means
+    nothing servable was scored.
     """
 
     ids: np.ndarray
@@ -174,6 +182,8 @@ class SearchResult:
     frontier_peak: int = 0
     degraded: bool = False
     executor: str = "reference"
+    ndc: int = 0
+    rerank: tuple[int, float] | None = None
 
 
 def pad_results(results: list[SearchResult],
@@ -212,10 +222,11 @@ def beam_search(score, neighbors_fn, entry_ids: np.ndarray, ef: int,
     :func:`greedy_search` passes the exact kernel, the PQ searcher its ADC
     lookup.  ``entry_ids`` come from :func:`unique_entries`; ``visited``
     must already cover the graph (a new epoch is started here).  Returns
-    ``(results, n_hops, frontier_peak, degraded, scored)``: ``results`` is
-    the max-heap of ``(-distance, id)`` holding the ``ef`` best non-excluded
-    nodes, ``scored`` the ``(ids, distances)`` arrays of every node
-    evaluated, in evaluation order, when ``collect`` is set (else ``None``).
+    ``(results, n_hops, frontier_peak, degraded, scored, ndc)``:
+    ``results`` is the max-heap of ``(-distance, id)`` holding the ``ef``
+    best non-excluded nodes, ``scored`` the ``(ids, distances)`` arrays of
+    every node evaluated, in evaluation order, when ``collect`` is set
+    (else ``None``), ``ndc`` how many ids ``score`` was handed.
 
     ``beam_width`` candidates are expanded per round.  Width 1 is the
     sequential search: pop the closest candidate, score its unvisited
@@ -258,6 +269,7 @@ def beam_search(score, neighbors_fn, entry_ids: np.ndarray, ef: int,
     bound = -results[0][0] if full else 0.0
 
     n_hops = 0
+    ndc = entry_ids.shape[0]
     degraded = False
     frontier_peak = len(candidates)
     while candidates:
@@ -288,6 +300,7 @@ def beam_search(score, neighbors_fn, entry_ids: np.ndarray, ef: int,
         if fresh.size == 0:
             continue
         dists = score(fresh)
+        ndc += fresh.shape[0]
         if collect:
             scored_ids.append(fresh)
             scored_d.append(dists)
@@ -324,7 +337,7 @@ def beam_search(score, neighbors_fn, entry_ids: np.ndarray, ef: int,
                         bound = -results[0][0]
     scored = ((np.concatenate(scored_ids), np.concatenate(scored_d))
               if collect else None)
-    return results, n_hops, frontier_peak, degraded, scored
+    return results, n_hops, frontier_peak, degraded, scored, ndc
 
 
 def native_search(scorer_owner, graph_owner, queries: np.ndarray,
@@ -332,6 +345,7 @@ def native_search(scorer_owner, graph_owner, queries: np.ndarray,
                   beam_width: int, visited: VisitedTable,
                   excluded: set[int] | None, deadline: float | None,
                   collect: bool, scorer_args: tuple = (),
+                  rerank: tuple | None = None,
                   ) -> tuple[list[SearchResult], int] | None:
     """Run a block of searches on the native executor, if it can.
 
@@ -343,16 +357,28 @@ def native_search(scorer_owner, graph_owner, queries: np.ndarray,
     the reference executor has to run.
     ``entry_lists`` holds one :func:`unique_entries` array per query row
     (the same object repeated when the rows share their entries).
+
+    ``rerank`` is None or ``(exact_owner, exact_queries, budget)``: the
+    compressed recipe's last stage in the same call.  ``exact_owner`` (a
+    :class:`~repro.distances.DistanceComputer`) is asked for
+    ``native_scorer(exact_queries)``, one prepared query per row; each
+    result then carries ``rerank=(shortlist size, seconds)`` and the exact
+    top-k of its ``budget`` best scored nodes, and the exact distances are
+    the caller's to count.  An exact scorer without a native description
+    is a ``"scorer"`` fallback like any other.
     """
     n_queries = len(entry_lists)
+    exact = None
     if not native.enabled():
         reason = "unavailable"
     elif (graph := native.spec(graph_owner, "native_graph")) is None:
         # Asked first: a plain ``neighbors_fn`` answers with one getattr,
         # before any scorer is built.
         reason = "graph"
-    elif (scorer := native.spec(scorer_owner, "native_scorer", *scorer_args,
-                                queries)) is None:
+    elif ((scorer := native.spec(scorer_owner, "native_scorer", *scorer_args,
+                                 queries)) is None
+          or (rerank is not None and (exact := native.spec(
+              rerank[0], "native_scorer", rerank[1])) is None)):
         reason = "scorer"
     else:
         entries, offsets = entry_lists[0], None
@@ -364,7 +390,8 @@ def native_search(scorer_owner, graph_owner, queries: np.ndarray,
         rows = native.beam_block(
             graph, scorer, entries, offsets, k, ef, beam_width,
             visited._stamps, visited.reserve(n_queries),
-            graph.mask_for(excluded), deadline, collect)
+            graph.mask_for(excluded), deadline, collect,
+            None if exact is None else (exact, rerank[2]))
         reason = "rejected" if rows is None else None
     if reason is not None:
         if OBS.enabled:
@@ -374,14 +401,15 @@ def native_search(scorer_owner, graph_owner, queries: np.ndarray,
     _NATIVE_QUERIES.inc(n_queries)
     ndc = 0
     results = []
-    for ids, distances, n_hops, frontier_peak, row_ndc, degraded, v_ids, v_d \
-            in rows:
+    for (ids, distances, n_hops, frontier_peak, row_ndc, degraded, v_ids, v_d,
+         shortlist, seconds) in rows:
         ndc += row_ndc
         results.append(SearchResult(
             ids=ids, distances=distances, n_hops=n_hops,
             visited_ids=v_ids, visited_distances=v_d,
             frontier_peak=frontier_peak, degraded=degraded,
-            executor="native"))
+            executor="native", ndc=row_ndc,
+            rerank=None if exact is None else (shortlist, seconds)))
     return results, ndc
 
 
@@ -391,14 +419,15 @@ def _reference_row(score, neighbors_fn, entry_ids: np.ndarray, k: int,
                    collect_visited: bool) -> SearchResult:
     """One :func:`beam_search` scored by ``score(ids)`` as a
     :class:`SearchResult`."""
-    results, n_hops, frontier_peak, degraded, scored = beam_search(
+    results, n_hops, frontier_peak, degraded, scored, ndc = beam_search(
         score, neighbors_fn, entry_ids, ef, visited, excluded, deadline,
         collect_visited, beam_width)
     ordered = sorted((-d, node) for d, node in results)[:k]
     result = SearchResult(
         ids=np.array([node for _, node in ordered], dtype=np.int64),
         distances=np.array([d for d, _ in ordered], dtype=np.float64),
-        n_hops=n_hops, frontier_peak=frontier_peak, degraded=degraded)
+        n_hops=n_hops, frontier_peak=frontier_peak, degraded=degraded,
+        ndc=ndc)
     if collect_visited:
         result.visited_ids, result.visited_distances = scored
     return result
@@ -552,7 +581,8 @@ class BatchSearchEngine:
     def search_batch(self, queries: np.ndarray, k: int, ef: int,
                      deadline: float | None = None,
                      collect_visited: bool = False,
-                     prepared: bool = False) -> list[SearchResult]:
+                     prepared: bool = False,
+                     rerank: tuple | None = None) -> list[SearchResult]:
         """Search all ``queries``; returns one :class:`SearchResult` per row.
 
         ``deadline`` (absolute ``time.perf_counter()``) is one budget for
@@ -564,13 +594,21 @@ class BatchSearchEngine:
         the batch.
         ``collect_visited`` additionally records every (node, distance)
         scored for each query — the batched counterpart of
-        :func:`greedy_search`'s flag, and what the compressed path re-ranks
-        from (the visited set is a strict superset of the ef-pool, so an
+        :func:`greedy_search`'s flag, and what the compressed path's
+        reference recipe re-ranks from (the visited set is a strict
+        superset of the ef-pool, so an
         exact re-rank over it recovers recall the approximate ordering
         lost, at zero extra traversal cost).  ``prepared`` marks the rows as
         already passed through ``dc.prepare_query`` (the caller built the
         matrix for its own use, e.g. ADC tables), skipping a second
         per-row preparation pass.
+
+        ``rerank=(exact_dc, budget)`` asks the native executor for the
+        compressed recipe's exact re-rank in the same call (see
+        :func:`native_search`), scored against the block's prepared rows:
+        a native row comes back re-ranked, with ``rerank`` set.  A row the
+        reference executor answered comes back as ``collect_visited`` would
+        return it, for the caller's own re-rank.
         """
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
@@ -582,12 +620,13 @@ class BatchSearchEngine:
         for start in range(0, queries.shape[0], self.batch_size):
             out.extend(self._run_block(queries[start:start + self.batch_size],
                                        k, max(ef, k), deadline,
-                                       collect_visited, prepared))
+                                       collect_visited, prepared, rerank))
         return out
 
     def _run_block(self, block: np.ndarray, k: int, ef: int,
                    deadline: float | None, collect_visited: bool,
-                   prepared: bool) -> list[SearchResult]:
+                   prepared: bool, rerank: tuple | None,
+                   ) -> list[SearchResult]:
         """One block: per-block state, then the rows on either executor.
 
         The graph snapshot (one epoch pin), the excluded set, query
@@ -637,21 +676,23 @@ class BatchSearchEngine:
                            for q in qmat]
 
         neighbors_fn = graph if graph is not None else self.neighbors_fn
-        found = native_search(dc, neighbors_fn, qmat, entry_lists, k, ef,
-                              self.beam_width, self._visited, excluded,
-                              deadline, collect_visited)
+        found = native_search(
+            dc, neighbors_fn, qmat, entry_lists, k, ef, self.beam_width,
+            self._visited, excluded, deadline, collect_visited,
+            rerank=None if rerank is None else (rerank[0], qmat, rerank[1]))
         if found is not None:
             final, ndc = found
             dc.ndc += ndc
         else:
             self._visited.grow(dc.size)
             score = dc.block_to_queries
+            collect = collect_visited or rerank is not None
             final = [
                 _reference_row(
                     lambda ids, row=row: score(
                         ids, qmat, np.full(ids.shape[0], row)),
                     neighbors_fn, entries, k, ef, self.beam_width,
-                    self._visited, excluded, deadline, collect_visited)
+                    self._visited, excluded, deadline, collect)
                 for row, entries in enumerate(entry_lists)]
         if telemetry:
             _BATCH_BLOCKS.inc()

@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.distances import DistanceComputer
 from repro.quantization.pq import ProductQuantizer
+from repro.utils.growth import with_capacity
 
 
 class ADCComputer:
@@ -51,14 +52,10 @@ class ADCComputer:
         self.pq = pq
         if not self.pq.is_fitted:
             self.pq.fit(np.asarray(base.data))
-        self.codes = self.pq.encode(np.asarray(base.data))
+        # ``codes`` is the live ``[:size]`` view of ``_rows``, the
+        # capacity-doubling array :meth:`sync` appends into.
+        self._rows = self.codes = self.pq.encode(np.asarray(base.data))
         self.ndc = 0  # cheap ADC scorings (m uint8 lookups each)
-        # Per-subspace layout for the hot gather: codes transposed to
-        # (m, n) so each subspace's column is contiguous, and flat table
-        # offsets so scoring is m one-dimensional `take` calls (measurably
-        # faster than one 3-d fancy-index on the same data).
-        self._codes_t = np.ascontiguousarray(self.codes.T)
-        self._offsets = (np.arange(self.pq.m) * self.pq.ks).astype(np.int64)
         # The open block's tables, (B * m * ks,), and the sequential path's
         # (m, ks) one: per thread, because concurrent readers share this
         # computer and each opens its own block.
@@ -108,15 +105,18 @@ class ADCComputer:
         Incremental re-encode on insert: ``DistanceComputer.append`` lands
         the raw row *before* the graph publishes the node id (HNSW inserts
         data first), so syncing at block/search start guarantees every id a
-        pinned view can surface has a code.
+        pinned view can surface has a code.  Amortised O(new rows): the
+        codes grow by capacity doubling, never by copying the matrix per
+        insert.
         """
         have = self.codes.shape[0]
         total = self.base.size
         if total <= have:
             return 0
         fresh = self.pq.encode(np.asarray(self.base.data[have:total]))
-        self.codes = np.ascontiguousarray(np.vstack([self.codes, fresh]))
-        self._codes_t = np.ascontiguousarray(self.codes.T)
+        self._rows = with_capacity(self._rows, have, total)
+        self._rows[have:total] = fresh
+        self.codes = self._rows[:total]
         return total - have
 
     # -- block scoring (batch engine) ----------------------------------------
@@ -143,21 +143,20 @@ class ADCComputer:
         """ADC scores of code rows ``ids[i]`` against query ``owners[i]``.
 
         Requires :meth:`begin_block` for the current query matrix (the
-        engine calls it once per block).  Scoring is ``m`` flat ``take``
-        gathers over the block's table stack — each subspace reads a
-        contiguous code column, which beats a single 3-d fancy-index.
+        engine calls it once per block).  One gather of the code rows, one
+        ``take`` of their table entries from the block's flat table stack,
+        then a running sum over the subspaces — the order
+        :meth:`ProductQuantizer.adc_distances` and ``_beam.c`` sum in.
         """
         ids = np.asarray(ids, dtype=np.int64)
         owners = np.asarray(owners, dtype=np.int64)
         if ids.size and int(ids.max()) >= self.codes.shape[0]:
             self.sync()  # id published after begin_block's sync
         self.ndc += ids.shape[0]
-        flat, codes_t = self._open.flat_tables, self._codes_t
-        base = owners * self._offsets.shape[0] * self.pq.ks
-        acc = flat.take(base + codes_t[0].take(ids))
-        for j in range(1, self._offsets.shape[0]):
-            acc += flat.take(base + self._offsets[j] + codes_t[j].take(ids))
-        return acc
+        m, ks = self.pq.m, self.pq.ks
+        entries = ((owners * (m * ks))[:, None] + np.arange(0, m * ks, ks)
+                   + self.codes[ids])
+        return self._open.flat_tables.take(entries).cumsum(axis=1)[:, -1]
 
     # -- sequential scoring --------------------------------------------------
 

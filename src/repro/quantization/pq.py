@@ -100,31 +100,22 @@ class ProductQuantizer:
 
         Summing table rows over a code's entries yields the comparison
         distance (squared L2, or negated dot for IP/COSINE on normalized
-        data).
+        data).  The block of one of :meth:`adc_tables`, so a query's table
+        is the same array whichever path built it.
         """
         self._require_fitted()
         query = np.asarray(query, dtype=np.float32)
         if query.shape != (self.dim,):
             raise ValueError(f"expected query of dimension {self.dim}")
-        sub_q = query.reshape(self.m, -1)
-        table = np.empty((self.m, self.ks), dtype=np.float64)
-        for j in range(self.m):
-            if self.metric is Metric.L2:
-                diff = self.codebooks[j] - sub_q[j]
-                table[j] = np.einsum("ij,ij->i", diff, diff)
-            else:
-                table[j] = -(self.codebooks[j] @ sub_q[j])
-        return table
+        return self.adc_tables(query[None])[0]
 
     def adc_tables(self, queries: np.ndarray) -> np.ndarray:
         """ADC tables for a block of prepared queries, shape (B, m, ks).
 
-        The batched counterpart of :meth:`adc_table`: one einsum per metric
-        builds every query's per-subspace lookup table at once, which is what
-        lets the batch engine amortize table construction over a whole block.
-        Row ``b`` equals ``adc_table(queries[b])`` up to floating-point
-        accumulation order (the per-subspace reductions run over the same
-        ``d_sub`` axis, so in practice the tables agree to float32 rounding).
+        One einsum per metric builds every query's per-subspace lookup
+        table at once, which is what lets the batch engine amortize table
+        construction over a whole block; row ``b`` is bit-identical to
+        ``adc_table(queries[b])``.
         """
         self._require_fitted()
         queries = np.ascontiguousarray(queries, dtype=np.float32)
@@ -141,9 +132,16 @@ class ProductQuantizer:
         return table.astype(np.float64, copy=False)
 
     def adc_distances(self, codes: np.ndarray, table: np.ndarray) -> np.ndarray:
-        """Approximate distances of coded vectors to the table's query."""
+        """Approximate distances of coded vectors to the table's query.
+
+        Table entries are summed in subspace order (a running sum, not
+        NumPy's pairwise reduction, which regroups past 8 terms): the
+        order ``_beam.c`` and :meth:`ADCComputer.block_to_queries
+        <repro.quantization.adc.ADCComputer.block_to_queries>` sum in, so
+        all three give bit-identical distances on one table.
+        """
         codes = np.asarray(codes, dtype=np.int64)
-        return table[np.arange(self.m), codes].sum(axis=-1)
+        return table[np.arange(self.m), codes].cumsum(axis=-1)[..., -1]
 
     def native_scorer(self, codes: np.ndarray, tables: np.ndarray):
         """ADC over ``codes`` as a :class:`repro.graphs.native.Scorer`, one

@@ -6,26 +6,35 @@ lookups instead of a full d-dimensional distance, then the shortlist is
 re-ranked exactly.  Full-precision NDC drops to the re-rank budget; the
 cheap lookups are counted separately so benches can report both.
 
-Two traversal shapes share the machinery: :func:`pq_greedy_search` runs
-one query with ADC lookups as its scorer, and
-:class:`~repro.graphs.search.BatchSearchEngine` runs a block over an
-:class:`~repro.quantization.adc.ADCComputer`.  Both go through
-:func:`~repro.graphs.search.native_search` — the C traversal core when the
-graph is frozen and the codes are plain uint8 — and otherwise through the
-reference executor, :func:`~repro.graphs.search.beam_search` (so entry
-handling, visited bookkeeping, tombstone traversal and deadline degradation
-are :func:`~repro.graphs.search.greedy_search`'s by construction).
+Two traversal shapes share the machinery: :func:`rerank_one` (and
+:func:`pq_greedy_search`, its bare beam) runs one query with ADC lookups
+as its scorer, and :class:`~repro.graphs.search.BatchSearchEngine` runs a
+block over an :class:`~repro.quantization.adc.ADCComputer`.  Both go
+through :func:`~repro.graphs.search.native_search` — the C traversal core
+when the graph is frozen and the codes are plain uint8 — and otherwise
+through the reference executor, :func:`~repro.graphs.search.beam_search`
+(so entry handling, visited bookkeeping, tombstone traversal and deadline
+degradation are :func:`~repro.graphs.search.greedy_search`'s by
+construction).
 
 The recipe around either traversal — ADC beam, shortlist carved from the
 *visited* set, fallback scan for an empty result, one exact re-rank — is
 written once per traversal shape, in :func:`rerank_one` and
-:func:`rerank_block`.  :class:`PQRerankSearcher` runs them over a live
-graph; :class:`~repro.serving.ServingSearcher` runs the same two functions
-over pinned epoch views.
+:func:`rerank_block`, and has the beam's two executors.  Natively it is
+one call: ``_beam.c`` carves each row's top-``budget`` shortlist from what
+its beam scored and re-ranks it exactly before returning
+(``native_search``'s ``rerank``).  The Python recipe —
+:func:`visited_shortlist` by (ADC distance, id), then
+:func:`exact_rerank` — is the reference executor of that stage and runs
+for every row the beam did not run natively.  The fallback scan
+(:func:`fallback_shortlist`) is Python on both.  :class:`PQRerankSearcher`
+runs the two functions over a live graph;
+:class:`~repro.serving.ServingSearcher` runs them over pinned epoch views.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import numpy as np
@@ -33,7 +42,7 @@ import numpy as np
 from repro.distances import DistanceComputer
 from repro.graphs.base import live_graph_engine
 from repro.graphs.search import (BatchSearchEngine, SearchResult, VisitedTable,
-                                 beam_search, native_search, pad_results,
+                                 _reference_row, native_search, pad_results,
                                  unique_entries)
 from repro.quantization.adc import ADCComputer
 from repro.quantization.pq import ProductQuantizer
@@ -56,11 +65,11 @@ def pq_greedy_search(
 
     Returns ``(candidate ids best-first, number of ADC scorings,
     degraded)``.  Distances are approximate, so callers re-rank the output
-    exactly.  The returned candidates are *every* node the beam scored (not
-    just the final ef-pool), ordered by ADC distance: the visited set is a
-    strict superset of the pool, so re-ranking a shortlist of it recovers
-    recall the approximate ordering lost without widening the beam — the
-    OOD-DiskANN recipe.  As in
+    exactly.  The returned candidates are *every* non-excluded node the
+    beam scored (not just the final ef-pool), ordered by (ADC distance,
+    id): the visited set is a strict superset of the pool, so re-ranking a
+    shortlist of it recovers recall the approximate ordering lost without
+    widening the beam — the OOD-DiskANN recipe.  As in
     :func:`~repro.graphs.search.greedy_search`, excluded (tombstoned)
     entries still seed the traversal — they navigate but never surface —
     and a reused visited table is regrown to the code matrix before
@@ -68,15 +77,22 @@ def pq_greedy_search(
     ``deadline`` (absolute ``time.perf_counter()``) stops the expansion
     best-so-far once it passes.
     """
-    return _pq_traverse(pq, codes, neighbors_fn, entry_points, table, k, ef,
-                        visited, excluded, deadline)[:3]
+    traversal = _pq_traverse(pq, codes, neighbors_fn, entry_points, table, k,
+                             ef, visited, excluded, deadline)
+    ids = visited_shortlist(traversal.visited_ids,
+                            traversal.visited_distances, excluded, None)
+    return ids, traversal.ndc, traversal.degraded
 
 
 def _pq_traverse(pq, codes, neighbors_fn, entry_points, table, k, ef,
-                 visited, excluded, deadline,
-                 ) -> tuple[np.ndarray, int, bool, int, str]:
-    """:func:`pq_greedy_search` plus what the serving path also reports:
-    ``(ids, n_scored, degraded, n_hops, executor)``."""
+                 visited, excluded, deadline, rerank=None) -> SearchResult:
+    """One ADC beam of one query on whichever executor can run it.
+
+    The result carries every node the beam scored
+    (``visited_ids``/``visited_distances``) — unless ``rerank=(dc, q[None],
+    budget)`` was passed and the native core ran, in which case it also ran
+    the re-rank and the result is re-ranked (``result.rerank`` is set).
+    """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
     if visited is None:
@@ -84,37 +100,29 @@ def _pq_traverse(pq, codes, neighbors_fn, entry_points, table, k, ef,
     # A reused table may predate incremental insertion; without this,
     # stamping new node ids raises IndexError (same fix as greedy_search).
     visited.grow(codes.shape[0])
-    entry_ids = unique_entries(entry_points)
-    found = native_search(pq, neighbors_fn, table[None], [entry_ids], k,
-                          max(ef, k), 1, visited, excluded, deadline,
-                          collect=True, scorer_args=(codes,))
+    entry_ids, ef = unique_entries(entry_points), max(ef, k)
+    found = native_search(pq, neighbors_fn, table[None], [entry_ids], k, ef,
+                          1, visited, excluded, deadline,
+                          collect=rerank is None, scorer_args=(codes,),
+                          rerank=rerank)
     if found is not None:
-        (result,), _ = found
-        ids, d = result.visited_ids, result.visited_distances
-        degraded, n_hops = result.degraded, result.n_hops
-    else:
-        adc_distances = pq.adc_distances
-        _, n_hops, _, degraded, (ids, d) = beam_search(
-            lambda nodes: adc_distances(codes[nodes], table), neighbors_fn,
-            entry_ids, max(ef, k), visited, excluded, deadline, collect=True)
-    n_scored = int(ids.shape[0])
-    if excluded:
-        keep = np.fromiter((int(i) not in excluded for i in ids),
-                           dtype=bool, count=ids.shape[0])
-        ids, d = ids[keep], d[keep]
-    order = np.lexsort((ids, d))  # distance-then-id, matching the heap order
-    return (ids[order], n_scored, degraded, n_hops,
-            "reference" if found is None else "native")
+        return found[0][0]
+    adc_distances = pq.adc_distances
+    return _reference_row(lambda nodes: adc_distances(codes[nodes], table),
+                          neighbors_fn, entry_ids, k, ef, 1, visited,
+                          excluded, deadline, True)
 
 
 def visited_shortlist(ids: np.ndarray, dists: np.ndarray,
-                      excluded: set[int] | None, budget: int) -> np.ndarray:
-    """Top-``budget`` non-excluded visited nodes by ADC distance.
+                      excluded: set[int] | None,
+                      budget: int | None) -> np.ndarray:
+    """Top-``budget`` non-excluded visited nodes by (ADC distance, id).
 
-    The batched counterpart of :func:`pq_greedy_search`'s output: excluded
+    The reference executor of the shortlist ``_beam.c`` carves: excluded
     (tombstoned/removed) nodes navigated during traversal but must never
     reach the exact re-rank, and of what remains only the ``budget``
-    ADC-best are worth full-precision distances.
+    ADC-best are worth full-precision distances (every one for None),
+    ascending, ties by id, a node scored twice kept twice.
     """
     if ids is None or ids.size == 0:
         return np.empty(0, dtype=np.int64)
@@ -122,12 +130,7 @@ def visited_shortlist(ids: np.ndarray, dists: np.ndarray,
         keep = np.fromiter((int(i) not in excluded for i in ids),
                            dtype=bool, count=ids.shape[0])
         ids, dists = ids[keep], dists[keep]
-        if ids.size == 0:
-            return ids.astype(np.int64)
-    if ids.size <= budget:
-        return ids.astype(np.int64, copy=False)
-    part = np.argpartition(dists, budget - 1)[:budget]
-    return ids[part].astype(np.int64, copy=False)
+    return ids[np.lexsort((ids, dists))[:budget]].astype(np.int64, copy=False)
 
 
 def fallback_shortlist(adc: ADCComputer, table: np.ndarray,
@@ -160,39 +163,35 @@ def fallback_shortlist(adc: ADCComputer, table: np.ndarray,
 
 def exact_rerank(dc: DistanceComputer, qmat: np.ndarray,
                  shortlists: list[np.ndarray], k: int,
-                 degraded: list[bool] | None = None,
-                 hops: list[int] | None = None) -> tuple[list[SearchResult], int]:
+                 traversals: list[SearchResult],
+                 ) -> tuple[list[SearchResult], int]:
     """Exact re-rank of per-query ADC shortlists in one block gather.
 
-    The only full-precision touches of the compressed path: all shortlist
-    rows across the block are gathered with a single
+    The reference executor's full-precision touches: all shortlist rows
+    across the block are gathered with a single
     :meth:`~repro.distances.DistanceComputer.block_to_queries` call (one
-    lazy page-in pass when ``dc`` is memmap-backed), then each query keeps
-    its ``k`` exactly-nearest.  Returns ``(results, exact_ndc)``.
+    lazy page-in pass when ``dc`` is memmap-backed), then row ``i`` keeps
+    its ``k`` exactly-nearest, ties by shortlist position (a stable sort,
+    as the kernel keeps them), and the rest of ``traversals[i]`` — hops,
+    frontier peak, ``degraded``, executor.  Returns ``(results,
+    exact_ndc)``.
     """
-    counts = np.fromiter((s.size for s in shortlists), dtype=np.int64,
-                         count=len(shortlists))
-    total = int(counts.sum())
-    if total == 0:
-        empty_i = np.empty(0, dtype=np.int64)
-        empty_d = np.empty(0, dtype=np.float64)
-        return ([SearchResult(ids=empty_i, distances=empty_d,
-                              degraded=bool(degraded[i]) if degraded else False)
-                 for i in range(len(shortlists))], 0)
-    flat = np.concatenate([s for s in shortlists if s.size])
-    owners = np.repeat(np.arange(len(shortlists), dtype=np.int64), counts)
-    exact = dc.block_to_queries(flat, qmat, owners).astype(np.float64,
-                                                           copy=False)
-    offsets = np.concatenate(([0], np.cumsum(counts)))
+    counts = [s.shape[0] for s in shortlists]
+    total = sum(counts)
+    exact = np.empty(0, dtype=np.float64)
+    if total:
+        owners = np.repeat(np.arange(len(shortlists), dtype=np.int64), counts)
+        exact = dc.block_to_queries(np.concatenate(shortlists), qmat,
+                                    owners).astype(np.float64, copy=False)
     out: list[SearchResult] = []
-    for i in range(len(shortlists)):
-        lo, hi = int(offsets[i]), int(offsets[i + 1])
-        d, ids_row = exact[lo:hi], flat[lo:hi]
+    lo = 0
+    for shortlist, traversal in zip(shortlists, traversals):
+        d = exact[lo:lo + shortlist.shape[0]]
+        lo += shortlist.shape[0]
         order = np.argsort(d, kind="stable")[:k]
-        out.append(SearchResult(
-            ids=ids_row[order], distances=d[order],
-            n_hops=int(hops[i]) if hops else 0,
-            degraded=bool(degraded[i]) if degraded else False))
+        out.append(dataclasses.replace(
+            traversal, ids=shortlist[order], distances=d[order],
+            visited_ids=None, visited_distances=None))
     return out, total
 
 
@@ -207,17 +206,28 @@ def rerank_one(adc: ADCComputer, dc: DistanceComputer, neighbors_fn,
     ``q`` is already prepared.  The beam runs at the caller's ``ef``; the
     shortlist draws from everything it scored, so the re-rank ``budget``
     (raised to ``k``) costs exact distances only, not traversal width.
-    Returns ``(result, adc_scorings, exact_distances, rerank_seconds)`` —
-    the caller owns its counters; ``rerank_seconds`` is the wall-clock of
-    the exact gather, the path's only full-precision (possibly
+    Natively the whole recipe is one kernel call; otherwise the shortlist
+    and the re-rank run in Python.  Returns ``(result, adc_scorings,
+    exact_distances, rerank_seconds)`` — the caller owns its counters
+    (``dc.ndc`` is counted here); ``rerank_seconds`` is the wall-clock of
+    the exact scoring, the path's only full-precision (possibly
     disk-resident) touches.
     """
     budget = max(budget, k)
     table = adc.begin_query(q)  # syncs codes first
-    shortlist, n_scored, degraded, n_hops, executor = _pq_traverse(
-        adc.pq, adc.codes, neighbors_fn, entry_points, table, k, max(ef, k),
-        visited, excluded, deadline)
-    shortlist = shortlist[:budget]
+    result = _pq_traverse(adc.pq, adc.codes, neighbors_fn, entry_points,
+                          table, k, ef, visited, excluded, deadline,
+                          rerank=(dc, q[None], budget))
+    n_scored = result.ndc
+    if result.rerank is None:  # the reference executor
+        shortlist = visited_shortlist(result.visited_ids,
+                                      result.visited_distances, excluded,
+                                      budget)
+    elif result.rerank[0]:
+        dc.ndc += result.rerank[0]
+        return result, n_scored, *result.rerank
+    else:
+        shortlist = np.empty(0, dtype=np.int64)
     if shortlist.size == 0:
         shortlist = fallback_shortlist(adc, table, excluded, budget)
         n_scored += adc.codes.shape[0]
@@ -227,8 +237,8 @@ def rerank_one(adc: ADCComputer, dc: DistanceComputer, neighbors_fn,
         exact = dc.to_query(shortlist, q)
         order = np.argsort(exact, kind="stable")[:k]
         ids, distances = shortlist[order], exact[order].astype(np.float64)
-    result = SearchResult(ids=ids, distances=distances, n_hops=n_hops,
-                          degraded=degraded, executor=executor)
+    result = dataclasses.replace(result, ids=ids, distances=distances,
+                                 visited_ids=None, visited_distances=None)
     return result, n_scored, int(shortlist.size), time.perf_counter() - t0
 
 
@@ -240,38 +250,66 @@ def rerank_block(engine: BatchSearchEngine, adc: ADCComputer,
 
     ``engine`` scores with ``adc`` (its ``begin_block`` hook precomputes
     the block's ADC tables), so traversal runs entirely over the code
-    matrix; the final shortlists are re-ranked with a single
-    full-precision block gather.  ``excluded_fn`` returns the ids that may
-    never surface — asked *after* traversal, so it bars from both the
-    shortlist and the fallback scan anything tombstoned or removed by
-    then.  Returns ``(results, adc_scorings, exact_distances,
-    rerank_seconds)`` like :func:`rerank_one`.
+    matrix.  Natively each engine block is one kernel call that also
+    carves and re-ranks every row's shortlist; rows the reference executor
+    answered are re-ranked with a single full-precision block gather.
+    ``excluded_fn`` returns the ids that may never surface — asked *after*
+    traversal, so it bars from both the shortlist and the fallback scan
+    anything tombstoned or removed by then; a natively re-ranked row whose
+    top-k meets such an id is searched again and re-ranked by the
+    reference recipe.  Returns ``(results, adc_scorings, exact_distances,
+    rerank_seconds)`` like :func:`rerank_one`; ``adc_scorings`` sums the
+    rows' own counts (``adc.ndc`` is shared by concurrent readers).
     """
-    budget = max(budget, k)
-    adc0 = adc.ndc
+    budget, ef = max(budget, k), max(ef, k)
     qmat = dc.prepare_queries(
         np.atleast_2d(np.asarray(queries, dtype=np.float32)))
     # The beam runs at the caller's ef; the shortlist is carved from the
     # *visited* set (every ADC-scored node), so a large re-rank budget
     # costs exact distance computations, not traversal width.
-    approx = engine.search_batch(qmat, k=k, ef=max(ef, k), deadline=deadline,
-                                 collect_visited=True, prepared=True)
+    results = engine.search_batch(qmat, k=k, ef=ef, deadline=deadline,
+                                  prepared=True, rerank=(dc, budget))
     excluded = excluded_fn()
-    shortlists = [
-        visited_shortlist(r.visited_ids, r.visited_distances, excluded, budget)
-        for r in approx]
-    for i, shortlist in enumerate(shortlists):
+    n_scored = sum(r.ndc for r in results)
+    stale = [i for i, r in enumerate(results)
+             if excluded and r.rerank is not None
+             and not excluded.isdisjoint(r.ids.tolist())]
+    if stale:
+        again = engine.search_batch(qmat[stale], k=k, ef=ef,
+                                    deadline=deadline, collect_visited=True,
+                                    prepared=True)
+        n_scored += sum(r.ndc for r in again)
+        for i, result in zip(stale, again):
+            results[i] = result
+    exact_ndc, seconds = 0, 0.0
+    rows, shortlists = [], []
+    for i, result in enumerate(results):
+        if result.rerank is None:  # the reference recipe
+            shortlist = visited_shortlist(result.visited_ids,
+                                          result.visited_distances, excluded,
+                                          budget)
+        elif result.rerank[0]:
+            exact_ndc += result.rerank[0]
+            seconds += result.rerank[1]
+            continue
+        else:
+            shortlist = np.empty(0, dtype=np.int64)
         if shortlist.size == 0:
-            shortlists[i] = fallback_shortlist(
+            shortlist = fallback_shortlist(
                 adc, adc.pq.adc_table(qmat[i]), excluded, budget)
-    t0 = time.perf_counter()
-    results, exact_ndc = exact_rerank(
-        dc, qmat, shortlists, k,
-        degraded=[r.degraded for r in approx],
-        hops=[r.n_hops for r in approx])
-    for result, traversal in zip(results, approx):
-        result.executor = traversal.executor
-    return results, adc.ndc - adc0, exact_ndc, time.perf_counter() - t0
+            n_scored += adc.codes.shape[0]
+        rows.append(i)
+        shortlists.append(shortlist)
+    dc.ndc += exact_ndc
+    if rows:
+        t0 = time.perf_counter()
+        reranked, ndc = exact_rerank(dc, qmat[rows], shortlists, k,
+                                     [results[i] for i in rows])
+        seconds += time.perf_counter() - t0
+        exact_ndc += ndc
+        for i, result in zip(rows, reranked):
+            results[i] = result
+    return results, n_scored, exact_ndc, seconds
 
 
 class PQRerankSearcher:

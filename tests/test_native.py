@@ -1,7 +1,8 @@
 """The native traversal core against the reference executor, and its loader.
 
 One algorithm, two executors: ``_beam.c`` must be the search
-``beam_search`` runs, at every beam width, up to float32 rounding
+``beam_search`` runs, at every beam width, and its re-rank stage the
+compressed recipe's Python one, up to float32 rounding
 (``conftest.tie_tolerant_equal``); a native single query and a native block
 of one are the same code and must agree bit for bit; and a machine without
 a usable compiler must end up on a working reference executor that says
@@ -34,7 +35,8 @@ from repro.graphs.search import (BatchSearchEngine, SearchResult,
 from repro.obs import OBS, TRACES
 from repro.quantization.adc import ADCComputer
 from repro.quantization.pq import ProductQuantizer
-from repro.quantization.searcher import PQRerankSearcher
+from repro.quantization.searcher import (PQRerankSearcher, rerank_block,
+                                         rerank_one)
 from repro.store import VectorStore
 from tests.conftest import reference_executor, tie_tolerant_equal
 
@@ -378,6 +380,275 @@ class TestBlocks:
             assert (a.executor, b.executor) == ("reference", "native")
             np.testing.assert_array_equal(a.ids, b.ids)
             assert a.n_hops == b.n_hops > 0
+
+
+# -- the compressed recipe: ADC beam -> shortlist -> exact re-rank ------------
+
+def _codes_for(dc: DistanceComputer) -> ADCComputer:
+    return ADCComputer(dc, ProductQuantizer(
+        m=ADCComputer._default_m(dc.dim), ks=min(8, dc.size),
+        metric=dc.metric, seed=0))
+
+
+def _same_recipe(want, got, dc, q):
+    """Reference and native answers of one compressed search: the same
+    search (``tie_tolerant_equal`` on the re-ranked ids) and the same
+    counts, each returned as ``(result, adc_scored, rerank_ndc, dc.ndc)``.
+    The beams see bit-identical ADC distances, so their hops are equal
+    outright, with no near-tie excuse."""
+    assert want[0].executor == "reference"
+    assert got[0].executor == "native"
+    assert want[1:] == got[1:]
+    assert (want[0].n_hops, want[0].frontier_peak) == (got[0].n_hops,
+                                                       got[0].frontier_peak)
+    assert tie_tolerant_equal(want[0], got[0], dc, q)
+
+
+@needs_native
+class TestCompressedRecipe:
+    """``rerank_one`` / ``rerank_block`` natively (one kernel call: beam,
+    shortlist, exact re-rank) against their reference executor (the Python
+    recipe over ``beam_search``).  ADC sums are bit-identical on both, so
+    the beams and shortlists are the same; only the exact float32 sums
+    round differently."""
+
+    @PROPERTY
+    @given(worlds(duplicates=True), st.integers(1, 60), deadlines())
+    def test_one_query_matches_reference(self, world, budget, deadline_kind):
+        dc, view, entries, barred, k, ef, queries = world
+        adc = _codes_for(dc)
+        for query in queries:
+            q = dc.prepare_query(query)
+            deadline = as_deadline(deadline_kind)
+
+            def run():
+                dc.reset_ndc()
+                result, scored, exact, _ = rerank_one(
+                    adc, dc, view, entries, q, k, ef, budget,
+                    VisitedTable(1), barred, deadline)
+                return result, scored, exact, dc.reset_ndc()
+
+            with reference_executor():
+                want = run()
+            got = run()
+            if got[0].executor == "reference":
+                # A duplicate edge scored twice overflows the kernel's
+                # scratch; the search is handed back, as in the exact case.
+                assert any(len(set(row)) < len(row) for row in (
+                    view.neighbors(u).tolist() for u in range(dc.size)))
+                continue
+            _same_recipe(want, got, dc, q)
+            if barred:
+                assert not set(got[0].ids.tolist()) & barred
+
+    @PROPERTY
+    @given(worlds(duplicates=False), st.sampled_from([1, 4, 8]),
+           st.integers(1, 60), deadlines())
+    def test_block_matches_reference(self, world, width, budget,
+                                     deadline_kind):
+        dc, view, entries, barred, k, ef, queries = world
+        adc = _codes_for(dc)
+        engine = _engine_pair(adc, view, entries, barred, width)
+        qmat = dc.prepare_queries(queries)
+
+        def run():
+            dc.reset_ndc()
+            results, scored, exact, _ = rerank_block(
+                engine, adc, dc, queries, k, ef, budget, lambda: barred,
+                as_deadline(deadline_kind))
+            return results, scored, exact, dc.reset_ndc()
+
+        with reference_executor():
+            want = run()
+        got = run()
+        assert want[1:] == got[1:]
+        for a, b, q in zip(want[0], got[0], qmat):
+            _same_recipe((a, 0), (b, 0), dc, q)
+            if barred:
+                assert not set(b.ids.tolist()) & barred
+
+    def test_edgeless_excluded_entry_takes_the_fallback_scan(self):
+        """The beam scores one (barred) node and stops: the shortlist is
+        empty and the Python fallback scan answers, on both executors."""
+        rng = np.random.default_rng(9)
+        dc = DistanceComputer(rng.standard_normal((30, 6)), "l2")
+        view = csr_view([[] if u == 0 else [(u + 1) % 30] for u in range(30)])
+        adc = _codes_for(dc)
+        q = dc.prepare_query(rng.standard_normal(6))
+        engine = _engine_pair(adc, view, unique_entries([0]), {0}, 4)
+        for call in (
+                lambda: rerank_one(adc, dc, view, [0], q, 5, 10, 8,
+                                   excluded={0})[:3],
+                lambda: rerank_block(engine, adc, dc, q[None], 5, 10, 8,
+                                     lambda: {0})[:3]):
+            with reference_executor():
+                want = call()
+            got = call()
+            assert want[1:] == got[1:] == (1 + 30, 8)
+            a, b = [r if isinstance(r, SearchResult) else r[0]
+                    for r in (want[0], got[0])]
+            assert (a.executor, b.executor) == ("reference", "native")
+            assert b.ids.size == 5 and 0 not in b.ids.tolist()
+            assert tie_tolerant_equal(a, b, dc, q)
+
+    @pytest.mark.parametrize("on_native", [True, False])
+    def test_ids_excluded_after_traversal_never_surface(self, tiny_ds,
+                                                        on_native):
+        """``rerank_block`` asks the live exclusion set after traversal; a
+        row whose native top-k meets an id barred since is searched again
+        and re-ranked by the reference recipe."""
+        dc = DistanceComputer(tiny_ds.base, tiny_ds.metric)
+        index = HNSW(tiny_ds.base, tiny_ds.metric, M=8, ef_construction=40,
+                     single_layer=True, seed=3)
+        view = index.adjacency.freeze()
+        adc = ADCComputer(dc, ProductQuantizer(m=4, ks=16, metric=dc.metric))
+        entries = unique_entries([index.medoid()])
+        engine = _engine_pair(adc, view, entries, None, 4)
+        queries = tiny_ds.test_queries[:12]
+        executor = (contextlib.nullcontext if on_native
+                    else reference_executor)
+        with executor():
+            first = rerank_block(engine, adc, dc, queries, 10, 40, 40,
+                                 lambda: None)[0]
+            late = {int(r.ids[i]) for r in first for i in (0, 3)}
+            results, scored, exact, _ = rerank_block(
+                engine, adc, dc, queries, 10, 40, 40, lambda: late)
+            with reference_executor():
+                want = rerank_block(engine, adc, dc, queries, 10, 40, 40,
+                                    lambda: late)
+        for got, ref in zip(results, want[0]):
+            assert got.ids.size == 10 and got.rerank is None
+            assert not set(got.ids.tolist()) & late
+            np.testing.assert_array_equal(got.ids, ref.ids)
+            np.testing.assert_array_equal(got.distances, ref.distances)
+        # Natively every row met an id of its own first answer, so every
+        # row was searched twice; the re-rank itself was the reference's.
+        assert exact == want[2]
+        assert scored == want[1] * (2 if on_native else 1)
+
+    def test_compressed_store_stays_native(self, tiny_ds):
+        """A compressed store's search and search_batch never fall back: a
+        silent fallback fails here, not on the benchmark."""
+        store = VectorStore(dim=tiny_ds.base.shape[1], metric=tiny_ds.metric,
+                            M=8, ef_construction=40, seed=3, compressed=True,
+                            pq_m=4, pq_ks=16, rerank=40)
+        store.add(tiny_ds.base)
+        store.build()
+        OBS.enable()
+        try:
+            OBS.reset()
+            for q in tiny_ds.test_queries[:10]:
+                store.search(q, k=10, ef=40)
+            results = store.searcher.search_batch(tiny_ds.test_queries, 10, 40)
+            snapshot = OBS.snapshot()
+        finally:
+            OBS.disable()
+            OBS.reset()
+            store.close()
+        assert all(r.executor == "native" and r.rerank[0] > 0
+                   for r in results)
+        assert snapshot["search_native_queries"] >= 10 + 40
+        assert snapshot["search_native_fallbacks"] == 0
+
+    def test_overlay_patches_and_tombstones(self, tiny_ds):
+        """A compressed store under add / delete / observe: the pinned view
+        carries an overlay patch and tombstones, and its searches are the
+        reference recipe's on both traversal shapes — ids, distances and
+        the searcher's counters."""
+        rng = np.random.default_rng(12)
+        store = VectorStore(dim=tiny_ds.base.shape[1], metric=tiny_ds.metric,
+                            M=8, ef_construction=40, merge_every=10_000,
+                            seed=3, compressed=True, pq_m=4, pq_ks=16,
+                            rerank=30)
+        live = list(store.add(tiny_ds.base[:300]))
+        store.build()
+        for step, row in enumerate(tiny_ds.base[300:340]):
+            live.extend(store.add(row[None, :]))
+            if step % 3 == 0:
+                store.delete([live.pop(int(rng.integers(len(live))))])
+            if step % 5 == 0:
+                store.observe(tiny_ds.train_queries[step])
+        with store.epochs.pin() as pin:
+            assert pin.view.native_graph().patch is not None
+            assert pin.view.excluded()
+        searcher, dc = store.searcher, store.dc
+        queries = tiny_ds.test_queries[:16]
+
+        def run(call):
+            counters0 = (searcher.adc_scored, searcher.rerank_ndc, dc.ndc)
+            results = call()
+            return results, tuple(np.subtract(
+                (searcher.adc_scored, searcher.rerank_ndc, dc.ndc),
+                counters0))
+
+        for call in (lambda: [searcher.search(q, 10, 40) for q in queries],
+                     lambda: searcher.search_batch(queries, 10, 40)):
+            with reference_executor():
+                want, spent_want = run(call)
+            got, spent_got = run(call)
+            assert spent_want == spent_got
+            for a, b, query in zip(want, got, queries):
+                q = dc.prepare_query(query)
+                _same_recipe((a, 0), (b, 0), dc, q)
+        store.close()
+
+
+@needs_native
+class TestRerankKernel:
+    """The re-rank stage of ``native.beam_block`` at its edges, against the
+    same beam's collected scored set re-ranked by hand."""
+
+    @pytest.fixture(params=["distinct", "each row four times"])
+    def world(self, request):
+        rng = np.random.default_rng(13)
+        rows = rng.standard_normal((40, 6))
+        if request.param != "distinct":  # ties in ADC *and* exact distance
+            rows = np.repeat(rows[:10], 4, axis=0)
+        dc = DistanceComputer(rows, "ip")
+        view = csr_view([rng.choice(40, size=5, replace=False).tolist()
+                         for _ in range(40)])
+        adc = _codes_for(dc)
+        qmat = dc.prepare_queries(rng.standard_normal((3, 6)))
+        adc.begin_block(qmat)
+        return dc, view.native_graph(), adc.native_scorer(qmat), qmat
+
+    @staticmethod
+    def _run(world, k, mask=None, rerank=None, collect=False):
+        dc, graph, scorer, _ = world
+        return native.beam_block(graph, scorer, unique_entries([0]), None, k,
+                                 12, 1, np.zeros(40, dtype=np.int32), 1, mask,
+                                 None, collect, rerank)
+
+    @pytest.mark.parametrize("budget", [1, 2, 7, 39, 40, 41, 10**6])
+    def test_budget_one_to_past_n(self, world, budget):
+        dc, _, _, qmat = world
+        traced = self._run(world, 5, collect=True)
+        got = self._run(world, 5, rerank=(dc.native_scorer(qmat), budget))
+        for r, (row, want) in enumerate(zip(got, traced)):
+            ids, d, scored, scored_d = row[0], row[1], want[6], want[7]
+            shortlist = scored[np.lexsort((scored, scored_d))][:budget]
+            exact = dc.to_query(shortlist, qmat[r])
+            order = np.argsort(exact, kind="stable")[:5]
+            assert row[8] == shortlist.size == min(budget, want[4])
+            assert row[2:6] == want[2:6]           # the same beam
+            np.testing.assert_array_equal(ids, shortlist[order])
+            np.testing.assert_allclose(d, exact[order], rtol=1e-6,
+                                       atol=1e-6)
+
+    def test_empty_shortlist(self, world):
+        dc, _, _, qmat = world
+        rows = self._run(world, 5, mask=np.ones(40, dtype=np.uint8),
+                         rerank=(dc.native_scorer(qmat), 10))
+        for ids, d, *_, shortlist, _seconds in rows:
+            assert shortlist == 0 and ids.size == d.size == 0
+
+    def test_a_shortlisted_id_past_the_exact_rows_is_refused(self, world):
+        dc, _, _, qmat = world
+        kind, rows = dc.native_rows()
+        short = native.Scorer(kind, rows[:10], qmat)
+        assert self._run(world, 5, rerank=(short, 40)) is None
+        wrong_rows = native.Scorer(kind, rows, qmat[:2])
+        assert self._run(world, 5, rerank=(wrong_rows, 40)) is None
 
 
 # -- the mutable graph: the slab read in place ----------------------------------

@@ -11,18 +11,22 @@ approximate path to its exact contract.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.distances import DistanceComputer, Metric
 from repro.evalx import compute_ground_truth, evaluate_index, recall_per_query
-from repro.graphs import HNSW
+from repro.graphs import HNSW, native
+from repro.graphs.base import live_graph_engine
 from repro.graphs.search import VisitedTable
 from repro.quantization import (ADCComputer, ProductQuantizer,
                                 PQRerankSearcher, fallback_shortlist,
-                                pq_greedy_search)
+                                pq_greedy_search, rerank_block)
 from repro.store import VectorStore
+from tests.conftest import reference_executor
 
 
 def _recall(searcher, queries, gt, k=10, ef=80, batched=False):
@@ -39,8 +43,9 @@ def _recall(searcher, queries, gt, k=10, ef=80, batched=False):
 
 class TestADCComputer:
     def test_block_tables_match_sequential(self, shared_hnsw, tiny_ds):
-        """adc_tables(row b) == adc_table(queries[b]) for both metrics."""
-        for metric in (Metric.COSINE, Metric.L2):
+        """adc_tables(row b) is adc_table(queries[b]) bit for bit, for all
+        three metrics: one formula, whichever path builds the table."""
+        for metric in Metric:
             dc = DistanceComputer(tiny_ds.base, metric)
             pq = ProductQuantizer(m=4, ks=16, metric=metric, seed=0)
             pq.fit(dc.data)
@@ -49,8 +54,8 @@ class TestADCComputer:
             block = pq.adc_tables(qmat)
             assert block.shape == (6, pq.m, pq.ks)
             for b in range(6):
-                np.testing.assert_allclose(block[b], pq.adc_table(qmat[b]),
-                                           rtol=1e-5, atol=1e-6)
+                np.testing.assert_array_equal(block[b],
+                                              pq.adc_table(qmat[b]))
 
     def test_block_to_queries_matches_per_row_adc(self, shared_hnsw, tiny_ds):
         """The batched gather equals per-row adc_distances lookups."""
@@ -66,7 +71,7 @@ class TestADCComputer:
         want = np.array([
             adc.pq.adc_distances(adc.codes[i][None, :], tables[o])[0]
             for i, o in zip(ids, owners)])
-        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6)
+        np.testing.assert_array_equal(got, want)  # both sum in subspace order
         assert adc.ndc == 32
 
     def test_sync_is_incremental(self, fresh_hnsw, rng):
@@ -76,6 +81,25 @@ class TestADCComputer:
         assert adc.sync() == 1
         assert adc.codes.shape[0] == n0 + 1
         assert adc.sync() == 0  # nothing new
+
+    def test_sync_grows_by_doubling(self, tiny_ds, rng):
+        """One-row syncs append into spare capacity: the code matrix is
+        reallocated O(log n) times, never copied per insert, and the live
+        part stays the dense uint8 matrix the native core reads."""
+        dc = DistanceComputer(tiny_ds.base[:40], tiny_ds.metric)
+        adc = ADCComputer(dc, ProductQuantizer(m=4, ks=16, metric=dc.metric))
+        held = [adc._rows]
+        for row in rng.standard_normal((200, 16)).astype(np.float32):
+            dc.append(row)
+            assert adc.sync() == 1
+            if adc._rows is not held[-1]:
+                held.append(adc._rows)
+        assert adc.codes.shape == (240, 4) and len(held) <= 4
+        assert adc.codes.flags.c_contiguous
+        np.testing.assert_array_equal(adc.codes, adc.pq.encode(dc.data))
+        qmat = dc.prepare_queries(tiny_ds.test_queries[:2])
+        adc.begin_block(qmat)
+        assert adc.native_scorer(qmat) is not None
 
 
 # -- bugfix regressions -------------------------------------------------------
@@ -187,6 +211,38 @@ class TestMutationRegressions:
         batched = searcher.search_batch(data[0][None, :], k=5, ef=20)[0]
         assert batched.ids.size == 5
         assert int(entry) not in batched.ids.tolist()
+
+    @pytest.mark.parametrize("executor", ["native", "reference"])
+    def test_block_counts_only_its_own_scorings(self, shared_hnsw, tiny_ds,
+                                                executor):
+        """``rerank_block`` used to return a delta of ``adc.ndc``, which
+        every reader of the computer bumps: another thread's ADC scorings
+        during the call were billed to this one.  It returns the sum of its
+        rows' own counts."""
+        if executor == "native" and not native.enabled():
+            pytest.skip(f"no native executor: {native.status()['reason']}")
+        searcher = PQRerankSearcher(shared_hnsw, rerank=40)
+        adc = searcher.adc
+        engine = live_graph_engine(None, shared_hnsw, adc, 8, 4)
+        rows = []
+        inner = engine.search_batch
+
+        def search_batch(*args, **kwargs):
+            adc.ndc += 10_000  # another reader, mid-call
+            out = inner(*args, **kwargs)
+            rows.extend(out)
+            return out
+
+        engine.search_batch = search_batch
+        before = adc.ndc
+        with (reference_executor() if executor == "reference"
+              else contextlib.nullcontext()):
+            results, n_scored, _, _ = rerank_block(
+                engine, adc, shared_hnsw.dc, tiny_ds.test_queries[:12], 10,
+                40, 40, shared_hnsw.adjacency.excluded_ids)
+        assert {r.executor for r in results} == {executor}
+        assert n_scored == sum(r.ndc for r in rows) > 0
+        assert n_scored == adc.ndc - before - 10_000
 
     def test_fallback_shortlist_all_excluded_is_empty(self, shared_hnsw,
                                                       tiny_ds):
