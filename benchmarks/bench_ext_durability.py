@@ -4,8 +4,9 @@ Two arms of the *same* 90/10 search-mutation interleave
 (:func:`repro.evalx.runner.interleaved_workload`), differing only in
 whether the store journals to a write-ahead log:
 
-- **wal-off**: the epoch serving layer as benchmarked in
-  ``bench_ext_serving_churn.py``.
+- **wal-off**: the epoch serving layer alone, journaling nothing (the
+  repo benchmark's ``churn_wal`` workload, ``benchmarks/perf``, measures
+  serving under churn end to end).
 - **wal-on**: every insert/delete journaled (CRC-framed, fsync batched
   every ``SYNC_EVERY`` records) before the call returns.
 

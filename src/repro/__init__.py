@@ -78,16 +78,6 @@ from repro.durability import (
     read_wal,
     recover,
 )
-from repro.tuning import (
-    BinSetting,
-    TunedConfig,
-    coerce_tuned_config,
-    HardnessPlanner,
-    fit_tuned_config,
-    fit_landmarks,
-    replay_traces,
-    suggest_ef_grid,
-)
 from repro.faults import FAULTS, FaultInjected, FaultPlan
 from repro.cluster import ClusterRouter, FrontDoor, merge_stats, merge_topk_batch
 from repro.core import (
@@ -195,14 +185,6 @@ __all__ = [
     "RecoveryReport",
     "RecoveryError",
     "recover",
-    "BinSetting",
-    "TunedConfig",
-    "coerce_tuned_config",
-    "HardnessPlanner",
-    "fit_tuned_config",
-    "fit_landmarks",
-    "replay_traces",
-    "suggest_ef_grid",
     "FAULTS",
     "FaultPlan",
     "FaultInjected",

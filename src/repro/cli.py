@@ -9,8 +9,6 @@ Usage (also via ``python -m repro.cli``)::
     python -m repro.cli churn --dataset laion-sim --mutation-fraction 0.1
     python -m repro.cli churn --dataset laion-sim --wal-dir /tmp/wal
     python -m repro.cli cluster --n-shards 4 --frontdoor --chaos
-    python -m repro.cli tune --dataset laion-sim --out /tmp/tuned.json
-    python -m repro.cli churn --dataset laion-sim --tuned-config /tmp/tuned.json
     python -m repro.cli recover /tmp/wal
     python -m repro.cli analyze --dataset laion-sim
     python -m repro.cli stats --dataset laion-sim --format both
@@ -79,9 +77,9 @@ def _add_policy(parser: argparse.ArgumentParser) -> None:
 
 
 def _store_kwargs(args) -> dict:
-    """Store settings shared by churn, stats, tune and cluster (which hands
-    them to the router): the CLI's build geometry plus whichever of the
-    policy / compressed / tuned flag groups the command registered."""
+    """Store settings shared by churn, stats and cluster (which hands them
+    to the router): the CLI's build geometry plus whichever of the policy /
+    compressed flag groups the command registered."""
     import json as _json
     kwargs = dict(M=12, ef_construction=60, seed=args.seed)
     if getattr(args, "policy", None):
@@ -93,8 +91,6 @@ def _store_kwargs(args) -> dict:
     if getattr(args, "compressed", False):
         kwargs.update(compressed=True, pq_m=args.pq_m, pq_ks=args.pq_ks,
                       rerank=args.rerank)
-    if getattr(args, "tuned_config", None):
-        kwargs["tuned_config"] = args.tuned_config
     return kwargs
 
 
@@ -122,13 +118,6 @@ def _print_policy_stats(store) -> None:
     else:
         print(f"  policy {pol.get('policy')}: "
               f"merge_every {pol.get('merge_every')}")
-
-
-def _add_tuned(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tuned-config", default=None,
-                        help="fitted TunedConfig JSON (from `repro tune`); "
-                             "attaches the hardness-aware planner, so "
-                             "ef-less searches route per predicted bin")
 
 
 def _print_compressed_stats(store) -> None:
@@ -212,7 +201,6 @@ def _build_parser() -> argparse.ArgumentParser:
                               "and policy counters) as JSON")
     _add_policy(p_churn)
     _add_compressed(p_churn)
-    _add_tuned(p_churn)
 
     p_rec = sub.add_parser(
         "recover", help="rebuild a store from its WAL directory and report")
@@ -287,34 +275,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                 "re-admission instead of a respawn")
     _add_policy(p_cluster)
     _add_compressed(p_cluster)
-    _add_tuned(p_cluster)
-
-    p_tune = sub.add_parser(
-        "tune", help="fit a per-hardness-bin tuned config by trace replay")
-    _add_common(p_tune)
-    p_tune.add_argument("--out", default="tuned-config.json",
-                        help="write the fitted TunedConfig JSON here")
-    p_tune.add_argument("--target-recall", type=float, default=0.9,
-                        help="recall@k floor the fitted table must meet on "
-                             "the calibration mix")
-    p_tune.add_argument("--n-bins", type=int, default=3,
-                        help="hardness bins (quantiles of landmark distance)")
-    p_tune.add_argument("--n-landmarks", type=int, default=16,
-                        help="k-means landmarks defining the hardness "
-                             "measure (and adaptive entry points)")
-    p_tune.add_argument("--ef-grid", type=int, nargs="*", default=None,
-                        help="candidate ef ladder (default: doubling from "
-                             "k; anchored at --traces' observed mix when "
-                             "given)")
-    p_tune.add_argument("--traces", dest="trace_file", default=None,
-                        help="recorded TraceLog JSON (`repro stats "
-                             "--traces N`) whose ef/NDC mix seeds the grid")
-    p_tune.add_argument("--batch-size", type=int, default=64)
-    p_tune.add_argument("--no-validate", action="store_true",
-                        help="skip the tuned-vs-default comparison on the "
-                             "test queries")
-    _add_policy(p_tune)
-    _add_compressed(p_tune)
 
     p_ex = sub.add_parser("explain", help="diagnose one test query in depth")
     _add_common(p_ex)
@@ -692,66 +652,6 @@ def _cmd_cluster(args) -> int:
     return 0
 
 
-def _cmd_tune(args) -> int:
-    """Fit a per-hardness-bin tuned config and (optionally) validate it."""
-    from repro import VectorStore, compute_ground_truth
-    from repro.evalx import evaluate_index
-    from repro.tuning import fit_tuned_config, replay_traces
-    ds = _load_dataset(args)
-    store = VectorStore(dim=ds.base.shape[1], metric=ds.metric,
-                        **_store_kwargs(args), **_memmap_kwargs(args))
-    store.add(ds.base)
-    store.build()
-    store.fit_history(ds.train_queries)
-    trace_stats = None
-    if args.trace_file:
-        trace_stats = replay_traces(args.trace_file)
-        print(f"replayed {trace_stats['n_traces']} traces: "
-              f"ef mean {trace_stats['ef_mean']:.1f}, "
-              f"NDC mean {trace_stats['ndc_mean']:.1f}, "
-              f"degraded {trace_stats['degraded_rate']:.1%}")
-    queries = ds.train_queries
-    gt = compute_ground_truth(ds.base, queries, args.k, ds.metric,
-                              n_workers=args.n_workers)
-    config = fit_tuned_config(
-        store.searcher, queries, args.k,
-        target_recall=args.target_recall,
-        ef_grid=args.ef_grid or None,
-        n_bins=args.n_bins, n_landmarks=args.n_landmarks,
-        batch_size=args.batch_size, gt_ids=gt.top(args.k).ids,
-        trace_stats=trace_stats, seed=args.seed)
-    path = config.save(args.out)
-    print(f"fitted {config.n_bins} hardness bins over {len(queries)} "
-          f"calibration queries (untuned default ef {config.default_ef})")
-    for b, s in enumerate(config.bins):
-        extras = [f"route={s.route}"] if s.route != "default" else []
-        if s.rerank is not None:
-            extras.append(f"rerank={s.rerank}")
-        if s.beam_width is not None:
-            extras.append(f"beam={s.beam_width}")
-        print(f"  bin {b}: ef={s.ef}" +
-              (" (" + ", ".join(extras) + ")" if extras else ""))
-    print(f"saved to {path}")
-    if not args.no_validate:
-        test_gt = compute_ground_truth(ds.base, ds.test_queries, args.k,
-                                       ds.metric, n_workers=args.n_workers)
-        batch = max(2, args.batch_size)
-        untuned = evaluate_index(store.searcher, ds.test_queries, test_gt,
-                                 args.k, max(config.default_ef, args.k),
-                                 batch_size=batch)
-        store.apply_tuned_config(config)
-        tuned = evaluate_index(store.searcher, ds.test_queries, test_gt,
-                               args.k, None, batch_size=batch)
-        print(f"validation on {ds.name} test queries (recall@{args.k}):")
-        print(f"  untuned ef={config.default_ef}: recall "
-              f"{untuned.recall:.4f}, {untuned.qps:.1f} QPS, "
-              f"NDC/query {untuned.ndc_per_query:.1f}")
-        print(f"  tuned (planned)   : recall {tuned.recall:.4f}, "
-              f"{tuned.qps:.1f} QPS, NDC/query {tuned.ndc_per_query:.1f}")
-    store.close()
-    return 0
-
-
 def _cmd_analyze(args) -> int:
     from repro import HNSW, compute_ground_truth
     from repro.core.analysis import phase_reach_stats
@@ -812,7 +712,6 @@ _COMMANDS = {
     "evaluate": _cmd_evaluate,
     "churn": _cmd_churn,
     "cluster": _cmd_cluster,
-    "tune": _cmd_tune,
     "recover": _cmd_recover,
     "analyze": _cmd_analyze,
     "stats": _cmd_stats,

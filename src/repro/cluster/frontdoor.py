@@ -25,9 +25,9 @@ in flight, new arrivals are rejected with the typed
 :class:`~repro.cluster.resilience.Overloaded` — back-pressure the caller
 can retry against, instead of a queue whose wait time silently grows past
 every deadline.  Under *sustained* pressure the door browns out before it
-sheds everything: blocks dispatch at a reduced search effort (the tuned
-config's easy-bin ``ef`` when the searcher carries one) and their results
-are marked ``degraded``, trading recall for admission — recovering
+sheds everything: blocks dispatch at a reduced search effort (half the
+door's ``ef``, never below ``k``) and their results are marked
+``degraded``, trading recall for admission — recovering
 hysteretically (:class:`~repro.cluster.resilience.BrownoutController`)
 once the overload score stays low.  Queue depth, realized batch sizes,
 sheds, and brownout state are exported as ``cluster_frontdoor_*`` metrics
@@ -196,16 +196,15 @@ class FrontDoor:
         self._admits_window = 0
         return score
 
-    def _brownout_ef(self, k: int) -> int:
-        """Reduced-effort ef: tuned easy bin → halved default → plain k."""
-        tuned = getattr(self.searcher, "tuned_config", None)
-        if isinstance(tuned, dict):
-            bins = tuned.get("bins") or []
-            if bins and bins[0].get("ef"):
-                return max(int(bins[0]["ef"]), k)
-        if self.ef is not None:
-            return max(k, int(self.ef) // 2)
-        return k
+    def _brownout_ef(self, k: int) -> int | None:
+        """Reduced-effort ef of a browned block: half the door's ``ef``,
+        never below ``k``.  None when that is no less than what an
+        unbrowned block runs (the door has no ``ef``, or halving hits
+        ``k``): such a block is dispatched at full effort, unflagged."""
+        if self.ef is None:
+            return None
+        reduced = max(k, int(self.ef) // 2)
+        return reduced if reduced < max(k, int(self.ef)) else None
 
     def _dispatch(self, loop: asyncio.AbstractEventLoop, k: int) -> None:
         """Cut the current window into one block and run it off-loop."""
@@ -223,10 +222,13 @@ class FrontDoor:
         self.n_blocks += 1
         self.n_dispatched += len(block)
         self._inflight += len(block)
-        browned = self._brownout.update(self._overload_score(block, now))
         ef = self.ef
+        browned = False
+        if self._brownout.update(self._overload_score(block, now)):
+            reduced = self._brownout_ef(k)
+            browned = reduced is not None
         if browned:
-            ef = self._brownout_ef(k)
+            ef = reduced
             self.n_brownout_blocks += 1
             _BROWNOUT_BLOCKS.inc()
         queries = np.stack([p.query for p in block])

@@ -32,9 +32,9 @@ door compose into tail tolerance:
   (a control-plane-shaped score over queue depth, wait inflation, and shed
   rate — the same "0 = healthy, grows with pressure" shape as
   :mod:`repro.control`) the door browns out instead: blocks dispatch at a
-  reduced effort (the tuned config's easy-bin ``ef`` when one is fitted)
-  and results are marked ``degraded``, recovering hysteretically once
-  pressure stays low.
+  reduced effort (half the door's ``ef``, never below ``k``) and results
+  are marked ``degraded``, recovering hysteretically once pressure stays
+  low.
 
 Everything is observable (``cluster_hedges``, ``cluster_breaker_state``,
 ``cluster_backoff_seconds``, ``cluster_frontdoor_shed``,

@@ -339,11 +339,6 @@ class ClusterRouter:
         every replica's store.  Each shard runs its own policy against its
         own signals; :meth:`health` rolls per-shard navigability up to a
         cluster view (worst shard's score, summed storm detections).
-    tuned_config:
-        A fitted :class:`~repro.tuning.TunedConfig` (instance, dict, or
-        JSON path) shipped to every replica's store, so each shard runs
-        the hardness-aware planner with the same per-bin table (landmark
-        entry points still resolve against each shard's own graph).
     hedge, hedge_ms:
         Hedged reads: when a partition's primary reply outlasts the
         replica's EWMA-tracked hedge delay (or the fixed ``hedge_ms``
@@ -374,7 +369,6 @@ class ClusterRouter:
                  rpc_timeout: float = 120.0,
                  policy: str | None = StoreConfig.policy,
                  policy_config: dict | None = StoreConfig.policy_config,
-                 tuned_config=StoreConfig.tuned_config,
                  hedge: bool = True, hedge_ms: float | None = None,
                  breaker_config=None, max_pending: int = 1024):
         check_positive(n_shards, "n_shards")
@@ -387,9 +381,8 @@ class ClusterRouter:
             seed=seed, merge_every=merge_every, sync_every=sync_every,
             compressed=compressed, pq_m=pq_m, pq_ks=pq_ks, rerank=rerank,
             beam_width=beam_width, policy=policy,
-            policy_config=policy_config, tuned_config=tuned_config)
+            policy_config=policy_config)
         settings = self.config.to_dict()
-        self.tuned_config = settings["tuned_config"]
         self.dim = dim
         self.metric = self.config.metric
         self.n_shards = n_shards

@@ -19,7 +19,6 @@ import dataclasses
 from repro.control.policy import MaintenancePolicy, make_policy
 from repro.core.fixer import FixConfig
 from repro.distances import Metric
-from repro.tuning import TunedConfig, coerce_tuned_config
 from repro.utils.validation import check_positive
 
 #: File a durable store keeps in its ``wal_dir``: :meth:`StoreConfig.to_dict`
@@ -41,8 +40,7 @@ class StoreConfig:
     what each one does.
 
     Construction validates and normalizes (``metric`` to a
-    :class:`~repro.distances.Metric`, ``tuned_config`` to a
-    :class:`~repro.tuning.TunedConfig`, ``fix_config`` to a
+    :class:`~repro.distances.Metric`, ``fix_config`` to a
     :class:`~repro.core.fixer.FixConfig`), so two configs that mean the
     same store compare equal and a bad value fails where it was written,
     not in a worker process or at the next restart.  Change a setting with
@@ -65,7 +63,6 @@ class StoreConfig:
     beam_width: int | None = None
     policy: str | MaintenancePolicy | None = None
     policy_config: dict | None = None
-    tuned_config: TunedConfig | dict | str | None = None
     fix_config: FixConfig | dict | None = None
 
     def __post_init__(self):
@@ -82,7 +79,6 @@ class StoreConfig:
         normalized = dict(
             metric=Metric.parse(self.metric),
             policy_config=dict(self.policy_config) if self.policy_config else None,
-            tuned_config=coerce_tuned_config(self.tuned_config),
             fix_config=_coerce_fix_config(self.fix_config))
         for name, value in normalized.items():
             object.__setattr__(self, name, value)
@@ -97,14 +93,13 @@ class StoreConfig:
         return dict(
             vars(self), metric=self.metric.value,
             policy=getattr(self.policy, "name", self.policy),
-            tuned_config=self.tuned_config and self.tuned_config.to_dict(),
             fix_config=dataclasses.asdict(self.fix_config))
 
     @classmethod
     def from_dict(cls, data: dict) -> "StoreConfig":
         """Inverse of :meth:`to_dict`.  Keys this version does not know (an
-        old file's ``serving``, a worker spec's ``shard_id``) are ignored and
-        missing ones take today's defaults, so files written by earlier
-        versions keep loading."""
+        old file's ``serving`` or a since-removed setting, a worker spec's
+        ``shard_id``) are ignored and missing ones take today's defaults, so
+        files written by earlier versions keep loading."""
         known = {f.name for f in dataclasses.fields(cls)}
         return cls(**{k: v for k, v in data.items() if k in known})

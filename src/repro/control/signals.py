@@ -148,28 +148,6 @@ class NavigabilitySignals:
     def storm_detected(self) -> bool:
         return self.recent_deletes >= self.storm_deletes
 
-    def hardness_prior(self, scale: float = 0.5) -> float:
-        """The navigability score squashed into a [0, 1] hardness prior.
-
-        The autotuner's query planner (:mod:`repro.tuning`) mixes this in
-        as a workload-level prior: when searches are inflating past the
-        calibrated baseline, even queries that *look* easy by history
-        distance are planned one hardness bin up.  ``scale`` is the score
-        at which the prior saturates to 1.0 — at the default 0.5 a
-        sustained 25% degraded rate (score 0.5) or equivalent hops/NDC
-        inflation maxes the prior out.  Reads the live window without
-        advancing the slope horizon.
-        """
-        n = len(self._hops)
-        degraded_rate = float(np.mean(self._degraded)) if n else 0.0
-        score = 2.0 * degraded_rate + float(self.tombstone_density_fn())
-        if self.baseline_hops is not None and n:
-            score += max(0.0, float(np.mean(self._hops))
-                         / self.baseline_hops - 1.0)
-            score += max(0.0, float(np.mean(self._ndc))
-                         / self.baseline_ndc - 1.0)
-        return min(1.0, max(0.0, score / max(scale, 1e-9)))
-
     def snapshot(self) -> SignalSnapshot:
         """Compute the current windowed score (and advance the slope)."""
         n = len(self._hops)

@@ -51,8 +51,8 @@ class OperatingPoint:
     ``ndc_per_query`` counts full-precision distance computations; on a
     compressed (PQ) searcher it collapses to the exact re-rank budget while
     ``adc_per_query`` carries the cheap table-lookup scorings (0.0 for
-    uncompressed indexes).  ``ef=None`` marks a planned run: the index
-    chose per-query settings itself (hardness-aware planner / defaults).
+    uncompressed indexes).  ``ef=None`` marks a run at the index's default
+    ``ef``.
     """
 
     ef: int | None
@@ -81,9 +81,7 @@ def evaluate_index(
     rderr, and NDC are identical on every path — only wall-clock QPS
     changes.
 
-    ``ef=None`` lets the index pick its own setting per query — on a
-    store with a tuned config attached that is the hardness-aware planner
-    (per-bin ef/route), otherwise the index default.
+    ``ef=None`` runs the index at its default ``ef``.
     """
     check_positive(k, "k")
     check_positive(batch_size, "batch_size")

@@ -515,11 +515,10 @@ class ServingSearcher:
     hysteresis, or the O(E) ``freeze`` — epoch-consistency and wait-freedom
     come from the pin.
 
-    Every query runs the same stages, each written once: **resolve** (an
-    explicit ``ef``, or the planner's bin setting), **route**
-    (:meth:`_route`), **pin**, **entries** (:meth:`_entries`), **traverse**
-    (the sequential beam for :meth:`search`, a cached
-    :class:`~repro.graphs.search.BatchSearchEngine` for a block),
+    Every query runs the same stages, each written once: **resolve** (the
+    explicit ``ef``, else ``max(k, 10)``), **pin**, **entries** (the
+    epoch entry), **traverse** (the sequential beam for :meth:`search`, a
+    cached :class:`~repro.graphs.search.BatchSearchEngine` for a block),
     **re-rank** (compressed routes only —
     :func:`~repro.quantization.searcher.rerank_one` /
     :func:`~repro.quantization.searcher.rerank_block`), then **account +
@@ -542,10 +541,6 @@ class ServingSearcher:
         self._scratch = _Scratch()
         self.rerank = rerank
         self.attach_adc(adc, beam_width=beam_width)
-        # Hardness-aware query planner (repro.tuning).  None — the default —
-        # leaves every search path bit-identical to the planner-less stack;
-        # attach_planner() routes ef-less searches through per-bin settings.
-        self.planner = None
         self.n_degraded = 0
         self.adc_scored = 0     # cumulative ADC scorings (compressed mode)
         self.rerank_ndc = 0     # cumulative exact re-rank computations
@@ -587,20 +582,10 @@ class ServingSearcher:
             beam_width = 4 if adc is not None else 1
         self.beam_width = beam_width
 
-    def attach_planner(self, planner) -> None:
-        """Install (or remove) the hardness-aware query planner.
-
-        With a planner attached, searches that pass ``ef=None`` are routed
-        per predicted hardness bin (see :mod:`repro.tuning`); an explicit
-        ``ef`` always overrides the planner.  Passing None restores the
-        planner-less behavior exactly.
-        """
-        self.planner = planner
-
     def stats(self) -> dict:
         """Aggregatable searcher counters (summed across shards via
         :func:`repro.cluster.stats.merge_stats`)."""
-        out = {
+        return {
             "n_degraded": self.n_degraded,
             "adc_scored": self.adc_scored,
             "rerank_ndc": self.rerank_ndc,
@@ -610,49 +595,8 @@ class ServingSearcher:
             # reference one, why (no compiler, REPRO_NO_NATIVE, ...).
             "native": native.status(),
         }
-        if self.planner is not None:
-            out["planner"] = self.planner.stats()
-        return out
 
     # -- pipeline stages -----------------------------------------------------
-
-    def _route(self, setting) -> tuple[bool, int, int]:
-        """Stage *route*: ``(use_adc, beam, re-rank budget)`` for one run.
-
-        ``setting`` is the resolved :class:`~repro.tuning.BinSetting`, or
-        None when the caller passed an explicit ``ef`` (or no planner is
-        attached) and the searcher's own configuration applies.
-        ``route="exact"`` forces full-precision traversal even on a
-        compressed store; ``"pq"``/``"default"`` keep the ADC hot path when
-        codes are attached.
-        """
-        if setting is None:
-            return self.adc is not None, self.beam_width, self.rerank
-        use_adc = self.adc is not None and setting.route != "exact"
-        if setting.beam_width is not None:
-            beam = int(setting.beam_width)
-        elif self.adc is not None and not use_adc:
-            # Exact route on a compressed store: the wide ADC beam exists
-            # to absorb quantization noise; full-precision walks don't pay
-            # it, so default narrow.
-            beam = 1
-        else:
-            beam = self.beam_width
-        return use_adc, beam, (setting.rerank if setting.rerank is not None
-                               else self.rerank)
-
-    def _entries(self, pin: EpochPin, queries: np.ndarray,
-                 planned: bool) -> list[int]:
-        """Stage *entries*: the epoch entry, plus — on planned runs only —
-        the planner's adaptive landmark entry for these (prepared) queries."""
-        entries = [pin.epoch.entry]
-        if planned and self.planner is not None:
-            view = pin.view
-            extra = self.planner.entry_for_block(
-                queries, n_nodes=view.epoch.n_nodes, excluded=view.excluded())
-            if extra is not None and extra not in entries:
-                entries.append(extra)
-        return entries
 
     def _account(self, n_queries: int, adc_scored: int, exact_ndc: int,
                  seconds: float) -> None:
@@ -677,13 +621,8 @@ class ServingSearcher:
         search stops expanding and returns best-so-far results with
         ``SearchResult.degraded`` set (and the
         ``serving_degraded_searches`` counter bumped) instead of blocking
-        the caller — graceful degradation, never an error.
-
-        With a planner attached (:meth:`attach_planner`), ``ef=None``
-        resolves to the query's predicted hardness bin's fitted setting
-        (ef + route) through the same ``planner.plan()`` a batch of one
-        takes, landmark entry and outcome feedback included; an explicit
-        ``ef`` always bypasses the planner.
+        the caller — graceful degradation, never an error.  ``ef=None``
+        means ``max(k, 10)``.
         """
         deadline = (None if deadline_ms is None
                     else time.perf_counter() + deadline_ms / 1000.0)
@@ -695,20 +634,14 @@ class ServingSearcher:
         if track:
             t0 = time.perf_counter()
             ndc0 = dc.ndc
-        setting = bins = None
         if ef is None:
-            if self.planner is not None:
-                bins, ((_bin, _idx, setting),) = self.planner.plan(query)
-                ef = setting.ef
-            else:
-                ef = max(k, 10)
-        use_adc, _beam, budget = self._route(setting)
+            ef = max(k, 10)
         with self.manager.pin() as pin:
             view = pin.view
-            entries = self._entries(pin, q, planned=setting is not None)
-            if use_adc:
+            entries = [pin.epoch.entry]
+            if self.adc is not None:
                 result, n_scored, exact_ndc, seconds = rerank_one(
-                    self.adc, dc, view, entries, q, k, ef, budget,
+                    self.adc, dc, view, entries, q, k, ef, self.rerank,
                     visited=self._scratch.visited, excluded=view.excluded(),
                     deadline=deadline)
                 self._account(1, n_scored, exact_ndc, seconds)
@@ -723,8 +656,6 @@ class ServingSearcher:
         if result.degraded:
             self.n_degraded += 1
             _DEGRADED.inc()
-        if bins is not None:
-            self.planner.note_outcomes(bins, [result])
         if track:
             trace = QueryTrace(
                 k=k, ef=ef, n_hops=result.n_hops, ndc=dc.ndc - ndc0,
@@ -753,17 +684,13 @@ class ServingSearcher:
         scratch.block_pin = self.manager.pin()
         return scratch.block_pin.view
 
-    def _engine(self, batch_size: int, beam: int, use_adc: bool,
-                planned: bool) -> BatchSearchEngine:
+    def _engine(self, batch_size: int) -> BatchSearchEngine:
         """The calling thread's cached engine for one ``(batch_size, beam,
-        scorer, entries)``.
-
-        ``planned`` selects the entry function, so an explicit ``ef`` with
-        a planner attached still seeds the epoch entry only.
-        """
+        scorer)``."""
         scratch = self._scratch
+        use_adc = self.adc is not None
         scorer = self.adc if use_adc else self.dc
-        key = (batch_size, beam, use_adc, planned)
+        key = (batch_size, self.beam_width, use_adc)
         engine = scratch.engines.get(key)
         if engine is None or engine.dc is not scorer:
             engine = scratch.engines[key] = BatchSearchEngine(
@@ -776,59 +703,11 @@ class ServingSearcher:
                 excluded_fn=lambda: scratch.block_pin.view.excluded(),
                 batch_size=batch_size,
                 graph_fn=self._pin_block,
-                beam_width=beam,
+                beam_width=self.beam_width,
                 entry_points_block_fn=(
-                    lambda qmat: self._entries(scratch.block_pin, qmat,
-                                               planned)),
+                    lambda qmat: [scratch.block_pin.epoch.entry]),
             )
         return engine
-
-    def _run_group(self, queries: np.ndarray, k: int, ef: int, setting,
-                   batch_size: int, deadline: float | None,
-                   sink=None) -> list[SearchResult]:
-        """Route → pin → entries → traverse → re-rank → account (→ trace
-        into ``sink``), for rows that share ``ef`` and an optional
-        ``setting``."""
-        use_adc, beam, budget = self._route(setting)
-        engine = self._engine(batch_size, beam, use_adc,
-                              planned=setting is not None)
-        if sink is not None:
-            ndc0 = self.dc.ndc
-        try:
-            if use_adc:
-                # Live exclusion set (superset of any pinned view's):
-                # neither the shortlist nor the fallback scan may surface
-                # a tombstoned/removed id.
-                results, n_scored, exact_ndc, seconds = rerank_block(
-                    engine, self.adc, self.dc, queries, k, ef, budget,
-                    self.fixer.adjacency.excluded_ids, deadline)
-                self._account(len(results), n_scored, exact_ndc, seconds)
-            else:
-                results = engine.search_batch(queries, k, ef,
-                                              deadline=deadline)
-        finally:
-            scratch = self._scratch
-            if scratch.block_pin is not None:
-                scratch.block_pin.release()
-                scratch.block_pin = None
-        if sink is not None:
-            self._sink_batch_traces(sink, queries, results, k, ef, ndc0)
-        return results
-
-    def search_group(self, queries: np.ndarray, k: int, setting,
-                     batch_size: int = 32,
-                     deadline: float | None = None) -> list[SearchResult]:
-        """Run one batch group under a bin's :class:`BinSetting`.
-
-        Public because the tuner measures candidate settings through this
-        exact method — fitted tables describe precisely what serving runs.
-        ``route="exact"`` forces full-precision traversal even on a
-        compressed store; ``route="pq"``/``"default"`` keep the ADC hot
-        path when codes are attached.
-        """
-        qmat = np.atleast_2d(np.asarray(queries, dtype=np.float32))
-        return self._run_group(qmat, k, setting.ef, setting, batch_size,
-                               deadline)
 
     def search_batch(self, queries: np.ndarray, k: int,
                      ef: int | None = None, batch_size: int = 32,
@@ -842,30 +721,38 @@ class ServingSearcher:
         <repro.graphs.search.BatchSearchEngine.search_batch>`): rows that
         started before the budget ran out are full-effort (or best-so-far)
         and every later row returns its scored entry points only.
+        ``ef=None`` means ``max(k, 10)``.
 
-        With a planner attached (:meth:`attach_planner`), ``ef=None``
-        partitions the batch by predicted hardness bin and runs each group
-        under its fitted setting, reassembled into caller order; an
-        explicit ``ef`` always bypasses the planner and runs every row as
-        one group under the searcher's own setting.
+        Stages: pin → entries → traverse → re-rank → account (→ trace into
+        the control plane's sink).
         """
         deadline = (None if deadline_ms is None
                     else time.perf_counter() + deadline_ms / 1000.0)
+        if ef is None:
+            ef = max(k, 10)
         sink = self.trace_sink
-        if ef is None and self.planner is not None:
-            qmat = np.atleast_2d(np.asarray(queries, dtype=np.float32))
-            bins, groups = self.planner.plan(qmat)
-            results: list[SearchResult | None] = [None] * qmat.shape[0]
-            for _bin, idx, setting in groups:
-                group = self._run_group(qmat[idx], k, setting.ef, setting,
-                                        batch_size, deadline, sink)
-                for i, r in zip(idx.tolist(), group):
-                    results[i] = r
-            self.planner.note_outcomes(bins, results)
-        else:
-            results = self._run_group(
-                queries, k, ef if ef is not None else max(k, 10), None,
-                batch_size, deadline, sink)
+        engine = self._engine(batch_size)
+        if sink is not None:
+            ndc0 = self.dc.ndc
+        try:
+            if self.adc is not None:
+                # Live exclusion set (superset of any pinned view's):
+                # neither the shortlist nor the fallback scan may surface
+                # a tombstoned/removed id.
+                results, n_scored, exact_ndc, seconds = rerank_block(
+                    engine, self.adc, self.dc, queries, k, ef, self.rerank,
+                    self.fixer.adjacency.excluded_ids, deadline)
+                self._account(len(results), n_scored, exact_ndc, seconds)
+            else:
+                results = engine.search_batch(queries, k, ef,
+                                              deadline=deadline)
+        finally:
+            scratch = self._scratch
+            if scratch.block_pin is not None:
+                scratch.block_pin.release()
+                scratch.block_pin = None
+        if sink is not None:
+            self._sink_batch_traces(sink, queries, results, k, ef, ndc0)
         if deadline is not None:
             n_degraded = sum(1 for r in results if r.degraded)
             if n_degraded:

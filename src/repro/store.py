@@ -35,7 +35,6 @@ from repro.io import load_index, save_index
 from repro.quantization.adc import ADCComputer
 from repro.quantization.pq import ProductQuantizer
 from repro.serving import EpochManager, MaintenanceScheduler, ServingSearcher
-from repro.tuning import HardnessPlanner, TunedConfig
 
 
 class VectorStore:
@@ -111,15 +110,6 @@ class VectorStore:
         ``policy_config`` passes keyword arguments to the named policy's
         constructor; a ready :class:`~repro.control.MaintenancePolicy`
         instance is also accepted.
-    tuned_config:
-        A fitted :class:`~repro.tuning.TunedConfig` (instance, dict, or
-        JSON path — ``repro tune`` emits one).  Once built, a
-        :class:`~repro.tuning.HardnessPlanner` is attached: ``ef``-less
-        searches resolve per-query hardness bins to fitted
-        ``ef``/route/rerank settings, batches partition by predicted bin,
-        and landmark entry points seed each block.  ``None`` (default)
-        keeps today's fixed defaults exactly.  Persisted into
-        ``store-config.json`` so recovery restores it.
     """
 
     def __init__(self, dim: int, metric: Metric | str = StoreConfig.metric,
@@ -135,9 +125,7 @@ class VectorStore:
                  memmap_path: str | pathlib.Path | None = None,
                  beam_width: int | None = StoreConfig.beam_width,
                  policy: str | MaintenancePolicy | None = StoreConfig.policy,
-                 policy_config: dict | None = StoreConfig.policy_config,
-                 tuned_config: TunedConfig | dict | str | pathlib.Path | None
-                 = StoreConfig.tuned_config):
+                 policy_config: dict | None = StoreConfig.policy_config):
         config = self.config = StoreConfig(
             dim=dim, metric=metric, M=M, ef_construction=ef_construction,
             seed=seed, scheduler_mode=scheduler_mode,
@@ -145,7 +133,7 @@ class VectorStore:
             checkpoint_every=checkpoint_every, compressed=compressed,
             pq_m=pq_m, pq_ks=pq_ks, rerank=rerank, beam_width=beam_width,
             policy=policy, policy_config=policy_config,
-            tuned_config=tuned_config, fix_config=fix_config)
+            fix_config=fix_config)
         # No runtime path changes these three, so they stay plain attributes.
         self.dim, self.metric = config.dim, config.metric
         self.fix_config = config.fix_config
@@ -363,35 +351,8 @@ class VectorStore:
             # path builds no traces unless telemetry is on.
             self._searcher.trace_sink = self._scheduler.note_trace
         self._scheduler.wal = self._wal
-        if config.tuned_config is not None:
-            self._attach_planner()
         if config.scheduler_mode == "thread":
             self._scheduler.start()
-
-    def _attach_planner(self) -> None:
-        """Stand up the hardness planner over the serving searcher.
-
-        ``locate_fn`` resolves landmark centroids against the *live* graph
-        (node ids are store-local, so the tuned config never persists
-        them); ``score_fn`` feeds the control plane's navigability score in
-        as the workload-hardness prior when a :class:`SignalPolicy` is
-        driving maintenance.
-        """
-        fixer = self._fixer
-
-        def locate(vector: np.ndarray) -> int | None:
-            result = fixer.search(np.asarray(vector, dtype=np.float32),
-                                  k=4, ef=32)
-            dead = fixer.adjacency.excluded_ids() or ()
-            for i in result.ids:
-                if int(i) not in dead:
-                    return int(i)
-            return None
-
-        signals = getattr(self._policy, "signals", None)
-        score_fn = signals.hardness_prior if signals is not None else None
-        self._searcher.attach_planner(HardnessPlanner(
-            self.config.tuned_config, score_fn=score_fn, locate_fn=locate))
 
     # -- fixing -------------------------------------------------------------
 
@@ -616,28 +577,6 @@ class VectorStore:
             self._searcher.attach_adc(self._adc, rerank=self.config.rerank,
                                       beam_width=self.config.beam_width)
 
-    @property
-    def tuned_config(self) -> TunedConfig | None:
-        """The adopted tuned serving table (None = fixed defaults)."""
-        return self.config.tuned_config
-
-    def apply_tuned_config(
-            self,
-            config: TunedConfig | dict | str | pathlib.Path | None) -> None:
-        """Adopt (or drop, with None) a fitted tuned config at runtime.
-
-        On a built store the hardness planner re-attaches
-        immediately; on a durable store ``store-config.json`` is rewritten
-        so :func:`repro.durability.recover` restores the same table.
-        """
-        self.config = dataclasses.replace(self.config, tuned_config=config)
-        if self._searcher is not None:
-            if self.config.tuned_config is None:
-                self._searcher.attach_planner(None)
-            else:
-                self._attach_planner()
-        self._persist_config()
-
     def close(self) -> None:
         """Stop background work and seal the WAL (flushes + fsyncs)."""
         if (self._scheduler is not None
@@ -691,13 +630,6 @@ class VectorStore:
             }
         else:
             out["searcher"] = self._searcher.stats()
-        tuned = self.config.tuned_config
-        if tuned is not None:
-            out["tuned"] = {
-                "n_bins": tuned.n_bins,
-                "default_ef": tuned.default_ef,
-                "target_recall": tuned.target_recall,
-            }
         if self._fixer.dc.is_memmap:
             out["memmap"] = {
                 "path": str(self._fixer.dc.memmap_path),
@@ -725,9 +657,7 @@ class VectorStore:
              fix_config: FixConfig | dict | None = StoreConfig.fix_config,
              compressed: bool = StoreConfig.compressed, pq_m: int | None = StoreConfig.pq_m,
              pq_ks: int = StoreConfig.pq_ks, rerank: int = StoreConfig.rerank,
-             memmap_dir: str | pathlib.Path | None = None,
-             tuned_config: TunedConfig | dict | str | pathlib.Path | None
-             = StoreConfig.tuned_config) -> "VectorStore":
+             memmap_dir: str | pathlib.Path | None = None) -> "VectorStore":
         """Reload a saved store for serving and repair — **not insertion**.
 
         ``compressed``/``pq_m``/``pq_ks``/``rerank`` enable the PQ-resident
@@ -752,7 +682,7 @@ class VectorStore:
         store = cls(dim=frozen.dc.dim, metric=frozen.dc.metric,
                     fix_config=fix_config,
                     compressed=compressed, pq_m=pq_m, pq_ks=pq_ks,
-                    rerank=rerank, tuned_config=tuned_config)
+                    rerank=rerank)
         payloads = {}
         sidecar = path.with_suffix(".payloads.json")
         if sidecar.exists():

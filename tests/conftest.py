@@ -201,10 +201,18 @@ NONDEFAULT_STORE_SETTINGS = dict(
     scheduler_mode="thread", merge_every=17, sync_every=3,
     checkpoint_every=5, compressed=True, pq_m=2, pq_ks=16, rerank=20,
     beam_width=2, policy="signal", policy_config={"min_traces": 4},
-    tuned_config={"k": 5, "target_recall": 0.9, "edges": [0.5],
-                  "bins": [{"ef": 20}, {"ef": 40, "route": "exact"}],
-                  "landmarks": [[0.25] * 8], "default_ef": 30},
     fix_config={"k": 5, "max_extra_degree": 3, "rounds": [5, 3]})
+
+#: A fitted per-hardness-bin table in the form earlier versions wrote into
+#: ``store-config.json`` and worker specs (the removed query planner's
+#: artifact).  Today's codec ignores it; the compatibility tests carry it.
+OLD_TUNED_TABLE = {
+    "k": 5, "target_recall": 0.9, "edges": [0.5],
+    "bins": [{"ef": 20, "route": "default", "beam_width": None,
+              "rerank": None},
+             {"ef": 40, "route": "exact", "beam_width": 1, "rerank": None}],
+    "landmarks": [[0.25] * 8], "default_ef": 30, "score_shift": 0.6,
+    "metric": "cosine", "meta": {"n_calibration_queries": 40}}
 
 
 def store_settings_with(field: str) -> dict:

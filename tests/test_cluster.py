@@ -28,7 +28,7 @@ from repro.cluster import (
 from repro.cluster.worker import _ShardServer
 from repro.config import StoreConfig
 from repro.store import VectorStore
-from tests.conftest import store_settings_with
+from tests.conftest import OLD_TUNED_TABLE, store_settings_with
 
 DIM = 16
 
@@ -242,6 +242,15 @@ class TestWorkerSpec:
         config = StoreConfig(**store_settings_with(field))
         server = _ShardServer({**config.to_dict(), "shard_id": 0})
         assert server.store.config == config
+        server.store.close()
+
+    def test_old_spec_with_tuned_table_still_builds(self):
+        """A spec written by an earlier router, carrying the removed
+        planner's fitted table, builds its shard store through
+        ``StoreConfig.from_dict``; the key is ignored."""
+        server = _ShardServer({"dim": DIM, "shard_id": 0,
+                               "tuned_config": OLD_TUNED_TABLE})
+        assert server.store.config == StoreConfig(dim=DIM)
         server.store.close()
 
     def test_zero_beam_width_is_rejected_not_coerced(self):

@@ -28,7 +28,8 @@ from repro.durability.wal import _HEADER
 from repro.faults import FAULTS, FaultInjected, FaultPlan
 from repro.quantization.pq import ProductQuantizer
 from repro.store import VectorStore
-from tests.conftest import NONDEFAULT_STORE_SETTINGS, store_settings_with
+from tests.conftest import (NONDEFAULT_STORE_SETTINGS, OLD_TUNED_TABLE,
+                            store_settings_with)
 
 
 @pytest.fixture(autouse=True)
@@ -336,11 +337,14 @@ class TestRecovery:
     @pytest.mark.parametrize("rewrite", [
         lambda config: config.update(serving=False),
         lambda config: config.pop("beam_width"),
-    ], ids=["serving-false", "no-beam-width"])
+        lambda config: config.update(tuned_config=OLD_TUNED_TABLE),
+    ], ids=["serving-false", "no-beam-width", "tuned-table"])
     def test_old_store_config_still_recovers(self, tmp_path, rewrite):
         """Configs from before this format — carrying the dropped
-        ``serving`` key, or written before ``beam_width`` was persisted —
-        recover into a serving, consistent store."""
+        ``serving`` key or a fitted planner table, or written before
+        ``beam_width`` was persisted — recover into a serving, consistent
+        store whose ``ef``-less search is the one default,
+        ``ef=max(k, 10)``."""
         wal_dir = tmp_path / "wal"
         store = _make_store(wal_dir, n=40, seed=7)
         store.checkpoint()
@@ -354,8 +358,10 @@ class TestRecovery:
         recovered, report = recover(wal_dir)
         assert report.consistent, report.errors
         assert recovered.epochs is not None and recovered.scheduler is not None
-        assert len(recovered.search(_vectors(1, seed=9)[0], k=5,
-                                    deadline_ms=10_000.0)) == 5
+        query = _vectors(1, seed=9)[0]
+        assert len(recovered.search(query, k=5, deadline_ms=10_000.0)) == 5
+        assert recovered.search(query, k=5) == recovered.search(query, k=5,
+                                                                ef=10)
         recovered.close()
 
     def test_config_without_fix_config_recovers_default(self, tmp_path):
@@ -432,7 +438,7 @@ class TestRecovery:
 @st.composite
 def _store_configs(draw):
     """Arbitrary valid configs (nested ``fix_config`` / policy arguments
-    included; the tuned table has its own round-trip suite)."""
+    included)."""
     small = st.integers(1, 64)
     optional = st.one_of(st.none(), small)
     policy = draw(st.sampled_from([None, "cadence", "signal"]))
@@ -449,8 +455,6 @@ def _store_configs(draw):
         policy_config=({"min_traces": draw(small)}
                        if policy == "signal" and draw(st.booleans())
                        else None),
-        tuned_config=draw(st.sampled_from(
-            [None, NONDEFAULT_STORE_SETTINGS["tuned_config"]])),
         fix_config=draw(st.one_of(st.none(), st.builds(
             FixConfig, k=small, max_extra_degree=small,
             hard_ratio=st.floats(1.0, 4.0),

@@ -12,6 +12,8 @@ The contract under test:
 """
 
 import json
+import pathlib
+import re
 import threading
 import tracemalloc
 
@@ -20,6 +22,8 @@ import pytest
 
 from repro import obs
 from repro.obs import MetricsRegistry, QueryTrace, TraceLog
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -268,3 +272,62 @@ class TestServingIntegration:
         snap = obs.OBS.snapshot()
         assert snap["serving_queries"] == 0
         assert len(obs.TRACES) == 0
+
+
+def _documented_metrics() -> set[str]:
+    """Metric names of the table rows in ``docs/observability.md``'s
+    catalog, without the ``_total`` suffix counters export with."""
+    text = (REPO / "docs" / "observability.md").read_text()
+    catalog = text.split("## Metric catalog", 1)[1].split("\n## ", 1)[0]
+    names = set()
+    for line in catalog.splitlines():
+        if not line.startswith("| `"):
+            continue
+        first_cell = line.split("|")[1]
+        names.update(re.sub(r"_total$", "", name)
+                     for name in re.findall(r"`([a-z0-9_]+)`", first_cell))
+    return names
+
+
+def _registered_metrics() -> set[str]:
+    """Every name the code registers: module-level instruments (after
+    importing every ``repro`` module), the per-instance callback gauges of
+    a store, a cache and a front door, and — read from source, so no
+    worker is spawned — the router's."""
+    import ast
+    import asyncio
+    import importlib
+    import pkgutil
+
+    import repro
+    from repro import VectorStore
+    from repro.cluster import FrontDoor
+    from repro.core.hash_cache import HashTableCache
+
+    for module in pkgutil.walk_packages(repro.__path__, "repro."):
+        importlib.import_module(module.name)
+    store = VectorStore(dim=8, metric="l2", M=4, ef_construction=16)
+    store.add(np.random.default_rng(0).standard_normal((32, 8))
+              .astype(np.float32))
+    store.build()
+    HashTableCache()
+    door = FrontDoor(store, k=5)
+    asyncio.run(door.drain())
+    store.close()
+    names = set(obs.OBS._instruments)
+    router = REPO / "src" / "repro" / "cluster" / "router.py"
+    for node in ast.walk(ast.parse(router.read_text())):
+        if (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "gauge_fn"):
+            names.add(node.args[0].value)
+    return names
+
+
+class TestMetricCatalog:
+    """The catalog in ``docs/observability.md`` is what the code registers."""
+
+    def test_catalog_equals_registered_metrics(self):
+        documented, registered = _documented_metrics(), _registered_metrics()
+        assert registered - documented == set(), "registered, undocumented"
+        assert documented - registered == set(), "documented, unregistered"

@@ -497,8 +497,6 @@ class TestCatchupOverflowResync:
 class _SlowSearcher:
     """VectorStore wrapper with a fixed service delay (saturates the door)."""
 
-    tuned_config = None
-
     def __init__(self, store, delay_s: float):
         self.store = store
         self.delay_s = delay_s
@@ -576,17 +574,39 @@ class TestFrontDoorAdmission:
         assert not recovered[-1].degraded  # full-effort serving is back
 
     def test_brownout_ef_resolution_chain(self, frontdoor_store):
-        tuned = {"bins": [{"ef": 24}, {"ef": 80}]}
+        searcher = _SlowSearcher(frontdoor_store, 0.0)
+        assert FrontDoor(searcher, k=10, ef=64)._brownout_ef(10) == 32
+        assert FrontDoor(searcher, k=10, ef=19)._brownout_ef(10) == 10
+        # No smaller ef than full effort exists: no brown-out ef at all.
+        assert FrontDoor(searcher, k=10, ef=10)._brownout_ef(10) is None
+        assert FrontDoor(searcher, k=10)._brownout_ef(10) is None
 
-        class Tuned(_SlowSearcher):
-            tuned_config = tuned
+    @pytest.mark.parametrize("ef", [None, 10], ids=["no-ef", "halving-hits-k"])
+    def test_brownout_without_smaller_ef_serves_full_answers(
+            self, frontdoor_store, cluster_data, ef):
+        """A browned block that cannot run below full effort is dispatched
+        normally: its answers are the unbrowned ones, unflagged, and no
+        brown-out block is counted."""
+        _, queries = cluster_data
+        forced = BrownoutController(enter_score=0.0, exit_score=0.0,
+                                    enter_after=1, exit_after=10**9)
 
-        door = FrontDoor(Tuned(frontdoor_store, 0.0), k=10, ef=64)
-        assert door._brownout_ef(10) == 24  # tuned easy bin wins
-        door2 = FrontDoor(_SlowSearcher(frontdoor_store, 0.0), k=10, ef=64)
-        assert door2._brownout_ef(10) == 32  # halved default ef
-        door3 = FrontDoor(_SlowSearcher(frontdoor_store, 0.0), k=10)
-        assert door3._brownout_ef(10) == 10  # floor: plain k
+        async def scenario():
+            door = FrontDoor(frontdoor_store, window_ms=1.0, k=10, ef=ef,
+                             brownout=forced)
+            served = await asyncio.gather(
+                *(door.search(queries[i]) for i in range(24)))
+            stats = door.stats()
+            await door.drain()
+            return served, stats
+
+        served, stats = asyncio.run(scenario())
+        assert forced.active
+        assert stats["brownout_blocks"] == 0
+        assert not any(r.degraded for r in served)
+        expected = frontdoor_store.search_batch(queries[:24], k=10, ef=ef)
+        for got, want in zip(served, expected):
+            np.testing.assert_array_equal(got.ids, want.ids)
 
     def test_dedicated_executor_and_terminal_drain(self, frontdoor_store,
                                                    cluster_data):

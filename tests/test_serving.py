@@ -153,6 +153,39 @@ class TestServingStore:
             seq = [i for i, _, _ in store.search(q, k=5, ef=30)]
             assert res.ids.tolist() == seq
 
+    @pytest.mark.parametrize("compressed", [False, True],
+                             ids=["exact", "compressed"])
+    def test_default_ef_matches_explicit(self, compressed):
+        """One ``ef`` rule: an omitted ``ef`` is ``max(k, 10)``, on the
+        scalar and the block path alike."""
+        store = VectorStore(dim=DIM, metric="l2", M=8, ef_construction=40,
+                            compressed=compressed, pq_ks=16)
+        store.add(BASE)
+        store.build()
+        searcher = store.searcher
+        for k in (5, 10, 12):
+            ef = max(k, 10)
+            defaulted = searcher.search_batch(QUERIES, k, batch_size=4)
+            explicit = searcher.search_batch(QUERIES, k, ef, batch_size=4)
+            for d, e in zip(defaulted, explicit):
+                np.testing.assert_array_equal(d.ids, e.ids)
+                np.testing.assert_array_equal(d.distances, e.distances)
+            for q in QUERIES:
+                d, e = searcher.search(q, k), searcher.search(q, k, ef=ef)
+                np.testing.assert_array_equal(d.ids, e.ids)
+                np.testing.assert_array_equal(d.distances, e.distances)
+
+    def test_single_query_explicit_ef_identical(self):
+        """A lone query at an explicit ``ef`` is its row of a block at that
+        ``ef``, distances included."""
+        store = make_store()
+        searcher = store.searcher
+        block = searcher.search_batch(QUERIES, 10, 25, batch_size=4)
+        for q, row in zip(QUERIES, block):
+            lone = searcher.search(q, 10, ef=25)
+            np.testing.assert_array_equal(lone.ids, row.ids)
+            np.testing.assert_array_equal(lone.distances, row.distances)
+
     def test_deleted_id_never_surfaces(self):
         store = make_store()
         q = QUERIES[0]
