@@ -63,32 +63,12 @@ def _add_compressed(parser: argparse.ArgumentParser) -> None:
                              "serve them via np.memmap (disk-resident tier)")
 
 
-def _add_policy(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--policy", default=None,
-                        choices=["cadence", "signal"],
-                        help="maintenance policy: 'cadence' = fixed "
-                             "merge_every/repair-on-observe (the default "
-                             "behavior), 'signal' = navigability-triggered "
-                             "merge/repair (see docs/architecture.md)")
-    parser.add_argument("--policy-config", default=None,
-                        help="JSON dict of keyword arguments for the chosen "
-                             "policy, e.g. "
-                             "'{\"storm_deletes\": 16, \"min_traces\": 8}'")
-
-
 def _store_kwargs(args) -> dict:
     """Store settings shared by churn, stats and cluster (which hands them
-    to the router): the CLI's build geometry plus whichever of the policy /
-    compressed flag groups the command registered."""
-    import json as _json
+    to the router): the CLI's build geometry plus the compressed flag
+    group."""
     kwargs = dict(M=12, ef_construction=60, seed=args.seed)
-    if getattr(args, "policy", None):
-        kwargs["policy"] = args.policy
-        if getattr(args, "policy_config", None):
-            kwargs["policy_config"] = _json.loads(args.policy_config)
-    elif getattr(args, "policy_config", None):
-        raise SystemExit("--policy-config requires --policy")
-    if getattr(args, "compressed", False):
+    if args.compressed:
         kwargs.update(compressed=True, pq_m=args.pq_m, pq_ks=args.pq_ks,
                       rerank=args.rerank)
     return kwargs
@@ -100,24 +80,6 @@ def _memmap_kwargs(args) -> dict:
     if getattr(args, "memmap_dir", None):
         return {"memmap_path": pathlib.Path(args.memmap_dir) / "vectors.vecs"}
     return {}
-
-
-def _print_policy_stats(store) -> None:
-    scheduler = store.scheduler
-    if scheduler is None:
-        return
-    pol = scheduler.stats()["policy"]
-    if pol.get("policy") == "signal":
-        print(f"  policy signal: score {pol['signal_score']:.3f} "
-              f"(slope {pol['signal_slope']:+.3f}), "
-              f"{pol['triggers_fired']} triggers, "
-              f"{pol['storm_detections']} storms, "
-              f"{pol['repairs_skipped']} repairs skipped, "
-              f"{pol['repairs_requested']} burst repairs, "
-              f"{pol['deferred_merges']} merges deferred")
-    else:
-        print(f"  policy {pol.get('policy')}: "
-              f"merge_every {pol.get('merge_every')}")
 
 
 def _print_compressed_stats(store) -> None:
@@ -197,9 +159,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_churn.add_argument("--rounds", type=int, default=3,
                          help="passes over the query set in storm mode")
     p_churn.add_argument("--json", action="store_true",
-                         help="emit the report (incl. recall percentiles "
-                              "and policy counters) as JSON")
-    _add_policy(p_churn)
+                         help="emit the report (incl. recall percentiles) "
+                              "as JSON")
     _add_compressed(p_churn)
 
     p_rec = sub.add_parser(
@@ -225,7 +186,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument("--traces", type=int, default=0,
                          help="also dump the N most recent per-query traces "
                               "as JSON (0 = off)")
-    _add_policy(p_stats)
     _add_compressed(p_stats)
 
     p_cluster = sub.add_parser(
@@ -273,7 +233,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="delay replica (0,0)'s replies mid-run (gray "
                                 "failure) and report hedging + breaker "
                                 "re-admission instead of a respawn")
-    _add_policy(p_cluster)
     _add_compressed(p_cluster)
 
     p_ex = sub.add_parser("explain", help="diagnose one test query in depth")
@@ -418,16 +377,12 @@ def _cmd_churn(args) -> int:
             batch_size=batch_size,
             mutation_fraction=args.mutation_fraction,
             observe_every=args.observe_every, seed=args.seed)
-    scheduler = store.scheduler
-    policy_stats = (scheduler.stats()["policy"]
-                    if scheduler is not None else {})
     if args.json:
         out = {
             "dataset": ds.name,
             "mode": "storm" if args.storm else "steady",
             "baseline": {"qps": baseline.qps, "recall": baseline.recall},
             "report": _dc.asdict(report),
-            "policy": policy_stats,
         }
         print(_json.dumps(out, indent=2))
         store.close()
@@ -454,7 +409,6 @@ def _cmd_churn(args) -> int:
               f"{report.repairs} online repairs")
         print(f"  query-path O(E) refreezes: {report.query_path_freezes}")
     print(f"  {format_percentiles(pct)}")
-    _print_policy_stats(store)
     _print_compressed_stats(store)
     if store.wal is not None:
         wal_stats = store.wal.stats()
@@ -637,16 +591,6 @@ def _cmd_cluster(args) -> int:
             print(f"  merged shards: {comp.get('adc_scored', 0)} ADC "
                   f"scorings, {comp.get('rerank_ndc', 0)} exact re-rank "
                   f"NDC (pq_sig shared: {merged.get('pq_sig')})")
-        if args.policy:
-            health = router.health()
-            print(f"  policy ({health.get('policy')}): worst score "
-                  f"{health.get('signal_score', 0.0):.3f}, "
-                  f"{health.get('storms_active', 0)} storms active "
-                  f"({health.get('storm_detections', 0)} detected), "
-                  f"{health.get('triggers_fired', 0)} triggers, "
-                  f"{health.get('repairs_skipped', 0)} repairs skipped, "
-                  f"{health.get('live_replicas')}/"
-                  f"{health.get('total_replicas')} replicas live")
     finally:
         router.close()
     return 0

@@ -183,7 +183,7 @@ class FrontDoor:
         self._dispatch(loop, k)
 
     def _overload_score(self, block: list[_Pending], now: float) -> float:
-        """Control-plane-shaped pressure score at one dispatch (0 healthy)."""
+        """The overload score at one dispatch (0 healthy)."""
         oldest_wait = max(now - p.t_enqueue for p in block)
         window_s = max(self.window_ms / 1000.0, 1e-4)
         arrivals = self._admits_window + self._sheds_window

@@ -29,9 +29,8 @@ door compose into tail tolerance:
 - :class:`BrownoutController` + :class:`Overloaded` — the front door's
   admission control.  Bounded coalescing queues shed with a typed
   :class:`Overloaded` rejection when full; under *sustained* overload
-  (a control-plane-shaped score over queue depth, wait inflation, and shed
-  rate — the same "0 = healthy, grows with pressure" shape as
-  :mod:`repro.control`) the door browns out instead: blocks dispatch at a
+  (a score over queue depth, wait inflation, and shed rate: 0 = healthy,
+  growing with pressure) the door browns out instead: blocks dispatch at a
   reduced effort (half the door's ``ef``, never below ``k``) and results
   are marked ``degraded``, recovering hysteretically once pressure stays
   low.
@@ -391,8 +390,8 @@ class CircuitBreaker:
 class BrownoutController:
     """Hysteretic overload→brownout state machine for the front door.
 
-    :meth:`update` folds one dispatch-time overload score (the control-plane
-    shape: ``2·shed_rate + queue_fraction + wait-inflation``, 0 = healthy)
+    :meth:`update` folds one dispatch-time overload score
+    (``2·shed_rate + queue_fraction + wait-inflation``, 0 = healthy)
     and flips ``active`` after ``enter_after`` consecutive scores at or
     above ``enter_score``; recovery requires ``exit_after`` consecutive
     scores at or below ``exit_score`` — the gap between the two thresholds
@@ -454,15 +453,14 @@ class BrownoutController:
 
 def overload_score(queue_fraction: float, wait_ratio: float,
                    shed_rate: float) -> float:
-    """The front door's overload score (control-plane shape, 0 = healthy).
+    """The front door's overload score (0 = healthy).
 
     ``queue_fraction`` is depth (queued + in-flight) over the admission
     bound; ``wait_ratio`` is the realized coalescing wait over the
     configured window (a healthy door waits ≈ 1 window, so only inflation
     *past* double the window counts); ``shed_rate`` is the fraction of
-    arrivals rejected since the last dispatch.  Mirrors the
-    :mod:`repro.control` score shape: shed (like degraded rate) weighs
-    double, the other terms are baseline-relative inflations.
+    arrivals rejected since the last dispatch.  Shed weighs double; the
+    other terms are baseline-relative inflations.
     """
     return (2.0 * max(shed_rate, 0.0)
             + max(queue_fraction, 0.0)

@@ -334,11 +334,6 @@ class ClusterRouter:
     merge_reserve:
         Fraction of any deadline budget withheld from shards for the
         scatter/merge hop (see :func:`shard_budget_ms`).
-    policy, policy_config:
-        Per-shard maintenance policy (:mod:`repro.control`), forwarded to
-        every replica's store.  Each shard runs its own policy against its
-        own signals; :meth:`health` rolls per-shard navigability up to a
-        cluster view (worst shard's score, summed storm detections).
     hedge, hedge_ms:
         Hedged reads: when a partition's primary reply outlasts the
         replica's EWMA-tracked hedge delay (or the fixed ``hedge_ms``
@@ -367,8 +362,6 @@ class ClusterRouter:
                  beam_width: int | None = StoreConfig.beam_width,
                  merge_reserve: float = MERGE_RESERVE,
                  rpc_timeout: float = 120.0,
-                 policy: str | None = StoreConfig.policy,
-                 policy_config: dict | None = StoreConfig.policy_config,
                  hedge: bool = True, hedge_ms: float | None = None,
                  breaker_config=None, max_pending: int = 1024):
         check_positive(n_shards, "n_shards")
@@ -380,8 +373,7 @@ class ClusterRouter:
             dim=dim, metric=metric, M=M, ef_construction=ef_construction,
             seed=seed, merge_every=merge_every, sync_every=sync_every,
             compressed=compressed, pq_m=pq_m, pq_ks=pq_ks, rerank=rerank,
-            beam_width=beam_width, policy=policy,
-            policy_config=policy_config)
+            beam_width=beam_width)
         settings = self.config.to_dict()
         self.dim = dim
         self.metric = self.config.metric
@@ -979,46 +971,4 @@ class ClusterRouter:
             "router": self.router_stats(),
             "shards": shard_stats,
             "merged": merge_stats(shard_stats),
-        }
-
-    def health(self) -> dict:
-        """Cluster navigability rollup from the per-shard maintenance
-        policies.
-
-        Score-like gauges aggregate by *worst shard* (see
-        :data:`repro.cluster.stats.MAX_KEYS`) — one badly degraded
-        partition degrades every query that fans out to it — while
-        event counters (storms, triggers, repairs) sum.  Shards running
-        the default cadence policy report no signal fields; the rollup
-        then carries only liveness and repair/merge totals.
-        """
-        snap = self.stats()
-        shards = snap["shards"]
-        serving = snap["merged"].get("serving") or {}
-        policy = serving.get("policy") or {}
-        per_shard = []
-        for s in shards:
-            shard_policy = (s.get("serving") or {}).get("policy") or {}
-            per_shard.append({
-                "shard_id": s.get("shard_id"),
-                "replica_id": s.get("replica_id"),
-                "alive": bool(s.get("alive")),
-                "signal_score": shard_policy.get("signal_score"),
-                "storm_active": shard_policy.get("storm_active"),
-            })
-        return {
-            "live_replicas": sum(1 for s in shards if s.get("alive")),
-            "total_replicas": len(shards),
-            "policy": policy.get("policy"),
-            "signal_score": policy.get("signal_score"),
-            "signal_slope": policy.get("signal_slope"),
-            "storms_active": policy.get("storm_active", 0),
-            "storm_detections": policy.get("storm_detections", 0),
-            "triggers_fired": policy.get("triggers_fired", 0),
-            "repairs_skipped": policy.get("repairs_skipped", 0),
-            "repairs": serving.get("repairs", 0),
-            "merges": serving.get("merges", 0),
-            "repair_seconds": serving.get("repair_seconds", 0.0),
-            "merge_seconds": serving.get("merge_seconds", 0.0),
-            "replicas": per_shard,
         }

@@ -27,13 +27,7 @@ import numbers
 #: Keys that identify a shard rather than count anything: merged to the
 #: sorted set of observed values, never summed.
 IDENTITY_KEYS = frozenset({"shard_id", "replica_id", "pq_sig", "metric",
-                           "mode", "scheduler_mode", "policy",
-                           "merge_every"})
-
-#: Health gauges where the cluster-wide value is the *worst* shard, not the
-#: sum: a fleet with one badly degraded shard is degraded.
-MAX_KEYS = frozenset({"signal_score", "signal_slope", "degraded_rate",
-                      "tombstone_density"})
+                           "mode", "scheduler_mode", "merge_every"})
 
 
 def _merge_values(key: str, values: list):
@@ -47,9 +41,6 @@ def _merge_values(key: str, values: list):
     if key in IDENTITY_KEYS:
         uniq = sorted({v for v in values}, key=str)
         return uniq[0] if len(uniq) == 1 else uniq
-    if key in MAX_KEYS:
-        numeric = [v for v in values if isinstance(v, numbers.Number)]
-        return max(numeric) if numeric else values[0]
     if isinstance(first, numbers.Number):
         total = sum(v for v in values if isinstance(v, numbers.Number))
         return type(first)(total) if isinstance(first, int) else total

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.control.policy import MaintenancePolicy, make_policy
 from repro.core.fixer import FixConfig
 from repro.distances import Metric
 from repro.utils.validation import check_positive
@@ -61,8 +60,6 @@ class StoreConfig:
     pq_ks: int = 32
     rerank: int = 50
     beam_width: int | None = None
-    policy: str | MaintenancePolicy | None = None
-    policy_config: dict | None = None
     fix_config: FixConfig | dict | None = None
 
     def __post_init__(self):
@@ -78,21 +75,15 @@ class StoreConfig:
                              f"got {self.scheduler_mode!r}")
         normalized = dict(
             metric=Metric.parse(self.metric),
-            policy_config=dict(self.policy_config) if self.policy_config else None,
             fix_config=_coerce_fix_config(self.fix_config))
         for name, value in normalized.items():
             object.__setattr__(self, name, value)
-        # Unknown policy names and bad policy arguments fail here; each
-        # store then builds its own (stateful) policy from the same spec.
-        make_policy(self.policy, self.merge_every, self.policy_config)
 
     def to_dict(self) -> dict:
         """Plain JSON-serializable form: the ``store-config.json`` schema and
-        the settings half of a cluster worker spec.  A policy *instance* is
-        recorded by name only."""
+        the settings half of a cluster worker spec."""
         return dict(
             vars(self), metric=self.metric.value,
-            policy=getattr(self.policy, "name", self.policy),
             fix_config=dataclasses.asdict(self.fix_config))
 
     @classmethod

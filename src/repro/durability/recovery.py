@@ -110,7 +110,6 @@ class RecoveryReport:
 def recover(wal_dir: str | pathlib.Path, *, fix_config=None,
             scheduler_mode: str | None = None,
             merge_every: int | None = None, sync_every: int | None = None,
-            policy=None, policy_config: dict | None = None,
             replay_observes: bool = True, attach_wal: bool = True):
     """Rebuild a store from ``wal_dir``; returns ``(store, report)``.
 
@@ -118,8 +117,7 @@ def recover(wal_dir: str | pathlib.Path, *, fix_config=None,
     in the directory's ``store-config.json`` (every field; keys this version
     no longer knows, such as an old file's ``serving``, are ignored and keys
     an older version did not write take today's defaults).  The keyword
-    overrides replace single fields of it for this process; a ``policy``
-    override also replaces the recorded ``policy_config``.  With
+    overrides replace single fields of it for this process.  With
     ``attach_wal`` (default) the recovered store continues logging into
     the same WAL, so it is immediately crash-safe again; pass False for a
     read-mostly post-mortem load.
@@ -135,10 +133,8 @@ def recover(wal_dir: str | pathlib.Path, *, fix_config=None,
     stored = json.loads(config_path.read_text()) if config_path.exists() else {}
     overrides = {name: value for name, value in (
         ("fix_config", fix_config), ("scheduler_mode", scheduler_mode),
-        ("merge_every", merge_every), ("sync_every", sync_every),
-        ("policy_config", policy_config)) if value is not None}
-    if policy is not None:
-        overrides.update(policy=policy, policy_config=policy_config)
+        ("merge_every", merge_every), ("sync_every", sync_every))
+        if value is not None}
 
     def shell_config(**geometry) -> StoreConfig:
         # A directory that lost its config file still recovers from a

@@ -267,8 +267,7 @@ class ChurnReport:
     :func:`~repro.evalx.metrics.recall_percentiles`); churn damage that a
     mean hides shows up as ``recall_p99`` collapsing.
     ``maintenance_seconds`` is the scheduler's cumulative repair + merge
-    wall-clock attributable to this run — the cost a maintenance policy is
-    judged on.
+    wall-clock attributable to this run.
     """
 
     n_queries: int
@@ -484,8 +483,7 @@ def delete_storm_workload(
     calm batches trickle ``calm_mutations`` re-inserts of previously
     deleted vectors so the corpus size recovers between storms.  The query
     set is served ``rounds`` times so post-storm traffic revisits the
-    damaged regions — exactly the traffic a signal-driven policy repairs
-    for.
+    damaged regions.
 
     Like the steady-state protocol, storms are *recall-neutral by
     construction* (only ids outside every query's ground-truth top-k are
@@ -493,12 +491,10 @@ def delete_storm_workload(
     harness gates on — is navigability damage, not missing answers.
 
     ``observe_every > 0`` offers every Nth batch's first query to
-    ``store.observe``: the repair feedback stream a cadence policy repairs
-    unconditionally and a signal policy admits selectively.
+    ``store.observe``: the repair feedback stream.
 
-    Determinism: storms fire on batch counts, deletions follow a seeded
-    shuffle, and the policy's storm detector counts operations — the run
-    is reproducible wall-clock-free.
+    Determinism: storms fire on batch counts and deletions follow a seeded
+    shuffle, so the run is reproducible wall-clock-free.
     """
     check_positive(k, "k")
     check_positive(batch_size, "batch_size")

@@ -479,7 +479,6 @@ def greedy_search(
     telemetry = OBS.enabled
     if telemetry:
         t0 = time.perf_counter()
-        ndc0 = dc.ndc
     q = query if prepared else dc.prepare_query(query)
     if visited is None:
         visited = VisitedTable(dc.size)
@@ -501,7 +500,7 @@ def greedy_search(
         _SEARCH_QUERIES.inc()
         _SEARCH_HOPS.observe(result.n_hops)
         _SEARCH_FRONTIER.observe(result.frontier_peak)
-        _SEARCH_NDC.observe(dc.ndc - ndc0)
+        _SEARCH_NDC.observe(result.ndc)
         _SEARCH_SECONDS.observe(time.perf_counter() - t0)
     return result
 
@@ -638,7 +637,6 @@ class BatchSearchEngine:
         telemetry = OBS.enabled
         if telemetry:
             t0 = time.perf_counter()
-            ndc0 = dc.ndc
         # Graph snapshot for this block, when the provider has one.  Must be
         # resolved *before* the excluded set: an epoch-pinning graph_fn (see
         # repro.serving.ServingSearcher) establishes the block's pinned view
@@ -699,6 +697,6 @@ class BatchSearchEngine:
             _BATCH_QUERIES.inc(n_queries)
             _BATCH_OCCUPANCY.observe(n_queries)
             _BATCH_ROUNDS.observe(max(r.n_hops for r in final))
-            _BATCH_NDC.observe(dc.ndc - ndc0)
+            _BATCH_NDC.observe(sum(r.ndc for r in final))
             _BATCH_SECONDS.observe(time.perf_counter() - t0)
         return final

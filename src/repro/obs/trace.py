@@ -30,7 +30,6 @@ class QueryTrace:
     pin_seconds: float = 0.0
     elapsed_seconds: float = 0.0
     cache_hit: bool = False
-    batched: bool = False
     queue_depth: int = 0
     degraded: bool = False
     executor: str = "reference"  # "native" (_beam.c) | "reference" (Python)
@@ -71,9 +70,8 @@ class TraceLog:
     def clear(self) -> None:
         """Drop the retained traces; ``n_recorded`` stays monotonic.
 
-        Rate/baseline consumers (:class:`repro.control.NavigabilitySignals`,
-        scrape deltas) difference ``n_recorded`` across reads — resetting it
-        here would make those deltas go negative.
+        Rate consumers (scrape deltas) difference ``n_recorded`` across
+        reads — resetting it here would make those deltas go negative.
         """
         with self._lock:
             self._buffer.clear()

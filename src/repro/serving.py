@@ -45,7 +45,6 @@ from collections import deque
 
 import numpy as np
 
-from repro.control.policy import CadencePolicy, MaintenancePolicy
 from repro.faults import FAULTS
 from repro.graphs import native
 from repro.graphs.csr import CSRGraphView
@@ -522,7 +521,7 @@ class ServingSearcher:
     **re-rank** (compressed routes only —
     :func:`~repro.quantization.searcher.rerank_one` /
     :func:`~repro.quantization.searcher.rerank_block`), then **account +
-    trace**.
+    trace** (a :meth:`search` records its trace while telemetry is on).
 
     **Compressed mode.**  When an :class:`~repro.quantization.adc.ADCComputer`
     is attached (``adc=``), traversal scoring runs over its resident uint8
@@ -548,11 +547,6 @@ class ServingSearcher:
         # Telemetry hook: the owning store points this at its scheduler's
         # queue so per-query traces carry the repair backlog.
         self.queue_depth_fn = None
-        # Control-plane hook: when a trace-hungry maintenance policy is
-        # installed the store points this at the scheduler's ``note_trace``.
-        # None (the default) keeps the hot path free of trace construction
-        # unless telemetry is on — trace-blind policies pay nothing.
-        self.trace_sink = None
 
     @property
     def dc(self):
@@ -629,11 +623,8 @@ class ServingSearcher:
         dc = self.dc
         q = dc.prepare_query(query)
         telemetry = OBS.enabled
-        sink = self.trace_sink
-        track = telemetry or sink is not None
-        if track:
+        if telemetry:
             t0 = time.perf_counter()
-            ndc0 = dc.ndc
         if ef is None:
             ef = max(k, 10)
         with self.manager.pin() as pin:
@@ -652,26 +643,24 @@ class ServingSearcher:
                     excluded=view.excluded(),
                     collect_visited=collect_visited, prepared=True,
                     deadline=deadline)
+                exact_ndc = result.ndc
             pin_seconds = pin.age()
         if result.degraded:
             self.n_degraded += 1
             _DEGRADED.inc()
-        if track:
-            trace = QueryTrace(
-                k=k, ef=ef, n_hops=result.n_hops, ndc=dc.ndc - ndc0,
+        if telemetry:
+            # The search's own exact scorings: ``dc.ndc`` is shared with
+            # concurrent readers, so a delta of it would bill theirs too.
+            _SERVE_QUERIES.inc()
+            TRACES.record(QueryTrace(
+                k=k, ef=ef, n_hops=result.n_hops, ndc=exact_ndc,
                 frontier_peak=result.frontier_peak,
                 epoch_id=pin.epoch.epoch_id, overlay_seq=view.seq,
                 pin_seconds=pin_seconds,
                 elapsed_seconds=time.perf_counter() - t0,
                 queue_depth=(self.queue_depth_fn()
                              if self.queue_depth_fn is not None else 0),
-                degraded=result.degraded, executor=result.executor,
-            )
-            if telemetry:
-                _SERVE_QUERIES.inc()
-                TRACES.record(trace)
-            if sink is not None:
-                sink(trace, query=q)
+                degraded=result.degraded, executor=result.executor))
         return result
 
     # -- batched path -------------------------------------------------------
@@ -723,17 +712,13 @@ class ServingSearcher:
         and every later row returns its scored entry points only.
         ``ef=None`` means ``max(k, 10)``.
 
-        Stages: pin → entries → traverse → re-rank → account (→ trace into
-        the control plane's sink).
+        Stages: pin → entries → traverse → re-rank → account.
         """
         deadline = (None if deadline_ms is None
                     else time.perf_counter() + deadline_ms / 1000.0)
         if ef is None:
             ef = max(k, 10)
-        sink = self.trace_sink
         engine = self._engine(batch_size)
-        if sink is not None:
-            ndc0 = self.dc.ndc
         try:
             if self.adc is not None:
                 # Live exclusion set (superset of any pinned view's):
@@ -751,31 +736,12 @@ class ServingSearcher:
             if scratch.block_pin is not None:
                 scratch.block_pin.release()
                 scratch.block_pin = None
-        if sink is not None:
-            self._sink_batch_traces(sink, queries, results, k, ef, ndc0)
         if deadline is not None:
             n_degraded = sum(1 for r in results if r.degraded)
             if n_degraded:
                 self.n_degraded += n_degraded
                 _DEGRADED.inc(n_degraded)
         return results
-
-    def _sink_batch_traces(self, sink, queries: np.ndarray,
-                           results: list[SearchResult], k: int, ef: int,
-                           ndc0: int) -> None:
-        """Feed per-result traces to the control plane after a batch.
-
-        Distance computations are block-shared, so each trace carries the
-        batch-averaged NDC — the policy consumes window means, for which
-        the average is the right per-query attribution.
-        """
-        qmat = np.atleast_2d(np.asarray(queries, dtype=np.float32))
-        ndc_each = int((self.dc.ndc - ndc0) / max(len(results), 1))
-        for row, r in zip(qmat, results):
-            sink(QueryTrace(k=k, ef=ef, n_hops=r.n_hops, ndc=ndc_each,
-                            frontier_peak=r.frontier_peak, batched=True,
-                            degraded=r.degraded, executor=r.executor),
-                 query=row)
 
     def search_many(self, queries: np.ndarray, k: int, ef: int | None = None,
                     batch_size: int = 32) -> tuple[np.ndarray, np.ndarray]:
@@ -792,39 +758,29 @@ class MaintenanceScheduler:
     1. **Write serialization** — every mutation of the live graph (insert,
        delete, online fix, merge) runs under :attr:`write_lock`, so the
        single-writer invariant the overlay relies on holds.
-    2. **Merging** — once the overlay accumulates ``merge_every`` published
-       ops, the scheduler cuts a fresh epoch (the O(E) ``freeze``), swapping
-       it in atomically for new pins.  In-flight pinned searches are
+    2. **Merging** — once the overlay holds ``merge_every`` published ops,
+       the scheduler cuts a fresh epoch (the O(E) ``freeze``), swapping it
+       in atomically for new pins.  In-flight pinned searches are
        untouched.
-    3. **Online repair** — queries fed to :meth:`observe` are queued and
-       repaired with the fixer's NGFix/RFix pass (``fix_query``): hardness is
-       measured against the live graph and edges are added only where the
-       Escape Hardness measurement demands them, so "flagged hard" is
-       decided by the same machinery ``fit()`` uses — now continuously,
-       while serving.
+    3. **Online repair** — every query fed to :meth:`observe` that the
+       queue can hold is queued and repaired with the fixer's NGFix/RFix
+       pass (``fix_query``): hardness is measured against the live graph
+       and edges are added only where the Escape Hardness measurement
+       demands them, so "flagged hard" is decided by the same machinery
+       ``fit()`` uses — now continuously, while serving.
 
     ``mode="inline"`` (default) drains pending work synchronously at
     well-defined points (:meth:`observe`, :meth:`note_mutations`,
     :meth:`run_pending`) — fully deterministic, no threads.
     ``mode="thread"`` runs the same drain loop on a daemon worker so repair
-    and merging overlap serving; :meth:`flush` waits for quiescence.
-
-    **Control plane.**  *When* to merge, whether to admit an ``observe()``
-    repair, and how many repairs a drain may run are delegated to a
-    :class:`~repro.control.MaintenancePolicy` — the scheduler keeps only
-    the execution invariants (write serialization, journal order, epoch
-    atomicity).  The default :class:`~repro.control.CadencePolicy` is
-    decision-for-decision identical to the historical fixed-cadence
-    behavior; a :class:`~repro.control.SignalPolicy` consumes query traces
-    (via :meth:`note_trace`) and mutation notices (via
-    :meth:`note_mutation_kind`) to trigger maintenance from navigability
-    signals instead.
+    and merging overlap serving; :meth:`flush` waits for quiescence.  A
+    drain empties the whole queue, except the one a mutation triggers in
+    inline mode, which only merges.
     """
 
     def __init__(self, fixer, manager: EpochManager, *,
                  merge_every: int = 256, queue_limit: int = 64,
-                 mode: str = "inline",
-                 policy: MaintenancePolicy | None = None):
+                 mode: str = "inline"):
         if merge_every <= 0:
             raise ValueError(f"merge_every must be positive, got {merge_every}")
         if mode not in ("inline", "thread"):
@@ -834,15 +790,6 @@ class MaintenanceScheduler:
         self.merge_every = merge_every
         self.queue_limit = queue_limit
         self.mode = mode
-        self.policy = policy if policy is not None else CadencePolicy(
-            merge_every)
-        self.policy.bind(self)
-        # Recent served queries a trace-hungry policy may claim for burst
-        # repair (newest first).  Trace-blind policies keep it None so the
-        # serving path never copies query vectors it won't use.
-        self.recent_queries: deque[np.ndarray] | None = (
-            deque(maxlen=max(queue_limit, 1))
-            if self.policy.wants_traces else None)
         self.write_lock = threading.RLock()
         self._queue: deque[np.ndarray] = deque()
         self._idle = threading.Condition()
@@ -865,7 +812,6 @@ class MaintenanceScheduler:
         self.last_merge_seconds = 0.0
         self.repair_seconds = 0.0   # cumulative online-repair wall-clock
         self.merge_seconds = 0.0    # cumulative epoch-cut wall-clock
-        self.n_policy_repairs = 0   # repairs the policy self-enqueued
         self._last_heartbeat = time.monotonic()
         OBS.gauge_fn("maintenance_queue_depth", lambda: len(self._queue),
                      "repair queries waiting in the scheduler queue")
@@ -890,14 +836,7 @@ class MaintenanceScheduler:
         the *oldest* entry (the most recent traffic best reflects the
         current workload).  Inline mode drains immediately; thread mode
         wakes the worker.  Returns True when the query was accepted.
-
-        The maintenance policy sees the request first: a signal-driven
-        policy declines repair feedback while the graph looks healthy
-        (``maintenance_policy_repairs_skipped``), which is where its cost
-        savings come from.  The default cadence policy admits everything.
         """
-        if not self.policy.admit_repair():
-            return False
         if self._should_shed():
             self.n_shed += 1
             _OBSERVE_SHED.inc()
@@ -928,43 +867,21 @@ class MaintenanceScheduler:
         if not self._merge_due():
             return
         if self.mode == "inline":
-            # The policy bounds how much repair may piggyback on a
-            # mutation-triggered drain: 0 for cadence (merge only, the
-            # historical behavior), a storm/degraded budget for signal.
-            self.run_pending(max_repairs=self.policy.mutation_repair_budget())
+            # A mutation-triggered drain merges only; repairs wait for
+            # the next observe() or explicit drain.
+            self.run_pending(repair=False)
         else:
             self._wake.set()
 
-    def note_trace(self, trace, query: np.ndarray | None = None) -> None:
-        """Control-plane feed: one served query's trace (+ its vector).
-
-        Wired as ``ServingSearcher.trace_sink`` when the policy wants
-        traces.  The query vector is copied into the recent-query ring so
-        a policy-requested burst repair can re-fix exactly the traffic
-        that was being served when navigability degraded.
-        """
-        if self.recent_queries is not None and query is not None:
-            self.recent_queries.append(
-                np.array(query, dtype=np.float32, copy=True))
-        self.policy.on_trace(trace)
-
-    def note_mutation_kind(self, kind: str, n: int = 1) -> None:
-        """Control-plane feed: ``n`` committed mutations of ``kind``.
-
-        Mutation paths call this *before* :meth:`note_mutations` so the
-        policy's storm detector sees the delete pressure that the very
-        next merge decision should react to.
-        """
-        self.policy.note_mutation(kind, n)
-
     def _merge_due(self) -> bool:
         overlay = self.manager.overlay
-        return overlay is not None and self.policy.should_merge(overlay.n_ops)
+        return overlay is not None and overlay.n_ops >= self.merge_every
 
     # -- draining -----------------------------------------------------------
 
-    def run_pending(self, max_repairs: int | None = None) -> dict:
-        """Drain queued repairs, then merge if the overlay is due.
+    def run_pending(self, repair: bool = True) -> dict:
+        """Drain every queued repair (unless ``repair`` is False), then
+        merge if the overlay is due.
 
         Safe to call from any thread; all work runs under the write lock.
         Returns counts of what was done.
@@ -973,10 +890,7 @@ class MaintenanceScheduler:
         self._last_heartbeat = time.monotonic()
         FAULTS.fire("worker.drain")
         with self.write_lock:
-            self._enqueue_policy_repairs()
-            budget = (self.policy.repair_budget() if max_repairs is None
-                      else max_repairs)
-            while budget is None or repaired < budget:
+            while repair:
                 with self._idle:
                     if not self._queue:
                         break
@@ -1005,25 +919,6 @@ class MaintenanceScheduler:
             self._idle.notify_all()
         return {"repaired": repaired, "merged": merged}
 
-    def _enqueue_policy_repairs(self) -> None:
-        """Pull policy-requested burst repairs off the recent-query ring.
-
-        A storm or threshold trigger makes the policy *request* repairs
-        (``claim_repair_requests``); the scheduler satisfies them from the
-        newest served queries so the burst re-fixes exactly the traffic
-        that exposed the degradation.  No-op for trace-blind policies.
-        """
-        if self.recent_queries is None:
-            return
-        want = self.policy.claim_repair_requests()
-        if want <= 0:
-            return
-        with self._idle:
-            while want > 0 and self.recent_queries:
-                self._queue.append(self.recent_queries.pop())
-                self.n_policy_repairs += 1
-                want -= 1
-
     def merge_now(self) -> GraphEpoch:
         """Cut a fresh epoch from the live graph (O(E), off the query path)."""
         with self.write_lock:
@@ -1037,7 +932,6 @@ class MaintenanceScheduler:
             self.n_merges += 1
             _MERGES.inc()
             _MERGE_SECONDS.observe(self.last_merge_seconds)
-            self.policy.on_merge()
             return epoch
 
     def bulk(self):
@@ -1153,8 +1047,7 @@ class MaintenanceScheduler:
             "last_merge_seconds": self.last_merge_seconds,
             "repair_seconds": self.repair_seconds,
             "merge_seconds": self.merge_seconds,
-            "policy_repairs": self.n_policy_repairs,
-            "policy": self.policy.stats(),
+            "merge_every": self.merge_every,
             "worker_alive": self.worker_alive(),
             "worker_errors": self.n_worker_errors,
             "worker_last_error": self.last_worker_error,
@@ -1193,7 +1086,6 @@ class _BulkContext:
                 scheduler.manager.cut(entry=scheduler.fixer.entry)
                 scheduler.n_merges += 1
                 _MERGES.inc()
-                scheduler.policy.on_merge()
             else:
                 scheduler.manager.resume_overlay()
                 scheduler.n_bulk_aborts += 1

@@ -24,7 +24,6 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.config import CONFIG_NAME, StoreConfig
-from repro.control.policy import MaintenancePolicy, make_policy
 from repro.core.fixer import FixConfig, NGFixer
 from repro.core.maintenance import IndexMaintainer
 from repro.distances import Metric
@@ -101,15 +100,6 @@ class VectorStore:
         and serves it through ``np.memmap`` — the disk-resident vector
         tier.  With ``compressed`` the traversal never touches it; only
         re-rank gathers page rows in.
-    policy, policy_config:
-        Maintenance control plane (:mod:`repro.control`): ``None``
-        (default) keeps the historical fixed-cadence behavior exactly;
-        ``"cadence"`` selects it explicitly; ``"signal"`` triggers
-        merge/repair from navigability signals (query-trace hardness,
-        delete storms, tombstone density) instead of fixed counts.
-        ``policy_config`` passes keyword arguments to the named policy's
-        constructor; a ready :class:`~repro.control.MaintenancePolicy`
-        instance is also accepted.
     """
 
     def __init__(self, dim: int, metric: Metric | str = StoreConfig.metric,
@@ -123,16 +113,13 @@ class VectorStore:
                  compressed: bool = StoreConfig.compressed, pq_m: int | None = StoreConfig.pq_m,
                  pq_ks: int = StoreConfig.pq_ks, rerank: int = StoreConfig.rerank,
                  memmap_path: str | pathlib.Path | None = None,
-                 beam_width: int | None = StoreConfig.beam_width,
-                 policy: str | MaintenancePolicy | None = StoreConfig.policy,
-                 policy_config: dict | None = StoreConfig.policy_config):
+                 beam_width: int | None = StoreConfig.beam_width):
         config = self.config = StoreConfig(
             dim=dim, metric=metric, M=M, ef_construction=ef_construction,
             seed=seed, scheduler_mode=scheduler_mode,
             merge_every=merge_every, sync_every=sync_every,
             checkpoint_every=checkpoint_every, compressed=compressed,
             pq_m=pq_m, pq_ks=pq_ks, rerank=rerank, beam_width=beam_width,
-            policy=policy, policy_config=policy_config,
             fix_config=fix_config)
         # No runtime path changes these three, so they stay plain attributes.
         self.dim, self.metric = config.dim, config.metric
@@ -146,10 +133,6 @@ class VectorStore:
         self._fixer: NGFixer | None = None
         self._maintainer: IndexMaintainer | None = None
         self._history: list[np.ndarray] = []
-        # This store's own (stateful) policy; None keeps the scheduler's
-        # cadence default so the historical path is untouched.
-        self._policy = make_policy(config.policy, config.merge_every,
-                                   config.policy_config)
         self._manager: EpochManager | None = None
         self._searcher: ServingSearcher | None = None
         self._scheduler: MaintenanceScheduler | None = None
@@ -249,9 +232,6 @@ class VectorStore:
                 if self._wal is not None:
                     self._wal.log_insert(ids[0] if ids else 0, vectors,
                                          payloads)
-                # Feed the policy before the deferred merge callback fires
-                # so the merge decision sees this batch's pressure.
-                self._scheduler.note_mutation_kind("insert", len(ids))
         if payloads is not None:
             for i, payload in zip(ids, payloads):
                 self._payloads[i] = payload
@@ -337,7 +317,7 @@ class VectorStore:
                                          beam_width=config.beam_width)
         self._scheduler = MaintenanceScheduler(
             self._fixer, self._manager, merge_every=config.merge_every,
-            mode=config.scheduler_mode, policy=self._policy)
+            mode=config.scheduler_mode)
         self._maintainer.on_change = self._scheduler.note_mutations
         scheduler = self._scheduler
 
@@ -345,11 +325,6 @@ class VectorStore:
             return len(scheduler._queue)
 
         self._searcher.queue_depth_fn = queue_depth
-        if self._scheduler.policy.wants_traces:
-            # Trace-hungry policies (SignalPolicy) get the per-query feed;
-            # the default cadence policy leaves the sink None so the hot
-            # path builds no traces unless telemetry is on.
-            self._searcher.trace_sink = self._scheduler.note_trace
         self._scheduler.wal = self._wal
         if config.scheduler_mode == "thread":
             self._scheduler.start()
@@ -469,11 +444,6 @@ class VectorStore:
                 compacted = self._maintainer.delete(ids)
                 if self._wal is not None:
                     self._wal.log_delete(ids)
-                # Inside the deferred window: the storm detector must see
-                # these deletes before the held-back merge-cadence callback
-                # evaluates its decision on block exit.
-                self._scheduler.note_mutation_kind(
-                    "delete", np.atleast_1d(np.asarray(ids)).size)
             if compacted:
                 self._scheduler.merge_now()
         for i in np.atleast_1d(np.asarray(ids, dtype=np.int64)):

@@ -200,7 +200,7 @@ NONDEFAULT_STORE_SETTINGS = dict(
     dim=12, metric="l2", M=6, ef_construction=30, seed=9,
     scheduler_mode="thread", merge_every=17, sync_every=3,
     checkpoint_every=5, compressed=True, pq_m=2, pq_ks=16, rerank=20,
-    beam_width=2, policy="signal", policy_config={"min_traces": 4},
+    beam_width=2,
     fix_config={"k": 5, "max_extra_degree": 3, "rounds": [5, 3]})
 
 #: A fitted per-hardness-bin table in the form earlier versions wrote into
@@ -217,8 +217,5 @@ OLD_TUNED_TABLE = {
 
 def store_settings_with(field: str) -> dict:
     """Constructor keywords for a dim-8 store whose ``field`` is set to its
-    non-default value (plus what that value needs to be valid)."""
-    settings = {"dim": 8, field: NONDEFAULT_STORE_SETTINGS[field]}
-    if field == "policy_config":
-        settings["policy"] = "signal"
-    return settings
+    non-default value."""
+    return {"dim": 8, field: NONDEFAULT_STORE_SETTINGS[field]}

@@ -210,6 +210,11 @@ class TestMergeStats:
         merged = merge_stats([{"pq_sig": "aa"}, {"pq_sig": "bb"}])
         assert merged["pq_sig"] == ["aa", "bb"]
 
+    def test_merge_every_is_identity_not_sum(self):
+        merged = merge_stats([{"serving": {"merge_every": 256}},
+                              {"serving": {"merge_every": 256}}])
+        assert merged["serving"]["merge_every"] == 256
+
     def test_missing_keys_merge_over_present(self):
         merged = merge_stats([{"a": 1}, {"a": 2, "b": 4}, {}])
         assert merged == {"a": 3, "b": 4}
@@ -251,6 +256,16 @@ class TestWorkerSpec:
         server = _ShardServer({"dim": DIM, "shard_id": 0,
                                "tuned_config": OLD_TUNED_TABLE})
         assert server.store.config == StoreConfig(dim=DIM)
+        server.store.close()
+
+    def test_old_spec_with_policy_keys_still_builds(self):
+        """A spec written by an earlier router, carrying the removed
+        maintenance policy's two keys, builds its shard store on the fixed
+        merge cadence; the keys are ignored."""
+        server = _ShardServer({"dim": DIM, "shard_id": 0, "merge_every": 17,
+                               "policy": "signal",
+                               "policy_config": {"min_traces": 4}})
+        assert server.store.config == StoreConfig(dim=DIM, merge_every=17)
         server.store.close()
 
     def test_zero_beam_width_is_rejected_not_coerced(self):

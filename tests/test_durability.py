@@ -338,15 +338,17 @@ class TestRecovery:
         lambda config: config.update(serving=False),
         lambda config: config.pop("beam_width"),
         lambda config: config.update(tuned_config=OLD_TUNED_TABLE),
-    ], ids=["serving-false", "no-beam-width", "tuned-table"])
+        lambda config: config.update(policy="signal",
+                                     policy_config={"min_traces": 4}),
+    ], ids=["serving-false", "no-beam-width", "tuned-table", "signal-policy"])
     def test_old_store_config_still_recovers(self, tmp_path, rewrite):
         """Configs from before this format — carrying the dropped
-        ``serving`` key or a fitted planner table, or written before
-        ``beam_width`` was persisted — recover into a serving, consistent
-        store whose ``ef``-less search is the one default,
-        ``ef=max(k, 10)``."""
+        ``serving`` key, a fitted planner table or a maintenance policy, or
+        written before ``beam_width`` was persisted — recover into a
+        serving, consistent store on the file's merge cadence whose
+        ``ef``-less search is the one default, ``ef=max(k, 10)``."""
         wal_dir = tmp_path / "wal"
-        store = _make_store(wal_dir, n=40, seed=7)
+        store = _make_store(wal_dir, n=40, seed=7, merge_every=17)
         store.checkpoint()
         store.add(_vectors(3, seed=8))
         store.close()
@@ -358,6 +360,7 @@ class TestRecovery:
         recovered, report = recover(wal_dir)
         assert report.consistent, report.errors
         assert recovered.epochs is not None and recovered.scheduler is not None
+        assert recovered.scheduler.merge_every == 17
         query = _vectors(1, seed=9)[0]
         assert len(recovered.search(query, k=5, deadline_ms=10_000.0)) == 5
         assert recovered.search(query, k=5) == recovered.search(query, k=5,
@@ -437,11 +440,9 @@ class TestRecovery:
 
 @st.composite
 def _store_configs(draw):
-    """Arbitrary valid configs (nested ``fix_config`` / policy arguments
-    included)."""
+    """Arbitrary valid configs (nested ``fix_config`` included)."""
     small = st.integers(1, 64)
     optional = st.one_of(st.none(), small)
-    policy = draw(st.sampled_from([None, "cadence", "signal"]))
     return StoreConfig(
         dim=draw(small), metric=draw(st.sampled_from(["l2", "ip", "cosine"])),
         M=draw(small), ef_construction=draw(small),
@@ -451,10 +452,6 @@ def _store_configs(draw):
         checkpoint_every=draw(st.integers(0, 64)),
         compressed=draw(st.booleans()), pq_m=draw(optional),
         pq_ks=draw(small), rerank=draw(small), beam_width=draw(optional),
-        policy=policy,
-        policy_config=({"min_traces": draw(small)}
-                       if policy == "signal" and draw(st.booleans())
-                       else None),
         fix_config=draw(st.one_of(st.none(), st.builds(
             FixConfig, k=small, max_extra_degree=small,
             hard_ratio=st.floats(1.0, 4.0),
@@ -508,7 +505,6 @@ class TestStoreConfig:
     @pytest.mark.parametrize("bad", [
         {"dim": 0}, {"beam_width": 0}, {"pq_m": 0}, {"sync_every": -1},
         {"scheduler_mode": "fiber"}, {"metric": "manhattan"},
-        {"policy": "astrology"}, {"policy_config": {"min_traces": 4}},
         {"fix_config": {"k": 0}},
     ], ids=lambda bad: next(iter(bad)))
     def test_bad_values_fail_at_construction(self, bad):

@@ -133,8 +133,7 @@ class TestMutationRegressions:
 
     def test_scalar_search_reports_its_hops(self, shared_hnsw, tiny_ds):
         """``rerank_one`` used to build its result without ``n_hops``, which
-        blinded QueryTrace and NavigabilitySignals on the
-        compressed scalar path."""
+        blinded QueryTrace on the compressed scalar path."""
         searcher = PQRerankSearcher(shared_hnsw, rerank=40)
         for q in tiny_ds.test_queries[:5]:
             assert searcher.search(q, k=10, ef=40).n_hops > 0

@@ -246,22 +246,19 @@ class TestServingStore:
     @pytest.mark.parametrize("compressed", [False, True],
                              ids=["exact", "compressed"])
     def test_one_search_emits_one_filled_trace(self, compressed):
-        """Either route: one ``search`` records exactly one QueryTrace —
-        to the ring and to the sink — stamped with its pin."""
+        """Either route: one ``search`` records exactly one QueryTrace in
+        the ring, stamped with its pin."""
         store = VectorStore(dim=DIM, metric="l2", M=8, ef_construction=40,
                             compressed=compressed, pq_ks=16)
         store.add(BASE)
         store.build()
-        sunk = []
-        store.searcher.trace_sink = lambda trace, query: sunk.append(trace)
         obs.reset()
         obs.enable()
         try:
             recorded0 = obs.TRACES.n_recorded
             store.searcher.search(QUERIES[0], k=5, ef=30)
             assert obs.TRACES.n_recorded == recorded0 + 1
-            [trace] = sunk
-            assert trace is obs.TRACES.recent(1)[0]
+            [trace] = obs.TRACES.recent(1)
         finally:
             obs.disable()
             obs.reset()
@@ -275,6 +272,138 @@ class TestServingStore:
         block = store.stats()["serving"]
         assert block["mode"] == "inline"
         assert block["epoch_epoch_id"] >= 1
+
+
+class TestCadenceRule:
+    """The scheduler's one maintenance rule, over random verb sequences:
+    merge once the overlay holds ``merge_every`` ops, admit every
+    ``observe()`` the queue can hold and drain the whole queue, and let a
+    mutation-triggered drain merge only."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(ops=st.lists(st.sampled_from(
+               ["add", "delete", "observe", "backlog", "search"]),
+               min_size=1, max_size=30),
+           seed=st.integers(0, 2**16))
+    def test_merge_at_cadence_admit_to_capacity(self, ops, seed):
+        merge_every = 4
+        store = make_store(merge_every=merge_every)
+        scheduler = store.scheduler
+        scheduler.queue_limit = 3  # small enough for the backlog to fill
+        rng = np.random.default_rng(seed)
+        live = list(range(N_BASE))
+        try:
+            for op in ops:
+                vec = rng.standard_normal(DIM).astype(np.float32)
+                queued = len(scheduler._queue)
+                repairs, shed = scheduler.n_repairs, scheduler.n_shed
+                if op == "add":
+                    live.extend(store.add(vec[None, :]))
+                elif op == "delete":
+                    store.delete([live.pop(int(rng.integers(len(live))))])
+                elif op == "observe":
+                    admitted = store.observe(vec)
+                    assert admitted == (queued < scheduler.queue_limit)
+                    if admitted:  # inline: the whole queue drains
+                        assert len(scheduler._queue) == 0
+                        assert scheduler.n_repairs == repairs + queued + 1
+                    else:
+                        assert scheduler.n_shed == shed + 1
+                        assert scheduler.n_repairs == repairs
+                elif op == "backlog":
+                    # A repair still waiting, as one does in thread mode
+                    # until the worker gets to it.
+                    with scheduler._idle:
+                        scheduler._queue.append(vec)
+                else:
+                    store.search(vec, k=5, ef=20)
+                if op in ("add", "delete"):
+                    assert scheduler.n_repairs == repairs
+                    assert len(scheduler._queue) == queued
+                if op != "search":
+                    assert store.epochs.overlay.n_ops < merge_every
+        finally:
+            store.close()
+
+
+class TestOwnNdcTelemetry:
+    """Per-search NDC telemetry counts the search's own scorings.
+
+    ``dc.ndc`` is shared by every reader of the store, so a delta of it
+    taken around one search also bills what other threads scored
+    meanwhile.  The traversal is wrapped here so that another caller's
+    scorings land on ``dc.ndc`` in the middle of every search.
+    """
+
+    NOISE = 10_000
+
+    @pytest.fixture(params=["native", "reference"])
+    def noisy(self, request, monkeypatch):
+        """``make(compressed)`` builds a store whose searches each see
+        ``NOISE`` foreign scorings, with telemetry on."""
+        from repro.graphs import search as search_mod
+        from repro.quantization import searcher as pq_searcher
+
+        if request.param == "native" and not native.enabled():
+            pytest.skip(f"no native executor: {native.status()['reason']}")
+        if request.param == "reference":
+            monkeypatch.setattr(native, "_LIB", None)
+        stores = []
+
+        def make(compressed=False):
+            store = VectorStore(dim=DIM, metric="l2", M=8,
+                                ef_construction=40, compressed=compressed,
+                                pq_ks=16)
+            store.add(BASE)
+            store.build()
+            stores.append(store)
+            obs.reset()  # forget the build's own searches
+            return store
+
+        real = search_mod.native_search
+
+        def traverse(*args, **kwargs):
+            for store in stores:
+                store.dc.ndc += self.NOISE  # another reader's scorings
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(search_mod, "native_search", traverse)
+        monkeypatch.setattr(pq_searcher, "native_search", traverse)
+        obs.enable()
+        try:
+            yield make
+        finally:
+            obs.disable()
+            obs.reset()
+
+    @pytest.mark.parametrize("compressed", [False, True],
+                             ids=["exact", "compressed"])
+    def test_trace_records_the_search_own_ndc(self, noisy, compressed):
+        store = noisy(compressed)
+        ndc0, rerank0 = store.dc.ndc, store.searcher.rerank_ndc
+        result = store.searcher.search(QUERIES[0], k=5, ef=30)
+        [trace] = obs.TRACES.recent(1)
+        # Exact scorings of this search: the traversal's on the exact
+        # route, the re-rank's on the compressed one.
+        own = (store.searcher.rerank_ndc - rerank0 if compressed
+               else result.ndc)
+        assert 0 < trace.ndc == own < self.NOISE
+        assert store.dc.ndc - ndc0 >= own + self.NOISE  # the noise landed
+
+    def test_search_histogram_records_the_search_own_ndc(self, noisy):
+        store = noisy()
+        result = store.searcher.search(QUERIES[0], k=5, ef=30)
+        histogram = obs.OBS.histogram("search_ndc")
+        assert (histogram.count, histogram.sum) == (1, result.ndc)
+        assert 0 < result.ndc < self.NOISE
+
+    def test_block_histogram_records_the_block_own_ndc(self, noisy):
+        store = noisy()
+        results = store.search_batch(QUERIES, k=5, ef=30, batch_size=4)
+        histogram = obs.OBS.histogram("batch_block_ndc")
+        assert histogram.count == 3  # 12 queries in blocks of 4
+        assert histogram.sum == sum(r.ndc for r in results)
+        assert 0 < histogram.sum < self.NOISE
 
 
 class TestPinnedConsistency:
