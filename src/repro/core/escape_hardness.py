@@ -17,7 +17,11 @@ Two implementations are provided:
   rank order, maintaining a transitive closure over bitset rows and updating
   it in O(K) row-ORs per insertion (new paths created by inserting node m
   must traverse m exactly once, so one row build plus one absorb pass per
-  previously inserted node suffices — no full Floyd re-run needed).
+  previously inserted node suffices — no full Floyd re-run needed).  A graph
+  that describes itself to the native core (an ``AdjacencyStore``, a frozen
+  CSR, an epoch view — not its bound ``neighbors``) runs it in ``_beam.c``;
+  the Python loop here is the reference executor, and the two agree exactly
+  (EH values are integer ranks).
 - :func:`escape_hardness_bruteforce` — the definition, computed as a minimax
   (bottleneck) path problem via a Dijkstra variant; used to cross-validate
   the incremental algorithm in tests.
@@ -34,6 +38,7 @@ import heapq
 
 import numpy as np
 
+from repro.graphs import native
 from repro.utils.bitset import BitMatrix
 
 
@@ -101,17 +106,25 @@ def escape_hardness(
     Parameters
     ----------
     neighbors_fn:
-        ``global_id -> np.ndarray`` out-neighbors in the full graph index.
+        ``global_id -> np.ndarray`` out-neighbors in the full graph index:
+        the graph object itself (native executor when it has a
+        ``native_graph``) or any plain callable (reference executor).
     nn_ids:
         Top-``K_max`` NN ids of the query, ascending by distance; ``K_max``
         is implied by its length.
     k:
         The EH matrix covers the top-``k`` NNs (``k <= len(nn_ids)``).
     """
-    nn_ids = np.asarray(nn_ids, dtype=np.int64)
+    nn_ids = np.ascontiguousarray(nn_ids, dtype=np.int64)
     K_max = nn_ids.shape[0]
     if not 0 < k <= K_max:
         raise ValueError(f"k={k} must be in [1, len(nn_ids)={K_max}]")
+    if native.enabled() and (
+            graph := native.spec(neighbors_fn, "native_graph")) is not None:
+        eh = native.escape_hardness(graph, nn_ids, k)
+        if eh is not None:
+            return EscapeHardnessResult(nn_ids=nn_ids, k=k, K_max=K_max,
+                                        eh=eh)
 
     out, incoming = _local_adjacency(neighbors_fn, nn_ids)
     closure = BitMatrix(K_max)

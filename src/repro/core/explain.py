@@ -53,7 +53,7 @@ def explain_query(index, query: np.ndarray, k: int = 10,
     kth_distance = float(dists[order[k - 1]])
 
     local = build_qng(index.adjacency.neighbors, nn_ids[:k])
-    eh = escape_hardness(index.adjacency.neighbors, nn_ids, k)
+    eh = escape_hardness(index.adjacency, nn_ids, k)
     finite = eh.eh[np.isfinite(eh.eh) & (eh.eh > 0)]
     max_finite = float(finite.max()) if finite.size else float(k)
 

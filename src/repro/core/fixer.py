@@ -28,13 +28,12 @@ import time
 
 import numpy as np
 
-from repro.core.escape_hardness import EscapeHardnessResult, escape_hardness
+from repro.core.escape_hardness import escape_hardness
 from repro.core.ngfix import FixOutcome, ngfix_query
 from repro.core.rfix import RFixOutcome, rfix_query
 from repro.evalx.ground_truth import compute_ground_truth
 from repro.graphs.base import GraphIndex, live_graph_engine, medoid_id
 from repro.graphs.search import BatchSearchEngine, SearchResult
-from repro.utils.parallel import chunk_bounds, effective_workers, parallel_map
 from repro.utils.rng_utils import ensure_rng
 from repro.utils.validation import check_matrix
 
@@ -64,9 +63,8 @@ class FixConfig:
     rfix_expand_ef: int | None = None  # defaults to 4 * search_ef
     rfix_max_rounds: int = 5
     seed: int = 0
-    # Fork-pool width for the offline stages (ground truth, approximate
-    # preprocessing, speculative EH); 1 = fully serial.  Any value produces
-    # the same graph — see NGFixer.fit.
+    # Fork-pool width of exact ground truth; 1 = fully serial.  Any value
+    # produces the same graph.
     n_workers: int = 1
 
     def __post_init__(self):
@@ -159,9 +157,14 @@ class NGFixer:
 
     # -- preprocessing (Sec. 5.1) ---------------------------------------------
 
+    def _n_live(self, n_neighbors: int) -> int:
+        """``n_neighbors`` capped at the rows compaction has not removed."""
+        return min(n_neighbors, self.dc.size - len(self.adjacency.removed))
+
     def _preprocess_exact(self, queries: np.ndarray, n_neighbors: int):
+        n_neighbors = self._n_live(n_neighbors)
         removed = self.adjacency.removed
-        if removed and self.dc.size - len(removed) >= n_neighbors:
+        if removed:
             # Compacted rows linger in the data matrix; brute force over
             # them would hand repair ids whose nodes no longer exist, and
             # the resulting extra edges would resurrect them.  Mask them
@@ -180,68 +183,36 @@ class NGFixer:
         self.preprocess_ndc += queries.shape[0] * self.dc.size
         return gt.ids, gt.distances
 
-    def _worker_chunks(self, n_items: int) -> list[tuple[int, int]]:
-        """Chunk boundaries for a fork-pool stage over ``n_items`` queries.
-
-        A few chunks per worker keeps the pool load-balanced while the
-        per-chunk dispatch overhead stays negligible.
-        """
-        workers = effective_workers(self.config.n_workers)
-        chunk = max(1, -(-n_items // (4 * workers)))
-        return chunk_bounds(n_items, chunk)
-
     def _preprocess_approx(self, queries: np.ndarray, n_neighbors: int):
-        """Approximate NNs from a wider greedy search on the current graph.
-
-        The per-query searches are independent reads of a static graph, so
-        ``n_workers > 1`` spreads chunks over a fork pool.  Each chunk
-        returns its NDC as a *delta* (the worker restores the counters it
-        touched), and the master applies the deltas in chunk order — the
-        bookkeeping is identical whether a chunk ran in-process or forked.
-        """
-        ef = max(self.config.approx_ef, n_neighbors)
+        """Approximate NNs from a wider greedy search on the current graph:
+        one block of searches, a row that found too few topped up exactly."""
+        n_neighbors = self._n_live(n_neighbors)
         ids = np.empty((queries.shape[0], n_neighbors), dtype=np.int64)
         dists = np.empty((queries.shape[0], n_neighbors), dtype=np.float64)
-
-        def chunk(bounds: tuple[int, int]):
-            start, stop = bounds
-            c_ids = np.empty((stop - start, n_neighbors), dtype=np.int64)
-            c_dists = np.empty((stop - start, n_neighbors), dtype=np.float64)
-            ndc0, pre0 = self.dc.ndc, self.preprocess_ndc
-            for j, query in enumerate(queries[start:stop]):
-                result = self.search(query, k=n_neighbors, ef=ef)
-                if len(result.ids) < n_neighbors:
-                    # Degenerate graph region: top up with exact search.
-                    exact_ids, exact_d = self._preprocess_exact(
-                        query[None, :], n_neighbors)
-                    c_ids[j], c_dists[j] = exact_ids[0], exact_d[0]
-                else:
-                    c_ids[j] = result.ids
-                    c_dists[j] = result.distances
-            ndc_delta = self.dc.ndc - ndc0
-            pre_delta = self.preprocess_ndc - pre0
-            self.dc.ndc, self.preprocess_ndc = ndc0, pre0
-            return c_ids, c_dists, ndc_delta, pre_delta
-
-        bounds = self._worker_chunks(queries.shape[0])
-        out = parallel_map(chunk, bounds, n_workers=self.config.n_workers)
-        for (start, stop), (c_ids, c_dists, ndc_delta, pre_delta) in zip(bounds, out):
-            ids[start:stop] = c_ids
-            dists[start:stop] = c_dists
-            self.dc.ndc += ndc_delta
-            self.preprocess_ndc += ndc_delta + pre_delta
+        results = self.search_batch(queries, k=n_neighbors,
+                                    ef=max(self.config.approx_ef, n_neighbors))
+        # Each row's own scorings: ``dc.ndc`` also counts other readers'.
+        self.preprocess_ndc += sum(r.ndc for r in results)
+        for j, result in enumerate(results):
+            if len(result.ids) < n_neighbors:
+                # Degenerate graph region: top up with exact search.
+                exact_ids, exact_d = self._preprocess_exact(
+                    queries[j:j + 1], n_neighbors)
+                ids[j], dists[j] = exact_ids[0], exact_d[0]
+            else:
+                ids[j], dists[j] = result.ids, result.distances
         return ids, dists
 
     # -- fixing ---------------------------------------------------------------
 
     def _fix_one(self, query_index: int, query: np.ndarray, nn_ids: np.ndarray,
-                 nn_distances: np.ndarray, round_k: int,
-                 eh: EscapeHardnessResult | None = None) -> QueryFixRecord:
+                 nn_distances: np.ndarray, round_k: int) -> QueryFixRecord:
         config = self.config
-        K_max = config.k_max(round_k)
-        if eh is None:
-            eh = escape_hardness(self.adjacency.neighbors, nn_ids[:K_max],
-                                 round_k)
+        # Preprocessing hands back every live row when there are fewer
+        # than K_max, so k may exceed what there is.
+        nn_ids = nn_ids[:config.k_max(round_k)]
+        eh = escape_hardness(self.adjacency, nn_ids,
+                             min(round_k, nn_ids.shape[0]))
         outcome: FixOutcome = ngfix_query(
             self.adjacency, self.dc, eh,
             eh_threshold=config.eh_threshold,
@@ -275,40 +246,12 @@ class NGFixer:
         self.records.append(record)
         return record
 
-    def _precompute_eh(self, ids: np.ndarray, round_k: int):
-        """Speculative EH matrices for all queries, against the current graph.
-
-        Escape Hardness depends only on the out-edges of the query's top
-        ``K_max`` NNs (Algorithm 2 never leaves the NN set), so EH for every
-        query can be computed up front on a fork pool against a snapshot of
-        the adjacency.  Returns ``(results, v0)`` where ``v0`` is the
-        store's mutation version at snapshot time: a precomputed result is
-        *valid* for query ``i`` iff none of its NN nodes were touched after
-        ``v0`` (checked per query via the store's per-node mutation stamps).
-        """
-        K_max = self.config.k_max(round_k)
-        v0 = self.adjacency.mutation_version
-        neighbors_fn = self.adjacency.neighbors
-
-        def chunk(bounds: tuple[int, int]):
-            start, stop = bounds
-            return [escape_hardness(neighbors_fn, ids[i][:K_max], round_k)
-                    for i in range(start, stop)]
-
-        results: list[EscapeHardnessResult] = []
-        bounds = self._worker_chunks(ids.shape[0])
-        for part in parallel_map(chunk, bounds, n_workers=self.config.n_workers):
-            results.extend(part)
-        return results, v0
-
     def fit(self, queries: np.ndarray, use_ngfix: bool = True) -> "NGFixer":
         """Fix the graph for a batch of historical queries (all rounds).
 
-        With ``config.n_workers > 1`` the preprocessing stage and the EH
-        measurement fan out over a fork pool; edge mutations (NGFix/RFix)
-        stay serial in query order, and any speculative EH invalidated by an
-        earlier query's mutations is recomputed in place — the resulting
-        graph is identical to a fully serial run.
+        Per round, the whole batch is preprocessed at once (exact ground
+        truth spreads over ``config.n_workers`` forks), then the queries are
+        fixed one after the other in order.
         """
         queries = check_matrix(queries, "queries")
         for round_k in self.config.rounds:
@@ -321,18 +264,9 @@ class NGFixer:
             self.preprocess_seconds += time.perf_counter() - start
 
             start = time.perf_counter()
-            speculative = None
-            if use_ngfix and effective_workers(self.config.n_workers) > 1:
-                speculative = self._precompute_eh(ids, round_k)
-            K_max = self.config.k_max(round_k)
             for i, query in enumerate(queries):
                 if use_ngfix:
-                    eh = None
-                    if speculative is not None:
-                        pre, v0 = speculative
-                        if self.adjacency.last_touched(ids[i][:K_max]) <= v0:
-                            eh = pre[i]
-                    self._fix_one(i, query, ids[i], dists[i], round_k, eh=eh)
+                    self._fix_one(i, query, ids[i], dists[i], round_k)
                 else:  # RFix-only mode for ablations
                     self._rfix_only(i, query, ids[i], dists[i], round_k)
             self.fix_seconds += time.perf_counter() - start

@@ -90,7 +90,7 @@ def eh_hardness(index, gt: GroundTruth, k: int,
             f"ground truth holds {gt.ids.shape[1]} columns < K_max={K_max}")
     out = np.empty(gt.n_queries)
     for i in range(gt.n_queries):
-        eh = escape_hardness(index.adjacency.neighbors, gt.ids[i][:K_max], k)
+        eh = escape_hardness(index.adjacency, gt.ids[i][:K_max], k)
         out[i] = eh.hardness_score()
     return out
 

@@ -31,6 +31,18 @@ from repro.utils.rng_utils import ensure_rng
 from repro.utils.validation import check_fraction, check_matrix
 
 
+def smallest_stable(values: np.ndarray, count: int) -> np.ndarray:
+    """``np.argsort(values, kind="stable")[:count]`` without sorting past
+    the cut: a partition finds the ``count``-th smallest value and only the
+    positions at or below it are sorted (ties keep position order)."""
+    if count < values.shape[0]:
+        cut = np.partition(values, count - 1)[count - 1]
+        if not np.isnan(cut):
+            head = np.flatnonzero(values <= cut)
+            return head[np.argsort(values[head], kind="stable")][:count]
+    return np.argsort(values, kind="stable")[:count]
+
+
 class IndexMaintainer:
     """Insert/delete lifecycle manager around an :class:`NGFixer`.
 
@@ -162,26 +174,27 @@ class IndexMaintainer:
         self.fixer.adjacency.remove_node_edges(deleted)
 
         repaired = 0
-        if repair:
+        gone = self.fixer.adjacency.removed
+        if repair and len(gone) < self.fixer.dc.size:
             config = self.fixer.config
-            k = repair_k if repair_k is not None else 2 * config.k
-            K_max = config.k_max(k)
-            deleted_arr = np.fromiter(deleted, dtype=np.int64)
             alive_mask = np.ones(self.fixer.dc.size, dtype=bool)
             # Mask every compacted id ever (remove_node_edges above folded
             # this round into adjacency.removed): repair must not target
             # rows whose nodes were stripped in an earlier compaction.
-            gone = self.fixer.adjacency.removed
             alive_mask[np.fromiter(gone, dtype=np.int64, count=len(gone))] = False
             alive = np.flatnonzero(alive_mask)
+            # A store smaller than K_max repairs over every survivor.
+            k = repair_k if repair_k is not None else 2 * config.k
+            K_max = min(config.k_max(k), alive.size)
+            k = min(k, K_max)
+            deleted_arr = np.fromiter(deleted, dtype=np.int64)
             # Exact neighborhoods of the deleted points among survivors.
             dists = pairwise_distances(
                 self.fixer.dc.data[deleted_arr], self.fixer.dc.data[alive],
                 self.fixer.dc.metric)
             for row in dists:
-                order = np.argsort(row, kind="stable")[:K_max]
-                nn_ids = alive[order]
-                eh = escape_hardness(self.fixer.adjacency.neighbors, nn_ids, k)
+                nn_ids = alive[smallest_stable(row, K_max)]
+                eh = escape_hardness(self.fixer.adjacency, nn_ids, k)
                 ngfix_query(
                     self.fixer.adjacency, self.fixer.dc, eh,
                     eh_threshold=config.eh_threshold,

@@ -40,6 +40,23 @@ class FixOutcome:
     fully_reachable: bool
 
 
+def _reach_rows(S: np.ndarray) -> list[int]:
+    """The boolean ε-reachable matrix S (Definition 3) as one int bit row
+    per NN — bit ``j`` of row ``i`` set iff ``i`` reaches ``j`` — with the
+    diagonal set."""
+    return [int.from_bytes(np.packbits(row, bitorder="little").tobytes(),
+                           "little") | 1 << i for i, row in enumerate(S)]
+
+
+def _absorb(rows: list[int], a: int, b: int) -> None:
+    """Closure update after linking a -> b (Algorithm 3 lines 17-19):
+    anything reaching a now reaches anything b reaches."""
+    reach_b, bit_a = rows[b], 1 << a
+    for x, row in enumerate(rows):
+        if row & bit_a:
+            rows[x] = row | reach_b
+
+
 def _finite_eh(value: float, K_max: int) -> float:
     """Storable EH tag: infinite measured EH is clipped to 2*K_max.
 
@@ -120,11 +137,11 @@ def ngfix_query(
     """
     k = eh_result.k
     nn = eh_result.nn_ids[:k]
-    S = eh_result.reachable(eh_threshold).copy()
-    np.fill_diagonal(S, True)
+    rows = _reach_rows(eh_result.reachable(eh_threshold))
+    full = (1 << k) - 1
     added: list[tuple[int, int]] = []
     evicted: list[tuple[int, int]] = []
-    if bool(S.all()):
+    if all(row == full for row in rows):
         return FixOutcome(added, evicted, True)
 
     # Candidate edges: all NN pairs, ascending by distance (Kruskal order).
@@ -134,10 +151,10 @@ def ngfix_query(
 
     for idx in order:
         i, j = int(iu[idx]), int(ju[idx])
-        if S[i, j] and S[j, i]:
+        if rows[i] >> j & 1 and rows[j] >> i & 1:
             continue
         for a, b in ((i, j), (j, i)):
-            if S[a, b]:
+            if rows[a] >> b & 1:
                 continue
             u, v = int(nn[a]), int(nn[b])
             tag = _finite_eh(eh_result.eh[a, b], eh_result.K_max)
@@ -145,13 +162,11 @@ def ngfix_query(
                 added.append((u, v))
                 evicted.extend(enforce_extra_budget(
                     adjacency, dc, u, max_extra_degree, evict_strategy, rng))
-            # Closure update (Algorithm 3 lines 17-19): anything reaching a
-            # now reaches anything b reaches.
-            S |= np.outer(S[:, a], S[b, :])
-        if bool(S.all()):
+            _absorb(rows, a, b)
+        if all(row == full for row in rows):
             break
 
-    return FixOutcome(added, evicted, bool(S.all()))
+    return FixOutcome(added, evicted, all(row == full for row in rows))
 
 
 def rng_overlay_fix(
@@ -205,19 +220,19 @@ def random_connect_fix(
     rng = ensure_rng(seed)
     k = eh_result.k
     nn = eh_result.nn_ids[:k]
-    S = eh_result.reachable(eh_threshold).copy()
-    np.fill_diagonal(S, True)
+    S = eh_result.reachable(eh_threshold) | np.eye(k, dtype=bool)
+    rows = _reach_rows(S)
     added: list[tuple[int, int]] = []
     missing = np.argwhere(~S)
     rng.shuffle(missing)
     for a, b in missing:
         a, b = int(a), int(b)
-        if S[a, b]:
+        if rows[a] >> b & 1:
             continue
         u, v = int(nn[a]), int(nn[b])
         if adjacency.extra_degree(u) >= max_extra_degree:
             continue
         if adjacency.add_extra_edge(u, v, _finite_eh(eh_result.eh[a, b], eh_result.K_max)):
             added.append((u, v))
-        S |= np.outer(S[:, a], S[b, :])
-    return FixOutcome(added, [], bool(S.all()))
+        _absorb(rows, a, b)
+    return FixOutcome(added, [], all(row == (1 << k) - 1 for row in rows))

@@ -58,7 +58,7 @@ def ngfix_plus_query(
     gt = compute_ground_truth(fixer.dc.data, perturbed, K_max, fixer.dc.metric)
     added = 0
     for i in range(perturbed.shape[0]):
-        eh = escape_hardness(fixer.adjacency.neighbors, gt.ids[i], config.k)
+        eh = escape_hardness(fixer.adjacency, gt.ids[i], config.k)
         outcome = ngfix_query(
             fixer.adjacency, fixer.dc, eh,
             eh_threshold=config.eh_threshold,

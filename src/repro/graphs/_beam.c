@@ -1,14 +1,17 @@
 /* Native executor of paper Algorithm 1 (greedy beam search) over a frozen CSR,
  * an epoch view or the mutable adjacency slab, of the compressed recipe's
- * exact re-rank after an ADC beam (rerank_row), and of the occlusion rule
- * behind every prune (repro_occlusion_prune, at the end).
+ * exact re-rank after an ADC beam (rerank_row), of the occlusion rule behind
+ * every prune (repro_occlusion_prune) and of paper Algorithm 2, Escape
+ * Hardness (repro_escape_hardness, at the end).
  *
  * The reference executor is repro.graphs.search.beam_search (Python); this
  * file is the same algorithm, not a second one: same candidate order
  * (distance, then id), same eviction tie rule in the result heap, same
  * deadline test before every pop, same NDC accounting.  The re-rank's
- * reference is repro.quantization.searcher.rerank_one / rerank_block.  The
- * two are tested differentially (tests/test_native.py).  Built by
+ * reference is repro.quantization.searcher.rerank_one / rerank_block, the
+ * prune's pruning._occlusion_prune and EH's the incremental loop in
+ * repro.core.escape_hardness.  Each pair is tested differentially
+ * (tests/test_native.py, tests/test_escape_hardness.py).  Built by
  * repro.graphs.native with
  * `cc -O2 -shared -fPIC -std=c11` and called through ctypes; no Python.h.
  *
@@ -28,8 +31,8 @@ enum { SCORE_L2 = 0, SCORE_IP = 1, SCORE_COSINE = 2, SCORE_ADC = 3 };
 
 enum {
     BEAM_OK = 0,
-    BEAM_BAD_ID = -1,    /* an entry or neighbour id outside [0, n) */
-    BEAM_OVERFLOW = -2,  /* a node scored twice (duplicate edge): scratch is sized for once */
+    BEAM_BAD_ID = -1,    /* an entry or neighbour id outside [0, n); EH: an NN id twice or without a row */
+    BEAM_OVERFLOW = -2,  /* a node scored twice (duplicate edge): scratch is sized for once; EH: scratch too small */
 };
 
 /* Frozen CSR plus the overlay prefix of an epoch view (EpochView.neighbors):
@@ -570,4 +573,151 @@ int64_t repro_occlusion_prune(int32_t kind, const float *rows, int64_t n,
             kept[n_kept++] = i;
     }
     return n_kept;
+}
+
+/* Whether the graph has a row for node u at all: the reference reads a row
+ * past the slab or the CSR as an error or as empty depending on the owner,
+ * so the kernel leaves such a node to it. */
+static inline int has_row(const beam_graph *g, int64_t u)
+{
+    if (u < 0)
+        return 0;
+    if (g->slab != NULL)
+        return u < g->slab_n;
+    return u < g->n0 || (g->patch_slot != NULL && u < g->patch_n
+                         && g->patch_slot[u] >= 0);
+}
+
+/* Slot of global id v in a power-of-two open-addressing table. */
+static inline uint64_t id_slot(int64_t v, uint64_t mask)
+{
+    return ((uint64_t)v * 0x9E3779B97F4A7C15ull >> 32) & mask;
+}
+
+/* Local rank of global id v among the NN set, -1 when it is not in it. */
+static inline int64_t rank_of(const int64_t *keys, const int64_t *ranks,
+                              uint64_t mask, int64_t v)
+{
+    if (v < 0)
+        return -1;
+    for (uint64_t h = id_slot(v, mask);; h = (h + 1) & mask) {
+        if (keys[h] == v)
+            return ranks[h];
+        if (keys[h] < 0)
+            return -1;
+    }
+}
+
+/* Set eh[u, v] = rank for every still-unset v < k among the ranks v that
+ * word w of a reach row newly holds (bits); returns how many it set. */
+static inline int64_t record(double *eh, int64_t k, int64_t u, int64_t w,
+                             uint64_t bits, double rank)
+{
+    if (w * 64 >= k)
+        return 0;
+    if (k - w * 64 < 64)
+        bits &= (UINT64_C(1) << (k - w * 64)) - 1;
+    int64_t set = 0;
+    for (; bits; bits &= bits - 1) {
+        double *cell = eh + u * k + w * 64 + __builtin_ctzll(bits);
+        if (*cell == INFINITY) {
+            *cell = rank;
+            set++;
+        }
+    }
+    return set;
+}
+
+/* Paper Algorithm 2 for one query (repro.core.escape_hardness.escape_hardness
+ * is the reference): nn[0..K_max) are its nearest neighbours by rank, and
+ * eh (k * k, row-major) receives EH(nn[u] -> nn[v]) for u, v < k — the rank
+ * r + 1 at which v joins u's reach as ranks 0..r enter one by one, 0 on the
+ * diagonal, INFINITY where v stays out of reach.  Every NN's out-row is read
+ * in place once to map it to local ranks (an open-addressing table of the
+ * ids, so no O(n) scratch); reach rows are words = ceil(K_max / 64) uint64
+ * each.  Entering r: its row is itself plus the reach of its lower-ranked
+ * out-neighbours, and every u < r whose reach meets r's lower-ranked
+ * in-neighbours absorbs it — a new path threads r once.  scratch holds
+ * 2 * cap + 2 * K_max * words uint64, cap the smallest power of two >= 2 *
+ * K_max (at least 2).  Returns BEAM_BAD_ID for an id twice or without a row,
+ * BEAM_OVERFLOW for too little scratch, with eh unspecified. */
+int repro_escape_hardness(const beam_graph *graph, const int64_t *nn,
+                          int64_t K_max, int64_t k, uint64_t *scratch,
+                          int64_t scratch_n, double *eh)
+{
+    if (k < 1 || k > K_max)
+        return BEAM_BAD_ID;
+    int64_t cap = 2;
+    while (cap < 2 * K_max)
+        cap <<= 1;
+    const int64_t words = (K_max + 63) / 64;
+    if (scratch_n < 2 * cap + 2 * K_max * words)
+        return BEAM_OVERFLOW;
+    const uint64_t mask = (uint64_t)cap - 1;
+    int64_t *keys = (int64_t *)scratch, *ranks = keys + cap;
+    uint64_t *in_bits = scratch + 2 * cap;     /* per rank: lower ranks with an edge into it */
+    uint64_t *reach = in_bits + K_max * words;  /* per rank: what it reaches so far */
+    for (int64_t i = 0; i < cap; i++)
+        keys[i] = -1;
+    for (int64_t i = 0; i < 2 * K_max * words; i++)
+        in_bits[i] = 0;
+    for (int64_t r = 0; r < K_max; r++) {
+        if (!has_row(graph, nn[r]))
+            return BEAM_BAD_ID;
+        uint64_t h = id_slot(nn[r], mask);
+        for (; keys[h] >= 0; h = (h + 1) & mask)
+            if (keys[h] == nn[r])
+                return BEAM_BAD_ID;
+        keys[h] = nn[r];
+        ranks[h] = r;
+    }
+    for (int64_t a = 0; a < K_max; a++) {
+        const int32_t *row;
+        int64_t degree = neighbors(graph, (int32_t)nn[a], &row);
+        if (degree < 0)
+            return BEAM_BAD_ID;
+        for (int64_t j = 0; j < degree; j++) {
+            int64_t b = rank_of(keys, ranks, mask, row[j]);
+            if (b > a)
+                in_bits[b * words + a / 64] |= UINT64_C(1) << (a % 64);
+        }
+    }
+    for (int64_t u = 0; u < k; u++)
+        for (int64_t v = 0; v < k; v++)
+            eh[u * k + v] = u == v ? 0.0 : INFINITY;
+
+    int64_t pending = k * k - k;
+    for (int64_t r = 0; r < K_max && pending > 0; r++) {
+        const double rank = (double)(r + 1);
+        const int64_t used = r / 64 + 1;  /* words holding ranks 0..r */
+        uint64_t *row_r = reach + r * words;
+        row_r[r / 64] |= UINT64_C(1) << (r % 64);
+        const int32_t *row;
+        int64_t degree = neighbors(graph, (int32_t)nn[r], &row);
+        for (int64_t j = 0; j < degree; j++) {
+            int64_t b = rank_of(keys, ranks, mask, row[j]);
+            if (b >= 0 && b < r)
+                for (int64_t w = 0; w < used; w++)
+                    row_r[w] |= reach[b * words + w];
+        }
+        if (r < k)  /* the diagonal is 0, never unset */
+            for (int64_t w = 0; w < used; w++)
+                pending -= record(eh, k, r, w, row_r[w], rank);
+        const uint64_t *into_r = in_bits + r * words;
+        for (int64_t u = 0; u < r; u++) {
+            uint64_t *row_u = reach + u * words;
+            int meets = 0;
+            for (int64_t w = 0; w < used && !meets; w++)
+                meets = (row_u[w] & into_r[w]) != 0;
+            if (!meets)
+                continue;
+            for (int64_t w = 0; w < used; w++) {
+                const uint64_t fresh = row_r[w] & ~row_u[w];
+                row_u[w] |= row_r[w];
+                if (u < k)
+                    pending -= record(eh, k, u, w, fresh, rank);
+            }
+        }
+    }
+    return BEAM_OK;
 }

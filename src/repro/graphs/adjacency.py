@@ -98,12 +98,9 @@ class AdjacencyStore:
         # ground truth forever, or online fixing can re-link ("resurrect")
         # it through the stale data row.
         self.removed: set[int] = set()
-        # Freeze bookkeeping: a monotone mutation counter, the per-node stamp
-        # of the last mutation that touched each node's out-edges (used by
-        # the parallel fixer to validate speculative EH results), the cached
-        # frozen view, and the clean-read counter driving refreeze.
+        # Freeze bookkeeping: a monotone mutation counter, the cached frozen
+        # view, and the clean-read counter driving refreeze.
         self._mutation_version = 0
-        self._node_stamp = np.zeros(n_nodes, dtype=np.int64)
         self._frozen: CSRGraphView | None = None
         self._reads_since_mutation = 0
         # Serving-layer hook: while an overlay is attached, every out-edge
@@ -117,7 +114,6 @@ class AdjacencyStore:
     def _touch(self, u: int) -> None:
         """Record a mutation of node ``u``'s out-edges."""
         self._mutation_version += 1
-        self._node_stamp[u] = self._mutation_version
         self._frozen = None
         self._reads_since_mutation = 0
         base, extra = self._base[u], self._extra[u]
@@ -173,7 +169,6 @@ class AdjacencyStore:
         self._base.extend([] for _ in range(n_new))
         self._extra.extend({} for _ in range(n_new))
         slab = self._slab
-        self._node_stamp = with_capacity(self._node_stamp, size, size + n_new)
         self._degree = with_capacity(self._degree, size, size + n_new)
         self._slab = with_capacity(slab, size, size + n_new)
         if self._slab is not slab:
@@ -314,19 +309,6 @@ class AdjacencyStore:
     def mutation_version(self) -> int:
         """Monotone counter incremented by every edge mutation."""
         return self._mutation_version
-
-    def last_touched(self, nodes) -> int:
-        """Largest mutation stamp among ``nodes``'s out-edge sets.
-
-        ``last_touched(nodes) <= v0`` certifies that no node in ``nodes``
-        changed its out-edges after the store was at version ``v0`` — the
-        validity condition for Escape Hardness matrices computed against a
-        snapshot (EH depends only on the NN set's out-edges).
-        """
-        nodes = np.asarray(nodes, dtype=np.int64)
-        if nodes.size == 0:
-            return 0
-        return int(self._node_stamp[nodes].max())
 
     def freeze(self) -> CSRGraphView:
         """Build (and cache) the CSR snapshot of the combined adjacency.
@@ -490,5 +472,4 @@ class AdjacencyStore:
         out.tombstones = set(self.tombstones)
         out.removed = set(self.removed)
         out._mutation_version = self._mutation_version
-        out._node_stamp = self._node_stamp[:self.n_nodes].copy()
         return out

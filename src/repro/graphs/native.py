@@ -1,10 +1,11 @@
 """Loader and call shim of the native traversal core (``_beam.c``).
 
 ``_beam.c`` is paper Algorithm 1 written once in C, with the compressed
-recipe's exact re-rank and the occlusion rule of the prunes beside it; this
-module compiles it with whatever C compiler the machine has, loads it with
-:mod:`ctypes`, and exposes one call each, :func:`beam_block` and
-:func:`occlusion_prune`.  :mod:`repro.graphs.search`
+recipe's exact re-rank, the occlusion rule of the prunes and paper
+Algorithm 2 (Escape Hardness) beside it; this module compiles it with
+whatever C compiler the machine has, loads it with :mod:`ctypes`, and
+exposes one call each, :func:`beam_block`, :func:`occlusion_prune` and
+:func:`escape_hardness`.  :mod:`repro.graphs.search`
 imports this module — so the build happens at import, never inside a timed
 build or a first query — and decides per search which executor runs: the native one
 when the library is loaded *and* both the scorer and the graph can describe
@@ -288,10 +289,11 @@ def build(source: pathlib.Path = SOURCE, dirs=None,
 
 
 def _bind(path: pathlib.Path):
-    """The loaded library, its two entry points typed."""
+    """The loaded library, its three entry points typed."""
     # CDLL, not PyDLL: the GIL is released for the whole call.
     lib = ctypes.CDLL(str(path))
     beam, prune = lib.repro_beam_block, lib.repro_occlusion_prune
+    eh = lib.repro_escape_hardness
     p, i64 = ctypes.c_void_p, ctypes.c_int64
     beam.argtypes = [ctypes.POINTER(_CGraph), ctypes.POINTER(_CScorer),
                      i64, i64, p, p, i64, i64, i64, i64, p, ctypes.c_int32,
@@ -300,6 +302,8 @@ def _bind(path: pathlib.Path):
     beam.restype = ctypes.c_int
     prune.argtypes = [ctypes.c_int32, p, i64, i64, p, p, i64, i64, p]
     prune.restype = i64
+    eh.argtypes = [ctypes.POINTER(_CGraph), p, i64, i64, p, i64, p]
+    eh.restype = ctypes.c_int
     return lib
 
 
@@ -459,6 +463,25 @@ def occlusion_prune(kind: int, rows: np.ndarray, ids: np.ndarray,
     if n_kept < 0:
         return None
     return ids[kept[:n_kept]].tolist()
+
+
+def escape_hardness(graph: Graph, nn_ids: np.ndarray,
+                    k: int) -> np.ndarray | None:
+    """Algorithm 2 on the native core: the ``(k, k)`` Escape Hardness matrix
+    of the rank-ordered int64 ``nn_ids`` over ``graph`` (see
+    ``repro.core.escape_hardness.escape_hardness``, the reference), or None
+    when the kernel refused them — an id twice, or one the graph has no row
+    for — and the reference must decide."""
+    if not dense(nn_ids, np.int64, 1):
+        return None
+    K_max = nn_ids.shape[0]
+    cap = 1 << (2 * K_max - 1).bit_length()  # as _beam.c sizes its table
+    words = 2 * cap + 2 * K_max * -(-K_max // 64)
+    scratch = _buffer("eh", words, np.uint64)[1]
+    eh = np.empty((k, k))
+    rc = _LIB.repro_escape_hardness(graph.c, nn_ids.ctypes.data, K_max, k,
+                                    scratch, words, eh.ctypes.data)
+    return eh if rc == 0 else None
 
 
 _load()

@@ -15,6 +15,8 @@ import pytest
 from repro.datasets import CrossModalConfig, make_cross_modal_dataset
 from repro.evalx import compute_ground_truth
 from repro.graphs import HNSW, native
+from repro.graphs.adjacency import AdjacencyStore
+from repro.graphs.csr import CSRGraphView
 
 try:
     import pytest_timeout  # noqa: F401
@@ -189,6 +191,30 @@ def tie_tolerant_equal(result_a, result_b, dc, q, ndc=None) -> bool:
     d = np.sort(reference(np.unique(scored_a[:shared])))
     return any(_near_tie(x, y) for x, y in zip(d[:-1], d[1:]))
 
+
+def csr_view(lists) -> CSRGraphView:
+    """A frozen CSR over out-neighbour ``lists`` as given: self-loops and
+    duplicate edges kept."""
+    indptr = np.zeros(len(lists) + 1, dtype=np.int32)
+    np.cumsum([len(row) for row in lists], out=indptr[1:])
+    indices = np.fromiter((v for row in lists for v in row), dtype=np.int32,
+                          count=int(indptr[-1]))
+    return CSRGraphView(indptr, indices, np.full(indices.shape[0], np.nan))
+
+
+def store_of(view: CSRGraphView, n: int) -> AdjacencyStore:
+    """The view's graph as a live store (self-loops dropped, every third
+    node's tail kept as extra edges), grown node by node so the slab has
+    been regrown along the way."""
+    store = AdjacencyStore(1)
+    store.grow(n - 1)
+    for u in range(n):
+        row = [v for v in view.neighbors(u).tolist() if v != u]
+        cut = len(row) // 2 if u % 3 == 0 else len(row)
+        store.set_base_neighbors(u, row[:cut])
+        for v in row[cut:]:
+            store.add_extra_edge(u, v, 1.0)
+    return store
 
 #: A non-default value for every ``StoreConfig`` field (the round-trip
 #: suites in ``test_durability.py`` and ``test_cluster.py`` parametrize over

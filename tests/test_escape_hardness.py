@@ -1,15 +1,22 @@
-"""Escape Hardness: definition conformance, paper examples, invariants."""
+"""Escape Hardness: definition conformance, paper examples, invariants, and
+the native executor against the reference and the brute-force oracle."""
+
+import contextlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import FixConfig, IndexMaintainer, NGFixer
 from repro.core.escape_hardness import (
     EscapeHardnessResult,
     escape_hardness,
     escape_hardness_bruteforce,
     reachability_matrix,
 )
+from repro.graphs import HNSW, native
+from repro.serving import EpochManager
+from tests.conftest import csr_view, reference_executor, store_of
 
 
 def _neighbors_from(adj: dict):
@@ -163,3 +170,125 @@ class TestMonotonicity:
         e1 = escape_hardness(_adj(base_edges, 10), _ids(10), 6).eh
         e2 = escape_hardness(_adj(more_edges, 10), _ids(10), 6).eh
         assert (e2 <= e1 + 1e-9).all()
+
+
+# -- native ≡ reference ≡ brute force ----------------------------------------
+
+@st.composite
+def nn_graphs(draw):
+    """A random directed graph over the K NNs plus a few other nodes:
+    self-loops, duplicate edges and zero-degree (compacted) nodes included.
+    Returns ``(lists, nn_ids, k)``."""
+    K = draw(st.sampled_from([1, 63, 64, 65, 130]))
+    n = K + draw(st.integers(0, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**20)))
+    max_degree = draw(st.integers(1, 10))
+    lists = [rng.integers(0, n, size=rng.integers(max_degree // 2,
+                                                  max_degree + 1)).tolist()
+             for _ in range(n)]
+    for u in np.flatnonzero(rng.random(n) < 0.1):
+        lists[u] = []
+    # The whole NN set or all but one as often as a random k: the last
+    # word of a row past 64 bits is where the masks are.
+    k = draw(st.one_of(st.sampled_from(sorted({K, max(K - 1, 1)})),
+                       st.integers(1, K)))
+    return lists, rng.permutation(n)[:K], k
+
+
+def _epoch_view(lists):
+    """The graph as an epoch view whose overlay patches half the nodes: the
+    epoch is cut with the odd nodes' rows empty, then they are written."""
+    store = store_of(csr_view([[] if u % 2 else row
+                               for u, row in enumerate(lists)]), len(lists))
+    manager = EpochManager(store, entry=0)
+    for u in range(1, len(lists), 2):
+        store.set_base_neighbors(u, lists[u])
+    return manager.pin()
+
+
+def _graph_shapes(lists):
+    """The graph as a frozen CSR as given, a live store (the store refuses
+    self-loops, which never change EH), its ``freeze()`` and an epoch view
+    with an overlay."""
+    view = csr_view(lists)
+    store = store_of(view, len(lists))
+    return {"csr": view, "slab": store, "frozen": store.freeze(),
+            "epoch": _epoch_view(lists).view}
+
+
+class TestNativeExecutor:
+    @settings(max_examples=100, deadline=None)
+    @given(nn_graphs())
+    def test_native_reference_and_bruteforce_agree(self, graph):
+        lists, nn_ids, k = graph
+        plain = _neighbors_from(dict(enumerate(lists)))
+        want = escape_hardness(plain, nn_ids, k).eh
+        assert np.array_equal(want, escape_hardness_bruteforce(
+            plain, nn_ids, k).eh)
+        for name, shape in _graph_shapes(lists).items():
+            if native.enabled():
+                native_eh = native.escape_hardness(
+                    shape.native_graph(), nn_ids, k)
+                assert np.array_equal(native_eh, want), name
+            assert np.array_equal(escape_hardness(shape, nn_ids, k).eh,
+                                  want), name
+            with reference_executor():
+                assert np.array_equal(escape_hardness(shape, nn_ids, k).eh,
+                                      want), name
+
+    def test_duplicate_ids_raise_on_both_executors(self):
+        for shape in _graph_shapes([[1], [2], [0], []]).values():
+            if native.enabled():
+                assert native.escape_hardness(
+                    shape.native_graph(), np.array([1, 1, 2]), 2) is None
+            for executor in (contextlib.nullcontext, reference_executor):
+                with executor(), pytest.raises(ValueError,
+                                               match="duplicates"):
+                    escape_hardness(shape, np.array([1, 1, 2]), 2)
+
+    def test_id_past_the_graph_falls_back_to_the_reference(self):
+        store = store_of(csr_view([[1], [2], [0]]), 3)
+        manager = EpochManager(store, entry=0)
+        store.grow(1)  # node 3: past the epoch's horizon, no patch row
+        view = manager.pin().view
+        ids = np.array([0, 3, 1, 2])
+        if native.enabled():
+            assert native.escape_hardness(view.native_graph(), ids, 3) is None
+        want = escape_hardness_bruteforce(view.neighbors, ids, 3).eh
+        assert np.array_equal(escape_hardness(view, ids, 3).eh, want)
+        for shape in (csr_view([[1], [2], [0]]), store.freeze()):
+            if native.enabled():
+                assert native.escape_hardness(shape.native_graph(),
+                                              np.array([0, 5]), 1) is None
+        with pytest.raises(IndexError):
+            escape_hardness(csr_view([[1], [2], [0]]), np.array([0, 5]), 1)
+
+    def test_fit_fix_and_compact_match_the_reference_edge_for_edge(
+            self, tiny_ds, monkeypatch):
+        """The whole preprocessing pipeline with only EH forced onto the
+        reference builds the same graph: extra edges, their EH tags and
+        every per-query record."""
+        def run():
+            base = HNSW(tiny_ds.base[:300], tiny_ds.metric, M=8,
+                        ef_construction=40, single_layer=True, seed=3)
+            fixer = NGFixer(base, FixConfig(k=8, max_extra_degree=6,
+                                            preprocess="approx",
+                                            rounds=(16, 8)))
+            fixer.fit(tiny_ds.train_queries[:40])
+            for query in tiny_ds.test_queries[:10]:
+                fixer.fix_query(query)
+            maintainer = IndexMaintainer(fixer, tiny_ds.train_queries[:10],
+                                         compact_threshold=0.5, seed=0)
+            maintainer.delete(list(range(0, 300, 7)))
+            maintainer.compact()
+            return fixer
+
+        native_fixer = run()
+        monkeypatch.setattr(native, "escape_hardness", lambda *args: None)
+        reference_fixer = run()
+        assert native_fixer.records == reference_fixer.records
+        for u in range(300):
+            assert (native_fixer.adjacency.extra_neighbors_ro(u)
+                    == reference_fixer.adjacency.extra_neighbors_ro(u))
+            assert (native_fixer.adjacency.base_neighbors_ro(u)
+                    == reference_fixer.adjacency.base_neighbors_ro(u))

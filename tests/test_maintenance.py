@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core import FixConfig, IndexMaintainer, NGFixer
+from repro.core.maintenance import smallest_stable
 from repro.evalx import recall_at_k
 from repro.graphs import HNSW, NSG
+from repro.store import VectorStore
 
 # Maintenance paths interact with background merging; a stuck compaction or
 # rebuild must fail fast rather than hang the suite.
@@ -181,3 +184,44 @@ class TestDeletion:
         maintainer.delete([entry])
         maintainer.compact(repair=False)
         assert fixer.entry != entry
+
+
+class TestRepairNeighborhood:
+    """Compaction's top-K_max selection and stores smaller than K_max."""
+
+    @given(st.lists(st.integers(0, 6), min_size=1, max_size=60),
+           st.integers(1, 70))
+    def test_smallest_stable_is_the_stable_argsort_prefix(self, values,
+                                                          count):
+        values = np.asarray(values, dtype=np.float64)
+        np.testing.assert_array_equal(
+            smallest_stable(values, count),
+            np.argsort(values, kind="stable")[:count])
+
+    def test_ties_straddling_the_cut_keep_position_order(self):
+        values = np.array([3.0, 1.0, 2.0, 2.0, 0.5, 2.0, 9.0, 2.0])
+        # Four 2.0s compete for the last two places: the first two win.
+        assert smallest_stable(values, 4).tolist() == [4, 1, 2, 3]
+        assert smallest_stable(values, 7).tolist() == [4, 1, 2, 3, 5, 7, 0]
+
+    @pytest.mark.parametrize("n_rows", [12, 15, 25])
+    def test_store_smaller_than_k_max_fits_fixes_and_compacts(self, n_rows):
+        """The default fixer's K_max is 30 (60 for repair): a smaller store
+        measures EH over every live row instead of raising, and a
+        compaction completes, so no deleted id comes back."""
+        rng = np.random.default_rng(n_rows)
+        data = rng.standard_normal((n_rows, 8)).astype(np.float32)
+        store = VectorStore(dim=8, metric="l2", seed=1)
+        try:
+            store.add(data)
+            store.build()
+            store.fit_history(rng.standard_normal((4, 8)).astype(np.float32))
+            assert store.observe(rng.standard_normal(8).astype(np.float32))
+            assert store.delete([1, 2])  # above the 5 % threshold: compacts
+            assert not store._fixer.adjacency.tombstones
+            store.observe(data[1])
+            for row in data:
+                ids = [hit[0] for hit in store.search(row, k=10)]
+                assert ids and not {1, 2} & set(ids)
+        finally:
+            store.close()

@@ -27,7 +27,6 @@ from repro.cluster.stats import merge_stats
 from repro.distances import DistanceComputer, Metric
 from repro.graphs import HNSW, native
 from repro.graphs.adjacency import AdjacencyStore
-from repro.graphs.csr import CSRGraphView
 from repro.graphs.pruning import _occlusion_prune, rng_prune
 from repro.graphs.search import (BatchSearchEngine, SearchResult,
                                  VisitedTable, _reference_row, greedy_search,
@@ -38,7 +37,8 @@ from repro.quantization.pq import ProductQuantizer
 from repro.quantization.searcher import (PQRerankSearcher, rerank_block,
                                          rerank_one)
 from repro.store import VectorStore
-from tests.conftest import reference_executor, tie_tolerant_equal
+from tests.conftest import (csr_view, reference_executor, store_of,
+                            tie_tolerant_equal)
 
 needs_native = pytest.mark.skipif(
     not native.enabled(),
@@ -49,14 +49,6 @@ needs_compiler = pytest.mark.skipif(
 SRC = str(pathlib.Path(native.__file__).resolve().parents[2])
 PROPERTY = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
-
-
-def csr_view(lists) -> CSRGraphView:
-    indptr = np.zeros(len(lists) + 1, dtype=np.int32)
-    np.cumsum([len(row) for row in lists], out=indptr[1:])
-    indices = np.fromiter((v for row in lists for v in row), dtype=np.int32,
-                          count=int(indptr[-1]))
-    return CSRGraphView(indptr, indices, np.full(indices.shape[0], np.nan))
 
 
 @st.composite
@@ -653,28 +645,13 @@ class TestRerankKernel:
 
 # -- the mutable graph: the slab read in place ----------------------------------
 
-def _store_of(view: CSRGraphView, n: int) -> AdjacencyStore:
-    """The view's graph as a live store (self-loops dropped, every third
-    node's tail kept as extra edges), grown node by node so the slab has
-    been regrown along the way."""
-    store = AdjacencyStore(1)
-    store.grow(n - 1)
-    for u in range(n):
-        row = [v for v in view.neighbors(u).tolist() if v != u]
-        cut = len(row) // 2 if u % 3 == 0 else len(row)
-        store.set_base_neighbors(u, row[:cut])
-        for v in row[cut:]:
-            store.add_extra_edge(u, v, 1.0)
-    return store
-
-
 @needs_native
 class TestMutableGraph:
     @PROPERTY
     @given(worlds(duplicates=False), st.booleans())
     def test_matches_reference_over_the_live_store(self, world, collect):
         dc, view, entries, barred, k, ef, queries = world
-        store = _store_of(view, dc.size)
+        store = store_of(view, dc.size)
         visited = VisitedTable(1)  # grown by the search
         for query in queries:
             q = dc.prepare_query(query)
@@ -691,6 +668,9 @@ class TestMutableGraph:
                                       ndc=(ndc_want, dc.reset_ndc()))
         # Mutate in place, search again through the same spec.
         spec = store.native_graph()
+        # Beside an extra edge 0 -> n-1 the new base edge is a duplicate in
+        # node 0's row, which the kernel may refuse.
+        duplicate = dc.size - 1 in store.extra_neighbors_ro(0)
         store.add_base_edge(0, dc.size - 1)
         store.remove_node_edges({int(entries[0])})
         assert store.native_graph() is spec
@@ -698,9 +678,19 @@ class TestMutableGraph:
         want = _reference_row(lambda ids: dc.to_query(ids, q),
                               store.neighbors, entries, k, ef, 1,
                               VisitedTable(dc.size), barred, None, False)
-        got = greedy_search(dc, store, entries, q, k, ef, visited, barred,
-                            prepared=True)
-        assert got.executor == "native"
+        OBS.enable()
+        try:
+            OBS.reset()
+            got = greedy_search(dc, store, entries, q, k, ef, visited, barred,
+                                prepared=True)
+            rejected = OBS.snapshot()["search_native_fallback_rejected"]
+        finally:
+            OBS.disable()
+            OBS.reset()
+        if got.executor == "reference":
+            assert duplicate and rejected == 1
+        else:
+            assert got.executor == "native" and rejected == 0
         assert tie_tolerant_equal(want, got, dc, q)
 
     def test_a_spec_taken_before_a_grow_is_stale_never_dangling(self):

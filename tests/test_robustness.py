@@ -130,11 +130,12 @@ class TestFixerEdgeCases:
         assert second <= first + 0.1 * first + 2
 
     def test_k_larger_than_history_gt(self, tiny_ds, fresh_hnsw):
-        """K_max is capped by corpus size errors cleanly."""
+        """K_max past the corpus size is capped at it: the fit measures EH
+        over every row instead of raising."""
         config = FixConfig(k=200, hard_ratio=3.0, preprocess="exact")
         fixer = NGFixer(fresh_hnsw, config)
-        with pytest.raises(ValueError):
-            fixer.fit(tiny_ds.train_queries[:2])
+        fixer.fit(tiny_ds.train_queries[:2])
+        assert [r.round_k for r in fixer.records] == [200, 200]
 
     def test_queries_equal_to_base_points(self, tiny_ds, fresh_hnsw):
         """ID queries that coincide with base points fix trivially."""

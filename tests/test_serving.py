@@ -405,6 +405,15 @@ class TestOwnNdcTelemetry:
         assert histogram.sum == sum(r.ndc for r in results)
         assert 0 < histogram.sum < self.NOISE
 
+    def test_repair_preprocessing_counts_its_own_ndc(self, noisy):
+        store = noisy()  # approximate preprocessing, inline repairs
+        fixer = store._fixer
+        before, ndc0 = fixer.preprocess_ndc, store.dc.ndc
+        assert store.observe(QUERIES[0])
+        own = fixer.preprocess_ndc - before
+        assert 0 < own < self.NOISE
+        assert store.dc.ndc - ndc0 >= own + self.NOISE  # the noise landed
+
 
 class TestPinnedConsistency:
     """Tentpole property: pinned results are immutable under overlay churn."""
