@@ -18,6 +18,8 @@ from repro.distances.metrics import Metric, normalize_rows
 from repro.utils.growth import with_capacity
 from repro.utils.validation import check_matrix, check_vector
 
+_FLOAT32 = np.dtype(np.float32)
+
 
 class DistanceComputer:
     """Distances from stored base vectors to queries/each other, with NDC count.
@@ -41,6 +43,7 @@ class DistanceComputer:
         self._row_sum: np.ndarray | None = None  # see centroid()
         self.ndc = 0
         self._memmap_path: pathlib.Path | None = None
+        self._native = (None, None)  # (matrix, its spec): see native_rows()
 
     @property
     def data(self) -> np.ndarray:
@@ -108,7 +111,8 @@ class DistanceComputer:
             f.flush()
             os.fsync(f.fileno())
         del arr
-        self._rows = None  # release the resident copy
+        # Release the resident copy (the cached spec holds it too).
+        self._rows, self._native = None, (None, None)
         self._data = self._open_memmap(path, shape)
         self._memmap_path = path
         return path
@@ -124,6 +128,7 @@ class DistanceComputer:
         if self._memmap_path is None:
             raise ValueError("remap() requires memmap mode; call use_memmap")
         shape = self._data.shape
+        self._native = (None, None)  # its spec would keep the old mapping
         self._data = self._open_memmap(self._memmap_path, shape)
 
     @classmethod
@@ -150,6 +155,7 @@ class DistanceComputer:
         self._rows = self._row_sum = None
         self.ndc = 0
         self._memmap_path = path
+        self._native = (None, None)
         return self
 
     def append(self, rows: np.ndarray) -> int:
@@ -240,34 +246,38 @@ class DistanceComputer:
         return out
 
     def native_rows(self):
-        """``(kind, base matrix)`` as the native core reads them in place,
-        or None when it cannot stand in for this computer's kernels: a
-        subclass (it may score differently), a base matrix that is not a
-        C-contiguous float32 ndarray.  The matrix is read
-        per call — :meth:`append` re-slices (and, past its capacity,
-        reallocates) it.
+        """The base matrix as a :class:`repro.graphs.native.Scorer`
+        ``(kind, rows)`` the native core reads in place, or None when it
+        cannot stand in for this computer's kernels: a subclass (it may
+        score differently), a base matrix that is not a C-contiguous
+        float32 ndarray.  Built once per base matrix: every assignment of
+        ``_data`` (:meth:`append`, :meth:`use_memmap`, :meth:`remap`)
+        makes a new one.
         """
-        from repro.graphs import native  # repro.graphs imports this module
-
         data = self._data
-        if (type(self) is not DistanceComputer
-                or not native.dense(data, np.float32, 2)):
-            return None
-        return native.EXACT_KINDS[self.metric.value], data
+        cached = self._native
+        if cached[0] is not data:
+            from repro.graphs import native  # repro.graphs imports this module
+
+            spec = (native.Scorer(native.EXACT_KINDS[self.metric.value], data)
+                    if type(self) is DistanceComputer
+                    and native.dense(data, np.float32, 2) else None)
+            # One assignment: a concurrent reader sees the old pair or the
+            # new one, never a spec of another matrix.
+            cached = self._native = (data, spec)
+        return cached[1]
 
     def native_scorer(self, queries: np.ndarray):
-        """This computer as a :class:`repro.graphs.native.Scorer` over the
-        prepared ``(B, d)`` ``queries``, or None when :meth:`native_rows`
-        has none or the query block is not C-contiguous float32 (the
-        float64 block of a degenerate COSINE query).
+        """This computer bound to the prepared ``(B, d)`` ``queries`` — the
+        pair ``(native_rows(), queries)`` — or None when :meth:`native_rows`
+        has none or the block is not float32 (the float64 block of a
+        degenerate COSINE query).  The kernel checks the rest of the
+        block's layout itself.
         """
-        from repro.graphs import native
-
         rows = self.native_rows()
-        if (rows is None or not native.dense(queries, np.float32, 2)
-                or queries.shape[1] != rows[1].shape[1]):
+        if rows is None or queries.dtype != _FLOAT32:
             return None
-        return native.Scorer(*rows, queries)
+        return rows, queries
 
     def to_query(self, ids: np.ndarray, query: np.ndarray) -> np.ndarray:
         """Distances from base rows ``ids`` to a *prepared* query vector.

@@ -180,15 +180,27 @@ class AdjacencyStore:
     # -- edge mutation --------------------------------------------------------
 
     def set_base_neighbors(self, u: int, neighbors) -> None:
-        """Replace node ``u``'s base neighbor list."""
-        self._base[u] = [int(v) for v in neighbors if int(v) != u]
+        """Replace node ``u``'s base neighbor list: ``neighbors`` without
+        ``u`` and without repeats, in order.  A base edge supersedes an
+        extra edge to the same node (see :meth:`add_base_edge`)."""
+        base = self._base[u] = list(dict.fromkeys(
+            v for v in map(int, neighbors) if v != u))
+        extra = self._extra[u]
+        if extra:
+            for v in base:
+                extra.pop(v, None)
         self._touch(u)
 
     def add_base_edge(self, u: int, v: int) -> bool:
-        """Add base edge u->v; returns False if it already existed."""
+        """Add base edge u->v; returns False if it already existed.  An
+        extra edge u->v is dropped for it — as :meth:`add_extra_edge`
+        refuses one beside a base edge — so ``u``'s row never holds ``v``
+        twice (a node scored twice overflows the native kernel's scratch,
+        and it hands the search back)."""
         u, v = int(u), int(v)
         if u == v or v in self._base[u]:
             return False
+        self._extra[u].pop(v, None)
         self._base[u].append(v)
         self._touch(u)
         return True

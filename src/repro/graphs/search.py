@@ -85,9 +85,9 @@ _NATIVE_FALLBACKS = OBS.counter(
 OBS.gauge_fn("search_native_enabled", lambda: float(native.enabled()),
              "1 when the native traversal executor is loaded in this process")
 #: Why a search fell back, one counter each: the library is not loaded (no
-#: compiler, compile error, REPRO_NO_NATIVE); the scorer or the graph has no
-#: native description; the kernel refused the input (id out of range, a
-#: duplicate edge).
+#: compiler, no Python headers, compile error, REPRO_NO_NATIVE); the scorer
+#: or the graph has no native description; the kernel refused the input (id
+#: out of range, a duplicate edge, an array it does not read).
 _NATIVE_FALLBACK_REASONS = {
     reason: OBS.counter(f"search_native_fallback_{reason}", text)
     for reason, text in (
@@ -239,8 +239,9 @@ def beam_search(score, neighbors_fn, entry_ids: np.ndarray, ef: int,
     round per row; the two are tested differentially.  (A neighbor list is
     masked before it is marked, so a duplicate edge *within* one list is
     scored twice here where the kernel's wide round scores it once;
-    ``AdjacencyStore`` refuses duplicate edges, so no graph built here has
-    one.)
+    ``AdjacencyStore`` never holds one — a repeated base neighbour is
+    dropped and a base edge supersedes an extra edge to the same node — so
+    no graph built here has one.)
 
     Per-hop interpreter work is what a query costs here (the kernel is a
     few percent of it), so whatever does not change within a search is
@@ -351,8 +352,9 @@ def native_search(scorer_owner, graph_owner, queries: np.ndarray,
 
     The single place an executor is chosen.  ``scorer_owner`` and
     ``graph_owner`` are whatever the caller scores and walks with; they
-    are asked for ``native_scorer(*scorer_args, queries)`` and
-    ``native_graph()``.  Returns ``(results, distances_computed)`` — the
+    are asked for ``native_scorer(*scorer_args, queries)`` (a bound scorer,
+    ``(native.Scorer, query block)``) and ``native_graph()``, both specs
+    cached on their owners.  Returns ``(results, distances_computed)`` — the
     caller owns its NDC counter — or None (with the reason counted) when
     the reference executor has to run.
     ``entry_lists`` holds one :func:`unique_entries` array per query row
@@ -386,7 +388,7 @@ def native_search(scorer_owner, graph_owner, queries: np.ndarray,
             offsets = np.zeros(n_queries + 1, dtype=np.int64)
             np.cumsum([e.shape[0] for e in entry_lists], out=offsets[1:])
             entries = np.concatenate(entry_lists)
-        visited.grow(scorer.rows.shape[0])
+        visited.grow(scorer[0].rows.shape[0])
         rows = native.beam_block(
             graph, scorer, entries, offsets, k, ef, beam_width,
             visited._stamps, visited.reserve(n_queries),

@@ -128,9 +128,10 @@ class ADCComputer:
             self.pq.adc_tables(qmat)).reshape(-1)
 
     def native_scorer(self, queries: np.ndarray):
-        """The block opened by :meth:`begin_block` as a native ADC scorer
-        (see :meth:`ProductQuantizer.native_scorer`): the code matrix and
-        that block's lookup tables, one per row of ``queries``."""
+        """The block opened by :meth:`begin_block` as a bound native ADC
+        scorer (see :meth:`ProductQuantizer.native_scorer`): the code
+        matrix's spec and that block's lookup tables, one per row of
+        ``queries``."""
         tables = getattr(self._open, "flat_tables", None)
         shape = (queries.shape[0], self.pq.m, self.pq.ks)
         if (type(self) is not ADCComputer or tables is None

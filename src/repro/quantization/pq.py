@@ -46,6 +46,7 @@ class ProductQuantizer:
         self._rng = ensure_rng(seed)
         self.codebooks: np.ndarray | None = None  # (m, ks, d_sub)
         self.dim: int | None = None
+        self._native = (None, None)  # (codes, their spec): native_scorer()
 
     @property
     def is_fitted(self) -> bool:
@@ -144,20 +145,25 @@ class ProductQuantizer:
         return table[np.arange(self.m), codes].cumsum(axis=-1)[..., -1]
 
     def native_scorer(self, codes: np.ndarray, tables: np.ndarray):
-        """ADC over ``codes`` as a :class:`repro.graphs.native.Scorer`, one
-        ``(m, ks)`` lookup table of ``tables`` per query; None when the
-        native kernel cannot stand in for :meth:`adc_distances` (a
-        subclass, or arrays that are not dense uint8 codes / float64
-        tables of this quantizer's shape)."""
-        from repro.graphs import native
+        """ADC over ``codes`` bound to ``tables``, one ``(m, ks)`` lookup
+        table per query: the pair ``(native.Scorer(ADC, codes), tables)``,
+        the spec built once per code matrix.  None when the native kernel
+        cannot stand in for :meth:`adc_distances`: a subclass, codes that
+        are not a dense ``(n, m)`` uint8 matrix, tables of another shape
+        (the spec's codes index this quantizer's ``ks``).  The kernel checks
+        the tables' layout itself."""
+        cached = self._native
+        if cached[0] is not codes:
+            from repro.graphs import native
 
-        if (type(self) is not ProductQuantizer
-                or not native.dense(codes, np.uint8, 2)
-                or not native.dense(tables, np.float64, 3)
-                or codes.shape[1] != self.m
-                or tables.shape[1:] != (self.m, self.ks)):
+            spec = (native.Scorer(native.ADC, codes)
+                    if type(self) is ProductQuantizer
+                    and native.dense(codes, np.uint8, 2)
+                    and codes.shape[1] == self.m else None)
+            cached = self._native = (codes, spec)  # one assignment
+        if cached[1] is None or tables.shape[1:] != (self.m, self.ks):
             return None
-        return native.Scorer(native.ADC, codes, tables)
+        return cached[1], tables
 
     def quantization_error(self, data: np.ndarray) -> float:
         """Mean squared reconstruction error (diagnostic)."""

@@ -24,7 +24,7 @@ class TestBaseEdges:
         assert not store.add_base_edge(2, 2)
 
     def test_set_base_neighbors_drops_self(self, store):
-        store.set_base_neighbors(0, [0, 1, 2])
+        store.set_base_neighbors(0, [0, 1, 2, 1, 0, 2])
         assert store.base_neighbors(0) == [1, 2]
 
     def test_directed(self, store):
@@ -48,6 +48,14 @@ class TestExtraEdges:
     def test_extra_refused_if_base_exists(self, store):
         store.add_base_edge(0, 1)
         assert not store.add_extra_edge(0, 1, eh=2.0)
+
+    def test_base_edge_supersedes_extra(self, store):
+        store.add_extra_edge(0, 1, eh=2.0)
+        store.add_extra_edge(0, 3, eh=2.0)
+        assert store.add_base_edge(0, 1)
+        store.set_base_neighbors(0, [1, 3, 4])
+        assert store.extra_neighbors(0) == {}
+        assert store.neighbors(0).tolist() == [1, 3, 4]
 
     def test_neighbors_combined(self, store):
         store.add_base_edge(0, 1)
@@ -243,9 +251,9 @@ _OPS = st.one_of(
 @given(st.lists(_OPS, max_size=40))
 def test_slab_and_freeze_follow_the_edge_sets(ops):
     """After any mutation sequence: ``neighbors(u)`` (the slab row) is
-    ``base + extra`` for every node, ``freeze()`` gathered from the slab is
-    the per-node loop's CSR, and a spec taken before the sequence still
-    points at arrays it owns."""
+    ``base + extra`` for every node and names no node twice, ``freeze()``
+    gathered from the slab is the per-node loop's CSR, and a spec taken
+    before the sequence still points at arrays it owns."""
     store = AdjacencyStore(3)
     first_spec = store.native_graph()
     for op in ops:
@@ -274,6 +282,7 @@ def test_slab_and_freeze_follow_the_edge_sets(ops):
             combined = store._base[u] + list(store._extra[u])
             assert store.neighbors(u).tolist() == combined
             assert store(u).tolist() == combined
+            assert len(set(combined)) == len(combined)
     view = store.freeze()
     indptr, indices, edge_eh = _loop_freeze(store)
     np.testing.assert_array_equal(view.indptr, indptr)

@@ -15,9 +15,11 @@ import os
 import pathlib
 import subprocess
 import sys
+import sysconfig
 import textwrap
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -637,9 +639,9 @@ class TestRerankKernel:
     def test_a_shortlisted_id_past_the_exact_rows_is_refused(self, world):
         dc, _, _, qmat = world
         kind, rows = dc.native_rows()
-        short = native.Scorer(kind, rows[:10], qmat)
+        short = native.Scorer(kind, rows[:10]), qmat
         assert self._run(world, 5, rerank=(short, 40)) is None
-        wrong_rows = native.Scorer(kind, rows, qmat[:2])
+        wrong_rows = dc.native_rows(), qmat[:2]
         assert self._run(world, 5, rerank=(wrong_rows, 40)) is None
 
 
@@ -666,11 +668,10 @@ class TestMutableGraph:
             assert got.executor == "native"
             assert tie_tolerant_equal(want, got, dc, q,
                                       ndc=(ndc_want, dc.reset_ndc()))
-        # Mutate in place, search again through the same spec.
+        # Mutate in place, search again through the same spec.  A base edge
+        # 0 -> n-1 beside an extra edge 0 -> n-1 supersedes it: node 0's row
+        # never holds a node twice, so the kernel never refuses it.
         spec = store.native_graph()
-        # Beside an extra edge 0 -> n-1 the new base edge is a duplicate in
-        # node 0's row, which the kernel may refuse.
-        duplicate = dc.size - 1 in store.extra_neighbors_ro(0)
         store.add_base_edge(0, dc.size - 1)
         store.remove_node_edges({int(entries[0])})
         assert store.native_graph() is spec
@@ -678,19 +679,9 @@ class TestMutableGraph:
         want = _reference_row(lambda ids: dc.to_query(ids, q),
                               store.neighbors, entries, k, ef, 1,
                               VisitedTable(dc.size), barred, None, False)
-        OBS.enable()
-        try:
-            OBS.reset()
-            got = greedy_search(dc, store, entries, q, k, ef, visited, barred,
-                                prepared=True)
-            rejected = OBS.snapshot()["search_native_fallback_rejected"]
-        finally:
-            OBS.disable()
-            OBS.reset()
-        if got.executor == "reference":
-            assert duplicate and rejected == 1
-        else:
-            assert got.executor == "native" and rejected == 0
+        got = greedy_search(dc, store, entries, q, k, ef, visited, barred,
+                            prepared=True)
+        assert got.executor == "native"
         assert tie_tolerant_equal(want, got, dc, q)
 
     def test_a_spec_taken_before_a_grow_is_stale_never_dangling(self):
@@ -1016,6 +1007,209 @@ class TestObservability:
             assert name in catalog
 
 
+# -- the entry points: layouts, fresh arrays, cached specs, leaks ----------------
+
+REFUSED = object()   # the call must answer None
+
+
+@needs_native
+class TestEntryPoints:
+    """What the C entry points accept.  Every layout the kernel does not read
+    is refused (None) or raises TypeError / ValueError — never a crash."""
+
+    @pytest.fixture
+    def world(self):
+        rng = np.random.default_rng(21)
+        dc = DistanceComputer(rng.standard_normal((40, 6)), "l2")
+        view = csr_view([rng.choice(40, size=5, replace=False).tolist()
+                         for _ in range(40)])
+        qmat = dc.prepare_queries(rng.standard_normal((3, 6)))
+        return dc, view.native_graph(), dc.native_scorer(qmat), qmat
+
+    @staticmethod
+    def _block(world, **changes):
+        dc, graph, scorer, qmat = world
+        args = dict(graph=graph, scorer=scorer, entries=unique_entries([0, 1]),
+                    offsets=None, k=5, ef=12, width=1,
+                    stamps=np.zeros(40, dtype=np.int32), version0=1, mask=None,
+                    deadline=None, collect=False, rerank=None)
+        args.update(changes)
+        return native.beam_block(*args.values())
+
+    @staticmethod
+    def _outcome(call):
+        try:
+            return REFUSED if call() is None else "answered"
+        except (TypeError, ValueError) as exc:
+            return type(exc)
+
+    def test_beam_block_refuses_what_the_kernel_does_not_read(self, world):
+        dc, graph, _, qmat = world
+        rows = dc.native_rows()
+        wide = np.repeat(qmat, 2, axis=1)
+        offsets = np.array([0, 1, 2, 2], dtype=np.int64)
+        read_only = np.zeros(40, dtype=np.int32)
+        read_only.flags.writeable = False
+
+        def slab_graph(**arrays):
+            return _with(native.Graph.mutable(
+                np.zeros((40, 8), dtype=np.int32),
+                np.zeros(40, dtype=np.int32), 40), **arrays)
+
+        cases = {
+            "float64 queries": dict(scorer=(rows, qmat.astype(np.float64))),
+            "strided queries": dict(scorer=(rows, wide[:, ::2])),
+            "1-d queries": dict(scorer=(rows, qmat[0])),
+            "queries of another dim": dict(scorer=(rows, qmat[:, :4].copy())),
+            "float64 rows": dict(scorer=(native.Scorer(
+                native.L2, rows.rows.astype(np.float64)), qmat)),
+            "fortran rows": dict(scorer=(native.Scorer(
+                native.L2, np.asfortranarray(rows.rows)), qmat)),
+            "short stamps": dict(stamps=np.zeros(39, dtype=np.int32)),
+            "int64 stamps": dict(stamps=np.zeros(40, dtype=np.int64)),
+            "read-only stamps": dict(stamps=read_only),
+            "int32 entries": dict(entries=np.array([0, 1], dtype=np.int32)),
+            "2-d entries": dict(entries=np.array([[0, 1]], dtype=np.int64)),
+            "offsets of another row count": dict(offsets=offsets[:3]),
+            "offsets past the entries": dict(
+                offsets=np.array([0, 1, 2, 3], dtype=np.int64)),
+            "offsets going back": dict(
+                offsets=np.array([0, 2, 1, 2], dtype=np.int64)),
+            "bool mask": dict(mask=np.zeros(40, dtype=bool)),
+            "float64 indptr": dict(graph=native.Graph(
+                graph.indptr.astype(np.float64), graph.indices)),
+            "strided slab": dict(graph=slab_graph(
+                slab=np.zeros((40, 16), dtype=np.int32)[:, ::2])),
+            "a slab row count past the degrees": dict(graph=slab_graph(
+                degree=np.zeros(39, dtype=np.int32))),
+            "a patch of the wrong shape": dict(graph=native.Graph(
+                graph.indptr, graph.indices, patch=(graph.indptr,))),
+            "re-rank rows of another count": dict(
+                rerank=(dc.native_scorer(qmat[:2]), 10)),
+            "re-rank by ADC": dict(rerank=((native.Scorer(
+                native.ADC, np.zeros((40, 2), dtype=np.uint8)),
+                np.zeros((3, 2, 4))), 10)),
+        }
+        raising = {
+            "a spec without queries": (dict(scorer=rows), TypeError),
+            "an unknown kind": (dict(scorer=(native.Scorer(9, rows.rows),
+                                             qmat)), ValueError),
+            "k of 0": (dict(k=0), ValueError),
+            "beam width of 0": (dict(width=0), ValueError),
+            "a version past int32": (dict(version0=2**31 - 2), ValueError),
+            "a negative budget": (dict(rerank=(dc.native_scorer(qmat), -1)),
+                                  ValueError),
+            "a float k": (dict(k=5.0), TypeError),
+        }
+        for name, changes in cases.items():
+            assert self._outcome(lambda: self._block(world, **changes)) \
+                is REFUSED, name
+        for name, (changes, error) in raising.items():
+            assert self._outcome(lambda: self._block(world, **changes)) \
+                is error, name
+        assert self._block(world) is not None     # the baseline is answered
+
+    def test_prune_and_eh_refuse_what_the_kernel_does_not_read(self, world):
+        dc, graph, _, _ = world
+        kind, rows = dc.native_rows()
+        ids = np.arange(1, 9, dtype=np.int64)
+        margin = np.zeros(8)
+        prune = {
+            "float64 rows": (kind, rows.astype(np.float64), ids, margin, 4),
+            "int32 ids": (kind, rows, ids.astype(np.int32), margin, 4),
+            "strided ids": (kind, rows, np.arange(1, 17)[::2], margin, 4),
+            "2-d ids": (kind, rows, ids[None], margin, 4),
+            "a short margin": (kind, rows, ids, margin[:7], 4),
+            "float32 margin": (kind, rows, ids, margin.astype(np.float32), 4),
+        }
+        for name, args in prune.items():
+            assert self._outcome(lambda: native.occlusion_prune(*args)) \
+                is REFUSED, name
+        assert self._outcome(lambda: native.occlusion_prune(
+            native.ADC, rows, ids, margin, 4)) is ValueError
+        assert self._outcome(lambda: native.occlusion_prune(
+            kind, rows, ids, margin)) is TypeError
+        nn = np.arange(6, dtype=np.int64)
+        eh = {
+            "float64 ids": (graph, nn.astype(np.float64), 3),
+            "strided ids": (graph, np.arange(12)[::2], 3),
+            "2-d ids": (graph, nn[None], 3),
+            "k of 0": (graph, nn, 0),
+            "k past the ids": (graph, nn, 7),
+            "int64 indices": (native.Graph(
+                graph.indptr, graph.indices.astype(np.int64)), nn, 3),
+        }
+        for name, args in eh.items():
+            assert self._outcome(lambda: native.escape_hardness(*args)) \
+                is REFUSED, name
+        assert native.escape_hardness(graph, nn, 3).shape == (3, 3)
+
+    @pytest.mark.parametrize("collect", [False, True])
+    def test_answers_are_fresh_arrays(self, world, collect):
+        dc, graph, scorer, qmat = world
+        first = self._block(world, collect=collect)
+        second = self._block(world, collect=collect, version0=10)
+        arrays = [a for rows in (first, second) for row in rows
+                  for a in (row[0], row[1], row[6], row[7]) if a is not None]
+        assert len(arrays) == (24 if collect else 12)
+        assert all(a.flags.owndata for a in arrays)
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+        for a, b in zip(first, second):
+            np.testing.assert_array_equal(a[0], b[0])
+        with_rerank = self._block(world, rerank=(dc.native_scorer(qmat), 8))
+        again = self._block(world, rerank=(dc.native_scorer(qmat), 8),
+                            version0=20)
+        for a, b in zip(with_rerank, again):
+            assert not np.shares_memory(a[0], b[0])
+
+    def test_specs_are_cached_until_their_arrays_are_replaced(self):
+        rng = np.random.default_rng(22)
+        dc = DistanceComputer(rng.standard_normal((30, 8)), "ip")
+        q = dc.prepare_queries(rng.standard_normal((2, 8)))
+        rows = dc.native_rows()
+        assert dc.native_scorer(q)[0] is rows and dc.native_rows() is rows
+        dc.append(rng.standard_normal(8))
+        grown = dc.native_rows()
+        assert grown is not rows and grown.rows is dc.data
+        assert grown.rows.shape[0] == 31
+        adc = ADCComputer(dc, ProductQuantizer(m=2, ks=8, metric="ip"))
+        adc.begin_block(q)
+        spec, tables = adc.native_scorer(q)
+        assert spec.rows is adc.codes and tables.shape == (2, 2, 8)
+        assert adc.native_scorer(q)[0] is spec
+        dc.append(rng.standard_normal(8))
+        adc.begin_block(q)
+        assert adc.native_scorer(q)[0].rows is adc.codes is not spec.rows
+
+    def test_searches_leak_no_results_or_scratch(self, tiny_ds):
+        store = VectorStore(dim=tiny_ds.base.shape[1], metric=tiny_ds.metric,
+                            M=8, ef_construction=40, seed=3)
+        store.add(tiny_ds.base)
+        store.build()
+        queries = tiny_ds.test_queries
+        for q in queries:                        # caches and lazy state
+            store.search(q, k=10, ef=40)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(20_000):
+                store.search(queries[i % len(queries)], k=10, ef=40)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            store.close()
+        assert grown < 1 << 20
+
+
+def _with(graph, **arrays):
+    """``graph`` with some of its arrays swapped (a hand-corrupted spec)."""
+    for name, value in arrays.items():
+        setattr(graph, name, value)
+    return graph
+
+
 # -- the loader -----------------------------------------------------------------
 
 def _python(code: str, **env) -> subprocess.CompletedProcess:
@@ -1102,7 +1296,7 @@ class TestLoader:
             import pathlib
             from repro.graphs import native
             path, status = native.build(dirs=[pathlib.Path({str(tmp_path)!r})])
-            native._bind(path)
+            assert native._import(path).beam_block is not None
             print(path.name, status["enabled"])
         """
         environ = dict(os.environ, PYTHONPATH=SRC)
@@ -1125,4 +1319,69 @@ class TestLoader:
         edited = tmp_path / "edited.c"
         edited.write_text(native.SOURCE.read_text() + "\n/* edited */\n")
         third, _ = native.build(source=edited, dirs=[tmp_path])
-        assert third != first
+        assert third is not None and third != first
+
+    @needs_compiler
+    def test_missing_python_headers_are_a_reason(self, tmp_path,
+                                                 monkeypatch):
+        real = sysconfig.get_paths
+        monkeypatch.setattr(sysconfig, "get_paths", lambda *args, **kw: dict(
+            real(*args, **kw), include=str(tmp_path),
+            platinclude=str(tmp_path)))
+        path, status = native.build(dirs=[tmp_path / "out"])
+        assert path is None and not status["enabled"]
+        assert "no Python headers" in status["reason"]
+        assert "Python.h" in status["reason"]
+
+    @needs_compiler
+    def test_import_without_headers_runs_the_reference(self, tmp_path):
+        # The include directory moves to an empty one before the import
+        # builds: a new digest, nothing cached under it, no Python.h.
+        hide_headers = f"""
+            import sysconfig
+            real = sysconfig.get_paths
+            sysconfig.get_paths = lambda *args, **kw: dict(
+                real(*args, **kw), include={str(tmp_path)!r},
+                platinclude={str(tmp_path)!r})
+        """
+        done = _python(textwrap.dedent(hide_headers)
+                       + textwrap.dedent(SEARCH_ON_REFERENCE))
+        assert done.returncode == 0, done.stderr
+        enabled, reason, rest = [s.strip() for s in
+                                 done.stdout.strip().split("|")]
+        assert enabled == "False" and "Python.h" in reason
+        assert rest == "reference 3 1 1"   # answered, counted, warned once
+
+    @staticmethod
+    def _abi(monkeypatch, suffix: str) -> None:
+        real = sysconfig.get_config_var
+        monkeypatch.setattr(sysconfig, "get_config_var", lambda name: (
+            suffix if name == "EXT_SUFFIX" else real(name)))
+
+    @needs_compiler
+    def test_digest_covers_the_abi_and_the_include_dirs(self, tmp_path,
+                                                        monkeypatch):
+        first, _ = native.build(dirs=[tmp_path])
+        with monkeypatch.context() as patch:
+            self._abi(patch, ".cpython-39-elsewhere.so")
+            other_abi, _ = native.build(dirs=[tmp_path])
+        dirs = native.include_dirs()
+        (tmp_path / "more").mkdir()
+        monkeypatch.setattr(native, "include_dirs",
+                            lambda: [*dirs, str(tmp_path / "more")])
+        other_dirs, _ = native.build(dirs=[tmp_path])
+        assert other_abi.name.endswith(".cpython-39-elsewhere.so")
+        assert len({first.name[:22], other_abi.name[:22],
+                    other_dirs.name[:22]}) == 3   # "_beam-" + 16 hex digits
+
+    @needs_compiler
+    def test_a_library_for_another_abi_is_never_loaded(self, tmp_path,
+                                                       monkeypatch):
+        with monkeypatch.context() as patch:
+            self._abi(patch, ".cpython-39-elsewhere.so")
+            foreign, _ = native.build(dirs=[tmp_path])
+        path, status = native.build(dirs=[tmp_path])
+        assert path != foreign and status["enabled"]
+        assert path.name.endswith(sysconfig.get_config_var("EXT_SUFFIX"))
+        assert sorted(tmp_path.iterdir()) == sorted([foreign, path])
+        assert native._import(path).escape_hardness is not None
