@@ -27,6 +27,12 @@ import sys
 
 import numpy as np
 
+from repro.config import StoreConfig
+
+#: Base-graph geometry of every graph the CLI builds: the bare HNSW of
+#: build/fix/evaluate/analyze/explain and the stores of churn/stats/cluster.
+_GEOMETRY = dict(M=12, ef_construction=60)
+
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dataset", default="laion-sim",
@@ -53,9 +59,9 @@ def _add_compressed(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--pq-m", type=int, default=None,
                         help="PQ subspace count (default: largest of "
                              "8/6/4/3/2/1 dividing dim)")
-    parser.add_argument("--pq-ks", type=int, default=32,
+    parser.add_argument("--pq-ks", type=int, default=StoreConfig.pq_ks,
                         help="PQ centroids per subspace (<= 256)")
-    parser.add_argument("--rerank", type=int, default=50,
+    parser.add_argument("--rerank", type=int, default=StoreConfig.rerank,
                         help="exact re-rank shortlist size (full-precision "
                              "NDC budget per query)")
     parser.add_argument("--memmap-dir",
@@ -67,7 +73,7 @@ def _store_kwargs(args) -> dict:
     """Store settings shared by churn, stats and cluster (which hands them
     to the router): the CLI's build geometry plus the compressed flag
     group."""
-    kwargs = dict(M=12, ef_construction=60, seed=args.seed)
+    kwargs = dict(_GEOMETRY, seed=args.seed)
     if args.compressed:
         kwargs.update(compressed=True, pq_m=args.pq_m, pq_ks=args.pq_ks,
                       rerank=args.rerank)
@@ -139,13 +145,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_churn.add_argument("--observe-every", type=int, default=0,
                          help="feed every Nth batch's first query to online "
                               "NGFix/RFix repair (0 = off)")
-    p_churn.add_argument("--merge-every", type=int, default=256,
+    p_churn.add_argument("--merge-every", type=int,
+                         default=StoreConfig.merge_every,
                          help="overlay ops per background epoch merge")
     p_churn.add_argument("--wal-dir",
                          help="journal mutations to a write-ahead log in this "
                               "directory (must be fresh; restart with "
                               "'repro recover')")
-    p_churn.add_argument("--sync-every", type=int, default=8,
+    p_churn.add_argument("--sync-every", type=int,
+                         default=StoreConfig.sync_every,
                          help="fsync the WAL every N records (1 = every "
                               "record, 0 = never; requires --wal-dir)")
     p_churn.add_argument("--storm", action="store_true",
@@ -254,7 +262,7 @@ def _build_index(args, ds):
     from repro import HNSW, NSG, RoarGraph, TauMNG
     from repro.graphs.vamana import RobustVamana, Vamana
     if args.index == "hnsw":
-        return HNSW(ds.base, ds.metric, M=12, ef_construction=60,
+        return HNSW(ds.base, ds.metric, **_GEOMETRY,
                     single_layer=True, seed=args.seed)
     if args.index == "nsg":
         return NSG(ds.base, ds.metric, R=24, L=60, n_workers=args.n_workers)
@@ -299,7 +307,7 @@ def _cmd_fix(args) -> int:
     from repro import HNSW, FixConfig, NGFixer
     from repro.io import save_index
     ds = _load_dataset(args)
-    base = HNSW(ds.base, ds.metric, M=12, ef_construction=60,
+    base = HNSW(ds.base, ds.metric, **_GEOMETRY,
                 single_layer=True, seed=args.seed)
     fixer = NGFixer(base, FixConfig(
         k=args.k, preprocess=args.preprocess,
@@ -325,7 +333,7 @@ def _cmd_evaluate(args) -> int:
         index = load_index(args.index_file)
         label = args.index_file
     else:
-        base = HNSW(ds.base, ds.metric, M=12, ef_construction=60,
+        base = HNSW(ds.base, ds.metric, **_GEOMETRY,
                     single_layer=True, seed=args.seed)
         index = NGFixer(base, FixConfig(k=args.k, preprocess="approx",
                                         n_workers=args.n_workers))
@@ -601,7 +609,7 @@ def _cmd_analyze(args) -> int:
     from repro.core.analysis import phase_reach_stats
     from repro.core.visualize import render_qng
     ds = _load_dataset(args)
-    index = HNSW(ds.base, ds.metric, M=12, ef_construction=60,
+    index = HNSW(ds.base, ds.metric, **_GEOMETRY,
                  single_layer=True, seed=args.seed)
     gt = compute_ground_truth(ds.base, ds.test_queries, 3 * args.k, ds.metric)
     stats = phase_reach_stats(index, ds.test_queries, gt, k=args.k,
@@ -621,7 +629,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_explain(args) -> int:
     from repro import HNSW, FixConfig, NGFixer, explain_query
     ds = _load_dataset(args)
-    index = HNSW(ds.base, ds.metric, M=12, ef_construction=60,
+    index = HNSW(ds.base, ds.metric, **_GEOMETRY,
                  single_layer=True, seed=args.seed)
     if args.fixed:
         fixer = NGFixer(index, FixConfig(k=args.k, preprocess="approx"))

@@ -78,6 +78,11 @@ _GATHER_TIMEOUTS = OBS.counter(
     "cluster_gather_timeouts",
     "partition waits abandoned because the deadline budget expired")
 
+#: Seconds a shard RPC may take when the caller set no deadline: the bound
+#: on a worker's hello, a plain request/reply round trip, a stale-reply
+#: drain and every undeadlined :func:`scatter_gather` wait.
+RPC_TIMEOUT = 120.0
+
 
 class Overloaded(RuntimeError):
     """Typed admission-control rejection: the front-door queue is full.
@@ -541,7 +546,7 @@ def scatter_gather(router, build_msg, deadline: float | None) -> dict:
     :class:`selectors.DefaultSelector` and replies are consumed in arrival
     order, so a slow partition delays only itself.  Per-partition waits are
     bounded by the caller's ``deadline`` (absolute ``perf_counter`` time)
-    when one is set, else by ``router.rpc_timeout`` from the flight's
+    when one is set, else by :data:`RPC_TIMEOUT` from the flight's
     start.  Within a flight:
 
     - a ``ConnectionError`` fails over to the partition's next eligible
@@ -554,7 +559,7 @@ def scatter_gather(router, build_msg, deadline: float | None) -> dict:
       exception — and records a timeout failure on every waiter's breaker.
 
     Returns ``{shard_id: reply dict}`` for the partitions that answered.
-    ``router`` provides ``n_shards``, ``rpc_timeout``, ``hedge_enabled``,
+    ``router`` provides ``n_shards``, ``hedge_enabled``,
     ``_pick_replica``, ``_hedge_delay``, ``_on_send``, ``_on_success``,
     ``_on_conn_error``, ``_on_timeout``, ``_on_outpaced``, and
     ``_note_retry`` — the routing policy stays with the router; this
@@ -599,7 +604,7 @@ def scatter_gather(router, build_msg, deadline: float | None) -> dict:
     def flight_deadline(flight: _Flight) -> float:
         if deadline is not None:
             return deadline
-        return flight.t_start + router.rpc_timeout
+        return flight.t_start + RPC_TIMEOUT
 
     def finish(flight: _Flight, reply: dict | None, winner=None) -> None:
         flight.done = True

@@ -48,8 +48,9 @@ import numpy as np
 
 from repro.cluster import resilience
 from repro.cluster.protocol import recv_msg, send_msg
-from repro.cluster.resilience import (BreakerConfig, CircuitBreaker,
-                                      LatencyTracker, scatter_gather)
+from repro.cluster.resilience import (RPC_TIMEOUT, BreakerConfig,
+                                      CircuitBreaker, LatencyTracker,
+                                      scatter_gather)
 from repro.cluster.stats import merge_stats
 from repro.cluster.worker import shard_wal_dir, worker_main
 from repro.config import StoreConfig
@@ -308,11 +309,14 @@ class ClusterRouter:
 
     Parameters
     ----------
-    dim, metric:
-        Vector geometry, forwarded to every shard's store.  These and the
-        store settings below are validated once into :attr:`config` (a
-        :class:`~repro.config.StoreConfig`); a worker's spec is its
-        ``to_dict()`` plus the shard's ids, WAL directory and seed.
+    dim, metric, **settings:
+        The shard stores' settings: every
+        :class:`~repro.config.StoreConfig` field (see there), validated
+        once into :attr:`config`.  A worker's spec is its ``to_dict()``
+        plus the shard's ids, WAL directory and seed (``seed + shard``).
+        With ``compressed`` the router trains **one** codebook on a sample
+        at :meth:`load` time and broadcasts it, so every shard's codes are
+        mutually comparable.
     n_shards, n_replicas:
         Partition count and replicas per partition (replicas serve reads
         round-robin and mask single-replica death).
@@ -321,19 +325,6 @@ class ClusterRouter:
         ``base_dir/shard-00s/replica-r``.  ``None`` = a temp directory
         (still per-replica WALs, so chaos tests always have a recovery
         path).
-    compressed, pq_m, pq_ks, rerank:
-        Per-shard PQ-resident serving.  The router trains **one** codebook
-        on a sample at :meth:`load` time and broadcasts it, so every
-        shard's codes are mutually comparable (per-shard PQ training with
-        code shipping).
-    beam_width:
-        Per-shard engine beam width: candidates expanded per query per
-        round (a wide beam scores a superset of what width 1 scores, which
-        is what a compressed shard's exact re-rank draws from).  ``None``
-        keeps each store's default.
-    merge_reserve:
-        Fraction of any deadline budget withheld from shards for the
-        scatter/merge hop (see :func:`shard_budget_ms`).
     hedge, hedge_ms:
         Hedged reads: when a partition's primary reply outlasts the
         replica's EWMA-tracked hedge delay (or the fixed ``hedge_ms``
@@ -351,42 +342,27 @@ class ClusterRouter:
         a peer resync at :meth:`respawn` instead of unbounded growth.
     """
 
-    def __init__(self, dim: int, metric: Metric | str = Metric.COSINE,
+    def __init__(self, dim: int, metric: Metric | str = StoreConfig.metric,
                  n_shards: int = 4, n_replicas: int = 1,
-                 base_dir: str | pathlib.Path | None = None,
-                 M: int = 12, ef_construction: int = 60, seed: int = StoreConfig.seed,
-                 merge_every: int = StoreConfig.merge_every,
-                 sync_every: int = StoreConfig.sync_every,
-                 compressed: bool = StoreConfig.compressed, pq_m: int | None = StoreConfig.pq_m,
-                 pq_ks: int = StoreConfig.pq_ks, rerank: int = StoreConfig.rerank,
-                 beam_width: int | None = StoreConfig.beam_width,
-                 merge_reserve: float = MERGE_RESERVE,
-                 rpc_timeout: float = 120.0,
+                 base_dir: str | pathlib.Path | None = None, *,
                  hedge: bool = True, hedge_ms: float | None = None,
-                 breaker_config=None, max_pending: int = 1024):
+                 breaker_config=None, max_pending: int = 1024, **settings):
         check_positive(n_shards, "n_shards")
         check_positive(n_replicas, "n_replicas")
         # Validate here, once, not as a worker startup error per replica.
         # Specs carry the config's plain-dict form across the process
         # boundary, so every shard runs the same settings.
-        self.config = StoreConfig(
-            dim=dim, metric=metric, M=M, ef_construction=ef_construction,
-            seed=seed, merge_every=merge_every, sync_every=sync_every,
-            compressed=compressed, pq_m=pq_m, pq_ks=pq_ks, rerank=rerank,
-            beam_width=beam_width)
-        settings = self.config.to_dict()
+        self.config = StoreConfig(dim=dim, metric=metric, **settings)
         self.dim = dim
         self.metric = self.config.metric
         self.n_shards = n_shards
         self.n_replicas = n_replicas
-        self.merge_reserve = merge_reserve
         if base_dir is None:
             self._tmp = tempfile.TemporaryDirectory(prefix="repro-cluster-")
             base_dir = self._tmp.name
         else:
             self._tmp = None
         self.base_dir = pathlib.Path(base_dir)
-        self.compressed = compressed
         self._pq: ProductQuantizer | None = None
         self.dc = _NDCShim()
         self.adc_scored = 0
@@ -394,7 +370,6 @@ class ClusterRouter:
         self._deleted: set[int] = set()
         self._deleted_arr = np.empty(0, dtype=np.int64)
         self._rr = 0  # round-robin replica cursor
-        self.rpc_timeout = rpc_timeout
         self.hedge_enabled = bool(hedge)
         self.hedge_ms = hedge_ms
         self.breaker_config = BreakerConfig.coerce(breaker_config)
@@ -414,15 +389,16 @@ class ClusterRouter:
         # bigger blocks per round trip, not socket-level concurrency.
         self._io_lock = threading.RLock()
         self.handles: list[list[ShardHandle]] = []
+        shipped, seed = self.config.to_dict(), self.config.seed
         for s in range(n_shards):
             replicas = []
             for r in range(n_replicas):
                 spec = dict(
-                    settings, seed=seed + s, shard_id=s, replica_id=r,
+                    shipped, seed=seed + s, shard_id=s, replica_id=r,
                     wal_dir=str(shard_wal_dir(self.base_dir, s, r)))
                 breaker = CircuitBreaker(self.breaker_config,
                                          seed=seed * 31 + s * n_replicas + r)
-                replicas.append(ShardHandle(s, r, spec, rpc_timeout,
+                replicas.append(ShardHandle(s, r, spec, RPC_TIMEOUT,
                                             max_pending=max_pending,
                                             breaker=breaker))
             self.handles.append(replicas)
@@ -564,7 +540,7 @@ class ClusterRouter:
         shard encodes with the same quantizer.
         """
         vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float32))
-        if self.compressed and self._pq is None:
+        if self.config.compressed and self._pq is None:
             rng = np.random.default_rng(self.config.seed)
             n = min(vectors.shape[0], max(4 * self.config.pq_ks, 1024))
             self.train_pq(vectors[rng.choice(vectors.shape[0], size=n,
@@ -787,8 +763,7 @@ class ClusterRouter:
                 msg["ef"] = int(ef)
             if deadline is not None:
                 remaining = (deadline - time.perf_counter()) * 1000.0
-                msg["deadline_ms"] = shard_budget_ms(
-                    max(remaining, 0.1), self.merge_reserve)
+                msg["deadline_ms"] = shard_budget_ms(max(remaining, 0.1))
             return msg
 
         # Scatter one block per partition, then gather every partition's

@@ -35,8 +35,13 @@ def _coerce_fix_config(value) -> FixConfig:
 
 @dataclasses.dataclass(frozen=True)
 class StoreConfig:
-    """Every setting of a store; see :class:`~repro.store.VectorStore` for
-    what each one does.
+    """Every setting of a store, declared, defaulted and documented once.
+
+    :class:`~repro.store.VectorStore`, :meth:`VectorStore.load
+    <repro.store.VectorStore.load>`, :func:`repro.durability.recover` and
+    :class:`~repro.cluster.ClusterRouter` take these fields as keywords and
+    hand them here unchanged, so any of them can set any field and an
+    unknown name raises ``TypeError``.
 
     Construction validates and normalizes (``metric`` to a
     :class:`~repro.distances.Metric`, ``fix_config`` to a
@@ -44,6 +49,53 @@ class StoreConfig:
     same store compare equal and a bad value fails where it was written,
     not in a worker process or at the next restart.  Change a setting with
     :func:`dataclasses.replace`, which validates again.
+
+    Fields
+    ------
+    dim:
+        Vector dimensionality (fixed at construction).
+    metric:
+        "l2", "ip", or "cosine".
+    M, ef_construction:
+        Base-graph build parameters.
+    seed:
+        Seeds graph construction and PQ codebook fitting (a cluster shard
+        runs with ``seed + shard``).
+    scheduler_mode:
+        "inline" (deterministic; repairs and merges drain synchronously at
+        mutation/observe boundaries) or "thread" (a background worker does
+        the draining).
+    merge_every:
+        Overlay mutation count that triggers merging into a fresh epoch.
+    sync_every:
+        WAL fsync batching of a durable store: fsync once per this many
+        records (1 = every record, 0 = rely on OS flush only).  See
+        docs/durability.md for the durability window each setting buys.
+    checkpoint_every:
+        Automatic checkpoint cadence in WAL records (0 = manual
+        :meth:`~repro.store.VectorStore.checkpoint` only).
+    compressed:
+        When True, serving runs the PQ-resident hot path: traversal scores
+        candidates with ADC table lookups over a resident uint8 code matrix
+        (re-encoded incrementally on insert) and only the top-``rerank``
+        shortlist touches full-precision vectors.
+    pq_m, pq_ks:
+        Product-quantizer geometry for compressed mode: subspace count
+        (``None`` = largest of 8/6/4/3/2/1 dividing ``dim``) and centroids
+        per codebook.
+    rerank:
+        Exact re-rank budget of the compressed path (shortlist length
+        re-scored with full-precision distances; >= k at search time).
+    beam_width:
+        Candidates a *block* search (``search_batch``, the front door, a
+        cluster shard) expands per query per round (``None`` = the
+        searcher's own default: 1 on the exact path, wide on the
+        compressed one).  A lone ``search`` always walks width 1, so it
+        returns the same answer at any setting.
+    fix_config:
+        NGFix* configuration (a :class:`~repro.core.fixer.FixConfig` or
+        its dict form); defaults to approximate preprocessing so history
+        fitting never needs exact ground truth.
     """
 
     dim: int

@@ -107,34 +107,33 @@ class RecoveryReport:
         return out
 
 
-def recover(wal_dir: str | pathlib.Path, *, fix_config=None,
-            scheduler_mode: str | None = None,
-            merge_every: int | None = None, sync_every: int | None = None,
-            replay_observes: bool = True, attach_wal: bool = True):
+def recover(wal_dir: str | pathlib.Path, *, replay_observes: bool = True,
+            attach_wal: bool = True, **overrides):
     """Rebuild a store from ``wal_dir``; returns ``(store, report)``.
 
     The store restarts with the :class:`~repro.config.StoreConfig` recorded
     in the directory's ``store-config.json`` (every field; keys this version
     no longer knows, such as an old file's ``serving``, are ignored and keys
-    an older version did not write take today's defaults).  The keyword
-    overrides replace single fields of it for this process.  With
-    ``attach_wal`` (default) the recovered store continues logging into
-    the same WAL, so it is immediately crash-safe again; pass False for a
-    read-mostly post-mortem load.
+    an older version did not write take today's defaults).  ``overrides``
+    are ``StoreConfig`` fields that replace the recorded ones for this
+    process (``recover(d, merge_every=64)``); ``dim``, ``metric`` (which
+    the directory's data fixes) or an unknown name raise ``TypeError``.
+    With ``attach_wal`` (default) the recovered store continues logging
+    into the same WAL, so it is immediately crash-safe again; pass False
+    for a read-mostly post-mortem load.
 
     Raises :class:`RecoveryError` when the directory holds neither a
     committed snapshot nor a replayable insert history.
     """
     from repro.store import VectorStore  # deferred: store imports wal/snapshot
 
+    if overrides.keys() & {"dim", "metric"}:
+        raise TypeError("recover() cannot override dim or metric: the "
+                        "directory's data fixes them")
     t0 = time.perf_counter()
     wal_dir = pathlib.Path(wal_dir)
     config_path = wal_dir / CONFIG_NAME
     stored = json.loads(config_path.read_text()) if config_path.exists() else {}
-    overrides = {name: value for name, value in (
-        ("fix_config", fix_config), ("scheduler_mode", scheduler_mode),
-        ("merge_every", merge_every), ("sync_every", sync_every))
-        if value is not None}
 
     def shell_config(**geometry) -> StoreConfig:
         # A directory that lost its config file still recovers from a

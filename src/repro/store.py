@@ -24,7 +24,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.config import CONFIG_NAME, StoreConfig
-from repro.core.fixer import FixConfig, NGFixer
+from repro.core.fixer import NGFixer
 from repro.core.maintenance import IndexMaintainer
 from repro.distances import Metric
 from repro.durability.snapshot import SnapshotInfo, SnapshotManager, atomic_write_text
@@ -39,30 +39,13 @@ from repro.serving import EpochManager, MaintenanceScheduler, ServingSearcher
 class VectorStore:
     """A small vector database around an NGFix*-maintained HNSW graph.
 
-    Every keyword except the two locations (``wal_dir``, ``memmap_path``)
-    is a field of :class:`~repro.config.StoreConfig`, which holds the
-    defaults and the validation; the validated object is :attr:`config`.
+    ``dim``, ``metric`` and every other keyword except the two locations
+    are the fields of :class:`~repro.config.StoreConfig`, which documents
+    them and holds their defaults and validation; the validated object is
+    :attr:`config`.
 
     Parameters
     ----------
-    dim:
-        Vector dimensionality (fixed at construction).
-    metric:
-        "l2", "ip", or "cosine".
-    M, ef_construction:
-        Base-graph build parameters.
-    seed:
-        Seeds graph construction and PQ codebook fitting.
-    fix_config:
-        NGFix* configuration (a :class:`~repro.core.fixer.FixConfig` or
-        its dict form); defaults to approximate preprocessing so
-        history fitting never needs exact ground truth.
-    scheduler_mode:
-        "inline" (deterministic; repairs and merges drain synchronously at
-        mutation/observe boundaries) or "thread" (a background worker does
-        the draining).
-    merge_every:
-        Overlay mutation count that triggers merging into a fresh epoch.
     wal_dir:
         When set, the store is *durable*: every acknowledged
         insert/delete — plus scheduler repair and merge commits — is
@@ -72,29 +55,6 @@ class VectorStore:
         from snapshot + WAL tail.  The directory must be fresh (or fully
         checkpointed-and-pruned); reopening one with history raises —
         recovery, not blind appending, is the restart path.
-    sync_every:
-        WAL fsync batching: fsync once per this many records (1 = every
-        record, 0 = rely on OS flush only).  See docs/durability.md for
-        the durability window each setting buys.
-    checkpoint_every:
-        Automatic checkpoint cadence in WAL records (0 = manual
-        :meth:`checkpoint` only).
-    compressed:
-        When True, serving runs the PQ-resident hot path: traversal scores
-        candidates with ADC table lookups over a resident uint8 code matrix
-        (re-encoded incrementally on insert) and only the top-``rerank``
-        shortlist touches full-precision vectors.
-    pq_m, pq_ks:
-        Product-quantizer geometry for compressed mode: subspace count
-        (``None`` = largest of 8/6/4/3/2/1 dividing ``dim``) and centroids
-        per codebook.
-    rerank:
-        Exact re-rank budget of the compressed path (shortlist length
-        re-scored with full-precision distances; >= k at search time).
-    beam_width:
-        Candidates the traversal expands per round (``None`` = the
-        searcher's own default: 1 on the exact path, wide on the
-        compressed one).
     memmap_path:
         When set, :meth:`build` spills the raw vector matrix to this file
         and serves it through ``np.memmap`` — the disk-resident vector
@@ -102,25 +62,10 @@ class VectorStore:
         re-rank gathers page rows in.
     """
 
-    def __init__(self, dim: int, metric: Metric | str = StoreConfig.metric,
-                 M: int = StoreConfig.M, ef_construction: int = StoreConfig.ef_construction,
-                 fix_config: FixConfig | dict | None = StoreConfig.fix_config,
-                 seed: int = StoreConfig.seed, scheduler_mode: str = StoreConfig.scheduler_mode,
-                 merge_every: int = StoreConfig.merge_every,
+    def __init__(self, dim: int, metric: Metric | str = StoreConfig.metric, *,
                  wal_dir: str | pathlib.Path | None = None,
-                 sync_every: int = StoreConfig.sync_every,
-                 checkpoint_every: int = StoreConfig.checkpoint_every,
-                 compressed: bool = StoreConfig.compressed, pq_m: int | None = StoreConfig.pq_m,
-                 pq_ks: int = StoreConfig.pq_ks, rerank: int = StoreConfig.rerank,
-                 memmap_path: str | pathlib.Path | None = None,
-                 beam_width: int | None = StoreConfig.beam_width):
-        config = self.config = StoreConfig(
-            dim=dim, metric=metric, M=M, ef_construction=ef_construction,
-            seed=seed, scheduler_mode=scheduler_mode,
-            merge_every=merge_every, sync_every=sync_every,
-            checkpoint_every=checkpoint_every, compressed=compressed,
-            pq_m=pq_m, pq_ks=pq_ks, rerank=rerank, beam_width=beam_width,
-            fix_config=fix_config)
+                 memmap_path: str | pathlib.Path | None = None, **settings):
+        config = self.config = StoreConfig(dim=dim, metric=metric, **settings)
         # No runtime path changes these three, so they stay plain attributes.
         self.dim, self.metric = config.dim, config.metric
         self.fix_config = config.fix_config
@@ -623,19 +568,19 @@ class VectorStore:
         return path
 
     @classmethod
-    def load(cls, path: str | pathlib.Path,
-             fix_config: FixConfig | dict | None = StoreConfig.fix_config,
-             compressed: bool = StoreConfig.compressed, pq_m: int | None = StoreConfig.pq_m,
-             pq_ks: int = StoreConfig.pq_ks, rerank: int = StoreConfig.rerank,
-             memmap_dir: str | pathlib.Path | None = None) -> "VectorStore":
+    def load(cls, path: str | pathlib.Path, *,
+             memmap_dir: str | pathlib.Path | None = None,
+             **settings) -> "VectorStore":
         """Reload a saved store for serving and repair — **not insertion**.
 
-        ``compressed``/``pq_m``/``pq_ks``/``rerank`` enable the PQ-resident
-        hot path on the loaded store (codes are fitted and encoded at load
-        time).  ``memmap_dir`` spills the raw vectors next to the snapshot
-        and serves them disk-resident (see
-        :func:`repro.io.load_index`); combined with ``compressed`` the
-        steady-state footprint is codes + graph, not vectors.
+        ``settings`` are :class:`~repro.config.StoreConfig` fields other
+        than ``dim``/``metric`` (which the file fixes); e.g.
+        ``compressed=True`` enables the PQ-resident hot path on the loaded
+        store (codes are fitted and encoded at load time).  ``memmap_dir``
+        spills the raw vectors next to the snapshot and serves them
+        disk-resident (see :func:`repro.io.load_index`); combined with
+        ``compressed`` the steady-state footprint is codes + graph, not
+        vectors.
 
         The loaded graph is a :class:`~repro.io.FrozenIndex`: search,
         :meth:`observe`-driven repair, :meth:`delete`, and further
@@ -649,10 +594,7 @@ class VectorStore:
         """
         path = pathlib.Path(path)
         frozen = load_index(path, memmap_dir=memmap_dir)
-        store = cls(dim=frozen.dc.dim, metric=frozen.dc.metric,
-                    fix_config=fix_config,
-                    compressed=compressed, pq_m=pq_m, pq_ks=pq_ks,
-                    rerank=rerank)
+        store = cls(frozen.dc.dim, frozen.dc.metric, **settings)
         payloads = {}
         sidecar = path.with_suffix(".payloads.json")
         if sidecar.exists():

@@ -1,8 +1,13 @@
 """CLI subcommands end to end (direct main() invocation)."""
 
+import json
+
 import pytest
 
+from repro import obs
 from repro.cli import main
+
+SMALL = ("--dataset", "webvid-sim", "--scale", "0.1")
 
 
 def _run(capsys, *argv):
@@ -81,6 +86,45 @@ class TestAnalyze:
         assert code == 0
         assert "phase-1 success" in out
         assert "QNG layout" in out
+
+
+class TestServingCommands:
+    """One smoke each for the commands that build a store or a router."""
+
+    def test_durable_compressed_churn_then_recover(self, capsys, tmp_path):
+        wal_dir = str(tmp_path / "wal")
+        code, out = _run(capsys, "churn", *SMALL, "--wal-dir", wal_dir,
+                         "--compressed")
+        assert code == 0
+        assert "churn (10% mutations):" in out
+        assert "PQ: m=" in out and f"recover with: repro recover {wal_dir}" in out
+        code, out = _run(capsys, "recover", wal_dir)
+        assert code == 0
+        assert "recovered" in out and "consistent: True" in out
+
+    def test_delete_storm(self, capsys):
+        code, out = _run(capsys, "churn", *SMALL, "--storm",
+                         "--storm-every", "1")
+        assert code == 0
+        assert "delete storm (" in out
+        assert "delete storm (0 storms" not in out
+
+    def test_stats_json(self, capsys):
+        try:
+            code, out = _run(capsys, "stats", *SMALL, "--format", "json")
+        finally:
+            obs.disable()
+            obs.reset()
+        assert code == 0
+        assert json.loads(out)
+
+    @pytest.mark.timeout(120)
+    def test_cluster_through_the_front_door(self, capsys):
+        code, out = _run(capsys, "cluster", *SMALL, "--n-shards", "2",
+                         "--frontdoor")
+        assert code == 0
+        assert "2 shards x 1 replicas" in out
+        assert "front door:" in out and "router:" in out
 
 
 def test_unknown_command_rejected():

@@ -28,7 +28,8 @@ from repro.cluster import (
 from repro.cluster.worker import _ShardServer
 from repro.config import StoreConfig
 from repro.store import VectorStore
-from tests.conftest import OLD_TUNED_TABLE, store_settings_with
+from tests.conftest import (NONDEFAULT_STORE_SETTINGS, OLD_TUNED_TABLE,
+                            store_settings_with)
 
 DIM = 16
 
@@ -271,6 +272,18 @@ class TestWorkerSpec:
     def test_zero_beam_width_is_rejected_not_coerced(self):
         with pytest.raises(ValueError, match="beam_width"):
             _ShardServer({"dim": DIM, "shard_id": 0, "beam_width": 0})
+
+    def test_every_field_reaches_every_router_spec(self):
+        """A router takes every ``StoreConfig`` field and ships each one;
+        specs differ from ``router.config`` only by the per-shard seed."""
+        config = StoreConfig(**NONDEFAULT_STORE_SETTINGS)
+        with ClusterRouter(n_shards=2, n_replicas=2,
+                           **NONDEFAULT_STORE_SETTINGS) as router:
+            assert router.config == config
+            for s, replicas in enumerate(router.handles):
+                for handle in replicas:
+                    assert StoreConfig.from_dict(handle.spec) == (
+                        dataclasses.replace(config, seed=config.seed + s))
 
     def test_router_specs_differ_only_by_shard_identity(self, shared_router):
         settings = shared_router.config.to_dict()

@@ -497,6 +497,47 @@ class TestStoreConfig:
         finally:
             recovered.close()
 
+    @pytest.mark.parametrize(
+        "field", [f.name for f in dataclasses.fields(StoreConfig)])
+    def test_every_field_survives_load(self, tmp_path, field):
+        """``load`` takes every setting the file does not fix; ``dim`` and
+        ``metric`` come from the file."""
+        settings = store_settings_with(field)
+        geometry = {name: settings.pop(name)
+                    for name in ("dim", "metric") if name in settings}
+        saved = VectorStore(**geometry, M=8, ef_construction=40)
+        saved.add(_vectors(60, geometry["dim"]))
+        path = saved.build().save(tmp_path / "store")
+        loaded = VectorStore.load(path, **settings)
+        try:
+            assert loaded.config == StoreConfig(**store_settings_with(field))
+        finally:
+            loaded.close()
+
+    @pytest.mark.parametrize("field", [
+        f.name for f in dataclasses.fields(StoreConfig)
+        if f.name not in ("dim", "metric")])
+    def test_every_field_is_a_recover_override(self, tmp_path, field):
+        store = _make_store(tmp_path / "wal", n=40)
+        store.close()
+        value = NONDEFAULT_STORE_SETTINGS[field]
+        recovered, report = recover(tmp_path / "wal", **{field: value})
+        try:
+            assert report.consistent, report.errors
+            assert recovered.config == dataclasses.replace(
+                store.config, **{field: value})
+        finally:
+            recovered.close()
+
+    @pytest.mark.parametrize("bad", [{"dim": 12}, {"metric": "l2"},
+                                     {"serving": False}],
+                             ids=lambda bad: next(iter(bad)))
+    def test_recover_rejects_fixed_and_unknown_overrides(self, tmp_path,
+                                                         bad):
+        _make_store(tmp_path / "wal", n=40).close()
+        with pytest.raises(TypeError):
+            recover(tmp_path / "wal", **bad)
+
     def test_unknown_keys_ignored_missing_keys_defaulted(self):
         config = StoreConfig.from_dict({"dim": 8, "serving": False,
                                         "shard_id": 3})

@@ -8,8 +8,11 @@ import re
 import numpy as np
 import pytest
 
+from repro.cluster import ClusterRouter
 from repro.config import StoreConfig
+from repro.durability import recover
 from repro.store import VectorStore
+from tests.conftest import NONDEFAULT_STORE_SETTINGS
 
 
 @pytest.fixture
@@ -135,28 +138,68 @@ class TestPersistence:
         assert s["payloads"] == 400
 
 
+class TestBeamWidth:
+    """``beam_width`` widens block searches only: a lone ``search`` on the
+    compressed route walks width 1 at any setting."""
+
+    def test_governs_blocks_not_single_searches(self, tiny_ds):
+        stores = {}
+        for width in (1, 8):
+            store = VectorStore(dim=tiny_ds.dim, metric=tiny_ds.metric, M=8,
+                                ef_construction=40, seed=3, compressed=True,
+                                pq_ks=16, beam_width=width)
+            store.add(tiny_ds.base)
+            store.build()
+            stores[width] = store
+        for query in tiny_ds.test_queries[:20]:
+            one, wide = (stores[w].search(query, k=10, ef=40) for w in (1, 8))
+            assert one == wide
+        scored = {}
+        for width, store in stores.items():
+            before = store.searcher.adc_scored
+            store.search_batch(tiny_ds.test_queries[:20], k=10, ef=40)
+            scored[width] = store.searcher.adc_scored - before
+        assert scored[1] != scored[8]
+
+
 class TestSettingsDocs:
-    """The store's settings are one list: the dataclass's fields, the
-    constructor's keywords and what the docs name are the same set."""
+    """The store's settings are one list: the dataclass's fields, what each
+    entry point accepts and what the docs name are the same set, and only
+    the dataclass spells them."""
 
     FIELDS = [f.name for f in dataclasses.fields(StoreConfig)]
     LOCATIONS = {"wal_dir", "memmap_path"}
 
     def test_constructor_keywords_are_the_fields_plus_locations(self):
         params = inspect.signature(VectorStore.__init__).parameters
-        assert (set(params) - {"self"} - self.LOCATIONS
-                == set(self.FIELDS))
-        defaults = StoreConfig(dim=8)
-        for name in self.FIELDS[1:]:
-            assert (StoreConfig(dim=8, **{name: params[name].default})
-                    == defaults), name
+        named = {name for name, p in params.items()
+                 if p.kind is not p.VAR_KEYWORD} - {"self"}
+        assert named == {"dim", "metric"} | self.LOCATIONS
+        assert params["metric"].default == StoreConfig.metric
+        store = VectorStore(**NONDEFAULT_STORE_SETTINGS)
+        assert store.config == StoreConfig(**NONDEFAULT_STORE_SETTINGS)
+        with pytest.raises(TypeError, match="serving"):
+            VectorStore(dim=8, serving=False)
 
     def test_docstring_documents_every_keyword(self):
-        documented = inspect.getdoc(VectorStore).split("Parameters", 1)[1]
-        headers = {name.strip()
-                   for line in re.findall(r"^([\w, ]+):$", documented, re.M)
-                   for name in line.split(",")}
-        assert headers == set(self.FIELDS) | self.LOCATIONS
+        def headers(cls, section):
+            documented = inspect.getdoc(cls).split(section, 1)[1]
+            return {name.strip()
+                    for line in re.findall(r"^([\w, ]+):$", documented, re.M)
+                    for name in line.split(",")}
+
+        assert headers(StoreConfig, "Fields") == set(self.FIELDS)
+        assert headers(VectorStore, "Parameters") == self.LOCATIONS
+
+    @pytest.mark.parametrize("entry", [
+        VectorStore.__init__, VectorStore.load, recover, ClusterRouter],
+        ids=["VectorStore", "VectorStore.load", "recover", "ClusterRouter"])
+    def test_no_entry_point_respells_a_field(self, entry):
+        """Only ``StoreConfig`` names a setting: an entry point forwards
+        ``**settings`` to it, so a second default cannot drift."""
+        params = inspect.signature(entry).parameters
+        assert set(params) & set(self.FIELDS) <= {"dim", "metric"}
+        assert any(p.kind is p.VAR_KEYWORD for p in params.values())
 
     def test_durability_doc_lists_every_key(self):
         text = (pathlib.Path(__file__).parent.parent / "docs"
