@@ -466,6 +466,7 @@ def _cmd_stats(args) -> int:
     """
     from repro import VectorStore, obs
     from repro.core.hash_cache import CachedSearcher
+    from repro.graphs.search import pad_results
     obs.enable()
     ds = _load_dataset(args)
     store = VectorStore(dim=ds.base.shape[1], metric=ds.metric,
@@ -480,8 +481,8 @@ def _cmd_stats(args) -> int:
         # Warm the cache on half the test queries, then serve the full set
         # batched: half hit, half miss — a visible hit ratio.
         warm = ds.test_queries[: len(ds.test_queries) // 2]
-        ids, dists = searcher.search_many(warm, k, ef,
-                                          batch_size=args.batch_size)
+        ids, dists = pad_results(
+            searcher.search_batch(warm, k, ef, batch_size=args.batch_size), k)
         cached.warm(warm, ids, dists)
         cached.search_batch(ds.test_queries, k, ef,
                             batch_size=args.batch_size)

@@ -23,7 +23,6 @@ from repro.cluster.router import (
     ClusterError,
     ClusterRouter,
     hash_partition,
-    merge_topk,
     merge_topk_batch,
     shard_budget_ms,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "encode",
     "hash_partition",
     "merge_stats",
-    "merge_topk",
     "merge_topk_batch",
     "pq_signature",
     "recv_msg",

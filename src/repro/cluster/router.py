@@ -55,7 +55,7 @@ from repro.cluster.stats import merge_stats
 from repro.cluster.worker import shard_wal_dir, worker_main
 from repro.config import StoreConfig
 from repro.distances import Metric
-from repro.graphs.search import SearchResult, pad_results
+from repro.graphs.search import SearchResult
 from repro.obs import OBS, SECONDS_BUCKETS
 from repro.quantization.pq import ProductQuantizer
 from repro.utils.validation import check_positive
@@ -158,17 +158,6 @@ def merge_topk_batch(ids_blocks: list[np.ndarray],
     out_ids[rows, pos] = ids_sorted[rows, cols]
     out_dists[rows, pos] = dists_sorted[rows, cols]
     return out_ids, out_dists
-
-
-def merge_topk(ids_lists, dists_lists, k: int,
-               excluded: np.ndarray | None = None,
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """Single-query convenience wrapper over :func:`merge_topk_batch`."""
-    ids, dists = merge_topk_batch(
-        [np.atleast_2d(np.asarray(i, dtype=np.int64)) for i in ids_lists],
-        [np.atleast_2d(np.asarray(d, dtype=np.float64)) for d in dists_lists],
-        k, excluded=excluded)
-    return ids[0], dists[0]
 
 
 class _NDCShim:
@@ -595,15 +584,6 @@ class ClusterRouter:
 
     # -- reads ---------------------------------------------------------------
 
-    def _live_replica(self, shard_id: int, skip: set[int]) -> ShardHandle | None:
-        """Plain liveness pick (round robin), ignoring breaker state."""
-        replicas = self.handles[shard_id]
-        for i in range(self.n_replicas):
-            handle = replicas[(self._rr + i) % self.n_replicas]
-            if handle.alive and handle.replica_id not in skip:
-                return handle
-        return None
-
     def _pick_replica(self, shard_id: int,
                       skip: set[int]) -> ShardHandle | None:
         """Breaker-aware read pick: route around OPEN replicas, run probes.
@@ -805,13 +785,6 @@ class ClusterRouter:
                 self.n_degraded += 1
                 _DEGRADED.inc()
         return results
-
-    def search_many(self, queries: np.ndarray, k: int,
-                    ef: int | None = None,
-                    batch_size: int = 256) -> tuple[np.ndarray, np.ndarray]:
-        """Padded (ids, distances) arrays, mirroring the single-store API."""
-        return pad_results(
-            self.search_batch(queries, k, ef, batch_size=batch_size), k)
 
     # -- failure handling ----------------------------------------------------
 

@@ -90,8 +90,8 @@ class StoreConfig:
         Candidates a *block* search (``search_batch``, the front door, a
         cluster shard) expands per query per round (``None`` = the
         searcher's own default: 1 on the exact path, wide on the
-        compressed one).  A lone ``search`` always walks width 1, so it
-        returns the same answer at any setting.
+        compressed one).  A lone ``search`` is a block of one walked at
+        width 1, so it returns the same answer at any setting.
     fix_config:
         NGFix* configuration (a :class:`~repro.core.fixer.FixConfig` or
         its dict form); defaults to approximate preprocessing so history

@@ -129,15 +129,16 @@ class NGFixer:
     def entry_points(self, query: np.ndarray) -> list[int]:
         return [self.entry]
 
-    def search(self, query: np.ndarray, k: int, ef: int | None = None,
-               collect_visited: bool = False) -> SearchResult:
-        """Greedy search from the medoid over the fixed graph."""
-        return self.index._search_from(self.entry_points, query, k, ef,
-                                       collect_visited)
+    def search(self, query: np.ndarray, k: int,
+               ef: int | None = None) -> SearchResult:
+        """Greedy search from the medoid over the fixed graph: a block of
+        one."""
+        return self.search_batch(np.asarray(query, dtype=np.float32)[None],
+                                 k, ef)[0]
 
     def search_batch(self, queries: np.ndarray, k: int, ef: int | None = None,
                      batch_size: int = 32) -> list[SearchResult]:
-        """Batched medoid-entry search; same results as per-query :meth:`search`."""
+        """Batched medoid-entry search over the fixed graph."""
         if ef is None:
             ef = max(k, 10)
         self._batch_engine = live_graph_engine(self._batch_engine, self,

@@ -16,7 +16,7 @@ import hashlib
 
 import numpy as np
 
-from repro.graphs.search import SearchResult, pad_results
+from repro.graphs.search import SearchResult
 from repro.obs import OBS, TRACES, QueryTrace
 
 _CACHE_HITS = OBS.counter(
@@ -186,9 +186,3 @@ class CachedSearcher:
             for i, result in zip(miss_rows, missed):
                 results[i] = result
         return results  # type: ignore[return-value]
-
-    def search_many(self, queries: np.ndarray, k: int, ef: int | None = None,
-                    batch_size: int = 32) -> tuple[np.ndarray, np.ndarray]:
-        """Batched search returning padded (ids, distances) arrays."""
-        return pad_results(
-            self.search_batch(queries, k, ef, batch_size=batch_size), k)

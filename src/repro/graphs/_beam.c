@@ -8,8 +8,8 @@
  * file is the same algorithm, not a second one: same candidate order
  * (distance, then id), same eviction tie rule in the result heap, same
  * deadline test before every pop, same NDC accounting.  The re-rank's
- * reference is repro.quantization.searcher.rerank_one / rerank_block, the
- * prune's pruning._occlusion_prune and EH's the incremental loop in
+ * reference is repro.quantization.searcher.rerank_block, the prune's
+ * pruning._occlusion_prune and EH's the incremental loop in
  * repro.core.escape_hardness.  Each pair is tested differentially
  * (tests/test_native.py, tests/test_escape_hardness.py).  This file is plain
  * C with no Python in it: _beammodule.c includes it beside the CPython entry

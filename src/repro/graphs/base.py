@@ -9,8 +9,7 @@ import numpy as np
 
 from repro.distances import DistanceComputer, Metric
 from repro.graphs.adjacency import AdjacencyStore
-from repro.graphs.search import (BatchSearchEngine, SearchResult, VisitedTable,
-                                 greedy_search, pad_results)
+from repro.graphs.search import BatchSearchEngine, SearchResult, VisitedTable
 
 
 def medoid_id(dc: DistanceComputer, dead=None) -> int:
@@ -87,73 +86,28 @@ class GraphIndex(abc.ABC):
         """Force a frozen CSR snapshot of the adjacency (see AdjacencyStore)."""
         return self.adjacency.freeze()
 
-    def _neighbors_fn(self):
-        """The traversal source for the current store state.
-
-        The frozen :class:`~repro.graphs.csr.CSRGraphView` when one is
-        available under the store's refreeze policy, the live store
-        otherwise (both are callable and carry ``native_graph``).  Either
-        returns the same neighbor sequence per node, so search results are
-        identical.
-        """
-        view = self.adjacency.traversal()
-        return view if view is not None else self.adjacency
-
-    def search(self, query: np.ndarray, k: int, ef: int | None = None,
-               collect_visited: bool = False) -> SearchResult:
-        """Greedy-search the bottom layer for the top-``k`` neighbors."""
-        return self._search_from(self.entry_points, query, k, ef,
-                                collect_visited)
-
-    def _search_from(self, entry_points_fn, query: np.ndarray, k: int,
-                    ef: int | None = None,
-                    collect_visited: bool = False) -> SearchResult:
-        """:meth:`search` seeded by ``entry_points_fn(prepared_query)``.
-
-        The one sequential search body over this index's graph; wrappers
-        that only change where the walk starts (``NGFixer``'s medoid entry)
-        call it with their own entry function.
-        """
-        if ef is None:
-            ef = max(k, 10)
-        q = self.dc.prepare_query(query)
-        return greedy_search(
-            self.dc,
-            self._neighbors_fn(),
-            entry_points_fn(q),
-            q,
-            k=k,
-            ef=ef,
-            visited=self._visited,
-            excluded=self.adjacency.excluded_ids(),
-            collect_visited=collect_visited,
-            prepared=True,
-        )
+    def search(self, query: np.ndarray, k: int,
+               ef: int | None = None) -> SearchResult:
+        """Greedy-search the bottom layer for the top-``k`` neighbors: a
+        block of one."""
+        return self.search_batch(np.asarray(query, dtype=np.float32)[None],
+                                 k, ef)[0]
 
     def search_batch(self, queries: np.ndarray, k: int, ef: int | None = None,
                      batch_size: int = 32) -> list[SearchResult]:
         """Batched search: one :class:`SearchResult` per query row.
 
-        Produces the same (ids, distances, NDC) as calling :meth:`search`
-        per query, but resolves the graph snapshot, tombstones and entries
-        once per block of ``batch_size`` queries and walks the block in one
-        native call.
+        Resolves the graph snapshot, tombstones and entries once per block
+        of ``batch_size`` queries and walks the block in one native call;
+        rows with fewer than ``k`` results come back short
+        (:func:`~repro.graphs.search.pad_results` packs them into padded
+        arrays).
         """
         if ef is None:
             ef = max(k, 10)
         self._batch_engine = live_graph_engine(self._batch_engine, self,
                                                self.dc, batch_size)
         return self._batch_engine.search_batch(queries, k, ef)
-
-    def search_many(self, queries: np.ndarray, k: int, ef: int | None = None,
-                    batch_size: int = 32) -> tuple[np.ndarray, np.ndarray]:
-        """Search a batch; returns (ids, distances) of shape (nq, k).
-
-        Rows whose graph region yields fewer than k results are padded with
-        id -1 / distance inf.  Queries run through the batch engine.
-        """
-        return pad_results(
-            self.search_batch(queries, k, ef, batch_size=batch_size), k)
 
     def clone(self) -> "GraphIndex":
         """An independent copy sharing nothing mutable with the original.

@@ -101,8 +101,8 @@ class MultiEntryIndex:
     def entry_points(self, query: np.ndarray) -> list[int]:
         return self.strategy.entries(self.index.dc, query)
 
-    def search(self, query: np.ndarray, k: int, ef: int | None = None,
-               collect_visited: bool = False) -> SearchResult:
+    def search(self, query: np.ndarray, k: int,
+               ef: int | None = None) -> SearchResult:
         if ef is None:
             ef = max(k, 10)
         q = self.index.dc.prepare_query(query)
@@ -110,5 +110,4 @@ class MultiEntryIndex:
             self.index.dc, self.index.adjacency,
             self.strategy.entries(self.index.dc, q), q, k=k, ef=ef,
             visited=self.index._visited,
-            excluded=self.index.adjacency.excluded_ids(),
-            collect_visited=collect_visited, prepared=True)
+            excluded=self.index.adjacency.excluded_ids(), prepared=True)

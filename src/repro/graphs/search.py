@@ -32,7 +32,10 @@ other (NumPy's reduction order is not reproducible in a C loop).
 :class:`BatchSearchEngine` runs the same search for a *block* of queries:
 the graph snapshot, the excluded set, query preparation and entry
 resolution happen once per block, then the rows are walked one after the
-other — in one native call, or one :func:`beam_search` per row.
+other — in one native call, or one :func:`beam_search` per row.  It is what
+every index's ``search`` and ``search_batch`` run (a lone query is a block
+of one); :func:`greedy_search` is the direct entry the index builders, RFix
+and other callers that hold their own graph and visited table use.
 
 Tombstoned nodes still *navigate* (lazy deletion, Sec. 5.5.2) but are
 excluded from the result heap.
@@ -190,8 +193,9 @@ def pad_results(results: list[SearchResult],
                 k: int) -> tuple[np.ndarray, np.ndarray]:
     """Pack per-query results into ``(ids, distances)`` of shape (nq, k).
 
-    Rows with fewer than ``k`` results are padded with id -1 / distance inf
-    — the array form every ``search_many`` returns.
+    Rows with fewer than ``k`` results are padded with id -1 / distance inf:
+    ``pad_results(index.search_batch(queries, k), k)`` is a batch as
+    arrays.
     """
     ids = np.full((len(results), k), -1, dtype=np.int64)
     distances = np.full((len(results), k), np.inf)
@@ -525,7 +529,9 @@ class BatchSearchEngine:
     distances, NDC) as running :func:`greedy_search` per query: a single
     query *is* a block of one natively, and on the reference executor both
     run :func:`beam_search` over kernels that share their per-row
-    reduction (``to_query`` / ``block_to_queries``).
+    reduction (``to_query`` / ``block_to_queries``).  A block of one
+    therefore answers exactly as the scalar search does, which is why an
+    index's lone ``search`` is this engine on one row.
 
     Parameters
     ----------

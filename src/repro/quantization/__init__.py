@@ -13,8 +13,7 @@ from repro.quantization.pq import ProductQuantizer
 from repro.quantization.adc import ADCComputer
 from repro.quantization.searcher import (PQRerankSearcher, exact_rerank,
                                          fallback_shortlist, pq_greedy_search,
-                                         rerank_block, rerank_one,
-                                         visited_shortlist)
+                                         rerank_block, visited_shortlist)
 from repro.quantization.ivf import IVFFlat
 
 __all__ = [
@@ -23,7 +22,6 @@ __all__ = [
     "ADCComputer",
     "PQRerankSearcher",
     "pq_greedy_search",
-    "rerank_one",
     "rerank_block",
     "exact_rerank",
     "fallback_shortlist",

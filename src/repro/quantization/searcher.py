@@ -6,30 +6,25 @@ lookups instead of a full d-dimensional distance, then the shortlist is
 re-ranked exactly.  Full-precision NDC drops to the re-rank budget; the
 cheap lookups are counted separately so benches can report both.
 
-Two traversal shapes share the machinery: :func:`rerank_one` (and
-:func:`pq_greedy_search`, its bare beam) runs one query with ADC lookups
-as its scorer, and :class:`~repro.graphs.search.BatchSearchEngine` runs a
-block over an :class:`~repro.quantization.adc.ADCComputer`.  Both go
-through :func:`~repro.graphs.search.native_search` — the C traversal core
-when the graph is frozen and the codes are plain uint8 — and otherwise
-through the reference executor, :func:`~repro.graphs.search.beam_search`
-(so entry handling, visited bookkeeping, tombstone traversal and deadline
-degradation are :func:`~repro.graphs.search.greedy_search`'s by
-construction).
-
-The recipe around either traversal — ADC beam, shortlist carved from the
-*visited* set, fallback scan for an empty result, one exact re-rank — is
-written once per traversal shape, in :func:`rerank_one` and
-:func:`rerank_block`, and has the beam's two executors.  Natively it is
-one call: ``_beam.c`` carves each row's top-``budget`` shortlist from what
-its beam scored and re-ranks it exactly before returning
-(``native_search``'s ``rerank``).  The Python recipe —
-:func:`visited_shortlist` by (ADC distance, id), then
-:func:`exact_rerank` — is the reference executor of that stage and runs
-for every row the beam did not run natively.  The fallback scan
-(:func:`fallback_shortlist`) is Python on both.  :class:`PQRerankSearcher`
-runs the two functions over a live graph;
-:class:`~repro.serving.ServingSearcher` runs them over pinned epoch views.
+The recipe — ADC beam, shortlist carved from the *visited* set, fallback
+scan for an empty result, one exact re-rank — is written once, in
+:func:`rerank_block`, and runs on a
+:class:`~repro.graphs.search.BatchSearchEngine` over an
+:class:`~repro.quantization.adc.ADCComputer`; a lone query is a block of
+one.  It has the beam's two executors.  Natively each engine block is one
+call: ``_beam.c`` walks the beam, carves each row's top-``budget``
+shortlist from what it scored and re-ranks it exactly before returning
+(:func:`~repro.graphs.search.native_search`'s ``rerank``).  The Python
+recipe — :func:`~repro.graphs.search.beam_search`, then
+:func:`visited_shortlist` by (ADC distance, id), then :func:`exact_rerank`
+— is the reference executor and runs for every row the kernel did not
+answer (so entry handling, visited bookkeeping, tombstone traversal and
+deadline degradation are the exact search's by construction).  The
+fallback scan (:func:`fallback_shortlist`) is Python on both.
+:class:`PQRerankSearcher` runs the recipe over a live graph;
+:class:`~repro.serving.ServingSearcher` runs it over pinned epoch views.
+:func:`pq_greedy_search` is the bare ADC beam of one query, without the
+re-rank.
 """
 
 from __future__ import annotations
@@ -42,8 +37,7 @@ import numpy as np
 from repro.distances import DistanceComputer
 from repro.graphs.base import live_graph_engine
 from repro.graphs.search import (BatchSearchEngine, SearchResult, VisitedTable,
-                                 _reference_row, native_search, pad_results,
-                                 unique_entries)
+                                 _reference_row, native_search, unique_entries)
 from repro.quantization.adc import ADCComputer
 from repro.quantization.pq import ProductQuantizer
 from repro.utils.validation import check_positive
@@ -77,22 +71,6 @@ def pq_greedy_search(
     ``deadline`` (absolute ``time.perf_counter()``) stops the expansion
     best-so-far once it passes.
     """
-    traversal = _pq_traverse(pq, codes, neighbors_fn, entry_points, table, k,
-                             ef, visited, excluded, deadline)
-    ids = visited_shortlist(traversal.visited_ids,
-                            traversal.visited_distances, excluded, None)
-    return ids, traversal.ndc, traversal.degraded
-
-
-def _pq_traverse(pq, codes, neighbors_fn, entry_points, table, k, ef,
-                 visited, excluded, deadline, rerank=None) -> SearchResult:
-    """One ADC beam of one query on whichever executor can run it.
-
-    The result carries every node the beam scored
-    (``visited_ids``/``visited_distances``) — unless ``rerank=(dc, q[None],
-    budget)`` was passed and the native core ran, in which case it also ran
-    the re-rank and the result is re-ranked (``result.rerank`` is set).
-    """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
     if visited is None:
@@ -102,15 +80,18 @@ def _pq_traverse(pq, codes, neighbors_fn, entry_points, table, k, ef,
     visited.grow(codes.shape[0])
     entry_ids, ef = unique_entries(entry_points), max(ef, k)
     found = native_search(pq, neighbors_fn, table[None], [entry_ids], k, ef,
-                          1, visited, excluded, deadline,
-                          collect=rerank is None, scorer_args=(codes,),
-                          rerank=rerank)
+                          1, visited, excluded, deadline, collect=True,
+                          scorer_args=(codes,))
     if found is not None:
-        return found[0][0]
-    adc_distances = pq.adc_distances
-    return _reference_row(lambda nodes: adc_distances(codes[nodes], table),
-                          neighbors_fn, entry_ids, k, ef, 1, visited,
-                          excluded, deadline, True)
+        traversal = found[0][0]
+    else:
+        adc_distances = pq.adc_distances
+        traversal = _reference_row(
+            lambda nodes: adc_distances(codes[nodes], table), neighbors_fn,
+            entry_ids, k, ef, 1, visited, excluded, deadline, True)
+    ids = visited_shortlist(traversal.visited_ids,
+                            traversal.visited_distances, excluded, None)
+    return ids, traversal.ndc, traversal.degraded
 
 
 def visited_shortlist(ids: np.ndarray, dists: np.ndarray,
@@ -195,53 +176,6 @@ def exact_rerank(dc: DistanceComputer, qmat: np.ndarray,
     return out, total
 
 
-def rerank_one(adc: ADCComputer, dc: DistanceComputer, neighbors_fn,
-               entry_points, q: np.ndarray, k: int, ef: int, budget: int,
-               visited: VisitedTable | None = None,
-               excluded: set[int] | None = None,
-               deadline: float | None = None,
-               ) -> tuple[SearchResult, int, int, float]:
-    """One compressed query on the sequential beam.
-
-    ``q`` is already prepared.  The beam runs at the caller's ``ef``; the
-    shortlist draws from everything it scored, so the re-rank ``budget``
-    (raised to ``k``) costs exact distances only, not traversal width.
-    Natively the whole recipe is one kernel call; otherwise the shortlist
-    and the re-rank run in Python.  Returns ``(result, adc_scorings,
-    exact_distances, rerank_seconds)`` — the caller owns its counters
-    (``dc.ndc`` is counted here); ``rerank_seconds`` is the wall-clock of
-    the exact scoring, the path's only full-precision (possibly
-    disk-resident) touches.
-    """
-    budget = max(budget, k)
-    table = adc.begin_query(q)  # syncs codes first
-    result = _pq_traverse(adc.pq, adc.codes, neighbors_fn, entry_points,
-                          table, k, ef, visited, excluded, deadline,
-                          rerank=(dc, q[None], budget))
-    n_scored = result.ndc
-    if result.rerank is None:  # the reference executor
-        shortlist = visited_shortlist(result.visited_ids,
-                                      result.visited_distances, excluded,
-                                      budget)
-    elif result.rerank[0]:
-        dc.ndc += result.rerank[0]
-        return result, n_scored, *result.rerank
-    else:
-        shortlist = np.empty(0, dtype=np.int64)
-    if shortlist.size == 0:
-        shortlist = fallback_shortlist(adc, table, excluded, budget)
-        n_scored += adc.codes.shape[0]
-    t0 = time.perf_counter()
-    ids, distances = shortlist, np.empty(0, dtype=np.float64)
-    if shortlist.size:  # else: nothing servable, the empty int64 shortlist
-        exact = dc.to_query(shortlist, q)
-        order = np.argsort(exact, kind="stable")[:k]
-        ids, distances = shortlist[order], exact[order].astype(np.float64)
-    result = dataclasses.replace(result, ids=ids, distances=distances,
-                                 visited_ids=None, visited_distances=None)
-    return result, n_scored, int(shortlist.size), time.perf_counter() - t0
-
-
 def rerank_block(engine: BatchSearchEngine, adc: ADCComputer,
                  dc: DistanceComputer, queries: np.ndarray, k: int, ef: int,
                  budget: int, excluded_fn, deadline: float | None = None,
@@ -257,16 +191,20 @@ def rerank_block(engine: BatchSearchEngine, adc: ADCComputer,
     traversal, so it bars from both the shortlist and the fallback scan
     anything tombstoned or removed by then; a natively re-ranked row whose
     top-k meets such an id is searched again and re-ranked by the
-    reference recipe.  Returns ``(results, adc_scorings, exact_distances,
-    rerank_seconds)`` like :func:`rerank_one`; ``adc_scorings`` sums the
-    rows' own counts (``adc.ndc`` is shared by concurrent readers).
+    reference recipe.
+
+    The beam runs at the caller's ``ef``; the shortlist draws from
+    everything it scored, so the re-rank ``budget`` (raised to ``k``)
+    costs exact distances only, not traversal width.  Returns ``(results,
+    adc_scorings, exact_distances, rerank_seconds)`` — the caller owns its
+    counters (``dc.ndc`` is counted here).  ``adc_scorings`` sums the
+    rows' own counts (``adc.ndc`` is shared by concurrent readers);
+    ``rerank_seconds`` is the wall-clock of the exact scoring, the path's
+    only full-precision (possibly disk-resident) touches.
     """
     budget, ef = max(budget, k), max(ef, k)
     qmat = dc.prepare_queries(
         np.atleast_2d(np.asarray(queries, dtype=np.float32)))
-    # The beam runs at the caller's ef; the shortlist is carved from the
-    # *visited* set (every ADC-scored node), so a large re-rank budget
-    # costs exact distance computations, not traversal width.
     results = engine.search_batch(qmat, k=k, ef=ef, deadline=deadline,
                                   prepared=True, rerank=(dc, budget))
     excluded = excluded_fn()
@@ -325,16 +263,16 @@ class PQRerankSearcher:
     rerank:
         Shortlist size re-scored with exact distances (>= k at search).
     beam_width:
-        Engine candidates expanded per query per round on the batched path.
-        ADC scoring is cheap enough that a wide beam pays: the enlarged
-        visited set feeds the exact re-rank.  Width 1 reproduces the
-        uncompressed engine's expansion order exactly.
+        Engine candidates expanded per query per round by
+        :meth:`search_batch` (a lone :meth:`search` walks width 1).  ADC
+        scoring is cheap enough that a wide beam pays: the enlarged visited
+        set feeds the exact re-rank.  Width 1 reproduces the uncompressed
+        engine's expansion order exactly.
 
     The searcher stays valid across store mutations: codes are re-encoded
     incrementally (only rows appended since the last search) and the
     visited table regrows, so add → search → delete → search works without
-    rebuilding.  Tombstoned/removed ids are excluded from results on both
-    the sequential and batched paths.
+    rebuilding.  Tombstoned/removed ids never surface.
     """
 
     def __init__(self, index, pq: ProductQuantizer | None = None,
@@ -349,8 +287,9 @@ class PQRerankSearcher:
                                   metric=index.dc.metric)
         self.adc = ADCComputer(index.dc, pq)
         self.pq = self.adc.pq
-        self._visited = VisitedTable(index.dc.size)
-        self._engine: BatchSearchEngine | None = None
+        # One engine per (batch_size, beam_width): a lone search walks
+        # width 1, a batch ``beam_width``.
+        self._engines: dict[tuple[int, int], BatchSearchEngine] = {}
         self.adc_scored = 0   # cumulative cheap scorings
         self.rerank_ndc = 0   # cumulative exact re-rank distance comps
 
@@ -367,26 +306,12 @@ class PQRerankSearcher:
         """Re-encode vectors appended since the last search (incremental)."""
         return self.adc.sync()
 
-    # -- sequential path -----------------------------------------------------
-
     def search(self, query: np.ndarray, k: int, ef: int | None = None,
                deadline: float | None = None) -> SearchResult:
-        """Approximate traversal, exact re-rank; exact NDC = rerank budget."""
-        if ef is None:
-            ef = max(k, 10)
-        q = self.dc.prepare_query(query)
-        adjacency = self.index.adjacency
-        # The frozen CSR when the store offers one (as GraphIndex.search).
-        result, n_scored, exact_ndc, _ = rerank_one(
-            self.adc, self.dc, adjacency.traversal() or adjacency,
-            self.index.entry_points(q), q, k, ef, self.rerank,
-            visited=self._visited, excluded=adjacency.excluded_ids(),
-            deadline=deadline)
-        self.adc_scored += n_scored
-        self.rerank_ndc += exact_ndc
-        return result
-
-    # -- batched path --------------------------------------------------------
+        """Approximate traversal, exact re-rank: a block of one, walked at
+        width 1."""
+        return self._run(np.asarray(query, dtype=np.float32)[None], k, ef,
+                         1, 1, deadline)[0]
 
     def search_batch(self, queries: np.ndarray, k: int, ef: int | None = None,
                      batch_size: int = 32,
@@ -397,21 +322,21 @@ class PQRerankSearcher:
         ``begin_block`` hook precomputes the block's ADC tables); the final
         shortlists are re-ranked with a single full-precision block gather.
         """
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
+        return self._run(queries, k, ef, batch_size, self.beam_width,
+                         deadline)
+
+    def _run(self, queries: np.ndarray, k: int, ef: int | None,
+             batch_size: int, beam_width: int,
+             deadline: float | None) -> list[SearchResult]:
         if ef is None:
             ef = max(k, 10)
-        self._engine = live_graph_engine(self._engine, self.index, self.adc,
-                                         batch_size, self.beam_width)
+        key = (batch_size, beam_width)
+        engine = self._engines[key] = live_graph_engine(
+            self._engines.get(key), self.index, self.adc, batch_size,
+            beam_width)
         results, n_scored, exact_ndc, _ = rerank_block(
-            self._engine, self.adc, self.dc, queries, k, ef, self.rerank,
+            engine, self.adc, self.dc, queries, k, ef, self.rerank,
             self.index.adjacency.excluded_ids, deadline)
         self.adc_scored += n_scored
         self.rerank_ndc += exact_ndc
         return results
-
-    def search_many(self, queries: np.ndarray, k: int, ef: int | None = None,
-                    batch_size: int = 32) -> tuple[np.ndarray, np.ndarray]:
-        """Batched search returning padded (ids, distances) arrays."""
-        return pad_results(
-            self.search_batch(queries, k, ef, batch_size=batch_size), k)

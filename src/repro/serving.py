@@ -48,10 +48,9 @@ import numpy as np
 from repro.faults import FAULTS
 from repro.graphs import native
 from repro.graphs.csr import CSRGraphView
-from repro.graphs.search import (BatchSearchEngine, SearchResult, VisitedTable,
-                                 greedy_search, pad_results)
+from repro.graphs.search import BatchSearchEngine, SearchResult
 from repro.obs import OBS, SECONDS_BUCKETS, TRACES, QueryTrace
-from repro.quantization.searcher import rerank_block, rerank_one
+from repro.quantization.searcher import rerank_block
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -492,13 +491,11 @@ class _Scratch(threading.local):
 
     The native executor releases the GIL for a whole traversal (and the
     reference loop yields it between hops), so nothing here may be shared
-    between threads: the visited stamps of :meth:`ServingSearcher.search`,
-    the pin of the engine block in flight, and the batch engines — each
-    owns a visited table and reads that pin.
+    between threads: the pin of the engine block in flight, and the batch
+    engines — each owns a visited table and reads that pin.
     """
 
     def __init__(self):  # runs once per thread, on first access
-        self.visited = VisitedTable(1)  # grown by the searches
         self.block_pin: EpochPin | None = None
         self.engines: dict[tuple, BatchSearchEngine] = {}
 
@@ -506,22 +503,21 @@ class _Scratch(threading.local):
 class ServingSearcher:
     """Index-protocol facade serving epoch-pinned searches.
 
-    Exposes ``search``/``search_batch``/``search_many`` and ``dc`` exactly
-    like a :class:`~repro.graphs.base.GraphIndex`, so it drops into
-    :func:`~repro.evalx.runner.evaluate_index` unchanged.  Every search pins
-    the current epoch; batched searches pin once per engine block.  The
-    query path never touches the store's dynamic lists, its refreeze
-    hysteresis, or the O(E) ``freeze`` — epoch-consistency and wait-freedom
-    come from the pin.
+    Exposes ``search``/``search_batch`` and ``dc`` exactly like a
+    :class:`~repro.graphs.base.GraphIndex`, so it drops into
+    :func:`~repro.evalx.runner.evaluate_index` unchanged.  Searches pin the
+    current epoch once per engine block.  The query path never touches the
+    store's dynamic lists, its refreeze hysteresis, or the O(E) ``freeze``
+    — epoch-consistency and wait-freedom come from the pin.
 
-    Every query runs the same stages, each written once: **resolve** (the
-    explicit ``ef``, else ``max(k, 10)``), **pin**, **entries** (the
-    epoch entry), **traverse** (the sequential beam for :meth:`search`, a
-    cached :class:`~repro.graphs.search.BatchSearchEngine` for a block),
-    **re-rank** (compressed routes only —
-    :func:`~repro.quantization.searcher.rerank_one` /
-    :func:`~repro.quantization.searcher.rerank_block`), then **account +
-    trace** (a :meth:`search` records its trace while telemetry is on).
+    A lone :meth:`search` is a block of one walked at width 1, so every
+    query runs the same stages, each written once (:meth:`_run`):
+    **resolve** (the explicit ``ef``, else ``max(k, 10)``), **pin**,
+    **entries** (the epoch entry), **traverse** (a per-thread cached
+    :class:`~repro.graphs.search.BatchSearchEngine`), **re-rank**
+    (compressed routes only —
+    :func:`~repro.quantization.searcher.rerank_block`), then **account**
+    (and a :meth:`search` records its trace while telemetry is on).
 
     **Compressed mode.**  When an :class:`~repro.quantization.adc.ADCComputer`
     is attached (``adc=``), traversal scoring runs over its resident uint8
@@ -604,50 +600,27 @@ class ServingSearcher:
             _RERANK_NDC.observe(exact_ndc)
             _PAGEIN_SECONDS.inc(seconds)
 
-    # -- single query --------------------------------------------------------
-
     def search(self, query: np.ndarray, k: int, ef: int | None = None,
-               collect_visited: bool = False,
                deadline_ms: float | None = None) -> SearchResult:
-        """Top-k search against a pinned epoch view.
+        """Top-k search against a pinned epoch view: a block of one row,
+        walked at width 1 whatever ``beam_width`` is.
 
         ``deadline_ms`` caps the search's latency budget: past it the
         search stops expanding and returns best-so-far results with
         ``SearchResult.degraded`` set (and the
         ``serving_degraded_searches`` counter bumped) instead of blocking
         the caller — graceful degradation, never an error.  ``ef=None``
-        means ``max(k, 10)``.
+        means ``max(k, 10)``.  While telemetry is on the search records a
+        :class:`~repro.obs.QueryTrace`.
         """
-        deadline = (None if deadline_ms is None
-                    else time.perf_counter() + deadline_ms / 1000.0)
-        dc = self.dc
-        q = dc.prepare_query(query)
         telemetry = OBS.enabled
         if telemetry:
             t0 = time.perf_counter()
         if ef is None:
             ef = max(k, 10)
-        with self.manager.pin() as pin:
-            view = pin.view
-            entries = [pin.epoch.entry]
-            if self.adc is not None:
-                result, n_scored, exact_ndc, seconds = rerank_one(
-                    self.adc, dc, view, entries, q, k, ef, self.rerank,
-                    visited=self._scratch.visited, excluded=view.excluded(),
-                    deadline=deadline)
-                self._account(1, n_scored, exact_ndc, seconds)
-            else:
-                result = greedy_search(
-                    dc, view, entries, q, k=k, ef=ef,
-                    visited=self._scratch.visited,
-                    excluded=view.excluded(),
-                    collect_visited=collect_visited, prepared=True,
-                    deadline=deadline)
-                exact_ndc = result.ndc
-            pin_seconds = pin.age()
-        if result.degraded:
-            self.n_degraded += 1
-            _DEGRADED.inc()
+        [result], exact_ndc, (epoch_id, seq, pin_seconds) = self._run(
+            np.asarray(query, dtype=np.float32)[None], k, ef, 1, 1,
+            deadline_ms)
         if telemetry:
             # The search's own exact scorings: ``dc.ndc`` is shared with
             # concurrent readers, so a delta of it would bill theirs too.
@@ -655,48 +628,12 @@ class ServingSearcher:
             TRACES.record(QueryTrace(
                 k=k, ef=ef, n_hops=result.n_hops, ndc=exact_ndc,
                 frontier_peak=result.frontier_peak,
-                epoch_id=pin.epoch.epoch_id, overlay_seq=view.seq,
-                pin_seconds=pin_seconds,
+                epoch_id=epoch_id, overlay_seq=seq, pin_seconds=pin_seconds,
                 elapsed_seconds=time.perf_counter() - t0,
                 queue_depth=(self.queue_depth_fn()
                              if self.queue_depth_fn is not None else 0),
                 degraded=result.degraded, executor=result.executor))
         return result
-
-    # -- batched path -------------------------------------------------------
-
-    def _pin_block(self) -> EpochView:
-        """graph_fn hook: re-pin at each engine block boundary."""
-        scratch = self._scratch
-        if scratch.block_pin is not None:
-            scratch.block_pin.release()
-        scratch.block_pin = self.manager.pin()
-        return scratch.block_pin.view
-
-    def _engine(self, batch_size: int) -> BatchSearchEngine:
-        """The calling thread's cached engine for one ``(batch_size, beam,
-        scorer)``."""
-        scratch = self._scratch
-        use_adc = self.adc is not None
-        scorer = self.adc if use_adc else self.dc
-        key = (batch_size, self.beam_width, use_adc)
-        engine = scratch.engines.get(key)
-        if engine is None or engine.dc is not scorer:
-            engine = scratch.engines[key] = BatchSearchEngine(
-                scorer,
-                # Fallbacks never used: graph_fn always supplies a view and
-                # entries are query-independent within a block, so they
-                # are seeded once per block instead of once per query.
-                lambda u: scratch.block_pin.view(u),
-                lambda q: [scratch.block_pin.epoch.entry],
-                excluded_fn=lambda: scratch.block_pin.view.excluded(),
-                batch_size=batch_size,
-                graph_fn=self._pin_block,
-                beam_width=self.beam_width,
-                entry_points_block_fn=(
-                    lambda qmat: [scratch.block_pin.epoch.entry]),
-            )
-        return engine
 
     def search_batch(self, queries: np.ndarray, k: int,
                      ef: int | None = None, batch_size: int = 32,
@@ -711,14 +648,62 @@ class ServingSearcher:
         started before the budget ran out are full-effort (or best-so-far)
         and every later row returns its scored entry points only.
         ``ef=None`` means ``max(k, 10)``.
+        """
+        if ef is None:
+            ef = max(k, 10)
+        return self._run(queries, k, ef, batch_size, self.beam_width,
+                         deadline_ms)[0]
 
-        Stages: pin → entries → traverse → re-rank → account.
+    # -- pipeline ------------------------------------------------------------
+
+    def _pin_block(self) -> EpochView:
+        """graph_fn hook: re-pin at each engine block boundary."""
+        scratch = self._scratch
+        if scratch.block_pin is not None:
+            scratch.block_pin.release()
+        scratch.block_pin = self.manager.pin()
+        return scratch.block_pin.view
+
+    def _engine(self, batch_size: int, beam_width: int) -> BatchSearchEngine:
+        """The calling thread's cached engine for one ``(batch_size, beam,
+        scorer)``."""
+        scratch = self._scratch
+        use_adc = self.adc is not None
+        scorer = self.adc if use_adc else self.dc
+        key = (batch_size, beam_width, use_adc)
+        engine = scratch.engines.get(key)
+        if engine is None or engine.dc is not scorer:
+            engine = scratch.engines[key] = BatchSearchEngine(
+                scorer,
+                # Fallbacks never used: graph_fn always supplies a view and
+                # entries are query-independent within a block, so they
+                # are seeded once per block instead of once per query.
+                lambda u: scratch.block_pin.view(u),
+                lambda q: [scratch.block_pin.epoch.entry],
+                excluded_fn=lambda: scratch.block_pin.view.excluded(),
+                batch_size=batch_size,
+                graph_fn=self._pin_block,
+                beam_width=beam_width,
+                entry_points_block_fn=(
+                    lambda qmat: [scratch.block_pin.epoch.entry]),
+            )
+        return engine
+
+    def _run(self, queries: np.ndarray, k: int, ef: int, batch_size: int,
+             beam_width: int, deadline_ms: float | None,
+             ) -> tuple[list[SearchResult], int, tuple | None]:
+        """Every query's stages, written once: pin → entries → traverse →
+        re-rank → account.
+
+        Returns ``(results, exact_ndc, (epoch_id, overlay_seq,
+        pin_seconds))``: the exact scorings the rows made themselves, and
+        the last block's pin as it stood just before its release.
         """
         deadline = (None if deadline_ms is None
                     else time.perf_counter() + deadline_ms / 1000.0)
-        if ef is None:
-            ef = max(k, 10)
-        engine = self._engine(batch_size)
+        engine = self._engine(batch_size, beam_width)
+        scratch = self._scratch
+        pinned = None  # no row, no block, no pin
         try:
             if self.adc is not None:
                 # Live exclusion set (superset of any pinned view's):
@@ -731,23 +716,19 @@ class ServingSearcher:
             else:
                 results = engine.search_batch(queries, k, ef,
                                               deadline=deadline)
+                exact_ndc = sum(r.ndc for r in results)
         finally:
-            scratch = self._scratch
-            if scratch.block_pin is not None:
-                scratch.block_pin.release()
+            pin = scratch.block_pin
+            if pin is not None:
+                pinned = (pin.epoch.epoch_id, pin.view.seq, pin.age())
+                pin.release()
                 scratch.block_pin = None
         if deadline is not None:
             n_degraded = sum(1 for r in results if r.degraded)
             if n_degraded:
                 self.n_degraded += n_degraded
                 _DEGRADED.inc(n_degraded)
-        return results
-
-    def search_many(self, queries: np.ndarray, k: int, ef: int | None = None,
-                    batch_size: int = 32) -> tuple[np.ndarray, np.ndarray]:
-        """Batched search returning padded (ids, distances) arrays."""
-        return pad_results(
-            self.search_batch(queries, k, ef, batch_size=batch_size), k)
+        return results, exact_ndc, pinned
 
 
 class MaintenanceScheduler:

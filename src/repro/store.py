@@ -521,7 +521,7 @@ class VectorStore:
 
         Exposes the raw index protocol (``search`` returning
         :class:`~repro.graphs.search.SearchResult`, ``search_batch``,
-        ``search_many``, ``dc``) for harnesses that compose the store with
+        ``dc``) for harnesses that compose the store with
         evaluation or caching layers.
         """
         return self._searcher

@@ -8,7 +8,8 @@ from repro.datasets import list_datasets, load_dataset
 from repro.distances import DistanceComputer, Metric
 from repro.graphs import HNSW
 from repro.graphs.adjacency import AdjacencyStore
-from repro.graphs.search import BatchSearchEngine, VisitedTable, greedy_search
+from repro.graphs.search import (BatchSearchEngine, VisitedTable, greedy_search,
+                                 pad_results)
 from repro.store import VectorStore
 
 
@@ -81,7 +82,7 @@ class TestBatchEquivalenceProperties:
     @given(st.integers(0, 2**16), st.sampled_from(list(Metric)))
     def test_short_results_padding(self, seed, metric):
         """Entry confined to a 2-node component: both paths return the same
-        short result rows, and search_many pads them with -1/inf."""
+        short result rows (``pad_results`` pads them with -1/inf)."""
         rng = np.random.default_rng(seed)
         data = rng.standard_normal((12, 3)).astype(np.float32)
         adjacency = AdjacencyStore(12)
@@ -98,17 +99,18 @@ class TestBatchEquivalenceProperties:
 class TestIndexBatchPaths:
     def test_search_many_batched_equals_sequential(self, tiny_ds, shared_hnsw):
         queries = tiny_ds.test_queries[:20]
-        ids_seq, d_seq = shared_hnsw.search_many(queries, k=5, ef=30,
-                                                 batch_size=1)
-        ids_bat, d_bat = shared_hnsw.search_many(queries, k=5, ef=30,
-                                                 batch_size=7)
+        ids_seq, d_seq = pad_results(
+            shared_hnsw.search_batch(queries, k=5, ef=30, batch_size=1), 5)
+        ids_bat, d_bat = pad_results(
+            shared_hnsw.search_batch(queries, k=5, ef=30, batch_size=7), 5)
         np.testing.assert_array_equal(ids_seq, ids_bat)
         np.testing.assert_array_equal(d_seq, d_bat)
 
     def test_search_many_pads_short_rows(self, tiny_ds):
         index = HNSW(tiny_ds.base[:3], tiny_ds.metric, M=4,
                      ef_construction=10, single_layer=True, seed=0)
-        ids, dists = index.search_many(tiny_ds.test_queries[:4], k=5, ef=10)
+        ids, dists = pad_results(
+            index.search_batch(tiny_ds.test_queries[:4], k=5, ef=10), 5)
         assert (ids[:, 3:] == -1).all()
         assert np.isinf(dists[:, 3:]).all()
 

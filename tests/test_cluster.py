@@ -19,7 +19,6 @@ from repro.cluster import (
     encode,
     hash_partition,
     merge_stats,
-    merge_topk,
     merge_topk_batch,
     recv_msg,
     send_msg,
@@ -27,6 +26,7 @@ from repro.cluster import (
 )
 from repro.cluster.worker import _ShardServer
 from repro.config import StoreConfig
+from repro.graphs.search import pad_results
 from repro.store import VectorStore
 from tests.conftest import (NONDEFAULT_STORE_SETTINGS, OLD_TUNED_TABLE,
                             store_settings_with)
@@ -184,9 +184,11 @@ class TestMergeTopk:
                 assert set(got_i[r].tolist()) == set(ref_i[r].tolist())
 
     def test_single_query_wrapper(self):
-        ids, dists = merge_topk([[5, 6]], [[0.2, 0.1]], k=2)
-        np.testing.assert_array_equal(ids, [6, 5])
-        np.testing.assert_allclose(dists, [0.1, 0.2])
+        """One query is a one-row block."""
+        ids, dists = merge_topk_batch([np.array([[5, 6]])],
+                                      [np.array([[0.2, 0.1]])], k=2)
+        np.testing.assert_array_equal(ids, [[6, 5]])
+        np.testing.assert_allclose(dists, [[0.1, 0.2]])
 
 
 class TestMergeStats:
@@ -342,7 +344,8 @@ class TestRouter:
 
     def test_search_many_padding(self, shared_router, cluster_data):
         _, queries = cluster_data
-        ids, dists = shared_router.search_many(queries[:3], k=5, ef=40)
+        ids, dists = pad_results(
+            shared_router.search_batch(queries[:3], k=5, ef=40), 5)
         assert ids.shape == (3, 5) and (ids >= 0).all()
         assert np.isfinite(dists).all()
 

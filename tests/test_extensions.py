@@ -15,6 +15,7 @@ from repro.core import (
 from repro.core.ngfix_plus import perturb_within_ball
 from repro.evalx import compute_ground_truth, recall_at_k
 from repro.graphs import HNSW
+from repro.graphs.search import pad_results
 
 
 class TestAugment:
@@ -222,7 +223,7 @@ class TestCachedSearcher:
 
 
 class TestCachedSearcherBatch:
-    """Regression: evaluation harnesses call search_batch/search_many, which
+    """Regression: evaluation harnesses call search_batch, which
     CachedSearcher used to lack — wrapping an index silently bypassed the
     cache on every batched run."""
 
@@ -251,8 +252,8 @@ class TestCachedSearcherBatch:
 
     def test_search_many_shapes_and_padding(self, tiny_ds, shared_hnsw):
         searcher = CachedSearcher(shared_hnsw)
-        ids, dists = searcher.search_many(tiny_ds.test_queries[:5], k=10,
-                                          ef=30, batch_size=4)
+        ids, dists = pad_results(searcher.search_batch(
+            tiny_ds.test_queries[:5], k=10, ef=30, batch_size=4), 10)
         assert ids.shape == (5, 10) and dists.shape == (5, 10)
         assert (ids >= 0).all()  # tiny graph still yields full top-10
 

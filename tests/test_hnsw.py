@@ -6,6 +6,7 @@ import pytest
 from repro.evalx import compute_ground_truth, recall_at_k
 from repro.graphs import HNSW
 from repro.graphs.exact import is_strongly_connected
+from repro.graphs.search import pad_results
 
 
 class TestConstruction:
@@ -124,16 +125,19 @@ class TestInsert:
 
 
 class TestSearchMany:
+    """A batch as padded arrays: ``pad_results(search_batch(...), k)``."""
+
     def test_shapes_and_agreement(self, tiny_ds, shared_hnsw):
-        ids, dists = shared_hnsw.search_many(tiny_ds.test_queries[:5], k=7,
-                                             ef=30)
+        ids, dists = pad_results(
+            shared_hnsw.search_batch(tiny_ds.test_queries[:5], k=7, ef=30), 7)
         assert ids.shape == (5, 7)
         assert dists.shape == (5, 7)
         single = shared_hnsw.search(tiny_ds.test_queries[0], k=7, ef=30)
         assert ids[0].tolist() == single.ids.tolist()
 
     def test_single_query_promoted(self, tiny_ds, shared_hnsw):
-        ids, _ = shared_hnsw.search_many(tiny_ds.test_queries[0], k=3, ef=20)
+        ids, _ = pad_results(
+            shared_hnsw.search_batch(tiny_ds.test_queries[0], k=3, ef=20), 3)
         assert ids.shape == (1, 3)
 
 

@@ -243,9 +243,9 @@ class TestServingIntegration:
 
         snap = global_obs.snapshot()
         assert snap["serving_queries"] == 1
-        # The six served rows, plus the repair's preprocessing search: the
-        # fixer looks its query's neighbours up as a block of one.
-        assert snap["batch_queries"] == 7
+        # The lone query and the six batched rows, plus the repair's
+        # preprocessing search: each lone search is a block of one.
+        assert snap["batch_queries"] == 8
         assert snap["maintenance_repairs"] == 1
         assert snap["epoch_active_pins"] == 0.0
         assert snap["maintenance_worker_alive"] == 1.0

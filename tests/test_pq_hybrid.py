@@ -132,8 +132,8 @@ class TestMutationRegressions:
         assert new_id not in batched.ids.tolist()
 
     def test_scalar_search_reports_its_hops(self, shared_hnsw, tiny_ds):
-        """``rerank_one`` used to build its result without ``n_hops``, which
-        blinded QueryTrace on the compressed scalar path."""
+        """The compressed lone-query path once built its result without
+        ``n_hops``, which blinded QueryTrace on it."""
         searcher = PQRerankSearcher(shared_hnsw, rerank=40)
         for q in tiny_ds.test_queries[:5]:
             assert searcher.search(q, k=10, ef=40).n_hops > 0

@@ -189,8 +189,8 @@ class TestVisitedTableGrowth:
         assert result.ids[0] == new_id
 
     def test_index_search_after_external_append(self):
-        """GraphIndex.search reuses self._visited across incremental
-        insertions done via dc.append + adjacency.grow."""
+        """GraphIndex.search reuses its engine's visited table across
+        incremental insertions done via dc.append + adjacency.grow."""
         from repro.graphs.base import GraphIndex
 
         class _Fixed(GraphIndex):

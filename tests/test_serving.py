@@ -196,6 +196,31 @@ class TestServingStore:
         for res in store.search_batch(QUERIES, k=10, ef=30):
             assert victim not in res.ids.tolist()
 
+    @pytest.mark.parametrize("executor", ["native", "reference"])
+    def test_lone_compressed_search_reads_the_live_exclusion_set(
+            self, executor, monkeypatch):
+        """Ids barred after the search pinned its view (a delete landing
+        mid-search, stood in for by the live exclusion set alone) never
+        surface from a lone compressed search, as from a block."""
+        if executor == "native" and not native.enabled():
+            pytest.skip(f"no native executor: {native.status()['reason']}")
+        if executor == "reference":
+            monkeypatch.setattr(native, "_LIB", None)
+        store = VectorStore(dim=DIM, metric="l2", M=8, ef_construction=40,
+                            compressed=True, pq_ks=16)
+        store.add(BASE)
+        store.build()
+        searcher, q = store.searcher, QUERIES[0]
+        first = searcher.search(q, 10, ef=30).ids.tolist()
+        late = {first[0], first[3]}
+        adjacency = store._fixer.adjacency
+        live = adjacency.excluded_ids
+        monkeypatch.setattr(adjacency, "excluded_ids",
+                            lambda: (live() or set()) | late)
+        result = searcher.search(q, 10, ef=30)
+        assert result.ids.size == 10
+        assert not set(result.ids.tolist()) & late
+
     def test_insert_becomes_visible(self):
         store = make_store()
         new_id = store.add(EXTRA[:1])[0]
@@ -391,9 +416,10 @@ class TestOwnNdcTelemetry:
         assert store.dc.ndc - ndc0 >= own + self.NOISE  # the noise landed
 
     def test_search_histogram_records_the_search_own_ndc(self, noisy):
+        """A lone served search is a block of one."""
         store = noisy()
         result = store.searcher.search(QUERIES[0], k=5, ef=30)
-        histogram = obs.OBS.histogram("search_ndc")
+        histogram = obs.OBS.histogram("batch_block_ndc")
         assert (histogram.count, histogram.sum) == (1, result.ndc)
         assert 0 < result.ndc < self.NOISE
 
