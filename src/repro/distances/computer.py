@@ -11,6 +11,7 @@ from __future__ import annotations
 import mmap
 import os
 import pathlib
+import threading
 
 import numpy as np
 
@@ -19,6 +20,12 @@ from repro.utils.growth import with_capacity
 from repro.utils.validation import check_matrix, check_vector
 
 _FLOAT32 = np.dtype(np.float32)
+
+# Guards the ``ndc += n`` of what a search block runs — the engine's fold,
+# ``block_to_queries``, the compressed fallback scan and re-rank: the blocks
+# of one batch run on several threads (see ``repro.serving``), and ``+=`` on
+# an attribute is a read-modify-write that a thread switch can split.
+_NDC_LOCK = threading.Lock()
 
 
 class DistanceComputer:
@@ -316,7 +323,8 @@ class DistanceComputer:
         owners = np.asarray(owners, dtype=np.int64)
         if ids.shape != owners.shape:
             raise ValueError("ids and owners must align")
-        self.ndc += ids.shape[0]
+        with _NDC_LOCK:
+            self.ndc += ids.shape[0]
         rows, qrows = self._data[ids], queries[owners]
         if self.metric is Metric.L2:
             diff = rows - qrows

@@ -50,6 +50,7 @@ import time
 import numpy as np
 
 from repro.distances import DistanceComputer
+from repro.distances.computer import _NDC_LOCK
 from repro.graphs import native
 from repro.obs import OBS, SECONDS_BUCKETS
 from repro.utils.growth import with_capacity
@@ -688,7 +689,8 @@ class BatchSearchEngine:
             rerank=None if rerank is None else (rerank[0], qmat, rerank[1]))
         if found is not None:
             final, ndc = found
-            dc.ndc += ndc
+            with _NDC_LOCK:  # blocks of one batch fold from several threads
+                dc.ndc += ndc
         else:
             self._visited.grow(dc.size)
             score = dc.block_to_queries

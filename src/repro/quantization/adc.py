@@ -23,6 +23,7 @@ import threading
 import numpy as np
 
 from repro.distances import DistanceComputer
+from repro.distances.computer import _NDC_LOCK
 from repro.quantization.pq import ProductQuantizer
 from repro.utils.growth import with_capacity
 
@@ -56,6 +57,7 @@ class ADCComputer:
         # capacity-doubling array :meth:`sync` appends into.
         self._rows = self.codes = self.pq.encode(np.asarray(base.data))
         self.ndc = 0  # cheap ADC scorings (m uint8 lookups each)
+        self._sync_lock = threading.Lock()
         # The open block's tables, (B * m * ks,), and the sequential path's
         # (m, ks) one: per thread, because concurrent readers share this
         # computer and each opens its own block.
@@ -107,17 +109,23 @@ class ADCComputer:
         data first), so syncing at block/search start guarantees every id a
         pinned view can surface has a code.  Amortised O(new rows): the
         codes grow by capacity doubling, never by copying the matrix per
-        insert.
+        insert.  Syncs are serialised, so ``codes`` never shrinks: the
+        blocks of one batch sync from several threads, and an unlocked
+        sync that read an older ``base.size`` could publish its shorter
+        matrix over a longer one.
         """
-        have = self.codes.shape[0]
-        total = self.base.size
-        if total <= have:
+        if self.base.size <= self.codes.shape[0]:
             return 0
-        fresh = self.pq.encode(np.asarray(self.base.data[have:total]))
-        self._rows = with_capacity(self._rows, have, total)
-        self._rows[have:total] = fresh
-        self.codes = self._rows[:total]
-        return total - have
+        with self._sync_lock:
+            have = self.codes.shape[0]
+            total = self.base.size
+            if total <= have:
+                return 0
+            fresh = self.pq.encode(np.asarray(self.base.data[have:total]))
+            self._rows = with_capacity(self._rows, have, total)
+            self._rows[have:total] = fresh
+            self.codes = self._rows[:total]
+            return total - have
 
     # -- block scoring (batch engine) ----------------------------------------
 
@@ -153,7 +161,8 @@ class ADCComputer:
         owners = np.asarray(owners, dtype=np.int64)
         if ids.size and int(ids.max()) >= self.codes.shape[0]:
             self.sync()  # id published after begin_block's sync
-        self.ndc += ids.shape[0]
+        with _NDC_LOCK:
+            self.ndc += ids.shape[0]
         m, ks = self.pq.m, self.pq.ks
         entries = ((owners * (m * ks))[:, None] + np.arange(0, m * ks, ks)
                    + self.codes[ids])
@@ -177,5 +186,6 @@ class ADCComputer:
 
     def all_scores(self, table: np.ndarray) -> np.ndarray:
         """ADC scores of every code row against one table (fallback scan)."""
-        self.ndc += self.codes.shape[0]
+        with _NDC_LOCK:
+            self.ndc += self.codes.shape[0]
         return self.pq.adc_distances(self.codes, table)

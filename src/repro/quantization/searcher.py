@@ -35,6 +35,7 @@ import time
 import numpy as np
 
 from repro.distances import DistanceComputer
+from repro.distances.computer import _NDC_LOCK
 from repro.graphs.base import live_graph_engine
 from repro.graphs.search import (BatchSearchEngine, SearchResult, VisitedTable,
                                  _reference_row, native_search, unique_entries)
@@ -238,7 +239,8 @@ def rerank_block(engine: BatchSearchEngine, adc: ADCComputer,
             n_scored += adc.codes.shape[0]
         rows.append(i)
         shortlists.append(shortlist)
-    dc.ndc += exact_ndc
+    with _NDC_LOCK:
+        dc.ndc += exact_ndc
     if rows:
         t0 = time.perf_counter()
         reranked, ndc = exact_rerank(dc, qmat[rows], shortlists, k,

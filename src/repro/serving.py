@@ -34,14 +34,28 @@ logs are append-only with publish-after-write sequence numbers, CPython
 list appends are atomic under the GIL, and everything a search writes while
 it runs (visited stamps, the block's pin, the batch engines that hold both)
 is per thread.
+
+Blocks across cores: ``ServingSearcher.search_batch`` runs its engine
+blocks on a persistent, process-wide thread pool with one thread per CPU
+the process may run on (``os.sched_getaffinity``); the native executor
+releases the GIL for a whole block, so the blocks walk in parallel.  Each
+pool thread is just another reader — its own engine, visited table and
+block pin — and hands its counters back for the calling thread to fold,
+so the answers and counters are the serial ones.  The blocks run in order
+on the calling thread instead when the process may use one CPU, when the
+batch is one block, and under a ``deadline_ms`` (whose budget is spent on
+the rows in order).  A forked child — a shard worker, a fork-pool worker —
+never fans out: its parent already runs one process per core.
 """
 
 from __future__ import annotations
 
 import bisect
+import os
 import threading
 import time
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -100,6 +114,40 @@ _FLUSH_TIMEOUTS = OBS.counter(
     "maintenance_flush_timeouts", "flush() calls that timed out undrained")
 _FAILED_JOINS = OBS.counter(
     "maintenance_failed_joins", "stop() join timeouts (worker kept running)")
+
+# The block pool (see the module docstring): sized on first use, created by
+# the first batch of more than one block, kept for the life of the process.
+_POOL: ThreadPoolExecutor | None = None
+_THREADS: int | None = None  # the thread budget; None = not sized yet
+_POOL_LOCK = threading.Lock()
+
+
+def _block_pool() -> ThreadPoolExecutor | None:
+    """The process's block pool, or None when blocks run on the caller."""
+    global _POOL, _THREADS
+    pool = _POOL
+    if pool is not None:
+        return pool
+    with _POOL_LOCK:
+        if _THREADS is None:
+            _THREADS = (len(os.sched_getaffinity(0))
+                        if hasattr(os, "sched_getaffinity")
+                        else os.cpu_count() or 1)
+        if _POOL is None and _THREADS > 1:
+            _POOL = ThreadPoolExecutor(_THREADS,
+                                       thread_name_prefix="repro-block")
+        return _POOL
+
+
+def _after_fork_in_child() -> None:
+    """A forked child searches on one thread: drop the parent's pool (its
+    threads did not survive the fork) and set the budget to one."""
+    global _POOL, _THREADS, _POOL_LOCK
+    _POOL, _THREADS, _POOL_LOCK = None, 1, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
 class DeltaOverlay:
@@ -511,13 +559,22 @@ class ServingSearcher:
     — epoch-consistency and wait-freedom come from the pin.
 
     A lone :meth:`search` is a block of one walked at width 1, so every
-    query runs the same stages, each written once (:meth:`_run`):
-    **resolve** (the explicit ``ef``, else ``max(k, 10)``), **pin**,
-    **entries** (the epoch entry), **traverse** (a per-thread cached
-    :class:`~repro.graphs.search.BatchSearchEngine`), **re-rank**
-    (compressed routes only —
+    query runs the same stages, each written once: **resolve** (the
+    explicit ``ef``, else ``max(k, 10)``), then per engine block
+    (:meth:`_run`) **pin**, **entries** (the epoch entry), **traverse** (a
+    per-thread cached :class:`~repro.graphs.search.BatchSearchEngine`),
+    **re-rank** (compressed routes only —
     :func:`~repro.quantization.searcher.rerank_block`), then **account**
-    (and a :meth:`search` records its trace while telemetry is on).
+    (:meth:`_account`, once per search on the calling thread; a
+    :meth:`search` also records its trace while telemetry is on).
+
+    **Blocks across cores.**  :meth:`search_batch` runs its blocks on the
+    process's block pool, one thread per allowed CPU, and returns the
+    results in input order: each block is one native call that releases
+    the GIL, on a pool thread with its own engine, visited table and pin,
+    so the answers are the serial ones.  On one allowed CPU, for a single
+    block, and under ``deadline_ms`` the blocks run in order on the calling
+    thread; a forked child (a shard worker) always does.
 
     **Compressed mode.**  When an :class:`~repro.quantization.adc.ADCComputer`
     is attached (``adc=``), traversal scoring runs over its resident uint8
@@ -534,6 +591,7 @@ class ServingSearcher:
         self.fixer = fixer
         self.manager = manager
         self._scratch = _Scratch()
+        self._fold_lock = threading.Lock()  # the counters below
         self.rerank = rerank
         self.attach_adc(adc, beam_width=beam_width)
         self.n_degraded = 0
@@ -588,17 +646,28 @@ class ServingSearcher:
 
     # -- pipeline stages -----------------------------------------------------
 
-    def _account(self, n_queries: int, adc_scored: int, exact_ndc: int,
-                 seconds: float) -> None:
-        """Stage *account*: fold one compressed run into the counters."""
-        self.adc_scored += adc_scored
-        self.rerank_ndc += exact_ndc
-        self.pagein_seconds += seconds
-        if OBS.enabled:
-            _COMPRESSED_QUERIES.inc(n_queries)
-            _ADC_SCORED.inc(adc_scored)
-            _RERANK_NDC.observe(exact_ndc)
-            _PAGEIN_SECONDS.inc(seconds)
+    def _account(self, rerank: tuple | None, n_degraded: int) -> None:
+        """Stage *account*: fold one search's counters into the searcher —
+        once, on the calling thread, whichever threads ran its blocks.
+
+        ``rerank`` is the search's compressed tally (see :meth:`_run`;
+        None on the exact route), ``n_degraded`` its rows cut short.
+        """
+        if rerank is not None:
+            n_queries, adc_scored, exact_ndc, seconds = rerank
+            with self._fold_lock:
+                self.adc_scored += adc_scored
+                self.rerank_ndc += exact_ndc
+                self.pagein_seconds += seconds
+            if OBS.enabled:
+                _COMPRESSED_QUERIES.inc(n_queries)
+                _ADC_SCORED.inc(adc_scored)
+                _RERANK_NDC.observe(exact_ndc)
+                _PAGEIN_SECONDS.inc(seconds)
+        if n_degraded:
+            with self._fold_lock:
+                self.n_degraded += n_degraded
+            _DEGRADED.inc(n_degraded)
 
     def search(self, query: np.ndarray, k: int, ef: int | None = None,
                deadline_ms: float | None = None) -> SearchResult:
@@ -618,15 +687,17 @@ class ServingSearcher:
             t0 = time.perf_counter()
         if ef is None:
             ef = max(k, 10)
-        [result], exact_ndc, (epoch_id, seq, pin_seconds) = self._run(
-            np.asarray(query, dtype=np.float32)[None], k, ef, 1, 1,
-            deadline_ms)
+        deadline = _deadline(deadline_ms)
+        [result], rerank, (epoch_id, seq, pin_seconds) = self._run(
+            np.asarray(query, dtype=np.float32)[None], k, ef, 1, 1, deadline)
+        self._account(rerank, int(result.degraded))
         if telemetry:
             # The search's own exact scorings: ``dc.ndc`` is shared with
             # concurrent readers, so a delta of it would bill theirs too.
             _SERVE_QUERIES.inc()
             TRACES.record(QueryTrace(
-                k=k, ef=ef, n_hops=result.n_hops, ndc=exact_ndc,
+                k=k, ef=ef, n_hops=result.n_hops,
+                ndc=result.ndc if rerank is None else rerank[2],
                 frontier_peak=result.frontier_peak,
                 epoch_id=epoch_id, overlay_seq=seq, pin_seconds=pin_seconds,
                 elapsed_seconds=time.perf_counter() - t0,
@@ -640,19 +711,45 @@ class ServingSearcher:
                      deadline_ms: float | None = None) -> list[SearchResult]:
         """Batched pinned search; each engine block sees one epoch view.
 
+        The ``batch_size`` blocks run on the block pool, one per core (see
+        the class docstring), and the results come back in input order,
+        equal to running the blocks one after the other.
         ``deadline_ms`` budgets the whole batch, and every answer that
         stopped short of full effort is flagged ``degraded``.  The rows
-        are walked in order against it (see
+        are walked in order against it, on the calling thread (see
         :meth:`BatchSearchEngine.search_batch
         <repro.graphs.search.BatchSearchEngine.search_batch>`): rows that
         started before the budget ran out are full-effort (or best-so-far)
         and every later row returns its scored entry points only.
         ``ef=None`` means ``max(k, 10)``.
         """
+        if batch_size <= 0:
+            raise ValueError(f"batch_size must be positive, got {batch_size}")
         if ef is None:
             ef = max(k, 10)
-        return self._run(queries, k, ef, batch_size, self.beam_width,
-                         deadline_ms)[0]
+        queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
+        deadline = _deadline(deadline_ms)
+        blocks = [queries[start:start + batch_size]
+                  for start in range(0, queries.shape[0], batch_size)]
+        pool = (_block_pool() if deadline is None and len(blocks) > 1
+                else None)
+        if pool is None:
+            runs = [self._run(block, k, ef, batch_size, self.beam_width,
+                              deadline) for block in blocks]
+        else:
+            futures = [pool.submit(self._run, block, k, ef, batch_size,
+                                   self.beam_width, None)
+                       for block in blocks]
+            # Every block settles (and releases its pin) before the first
+            # failure, in block order, is raised.
+            wait(futures)
+            runs = [future.result() for future in futures]
+        results = [result for block, _, _ in runs for result in block]
+        reranks = [rerank for _, rerank, _ in runs if rerank is not None]
+        self._account(
+            tuple(map(sum, zip(*reranks))) if reranks else None,
+            0 if deadline is None else sum(r.degraded for r in results))
+        return results
 
     # -- pipeline ------------------------------------------------------------
 
@@ -690,20 +787,21 @@ class ServingSearcher:
         return engine
 
     def _run(self, queries: np.ndarray, k: int, ef: int, batch_size: int,
-             beam_width: int, deadline_ms: float | None,
-             ) -> tuple[list[SearchResult], int, tuple | None]:
-        """Every query's stages, written once: pin → entries → traverse →
-        re-rank → account.
+             beam_width: int, deadline: float | None,
+             ) -> tuple[list[SearchResult], tuple | None, tuple | None]:
+        """One run's stages from pin to re-rank, on whichever thread calls
+        it: it writes only that thread's scratch and hands its counters
+        back for :meth:`_account`.
 
-        Returns ``(results, exact_ndc, (epoch_id, overlay_seq,
-        pin_seconds))``: the exact scorings the rows made themselves, and
-        the last block's pin as it stood just before its release.
+        Returns ``(results, rerank, pinned)``: ``rerank`` is a compressed
+        run's ``(n_queries, adc_scorings, exact_ndc, rerank_seconds)``
+        (None on the exact route), and ``pinned`` the last block's pin as
+        it stood just before its release, ``(epoch_id, overlay_seq,
+        pin_seconds)``.
         """
-        deadline = (None if deadline_ms is None
-                    else time.perf_counter() + deadline_ms / 1000.0)
         engine = self._engine(batch_size, beam_width)
         scratch = self._scratch
-        pinned = None  # no row, no block, no pin
+        pinned = rerank = None  # no row, no block, no pin
         try:
             if self.adc is not None:
                 # Live exclusion set (superset of any pinned view's):
@@ -712,23 +810,23 @@ class ServingSearcher:
                 results, n_scored, exact_ndc, seconds = rerank_block(
                     engine, self.adc, self.dc, queries, k, ef, self.rerank,
                     self.fixer.adjacency.excluded_ids, deadline)
-                self._account(len(results), n_scored, exact_ndc, seconds)
+                rerank = (len(results), n_scored, exact_ndc, seconds)
             else:
                 results = engine.search_batch(queries, k, ef,
                                               deadline=deadline)
-                exact_ndc = sum(r.ndc for r in results)
         finally:
             pin = scratch.block_pin
             if pin is not None:
                 pinned = (pin.epoch.epoch_id, pin.view.seq, pin.age())
                 pin.release()
                 scratch.block_pin = None
-        if deadline is not None:
-            n_degraded = sum(1 for r in results if r.degraded)
-            if n_degraded:
-                self.n_degraded += n_degraded
-                _DEGRADED.inc(n_degraded)
-        return results, exact_ndc, pinned
+        return results, rerank, pinned
+
+
+def _deadline(deadline_ms: float | None) -> float | None:
+    """A ``deadline_ms`` budget as an absolute ``time.perf_counter()``."""
+    return (None if deadline_ms is None
+            else time.perf_counter() + deadline_ms / 1000.0)
 
 
 class MaintenanceScheduler:

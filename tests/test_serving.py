@@ -12,16 +12,18 @@ The load-bearing guarantees under test:
 """
 
 import contextlib
+import os
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import VectorStore, obs
+from repro import VectorStore, obs, serving
 from repro.graphs import native
 from repro.graphs.adjacency import AdjacencyStore, ObservedTombstones
 from repro.graphs.search import greedy_search
@@ -536,6 +538,237 @@ class TestConcurrentReaders:
         assert wrong == 0, f"{wrong} of {n_threads * n_rounds * 128} rows"
         assert all(len(rows) == n_rounds for rows in answers)
         assert store.epochs.active_pins() == 0
+        store.close()
+
+
+@contextlib.contextmanager
+def thread_budget(n_threads):
+    """Run the body with a block pool of ``n_threads`` (1 = no pool), then
+    put the process's own pool and budget back."""
+    saved = serving._POOL, serving._THREADS
+    serving._POOL, serving._THREADS = None, n_threads
+    try:
+        yield
+    finally:
+        pool = serving._POOL
+        serving._POOL, serving._THREADS = saved
+        if pool is not None:
+            pool.shutdown()
+
+
+def executor_context(executor):
+    if executor == "native" and not native.enabled():
+        pytest.skip(f"no native executor: {native.status()['reason']}")
+    return (contextlib.nullcontext if executor == "native"
+            else reference_executor)()
+
+
+def counters(store):
+    searcher = store.searcher
+    return np.array([searcher.n_degraded, searcher.adc_scored,
+                     searcher.rerank_ndc, store.dc.ndc,
+                     store.adc.ndc if store.adc is not None else 0])
+
+
+class TestBlocksAcrossCores:
+    """``search_batch`` runs its blocks on the block pool: the answers and
+    the counters are the serial run's, whatever the thread budget."""
+
+    @pytest.fixture(scope="class", params=[False, True],
+                    ids=["exact", "compressed"])
+    def store(self, request):
+        rng = np.random.default_rng(5)
+        store = VectorStore(dim=DIM, metric="l2", M=8, ef_construction=40,
+                            compressed=request.param, rerank=40)
+        store.add(rng.standard_normal((600, DIM)).astype(np.float32))
+        store.build()
+        yield store
+        store.close()
+
+    QUERIES = np.random.default_rng(6).standard_normal(
+        (150, DIM)).astype(np.float32)
+
+    @pytest.mark.parametrize("executor", ["native", "reference"])
+    def test_answers_and_counters_equal_at_any_budget(self, store, executor):
+        runs = {}
+        interval = sys.getswitchinterval()
+        with executor_context(executor):
+            # Switch often, so a lost update of a shared counter would show.
+            sys.setswitchinterval(1e-5)
+            try:
+                for budget in (1, 2, 4):
+                    with thread_budget(budget):
+                        before = counters(store)
+                        results = store.search_batch(self.QUERIES, k=10,
+                                                     ef=40, batch_size=16)
+                        runs[budget] = (results, counters(store) - before)
+                        assert (serving._POOL is None) == (budget == 1)
+            finally:
+                sys.setswitchinterval(interval)
+        serial, serial_counts = runs[1]
+        assert len(serial) == len(self.QUERIES)
+        assert {r.executor for r in serial} == {executor}
+        for budget in (2, 4):
+            results, counts = runs[budget]
+            for want, got in zip(serial, results, strict=True):
+                np.testing.assert_array_equal(got.ids, want.ids)
+                np.testing.assert_array_equal(got.distances, want.distances)
+                assert (got.ndc, got.degraded, got.executor) == (
+                    want.ndc, want.degraded, want.executor)
+            np.testing.assert_array_equal(counts, serial_counts)
+        n_degraded, adc_scored, rerank_ndc, dc_ndc, adc_ndc = serial_counts
+        assert n_degraded == 0
+        if store.adc is None:
+            assert dc_ndc == sum(r.ndc for r in serial)
+        else:
+            assert adc_scored == adc_ndc == sum(r.ndc for r in serial)
+            assert 0 < rerank_ndc == dc_ndc
+
+    def test_deadline_batch_runs_in_order_on_the_caller(self, store,
+                                                        monkeypatch):
+        from repro.graphs import search as search_mod
+        from repro.quantization import searcher as pq_searcher
+
+        real = search_mod.native_search
+        threads = []
+
+        def slow(*args, **kwargs):  # every block spends 2 ms first
+            threads.append(threading.get_ident())
+            time.sleep(0.002)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(search_mod, "native_search", slow)
+        monkeypatch.setattr(pq_searcher, "native_search", slow)
+        with thread_budget(2):
+            for deadline_ms in (0.0, 3.0, 7.0, 1e6):
+                threads.clear()
+                results = store.search_batch(self.QUERIES[:48], k=10, ef=40,
+                                             batch_size=8,
+                                             deadline_ms=deadline_ms)
+                flags = [r.degraded for r in results]
+                # Degraded is monotone: once a row is cut, so is every
+                # later one.
+                assert flags == sorted(flags), (deadline_ms, flags)
+                assert set(threads) == {threading.get_ident()}
+                assert serving._POOL is None
+        assert not any(flags)  # the generous budget cut nothing
+
+    def test_block_error_propagates_and_pins_are_released(self, store,
+                                                          monkeypatch):
+        from repro.graphs import search as search_mod
+        from repro.quantization import searcher as pq_searcher
+
+        want = [r.ids for r in store.search_batch(self.QUERIES, k=10, ef=40,
+                                                  batch_size=16)]
+        real = search_mod.native_search
+        calls = []
+        lock = threading.Lock()
+
+        def failing(*args, **kwargs):
+            with lock:
+                calls.append(None)
+                third = len(calls) == 3
+            if third:
+                raise RuntimeError("block failed")
+            return real(*args, **kwargs)
+
+        with thread_budget(2):
+            monkeypatch.setattr(search_mod, "native_search", failing)
+            monkeypatch.setattr(pq_searcher, "native_search", failing)
+            with pytest.raises(RuntimeError, match="block failed"):
+                store.search_batch(self.QUERIES, k=10, ef=40, batch_size=16)
+            assert store.epochs.active_pins() == 0
+            monkeypatch.undo()
+            got = [r.ids for r in store.search_batch(self.QUERIES, k=10,
+                                                     ef=40, batch_size=16)]
+        for a, b in zip(want, got, strict=True):
+            np.testing.assert_array_equal(a, b)
+        assert store.epochs.active_pins() == 0
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_searches_on_one_thread(self, store):
+        with thread_budget(2):
+            want = np.vstack([r.ids for r in store.search_batch(
+                self.QUERIES, k=10, ef=40, batch_size=16)])
+            assert serving._POOL is not None
+            with warnings.catch_warnings():
+                # Python 3.12+ warns about forking a multi-threaded process.
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:  # the child: report through the exit status only
+                code = 1
+                try:
+                    results = store.search_batch(self.QUERIES, k=10, ef=40,
+                                                 batch_size=16)
+                    got = np.vstack([r.ids for r in results])
+                    if serving._POOL is None and serving._THREADS == 1:
+                        code = 0 if np.array_equal(got, want) else 2
+                    else:
+                        code = 3
+                finally:
+                    os._exit(code)
+            deadline = time.monotonic() + 60
+            while True:
+                done, status = os.waitpid(pid, os.WNOHANG)
+                if done:
+                    break
+                if time.monotonic() > deadline:
+                    os.kill(pid, 9)
+                    os.waitpid(pid, 0)
+                    pytest.fail("the forked child's search_batch hung")
+                time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_codes_never_shrink_under_concurrent_inserts(self):
+        if not native.enabled():
+            pytest.skip(f"no native executor: {native.status()['reason']}")
+        rng = np.random.default_rng(8)
+        store = VectorStore(dim=DIM, metric="l2", M=8, ef_construction=40,
+                            compressed=True, rerank=40, pq_ks=16)
+        store.add(rng.standard_normal((300, DIM)).astype(np.float32))
+        store.build()
+        extra = rng.standard_normal((120, DIM)).astype(np.float32)
+        adc, stop = store.adc, threading.Event()
+        sizes, errors = [], []
+
+        def writer():
+            try:
+                for row in extra:
+                    store.add(row[None])
+            except Exception as exc:
+                errors.append(exc)
+            finally:
+                stop.set()
+
+        def watcher():
+            while not stop.is_set():
+                sizes.append(adc.codes.shape[0])
+
+        obs.reset()
+        obs.enable()
+        try:
+            with thread_budget(4):
+                threads = [threading.Thread(target=writer),
+                           threading.Thread(target=watcher)]
+                for thread in threads:
+                    thread.start()
+                n_batches = 0
+                while not stop.is_set() or n_batches < 3:
+                    results = store.search_batch(self.QUERIES[:64], k=10,
+                                                 ef=40, batch_size=8)
+                    assert {r.executor for r in results} == {"native"}
+                    n_batches += 1
+                for thread in threads:
+                    thread.join(timeout=60)
+            fallbacks = obs.OBS.counter("search_native_fallbacks").value
+        finally:
+            obs.disable()
+            obs.reset()
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert fallbacks == 0
+        assert sizes == sorted(sizes)
+        assert adc.codes.shape[0] == len(store) == 420
         store.close()
 
 
