@@ -42,11 +42,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--k", type=int, default=10,
                         help="neighbors per query")
-    parser.add_argument("--n-workers", type=int, default=1,
-                        help="fork-pool width for offline stages (ground "
-                             "truth, parallel construction, NGFix "
-                             "preprocessing, evaluation); results are "
-                             "identical for any value")
     parser.add_argument("--telemetry", action="store_true",
                         help="collect metrics during the run and print the "
                              "Prometheus text exposition at the end")
@@ -265,17 +260,16 @@ def _build_index(args, ds):
         return HNSW(ds.base, ds.metric, **_GEOMETRY,
                     single_layer=True, seed=args.seed)
     if args.index == "nsg":
-        return NSG(ds.base, ds.metric, R=24, L=60, n_workers=args.n_workers)
+        return NSG(ds.base, ds.metric, R=24, L=60)
     if args.index == "roargraph":
         return RoarGraph(ds.base, ds.metric, ds.train_queries, M=24,
-                         n_query_neighbors=32, n_workers=args.n_workers)
+                         n_query_neighbors=32)
     if args.index == "vamana":
         return Vamana(ds.base, ds.metric, R=24, L=60, seed=args.seed)
     if args.index == "robust-vamana":
         return RobustVamana(ds.base, ds.metric, ds.train_queries, R=24, L=60,
                             seed=args.seed)
-    return TauMNG(ds.base, ds.metric, R=24, L=60, tau=0.01,
-                  n_workers=args.n_workers)
+    return TauMNG(ds.base, ds.metric, R=24, L=60, tau=0.01)
 
 
 def _cmd_datasets(args) -> int:
@@ -311,8 +305,7 @@ def _cmd_fix(args) -> int:
                 single_layer=True, seed=args.seed)
     fixer = NGFixer(base, FixConfig(
         k=args.k, preprocess=args.preprocess,
-        max_extra_degree=args.max_extra_degree,
-        n_workers=args.n_workers))
+        max_extra_degree=args.max_extra_degree))
     fixer.fit(ds.train_queries)
     stats = fixer.stats()
     print(f"fixed {stats['queries_fixed']} historical queries: "
@@ -335,15 +328,13 @@ def _cmd_evaluate(args) -> int:
     else:
         base = HNSW(ds.base, ds.metric, **_GEOMETRY,
                     single_layer=True, seed=args.seed)
-        index = NGFixer(base, FixConfig(k=args.k, preprocess="approx",
-                                        n_workers=args.n_workers))
+        index = NGFixer(base, FixConfig(k=args.k, preprocess="approx"))
         index.fit(ds.train_queries)
         label = "HNSW-NGFix* (freshly built)"
-    gt = compute_ground_truth(ds.base, ds.test_queries, args.k, ds.metric,
-                              n_workers=args.n_workers)
+    gt = compute_ground_truth(ds.base, ds.test_queries, args.k, ds.metric)
     points = sweep(index, ds.test_queries, gt, args.k,
                    [max(ef, args.k) for ef in args.efs],
-                   batch_size=args.batch_size, n_workers=args.n_workers)
+                   batch_size=args.batch_size)
     rows = [(p.ef, round(p.recall, 4), round(p.rderr, 6), round(p.qps, 1),
              round(p.ndc_per_query, 1)) for p in points]
     print(format_table(["ef", "recall", "rderr", "QPS", "NDC/query"], rows,
@@ -366,8 +357,7 @@ def _cmd_churn(args) -> int:
     store.add(ds.base)
     store.build()
     store.fit_history(ds.train_queries)
-    gt = compute_ground_truth(ds.base, ds.test_queries, args.k, ds.metric,
-                              n_workers=args.n_workers)
+    gt = compute_ground_truth(ds.base, ds.test_queries, args.k, ds.metric)
     # The store's index protocol is batched (search() returns payload
     # triples, not SearchResults), so the evaluation runs batch-only.
     batch_size = max(2, args.batch_size)
@@ -513,8 +503,7 @@ def _cmd_cluster(args) -> int:
     from repro.cluster import WORKER_OP_POINT, ClusterRouter
     from repro.evalx import evaluate_index
     ds = _load_dataset(args)
-    gt = compute_ground_truth(ds.base, ds.test_queries, args.k, ds.metric,
-                              n_workers=args.n_workers)
+    gt = compute_ground_truth(ds.base, ds.test_queries, args.k, ds.metric)
     router = ClusterRouter(
         dim=ds.base.shape[1], metric=ds.metric, n_shards=args.n_shards,
         n_replicas=args.n_replicas, base_dir=args.base_dir,

@@ -30,7 +30,11 @@ def _coerce_fix_config(value) -> FixConfig:
         return value
     # Default: approximate preprocessing, so history fitting in a store
     # never needs exact ground truth.
-    return FixConfig(**({"preprocess": "approx"} if value is None else value))
+    if value is None:
+        return FixConfig(preprocess="approx")
+    # Files and worker specs of earlier versions carry the retired
+    # ``n_workers`` (offline pool width); it is dropped, like ``serving``.
+    return FixConfig(**{k: v for k, v in value.items() if k != "n_workers"})
 
 
 @dataclasses.dataclass(frozen=True)

@@ -63,9 +63,6 @@ class FixConfig:
     rfix_expand_ef: int | None = None  # defaults to 4 * search_ef
     rfix_max_rounds: int = 5
     seed: int = 0
-    # Fork-pool width of exact ground truth; 1 = fully serial.  Any value
-    # produces the same graph.
-    n_workers: int = 1
 
     def __post_init__(self):
         if self.k <= 0:
@@ -174,13 +171,11 @@ class NGFixer:
                 np.arange(self.dc.size, dtype=np.int64),
                 np.fromiter(removed, dtype=np.int64, count=len(removed)))
             gt = compute_ground_truth(self.dc.data[alive], queries,
-                                      n_neighbors, self.dc.metric,
-                                      n_workers=self.config.n_workers)
+                                      n_neighbors, self.dc.metric)
             self.preprocess_ndc += queries.shape[0] * alive.shape[0]
             return alive[gt.ids], gt.distances
         gt = compute_ground_truth(self.dc.data, queries, n_neighbors,
-                                  self.dc.metric,
-                                  n_workers=self.config.n_workers)
+                                  self.dc.metric)
         self.preprocess_ndc += queries.shape[0] * self.dc.size
         return gt.ids, gt.distances
 
@@ -251,8 +246,8 @@ class NGFixer:
         """Fix the graph for a batch of historical queries (all rounds).
 
         Per round, the whole batch is preprocessed at once (exact ground
-        truth spreads over ``config.n_workers`` forks), then the queries are
-        fixed one after the other in order.
+        truth spreads its blocks over the process's thread pool), then the
+        queries are fixed one after the other in order.
         """
         queries = check_matrix(queries, "queries")
         for round_k in self.config.rounds:
@@ -293,8 +288,11 @@ class NGFixer:
     def fix_query(self, query: np.ndarray) -> list[QueryFixRecord]:
         """Online single-query fixing (the production mode of the paper).
 
-        Uses the configured preprocessing (approximate by default is what
-        makes online fixing cheap) and runs every configured round.
+        Uses the configured preprocessing and runs every configured round.
+        ``FixConfig.preprocess`` defaults to ``"exact"`` (a brute-force pass
+        over the base per query); the ``FixConfig`` a
+        :class:`~repro.config.StoreConfig` coerces by default uses
+        ``"approx"``, which is what makes a store's online fixing cheap.
         """
         query = np.asarray(query, dtype=np.float32)
         records = []

@@ -55,22 +55,57 @@ class GroundTruth:
                            self.metric, self.k)
 
 
+def exact_top_k(
+    base: np.ndarray,
+    queries: np.ndarray,
+    k: int,
+    metric: Metric,
+    batch_size: int,
+    skip_self: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact top-``k`` ``(ids, distances)`` of each query row, sorted.
+
+    Blocks of ``batch_size`` queries are scored against the full base with
+    one matrix product each, on the process's thread pool
+    (:func:`~repro.utils.parallel.parallel_map`).  The blocks are the same
+    at any thread budget, so every GEMM sees identical inputs and the
+    result is bit-identical to a one-thread run.  ``skip_self`` is for
+    ``queries`` that *are* ``base``: row ``i`` never lists itself.
+    """
+    def block(bounds: tuple[int, int]):
+        start, stop = bounds
+        dist_block = pairwise_distances(queries[start:stop], base, metric)
+        if skip_self:
+            dist_block[np.arange(stop - start), np.arange(start, stop)] = np.inf
+        part = np.argpartition(dist_block, k - 1, axis=1)[:, :k]
+        part_d = np.take_along_axis(dist_block, part, axis=1)
+        order = np.argsort(part_d, axis=1, kind="stable")
+        return (np.take_along_axis(part, order, axis=1),
+                np.take_along_axis(part_d, order, axis=1))
+
+    ids = np.empty((queries.shape[0], k), dtype=np.int64)
+    distances = np.empty((queries.shape[0], k), dtype=np.float64)
+    bounds = chunk_bounds(queries.shape[0], batch_size)
+    for (start, stop), (block_ids, block_d) in zip(
+            bounds, parallel_map(block, bounds)):
+        ids[start:stop] = block_ids
+        distances[start:stop] = block_d
+    return ids, distances
+
+
 def compute_ground_truth(
     base: np.ndarray,
     queries: np.ndarray,
     k: int,
     metric: Metric | str,
     batch_size: int = 512,
-    n_workers: int = 1,
 ) -> GroundTruth:
     """Exact top-``k`` neighbors of each query by batched brute force.
 
     Batches of ``batch_size`` queries (the paper's example batch size) are
     scored against the full base via one matrix product, then partially
     sorted with ``argpartition`` so cost is O(n + k log k) per query after the
-    product.  ``n_workers > 1`` computes the blocks on a fork pool; worker
-    chunks are exactly the serial ``batch_size`` blocks, so every GEMM sees
-    identical inputs and the result is bit-identical to a serial run.
+    product (see :func:`exact_top_k`).
     """
     metric = Metric.parse(metric)
     base = check_matrix(base, "base")
@@ -78,23 +113,5 @@ def compute_ground_truth(
     check_positive(k, "k")
     if k > base.shape[0]:
         raise ValueError(f"k={k} exceeds base size {base.shape[0]}")
-
-    n_queries = queries.shape[0]
-    ids = np.empty((n_queries, k), dtype=np.int64)
-    distances = np.empty((n_queries, k), dtype=np.float64)
-
-    def block(bounds: tuple[int, int]):
-        start, stop = bounds
-        dist_block = pairwise_distances(queries[start:stop], base, metric)
-        part = np.argpartition(dist_block, k - 1, axis=1)[:, :k]
-        part_d = np.take_along_axis(dist_block, part, axis=1)
-        order = np.argsort(part_d, axis=1, kind="stable")
-        return (np.take_along_axis(part, order, axis=1),
-                np.take_along_axis(part_d, order, axis=1))
-
-    bounds = chunk_bounds(n_queries, batch_size)
-    for (start, stop), (block_ids, block_d) in zip(
-            bounds, parallel_map(block, bounds, n_workers=n_workers)):
-        ids[start:stop] = block_ids
-        distances[start:stop] = block_d
+    ids, distances = exact_top_k(base, queries, k, metric, batch_size)
     return GroundTruth(ids=ids, distances=distances, metric=metric, k=k)

@@ -20,11 +20,9 @@ import numpy as np
 from repro.evalx.ground_truth import GroundTruth
 from repro.evalx.metrics import recall_per_query, recall_percentiles, rderr_per_query
 from repro.obs import OBS
-from repro.utils.parallel import chunk_bounds, effective_workers, parallel_map
 from repro.utils.validation import check_positive
 
-# Aggregate accounting flows through the registry (recorded once per run, in
-# the master process, so the fork-pool NDC-delta bookkeeping is unaffected).
+# Aggregate accounting flows through the registry, recorded once per run.
 _EVAL_QUERIES = OBS.counter(
     "eval_queries", "queries evaluated by evaluate_index")
 _EVAL_NDC = OBS.counter(
@@ -71,15 +69,14 @@ def evaluate_index(
     k: int,
     ef: int | None,
     batch_size: int = 1,
-    n_workers: int = 1,
 ) -> OperatingPoint:
     """Run every query at one ef setting and aggregate metrics.
 
     ``batch_size > 1`` routes queries through the index's batch engine
-    (``search_batch``); ``n_workers > 1`` additionally spreads query chunks
-    over a fork pool (each worker reads the same frozen graph).  Recall,
-    rderr, and NDC are identical on every path — only wall-clock QPS
-    changes.
+    (``search_batch``; a store spreads its blocks over the process's
+    thread pool), otherwise each query is one ``search`` on the calling
+    thread — the paper's one-thread QPS setting.  Recall, rderr, and NDC
+    are identical on both paths — only wall-clock QPS changes.
 
     ``ef=None`` runs the index at its default ``ef``.
     """
@@ -95,50 +92,23 @@ def evaluate_index(
 
     found_ids = np.empty((n_queries, k), dtype=np.int64)
     found_d = np.empty((n_queries, k), dtype=np.float64)
-
-    def run_chunk(bounds: tuple[int, int]):
-        start, stop = bounds
-        c_ids = np.empty((stop - start, k), dtype=np.int64)
-        c_d = np.empty((stop - start, k), dtype=np.float64)
-        ndc0 = index.dc.ndc
-        adc0 = getattr(index, "adc_scored", 0)
-        if batch_size > 1:
-            results = index.search_batch(queries[start:stop], k, ef,
-                                         batch_size=batch_size)
-        else:
-            results = (index.search(query, k=k, ef=ef)
-                       for query in queries[start:stop])
-        for i, result in enumerate(results):
-            m = min(k, len(result.ids))
-            c_ids[i, :m] = result.ids[:m]
-            c_d[i, :m] = result.distances[:m]
-            if m < k:  # pad short results with sentinel misses
-                c_ids[i, m:] = -1
-                c_d[i, m:] = np.inf
-        ndc_delta = index.dc.ndc - ndc0
-        index.dc.ndc = ndc0
-        adc_delta = getattr(index, "adc_scored", 0) - adc0
-        if adc_delta:
-            index.adc_scored = adc0
-        return c_ids, c_d, ndc_delta, adc_delta
-
-    workers = effective_workers(n_workers)
-    if workers > 1:
-        bounds = chunk_bounds(n_queries, max(1, -(-n_queries // (4 * workers))))
-    else:
-        bounds = [(0, n_queries)]
     index.dc.reset_ndc()
+    adc0 = getattr(index, "adc_scored", 0)
     start = time.perf_counter()
-    chunks = parallel_map(run_chunk, bounds, n_workers=n_workers)
+    if batch_size > 1:
+        results = index.search_batch(queries, k, ef, batch_size=batch_size)
+    else:
+        results = [index.search(query, k=k, ef=ef) for query in queries]
     elapsed = time.perf_counter() - start
-    ndc = 0
-    adc = 0
-    for (c_start, c_stop), (c_ids, c_d, ndc_delta, adc_delta) in zip(
-            bounds, chunks):
-        found_ids[c_start:c_stop] = c_ids
-        found_d[c_start:c_stop] = c_d
-        ndc += ndc_delta
-        adc += adc_delta
+    ndc = index.dc.ndc
+    adc = getattr(index, "adc_scored", 0) - adc0
+    for i, result in enumerate(results):
+        m = min(k, len(result.ids))
+        found_ids[i, :m] = result.ids[:m]
+        found_d[i, :m] = result.distances[:m]
+        if m < k:  # pad short results with sentinel misses
+            found_ids[i, m:] = -1
+            found_d[i, m:] = np.inf
 
     recall = float(recall_per_query(found_ids, gt_k.ids).mean())
     finite = np.isfinite(found_d).all(axis=1)
@@ -172,7 +142,6 @@ def sweep(
     ef_values: list[int] | None = None,
     stop_at_recall: float = 0.999,
     batch_size: int = 1,
-    n_workers: int = 1,
 ) -> list[OperatingPoint]:
     """Evaluate an increasing ef schedule, stopping once recall saturates.
 
@@ -187,7 +156,7 @@ def sweep(
     points = []
     for ef in ef_values:
         point = evaluate_index(index, queries, gt, k, ef,
-                               batch_size=batch_size, n_workers=n_workers)
+                               batch_size=batch_size)
         points.append(point)
         if point.recall >= stop_at_recall:
             break

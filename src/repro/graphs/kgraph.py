@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.distances import Metric, pairwise_distances
+from repro.evalx.ground_truth import exact_top_k
 from repro.utils.rng_utils import ensure_rng
 from repro.utils.validation import check_matrix, check_positive
 
@@ -29,17 +30,7 @@ def brute_force_knn_graph(
     n = data.shape[0]
     if k >= n:
         raise ValueError(f"k={k} must be < n={n}")
-    out = np.empty((n, k), dtype=np.int64)
-    for start in range(0, n, batch_size):
-        stop = min(start + batch_size, n)
-        dists = pairwise_distances(data[start:stop], data, metric)
-        rows = np.arange(start, stop)
-        dists[np.arange(stop - start), rows] = np.inf  # mask self
-        part = np.argpartition(dists, k - 1, axis=1)[:, :k]
-        part_d = np.take_along_axis(dists, part, axis=1)
-        order = np.argsort(part_d, axis=1, kind="stable")
-        out[start:stop] = np.take_along_axis(part, order, axis=1)
-    return out
+    return exact_top_k(data, data, k, metric, batch_size, skip_self=True)[0]
 
 
 def nn_descent_knn_graph(

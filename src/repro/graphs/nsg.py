@@ -15,13 +15,11 @@ import numpy as np
 
 from repro.distances import Metric
 from repro.graphs.base import GraphIndex, medoid_id
+from repro.graphs.csr import CSRGraphView
 from repro.graphs.kgraph import brute_force_knn_graph
 from repro.graphs.pruning import mrng_prune
 from repro.graphs.search import greedy_search
-from repro.utils.parallel import chunk_bounds, effective_workers, parallel_map
 from repro.utils.validation import check_positive
-
-_EMPTY = np.empty(0, dtype=np.int64)
 
 
 class NSG(GraphIndex):
@@ -35,11 +33,6 @@ class NSG(GraphIndex):
         Search list size used while collecting pruning candidates.
     knn_k:
         Neighbor count of the bootstrap k-NN graph.
-    n_workers:
-        Fork-pool width for the per-node candidate-collection stage (the
-        bulk of construction time); the built graph is identical for any
-        value.  The reverse-edge and connectivity passes mutate the graph
-        as they scan and stay serial.
     """
 
     def __init__(
@@ -49,7 +42,6 @@ class NSG(GraphIndex):
         R: int = 32,
         L: int = 64,
         knn_k: int = 32,
-        n_workers: int = 1,
     ):
         check_positive(R, "R")
         check_positive(L, "L")
@@ -57,7 +49,6 @@ class NSG(GraphIndex):
         self.R = R
         self.L = max(L, R)
         self.knn_k = min(knn_k, self.size - 1)
-        self.n_workers = n_workers
         self._medoid = medoid_id(self.dc)
         self._build()
 
@@ -71,41 +62,22 @@ class NSG(GraphIndex):
 
     def _build(self) -> None:
         knn = brute_force_knn_graph(self.dc.data, self.knn_k, self.metric)
-
-        def knn_neighbors(u: int) -> np.ndarray:
-            return knn[u]
-
-        # Candidate collection + pruning per node.  Each node searches its
-        # own vector over the *static* k-NN graph, so the stage is
-        # embarrassingly parallel: chunks run on a fork pool, each returning
-        # its neighbor lists plus its distance-count delta (workers restore
-        # the counter they touched; the master re-applies deltas in order so
-        # NDC accounting matches a serial run exactly).
-        def chunk(bounds: tuple[int, int]):
-            start, stop = bounds
-            ndc0 = self.dc.ndc
-            lists = []
-            for u in range(start, stop):
-                result = greedy_search(
-                    self.dc, knn_neighbors, [self._medoid], self.dc.data[u],
-                    k=self.L, ef=self.L, visited=self._visited,
-                    collect_visited=True, prepared=True,
-                )
-                pool = np.unique(np.concatenate([result.visited_ids, knn[u]]))
-                pool = pool[pool != u]
-                lists.append(self._prune_rule(u, pool))
-            ndc_delta = self.dc.ndc - ndc0
-            self.dc.ndc = ndc0
-            return lists, ndc_delta
-
-        workers = effective_workers(self.n_workers)
-        size = max(1, -(-self.size // (4 * workers))) if workers > 1 else self.size
-        bounds = chunk_bounds(self.size, size)
-        for (start, stop), (lists, ndc_delta) in zip(
-                bounds, parallel_map(chunk, bounds, n_workers=self.n_workers)):
-            self.dc.ndc += ndc_delta
-            for u, selected in zip(range(start, stop), lists):
-                self.adjacency.set_base_neighbors(u, selected)
+        # Candidate collection + pruning per node: each node searches its
+        # own vector over the static k-NN graph, frozen as a CSR so the
+        # native executor walks it.
+        n, width = knn.shape
+        knn_graph = CSRGraphView(
+            np.arange(0, n * width + 1, width, dtype=np.int32),
+            knn.astype(np.int32).ravel(), np.full(n * width, np.nan))
+        for u in range(self.size):
+            result = greedy_search(
+                self.dc, knn_graph, [self._medoid], self.dc.data[u],
+                k=self.L, ef=self.L, visited=self._visited,
+                collect_visited=True, prepared=True,
+            )
+            pool = np.unique(np.concatenate([result.visited_ids, knn[u]]))
+            self.adjacency.set_base_neighbors(
+                u, self._prune_rule(u, pool[pool != u]))
 
         self._inter_insert()
         self._ensure_connected(knn)

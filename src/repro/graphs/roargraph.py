@@ -31,7 +31,6 @@ from repro.evalx.ground_truth import compute_ground_truth
 from repro.graphs.base import GraphIndex, medoid_id
 from repro.graphs.kgraph import brute_force_knn_graph
 from repro.graphs.pruning import rng_prune_backfill
-from repro.utils.parallel import chunk_bounds, effective_workers, parallel_map
 from repro.utils.validation import check_matrix, check_positive
 
 
@@ -47,10 +46,6 @@ class RoarGraph(GraphIndex):
     n_query_neighbors:
         Exact base neighbors computed per historical query (the paper's
         N_q; the bipartite fan-out).
-    n_workers:
-        Fork-pool width for the exact bipartite ground truth and the
-        per-node projection pruning; the built graph is identical for any
-        value.
     """
 
     def __init__(
@@ -61,7 +56,6 @@ class RoarGraph(GraphIndex):
         M: int = 32,
         n_query_neighbors: int = 32,
         knn_k: int = 16,
-        n_workers: int = 1,
     ):
         check_positive(M, "M")
         check_positive(n_query_neighbors, "n_query_neighbors")
@@ -69,7 +63,6 @@ class RoarGraph(GraphIndex):
         self.M = M
         self.n_query_neighbors = min(n_query_neighbors, self.size - 1)
         self.knn_k = min(knn_k, self.size - 1)
-        self.n_workers = n_workers
         self._medoid = medoid_id(self.dc)
         train_queries = check_matrix(train_queries, "train_queries")
         self._build(train_queries)
@@ -78,8 +71,7 @@ class RoarGraph(GraphIndex):
         # Step 1: exact bipartite neighbors (the expensive preprocessing the
         # paper contrasts NGFix's approximate mode against).
         gt = compute_ground_truth(
-            self.dc.data, train_queries, self.n_query_neighbors, self.metric,
-            n_workers=self.n_workers)
+            self.dc.data, train_queries, self.n_query_neighbors, self.metric)
 
         # Step 2: projection — pivot = query's 1-NN; candidates = the rest.
         candidates: dict[int, set[int]] = {}
@@ -89,33 +81,16 @@ class RoarGraph(GraphIndex):
 
         knn = brute_force_knn_graph(self.dc.data, self.knn_k, self.metric)
 
-        # Per-node occlusion pruning over static inputs (candidates + knn):
-        # embarrassingly parallel; workers return lists plus NDC deltas so
-        # serial and parallel builds account distances identically.
-        def chunk(bounds: tuple[int, int]):
-            start, stop = bounds
-            ndc0 = self.dc.ndc
-            lists = []
-            for u in range(start, stop):
-                pool = set(candidates.get(u, ()))
-                pool.update(int(v) for v in knn[u, : self.knn_k // 2])
-                pool.discard(u)
-                lists.append(rng_prune_backfill(self.dc, u, pool, self.M))
-            ndc_delta = self.dc.ndc - ndc0
-            self.dc.ndc = ndc0
-            return lists, ndc_delta
+        # Per-node occlusion pruning over the candidates and the k-NN graph.
+        for u in range(self.size):
+            pool = set(candidates.get(u, ()))
+            pool.update(int(v) for v in knn[u, : self.knn_k // 2])
+            pool.discard(u)
+            self.adjacency.set_base_neighbors(
+                u, rng_prune_backfill(self.dc, u, pool, self.M))
 
-        workers = effective_workers(self.n_workers)
-        size = max(1, -(-self.size // (4 * workers))) if workers > 1 else self.size
-        bounds = chunk_bounds(self.size, size)
-        for (start, stop), (lists, ndc_delta) in zip(
-                bounds, parallel_map(chunk, bounds, n_workers=self.n_workers)):
-            self.dc.ndc += ndc_delta
-            for u, selected in zip(range(start, stop), lists):
-                self.adjacency.set_base_neighbors(u, selected)
-
-        # Reverse bipartite edges while capacity allows (mutates as it
-        # scans — serial; the body only touches v != u lists).
+        # Reverse bipartite edges while capacity allows (the body only
+        # touches v != u lists, so scanning u's own list is safe).
         for u in range(self.size):
             for v in self.adjacency.base_neighbors_ro(u):
                 if self.adjacency.base_degree(v) < self.M:

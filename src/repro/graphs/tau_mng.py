@@ -25,8 +25,8 @@ class TauMNG(NSG):
     paper recommends dataset-dependent τ around the typical query-to-base
     displacement; :meth:`suggest_tau` estimates that from a query sample.
 
-    Construction reuses NSG's pipeline wholesale (including its parallel
-    candidate-collection stage); only the occlusion rule differs.
+    Construction reuses NSG's pipeline wholesale; only the occlusion rule
+    differs.
     """
 
     def __init__(
@@ -37,13 +37,11 @@ class TauMNG(NSG):
         L: int = 64,
         knn_k: int = 32,
         tau: float = 0.01,
-        n_workers: int = 1,
     ):
         if tau < 0:
             raise ValueError(f"tau must be non-negative, got {tau}")
         self.tau = tau
-        super().__init__(data, metric, R=R, L=L, knn_k=knn_k,
-                         n_workers=n_workers)
+        super().__init__(data, metric, R=R, L=L, knn_k=knn_k)
 
     def _prune_rule(self, u: int, pool) -> list[int]:
         return tau_prune(self.dc, u, pool, self.R, tau=self.tau)

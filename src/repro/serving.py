@@ -36,26 +36,22 @@ it runs (visited stamps, the block's pin, the batch engines that hold both)
 is per thread.
 
 Blocks across cores: ``ServingSearcher.search_batch`` runs its engine
-blocks on a persistent, process-wide thread pool with one thread per CPU
-the process may run on (``os.sched_getaffinity``); the native executor
-releases the GIL for a whole block, so the blocks walk in parallel.  Each
-pool thread is just another reader — its own engine, visited table and
-block pin — and hands its counters back for the calling thread to fold,
-so the answers and counters are the serial ones.  The blocks run in order
-on the calling thread instead when the process may use one CPU, when the
-batch is one block, and under a ``deadline_ms`` (whose budget is spent on
-the rows in order).  A forked child — a shard worker, a fork-pool worker —
-never fans out: its parent already runs one process per core.
+blocks on the process's thread pool (:mod:`repro.utils.parallel`, one
+thread per CPU the process may run on); the native executor releases the
+GIL for a whole block, so the blocks walk in parallel.  Each pool thread is
+just another reader — its own engine, visited table and block pin — and
+hands its counters back for the calling thread to fold, so the answers and
+counters are the serial ones.  Under a ``deadline_ms`` the blocks run in
+order on the calling thread (the budget is spent on the rows in order), as
+they do wherever the pool runs serially.
 """
 
 from __future__ import annotations
 
 import bisect
-import os
 import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -65,6 +61,7 @@ from repro.graphs.csr import CSRGraphView
 from repro.graphs.search import BatchSearchEngine, SearchResult
 from repro.obs import OBS, SECONDS_BUCKETS, TRACES, QueryTrace
 from repro.quantization.searcher import rerank_block
+from repro.utils.parallel import parallel_map
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -114,41 +111,6 @@ _FLUSH_TIMEOUTS = OBS.counter(
     "maintenance_flush_timeouts", "flush() calls that timed out undrained")
 _FAILED_JOINS = OBS.counter(
     "maintenance_failed_joins", "stop() join timeouts (worker kept running)")
-
-# The block pool (see the module docstring): sized on first use, created by
-# the first batch of more than one block, kept for the life of the process.
-_POOL: ThreadPoolExecutor | None = None
-_THREADS: int | None = None  # the thread budget; None = not sized yet
-_POOL_LOCK = threading.Lock()
-
-
-def _block_pool() -> ThreadPoolExecutor | None:
-    """The process's block pool, or None when blocks run on the caller."""
-    global _POOL, _THREADS
-    pool = _POOL
-    if pool is not None:
-        return pool
-    with _POOL_LOCK:
-        if _THREADS is None:
-            _THREADS = (len(os.sched_getaffinity(0))
-                        if hasattr(os, "sched_getaffinity")
-                        else os.cpu_count() or 1)
-        if _POOL is None and _THREADS > 1:
-            _POOL = ThreadPoolExecutor(_THREADS,
-                                       thread_name_prefix="repro-block")
-        return _POOL
-
-
-def _after_fork_in_child() -> None:
-    """A forked child searches on one thread: drop the parent's pool (its
-    threads did not survive the fork) and set the budget to one."""
-    global _POOL, _THREADS, _POOL_LOCK
-    _POOL, _THREADS, _POOL_LOCK = None, 1, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_after_fork_in_child)
-
 
 class DeltaOverlay:
     """Append-only mutation log since an epoch cut.
@@ -568,13 +530,14 @@ class ServingSearcher:
     (:meth:`_account`, once per search on the calling thread; a
     :meth:`search` also records its trace while telemetry is on).
 
-    **Blocks across cores.**  :meth:`search_batch` runs its blocks on the
-    process's block pool, one thread per allowed CPU, and returns the
-    results in input order: each block is one native call that releases
-    the GIL, on a pool thread with its own engine, visited table and pin,
-    so the answers are the serial ones.  On one allowed CPU, for a single
-    block, and under ``deadline_ms`` the blocks run in order on the calling
-    thread; a forked child (a shard worker) always does.
+    **Blocks across cores.**  :meth:`search_batch` maps its blocks over
+    the process's thread pool (:func:`~repro.utils.parallel.parallel_map`)
+    and returns the results in input order: each block is one native call
+    that releases the GIL, on a pool thread with its own engine, visited
+    table and pin, so the answers are the serial ones.  Under
+    ``deadline_ms`` the blocks run in order on the calling thread, as they
+    do wherever the pool runs serially (one allowed CPU, a single block, a
+    forked child such as a shard worker).
 
     **Compressed mode.**  When an :class:`~repro.quantization.adc.ADCComputer`
     is attached (``adc=``), traversal scoring runs over its resident uint8
@@ -711,9 +674,9 @@ class ServingSearcher:
                      deadline_ms: float | None = None) -> list[SearchResult]:
         """Batched pinned search; each engine block sees one epoch view.
 
-        The ``batch_size`` blocks run on the block pool, one per core (see
-        the class docstring), and the results come back in input order,
-        equal to running the blocks one after the other.
+        The ``batch_size`` blocks run on the process's thread pool, one per
+        core (see the class docstring), and the results come back in input
+        order, equal to running the blocks one after the other.
         ``deadline_ms`` budgets the whole batch, and every answer that
         stopped short of full effort is flagged ``degraded``.  The rows
         are walked in order against it, on the calling thread (see
@@ -731,19 +694,13 @@ class ServingSearcher:
         deadline = _deadline(deadline_ms)
         blocks = [queries[start:start + batch_size]
                   for start in range(0, queries.shape[0], batch_size)]
-        pool = (_block_pool() if deadline is None and len(blocks) > 1
-                else None)
-        if pool is None:
-            runs = [self._run(block, k, ef, batch_size, self.beam_width,
-                              deadline) for block in blocks]
-        else:
-            futures = [pool.submit(self._run, block, k, ef, batch_size,
-                                   self.beam_width, None)
-                       for block in blocks]
-            # Every block settles (and releases its pin) before the first
-            # failure, in block order, is raised.
-            wait(futures)
-            runs = [future.result() for future in futures]
+
+        def run(block):
+            return self._run(block, k, ef, batch_size, self.beam_width,
+                             deadline)
+
+        runs = (parallel_map(run, blocks) if deadline is None
+                else [run(block) for block in blocks])
         results = [result for block, _, _ in runs for result in block]
         reranks = [rerank for _, rerank, _ in runs if rerank is not None]
         self._account(

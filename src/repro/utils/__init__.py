@@ -2,12 +2,7 @@
 
 from repro.utils.bitset import BitMatrix
 from repro.utils.rng_utils import ensure_rng
-from repro.utils.parallel import (
-    chunk_bounds,
-    effective_workers,
-    fork_available,
-    parallel_map,
-)
+from repro.utils.parallel import chunk_bounds, parallel_map
 from repro.utils.validation import (
     check_matrix,
     check_vector,
@@ -19,8 +14,6 @@ __all__ = [
     "BitMatrix",
     "ensure_rng",
     "chunk_bounds",
-    "effective_workers",
-    "fork_available",
     "parallel_map",
     "check_matrix",
     "check_vector",

@@ -1,55 +1,79 @@
-"""Fork-based worker pool for read-only data-parallel offline stages.
+"""The process's one thread pool for data-parallel work.
 
-The offline pipeline (ground truth, per-node pruning in graph construction,
-NGFix preprocessing/EH) is embarrassingly parallel over items that read large
-shared arrays (base vectors, a static adjacency snapshot) and return small
-results.  Worker processes are created with the ``fork`` start method, so all
-inputs are inherited copy-on-write — nothing is pickled *into* workers, and
-the mapped callable may be an arbitrary closure.  Only results travel back.
+Everything that uses more than one core — a served batch's engine blocks,
+ground-truth blocks — maps a function over coarse items with
+:func:`parallel_map`.  The items run on a persistent, process-wide thread
+pool with one thread per CPU the process may run on
+(``os.sched_getaffinity``), created on first use.  The work that pays for
+threads releases the GIL for its bulk: the native traversal for a whole
+block, NumPy for a matrix product.
 
-Determinism contract: :func:`parallel_map` returns results in input order and
-every chunk is processed by a pure function of its item, so a parallel run is
-*bit-identical* to the serial fallback.  Callers that need aligned numerics
-(e.g. batched GEMM ground truth) must chunk on the same boundaries serially
-and in parallel — :func:`chunk_bounds` is the shared splitter.
+Determinism contract: :func:`parallel_map` returns results in input order,
+and every item is processed by a function of that item alone, so a pooled
+run equals the serial one.  Callers that need aligned numerics (batched
+GEMM ground truth) cut their items on the same boundaries at any budget —
+:func:`chunk_bounds` is the shared splitter.
 
-Workers never nest: a ``parallel_map`` issued from inside a worker silently
-degrades to serial, as does any call when ``fork`` is unavailable (non-POSIX)
-or ``n_workers <= 1``.
+The items run in order on the calling thread instead when the process may
+use one CPU, when there is one item, when the caller is itself a pool
+thread (a pool thread that waits on its own pool can deadlock), and in a
+forked child — a shard worker, whose parent already runs one process per
+core.  An at-fork hook drops the parent's pool in the child, where its
+threads did not survive the fork.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
-# The callable being mapped, published for forked workers.  Module-global so
-# the fork snapshot carries it; doubles as the nesting/reentrancy guard.
-_WORK_FN = None
-
-
-def _invoke(item):
-    return _WORK_FN(item)
-
-
-def fork_available() -> bool:
-    """Whether fork-based pools can run on this platform."""
-    return "fork" in mp.get_all_start_methods()
+# Sized on first use, created by the first map of more than one item, kept
+# for the life of the process.
+_POOL: ThreadPoolExecutor | None = None
+_THREADS: int | None = None  # the thread budget; None = not sized yet
+_POOL_LOCK = threading.Lock()
+_LOCAL = threading.local()  # ``in_pool`` is set on the pool's own threads
 
 
-def effective_workers(n_workers: int | None) -> int:
-    """The worker count a stage will actually use (1 = serial)."""
-    if n_workers is None or n_workers <= 1 or not fork_available():
-        return 1
-    if _WORK_FN is not None:  # already inside a worker
-        return 1
-    return int(n_workers)
+def _mark_pool_thread() -> None:
+    _LOCAL.in_pool = True
+
+
+def _pool() -> ThreadPoolExecutor | None:
+    """The process's pool, or None when items run on the caller."""
+    global _POOL, _THREADS
+    pool = _POOL
+    if pool is not None:
+        return pool
+    with _POOL_LOCK:
+        if _THREADS is None:
+            _THREADS = (len(os.sched_getaffinity(0))
+                        if hasattr(os, "sched_getaffinity")
+                        else os.cpu_count() or 1)
+        if _POOL is None and _THREADS > 1:
+            _POOL = ThreadPoolExecutor(_THREADS,
+                                       thread_name_prefix="repro-pool",
+                                       initializer=_mark_pool_thread)
+        return _POOL
+
+
+def _after_fork_in_child() -> None:
+    """A forked child runs on one thread: drop the parent's pool (its
+    threads did not survive the fork) and set the budget to one."""
+    global _POOL, _THREADS, _POOL_LOCK
+    _POOL, _THREADS, _POOL_LOCK = None, 1, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
 def chunk_bounds(n_items: int, chunk_size: int) -> list[tuple[int, int]]:
     """Deterministic ``[start, stop)`` chunk boundaries covering ``n_items``.
 
-    The same boundaries must be used by the serial and the parallel code
-    path of a stage so per-chunk numerics (batched GEMMs) agree bitwise.
+    The same boundaries must be used at every thread budget so per-chunk
+    numerics (batched GEMMs) agree bitwise.
     """
     if chunk_size <= 0:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
@@ -57,28 +81,20 @@ def chunk_bounds(n_items: int, chunk_size: int) -> list[tuple[int, int]]:
             for start in range(0, n_items, chunk_size)]
 
 
-def parallel_map(fn, items, n_workers: int | None = 1) -> list:
-    """``[fn(x) for x in items]`` across ``n_workers`` forked processes.
+def parallel_map(fn, items) -> list:
+    """``[fn(x) for x in items]``, one item per task on the process's pool.
 
-    Results come back in input order regardless of completion order.  With
-    ``n_workers <= 1``, a single item, fork unavailable, or when already
-    inside a worker, runs serially in-process (no pool, no overhead).
-
-    ``fn`` may close over arbitrarily large state (vectors, graphs): workers
-    inherit it via fork and never send it back.  ``fn`` must not *mutate*
-    shared state for the master's benefit — mutations stay in the worker.
-    Each item is dispatched individually (``chunksize=1``), so ``items``
-    should be coarse chunks, not single elements.
+    Results come back in input order.  Every item settles before the first
+    failure, in input order, is raised, so no task is still running when
+    the caller sees the error.  Runs serially on the calling thread in the
+    cases the module docstring lists.  ``fn`` runs concurrently with itself:
+    it must write only what its own item owns.
     """
-    global _WORK_FN
     items = list(items)
-    workers = min(effective_workers(n_workers), len(items))
-    if workers <= 1:
+    pool = (_pool() if len(items) > 1 and not getattr(_LOCAL, "in_pool", False)
+            else None)
+    if pool is None:
         return [fn(item) for item in items]
-    _WORK_FN = fn
-    try:
-        ctx = mp.get_context("fork")
-        with ctx.Pool(processes=workers) as pool:
-            return pool.map(_invoke, items, chunksize=1)
-    finally:
-        _WORK_FN = None
+    futures = [pool.submit(fn, item) for item in items]
+    wait(futures)
+    return [future.result() for future in futures]

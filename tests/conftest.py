@@ -17,6 +17,7 @@ from repro.evalx import compute_ground_truth
 from repro.graphs import HNSW, native
 from repro.graphs.adjacency import AdjacencyStore
 from repro.graphs.csr import CSRGraphView
+from repro.utils import parallel
 
 try:
     import pytest_timeout  # noqa: F401
@@ -70,6 +71,21 @@ def reference_executor():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(native, "_LIB", None)
         yield
+
+
+@contextlib.contextmanager
+def thread_budget(n_threads):
+    """Run the body with a thread pool of ``n_threads`` (1 = no pool), then
+    put the process's own pool and budget back."""
+    saved = parallel._POOL, parallel._THREADS
+    parallel._POOL, parallel._THREADS = None, n_threads
+    try:
+        yield
+    finally:
+        pool = parallel._POOL
+        parallel._POOL, parallel._THREADS = saved
+        if pool is not None:
+            pool.shutdown()
 
 
 @pytest.fixture(autouse=True, scope="module")

@@ -1,25 +1,50 @@
-"""Frozen-CSR search ≡ dynamic-store search, and parallel ≡ serial builds.
+"""Frozen-CSR search ≡ dynamic-store search, and pooled ≡ serial work.
 
-Two equivalence contracts guard the PR's perf layer:
+Two equivalence contracts guard the perf layer:
 
 1. Searching over a frozen :class:`CSRGraphView` returns bit-identical
    (ids, distances, NDC, hops) to searching the live ``AdjacencyStore`` —
    across graph classes, metrics, tombstones, and post-fix extra edges.
-2. Every ``n_workers`` knob produces the same artifact as a serial run:
-   identical graphs, identical ground truth, identical NDC accounting.
+2. Work on the process's thread pool produces the same artifact at any
+   thread budget — identical ground truth, graphs and NDC accounting — and
+   builds whose candidate walks run natively equal the reference builds.
 """
+
+import contextlib
+import os
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import NSG, FixConfig, NGFixer, RoarGraph, TauMNG
+from repro import NSG, FixConfig, NGFixer, RoarGraph, TauMNG, VectorStore
 from repro.distances import DistanceComputer, Metric
 from repro.evalx import compute_ground_truth, evaluate_index
-from repro.graphs import HNSW, Vamana
+from repro.graphs import HNSW, Vamana, brute_force_knn_graph, native
 from repro.graphs.adjacency import FREEZE_AFTER_READS, AdjacencyStore
 from repro.graphs.search import BatchSearchEngine, VisitedTable, greedy_search
+from repro.utils import parallel
 from repro.utils.parallel import chunk_bounds, parallel_map
+from tests.conftest import thread_budget
+
+BUDGETS = (1, 2, 4)
+
+# Captured at import, before this module's autouse fixture switches the
+# native executor off (see ``REFERENCE_SUITES`` in conftest).
+_NATIVE_LIB = native._LIB
+
+
+@contextlib.contextmanager
+def native_executor():
+    """Run the body on the native executor when there is one (else on the
+    reference executor this module runs on)."""
+    with pytest.MonkeyPatch.context() as patch:
+        if _NATIVE_LIB is not None:
+            patch.setattr(native, "_LIB", _NATIVE_LIB)
+        yield
 
 
 @st.composite
@@ -293,78 +318,164 @@ class TestVisitedMarkMany:
 
 
 class TestParallelEqualsSerial:
-    N_WORKERS = 3
+    """What runs on the thread pool gives the one-thread answer at any
+    budget, and the builds whose candidate walks went native give the
+    reference executor's graphs."""
 
     def test_ground_truth_bitwise(self, tiny_ds):
-        serial = compute_ground_truth(tiny_ds.base, tiny_ds.test_queries, 10,
-                                      tiny_ds.metric, batch_size=16)
-        forked = compute_ground_truth(tiny_ds.base, tiny_ds.test_queries, 10,
-                                      tiny_ds.metric, batch_size=16,
-                                      n_workers=self.N_WORKERS)
-        np.testing.assert_array_equal(serial.ids, forked.ids)
-        np.testing.assert_array_equal(serial.distances, forked.distances)
+        runs = []
+        for budget in BUDGETS:
+            with thread_budget(budget):
+                runs.append((
+                    compute_ground_truth(tiny_ds.base, tiny_ds.test_queries,
+                                         10, tiny_ds.metric, batch_size=16),
+                    brute_force_knn_graph(tiny_ds.base, 10, tiny_ds.metric,
+                                          batch_size=64)))
+                assert (parallel._POOL is None) == (budget == 1)
+        (gt, knn), rest = runs[0], runs[1:]
+        for other_gt, other_knn in rest:
+            np.testing.assert_array_equal(gt.ids, other_gt.ids)
+            np.testing.assert_array_equal(gt.distances, other_gt.distances)
+            np.testing.assert_array_equal(knn, other_knn)
+        assert not (knn == np.arange(knn.shape[0])[:, None]).any()
 
     @pytest.mark.parametrize("cls", ["nsg", "tau-mng", "roargraph"])
     def test_builds_identical(self, tiny_ds, cls):
-        def build(n_workers):
+        def build():
             if cls == "nsg":
                 return NSG(tiny_ds.base, tiny_ds.metric, R=10, L=20,
-                           knn_k=10, n_workers=n_workers)
+                           knn_k=10)
             if cls == "tau-mng":
                 return TauMNG(tiny_ds.base, tiny_ds.metric, R=10, L=20,
-                              knn_k=10, tau=0.05, n_workers=n_workers)
+                              knn_k=10, tau=0.05)
             return RoarGraph(tiny_ds.base, tiny_ds.metric,
                              tiny_ds.train_queries[:40], M=10,
-                             n_query_neighbors=12, knn_k=8,
-                             n_workers=n_workers)
-        serial, forked = build(1), build(self.N_WORKERS)
-        assert serial.dc.ndc == forked.dc.ndc
-        for u in range(serial.size):
-            assert (serial.adjacency.base_neighbors_ro(u)
-                    == forked.adjacency.base_neighbors_ro(u))
+                             n_query_neighbors=12, knn_k=8)
+        with thread_budget(1):
+            reference = build()  # this module runs on the reference executor
+        with native_executor(), thread_budget(4):
+            native_built = build()
+        assert reference.dc.ndc == native_built.dc.ndc
+        for u in range(reference.size):
+            assert (reference.adjacency.base_neighbors_ro(u)
+                    == native_built.adjacency.base_neighbors_ro(u))
 
     @pytest.mark.parametrize("preprocess", ["exact", "approx"])
     def test_fit_identical(self, tiny_ds, preprocess):
-        def fit(n_workers):
+        def fit():
             base = HNSW(tiny_ds.base, tiny_ds.metric, M=8, ef_construction=40,
                         single_layer=True, seed=3)
             fixer = NGFixer(base, FixConfig(
-                k=5, max_extra_degree=6, preprocess=preprocess, rounds=(5,),
-                n_workers=n_workers))
+                k=5, max_extra_degree=6, preprocess=preprocess, rounds=(5,)))
             fixer.fit(tiny_ds.train_queries[:40])
             return fixer
-        serial, forked = fit(1), fit(self.N_WORKERS)
-        assert serial.dc.ndc == forked.dc.ndc
-        assert serial.preprocess_ndc == forked.preprocess_ndc
+        with thread_budget(1):
+            serial = fit()
+        with thread_budget(4):
+            pooled = fit()
+        assert serial.dc.ndc == pooled.dc.ndc
+        assert serial.preprocess_ndc == pooled.preprocess_ndc
         for u in range(tiny_ds.base.shape[0]):
             assert (serial.adjacency.base_neighbors_ro(u)
-                    == forked.adjacency.base_neighbors_ro(u))
+                    == pooled.adjacency.base_neighbors_ro(u))
             assert (serial.adjacency.extra_neighbors_ro(u)
-                    == forked.adjacency.extra_neighbors_ro(u))
+                    == pooled.adjacency.extra_neighbors_ro(u))
 
-    def test_evaluate_index_identical(self, tiny_ds, tiny_gt, shared_hnsw):
-        serial = evaluate_index(shared_hnsw, tiny_ds.test_queries, tiny_gt,
-                                k=10, ef=30)
-        forked = evaluate_index(shared_hnsw, tiny_ds.test_queries, tiny_gt,
-                                k=10, ef=30, n_workers=self.N_WORKERS)
-        assert serial.recall == forked.recall
-        assert serial.rderr == forked.rderr
-        assert serial.ndc_per_query == forked.ndc_per_query
+    def test_evaluate_index_identical(self, tiny_ds, tiny_gt):
+        store = VectorStore(dim=tiny_ds.base.shape[1], metric=tiny_ds.metric,
+                            M=8, ef_construction=40)
+        store.add(tiny_ds.base)
+        store.build()
+        points = []
+        for budget in BUDGETS:
+            with thread_budget(budget):
+                points.append(evaluate_index(store, tiny_ds.test_queries,
+                                             tiny_gt, k=10, ef=30,
+                                             batch_size=8))
+        store.close()
+        for point in points[1:]:
+            assert point.recall == points[0].recall
+            assert point.rderr == points[0].rderr
+            assert point.ndc_per_query == points[0].ndc_per_query
 
 
 class TestParallelMapUtility:
     def test_order_preserved(self):
-        out = parallel_map(lambda x: x * x, range(17), n_workers=3)
-        assert out == [x * x for x in range(17)]
+        def square(x):
+            time.sleep(0.001 * ((7 * x) % 5))  # finish out of order
+            return x * x
+        with thread_budget(3):
+            assert parallel_map(square, range(17)) == [x * x for x in range(17)]
+            assert parallel._POOL is not None
 
     def test_serial_fallback(self):
-        assert parallel_map(lambda x: x + 1, [1, 2], n_workers=1) == [2, 3]
-        assert parallel_map(lambda x: x + 1, [], n_workers=4) == []
+        caller = threading.get_ident()
+        with thread_budget(1):
+            assert parallel_map(lambda x: (x + 1, threading.get_ident()),
+                                [1, 2]) == [(2, caller), (3, caller)]
+            assert parallel._POOL is None
+        with thread_budget(4):
+            assert parallel_map(lambda x: x + 1, []) == []
+            assert parallel_map(lambda x: threading.get_ident(), [1]) == [caller]
+            assert parallel._POOL is None
 
     def test_nested_calls_degrade_to_serial(self):
         def outer(x):
-            return parallel_map(lambda y: y + x, [10, 20], n_workers=4)
-        assert parallel_map(outer, [1, 2], n_workers=2) == [[11, 21], [12, 22]]
+            inner = parallel_map(lambda y: (y + x, threading.get_ident()),
+                                 [10, 20])
+            assert {ident for _, ident in inner} == {threading.get_ident()}
+            return [value for value, _ in inner]
+        # Spare threads: were the inner maps pooled, they would run (on
+        # other threads) instead of deadlocking.
+        with thread_budget(4):
+            assert parallel_map(outer, [1, 2]) == [[11, 21], [12, 22]]
+
+    def test_raises_after_every_item_settles(self):
+        done = []
+
+        def item(x):
+            if x in (1, 3):
+                raise ValueError(f"item {x}")
+            time.sleep(0.05)
+            done.append(x)
+            return x
+        with thread_budget(2):
+            with pytest.raises(ValueError, match="item 1"):
+                parallel_map(item, range(6))
+            settled = sorted(done)  # before the budget's pool shuts down
+        assert settled == [0, 2, 4, 5]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_runs_serially(self):
+        with thread_budget(2):
+            assert parallel_map(lambda x: x, [1, 2]) == [1, 2]
+            assert parallel._POOL is not None
+            with warnings.catch_warnings():
+                # Python 3.12+ warns about forking a multi-threaded process.
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:  # the child: report through the exit status only
+                code = 1
+                try:
+                    idents = parallel_map(lambda x: threading.get_ident(),
+                                          range(4))
+                    serial = (set(idents) == {threading.get_ident()}
+                              and parallel._POOL is None
+                              and parallel._THREADS == 1)
+                    code = 0 if serial else 2
+                finally:
+                    os._exit(code)
+            deadline = time.monotonic() + 60
+            while True:
+                done, status = os.waitpid(pid, os.WNOHANG)
+                if done:
+                    break
+                if time.monotonic() > deadline:
+                    os.kill(pid, 9)
+                    os.waitpid(pid, 0)
+                    pytest.fail("the forked child's parallel_map hung")
+                time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status) == 0
 
     def test_chunk_bounds_cover_range(self):
         bounds = chunk_bounds(10, 3)

@@ -543,6 +543,14 @@ class TestStoreConfig:
                                         "shard_id": 3})
         assert config == StoreConfig(dim=8)
 
+    def test_retired_fix_config_n_workers_is_dropped(self):
+        """Earlier versions wrote ``fix_config.n_workers`` (the width of a
+        since-removed offline process pool) into files and worker specs."""
+        old = {**dataclasses.asdict(StoreConfig(dim=8).fix_config),
+               "n_workers": 4}
+        config = StoreConfig.from_dict({"dim": 8, "fix_config": old})
+        assert config == StoreConfig(dim=8)
+
     @pytest.mark.parametrize("bad", [
         {"dim": 0}, {"beam_width": 0}, {"pq_m": 0}, {"sync_every": -1},
         {"scheduler_mode": "fiber"}, {"metric": "manhattan"},

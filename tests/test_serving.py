@@ -23,12 +23,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import VectorStore, obs, serving
+from repro import VectorStore, obs
 from repro.graphs import native
 from repro.graphs.adjacency import AdjacencyStore, ObservedTombstones
 from repro.graphs.search import greedy_search
 from repro.serving import DeltaOverlay, EpochManager, MaintenanceScheduler
-from tests.conftest import reference_executor
+from repro.utils import parallel
+from tests.conftest import reference_executor, thread_budget
 
 pytestmark = pytest.mark.timeout(120)
 
@@ -541,21 +542,6 @@ class TestConcurrentReaders:
         store.close()
 
 
-@contextlib.contextmanager
-def thread_budget(n_threads):
-    """Run the body with a block pool of ``n_threads`` (1 = no pool), then
-    put the process's own pool and budget back."""
-    saved = serving._POOL, serving._THREADS
-    serving._POOL, serving._THREADS = None, n_threads
-    try:
-        yield
-    finally:
-        pool = serving._POOL
-        serving._POOL, serving._THREADS = saved
-        if pool is not None:
-            pool.shutdown()
-
-
 def executor_context(executor):
     if executor == "native" and not native.enabled():
         pytest.skip(f"no native executor: {native.status()['reason']}")
@@ -602,7 +588,7 @@ class TestBlocksAcrossCores:
                         results = store.search_batch(self.QUERIES, k=10,
                                                      ef=40, batch_size=16)
                         runs[budget] = (results, counters(store) - before)
-                        assert (serving._POOL is None) == (budget == 1)
+                        assert (parallel._POOL is None) == (budget == 1)
             finally:
                 sys.setswitchinterval(interval)
         serial, serial_counts = runs[1]
@@ -650,7 +636,7 @@ class TestBlocksAcrossCores:
                 # later one.
                 assert flags == sorted(flags), (deadline_ms, flags)
                 assert set(threads) == {threading.get_ident()}
-                assert serving._POOL is None
+                assert parallel._POOL is None
         assert not any(flags)  # the generous budget cut nothing
 
     def test_block_error_propagates_and_pins_are_released(self, store,
@@ -690,7 +676,7 @@ class TestBlocksAcrossCores:
         with thread_budget(2):
             want = np.vstack([r.ids for r in store.search_batch(
                 self.QUERIES, k=10, ef=40, batch_size=16)])
-            assert serving._POOL is not None
+            assert parallel._POOL is not None
             with warnings.catch_warnings():
                 # Python 3.12+ warns about forking a multi-threaded process.
                 warnings.simplefilter("ignore", DeprecationWarning)
@@ -701,7 +687,7 @@ class TestBlocksAcrossCores:
                     results = store.search_batch(self.QUERIES, k=10, ef=40,
                                                  batch_size=16)
                     got = np.vstack([r.ids for r in results])
-                    if serving._POOL is None and serving._THREADS == 1:
+                    if parallel._POOL is None and parallel._THREADS == 1:
                         code = 0 if np.array_equal(got, want) else 2
                     else:
                         code = 3
