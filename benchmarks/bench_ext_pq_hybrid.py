@@ -4,8 +4,8 @@ Four arms, results merged into ``BENCH_pq_hybrid.json`` at the repo root:
 
 - **Equal-recall QPS**: the batched ADC traversal (uint8 codes resident,
   per-block ADC tables, wide beam) + exact re-rank of the visited-set
-  shortlist, swept against the frozen-CSR full-precision batched engine on
-  ``laion-sim``.  The gate compares QPS at equal recall@10 anchored at the
+  shortlist, swept against the full-precision batched engine (the "CSR"
+  arm: it walks the live graph's int32 slab) on ``laion-sim``.  The gate compares QPS at equal recall@10 anchored at the
   CSR ef=100 operating point.
 - **ADC kernel**: the per-gather scoring kernel head-to-head — flat-table
   ADC ``take`` gathers vs the full-precision block reduction on identical
@@ -120,7 +120,6 @@ def run_equal_recall():
     queries = _queries(ds)
     nq = queries.shape[0]
 
-    index.freeze()
     csr_points = []
     for ef in CSR_EFS:
         index.search_batch(queries[:32], K, ef, batch_size=BATCH)  # warm

@@ -405,7 +405,6 @@ def _cmd_churn(args) -> int:
         print(f"  {report.n_inserts} inserts, {report.n_deletes} deletes, "
               f"{report.n_observed} observed, {report.merges} epoch merges, "
               f"{report.repairs} online repairs")
-        print(f"  query-path O(E) refreezes: {report.query_path_freezes}")
     print(f"  {format_percentiles(pct)}")
     _print_compressed_stats(store)
     if store.wal is not None:

@@ -205,9 +205,6 @@ class IndexMaintainer:
                 repaired += 1
 
         self.fixer.adjacency.tombstones.clear()
-        # Accumulate across compactions: ids are never reused, so every
-        # compacted id stays dead for the store's whole lifetime.
-        self._deleted_ids = getattr(self, "_deleted_ids", set()) | deleted
         # Entry point may have been deleted; re-elect among the survivors
         # (adjacency.removed covers this round and every earlier one).
         if self.fixer.entry in deleted:

@@ -227,9 +227,7 @@ class ChurnReport:
     ``qps`` counts *search time only* (the sum of per-batch search
     wall-clock), so it isolates the serving path's cost under churn from the
     unrelated cost of the mutations themselves; ``mutation_seconds`` records
-    the latter.  ``query_path_freezes`` is the number of O(E) CSR rebuilds
-    that ran on the query path: total freezes minus those attributable to
-    epoch cuts — the serving layer's contract is that this is zero.
+    the latter.
 
     ``recall_p50``/``recall_p95``/``recall_p99`` are lower-tail percentiles
     (the recall 50/95/99% of queries meet or beat — see
@@ -249,7 +247,6 @@ class ChurnReport:
     mutation_seconds: float
     merges: int
     repairs: int
-    query_path_freezes: int
     recall_p50: float = 0.0
     recall_p95: float = 0.0
     recall_p99: float = 0.0
@@ -325,11 +322,6 @@ def interleaved_workload(
     mutation_s = 0.0
     n_inserts = n_deletes = n_observed = 0
 
-    fixer = getattr(store, "_fixer", None)
-    adjacency = fixer.adjacency if fixer is not None else None
-    freezes0 = getattr(adjacency, "n_freezes", 0)
-    manager = getattr(store, "epochs", None)
-    cuts0 = manager.n_cuts if manager is not None else 0
     scheduler = getattr(store, "scheduler", None)
     merges0 = scheduler.n_merges if scheduler is not None else 0
     repairs0 = scheduler.n_repairs if scheduler is not None else 0
@@ -369,8 +361,6 @@ def interleaved_workload(
     per_query = recall_per_query(found_ids, gt_k.ids)
     pct = recall_percentiles(per_query)
     recall = float(per_query.mean())
-    freezes = getattr(adjacency, "n_freezes", 0) - freezes0
-    cuts = (manager.n_cuts - cuts0) if manager is not None else 0
     if OBS.enabled:
         _CHURN_SEARCH_SECONDS.inc(search_s)
         _CHURN_MUTATION_SECONDS.inc(mutation_s)
@@ -386,7 +376,6 @@ def interleaved_workload(
         mutation_seconds=mutation_s,
         merges=(scheduler.n_merges - merges0) if scheduler is not None else 0,
         repairs=(scheduler.n_repairs - repairs0) if scheduler is not None else 0,
-        query_path_freezes=freezes - cuts,
         recall_p50=pct["p50"],
         recall_p95=pct["p95"],
         recall_p99=pct["p99"],

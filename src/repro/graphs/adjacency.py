@@ -19,10 +19,10 @@ they are writing without freezing it.  A call site names this graph by the
 store itself (it is callable like a ``neighbors_fn``), never by its bound
 ``neighbors``: a plain callable has no native description.
 
-:meth:`freeze` (→ :class:`~repro.graphs.csr.CSRGraphView`) gathers the slab
-into the immutable CSR snapshot the serving epochs pin.  Every mutation
-marks the snapshot dirty; :meth:`traversal` refreezes once reads settle (see
-its docstring).
+The slab is the live graph's only searchable copy.  :meth:`freeze`
+(→ :class:`~repro.graphs.csr.CSRGraphView`) gathers it into the immutable
+CSR snapshot a serving epoch pins, and only
+:meth:`repro.serving.EpochManager.cut` calls it.
 """
 
 from __future__ import annotations
@@ -65,19 +65,13 @@ class ObservedTombstones(set):
             for node in other:
                 self.add(node)
 
-# Consecutive clean reads after which a dirty store refreezes its CSR view.
-# A fixing loop that alternates search and edge mutation never reaches the
-# threshold (refreezing per mutation would cost O(E) each time), while a
-# query-serving phase crosses it on its second search and stays frozen.
-FREEZE_AFTER_READS = 2
-
 
 class AdjacencyStore:
     """Per-node base neighbors, extra neighbors (with EH tags), tombstones.
 
     The combined neighbor row of each node is kept current in the slab (see
-    the module docstring) for searches over the live graph; a whole-graph
-    CSR snapshot (:meth:`freeze`) serves the epoch query path.
+    the module docstring), which every search over the live graph walks; a
+    whole-graph CSR snapshot (:meth:`freeze`) serves the epoch query path.
     """
 
     def __init__(self, n_nodes: int):
@@ -98,24 +92,13 @@ class AdjacencyStore:
         # ground truth forever, or online fixing can re-link ("resurrect")
         # it through the stale data row.
         self.removed: set[int] = set()
-        # Freeze bookkeeping: a monotone mutation counter, the cached frozen
-        # view, and the clean-read counter driving refreeze.
-        self._mutation_version = 0
-        self._frozen: CSRGraphView | None = None
-        self._reads_since_mutation = 0
         # Serving-layer hook: while an overlay is attached, every out-edge
         # mutation and tombstone addition is also logged there so pinned
         # epoch views stay consistent without refreezing.
         self._overlay = None
-        # Count of actual O(E) CSR builds — lets benchmarks prove the query
-        # path never pays for a refreeze.
-        self.n_freezes = 0
 
     def _touch(self, u: int) -> None:
         """Record a mutation of node ``u``'s out-edges."""
-        self._mutation_version += 1
-        self._frozen = None
-        self._reads_since_mutation = 0
         base, extra = self._base[u], self._extra[u]
         n_base = len(base)
         degree = n_base + len(extra)
@@ -173,9 +156,6 @@ class AdjacencyStore:
         self._slab = with_capacity(slab, size, size + n_new)
         if self._slab is not slab:
             self._native = None
-        self._mutation_version += 1
-        self._frozen = None
-        self._reads_since_mutation = 0
 
     # -- edge mutation --------------------------------------------------------
 
@@ -317,79 +297,20 @@ class AdjacencyStore:
 
     # -- frozen CSR snapshot ---------------------------------------------------
 
-    @property
-    def mutation_version(self) -> int:
-        """Monotone counter incremented by every edge mutation."""
-        return self._mutation_version
-
     def freeze(self) -> CSRGraphView:
-        """Build (and cache) the CSR snapshot of the combined adjacency.
+        """A fresh CSR snapshot of the combined adjacency (an epoch's graph).
 
         Neighbor order per node matches :meth:`neighbors` exactly (base
         edges in list order, then extra edges in insertion order), so any
         search over the view is bit-identical to one over the live store.
         """
-        frozen = self.csr_view()
-        if frozen is not None:
-            return frozen
         n = self.n_nodes
         degree = self._degree[:n]
         indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(degree, out=indptr[1:])
         # Row-major gather of the live part of every row = CSR order.
         live = np.arange(self._slab.shape[1], dtype=np.int32) < degree[:, None]
-        indices = self._slab[:n][live]
-        edge_eh = np.full(indices.shape[0], np.nan)
-        owners = [u for u, extra in enumerate(self._extra) if extra]
-        if owners:
-            # A node's extra edges close its CSR range.
-            counts = np.array([len(self._extra[u]) for u in owners])
-            ends = np.cumsum(counts)
-            starts = indptr[1:][owners] - counts
-            slots = (np.repeat(starts - (ends - counts), counts)
-                     + np.arange(ends[-1]))
-            edge_eh[slots] = [eh for u in owners
-                              for eh in self._extra[u].values()]
-        self._frozen = CSRGraphView(indptr, indices, edge_eh,
-                                    store_version=self._mutation_version)
-        self.n_freezes += 1
-        return self._frozen
-
-    def csr_view(self) -> CSRGraphView | None:
-        """The cached frozen view if it is current, else None (no refreeze).
-
-        Guards against ever serving a snapshot whose shape lags the store:
-        if the cached view predates a :meth:`grow` (``n_nodes`` mismatch) or
-        any edge mutation (``store_version`` mismatch), it is dropped here
-        rather than returned — no caller can traverse a stale view even if a
-        future code path forgets to invalidate on growth.
-        """
-        frozen = self._frozen
-        if frozen is not None and (frozen.n_nodes != self.n_nodes
-                                   or frozen.store_version
-                                   != self._mutation_version):
-            self._frozen = None
-            return None
-        return frozen
-
-    def traversal(self) -> CSRGraphView | None:
-        """The traversal source the read path should use *right now*.
-
-        Returns the frozen CSR view when one is current.  When the store is
-        dirty, each call counts as one clean read; after
-        ``FREEZE_AFTER_READS`` consecutive reads with no interleaved
-        mutation the store refreezes (an O(E) rebuild) and returns the
-        fresh view.  Until then it returns None and the caller walks the
-        live store itself — which keeps fixing loops
-        (mutate, search, mutate, …) from thrashing O(E) refreezes.
-        """
-        frozen = self.csr_view()
-        if frozen is not None:
-            return frozen
-        self._reads_since_mutation += 1
-        if self._reads_since_mutation >= FREEZE_AFTER_READS:
-            return self.freeze()
-        return None
+        return CSRGraphView(indptr, self._slab[:n][live])
 
     # -- aggregates -----------------------------------------------------------
 
@@ -483,5 +404,4 @@ class AdjacencyStore:
         out._degree = self._degree[:self.n_nodes].copy()
         out.tombstones = set(self.tombstones)
         out.removed = set(self.removed)
-        out._mutation_version = self._mutation_version
         return out

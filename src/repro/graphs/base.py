@@ -36,11 +36,11 @@ def live_graph_engine(cached: BatchSearchEngine | None, index, scorer,
 
     ``index`` is anything exposing ``adjacency`` and ``entry_points`` (a
     :class:`GraphIndex`, an ``NGFixer``); ``scorer`` the distance computer
-    blocks are scored with (exact or ADC).  The engine walks the store's
-    frozen CSR whenever its refreeze policy offers one and honors
-    tombstones per block; in between it walks the store itself, which both
-    executors read in place.  A cached engine is kept only while its
-    ``batch_size`` and ``beam_width`` still match.
+    blocks are scored with (exact or ADC).  The engine walks the store
+    itself — its slab, which both executors read in place — and honors
+    tombstones per block; no search over the live graph builds a CSR.  A
+    cached engine is kept only while its ``batch_size`` and ``beam_width``
+    still match.
     """
     if (cached is not None and cached.batch_size == batch_size
             and cached.beam_width == beam_width):
@@ -49,7 +49,7 @@ def live_graph_engine(cached: BatchSearchEngine | None, index, scorer,
     return BatchSearchEngine(
         scorer, adjacency, index.entry_points,
         excluded_fn=adjacency.excluded_ids, batch_size=batch_size,
-        graph_fn=adjacency.traversal, beam_width=beam_width)
+        beam_width=beam_width)
 
 
 class GraphIndex(abc.ABC):
@@ -82,10 +82,6 @@ class GraphIndex(abc.ABC):
     def entry_points(self, query: np.ndarray) -> list[int]:
         """Starting node ids for a (prepared) query."""
 
-    def freeze(self):
-        """Force a frozen CSR snapshot of the adjacency (see AdjacencyStore)."""
-        return self.adjacency.freeze()
-
     def search(self, query: np.ndarray, k: int,
                ef: int | None = None) -> SearchResult:
         """Greedy-search the bottom layer for the top-``k`` neighbors: a
@@ -97,8 +93,8 @@ class GraphIndex(abc.ABC):
                      batch_size: int = 32) -> list[SearchResult]:
         """Batched search: one :class:`SearchResult` per query row.
 
-        Resolves the graph snapshot, tombstones and entries once per block
-        of ``batch_size`` queries and walks the block in one native call;
+        Resolves tombstones and entries once per block of ``batch_size``
+        queries and walks the live graph for the block in one native call;
         rows with fewer than ``k`` results come back short
         (:func:`~repro.graphs.search.pad_results` packs them into padded
         arrays).

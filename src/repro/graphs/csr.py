@@ -3,17 +3,17 @@
 The live store is mutated in place (NGFix/RFix, insertion, compaction), but
 the serving path must read a graph that cannot change under it.  A
 :class:`CSRGraphView` packs the combined base+extra adjacency into two
-contiguous ``int32`` arrays (``indptr``/``indices``, DiskANN/Vamana style)
-plus a parallel per-edge EH-tag array, so per-node reads are an O(1) slice
-(no cache checks, no dict walks) and the native executor
+contiguous ``int32`` arrays (``indptr``/``indices``, DiskANN/Vamana style),
+so per-node reads are an O(1) slice and the native executor
 (:mod:`repro.graphs.native`) can walk the two arrays directly.
 
 Neighbor order inside a node is exactly the live store's order (base
 edges first, then extra edges in insertion order), which keeps every search
 over the view bit-identical to a search over the live store.  The view is a
-*snapshot*: mutations to the originating store do not show through — the
-store marks its cached view dirty and refreezes on demand (see
-``AdjacencyStore.traversal``).
+*snapshot*: mutations to the originating store do not show through.  A
+store is frozen when a serving epoch is cut
+(:meth:`repro.serving.EpochManager.cut`); every other search walks the
+store's own slab.
 """
 
 from __future__ import annotations
@@ -26,30 +26,19 @@ from repro.graphs import native
 class CSRGraphView:
     """Read-only CSR adjacency: ``indices[indptr[u]:indptr[u+1]]`` = out(u).
 
-    ``edge_eh[e]`` carries the Escape Hardness tag of the extra edge stored
-    at ``indices[e]`` (NaN for base edges, which carry no tag).  The view is
-    callable with a node id so it can stand in for any ``neighbors_fn``.
-
-    ``store_version`` records the originating store's mutation counter at
-    freeze time; the store compares it on every ``csr_view()`` so a snapshot
-    that lags the live graph (e.g. across a ``grow``) can never be served.
+    The view is callable with a node id so it can stand in for any
+    ``neighbors_fn``.
     """
 
-    __slots__ = ("indptr", "indices", "edge_eh", "n_nodes", "n_edges",
-                 "store_version", "_native")
+    __slots__ = ("indptr", "indices", "n_nodes", "n_edges", "_native")
 
-    def __init__(self, indptr: np.ndarray, indices: np.ndarray,
-                 edge_eh: np.ndarray, store_version: int = -1):
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray):
         if indptr.ndim != 1 or indptr.shape[0] == 0:
             raise ValueError("indptr must be a non-empty 1-d array")
-        if indices.shape[0] != edge_eh.shape[0]:
-            raise ValueError("indices and edge_eh must align")
         self.indptr = indptr
         self.indices = indices
-        self.edge_eh = edge_eh
         self.n_nodes = indptr.shape[0] - 1
         self.n_edges = indices.shape[0]
-        self.store_version = store_version
         self._native = None  # built on first use (see native_graph)
 
     def neighbors(self, u: int) -> np.ndarray:
@@ -73,11 +62,3 @@ class CSRGraphView:
 
     def out_degree(self, u: int) -> int:
         return int(self.indptr[u + 1] - self.indptr[u])
-
-    def extra_edge_mask(self) -> np.ndarray:
-        """Boolean mask over edges: True where the edge carries an EH tag."""
-        return ~np.isnan(self.edge_eh)
-
-    def nbytes(self) -> int:
-        """Memory footprint of the snapshot arrays."""
-        return self.indptr.nbytes + self.indices.nbytes + self.edge_eh.nbytes

@@ -68,7 +68,7 @@ class NSG(GraphIndex):
         n, width = knn.shape
         knn_graph = CSRGraphView(
             np.arange(0, n * width + 1, width, dtype=np.int32),
-            knn.astype(np.int32).ravel(), np.full(n * width, np.nan))
+            knn.astype(np.int32).ravel())
         for u in range(self.size):
             result = greedy_search(
                 self.dc, knn_graph, [self._medoid], self.dc.data[u],

@@ -408,8 +408,12 @@ class EpochManager:
     def cut(self, entry: int | None = None) -> GraphEpoch:
         """Freeze the live store into a new epoch; start a fresh overlay.
 
-        Callers must hold the write lock (no concurrent mutations).  Old
-        epochs/overlays stay alive for as long as pins reference them.
+        This is the one place a CSR snapshot is built
+        (:meth:`~repro.graphs.adjacency.AdjacencyStore.freeze`, a fresh
+        O(E) gather of the slab on every cut); every other search over the
+        live graph walks the slab itself.  Callers must hold the write lock
+        (no concurrent mutations).  Old epochs/overlays stay alive for as
+        long as pins reference them.
         """
         graph = self.adjacency.freeze()
         # Compacted (removed) ids stay excluded forever: their edges are
@@ -517,8 +521,8 @@ class ServingSearcher:
     :class:`~repro.graphs.base.GraphIndex`, so it drops into
     :func:`~repro.evalx.runner.evaluate_index` unchanged.  Searches pin the
     current epoch once per engine block.  The query path never touches the
-    store's dynamic lists, its refreeze hysteresis, or the O(E) ``freeze``
-    — epoch-consistency and wait-freedom come from the pin.
+    store's live slab or the O(E) ``freeze`` — epoch-consistency and
+    wait-freedom come from the pin.
 
     A lone :meth:`search` is a block of one walked at width 1, so every
     query runs the same stages, each written once: **resolve** (the

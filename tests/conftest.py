@@ -208,14 +208,14 @@ def tie_tolerant_equal(result_a, result_b, dc, q, ndc=None) -> bool:
     return any(_near_tie(x, y) for x, y in zip(d[:-1], d[1:]))
 
 
-def csr_view(lists) -> CSRGraphView:
+def csr_graph(lists) -> CSRGraphView:
     """A frozen CSR over out-neighbour ``lists`` as given: self-loops and
     duplicate edges kept."""
     indptr = np.zeros(len(lists) + 1, dtype=np.int32)
     np.cumsum([len(row) for row in lists], out=indptr[1:])
     indices = np.fromiter((v for row in lists for v in row), dtype=np.int32,
                           count=int(indptr[-1]))
-    return CSRGraphView(indptr, indices, np.full(indices.shape[0], np.nan))
+    return CSRGraphView(indptr, indices)
 
 
 def store_of(view: CSRGraphView, n: int) -> AdjacencyStore:

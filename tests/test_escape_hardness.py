@@ -16,7 +16,7 @@ from repro.core.escape_hardness import (
 )
 from repro.graphs import HNSW, native
 from repro.serving import EpochManager
-from tests.conftest import csr_view, reference_executor, store_of
+from tests.conftest import csr_graph, reference_executor, store_of
 
 
 def _neighbors_from(adj: dict):
@@ -198,8 +198,8 @@ def nn_graphs(draw):
 def _epoch_view(lists):
     """The graph as an epoch view whose overlay patches half the nodes: the
     epoch is cut with the odd nodes' rows empty, then they are written."""
-    store = store_of(csr_view([[] if u % 2 else row
-                               for u, row in enumerate(lists)]), len(lists))
+    store = store_of(csr_graph([[] if u % 2 else row
+                                for u, row in enumerate(lists)]), len(lists))
     manager = EpochManager(store, entry=0)
     for u in range(1, len(lists), 2):
         store.set_base_neighbors(u, lists[u])
@@ -210,7 +210,7 @@ def _graph_shapes(lists):
     """The graph as a frozen CSR as given, a live store (the store refuses
     self-loops, which never change EH), its ``freeze()`` and an epoch view
     with an overlay."""
-    view = csr_view(lists)
+    view = csr_graph(lists)
     store = store_of(view, len(lists))
     return {"csr": view, "slab": store, "frozen": store.freeze(),
             "epoch": _epoch_view(lists).view}
@@ -247,7 +247,7 @@ class TestNativeExecutor:
                     escape_hardness(shape, np.array([1, 1, 2]), 2)
 
     def test_id_past_the_graph_falls_back_to_the_reference(self):
-        store = store_of(csr_view([[1], [2], [0]]), 3)
+        store = store_of(csr_graph([[1], [2], [0]]), 3)
         manager = EpochManager(store, entry=0)
         store.grow(1)  # node 3: past the epoch's horizon, no patch row
         view = manager.pin().view
@@ -256,12 +256,12 @@ class TestNativeExecutor:
             assert native.escape_hardness(view.native_graph(), ids, 3) is None
         want = escape_hardness_bruteforce(view.neighbors, ids, 3).eh
         assert np.array_equal(escape_hardness(view, ids, 3).eh, want)
-        for shape in (csr_view([[1], [2], [0]]), store.freeze()):
+        for shape in (csr_graph([[1], [2], [0]]), store.freeze()):
             if native.enabled():
                 assert native.escape_hardness(shape.native_graph(),
                                               np.array([0, 5]), 1) is None
         with pytest.raises(IndexError):
-            escape_hardness(csr_view([[1], [2], [0]]), np.array([0, 5]), 1)
+            escape_hardness(csr_graph([[1], [2], [0]]), np.array([0, 5]), 1)
 
     def test_fit_fix_and_compact_match_the_reference_edge_for_edge(
             self, tiny_ds, monkeypatch):

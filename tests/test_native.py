@@ -38,7 +38,7 @@ from repro.quantization.adc import ADCComputer
 from repro.quantization.pq import ProductQuantizer
 from repro.quantization.searcher import PQRerankSearcher, rerank_block
 from repro.store import VectorStore
-from tests.conftest import (csr_view, reference_executor, store_of,
+from tests.conftest import (csr_graph, reference_executor, store_of,
                             tie_tolerant_equal)
 
 needs_native = pytest.mark.skipif(
@@ -82,7 +82,7 @@ def worlds(draw, duplicates: bool):
     k = draw(st.integers(1, 12))
     ef = draw(st.integers(1, 70))                      # < k and > n both
     queries = rng.standard_normal((3, dim)).astype(np.float32)
-    return (DistanceComputer(data, metric), csr_view(lists), entries, barred,
+    return (DistanceComputer(data, metric), csr_graph(lists), entries, barred,
             k, max(ef, k), queries)
 
 
@@ -193,7 +193,7 @@ class TestExactSequential:
     def test_float64_query_and_foreign_layouts_fall_back(self):
         rng = np.random.default_rng(0)
         dc = DistanceComputer(rng.standard_normal((20, 4)), "cosine")
-        view = csr_view([[(u + 1) % 20, (u + 7) % 20] for u in range(20)])
+        view = csr_graph([[(u + 1) % 20, (u + 7) % 20] for u in range(20)])
         zero = dc.prepare_query(np.zeros(4, dtype=np.float32))
         assert zero.dtype == np.float64  # the degenerate-norm query
         assert greedy_search(dc, view, [0], zero, 3, 8,
@@ -225,7 +225,7 @@ class TestExactSequential:
 
         rng = np.random.default_rng(1)
         dc = DistanceComputer(rng.standard_normal((30, 5)), "l2")
-        view = csr_view([[(u + 1) % 30, (u + 11) % 30] for u in range(30)])
+        view = csr_graph([[(u + 1) % 30, (u + 11) % 30] for u in range(30)])
         proxy = Proxy(dc)
         q = rng.standard_normal(5).astype(np.float32)
         result = greedy_search(proxy, view, [0], q, 3, 8)
@@ -276,8 +276,8 @@ class TestBlocks:
         rng = np.random.default_rng(5)
         n, dim, rows = 3000, 24, 64
         dc = DistanceComputer(rng.standard_normal((n, dim)), "l2")
-        view = csr_view([rng.choice(n, size=12, replace=False).tolist()
-                         for _ in range(n)])
+        view = csr_graph([rng.choice(n, size=12, replace=False).tolist()
+                          for _ in range(n)])
         entries = unique_entries([0, 1])
         qmat = dc.prepare_queries(rng.standard_normal((rows, dim)))
         engine = BatchSearchEngine(dc, view, lambda q: entries,
@@ -330,8 +330,8 @@ class TestBlocks:
         same search."""
         rng = np.random.default_rng(seed)
         dc = DistanceComputer(rng.standard_normal((n, m * d_sub)), metric)
-        view = csr_view([rng.choice(n, size=4, replace=False).tolist()
-                         for _ in range(n)])
+        view = csr_graph([rng.choice(n, size=4, replace=False).tolist()
+                          for _ in range(n)])
         entries = unique_entries(rng.choice(n, size=2, replace=False))
         barred = set(rng.choice(n, size=n // 4, replace=False).tolist())
         adc = ADCComputer(dc, ProductQuantizer(m=m, ks=16, metric=metric))
@@ -356,7 +356,6 @@ class TestBlocks:
     @needs_native
     def test_adc_scalar_matches_pq_rerank_reference(self, tiny_ds,
                                                     shared_hnsw):
-        shared_hnsw.adjacency.freeze()
         searcher = PQRerankSearcher(shared_hnsw, rerank=30)
         queries = tiny_ds.test_queries[:25]
 
@@ -470,7 +469,7 @@ class TestCompressedRecipe:
         empty and the Python fallback scan answers, on both executors."""
         rng = np.random.default_rng(9)
         dc = DistanceComputer(rng.standard_normal((30, 6)), "l2")
-        view = csr_view([[] if u == 0 else [(u + 1) % 30] for u in range(30)])
+        view = csr_graph([[] if u == 0 else [(u + 1) % 30] for u in range(30)])
         adc = _codes_for(dc)
         q = dc.prepare_query(rng.standard_normal(6))
         engine = _engine_pair(adc, view, unique_entries([0]), {0}, 4)
@@ -602,8 +601,8 @@ class TestRerankKernel:
         if request.param != "distinct":  # ties in ADC *and* exact distance
             rows = np.repeat(rows[:10], 4, axis=0)
         dc = DistanceComputer(rows, "ip")
-        view = csr_view([rng.choice(40, size=5, replace=False).tolist()
-                         for _ in range(40)])
+        view = csr_graph([rng.choice(40, size=5, replace=False).tolist()
+                          for _ in range(40)])
         adc = _codes_for(dc)
         qmat = dc.prepare_queries(rng.standard_normal((3, 6)))
         adc.begin_block(qmat)
@@ -912,8 +911,8 @@ class TestVisitedVersions:
     def test_a_block_of_eight_across_the_wrap(self):
         rng = np.random.default_rng(2)
         dc = DistanceComputer(rng.standard_normal((40, 6)), "l2")
-        view = csr_view([rng.choice(40, size=5, replace=False).tolist()
-                         for _ in range(40)])
+        view = csr_graph([rng.choice(40, size=5, replace=False).tolist()
+                          for _ in range(40)])
         qmat = dc.prepare_queries(rng.standard_normal((8, 6)))
         engine = BatchSearchEngine(dc, view, lambda q: [0],
                                    graph_fn=lambda: view, batch_size=8)
@@ -978,7 +977,7 @@ class TestObservability:
     def test_counters_name_the_executor_and_the_fallback_reason(self):
         rng = np.random.default_rng(3)
         dc = DistanceComputer(rng.standard_normal((20, 4)), "l2")
-        view = csr_view([[(u + 1) % 20] for u in range(20)])
+        view = csr_graph([[(u + 1) % 20] for u in range(20)])
         q = rng.standard_normal(4).astype(np.float32)
         OBS.enable()
         try:
@@ -1024,8 +1023,8 @@ class TestEntryPoints:
     def world(self):
         rng = np.random.default_rng(21)
         dc = DistanceComputer(rng.standard_normal((40, 6)), "l2")
-        view = csr_view([rng.choice(40, size=5, replace=False).tolist()
-                         for _ in range(40)])
+        view = csr_graph([rng.choice(40, size=5, replace=False).tolist()
+                          for _ in range(40)])
         qmat = dc.prepare_queries(rng.standard_normal((3, 6)))
         return dc, view.native_graph(), dc.native_scorer(qmat), qmat
 
@@ -1235,7 +1234,6 @@ SEARCH_ON_REFERENCE = """
     rng = np.random.default_rng(0)
     index = HNSW(rng.standard_normal((60, 4)).astype(np.float32), "l2", M=4,
                  ef_construction=10, single_layer=True, seed=1)
-    index.adjacency.freeze()
     OBS.enable()
     result = index.search(rng.standard_normal(4).astype(np.float32), k=3)
     counters = OBS.snapshot()

@@ -258,7 +258,7 @@ class TestVectorizedPruneBuildsTheSameGraph:
 
     @staticmethod
     def _fingerprint(index):
-        view = index.freeze()
+        view = index.adjacency.freeze()
         digest = hashlib.sha256(view.indptr.tobytes()
                                 + view.indices.tobytes()).hexdigest()
         return digest, index.dc.ndc

@@ -7,8 +7,8 @@ The load-bearing guarantees under test:
   overlay after the pin (property-tested over random interleaves).
 - **Tombstone safety** — a deleted id never surfaces in post-deletion
   results, pinned-before-deletion views still (correctly) serve it.
-- **Zero O(E) refreezes on the query path** — serving never rebuilds the
-  CSR; only scheduler merges do.
+- **No search builds a CSR** — the O(E) freeze runs only when an epoch is
+  cut (build, scheduler merges, bulk boundaries), never on the query path.
 """
 
 import contextlib
@@ -230,16 +230,31 @@ class TestServingStore:
         res = store.search(EXTRA[0], k=1, ef=40)
         assert res[0][0] == new_id
 
-    def test_no_query_path_freezes(self):
-        store = make_store(merge_every=10_000)
-        adjacency = store._fixer.adjacency
-        store.add(EXTRA[:5])
-        store.delete([0])
-        frozen_before = adjacency.n_freezes
-        store.search_batch(QUERIES, k=5, ef=30, batch_size=4)
-        for q in QUERIES:
-            store.search(q, k=5, ef=30)
-        assert adjacency.n_freezes == frozen_before
+    def test_no_search_freezes(self, monkeypatch):
+        """After inserts and deletes, neither a lone search nor a
+        multi-block batch can build a CSR, on an exact or a compressed
+        store: ``freeze`` raises if called."""
+        stores = []
+        for compressed in (False, True):
+            store = VectorStore(dim=DIM, metric="l2", M=8, ef_construction=40,
+                                merge_every=10_000, compressed=compressed,
+                                pq_ks=16)
+            store.add(BASE)
+            store.build()
+            store.add(EXTRA[:5])
+            store.delete([0])
+            stores.append(store)
+
+        def no_freeze(self):
+            raise AssertionError("a search built a CSR snapshot")
+        monkeypatch.setattr(AdjacencyStore, "freeze", no_freeze)
+        for store in stores:
+            batch = store.search_batch(QUERIES, k=5, ef=30, batch_size=4)
+            for q, row in zip(QUERIES, batch):
+                lone = [i for i, _, _ in store.search(q, k=5, ef=30)]
+                assert len(lone) == 5 and 0 not in lone
+                assert 0 not in row.ids.tolist()
+            store.close()
 
     def test_merge_threshold_cuts_epoch(self):
         store = make_store(merge_every=5)
