@@ -58,7 +58,7 @@ from repro.graphs import (
 from repro.graphs.entry import MultiEntryIndex, MedoidEntry, RandomEntry, CentroidsEntry
 from repro.io import save_index, load_index, FrozenIndex
 from repro.obs import OBS, TRACES, MetricsRegistry, QueryTrace, TraceLog
-from repro.quantization import ProductQuantizer, PQRerankSearcher, IVFFlat
+from repro.quantization import ProductQuantizer, IVFFlat
 from repro.serving import (
     DeltaOverlay,
     EpochManager,
@@ -161,7 +161,6 @@ __all__ = [
     "RandomEntry",
     "CentroidsEntry",
     "ProductQuantizer",
-    "PQRerankSearcher",
     "IVFFlat",
     "make_drifting_workload",
     "DriftingWorkload",

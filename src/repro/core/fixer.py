@@ -139,7 +139,7 @@ class NGFixer:
         if ef is None:
             ef = max(k, 10)
         self._batch_engine = live_graph_engine(self._batch_engine, self,
-                                               self.dc, batch_size)
+                                               batch_size)
         return self._batch_engine.search_batch(queries, k, ef)
 
     def stats(self) -> dict:

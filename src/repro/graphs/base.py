@@ -30,26 +30,24 @@ def medoid_id(dc: DistanceComputer, dead=None) -> int:
     return int(np.argmin(dists))
 
 
-def live_graph_engine(cached: BatchSearchEngine | None, index, scorer,
-                      batch_size: int, beam_width: int = 1) -> BatchSearchEngine:
-    """The batch engine over ``index``'s live graph, reusing ``cached`` if it fits.
+def live_graph_engine(cached: BatchSearchEngine | None, index,
+                      batch_size: int) -> BatchSearchEngine:
+    """The exact batch engine over ``index``'s live graph, reusing ``cached``
+    if it fits.
 
-    ``index`` is anything exposing ``adjacency`` and ``entry_points`` (a
-    :class:`GraphIndex`, an ``NGFixer``); ``scorer`` the distance computer
-    blocks are scored with (exact or ADC).  The engine walks the store
-    itself — its slab, which both executors read in place — and honors
-    tombstones per block; no search over the live graph builds a CSR.  A
-    cached engine is kept only while its ``batch_size`` and ``beam_width``
-    still match.
+    ``index`` is anything exposing ``dc``, ``adjacency`` and
+    ``entry_points`` (a :class:`GraphIndex`, an ``NGFixer``).  The engine
+    scores with ``index.dc`` at width 1, walks the store itself — its slab,
+    which both executors read in place — and honors tombstones per block; no
+    search over the live graph builds a CSR.  A cached engine is kept only
+    while its ``batch_size`` still matches.
     """
-    if (cached is not None and cached.batch_size == batch_size
-            and cached.beam_width == beam_width):
+    if cached is not None and cached.batch_size == batch_size:
         return cached
     adjacency = index.adjacency
     return BatchSearchEngine(
-        scorer, adjacency, index.entry_points,
-        excluded_fn=adjacency.excluded_ids, batch_size=batch_size,
-        beam_width=beam_width)
+        index.dc, adjacency, index.entry_points,
+        excluded_fn=adjacency.excluded_ids, batch_size=batch_size)
 
 
 class GraphIndex(abc.ABC):
@@ -102,7 +100,7 @@ class GraphIndex(abc.ABC):
         if ef is None:
             ef = max(k, 10)
         self._batch_engine = live_graph_engine(self._batch_engine, self,
-                                               self.dc, batch_size)
+                                               batch_size)
         return self._batch_engine.search_batch(queries, k, ef)
 
     def clone(self) -> "GraphIndex":

@@ -21,8 +21,8 @@ recipe — :func:`~repro.graphs.search.beam_search`, then
 answer (so entry handling, visited bookkeeping, tombstone traversal and
 deadline degradation are the exact search's by construction).  The
 fallback scan (:func:`fallback_shortlist`) is Python on both.
-:class:`PQRerankSearcher` runs the recipe over a live graph;
-:class:`~repro.serving.ServingSearcher` runs it over pinned epoch views.
+:class:`~repro.serving.ServingSearcher` — the store's compressed tier —
+is its one driver, over pinned epoch views.
 :func:`pq_greedy_search` is the bare ADC beam of one query, without the
 re-rank.
 """
@@ -36,12 +36,10 @@ import numpy as np
 
 from repro.distances import DistanceComputer
 from repro.distances.computer import _NDC_LOCK
-from repro.graphs.base import live_graph_engine
 from repro.graphs.search import (BatchSearchEngine, SearchResult, VisitedTable,
                                  _reference_row, native_search, unique_entries)
 from repro.quantization.adc import ADCComputer
 from repro.quantization.pq import ProductQuantizer
-from repro.utils.validation import check_positive
 
 
 def pq_greedy_search(
@@ -250,95 +248,3 @@ def rerank_block(engine: BatchSearchEngine, adc: ADCComputer,
         for i, result in zip(rows, reranked):
             results[i] = result
     return results, n_scored, exact_ndc, seconds
-
-
-class PQRerankSearcher:
-    """ADC traversal over a graph index, exact re-rank of the shortlist.
-
-    Parameters
-    ----------
-    index:
-        Any graph index (or fixer) exposing ``adjacency``, ``dc``, and
-        ``entry_points``.
-    pq:
-        A quantizer; fitted on the index's base data if not already.
-    rerank:
-        Shortlist size re-scored with exact distances (>= k at search).
-    beam_width:
-        Engine candidates expanded per query per round by
-        :meth:`search_batch` (a lone :meth:`search` walks width 1).  ADC
-        scoring is cheap enough that a wide beam pays: the enlarged visited
-        set feeds the exact re-rank.  Width 1 reproduces the uncompressed
-        engine's expansion order exactly.
-
-    The searcher stays valid across store mutations: codes are re-encoded
-    incrementally (only rows appended since the last search) and the
-    visited table regrows, so add → search → delete → search works without
-    rebuilding.  Tombstoned/removed ids never surface.
-    """
-
-    def __init__(self, index, pq: ProductQuantizer | None = None,
-                 rerank: int = 50, beam_width: int = 4):
-        check_positive(rerank, "rerank")
-        check_positive(beam_width, "beam_width")
-        self.index = index
-        self.rerank = rerank
-        self.beam_width = beam_width
-        if pq is None:
-            pq = ProductQuantizer(m=ADCComputer._default_m(index.dc.dim),
-                                  metric=index.dc.metric)
-        self.adc = ADCComputer(index.dc, pq)
-        self.pq = self.adc.pq
-        # One engine per (batch_size, beam_width): a lone search walks
-        # width 1, a batch ``beam_width``.
-        self._engines: dict[tuple[int, int], BatchSearchEngine] = {}
-        self.adc_scored = 0   # cumulative cheap scorings
-        self.rerank_ndc = 0   # cumulative exact re-rank distance comps
-
-    @property
-    def codes(self) -> np.ndarray:
-        """The (incrementally synced) uint8 code matrix."""
-        return self.adc.codes
-
-    @property
-    def dc(self):
-        return self.index.dc
-
-    def sync(self) -> int:
-        """Re-encode vectors appended since the last search (incremental)."""
-        return self.adc.sync()
-
-    def search(self, query: np.ndarray, k: int, ef: int | None = None,
-               deadline: float | None = None) -> SearchResult:
-        """Approximate traversal, exact re-rank: a block of one, walked at
-        width 1."""
-        return self._run(np.asarray(query, dtype=np.float32)[None], k, ef,
-                         1, 1, deadline)[0]
-
-    def search_batch(self, queries: np.ndarray, k: int, ef: int | None = None,
-                     batch_size: int = 32,
-                     deadline: float | None = None) -> list[SearchResult]:
-        """Batched ADC traversal + one exact re-rank gather per batch.
-
-        The engine runs entirely over the code matrix (its
-        ``begin_block`` hook precomputes the block's ADC tables); the final
-        shortlists are re-ranked with a single full-precision block gather.
-        """
-        return self._run(queries, k, ef, batch_size, self.beam_width,
-                         deadline)
-
-    def _run(self, queries: np.ndarray, k: int, ef: int | None,
-             batch_size: int, beam_width: int,
-             deadline: float | None) -> list[SearchResult]:
-        if ef is None:
-            ef = max(k, 10)
-        key = (batch_size, beam_width)
-        engine = self._engines[key] = live_graph_engine(
-            self._engines.get(key), self.index, self.adc, batch_size,
-            beam_width)
-        results, n_scored, exact_ndc, _ = rerank_block(
-            engine, self.adc, self.dc, queries, k, ef, self.rerank,
-            self.index.adjacency.excluded_ids, deadline)
-        self.adc_scored += n_scored
-        self.rerank_ndc += exact_ndc
-        return results

@@ -17,6 +17,7 @@ from repro.evalx import compute_ground_truth
 from repro.graphs import HNSW, native
 from repro.graphs.adjacency import AdjacencyStore
 from repro.graphs.csr import CSRGraphView
+from repro.graphs.search import BatchSearchEngine
 from repro.utils import parallel
 
 try:
@@ -231,6 +232,17 @@ def store_of(view: CSRGraphView, n: int) -> AdjacencyStore:
         for v in row[cut:]:
             store.add_extra_edge(u, v, 1.0)
     return store
+
+
+def adc_engine(index, adc, batch_size: int = 1,
+               beam_width: int = 1) -> BatchSearchEngine:
+    """An engine scoring ``index``'s live graph with ``adc``, for driving
+    ``rerank_block`` on a hand-built world (the defaults: a lone query's
+    width-1 block of one)."""
+    return BatchSearchEngine(adc, index.adjacency, index.entry_points,
+                             excluded_fn=index.adjacency.excluded_ids,
+                             batch_size=batch_size, beam_width=beam_width)
+
 
 #: A non-default value for every ``StoreConfig`` field (the round-trip
 #: suites in ``test_durability.py`` and ``test_cluster.py`` parametrize over

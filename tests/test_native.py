@@ -36,7 +36,7 @@ from repro.graphs.search import (BatchSearchEngine, SearchResult,
 from repro.obs import OBS, TRACES
 from repro.quantization.adc import ADCComputer
 from repro.quantization.pq import ProductQuantizer
-from repro.quantization.searcher import PQRerankSearcher, rerank_block
+from repro.quantization.searcher import rerank_block
 from repro.store import VectorStore
 from tests.conftest import (csr_graph, reference_executor, store_of,
                             tie_tolerant_equal)
@@ -354,9 +354,15 @@ class TestBlocks:
                                           b.visited_distances)
 
     @needs_native
-    def test_adc_scalar_matches_pq_rerank_reference(self, tiny_ds,
-                                                    shared_hnsw):
-        searcher = PQRerankSearcher(shared_hnsw, rerank=30)
+    def test_adc_scalar_matches_pq_rerank_reference(self, tiny_ds):
+        """A compressed store's lone queries natively and on the reference
+        recipe: the same ids and hops, the same ADC and re-rank counts."""
+        store = VectorStore(dim=tiny_ds.base.shape[1], metric=tiny_ds.metric,
+                            M=8, ef_construction=40, seed=3, compressed=True,
+                            rerank=30)
+        store.add(tiny_ds.base)
+        store.build()
+        searcher = store.searcher
         queries = tiny_ds.test_queries[:25]
 
         def run():
@@ -367,6 +373,7 @@ class TestBlocks:
         with reference_executor():
             want, scored_want, rerank_want = run()
         got, scored_got, rerank_got = run()
+        store.close()
         assert (scored_want, rerank_want) == (scored_got, rerank_got)
         for a, b in zip(want, got):
             assert (a.executor, b.executor) == ("reference", "native")
@@ -685,6 +692,27 @@ class TestMutableGraph:
                             prepared=True)
         assert got.executor == "native"
         assert tie_tolerant_equal(want, got, dc, q)
+
+    def test_index_search_batch_matches_the_sequential_reference(
+            self, shared_hnsw, tiny_ds):
+        """A built index's batched search walks its live slab natively,
+        every row, and is the sequential reference loop over
+        ``adjacency.neighbors`` (a bound callable: the Python executor):
+        the same ids, hops and NDC, distances to float32 rounding."""
+        index, dc = shared_hnsw, shared_hnsw.dc
+        queries = np.concatenate([tiny_ds.test_queries,
+                                  tiny_ds.train_queries])
+        for batch_size in (16, 64):
+            got = index.search_batch(queries, 10, 100, batch_size=batch_size)
+            for query, row in zip(queries, got, strict=True):
+                assert row.executor == "native"
+                q = dc.prepare_query(query)
+                want = greedy_search(dc, index.adjacency.neighbors,
+                                     index.entry_points(q), q, 10, 100,
+                                     prepared=True)
+                assert want.executor == "reference"
+                assert tie_tolerant_equal(want, row, dc, q,
+                                          ndc=(want.ndc, row.ndc))
 
     def test_a_spec_taken_before_a_grow_is_stale_never_dangling(self):
         rng = np.random.default_rng(4)

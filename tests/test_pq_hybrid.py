@@ -1,17 +1,19 @@
 """Compressed hot path: batched ADC traversal, exact re-rank, memmap tier.
 
 Covers the PQ-resident serving pipeline end to end — the
-:class:`~repro.quantization.adc.ADCComputer` block kernel, the
-mutation-safety bugfixes in :class:`PQRerankSearcher` (stale codes, fixed
-visited table, all-entries-excluded fallback), the compressed
-:class:`~repro.store.VectorStore` serving mode, and the disk-resident
-``np.memmap`` vector tier — plus hypothesis properties tying the
-approximate path to its exact contract.
+:class:`~repro.quantization.adc.ADCComputer` block kernel, the compressed
+:class:`~repro.store.VectorStore` serving mode and its mutation-safety
+bugfixes (stale codes, regrown visited table, tombstoned entries), the
+disk-resident ``np.memmap`` vector tier and its cold residency — plus
+hypothesis properties tying :func:`~repro.quantization.rerank_block` on
+hand-built worlds to its exact contract.
 """
 
 from __future__ import annotations
 
 import contextlib
+import mmap
+import os
 
 import numpy as np
 import pytest
@@ -20,13 +22,12 @@ from hypothesis import given, settings, strategies as st
 from repro.distances import DistanceComputer, Metric
 from repro.evalx import compute_ground_truth, evaluate_index, recall_per_query
 from repro.graphs import HNSW, native
-from repro.graphs.base import live_graph_engine
 from repro.graphs.search import VisitedTable
 from repro.quantization import (ADCComputer, ProductQuantizer,
-                                PQRerankSearcher, fallback_shortlist,
-                                pq_greedy_search, rerank_block)
+                                fallback_shortlist, pq_greedy_search,
+                                rerank_block)
 from repro.store import VectorStore
-from tests.conftest import reference_executor
+from tests.conftest import adc_engine, reference_executor
 
 
 def _recall(searcher, queries, gt, k=10, ef=80, batched=False):
@@ -37,6 +38,17 @@ def _recall(searcher, queries, gt, k=10, ef=80, batched=False):
         found = np.stack(
             [searcher.search(q, k=k, ef=ef).ids[:k] for q in queries])
     return float(recall_per_query(found, gt.top(k).ids).mean())
+
+
+@pytest.fixture
+def compressed_store(tiny_ds):
+    store = VectorStore(dim=tiny_ds.base.shape[1], metric=tiny_ds.metric,
+                        M=8, ef_construction=40, seed=3,
+                        compressed=True, pq_ks=16, rerank=40)
+    store.add(tiny_ds.base)
+    store.build()
+    yield store
+    store.close()
 
 
 # -- ADC block kernel ---------------------------------------------------------
@@ -105,36 +117,10 @@ class TestADCComputer:
 # -- bugfix regressions -------------------------------------------------------
 
 class TestMutationRegressions:
-    def test_add_search_delete_search(self, fresh_hnsw, tiny_ds, rng):
-        """The satellite-1 regression: stale codes + fixed visited table.
-
-        Before the fix, vectors inserted after the searcher was built were
-        invisible (codes never re-encoded) and searching after an insert
-        raised IndexError (VisitedTable sized at construction).
-        """
-        searcher = PQRerankSearcher(fresh_hnsw, rerank=40)
-        q = tiny_ds.test_queries[0]
-        baseline = searcher.search(q, k=10, ef=60)
-        assert baseline.ids.size == 10
-
-        # Insert a vector identical to the query: it must become the top hit.
-        new_id = fresh_hnsw.insert(q)
-        result = searcher.search(q, k=10, ef=60)   # no IndexError
-        assert new_id in result.ids.tolist()
-        batched = searcher.search_batch(q[None, :], k=10, ef=60)[0]
-        assert new_id in batched.ids.tolist()
-
-        # Tombstone it: it must vanish from both paths immediately.
-        fresh_hnsw.adjacency.tombstones.add(new_id)
-        result = searcher.search(q, k=10, ef=60)
-        assert new_id not in result.ids.tolist()
-        batched = searcher.search_batch(q[None, :], k=10, ef=60)[0]
-        assert new_id not in batched.ids.tolist()
-
-    def test_scalar_search_reports_its_hops(self, shared_hnsw, tiny_ds):
+    def test_scalar_search_reports_its_hops(self, compressed_store, tiny_ds):
         """The compressed lone-query path once built its result without
         ``n_hops``, which blinded QueryTrace on it."""
-        searcher = PQRerankSearcher(shared_hnsw, rerank=40)
+        searcher = compressed_store.searcher
         for q in tiny_ds.test_queries[:5]:
             assert searcher.search(q, k=10, ef=40).n_hops > 0
 
@@ -145,9 +131,9 @@ class TestMutationRegressions:
         the search (the old code wrote a private copy of the stamps, so a
         wrapped/observed table desynced).
         """
-        searcher = PQRerankSearcher(shared_hnsw, rerank=40)
+        adc = ADCComputer(shared_hnsw.dc)
         q = shared_hnsw.dc.prepare_query(tiny_ds.test_queries[0])
-        table = searcher.adc.begin_query(q)
+        table = adc.begin_query(q)
 
         class CountingTable(VisitedTable):
             marked: list = []
@@ -159,7 +145,7 @@ class TestMutationRegressions:
         visited = CountingTable(shared_hnsw.dc.size)
         entries = shared_hnsw.entry_points(q)
         ids, _, _ = pq_greedy_search(
-            searcher.pq, searcher.codes, shared_hnsw.adjacency.neighbors,
+            adc.pq, adc.codes, shared_hnsw.adjacency.neighbors,
             entries, table, k=10, ef=40, visited=visited)
         assert ids.size > 0
         assert CountingTable.marked, "entries bypassed mark_many"
@@ -167,49 +153,55 @@ class TestMutationRegressions:
         for e in entries:
             assert visited.is_visited(int(e))
 
-    def test_reused_visited_table_grows_after_insert(self, fresh_hnsw, rng):
-        searcher = PQRerankSearcher(fresh_hnsw, rerank=20)
+    def test_reused_visited_table_grows_after_insert(self, compressed_store,
+                                                     rng):
+        """Rows added after a search are encoded and stamped: the same
+        searcher's next search regrows its visited table instead of
+        raising, and finds them."""
         q = rng.standard_normal(16).astype(np.float32)
-        searcher.search(q, k=5, ef=30)
-        for _ in range(8):
-            fresh_hnsw.insert(rng.standard_normal(16).astype(np.float32))
-        # same searcher, regrown table: must not raise
-        result = searcher.search(q, k=5, ef=30)
-        assert result.ids.size == 5
+        compressed_store.search(q, k=5, ef=30)
+        added = compressed_store.add(
+            q + 0.01 * rng.standard_normal((8, 16)).astype(np.float32))
+        assert compressed_store.adc.codes.shape[0] == compressed_store.dc.size
+        hits = compressed_store.search(q, k=5, ef=30)
+        assert len(hits) == 5
+        assert {h[0] for h in hits} <= set(added)
 
-    def test_tombstoned_entry_navigates_but_never_surfaces(self, fresh_hnsw,
-                                                           tiny_ds):
-        """satellite-3: excluded entry points seed traversal like greedy_search."""
-        searcher = PQRerankSearcher(fresh_hnsw, rerank=40)
+    def test_tombstoned_entry_navigates_but_never_surfaces(
+            self, compressed_store, tiny_ds):
+        """satellite-3: a deleted entry point still seeds traversal (a
+        lazy delete leaves it the epoch entry), like greedy_search, but
+        never surfaces."""
         q = tiny_ds.test_queries[0]
-        entry = fresh_hnsw.entry_points(fresh_hnsw.dc.prepare_query(q))[0]
-        fresh_hnsw.adjacency.tombstones.add(int(entry))
-        result = searcher.search(q, k=10, ef=60)
-        assert result.ids.size == 10
-        assert int(entry) not in result.ids.tolist()
-        batched = searcher.search_batch(q[None, :], k=10, ef=60)[0]
-        assert batched.ids.size == 10
-        assert int(entry) not in batched.ids.tolist()
+        entry = compressed_store.searcher.fixer.entry
+        compressed_store.delete([entry])
+        assert compressed_store.searcher.fixer.entry == entry
+        hits = compressed_store.searcher.search(q, k=10, ef=60)
+        batched = compressed_store.search_batch(q[None, :], 10, 60)[0]
+        for result in (hits, batched):
+            assert result.ids.size == 10
+            assert entry not in result.ids.tolist()
 
     def test_all_excluded_falls_back_to_scan(self):
-        """An edgeless excluded entry yields the ADC brute-force fallback."""
+        """An edgeless excluded entry yields the ADC brute-force fallback,
+        for a lone query's block of one and for a wide batch block."""
         rng = np.random.default_rng(5)
         data = rng.standard_normal((64, 8)).astype(np.float32)
         index = HNSW(data, Metric.L2, M=4, ef_construction=20,
                      single_layer=True, seed=0)
-        searcher = PQRerankSearcher(
-            index, ProductQuantizer(m=2, ks=16, metric=Metric.L2, seed=0),
-            rerank=20)
+        adc = ADCComputer(index.dc, ProductQuantizer(m=2, ks=16,
+                                                     metric=Metric.L2, seed=0))
         entry = index.entry_points(data[0])[0]
         # Tombstone the entry AND strip its edges: the beam dies instantly.
         index.adjacency.tombstones.add(int(entry))
         index.adjacency.set_base_neighbors(int(entry), [])
-        result = searcher.search(data[0], k=5, ef=20)
-        assert result.ids.size == 5
-        assert int(entry) not in result.ids.tolist()
-        batched = searcher.search_batch(data[0][None, :], k=5, ef=20)[0]
-        assert batched.ids.size == 5
-        assert int(entry) not in batched.ids.tolist()
+        for batch_size, beam_width in ((1, 1), (32, 4)):
+            [result], _, _, _ = rerank_block(
+                adc_engine(index, adc, batch_size, beam_width), adc,
+                index.dc, data[:1], 5, 20, 20,
+                index.adjacency.excluded_ids)
+            assert result.ids.size == 5
+            assert int(entry) not in result.ids.tolist()
 
     @pytest.mark.parametrize("executor", ["native", "reference"])
     def test_block_counts_only_its_own_scorings(self, shared_hnsw, tiny_ds,
@@ -220,9 +212,8 @@ class TestMutationRegressions:
         rows' own counts."""
         if executor == "native" and not native.enabled():
             pytest.skip(f"no native executor: {native.status()['reason']}")
-        searcher = PQRerankSearcher(shared_hnsw, rerank=40)
-        adc = searcher.adc
-        engine = live_graph_engine(None, shared_hnsw, adc, 8, 4)
+        adc = ADCComputer(shared_hnsw.dc)
+        engine = adc_engine(shared_hnsw, adc, 8, 4)
         rows = []
         inner = engine.search_batch
 
@@ -257,28 +248,39 @@ class TestMutationRegressions:
 # -- batched path parity and quality -----------------------------------------
 
 class TestCompressedQuality:
-    def test_batched_matches_sequential(self, shared_hnsw, tiny_ds):
-        searcher = PQRerankSearcher(shared_hnsw, rerank=40)
+    def test_batched_matches_sequential(self, compressed_store, tiny_ds):
+        searcher = compressed_store.searcher
         queries = tiny_ds.test_queries[:16]
         seq = [searcher.search(q, k=10, ef=60) for q in queries]
         bat = searcher.search_batch(queries, k=10, ef=60, batch_size=8)
         agree = np.mean([
             len(set(s.ids.tolist()) & set(b.ids.tolist())) / 10
             for s, b in zip(seq, bat)])
-        # ADC distance ties may be broken differently; near-total agreement.
+        # Lone queries walk width 1, batches the configured beam: ADC
+        # distance ties may be broken differently; near-total agreement.
         assert agree >= 0.9
 
-    def test_recall_within_band_of_uncompressed(self, shared_hnsw, tiny_ds,
+    def test_recall_within_band_of_uncompressed(self, compressed_store,
+                                                shared_hnsw, tiny_ds,
                                                 tiny_gt):
-        searcher = PQRerankSearcher(shared_hnsw, rerank=60)
+        """Over re-rank budgets from tight to generous: recall clears a
+        floor at 40, stays within a band of the exact search at 60, and
+        never falls as the budget grows (the traversal does not depend on
+        it, so a larger shortlist is a superset)."""
+        searcher = compressed_store.searcher
         exact = _recall(shared_hnsw, tiny_ds.test_queries, tiny_gt)
-        approx = _recall(searcher, tiny_ds.test_queries, tiny_gt,
-                         batched=True)
-        assert approx >= exact - 0.1
+        recalls = []
+        for rerank in (15, 40, 60, 80):
+            searcher.rerank = rerank
+            recalls.append(_recall(searcher, tiny_ds.test_queries, tiny_gt,
+                                   batched=True))
+        assert recalls[1] > 0.6
+        assert recalls[2] >= exact - 0.1
+        assert recalls == sorted(recalls)
 
-    def test_exact_ndc_collapses_to_rerank_budget(self, shared_hnsw, tiny_ds,
-                                                  tiny_gt):
-        searcher = PQRerankSearcher(shared_hnsw, rerank=40)
+    def test_exact_ndc_collapses_to_rerank_budget(self, compressed_store,
+                                                  tiny_ds, tiny_gt):
+        searcher = compressed_store.searcher
         point = evaluate_index(searcher, tiny_ds.test_queries, tiny_gt,
                                k=10, ef=60, batch_size=8)
         assert point.ndc_per_query <= 40
@@ -286,6 +288,10 @@ class TestCompressedQuality:
         # counters rolled back by evaluate_index's delta bookkeeping aside,
         # the searcher's own counters moved
         assert searcher.rerank_ndc > 0
+        # A lone query's full-precision touches are its re-rank too.
+        compressed_store.dc.reset_ndc()
+        searcher.search(tiny_ds.test_queries[0], k=10, ef=60)
+        assert 0 < compressed_store.dc.reset_ndc() <= 40
 
 
 # -- hypothesis properties ----------------------------------------------------
@@ -311,16 +317,18 @@ class TestCompressedProperties:
         data, metric, seed, n_tomb = world
         index = HNSW(data, metric, M=4, ef_construction=20,
                      single_layer=True, seed=seed % 7)
-        pq = ProductQuantizer(m=2, ks=min(16, data.shape[0] // 2),
-                              metric=metric, seed=0)
-        searcher = PQRerankSearcher(index, pq, rerank=max(k, 10))
+        adc = ADCComputer(index.dc, ProductQuantizer(
+            m=2, ks=min(16, data.shape[0] // 2), metric=metric, seed=0))
         rng = np.random.default_rng(seed + 1)
         tombs = set(int(t) for t in
                     rng.choice(data.shape[0], size=n_tomb, replace=False))
         index.adjacency.tombstones.update(tombs)
         query = rng.standard_normal(data.shape[1]).astype(np.float32)
-        for result in (searcher.search(query, k=k, ef=20),
-                       searcher.search_batch(query[None, :], k=k, ef=20)[0]):
+        # A lone query's width-1 block of one, then a wide batch block.
+        for engine in (adc_engine(index, adc), adc_engine(index, adc, 32, 4)):
+            [result], _, _, _ = rerank_block(
+                engine, adc, index.dc, query[None], k, 20, max(k, 10),
+                index.adjacency.excluded_ids)
             assert result.ids.size > 0
             assert not (set(result.ids.tolist()) & tombs)
             prepared = index.dc.prepare_query(query)
@@ -337,18 +345,19 @@ class TestCompressedProperties:
         data, metric, seed, _ = world
         index = HNSW(data, metric, M=4, ef_construction=20,
                      single_layer=True, seed=seed % 7)
-        pq = ProductQuantizer(m=2, ks=min(16, data.shape[0] // 2),
-                              metric=metric, seed=0)
-        searcher = PQRerankSearcher(index, pq, rerank=15)
+        adc = ADCComputer(index.dc, ProductQuantizer(
+            m=2, ks=min(16, data.shape[0] // 2), metric=metric, seed=0))
         query = np.random.default_rng(seed + 2).standard_normal(
             data.shape[1]).astype(np.float32)
         q = index.dc.prepare_query(query)
-        table = searcher.adc.begin_query(q)
+        table = adc.begin_query(q)
         shortlist, _, _ = pq_greedy_search(
-            searcher.pq, searcher.codes, index.adjacency.neighbors,
+            adc.pq, adc.codes, index.adjacency.neighbors,
             index.entry_points(q), table, k=15, ef=20)
         shortlist = shortlist[:15]
-        result = searcher.search(query, k=5, ef=20)
+        [result], _, _, _ = rerank_block(
+            adc_engine(index, adc), adc, index.dc, query[None], 5, 20, 15,
+            index.adjacency.excluded_ids)
         exact = index.dc.to_query(shortlist, q)
         want = shortlist[np.argsort(exact, kind="stable")[:5]]
         assert set(result.ids.tolist()) <= set(shortlist.tolist())
@@ -356,17 +365,6 @@ class TestCompressedProperties:
 
 
 # -- compressed serving (VectorStore) ----------------------------------------
-
-@pytest.fixture
-def compressed_store(tiny_ds):
-    store = VectorStore(dim=tiny_ds.base.shape[1], metric=tiny_ds.metric,
-                        M=8, ef_construction=40, seed=3,
-                        compressed=True, pq_ks=16, rerank=40)
-    store.add(tiny_ds.base)
-    store.build()
-    yield store
-    store.close()
-
 
 @pytest.mark.timeout(120)
 class TestCompressedServing:
@@ -381,32 +379,41 @@ class TestCompressedServing:
         assert stats["rerank"] == 40
 
     def test_matches_pq_rerank_searcher(self, compressed_store, tiny_ds):
-        """Differential oracle: on a quiescent store the serving path and a
-        PQRerankSearcher over the live graph are the same search — ids,
-        distances and both counters — on either traversal shape."""
+        """Differential oracle: on a quiescent store the epoch-pinned
+        serving path and the same recipe over the live slab —
+        ``rerank_block`` on an engine walking the fixer's adjacency — are
+        the same search: ids, distances and both counters, on either
+        traversal shape (a batch's blocks, a lone query's width-1 block of
+        one)."""
         searcher = compressed_store.searcher
-        reference = PQRerankSearcher(compressed_store._fixer,
-                                     compressed_store.adc.pq,
-                                     rerank=searcher.rerank,
-                                     beam_width=searcher.beam_width)
+        fixer, adc = searcher.fixer, searcher.adc
         queries = tiny_ds.test_queries
 
-        def counters(obj):
-            return np.array([obj.adc_scored, obj.rerank_ndc])
+        def refer(blocks, batch_size, beam_width):
+            engine = adc_engine(fixer, adc, batch_size, beam_width)
+            runs = [rerank_block(engine, adc, fixer.dc, block, 10, 60,
+                                 searcher.rerank,
+                                 fixer.adjacency.excluded_ids)
+                    for block in blocks]
+            return ([r for results, *_ in runs for r in results],
+                    np.array([sum(run[1] for run in runs),
+                              sum(run[2] for run in runs)]))
 
-        for serve, refer in (
+        for serve, blocks, shape in (
                 (lambda: compressed_store.search_batch(queries, 10, 60),
-                 lambda: reference.search_batch(queries, 10, 60)),
+                 [queries], (32, searcher.beam_width)),
                 (lambda: [searcher.search(q, 10, 60) for q in queries],
-                 lambda: [reference.search(q, 10, 60) for q in queries])):
-            served0, refer0 = counters(searcher), counters(reference)
-            got, want = serve(), refer()
-            for g, w in zip(got, want):
+                 [q[None] for q in queries], (1, 1))):
+            before = np.array([searcher.adc_scored, searcher.rerank_ndc])
+            got = serve()
+            spent = np.array([searcher.adc_scored,
+                              searcher.rerank_ndc]) - before
+            want, cost = refer(blocks, *shape)
+            for g, w in zip(got, want, strict=True):
                 np.testing.assert_array_equal(g.ids, w.ids)
                 np.testing.assert_array_equal(g.distances, w.distances)
-            spent = counters(searcher) - served0
             assert spent.all()
-            np.testing.assert_array_equal(spent, counters(reference) - refer0)
+            np.testing.assert_array_equal(spent, cost)
 
     @pytest.mark.parametrize("beam_width", [1, 8])
     def test_beam_width_survives_apply_pq_and_recovery(self, tiny_ds,
@@ -439,8 +446,12 @@ class TestCompressedServing:
         recovered.close()
 
     def test_insert_delete_visibility(self, compressed_store, rng):
+        """add -> search -> delete -> search: a row added after the build
+        is encoded at once (no stale codes) and served by both paths, and
+        its delete hides it from both immediately."""
         q = rng.standard_normal(16).astype(np.float32)
         [new_id] = compressed_store.add(q[None, :])
+        assert compressed_store.adc.codes.shape[0] == compressed_store.dc.size
         hits = compressed_store.search(q, k=5, ef=60)
         assert hits[0][0] == new_id
         batched = compressed_store.search_batch(q[None, :], 5, 60)[0]
@@ -463,7 +474,81 @@ class TestCompressedServing:
 
 # -- memmap tier --------------------------------------------------------------
 
+def _mapped_rss_bytes(path) -> int:
+    """Resident bytes of this process's mappings of ``path`` (smaps)."""
+    rss, want = 0, False
+    with open("/proc/self/smaps") as smaps:
+        for line in smaps:
+            if str(path) in line:
+                want = True
+            elif want and line.startswith("Rss:"):
+                rss += int(line.split()[1]) * 1024
+                want = False
+    return rss
+
+
+def _evict_page_cache(path) -> None:
+    """Drop ``path`` from the page cache: the file is cache-hot right after
+    the spill write, and a minor fault maps every cache-resident neighbour
+    page (fault-around), so without this serving would measure the cache."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.posix_fadvise(fd, 0, 0, os.POSIX_FADV_DONTNEED)
+    finally:
+        os.close(fd)
+
+
 class TestMemmapTier:
+    @pytest.mark.timeout(120)
+    @pytest.mark.skipif(not (os.path.exists("/proc/self/smaps")
+                             and hasattr(os, "posix_fadvise")),
+                        reason="needs /proc/self/smaps and posix_fadvise")
+    def test_cold_serving_pages_in_a_fraction_of_the_file(self, tmp_path):
+        """The bigger-than-RAM claim: codes navigate, and only the re-rank
+        shortlists page raw vector rows back in.
+
+        A cluster-sorted corpus (a disk tier clusters its layout, so a
+        local workload touches few pages) is served compressed from a
+        memmap, remapped and evicted before serving; queries from two of
+        sixteen clusters must leave under half the file resident, keep
+        their recall, and never surface a deleted id."""
+        rng = np.random.default_rng(7)
+        n, dim, n_clusters = 1000, 384, 16
+        centers = rng.normal(size=(n_clusters, dim)).astype(np.float32) * 4
+        assign = np.sort(rng.integers(0, n_clusters, size=n))
+        data = (centers[assign]
+                + rng.normal(size=(n, dim))).astype(np.float32)
+        # A re-rank budget past the query clusters' population would spray
+        # page-ins across the whole file.
+        store = VectorStore(dim, "l2", M=12, ef_construction=60,
+                            compressed=True, pq_m=16, pq_ks=64,
+                            rerank=n // n_clusters,
+                            memmap_path=tmp_path / "vectors.vecs")
+        # Deleted from a cluster no query comes from, so recall is
+        # unaffected: they must never surface all the same.
+        deleted = np.flatnonzero(assign == n_clusters - 1)[:8].tolist()
+        queries = (centers[rng.integers(0, 2, size=64)]
+                   + rng.normal(size=(64, dim))).astype(np.float32)
+        gt = compute_ground_truth(data, queries, 10, "l2")
+        try:
+            store.add(data)
+            store.build()
+            store.delete(deleted)
+            dc = store.dc
+            assert dc.is_memmap
+            file_bytes = dc.memmap_path.stat().st_size
+            dc.remap()                  # a fresh mapping: nothing resident
+            _evict_page_cache(dc.memmap_path)
+            assert _mapped_rss_bytes(dc.memmap_path) <= 4 * mmap.PAGESIZE
+            results = store.search_batch(queries, 10, 150)
+            resident = _mapped_rss_bytes(dc.memmap_path)
+        finally:
+            store.close()
+        assert resident < file_bytes // 2
+        assert not any(set(deleted) & set(r.ids.tolist()) for r in results)
+        found = np.stack([r.ids[:10] for r in results])
+        assert recall_per_query(found, gt.ids).mean() >= 0.75
+
     def test_round_trip_distances(self, tiny_ds, tmp_path):
         a = DistanceComputer(tiny_ds.base, tiny_ds.metric)
         b = DistanceComputer(tiny_ds.base, tiny_ds.metric)

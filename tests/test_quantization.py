@@ -1,11 +1,10 @@
-"""k-means, product quantization, and PQ-accelerated search."""
+"""k-means and product quantization."""
 
 import numpy as np
 import pytest
 
 from repro.distances import Metric
-from repro.evalx import recall_at_k
-from repro.quantization import PQRerankSearcher, ProductQuantizer, kmeans
+from repro.quantization import ProductQuantizer, kmeans
 
 
 class TestKmeans:
@@ -100,31 +99,3 @@ class TestProductQuantizer:
         exact = ((recon - q) ** 2).sum(axis=1)
         assert np.allclose(approx, exact, rtol=1e-4, atol=1e-4)
 
-
-class TestPQRerankSearcher:
-    def test_reasonable_recall_with_tiny_exact_budget(self, tiny_ds,
-                                                      shared_hnsw, tiny_gt):
-        pq = ProductQuantizer(m=4, ks=32, metric=tiny_ds.metric, seed=0)
-        searcher = PQRerankSearcher(shared_hnsw, pq, rerank=40)
-        found = np.vstack([searcher.search(q, k=10, ef=60).ids[:10]
-                           for q in tiny_ds.test_queries])
-        recall = recall_at_k(found, tiny_gt.top(10).ids)
-        assert recall > 0.6
-        assert searcher.adc_scored > 0
-
-    def test_exact_ndc_bounded_by_rerank(self, tiny_ds, shared_hnsw):
-        searcher = PQRerankSearcher(shared_hnsw, rerank=30)
-        shared_hnsw.dc.reset_ndc()
-        searcher.search(tiny_ds.test_queries[0], k=10, ef=60)
-        assert shared_hnsw.dc.reset_ndc() <= 30
-
-    def test_larger_rerank_helps(self, tiny_ds, shared_hnsw, tiny_gt):
-        pq = ProductQuantizer(m=4, ks=32, metric=tiny_ds.metric, seed=0)
-        pq.fit(tiny_ds.base)
-        recalls = []
-        for rerank in (15, 80):
-            searcher = PQRerankSearcher(shared_hnsw, pq, rerank=rerank)
-            found = np.vstack([searcher.search(q, k=10, ef=80).ids[:10]
-                               for q in tiny_ds.test_queries])
-            recalls.append(recall_at_k(found, tiny_gt.top(10).ids))
-        assert recalls[1] >= recalls[0]
