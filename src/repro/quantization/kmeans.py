@@ -1,7 +1,8 @@
-"""Lloyd's k-means with k-means++ seeding (NumPy, no sklearn).
-
-Used by the product quantizer's per-subspace codebooks and by the
-cluster-centroid entry strategy.
+"""Lloyd's k-means with k-means++ seeding (NumPy, no sklearn): the PQ
+codebooks, the IVF cells and the centroid entry points.  A Lloyd step adds
+squared distances one coordinate at a time into one ``(n, k)`` float64
+buffer -- temporaries stay near two such buffers at any dimension, and below
+8 coordinates the sum is the broadcast's own left-to-right one, bit for bit.
 """
 
 from __future__ import annotations
@@ -40,38 +41,33 @@ def kmeans(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cluster ``data`` into ``k`` centers; returns (centers, assignments).
 
-    Empty clusters are re-seeded from the point farthest from its center,
-    so exactly ``k`` centers always come back.
+    An empty cluster takes the worst-served point of a cluster with two or
+    more members before the means are taken, so ``k`` centers come back.
     """
     data = check_matrix(data, "data", dtype=np.float64)
     check_positive(k, "k")
-    if k > data.shape[0]:
-        raise ValueError(f"k={k} exceeds n={data.shape[0]}")
-    rng = ensure_rng(seed)
-    centers = _kmeanspp_init(data, k, rng)
-    assignments = np.zeros(data.shape[0], dtype=np.int64)
+    n = data.shape[0]
+    if k > n:
+        raise ValueError(f"k={k} exceeds n={n}")
+    centers = _kmeanspp_init(data, k, ensure_rng(seed))
+    cols = np.ascontiguousarray(data.T)
+    dist, diff = np.empty((n, k)), np.empty((n, k))
+    assignments = np.zeros(n, dtype=np.int64)
     for _ in range(n_iters):
-        # assignment step (blockwise distance computation)
-        d = ((data[:, None, :] - centers[None, :, :]) ** 2).sum(-1) \
-            if data.shape[0] * k <= 2_000_000 else None
-        if d is None:
-            d = np.empty((data.shape[0], k))
-            for j in range(k):
-                d[:, j] = ((data - centers[j]) ** 2).sum(axis=1)
-        new_assignments = d.argmin(axis=1)
-        shift = 0.0
-        for j in range(k):
-            members = data[new_assignments == j]
-            if members.shape[0] == 0:
-                # re-seed from the globally worst-served point
-                worst = int(d[np.arange(d.shape[0]), new_assignments].argmax())
-                centers[j] = data[worst]
-                new_assignments[worst] = j
-                continue
-            new_center = members.mean(axis=0)
-            shift += float(((new_center - centers[j]) ** 2).sum())
-            centers[j] = new_center
-        assignments = new_assignments
+        dist.fill(0.0)
+        for col, center_col in zip(cols, centers.T):
+            dist += np.square(np.subtract.outer(col, center_col, out=diff), out=diff)
+        assignments = dist.argmin(axis=1)
+        counts = np.bincount(assignments, minlength=k)
+        for j in np.flatnonzero(counts == 0):
+            served = dist[np.arange(n), assignments]
+            worst = int(np.where(counts[assignments] > 1, served, -1.0).argmax())
+            counts[assignments[worst]] -= 1
+            counts[j], assignments[worst] = 1, j
+        new_centers = np.stack([np.bincount(assignments, col, k)
+                                for col in cols], axis=1) / counts[:, None]
+        shift = np.cumsum(((new_centers - centers) ** 2).sum(axis=1))[-1]
+        centers = new_centers
         if shift < tol:
             break
     return centers.astype(np.float32), assignments

@@ -21,6 +21,8 @@ from repro.quantization.kmeans import kmeans
 from repro.utils.rng_utils import ensure_rng
 from repro.utils.validation import check_matrix, check_positive
 
+_ENCODE_ROWS = 1024  # encode's row block: 3 MB of distances at m=12, ks=64
+
 
 class ProductQuantizer:
     """PQ codec with ADC scoring.
@@ -64,12 +66,9 @@ class ProductQuantizer:
         if data.shape[0] < self.ks:
             raise ValueError(f"need at least ks={self.ks} training vectors")
         self.dim = data.shape[1]
-        d_sub = self.dim // self.m
-        self.codebooks = np.empty((self.m, self.ks, d_sub), dtype=np.float32)
         sub = self._split(data)
-        for j in range(self.m):
-            centers, _ = kmeans(sub[:, j, :], self.ks, seed=self._rng)
-            self.codebooks[j] = centers
+        self.codebooks = np.stack([kmeans(sub[:, j], self.ks, seed=self._rng)[0]
+                                   for j in range(self.m)])
         return self
 
     def _require_fitted(self) -> None:
@@ -82,11 +81,15 @@ class ProductQuantizer:
         data = check_matrix(data, "data")
         if data.shape[1] != self.dim:
             raise ValueError(f"expected dimension {self.dim}, got {data.shape[1]}")
-        sub = self._split(data)
+        sub = self._split(data)[:, :, None, :]
         codes = np.empty((data.shape[0], self.m), dtype=np.uint8)
-        for j in range(self.m):
-            d = ((sub[:, j, None, :] - self.codebooks[j][None, :, :]) ** 2).sum(-1)
-            codes[:, j] = d.argmin(axis=1)
+        for at in range(0, data.shape[0], _ENCODE_ROWS):
+            block = sub[at:at + _ENCODE_ROWS]  # (rows, m, 1, d_sub)
+            dist = np.zeros(block.shape[:2] + (self.ks,), np.float32)
+            for c in range(block.shape[3]):  # left to right, as NumPy sums
+                diff = block[..., c] - self.codebooks[..., c]
+                dist += np.square(diff, out=diff)
+            codes[at:at + _ENCODE_ROWS] = dist.argmin(axis=2)
         return codes
 
     def decode(self, codes: np.ndarray) -> np.ndarray:
