@@ -98,14 +98,13 @@ def enforce_extra_budget(
             evicted.append((u, hit[0]))
     elif strategy == "random":
         rng = ensure_rng(rng)
-        extras = [v for v, eh in adjacency.extra_neighbors_ro(u).items()
+        extras = [v for v, eh in adjacency.extra_neighbors(u).items()
                   if eh != float("inf")]
         picks = rng.choice(len(extras), size=min(over, len(extras)), replace=False)
         for j in picks:
             adjacency.remove_extra_edge(u, extras[int(j)])
             evicted.append((u, extras[int(j)]))
     elif strategy == "mrng":
-        # Copying accessor: removals below mutate the dict being summarized.
         extra = adjacency.extra_neighbors(u)
         protected = [v for v, eh in extra.items() if eh == float("inf")]
         prunable = [v for v, eh in extra.items() if eh != float("inf")]

@@ -1,27 +1,24 @@
 """Directed adjacency storage with base/extra edge separation.
 
-The paper represents a fixed graph index as ``G = (V, E_base ∪ E_extra)``
-(Sec. 5.3): ``E_base`` comes from the underlying index construction (HNSW,
-NSG, …) and ``E_extra`` is added by NGFix/RFix.  Extra edges carry their
+The paper represents a fixed graph index as ``G = (V, E_{base} ∪ E_{extra})``
+(Sec. 5.3): ``E_{base}`` comes from the underlying index construction (HNSW,
+NSG, …) and ``E_{extra}`` is added by NGFix/RFix.  Extra edges carry their
 Escape Hardness value (the paper stores 16 bits per extra edge) which drives
 eviction when a node's extra out-degree budget is exhausted, and partial
 rebuilds drop only extra edges.  Tombstones implement lazy deletion.
 
-The edge *sets* live in per-node Python lists/dicts (what NGFix/RFix mutate
-and reason about); what a traversal reads is the **slab**: every node's
-combined out-neighbours (base, then extra, in insertion order) in one int32
-array ``(capacity, width)`` plus a degree vector, rewritten for the touched
-node at the single choke point :meth:`AdjacencyStore._touch`.  Both
-executors read it in place — :meth:`AdjacencyStore.neighbors` is a row view
-and :meth:`AdjacencyStore.native_graph` hands the two arrays to ``_beam.c``
-— so construction, ``add``, WAL replay and ``fix_query`` search the graph
-they are writing without freezing it.  A call site names this graph by the
-store itself (it is callable like a ``neighbors_fn``), never by its bound
-``neighbors``: a plain callable has no native description.
-
-The slab is the live graph's only searchable copy.  :meth:`freeze`
-(→ :class:`~repro.graphs.csr.CSRGraphView`) gathers it into the immutable
-CSR snapshot a serving epoch pins, and only
+The store is arrays only: the **slab** holds every node's out-neighbours
+in one int32 row of ``(capacity, width)`` — ``base_count[u]`` base edges,
+then extra edges in insertion order up to ``degree[u]`` — and a float64
+array beside it holds each extra edge's EH tag.  Mutators edit the rows in
+place; readers copy out of them.  Both executors walk the slab as it is
+written (:meth:`AdjacencyStore.neighbors` is a row view,
+:meth:`AdjacencyStore.native_graph` hands slab and degree to ``_beam.c``),
+so construction, ``add``, WAL replay and ``fix_query`` search the graph
+without freezing it.  A call site names this graph by the store itself (it
+is callable like a ``neighbors_fn``), never by its bound ``neighbors``: a
+plain callable has no native description.  :meth:`freeze` gathers the slab
+into the CSR snapshot a serving epoch pins; only
 :meth:`repro.serving.EpochManager.cut` calls it.
 """
 
@@ -67,23 +64,19 @@ class ObservedTombstones(set):
 
 
 class AdjacencyStore:
-    """Per-node base neighbors, extra neighbors (with EH tags), tombstones.
-
-    The combined neighbor row of each node is kept current in the slab (see
-    the module docstring), which every search over the live graph walks; a
-    whole-graph CSR snapshot (:meth:`freeze`) serves the epoch query path.
-    """
+    """Base edges, extra edges with their EH tags, and tombstones, held in
+    the arrays the module docstring describes."""
 
     def __init__(self, n_nodes: int):
         if n_nodes <= 0:
             raise ValueError(f"n_nodes must be positive, got {n_nodes}")
-        self._base: list[list[int]] = [[] for _ in range(n_nodes)]
-        self._extra: list[dict[int, float]] = [{} for _ in range(n_nodes)]
-        # ``_slab[u, :_degree[u]]`` = ``_base[u] + list(_extra[u])``.  Rows
-        # widen (doubling) when a node outgrows them; ``_native`` is the
-        # spec of the current arrays at the current node count.
+        self._n = n_nodes
+        # Rows widen (doubling) when a node outgrows them; ``_native`` is
+        # the spec of the current arrays at the current node count.
         self._slab = np.zeros((n_nodes, 8), dtype=np.int32)
+        self._eh = np.zeros((n_nodes, 8), dtype=np.float64)
         self._degree = np.zeros(n_nodes, dtype=np.int32)
+        self._base_count = np.zeros(n_nodes, dtype=np.int32)
         self._native: native.Graph | None = None
         self.tombstones: set[int] = set()
         # Ids physically compacted away (edges stripped, row still in the
@@ -97,27 +90,32 @@ class AdjacencyStore:
         # epoch views stay consistent without refreezing.
         self._overlay = None
 
-    def _touch(self, u: int) -> None:
-        """Record a mutation of node ``u``'s out-edges."""
-        base, extra = self._base[u], self._extra[u]
-        n_base = len(base)
-        degree = n_base + len(extra)
-        if degree > self._slab.shape[1]:
-            # New array, not a resize: a spec taken earlier stays readable.
-            wide = np.zeros((self._slab.shape[0],
-                             max(degree, 2 * self._slab.shape[1])),
-                            dtype=np.int32)
-            wide[:, :self._slab.shape[1]] = self._slab
-            self._slab, self._native = wide, None
-        row = self._slab[u]
-        row[:n_base] = base
-        if extra:
-            row[n_base:degree] = list(extra)
-        self._degree[u] = degree
+    def _widen(self, degree: int) -> None:
+        """Widen every row to hold ``degree`` edges."""
+        width = self._slab.shape[1]
+        if degree > width:
+            # New arrays, not a resize: a spec taken earlier stays readable.
+            pad = ((0, 0), (0, max(degree, 2 * width) - width))
+            self._slab, self._eh = np.pad(self._slab, pad), np.pad(self._eh, pad)
+            self._native = None
+
+    def _record(self, u: int) -> None:
+        """Log a copy of node ``u``'s row to the overlay (the row itself is
+        rewritten by the next mutation): one record per mutation."""
         if self._overlay is not None:
-            # The overlay's frozen per-node record: a copy, the row itself
-            # is rewritten by the next mutation.
-            self._overlay.record_node(u, row[:degree].copy())
+            self._overlay.record_node(u, self.neighbors(u).copy())
+
+    def _write(self, u: int, base: list[int], extras: dict) -> None:
+        """Make ``base``, then ``extras`` (``{v: eh}`` in order), node
+        ``u``'s row, and record it."""
+        b, d = len(base), len(base) + len(extras)
+        self._widen(d)
+        self._slab[u, :b] = base
+        if extras:
+            self._slab[u, b:d] = list(extras)
+            self._eh[u, b:d] = list(extras.values())
+        self._degree[u], self._base_count[u] = d, b
+        self._record(u)
 
     # -- serving overlay ----------------------------------------------------
 
@@ -140,20 +138,18 @@ class AdjacencyStore:
 
     @property
     def n_nodes(self) -> int:
-        return len(self._base)
+        return self._n
 
     def grow(self, n_new: int) -> None:
         """Append ``n_new`` isolated nodes (for incremental insertion)."""
         if n_new < 0:
             raise ValueError(f"n_new must be non-negative, got {n_new}")
-        if n_new == 0:
-            return
-        size = self.n_nodes
-        self._base.extend([] for _ in range(n_new))
-        self._extra.extend({} for _ in range(n_new))
-        slab = self._slab
-        self._degree = with_capacity(self._degree, size, size + n_new)
-        self._slab = with_capacity(slab, size, size + n_new)
+        size, slab = self._n, self._slab
+        self._n = size + n_new
+        self._degree = with_capacity(self._degree, size, self._n)
+        self._base_count = with_capacity(self._base_count, size, self._n)
+        self._eh = with_capacity(self._eh, size, self._n)
+        self._slab = with_capacity(slab, size, self._n)
         if self._slab is not slab:
             self._native = None
 
@@ -163,13 +159,13 @@ class AdjacencyStore:
         """Replace node ``u``'s base neighbor list: ``neighbors`` without
         ``u`` and without repeats, in order.  A base edge supersedes an
         extra edge to the same node (see :meth:`add_base_edge`)."""
-        base = self._base[u] = list(dict.fromkeys(
-            v for v in map(int, neighbors) if v != u))
-        extra = self._extra[u]
-        if extra:
+        base = list(dict.fromkeys(v for v in map(int, neighbors) if v != u))
+        extras = {}
+        if self._degree[u] > self._base_count[u]:
+            extras = self.extra_neighbors(u)
             for v in base:
-                extra.pop(v, None)
-        self._touch(u)
+                extras.pop(v, None)
+        self._write(u, base, extras)
 
     def add_base_edge(self, u: int, v: int) -> bool:
         """Add base edge u->v; returns False if it already existed.  An
@@ -178,11 +174,17 @@ class AdjacencyStore:
         twice (a node scored twice overflows the native kernel's scratch,
         and it hands the search back)."""
         u, v = int(u), int(v)
-        if u == v or v in self._base[u]:
+        base = self.base_neighbors(u)
+        if u == v or v in base:
             return False
-        self._extra[u].pop(v, None)
-        self._base[u].append(v)
-        self._touch(u)
+        d = int(self._degree[u])
+        if d > len(base):  # extras follow the base edges: rewrite the row
+            self.set_base_neighbors(u, base + [v])
+            return True
+        self._widen(d + 1)  # no extras: append in place
+        self._slab[u, d] = v
+        self._degree[u] = self._base_count[u] = d + 1
+        self._record(u)
         return True
 
     def add_extra_edge(self, u: int, v: int, eh: float) -> bool:
@@ -195,22 +197,25 @@ class AdjacencyStore:
         u, v = int(u), int(v)
         if u == v:
             return False
-        existing = self._extra[u].get(v)
-        if existing is not None:
-            if eh > existing:
-                self._extra[u][v] = eh
+        d = int(self._degree[u])
+        row = self._slab[u, :d].tolist()
+        if v in row:  # a base edge, or an extra edge to re-tag
+            i = row.index(v)
+            if i >= self._base_count[u] and eh > self._eh[u, i]:
+                self._eh[u, i] = eh
             return False
-        if v in self._base[u]:
-            return False
-        self._extra[u][v] = eh
-        self._touch(u)
+        self._widen(d + 1)
+        self._slab[u, d], self._eh[u, d] = v, eh
+        self._degree[u] = d + 1
+        self._record(u)
         return True
 
     def remove_extra_edge(self, u: int, v: int) -> bool:
         """Remove extra edge u->v if present."""
-        if self._extra[u].pop(v, None) is None:
+        extras = self.extra_neighbors(u)
+        if extras.pop(v, None) is None:
             return False
-        self._touch(u)
+        self._write(u, self.base_neighbors(u), extras)
         return True
 
     def evict_lowest_eh(self, u: int) -> tuple[int, float] | None:
@@ -221,45 +226,31 @@ class AdjacencyStore:
         without) are pruned first.  Infinite-EH edges (RFix) are never
         evicted.  The choice is the lexicographic minimum over ``(eh, v)``,
         so ties on EH deterministically evict the smallest target id — the
-        outcome depends only on the edge *set*, never on dict insertion
-        order, keeping repair runs reproducible across worker counts.
+        outcome depends only on the edge *set*, never on insertion order,
+        keeping repair runs reproducible across worker counts.
         Returns the evicted (target, eh) or None.
         """
-        best: tuple[float, int] | None = None
-        for v, eh in self._extra[u].items():
-            if eh == EH_INFINITE:
-                continue
-            if best is None or (eh, v) < best:
-                best = (eh, v)
-        if best is None:
+        extras = self.extra_neighbors(u)
+        finite = [(eh, v) for v, eh in extras.items() if eh != EH_INFINITE]
+        if not finite:
             return None
-        best_eh, best_v = best
-        del self._extra[u][best_v]
-        self._touch(u)
-        return best_v, best_eh
+        eh, v = min(finite)
+        del extras[v]
+        self._write(u, self.base_neighbors(u), extras)
+        return v, eh
 
     # -- reads ----------------------------------------------------------------
 
     def base_neighbors(self, u: int) -> list[int]:
-        """Base neighbors of ``u`` as a defensive copy (safe to mutate)."""
-        return list(self._base[u])
+        """Base neighbors of ``u`` in order (a fresh list)."""
+        return self._slab[u, :self._base_count[u]].tolist()
 
     def extra_neighbors(self, u: int) -> dict[int, float]:
-        """Extra neighbors of ``u`` mapped to their EH tags (copy)."""
-        return dict(self._extra[u])
-
-    def base_neighbors_ro(self, u: int) -> list[int]:
-        """Node ``u``'s *internal* base list — read-only, never mutate.
-
-        Hot-path variant of :meth:`base_neighbors`: construction loops read
-        neighbor lists thousands of times per node, and the defensive copy
-        dominated those call sites.
-        """
-        return self._base[u]
-
-    def extra_neighbors_ro(self, u: int) -> dict[int, float]:
-        """Node ``u``'s *internal* extra dict — read-only, never mutate."""
-        return self._extra[u]
+        """Extra neighbors of ``u`` in insertion order, mapped to their EH
+        tags (a fresh dict)."""
+        b, d = self._base_count[u], self._degree[u]
+        return dict(zip(self._slab[u, b:d].tolist(),
+                        self._eh[u, b:d].tolist()))
 
     def neighbors(self, u: int) -> np.ndarray:
         """Combined base+extra out-neighbors: ``u``'s live slab row (a
@@ -274,26 +265,24 @@ class AdjacencyStore:
     def native_graph(self):
         """The live graph as a :class:`repro.graphs.native.Graph` the
         kernel reads in place (rebuilt when the node count moved or the
-        arrays were replaced), or None for a subclass."""
+        arrays were replaced)."""
         graph = self._native
-        if graph is None or graph.n != len(self._base):
-            if type(self) is not AdjacencyStore:
-                return None
+        if graph is None or graph.n != self._n:
             graph = self._native = native.Graph.mutable(
-                self._slab, self._degree, len(self._base))
+                self._slab, self._degree, self._n)
         return graph
 
     def out_degree(self, u: int) -> int:
-        return len(self._base[u]) + len(self._extra[u])
+        return self._degree.item(u)
 
     def base_degree(self, u: int) -> int:
-        return len(self._base[u])
+        return self._base_count.item(u)
 
     def extra_degree(self, u: int) -> int:
-        return len(self._extra[u])
+        return self._degree.item(u) - self._base_count.item(u)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._extra[u] or v in self._base[u]
+        return v in self.neighbors(u).tolist()
 
     # -- frozen CSR snapshot ---------------------------------------------------
 
@@ -315,10 +304,10 @@ class AdjacencyStore:
     # -- aggregates -----------------------------------------------------------
 
     def n_base_edges(self) -> int:
-        return sum(len(lst) for lst in self._base)
+        return int(self._base_count[:self._n].sum())
 
     def n_extra_edges(self) -> int:
-        return sum(len(d) for d in self._extra)
+        return int(self._degree[:self._n].sum()) - self.n_base_edges()
 
     def average_out_degree(self) -> float:
         return (self.n_base_edges() + self.n_extra_edges()) / self.n_nodes
@@ -332,6 +321,25 @@ class AdjacencyStore:
         """
         return 4 * self.n_base_edges() + 6 * self.n_extra_edges()
 
+    def _slots(self) -> tuple[np.ndarray, np.ndarray]:
+        """Bool masks over ``slab[:n]``: the base slots, the extra slots."""
+        cols = np.arange(self._slab.shape[1])
+        base = cols < self._base_count[:self._n, None]
+        return base, ~base & (cols < self._degree[:self._n, None])
+
+    def _edge_arrays(self) -> dict[str, np.ndarray]:
+        """The base edges as an int64 CSR (``indptr``, ``indices``) and the
+        extra edges as row-major ``(extra_u, extra_v, extra_eh)`` triplets,
+        by the names :func:`repro.io.save_index` writes them under."""
+        n, slab = self._n, self._slab[:self._n]
+        base, extra = self._slots()
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(self._base_count[:n], out=indptr[1:])
+        return dict(indptr=indptr, indices=slab[base].astype(np.int64),
+                    extra_u=np.nonzero(extra)[0].astype(np.int64),
+                    extra_v=slab[extra].astype(np.int64),
+                    extra_eh=self._eh[:n][extra])
+
     # -- maintenance ----------------------------------------------------------
 
     def drop_extra_fraction(self, fraction: float,
@@ -344,21 +352,30 @@ class AdjacencyStore:
         longer reflect the current graph.  Infinite-EH edges (RFix navigation
         edges, paper Alg. 4) are never dropped and keep their sentinel tag —
         the same never-evict guarantee :meth:`evict_lowest_eh` upholds.
+        The candidates are numbered row by row, each row's extras in
+        insertion order, and the overlay gets one record per candidate.
         Returns the number removed.
         """
         if not 0.0 <= fraction <= 1.0:
             raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-        targets = [(u, v) for u in range(self.n_nodes)
-                   for v, eh in self._extra[u].items() if eh != EH_INFINITE]
-        n_drop = int(round(fraction * len(targets)))
+        n = self._n
+        extra = self._slots()[1]
+        finite = extra & (self._eh[:n] != EH_INFINITE)
+        rows, cols = np.nonzero(finite)
+        n_drop = int(round(fraction * rows.size))
+        self._eh[:n][finite] = 0.0
         if n_drop:
-            for i in rng.choice(len(targets), size=n_drop, replace=False):
-                u, v = targets[int(i)]
-                del self._extra[u][v]
-        for u, v in targets:
-            if v in self._extra[u]:
-                self._extra[u][v] = 0.0
-            self._touch(u)
+            picks = rng.choice(rows.size, size=n_drop, replace=False)
+            extra[rows[picks], cols[picks]] = False
+            for u in np.unique(rows[picks]).tolist():
+                b, d = int(self._base_count[u]), int(self._degree[u])
+                kept = extra[u, b:d]
+                end = b + int(kept.sum())
+                self._slab[u, b:end] = self._slab[u, b:d][kept]
+                self._eh[u, b:end] = self._eh[u, b:d][kept]
+                self._degree[u] = end
+        for u in rows.tolist():
+            self._record(u)
         return n_drop
 
     def excluded_ids(self) -> set[int] | None:
@@ -377,31 +394,33 @@ class AdjacencyStore:
         Used by the compaction path of deletion (Sec. 5.5.2): once tombstones
         exceed the threshold, a full traversal strips deleted points and
         their incoming edges.  The ids join :attr:`removed` permanently.
+        A node that loses base and extra edges is recorded twice, base first.
         """
         self.removed |= set(deleted)
-        for u in range(self.n_nodes):
+        gone = np.fromiter(deleted, dtype=np.int64, count=len(deleted))
+        # Only rows naming a deleted node, and the deleted rows, change.
+        hit = np.isin(self._slab[:self._n], gone) & np.logical_or(*self._slots())
+        rows = hit.any(axis=1) | np.isin(np.arange(self._n), gone)
+        for u in np.flatnonzero(rows).tolist():
             if u in deleted:
-                self._base[u] = []
-                self._extra[u] = {}
-                self._touch(u)
+                self._write(u, [], {})
                 continue
-            base = [v for v in self._base[u] if v not in deleted]
-            if len(base) != len(self._base[u]):
-                self._base[u] = base
-                self._touch(u)
-            extra_hits = [v for v in self._extra[u] if v in deleted]
-            for v in extra_hits:
-                del self._extra[u][v]
-            if extra_hits:
-                self._touch(u)
+            base, extras = self.base_neighbors(u), self.extra_neighbors(u)
+            kept = [v for v in base if v not in deleted]
+            if len(kept) != len(base):
+                base = kept
+                self._write(u, base, extras)
+            if any(v in deleted for v in extras):
+                self._write(u, base, {v: eh for v, eh in extras.items()
+                                      if v not in deleted})
 
     def copy(self) -> "AdjacencyStore":
         """Deep copy (used by ablation benches to fork a base graph)."""
-        out = AdjacencyStore(self.n_nodes)
-        out._base = [list(lst) for lst in self._base]
-        out._extra = [dict(d) for d in self._extra]
-        out._slab = self._slab[:self.n_nodes].copy()
-        out._degree = self._degree[:self.n_nodes].copy()
+        n = self._n
+        out = AdjacencyStore(n)
+        out._slab, out._eh = self._slab[:n].copy(), self._eh[:n].copy()
+        out._degree = self._degree[:n].copy()
+        out._base_count = self._base_count[:n].copy()
         out.tombstones = set(self.tombstones)
         out.removed = set(self.removed)
         return out

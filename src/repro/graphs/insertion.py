@@ -106,7 +106,7 @@ class BottomLayer:
         for v in selected:
             adjacency.add_base_edge(v, new_id)
             if adjacency.base_degree(v) > cap + self._shrink_slack:
-                neigh = np.array(adjacency.base_neighbors_ro(v),
+                neigh = np.array(adjacency.base_neighbors(v),
                                  dtype=np.int64)
                 adjacency.set_base_neighbors(v, select(dc, v, neigh, cap))
         return cand_ids

@@ -87,10 +87,8 @@ class NSG(GraphIndex):
         neighbor of v, re-pruning v's list when it overflows R.  Without
         this pass clustered data yields near-tree graphs with poor recall."""
         for u in range(self.size):
-            # The body only mutates v's lists (v != u), so iterating u's
-            # internal list directly is safe.
-            for v in self.adjacency.base_neighbors_ro(u):
-                neigh_v = self.adjacency.base_neighbors_ro(v)
+            for v in self.adjacency.base_neighbors(u):
+                neigh_v = self.adjacency.base_neighbors(v)
                 if u in neigh_v:
                     continue
                 if len(neigh_v) < self.R:

@@ -89,21 +89,20 @@ class RoarGraph(GraphIndex):
             self.adjacency.set_base_neighbors(
                 u, rng_prune_backfill(self.dc, u, pool, self.M))
 
-        # Reverse bipartite edges while capacity allows (the body only
-        # touches v != u lists, so scanning u's own list is safe).
+        # Reverse bipartite edges while capacity allows.
         for u in range(self.size):
-            for v in self.adjacency.base_neighbors_ro(u):
+            for v in self.adjacency.base_neighbors(u):
                 if self.adjacency.base_degree(v) < self.M:
                     self.adjacency.add_base_edge(v, u)
 
         # Step 3: connectivity enhancement via neighbors-of-neighbors top-up.
         for u in range(self.size):
-            neigh = self.adjacency.base_neighbors_ro(u)
+            neigh = self.adjacency.base_neighbors(u)
             if len(neigh) >= self.M // 2:
                 continue
             pool = set(neigh)
             for v in neigh:
-                pool.update(self.adjacency.base_neighbors_ro(v))
+                pool.update(self.adjacency.base_neighbors(v))
             pool.update(int(v) for v in knn[u])
             pool.discard(u)
             self.adjacency.set_base_neighbors(

@@ -82,12 +82,11 @@ class Vamana(GraphIndex):
                 self.dc.data[u], k=self.L, ef=self.L, visited=self._visited,
                 collect_visited=True, prepared=True)
             pool = set(result.visited_ids.tolist())
-            pool.update(self.adjacency.base_neighbors_ro(u))
+            pool.update(self.adjacency.base_neighbors(u))
             self._robust_prune(u, pool, alpha)
-            # Reverse edges with overflow pruning; the body only mutates
-            # v != u lists, so u's internal list is stable to iterate.
-            for v in self.adjacency.base_neighbors_ro(u):
-                neigh_v = self.adjacency.base_neighbors_ro(v)
+            # Reverse edges with overflow pruning.
+            for v in self.adjacency.base_neighbors(u):
+                neigh_v = self.adjacency.base_neighbors(v)
                 if u in neigh_v:
                     continue
                 if len(neigh_v) < self.R:

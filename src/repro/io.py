@@ -70,17 +70,6 @@ def save_index(obj, path: str | pathlib.Path) -> pathlib.Path:
         path = path.with_suffix(path.suffix + ".npz")
 
     adjacency = index.adjacency
-    indptr = np.zeros(adjacency.n_nodes + 1, dtype=np.int64)
-    indices = []
-    extra_u, extra_v, extra_eh = [], [], []
-    for u in range(adjacency.n_nodes):
-        base = adjacency.base_neighbors_ro(u)
-        indices.extend(base)
-        indptr[u + 1] = indptr[u] + len(base)
-        for v, eh in adjacency.extra_neighbors_ro(u).items():
-            extra_u.append(u)
-            extra_v.append(v)
-            extra_eh.append(eh)
 
     meta = {
         "format_version": _FORMAT_VERSION,
@@ -96,11 +85,7 @@ def save_index(obj, path: str | pathlib.Path) -> pathlib.Path:
             np.savez_compressed(
                 f,
                 data=index.dc.data,
-                indptr=indptr,
-                indices=np.array(indices, dtype=np.int64),
-                extra_u=np.array(extra_u, dtype=np.int64),
-                extra_v=np.array(extra_v, dtype=np.int64),
-                extra_eh=np.array(extra_eh, dtype=np.float64),
+                **adjacency._edge_arrays(),
                 tombstones=np.array(sorted(adjacency.tombstones),
                                     dtype=np.int64),
                 removed=np.array(sorted(adjacency.removed), dtype=np.int64),

@@ -10,8 +10,8 @@ query hot path never pays for — or races with — index repair:
   pinned an epoch completes against exactly that state.
 - :class:`DeltaOverlay` — an append-only log of every mutation made to the
   live :class:`~repro.graphs.adjacency.AdjacencyStore` since the epoch was
-  cut.  The store feeds it from ``_touch`` (a full post-mutation snapshot of
-  the touched node's combined neighbor array) and from tombstone additions.
+  cut.  The store feeds it from every edge mutation (a full post-mutation
+  copy of the touched node's slab row) and from tombstone additions.
   Each record carries a monotone sequence number that is *published only
   after* the record is in place, so a reader holding a sequence number sees a
   complete, frozen prefix of the log.

@@ -278,13 +278,6 @@ class TestFreezeLifecycle:
         assert 4 not in adjacency.neighbors(0).tolist()
         assert adjacency.freeze().n_edges + 1 == dup.freeze().n_edges
 
-    def test_ro_accessors_view_internal_state(self):
-        adjacency = self._store()
-        assert adjacency.base_neighbors_ro(0) is not adjacency.base_neighbors(0)
-        assert adjacency.base_neighbors_ro(0) == adjacency.base_neighbors(0)
-        assert adjacency.extra_neighbors_ro(1) == adjacency.extra_neighbors(1)
-        assert adjacency.base_degree(0) == len(adjacency.base_neighbors_ro(0))
-
     def test_single_pass_eviction_semantics(self):
         adjacency = AdjacencyStore(8)
         adjacency.add_extra_edge(0, 4, 2.0)
@@ -295,7 +288,7 @@ class TestFreezeLifecycle:
         assert adjacency.evict_lowest_eh(0) == (3, 2.0)
         assert adjacency.evict_lowest_eh(0) == (4, 2.0)
         assert adjacency.evict_lowest_eh(0) is None  # only inf left
-        assert 5 in adjacency.extra_neighbors_ro(0)
+        assert adjacency.extra_neighbors(0) == {5: float("inf")}
 
 
 class TestVisitedMarkMany:
@@ -353,8 +346,8 @@ class TestParallelEqualsSerial:
             native_built = build()
         assert reference.dc.ndc == native_built.dc.ndc
         for u in range(reference.size):
-            assert (reference.adjacency.base_neighbors_ro(u)
-                    == native_built.adjacency.base_neighbors_ro(u))
+            assert (reference.adjacency.base_neighbors(u)
+                    == native_built.adjacency.base_neighbors(u))
 
     @pytest.mark.parametrize("preprocess", ["exact", "approx"])
     def test_fit_identical(self, tiny_ds, preprocess):
@@ -372,10 +365,10 @@ class TestParallelEqualsSerial:
         assert serial.dc.ndc == pooled.dc.ndc
         assert serial.preprocess_ndc == pooled.preprocess_ndc
         for u in range(tiny_ds.base.shape[0]):
-            assert (serial.adjacency.base_neighbors_ro(u)
-                    == pooled.adjacency.base_neighbors_ro(u))
-            assert (serial.adjacency.extra_neighbors_ro(u)
-                    == pooled.adjacency.extra_neighbors_ro(u))
+            assert (serial.adjacency.base_neighbors(u)
+                    == pooled.adjacency.base_neighbors(u))
+            assert (serial.adjacency.extra_neighbors(u)
+                    == pooled.adjacency.extra_neighbors(u))
 
     def test_evaluate_index_identical(self, tiny_ds, tiny_gt):
         store = VectorStore(dim=tiny_ds.base.shape[1], metric=tiny_ds.metric,

@@ -288,7 +288,7 @@ class TestNativeExecutor:
         reference_fixer = run()
         assert native_fixer.records == reference_fixer.records
         for u in range(300):
-            assert (native_fixer.adjacency.extra_neighbors_ro(u)
-                    == reference_fixer.adjacency.extra_neighbors_ro(u))
-            assert (native_fixer.adjacency.base_neighbors_ro(u)
-                    == reference_fixer.adjacency.base_neighbors_ro(u))
+            assert (native_fixer.adjacency.extra_neighbors(u)
+                    == reference_fixer.adjacency.extra_neighbors(u))
+            assert (native_fixer.adjacency.base_neighbors(u)
+                    == reference_fixer.adjacency.base_neighbors(u))

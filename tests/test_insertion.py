@@ -229,7 +229,7 @@ def test_every_live_row_reachable_after_any_interleave(kind, steps,
             f"unreachable from entry {fixer.entry}: "
             f"{sorted(live_now - reached)} (acked inserts {acked})")
         for u in live_now:
-            assert not set(adjacency.base_neighbors_ro(u)) & adjacency.removed
+            assert not set(adjacency.base_neighbors(u)) & adjacency.removed
 
 
 def test_recall_survives_the_entrys_deletion(tiny_ds):
