@@ -42,7 +42,7 @@ K = 10
 EFS = [10, 15, 20, 30, 45, 70, 100, 150, 220, 320]
 
 # Standard index parameters, scaled analogues of Sec. 6.1's settings.
-HNSW_PARAMS = dict(M=12, ef_construction=60, single_layer=True, seed=3)
+HNSW_PARAMS = dict(M=12, ef_construction=60)
 NSG_PARAMS = dict(R=24, L=60, knn_k=24)
 ROAR_PARAMS = dict(M=24, n_query_neighbors=32, knn_k=16)
 FIX_PARAMS = dict(k=K, hard_ratio=3.0, max_extra_degree=12,

@@ -43,7 +43,7 @@ def main():
         print(f"loaded {base.shape[0]} base vectors (d={base.shape[1]}), "
               f"{history.shape[0]} historical queries")
 
-        index = HNSW(base, metric, M=12, ef_construction=60, single_layer=True)
+        index = HNSW(base, metric, M=12, ef_construction=60)
         gt = compute_ground_truth(base, test, k, metric)
 
         print("auto-tuning NGFix* under a 30 KB extra-edge budget ...")

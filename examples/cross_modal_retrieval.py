@@ -28,7 +28,7 @@ def main():
 
     print(f"building indexes on {ds.n} vectors "
           f"({len(ds.train_queries)} historical queries) ...")
-    hnsw = HNSW(ds.base, ds.metric, M=12, ef_construction=60, single_layer=True)
+    hnsw = HNSW(ds.base, ds.metric, M=12, ef_construction=60)
     fixer = NGFixer(hnsw.clone(), FixConfig(k=k, preprocess="approx"))
     fixer.fit(ds.train_queries)
     indexes = {

@@ -38,8 +38,7 @@ def main():
     stream = ds.test_queries
     gt = compute_ground_truth(ds.base, stream, k, ds.metric)
 
-    index = HNSW(ds.base, ds.metric, M=12, ef_construction=60,
-                 single_layer=True)
+    index = HNSW(ds.base, ds.metric, M=12, ef_construction=60)
     fixer = NGFixer(index, FixConfig(k=k, preprocess="approx"))
     print(f"serving {len(stream)} queries at ef={ef} ...")
     print(f"recall before any fixing : {stream_recall(fixer, stream, gt, k, ef):.3f}")

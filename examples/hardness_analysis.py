@@ -29,8 +29,7 @@ def show_eh(eh, label):
 def main():
     ds = load_dataset("laion-sim", scale=0.5)
     k, K_max = 10, 30
-    index = HNSW(ds.base, ds.metric, M=12, ef_construction=60,
-                 single_layer=True)
+    index = HNSW(ds.base, ds.metric, M=12, ef_construction=60)
     gt = compute_ground_truth(ds.base, ds.test_queries, K_max, ds.metric)
 
     # Rank queries by base-graph recall to find a genuinely hard one.

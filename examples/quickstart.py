@@ -23,8 +23,7 @@ def main():
     gt = compute_ground_truth(ds.base, ds.test_queries, k, ds.metric)
 
     # Base graph: HNSW bottom layer, as in the paper.
-    index = HNSW(ds.base, ds.metric, M=12, ef_construction=60,
-                 single_layer=True)
+    index = HNSW(ds.base, ds.metric, M=12, ef_construction=60)
     before = evaluate_index(index, ds.test_queries, gt, k=k, ef=30)
     print(f"HNSW        : recall@{k}={before.recall:.3f}  "
           f"NDC/query={before.ndc_per_query:.0f}  QPS={before.qps:.0f}")

@@ -33,8 +33,7 @@ def main():
     n_initial = int(0.8 * ds.n)
 
     print(f"initial index over {n_initial} of {ds.n} vectors ...")
-    index = HNSW(ds.base[:n_initial], ds.metric, M=12, ef_construction=60,
-                 single_layer=True)
+    index = HNSW(ds.base[:n_initial], ds.metric, M=12, ef_construction=60)
     fixer = NGFixer(index, FixConfig(k=k, preprocess="approx"))
     fixer.fit(ds.train_queries)
     maintainer = IndexMaintainer(fixer, ds.train_queries, compact_threshold=0.05)

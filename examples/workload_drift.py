@@ -43,8 +43,7 @@ def main():
     print(f"3-phase workload over {drift.base.shape[0]} vectors; "
           f"gap angles {[round(a, 2) for a in drift.gap_angles]} rad")
 
-    base = HNSW(drift.base, drift.metric, M=12, ef_construction=60,
-                single_layer=True)
+    base = HNSW(drift.base, drift.metric, M=12, ef_construction=60)
     fixer = NGFixer(base, FixConfig(k=10, preprocess="approx"))
     fixer.fit(drift.phases[0])
     print(f"\nfixed on phase-0 history; phase recalls: "

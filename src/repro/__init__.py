@@ -7,7 +7,7 @@ Quickstart::
     from repro import compute_ground_truth, evaluate_index
 
     ds = load_dataset("laion-sim")
-    base = HNSW(ds.base, ds.metric, M=16, single_layer=True)
+    base = HNSW(ds.base, ds.metric, M=16)
     fixer = NGFixer(base, FixConfig(k=10, preprocess="approx"))
     fixer.fit(ds.train_queries)
 
@@ -55,7 +55,6 @@ from repro.graphs import (
     SearchResult,
     greedy_search,
 )
-from repro.graphs.entry import MultiEntryIndex, MedoidEntry, RandomEntry, CentroidsEntry
 from repro.io import save_index, load_index, FrozenIndex
 from repro.obs import OBS, TRACES, MetricsRegistry, QueryTrace, TraceLog
 from repro.quantization import ProductQuantizer, IVFFlat
@@ -156,10 +155,6 @@ __all__ = [
     "AdaptiveSearcher",
     "WorkloadAdapter",
     "phase_reach_stats",
-    "MultiEntryIndex",
-    "MedoidEntry",
-    "RandomEntry",
-    "CentroidsEntry",
     "ProductQuantizer",
     "IVFFlat",
     "make_drifting_workload",

@@ -257,8 +257,7 @@ def _build_index(args, ds):
     from repro import HNSW, NSG, RoarGraph, TauMNG
     from repro.graphs.vamana import RobustVamana, Vamana
     if args.index == "hnsw":
-        return HNSW(ds.base, ds.metric, **_GEOMETRY,
-                    single_layer=True, seed=args.seed)
+        return HNSW(ds.base, ds.metric, **_GEOMETRY)
     if args.index == "nsg":
         return NSG(ds.base, ds.metric, R=24, L=60)
     if args.index == "roargraph":
@@ -301,8 +300,7 @@ def _cmd_fix(args) -> int:
     from repro import HNSW, FixConfig, NGFixer
     from repro.io import save_index
     ds = _load_dataset(args)
-    base = HNSW(ds.base, ds.metric, **_GEOMETRY,
-                single_layer=True, seed=args.seed)
+    base = HNSW(ds.base, ds.metric, **_GEOMETRY)
     fixer = NGFixer(base, FixConfig(
         k=args.k, preprocess=args.preprocess,
         max_extra_degree=args.max_extra_degree))
@@ -326,8 +324,7 @@ def _cmd_evaluate(args) -> int:
         index = load_index(args.index_file)
         label = args.index_file
     else:
-        base = HNSW(ds.base, ds.metric, **_GEOMETRY,
-                    single_layer=True, seed=args.seed)
+        base = HNSW(ds.base, ds.metric, **_GEOMETRY)
         index = NGFixer(base, FixConfig(k=args.k, preprocess="approx"))
         index.fit(ds.train_queries)
         label = "HNSW-NGFix* (freshly built)"
@@ -598,8 +595,7 @@ def _cmd_analyze(args) -> int:
     from repro.core.analysis import phase_reach_stats
     from repro.core.visualize import render_qng
     ds = _load_dataset(args)
-    index = HNSW(ds.base, ds.metric, **_GEOMETRY,
-                 single_layer=True, seed=args.seed)
+    index = HNSW(ds.base, ds.metric, **_GEOMETRY)
     gt = compute_ground_truth(ds.base, ds.test_queries, 3 * args.k, ds.metric)
     stats = phase_reach_stats(index, ds.test_queries, gt, k=args.k,
                               ef=2 * args.k)
@@ -618,8 +614,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_explain(args) -> int:
     from repro import HNSW, FixConfig, NGFixer, explain_query
     ds = _load_dataset(args)
-    index = HNSW(ds.base, ds.metric, **_GEOMETRY,
-                 single_layer=True, seed=args.seed)
+    index = HNSW(ds.base, ds.metric, **_GEOMETRY)
     if args.fixed:
         fixer = NGFixer(index, FixConfig(k=args.k, preprocess="approx"))
         fixer.fit(ds.train_queries)

@@ -11,7 +11,6 @@ points).
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from repro.utils.rng_utils import ensure_rng
 from repro.utils.validation import check_matrix
@@ -39,6 +38,24 @@ def mahalanobis_to_distribution(
     return np.sqrt(np.maximum(sq, 0.0))
 
 
+def wasserstein_1d(u: np.ndarray, v: np.ndarray) -> float:
+    """Wasserstein-1 distance between two 1-D empirical samples.
+
+    The integral of ``|CDF_u - CDF_v|`` over the line: both step CDFs are
+    read at the merged sorted sample values and each difference is weighted
+    by the gap to the next value, in float64 (``scipy.stats``'
+    ``wasserstein_distance`` without weights).
+    """
+    u = np.sort(np.asarray(u, dtype=np.float64).ravel())
+    v = np.sort(np.asarray(v, dtype=np.float64).ravel())
+    if not u.size or not v.size:
+        raise ValueError("wasserstein_1d needs two non-empty samples")
+    values = np.sort(np.concatenate([u, v]))
+    cdf_u = np.searchsorted(u, values[:-1], side="right") / u.size
+    cdf_v = np.searchsorted(v, values[:-1], side="right") / v.size
+    return float(np.sum(np.abs(cdf_u - cdf_v) * np.diff(values)))
+
+
 def sliced_wasserstein(
     a: np.ndarray,
     b: np.ndarray,
@@ -60,7 +77,7 @@ def sliced_wasserstein(
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     total = 0.0
     for direction in directions:
-        total += stats.wasserstein_distance(a @ direction, b @ direction)
+        total += wasserstein_1d(a @ direction, b @ direction)
     return total / n_projections
 
 

@@ -21,7 +21,7 @@
    :class:`RecoveryReport`.
 
 Snapshots are loaded as :class:`ReplayableIndex` — a
-:class:`~repro.io.FrozenIndex` extended with the live store's single-layer
+:class:`~repro.io.FrozenIndex` extended with the live store's bottom-layer
 insertion routine — so a recovered store accepts new writes, unlike a plain
 ``VectorStore.load()`` store.
 """
@@ -62,9 +62,9 @@ class ReplayableIndex(BottomLayer, FrozenIndex):
 
     ``FrozenIndex`` is searchable but rejects writes; WAL replay (and any
     post-recovery traffic) needs ``insert``.  Insertion here is the live
-    store's: :class:`~repro.graphs.insertion.BottomLayer`'s single-layer
-    routine, entered at the navigating node — which starts out as the
-    snapshot's entry, the live store's own at the checkpoint.
+    store's: :meth:`BottomLayer.insert <repro.graphs.insertion.BottomLayer.insert>`,
+    entered at the navigating node — which starts out as the snapshot's
+    entry, the live store's own at the checkpoint.
     """
 
     def __init__(self, data: np.ndarray, metric, entry: int, *,
@@ -73,13 +73,6 @@ class ReplayableIndex(BottomLayer, FrozenIndex):
         self.M0 = 2 * M
         self.ef_construction = ef_construction
         self._medoid, self._medoid_size = self.entry, self.dc.size
-
-    def insert(self, vector: np.ndarray) -> int:
-        self.entry = self.medoid()
-        new_id = self.dc.append(vector)  # normalizes (cosine)
-        self.adjacency.grow(1)
-        self._insert_bottom(new_id, [self.entry])
-        return new_id
 
 
 @dataclasses.dataclass

@@ -31,13 +31,6 @@ from repro.graphs.tau_mng import TauMNG
 from repro.graphs.roargraph import RoarGraph
 from repro.graphs.vamana import Vamana, RobustVamana
 from repro.graphs.nsw import NSW
-from repro.graphs.entry import (
-    EntryStrategy,
-    MedoidEntry,
-    RandomEntry,
-    CentroidsEntry,
-    MultiEntryIndex,
-)
 from repro.graphs.exact import exact_rng, exact_mrng, exact_knn_graph, delaunay_graph
 
 __all__ = [
@@ -62,11 +55,6 @@ __all__ = [
     "Vamana",
     "RobustVamana",
     "NSW",
-    "EntryStrategy",
-    "MedoidEntry",
-    "RandomEntry",
-    "CentroidsEntry",
-    "MultiEntryIndex",
     "exact_rng",
     "exact_mrng",
     "exact_knn_graph",

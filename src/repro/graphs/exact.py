@@ -77,7 +77,11 @@ def delaunay_graph(points: np.ndarray) -> list[set[int]]:
     only tractable route in high dimensions, where DG densifies toward the
     complete graph.
     """
-    from scipy.spatial import Delaunay  # imported lazily: only toy scale
+    try:  # imported lazily: only toy scale, and SciPy is a test extra
+        from scipy.spatial import Delaunay
+    except ImportError as exc:
+        raise ImportError("delaunay_graph needs SciPy, which ships in the "
+                          "'test' extra: pip install 'repro[test]'") from exc
 
     points = check_matrix(points, "points", dtype=np.float64)
     if points.shape[1] > 3:

@@ -1,12 +1,13 @@
-"""Single-layer insertion: the one routine behind build, ``add`` and WAL replay.
+"""Bottom-layer insertion: the one routine behind build, ``add`` and WAL replay.
 
 HNSW's bottom layer is what NGFix repairs (paper Sec. 6.1) and what every
 incremental write lands in (Sec. 5.5.1): search the live graph for
 ``ef_construction`` candidates, select with the RNG heuristic (nearest
 backfill), link both directions, re-prune a reverse neighbour that overflowed
-its budget past the shrink slack.  :class:`BottomLayer` is that routine plus
-the navigating node it starts from, mixed into the two indexes that grow —
-:class:`~repro.graphs.hnsw.HNSW` (construction and ``insert``) and
+its budget past the shrink slack.  :class:`BottomLayer` is that routine, the
+navigating node it starts from and the one :meth:`~BottomLayer.insert`,
+mixed into the two indexes that grow — :class:`~repro.graphs.hnsw.HNSW`
+(construction and ``insert``) and
 :class:`~repro.durability.recovery.ReplayableIndex` (replay and post-recovery
 writes) — so a recovered store's inserts are the live store's.  The search
 names the graph by the store itself and the selection goes through
@@ -85,12 +86,28 @@ class BottomLayer:
         return [next((i for i in range(self.dc.size)
                       if i != new_id and not self._is_dead(i)), entries[0])]
 
-    def _insert_bottom(self, new_id: int, entries: list[int],
-                       select=rng_prune_backfill) -> np.ndarray:
+    def entry_points(self, query: np.ndarray) -> list[int]:
+        return [self.medoid()]
+
+    def insert(self, vector: np.ndarray) -> int:
+        """Insert one new vector, returning its id (paper Sec. 5.5.1).
+
+        The insert enters where searches do, at the navigating node as it
+        stands before the row lands — never at a node a deletion has since
+        stripped of its edges.
+        """
+        entry = self.medoid()
+        new_id = self.dc.append(vector)  # normalizes (cosine)
+        self.adjacency.grow(1)
+        self._insert_bottom(new_id, [entry])
+        return new_id
+
+    def _insert_bottom(self, new_id: int, entries: list[int]) -> np.ndarray:
         """Link row ``new_id`` (already in ``dc`` and ``adjacency``) into
         the bottom layer, searching from ``entries``; returns the candidate
-        ids the search found.  ``select`` is the neighbour-selection rule,
-        ``(dc, u, candidate_ids, max_degree, distances=None) -> ids``.
+        ids the search found.  Neighbours are chosen by
+        :func:`~repro.graphs.pruning.rng_prune_backfill` (hnswlib's
+        ``keepPrunedConnections``: pruned candidates backfill the budget).
         """
         dc, adjacency, cap = self.dc, self.adjacency, self.M0
         found = greedy_search(
@@ -101,12 +118,14 @@ class BottomLayer:
         if adjacency.removed:  # stale rows must never be re-linked
             keep &= [i not in adjacency.removed for i in found.ids.tolist()]
         cand_ids, cand_d = found.ids[keep], found.distances[keep]
-        selected = select(dc, new_id, cand_ids, cap, distances=cand_d)
+        selected = rng_prune_backfill(dc, new_id, cand_ids, cap,
+                                      distances=cand_d)
         adjacency.set_base_neighbors(new_id, selected)
         for v in selected:
             adjacency.add_base_edge(v, new_id)
             if adjacency.base_degree(v) > cap + self._shrink_slack:
                 neigh = np.array(adjacency.base_neighbors(v),
                                  dtype=np.int64)
-                adjacency.set_base_neighbors(v, select(dc, v, neigh, cap))
+                adjacency.set_base_neighbors(
+                    v, rng_prune_backfill(dc, v, neigh, cap))
         return cand_ids

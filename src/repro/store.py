@@ -226,8 +226,7 @@ class VectorStore:
         data = np.vstack(self._pending)
         self._pending = []
         base = HNSW(data, self.metric, M=self.config.M,
-                    ef_construction=self.config.ef_construction,
-                    single_layer=True, seed=self.config.seed)
+                    ef_construction=self.config.ef_construction)
         self._fixer = NGFixer(base, self.fix_config)
         self._maintainer = IndexMaintainer(
             self._fixer, np.empty((0, self.dim), dtype=np.float32)

@@ -125,19 +125,17 @@ def tiny_train_gt(tiny_ds):
 
 @pytest.fixture(scope="session")
 def shared_hnsw(tiny_ds):
-    """Read-only single-layer HNSW over the tiny dataset.
+    """Read-only HNSW over the tiny dataset.
 
     Tests must NOT mutate this index; use ``fresh_hnsw`` for that.
     """
-    return HNSW(tiny_ds.base, tiny_ds.metric, M=8, ef_construction=40,
-                single_layer=True, seed=3)
+    return HNSW(tiny_ds.base, tiny_ds.metric, M=8, ef_construction=40)
 
 
 @pytest.fixture
 def fresh_hnsw(tiny_ds):
     """A freshly built HNSW safe to mutate (NGFix/RFix/maintenance tests)."""
-    return HNSW(tiny_ds.base, tiny_ds.metric, M=8, ef_construction=40,
-                single_layer=True, seed=3)
+    return HNSW(tiny_ds.base, tiny_ds.metric, M=8, ef_construction=40)
 
 
 @pytest.fixture

@@ -108,7 +108,7 @@ class TestIndexBatchPaths:
 
     def test_search_many_pads_short_rows(self, tiny_ds):
         index = HNSW(tiny_ds.base[:3], tiny_ds.metric, M=4,
-                     ef_construction=10, single_layer=True, seed=0)
+                     ef_construction=10)
         ids, dists = pad_results(
             index.search_batch(tiny_ds.test_queries[:4], k=5, ef=10), 5)
         assert (ids[:, 3:] == -1).all()
@@ -148,8 +148,7 @@ def test_registry_dataset_equivalence(name):
     """Acceptance: batched ≡ sequential (ids, distances, NDC) on every
     registry dataset."""
     ds = load_dataset(name, seed=0, scale=0.25)
-    index = HNSW(ds.base, ds.metric, M=8, ef_construction=40,
-                 single_layer=True, seed=3)
+    index = HNSW(ds.base, ds.metric, M=8, ef_construction=40)
     queries = ds.test_queries[:20]
     index.dc.reset_ndc()
     seq = [index.search(q, k=10, ef=50) for q in queries]

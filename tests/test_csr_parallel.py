@@ -154,7 +154,7 @@ class TestFrozenSearchEquivalence:
         index.search / search_batch, which walk the live store."""
         if builder == "hnsw":
             index = HNSW(tiny_ds.base, tiny_ds.metric, M=8,
-                         ef_construction=40, single_layer=True, seed=3)
+                         ef_construction=40)
         elif builder == "nsg":
             index = NSG(tiny_ds.base, tiny_ds.metric, R=12, L=24, knn_k=12)
         elif builder == "tau-mng":
@@ -352,8 +352,7 @@ class TestParallelEqualsSerial:
     @pytest.mark.parametrize("preprocess", ["exact", "approx"])
     def test_fit_identical(self, tiny_ds, preprocess):
         def fit():
-            base = HNSW(tiny_ds.base, tiny_ds.metric, M=8, ef_construction=40,
-                        single_layer=True, seed=3)
+            base = HNSW(tiny_ds.base, tiny_ds.metric, M=8, ef_construction=40)
             fixer = NGFixer(base, FixConfig(
                 k=5, max_extra_degree=6, preprocess=preprocess, rounds=(5,)))
             fixer.fit(tiny_ds.train_queries[:40])

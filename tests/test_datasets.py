@@ -1,6 +1,10 @@
 """Dataset container, generators, registry, and OOD measurement."""
 
 import dataclasses
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from repro.datasets import (
     ood_report,
     sliced_wasserstein,
 )
+from repro.datasets.distribution import wasserstein_1d
 from repro.datasets.registry import CROSS_MODAL_NAMES, SINGLE_MODAL_NAMES
 from repro.datasets.synthetic import perturb_base_points
 from repro.distances import Metric
@@ -225,3 +230,50 @@ class TestDistributionMetrics:
         with pytest.raises(ValueError):
             sliced_wasserstein(np.zeros((3, 2), dtype=np.float32),
                                np.zeros((3, 3), dtype=np.float32))
+
+
+class TestWasserstein1D:
+    """The NumPy 1-D Wasserstein against SciPy's, where SciPy is installed."""
+
+    @staticmethod
+    def _samples():
+        rng = np.random.default_rng(5)
+        yield rng.standard_normal(37), rng.standard_normal(101) + 0.4
+        # ties inside and across the samples, duplicated values
+        yield (rng.integers(-3, 4, 50).astype(np.float64),
+               rng.integers(-2, 6, 23).astype(np.float64))
+        yield np.array([1.0, 1.0, 1.0, 2.0]), np.array([1.0, 2.0, 2.0])
+        yield np.array([0.5]), np.array([0.5, 0.5, 3.0, -1.0, 0.5])
+        yield (rng.standard_normal(300).astype(np.float32),
+               rng.standard_normal(299).astype(np.float32) * 2.0)
+
+    def test_matches_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        for u, v in self._samples():
+            want = stats.wasserstein_distance(u, v)
+            assert wasserstein_1d(u, v) == pytest.approx(want, rel=1e-12,
+                                                         abs=0.0)
+            assert wasserstein_1d(v, u) == pytest.approx(want, rel=1e-12,
+                                                         abs=0.0)
+
+    def test_equal_samples_and_a_shift(self):
+        x = np.random.default_rng(1).standard_normal(64)
+        assert wasserstein_1d(x, x[::-1]) == 0.0
+        assert wasserstein_1d(x, x + 2.5) == pytest.approx(2.5, rel=1e-12)
+
+    def test_empty_sample_rejected(self):
+        with pytest.raises(ValueError):
+            wasserstein_1d(np.array([]), np.array([1.0]))
+
+
+def test_import_loads_no_scipy():
+    """``import repro`` stays off SciPy: it is a test-only dependency."""
+    code = ("import sys, repro; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    import repro
+    src = str(pathlib.Path(repro.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"

@@ -270,7 +270,7 @@ class TestNativeExecutor:
         every per-query record."""
         def run():
             base = HNSW(tiny_ds.base[:300], tiny_ds.metric, M=8,
-                        ef_construction=40, single_layer=True, seed=3)
+                        ef_construction=40)
             fixer = NGFixer(base, FixConfig(k=8, max_extra_degree=6,
                                             preprocess="approx",
                                             rounds=(16, 8)))

@@ -57,14 +57,12 @@ class TestAugment:
         k, ef = 10, 16
         sparse = tiny_ds.train_queries[:8]
 
-        base1 = HNSW(tiny_ds.base, tiny_ds.metric, M=8, ef_construction=40,
-                     single_layer=True, seed=3)
+        base1 = HNSW(tiny_ds.base, tiny_ds.metric, M=8, ef_construction=40)
         f1 = NGFixer(base1, FixConfig(k=k, preprocess="exact"))
         f1.fit(sparse)
         r_plain = _recall_of(f1, tiny_ds.test_queries, tiny_gt, k, ef)
 
-        base2 = HNSW(tiny_ds.base, tiny_ds.metric, M=8, ef_construction=40,
-                     single_layer=True, seed=3)
+        base2 = HNSW(tiny_ds.base, tiny_ds.metric, M=8, ef_construction=40)
         f2 = NGFixer(base2, FixConfig(k=k, preprocess="exact"))
         f2.fit(augment_queries(sparse, per_query=8, sigma=0.3,
                                normalize=True, seed=0))

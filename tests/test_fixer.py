@@ -103,8 +103,7 @@ class TestHeadlineEffect:
         k, ef = 10, 20
         gt_k = tiny_gt.top(k)
 
-        base = HNSW(tiny_ds.base, tiny_ds.metric, M=8, ef_construction=40,
-                    single_layer=True, seed=3)
+        base = HNSW(tiny_ds.base, tiny_ds.metric, M=8, ef_construction=40)
         before = np.vstack([base.search(q, k=k, ef=ef).ids[:k]
                             for q in tiny_ds.test_queries])
         r_before = recall_at_k(before, gt_k.ids)

@@ -59,8 +59,7 @@ class GraphMachine(RuleBasedStateMachine):
         super().__init__()
         data = np.random.default_rng(7).standard_normal(
             (self.n, DIM)).astype(np.float32)
-        index = HNSW(data, "l2", M=self.M, ef_construction=EF,
-                     single_layer=True, seed=3)
+        index = HNSW(data, "l2", M=self.M, ef_construction=EF)
         self.fixer = NGFixer(index, FixConfig(
             k=4, max_extra_degree=3, eh_threshold=self.eh_threshold,
             rfix_search_ef=1))

@@ -1,4 +1,5 @@
-"""HNSW: construction, search quality, hierarchy, incremental insertion."""
+"""HNSW (its bottom layer): construction, search quality, incremental
+insertion."""
 
 import numpy as np
 import pytest
@@ -15,20 +16,11 @@ class TestConstruction:
         for u in range(shared_hnsw.size):
             assert len(shared_hnsw.adjacency.base_neighbors(u)) <= M0
 
-    def test_single_layer_has_no_hierarchy(self, shared_hnsw):
-        assert shared_hnsw.max_level() == 0
-        assert shared_hnsw._upper == []
-
-    def test_hierarchy_built_when_enabled(self, tiny_ds):
-        index = HNSW(tiny_ds.base, tiny_ds.metric, M=8, ef_construction=40,
-                     single_layer=False, seed=0)
-        assert index.max_level() >= 1
-        # entry lives on the top layer
-        assert index._levels[index._entry] == index.max_level()
-
     def test_deterministic_given_seed(self, tiny_ds):
-        a = HNSW(tiny_ds.base, tiny_ds.metric, M=8, ef_construction=30, seed=1)
-        b = HNSW(tiny_ds.base, tiny_ds.metric, M=8, ef_construction=30, seed=1)
+        """Two builds of the same rows are equal: nothing is drawn at
+        random."""
+        a = HNSW(tiny_ds.base, tiny_ds.metric, M=8, ef_construction=30)
+        b = HNSW(tiny_ds.base, tiny_ds.metric, M=8, ef_construction=30)
         for u in range(a.size):
             assert a.adjacency.base_neighbors(u) == b.adjacency.base_neighbors(u)
 
@@ -63,18 +55,6 @@ class TestSearchQuality:
         assert recalls[0] <= recalls[1] <= recalls[2]
         assert recalls[2] > 0.9
 
-    def test_hierarchical_vs_single_layer_similar(self, tiny_ds, tiny_gt, shared_hnsw):
-        hier = HNSW(tiny_ds.base, tiny_ds.metric, M=8, ef_construction=40,
-                    single_layer=False, seed=3)
-        k = 10
-        f1 = np.vstack([shared_hnsw.search(q, k=k, ef=60).ids[:k]
-                        for q in tiny_ds.test_queries])
-        f2 = np.vstack([hier.search(q, k=k, ef=60).ids[:k]
-                        for q in tiny_ds.test_queries])
-        r1 = recall_at_k(f1, tiny_gt.top(k).ids)
-        r2 = recall_at_k(f2, tiny_gt.top(k).ids)
-        assert abs(r1 - r2) < 0.12
-
     def test_search_returns_sorted(self, tiny_ds, shared_hnsw):
         r = shared_hnsw.search(tiny_ds.test_queries[0], k=10, ef=30)
         assert (np.diff(r.distances) >= 0).all()
@@ -87,7 +67,7 @@ class TestSearchQuality:
 class TestInsert:
     def test_insert_searchable(self, tiny_ds):
         index = HNSW(tiny_ds.base[:200], tiny_ds.metric, M=8,
-                     ef_construction=40, single_layer=True, seed=0)
+                     ef_construction=40)
         new_vec = tiny_ds.base[300]
         new_id = index.insert(new_vec)
         assert new_id == 200
@@ -97,7 +77,7 @@ class TestInsert:
 
     def test_insert_many_preserves_recall(self, tiny_ds):
         index = HNSW(tiny_ds.base[:300], tiny_ds.metric, M=8,
-                     ef_construction=40, single_layer=True, seed=0)
+                     ef_construction=40)
         for v in tiny_ds.base[300:360]:
             index.insert(v)
         queries = tiny_ds.base[300:330]
@@ -107,21 +87,12 @@ class TestInsert:
 
     def test_insert_updates_medoid_lazily(self, tiny_ds):
         index = HNSW(tiny_ds.base[:100], tiny_ds.metric, M=8,
-                     ef_construction=30, single_layer=True, seed=0)
+                     ef_construction=30)
         m1 = index.medoid()
         index.insert(tiny_ds.base[200])
         m2 = index.medoid()  # recomputed (may or may not change)
         assert 0 <= m2 <= index.size - 1
         assert isinstance(m1, int)
-
-    def test_insert_into_hierarchical(self, tiny_ds):
-        index = HNSW(tiny_ds.base[:150], tiny_ds.metric, M=6,
-                     ef_construction=30, single_layer=False, seed=0)
-        for v in tiny_ds.base[150:170]:
-            index.insert(v)
-        assert index.size == 170
-        r = index.search(tiny_ds.base[160], k=1, ef=20)
-        assert r.ids[0] == 160
 
 
 class TestSearchMany:
@@ -153,7 +124,7 @@ class TestStats:
 @pytest.mark.parametrize("metric", ["l2", "ip", "cosine"])
 def test_all_metrics_supported(metric, tiny_ds):
     data = tiny_ds.base[:120]
-    index = HNSW(data, metric, M=6, ef_construction=30, single_layer=True, seed=0)
+    index = HNSW(data, metric, M=6, ef_construction=30)
     gt = compute_ground_truth(index.dc.data, data[:20], 5, metric)
     found = np.vstack([index.search(q, k=5, ef=40).ids for q in index.dc.data[:20]])
     assert recall_at_k(found, gt.ids) > 0.9

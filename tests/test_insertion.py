@@ -64,7 +64,7 @@ class TestBothExecutorsBuildTheSameGraph:
     def test_edges_equal_or_inside_the_band(self, tiny_ds, tiny_gt):
         def build():
             index = HNSW(tiny_ds.base, tiny_ds.metric, M=8,
-                         ef_construction=40, single_layer=True, seed=3)
+                         ef_construction=40)
             for row in tiny_ds.train_queries[:20]:
                 index.insert(row)
             return index
@@ -92,8 +92,7 @@ class TestBothExecutorsBuildTheSameGraph:
         data = rng.integers(-8, 9, size=(150, 6)).astype(np.float32)
 
         def build():
-            index = HNSW(data[:120], "l2", M=4, ef_construction=24,
-                         single_layer=True, seed=0)
+            index = HNSW(data[:120], "l2", M=4, ef_construction=24)
             for row in data[120:]:
                 index.insert(row)
             return index
@@ -137,15 +136,8 @@ class TestReplayEqualsLive:
         assert not hasattr(HNSW, "_select_neighbors")
         assert not hasattr(HNSW, "_shrink")
         assert ReplayableIndex._insert_bottom is HNSW._insert_bottom
+        assert ReplayableIndex.insert is HNSW.insert
         assert ReplayableIndex.medoid is HNSW.medoid
-
-    def test_keep_pruned_false_skips_the_backfill(self, tiny_ds):
-        plain = HNSW(tiny_ds.base[:150], tiny_ds.metric, M=6,
-                     ef_construction=30, single_layer=True, keep_pruned=False)
-        filled = HNSW(tiny_ds.base[:150], tiny_ds.metric, M=6,
-                      ef_construction=30, single_layer=True)
-        assert (plain.adjacency.n_base_edges()
-                < filled.adjacency.n_base_edges())
 
 
 # -- no silent fall back to the slow path ---------------------------------------
@@ -187,7 +179,7 @@ def _maintained(kind: str, n: int = 12) -> IndexMaintainer:
     search reaches, so the live graph stays connected unless an insert
     started somewhere dead."""
     data = _vectors(n, dim=4, seed=7)
-    hnsw = HNSW(data, "l2", M=24, ef_construction=64, single_layer=True)
+    hnsw = HNSW(data, "l2", M=24, ef_construction=64)
     if kind == "replayable":
         index = ReplayableIndex(data, "l2", hnsw.medoid(), M=24,
                                 ef_construction=64)
@@ -235,8 +227,7 @@ def test_every_live_row_reachable_after_any_interleave(kind, steps,
 def test_recall_survives_the_entrys_deletion(tiny_ds):
     """At a realistic budget: delete id 0 and the medoid, compact, insert a
     tenth of the corpus — the late rows must be findable."""
-    index = HNSW(tiny_ds.base[:300], tiny_ds.metric, M=8, ef_construction=40,
-                 single_layer=True, seed=3)
+    index = HNSW(tiny_ds.base[:300], tiny_ds.metric, M=8, ef_construction=40)
     fixer = NGFixer(index, FixConfig(k=5, rfix=False))
     maintainer = IndexMaintainer(fixer, np.empty((0, index.dim)),
                                  compact_threshold=0.9)
@@ -273,7 +264,7 @@ class TestNavigatingNode:
 
     def test_an_add_never_scans_every_row(self, tiny_ds, monkeypatch):
         index = HNSW(tiny_ds.base[:300], tiny_ds.metric, M=8,
-                     ef_construction=40, single_layer=True, seed=3)
+                     ef_construction=40)
         fixer = NGFixer(index, FixConfig(k=5))
         maintainer = IndexMaintainer(fixer, np.empty((0, index.dim)))
         assert index.medoid() == fixer.entry  # the build's exact scan
@@ -294,7 +285,7 @@ class TestNavigatingNode:
 
     def test_a_dead_medoid_is_replaced_by_a_live_row(self, tiny_ds):
         index = HNSW(tiny_ds.base[:200], tiny_ds.metric, M=8,
-                     ef_construction=40, single_layer=True, seed=3)
+                     ef_construction=40)
         first = index.medoid()
         index.adjacency.tombstones.add(first)
         second = index.medoid()
@@ -312,8 +303,7 @@ class TestCapacityDoubling:
         pinned = dc.data
         snapshot = pinned.copy()
         visited = VisitedTable(5)
-        index_like = HNSW(_vectors(5, dim=3), "l2", M=2, ef_construction=4,
-                          single_layer=True)
+        index_like = HNSW(_vectors(5, dim=3), "l2", M=2, ef_construction=4)
         stores = set()
         for i, row in enumerate(_vectors(200, dim=3, seed=1)):
             dc.append(row)

@@ -34,8 +34,7 @@ class TestPublicApi:
 
     def test_quickstart_docstring_flow(self, workload):
         ds, gt = workload
-        base = HNSW(ds.base, ds.metric, M=8, ef_construction=40,
-                    single_layer=True)
+        base = HNSW(ds.base, ds.metric, M=8, ef_construction=40)
         fixer = NGFixer(base, FixConfig(k=10, preprocess="approx"))
         fixer.fit(ds.train_queries[:30])
         point = evaluate_index(fixer, ds.test_queries, gt, k=10, ef=30)
@@ -49,12 +48,10 @@ class TestComparativeOrdering:
     def curves(self, workload):
         ds, gt = workload
         efs = [10, 20, 40, 80, 160, 320]
-        hnsw = HNSW(ds.base, ds.metric, M=10, ef_construction=50,
-                    single_layer=True, seed=0)
+        hnsw = HNSW(ds.base, ds.metric, M=10, ef_construction=50)
         sw_hnsw = sweep(hnsw, ds.test_queries, gt, 10, efs)
 
-        fixer = NGFixer(HNSW(ds.base, ds.metric, M=10, ef_construction=50,
-                             single_layer=True, seed=0),
+        fixer = NGFixer(HNSW(ds.base, ds.metric, M=10, ef_construction=50),
                         FixConfig(k=10, max_extra_degree=12, preprocess="exact"))
         fixer.fit(ds.train_queries)
         sw_fix = sweep(fixer, ds.test_queries, gt, 10, efs)
@@ -96,8 +93,7 @@ class TestSingleModalShape:
         small because hard queries are rare)."""
         ds = load_dataset("sift-sim", scale=0.25, seed=2)
         gt = compute_ground_truth(ds.base, ds.test_queries, 10, ds.metric)
-        base = HNSW(ds.base, ds.metric, M=8, ef_construction=40,
-                    single_layer=True, seed=0)
+        base = HNSW(ds.base, ds.metric, M=8, ef_construction=40)
         before = evaluate_index(base, ds.test_queries, gt, k=10, ef=30)
         fixer = NGFixer(base, FixConfig(k=10, preprocess="exact"))
         fixer.fit(ds.train_queries)
@@ -111,8 +107,7 @@ class TestIdQueriesUnaffected:
         ds, _ = workload
         assert ds.id_queries is not None
         gt_id = compute_ground_truth(ds.base, ds.id_queries, 10, ds.metric)
-        base = HNSW(ds.base, ds.metric, M=8, ef_construction=40,
-                    single_layer=True, seed=0)
+        base = HNSW(ds.base, ds.metric, M=8, ef_construction=40)
         before = evaluate_index(base, ds.id_queries, gt_id, k=10, ef=30)
         fixer = NGFixer(base, FixConfig(k=10, preprocess="exact"))
         fixer.fit(ds.train_queries)
@@ -126,8 +121,7 @@ class TestApproxVsExactPreprocessing:
         ds, gt = workload
         results = {}
         for mode in ("exact", "approx"):
-            base = HNSW(ds.base, ds.metric, M=8, ef_construction=40,
-                        single_layer=True, seed=0)
+            base = HNSW(ds.base, ds.metric, M=8, ef_construction=40)
             fixer = NGFixer(base, FixConfig(k=10, preprocess=mode,
                                             approx_ef=80))
             fixer.fit(ds.train_queries)

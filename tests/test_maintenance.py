@@ -16,8 +16,7 @@ pytestmark = pytest.mark.timeout(120)
 
 
 def _fixer(tiny_ds, n_base=300):
-    base = HNSW(tiny_ds.base[:n_base], tiny_ds.metric, M=8, ef_construction=40,
-                single_layer=True, seed=3)
+    base = HNSW(tiny_ds.base[:n_base], tiny_ds.metric, M=8, ef_construction=40)
     fixer = NGFixer(base, FixConfig(k=8, max_extra_degree=10, preprocess="exact"))
     fixer.fit(tiny_ds.train_queries[:40])
     return fixer

@@ -501,8 +501,7 @@ class TestCompressedRecipe:
         row whose native top-k meets an id barred since is searched again
         and re-ranked by the reference recipe."""
         dc = DistanceComputer(tiny_ds.base, tiny_ds.metric)
-        index = HNSW(tiny_ds.base, tiny_ds.metric, M=8, ef_construction=40,
-                     single_layer=True, seed=3)
+        index = HNSW(tiny_ds.base, tiny_ds.metric, M=8, ef_construction=40)
         view = index.adjacency.freeze()
         adc = ADCComputer(dc, ProductQuantizer(m=4, ks=16, metric=dc.metric))
         entries = unique_entries([index.medoid()])
@@ -774,8 +773,7 @@ class TestMutableGraph:
         data = rng.standard_normal((90, 7)).astype(np.float32)
 
         def build():
-            index = HNSW(data[:20], "cosine", M=6, ef_construction=20,
-                         single_layer=True, seed=1)
+            index = HNSW(data[:20], "cosine", M=6, ef_construction=20)
             for row in data[20:]:          # 20 -> 90 rows: two doublings
                 index.insert(row)
             return index
@@ -1261,7 +1259,7 @@ SEARCH_ON_REFERENCE = """
     from repro import HNSW
     rng = np.random.default_rng(0)
     index = HNSW(rng.standard_normal((60, 4)).astype(np.float32), "l2", M=4,
-                 ef_construction=10, single_layer=True, seed=1)
+                 ef_construction=10)
     OBS.enable()
     result = index.search(rng.standard_normal(4).astype(np.float32), k=3)
     counters = OBS.snapshot()

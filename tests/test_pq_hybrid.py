@@ -187,8 +187,7 @@ class TestMutationRegressions:
         for a lone query's block of one and for a wide batch block."""
         rng = np.random.default_rng(5)
         data = rng.standard_normal((64, 8)).astype(np.float32)
-        index = HNSW(data, Metric.L2, M=4, ef_construction=20,
-                     single_layer=True, seed=0)
+        index = HNSW(data, Metric.L2, M=4, ef_construction=20)
         adc = ADCComputer(index.dc, ProductQuantizer(m=2, ks=16,
                                                      metric=Metric.L2, seed=0))
         entry = index.entry_points(data[0])[0]
@@ -315,8 +314,7 @@ class TestCompressedProperties:
         """Returned distances are the exact metric distances of the returned
         ids, sorted ascending, and tombstoned ids never surface."""
         data, metric, seed, n_tomb = world
-        index = HNSW(data, metric, M=4, ef_construction=20,
-                     single_layer=True, seed=seed % 7)
+        index = HNSW(data, metric, M=4, ef_construction=20)
         adc = ADCComputer(index.dc, ProductQuantizer(
             m=2, ks=min(16, data.shape[0] // 2), metric=metric, seed=0))
         rng = np.random.default_rng(seed + 1)
@@ -343,8 +341,7 @@ class TestCompressedProperties:
         """Top-k of the re-rank equals the exact-distance top-k of the
         shortlist the traversal produced (re-rank adds no candidates)."""
         data, metric, seed, _ = world
-        index = HNSW(data, metric, M=4, ef_construction=20,
-                     single_layer=True, seed=seed % 7)
+        index = HNSW(data, metric, M=4, ef_construction=20)
         adc = ADCComputer(index.dc, ProductQuantizer(
             m=2, ks=min(16, data.shape[0] // 2), metric=metric, seed=0))
         query = np.random.default_rng(seed + 2).standard_normal(

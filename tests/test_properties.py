@@ -123,8 +123,7 @@ class TestMaintenanceProperties:
         rng = np.random.default_rng(seed)
         data = rng.standard_normal((60, 4)).astype(np.float32)
         extra = rng.standard_normal((n_inserts, 4)).astype(np.float32)
-        index = HNSW(data, Metric.L2, M=6, ef_construction=25,
-                     single_layer=True, seed=0)
+        index = HNSW(data, Metric.L2, M=6, ef_construction=25)
         for vec in extra:
             new_id = index.insert(vec)
             result = index.search(vec, k=1, ef=30)
@@ -136,8 +135,7 @@ class TestMaintenanceProperties:
         from repro.graphs import HNSW
         rng = np.random.default_rng(seed)
         data = rng.standard_normal((50, 4)).astype(np.float32)
-        index = HNSW(data, Metric.L2, M=6, ef_construction=25,
-                     single_layer=True, seed=0)
+        index = HNSW(data, Metric.L2, M=6, ef_construction=25)
         victims = set(int(v) for v in
                       rng.choice(50, size=n_delete, replace=False))
         index.adjacency.tombstones.update(victims)

@@ -241,13 +241,15 @@ class TestVectorizedPruneBuildsTheSameGraph:
     """A build makes the same comparisons with the bit-packed rule as with
     the loop, so it yields the same CSR (hashed) at the same build NDC.
     Bit-identity holds on one executor: both builds run on the reference
-    one (the native rule against it is ``TestNativePrune``)."""
+    one (the native rule against it is ``TestNativePrune``).  Each patch
+    counts its calls, so a target the build no longer reads fails the test
+    instead of comparing the vectorized rule with itself."""
 
     BUILDS = {
-        "rng_prune": ("repro.graphs.hnsw.rng_prune_backfill",
+        "rng_prune": ("repro.graphs.insertion.rng_prune_backfill",
                       _loop_rng_backfill,
                       lambda ds: HNSW(ds.base, ds.metric, M=8,
-                                      ef_construction=40, seed=3)),
+                                      ef_construction=40)),
         "alpha_prune": ("repro.graphs.vamana.alpha_prune", _loop_alpha,
                         lambda ds: Vamana(ds.base, ds.metric, R=12, L=24,
                                           seed=0)),
@@ -266,10 +268,17 @@ class TestVectorizedPruneBuildsTheSameGraph:
     @pytest.mark.parametrize("rule", list(BUILDS))
     def test_csr_hash_and_build_ndc(self, tiny_ds, monkeypatch, rule):
         target, reference, build = self.BUILDS[rule]
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return reference(*args, **kwargs)
+
         with reference_executor():
             vectorized = self._fingerprint(build(tiny_ds))
-            monkeypatch.setattr(target, reference)
+            monkeypatch.setattr(target, counted)
             assert self._fingerprint(build(tiny_ds)) == vectorized
+        assert len(calls) > 0
 
     def test_duplicate_candidate_keeps_its_last_distance(self):
         dc = _dc(np.random.default_rng(2).standard_normal((12, 3)))

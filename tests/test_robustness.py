@@ -27,15 +27,13 @@ class TestDuplicateVectors:
         return np.vstack([unique, unique[:40]])  # 40 exact duplicates
 
     def test_hnsw_builds_and_searches(self, dup_data):
-        index = HNSW(dup_data, Metric.L2, M=6, ef_construction=30,
-                     single_layer=True, seed=0)
+        index = HNSW(dup_data, Metric.L2, M=6, ef_construction=30)
         result = index.search(dup_data[0], k=5, ef=20)
         assert len(result.ids) == 5
         assert result.distances[0] == pytest.approx(0.0, abs=1e-6)
 
     def test_ngfix_handles_duplicate_neighbors(self, dup_data):
-        index = HNSW(dup_data, Metric.L2, M=6, ef_construction=30,
-                     single_layer=True, seed=0)
+        index = HNSW(dup_data, Metric.L2, M=6, ef_construction=30)
         fixer = NGFixer(index, FixConfig(k=6, preprocess="exact"))
         fixer.fit(dup_data[:10] + 0.01)  # queries on top of duplicates
         assert fixer.adjacency.n_extra_edges() >= 0  # no crash
@@ -49,8 +47,7 @@ class TestDuplicateVectors:
 class TestSingularGeometry:
     def test_all_identical_points(self):
         data = np.ones((30, 4), dtype=np.float32)
-        index = HNSW(data, Metric.L2, M=4, ef_construction=10,
-                     single_layer=True, seed=0)
+        index = HNSW(data, Metric.L2, M=4, ef_construction=10)
         result = index.search(np.ones(4, dtype=np.float32), k=3, ef=10)
         assert len(result.ids) == 3
 
@@ -63,8 +60,7 @@ class TestSingularGeometry:
 
     def test_single_dimension(self):
         data = np.arange(50, dtype=np.float32)[:, None]
-        index = HNSW(data, Metric.L2, M=4, ef_construction=10,
-                     single_layer=True, seed=0)
+        index = HNSW(data, Metric.L2, M=4, ef_construction=10)
         result = index.search(np.array([25.4], dtype=np.float32), k=1, ef=10)
         assert result.ids[0] == 25
 

@@ -61,8 +61,7 @@ class TestPairedBootstrap:
         from repro import FixConfig, HNSW, NGFixer
         from repro.evalx.metrics import recall_per_query
 
-        base = HNSW(tiny_ds.base, tiny_ds.metric, M=8, ef_construction=40,
-                    single_layer=True, seed=3)
+        base = HNSW(tiny_ds.base, tiny_ds.metric, M=8, ef_construction=40)
         before = np.vstack([base.search(q, k=10, ef=20).ids[:10]
                             for q in tiny_ds.test_queries])
         r_before = recall_per_query(before, tiny_gt.top(10).ids)

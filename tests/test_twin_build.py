@@ -67,8 +67,7 @@ def _parent_arrays(adjacency) -> dict:
 
 
 _BUILDS = {
-    "hnsw": lambda ds: HNSW(ds.base[:N], ds.metric, M=8, ef_construction=40,
-                            single_layer=True, seed=3),
+    "hnsw": lambda ds: HNSW(ds.base[:N], ds.metric, M=8, ef_construction=40),
     "nsg": lambda ds: NSG(ds.base[:N], ds.metric, R=10, L=20, knn_k=10),
     "vamana": lambda ds: Vamana(ds.base[:N], ds.metric, R=10, L=20),
     "roargraph": lambda ds: RoarGraph(ds.base[:N], ds.metric,

@@ -73,8 +73,7 @@ class TestPipelineUse:
         from repro import HNSW
         path = write_vecs(tmp_path / "base.fvecs", tiny_ds.base)
         base = read_vecs(path)
-        index = HNSW(base, tiny_ds.metric, M=8, ef_construction=40,
-                     single_layer=True, seed=0)
+        index = HNSW(base, tiny_ds.metric, M=8, ef_construction=40)
         result = index.search(base[0], k=1, ef=40)
         # normalized cluster data can contain near-coincident points, so
         # assert on distance rather than identity

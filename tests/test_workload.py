@@ -18,8 +18,7 @@ def drift():
 
 
 def _fixer(drift):
-    base = HNSW(drift.base, drift.metric, M=8, ef_construction=40,
-                single_layer=True, seed=1)
+    base = HNSW(drift.base, drift.metric, M=8, ef_construction=40)
     return NGFixer(base, FixConfig(k=8, preprocess="approx", approx_ef=60))
 
 
