@@ -18,87 +18,57 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every reproduced table and figure.
 """
 
-from repro.distances import Metric, DistanceComputer, pairwise_distances
-from repro.datasets import (
-    Dataset,
-    load_dataset,
-    list_datasets,
-    dataset_statistics,
-    make_cross_modal_dataset,
-    make_single_modal_dataset,
-    make_drifting_workload,
-    DriftingWorkload,
-    CrossModalConfig,
-    ood_report,
-)
-from repro.evalx import (
-    GroundTruth,
-    compute_ground_truth,
-    recall_at_k,
-    rderr_at_k,
-    OperatingPoint,
-    evaluate_index,
-    sweep,
-    qps_at_recall,
-    ndc_at_rderr,
-)
-from repro.graphs import (
-    HNSW,
-    NSG,
-    NSW,
-    TauMNG,
-    RoarGraph,
-    Vamana,
-    RobustVamana,
-    BruteForceIndex,
-    GraphIndex,
-    SearchResult,
-    greedy_search,
-)
-from repro.io import save_index, load_index, FrozenIndex
-from repro.obs import OBS, TRACES, MetricsRegistry, QueryTrace, TraceLog
-from repro.quantization import ProductQuantizer, IVFFlat
-from repro.serving import (
-    DeltaOverlay,
-    EpochManager,
-    EpochPin,
-    EpochView,
-    GraphEpoch,
-    MaintenanceScheduler,
-    ServingSearcher,
-)
-from repro.config import StoreConfig
-from repro.store import VectorStore
-from repro.durability import (
-    RecoveryError,
-    RecoveryReport,
-    SnapshotManager,
-    WriteAheadLog,
-    read_wal,
-    recover,
-)
-from repro.faults import FAULTS, FaultInjected, FaultPlan
-from repro.cluster import ClusterRouter, FrontDoor, merge_stats, merge_topk_batch
-from repro.core import (
-    escape_hardness,
-    EscapeHardnessResult,
-    reachability_matrix,
-    build_qng,
-    qng_connectivity_report,
-    ngfix_query,
-    rfix_query,
-    FixConfig,
-    NGFixer,
-    IndexMaintainer,
-    augment_queries,
-    ngfix_plus_query,
-    HashTableCache,
-    CachedSearcher,
-    AdaptiveSearcher,
-    WorkloadAdapter,
-    explain_query,
-    phase_reach_stats,
-)
+import importlib
+
+#: Each public name's home module.  Resolved on first access (PEP 562), so
+#: ``import repro`` — and with it every ``import repro.<x>``, a cluster
+#: worker's spawn included — loads only what the caller names.
+_HOMES = {
+    "repro.distances": ("Metric", "DistanceComputer", "pairwise_distances"),
+    "repro.datasets": (
+        "Dataset", "load_dataset", "list_datasets", "dataset_statistics",
+        "make_cross_modal_dataset", "make_single_modal_dataset",
+        "make_drifting_workload", "DriftingWorkload", "CrossModalConfig",
+        "ood_report",
+    ),
+    "repro.evalx": (
+        "GroundTruth", "compute_ground_truth", "recall_at_k", "rderr_at_k",
+        "OperatingPoint", "evaluate_index", "sweep", "qps_at_recall",
+        "ndc_at_rderr",
+    ),
+    "repro.graphs": (
+        "HNSW", "NSG", "NSW", "TauMNG", "RoarGraph", "Vamana", "RobustVamana",
+        "BruteForceIndex", "GraphIndex", "SearchResult", "greedy_search",
+    ),
+    "repro.io": ("save_index", "load_index", "FrozenIndex"),
+    "repro.obs": (
+        "OBS", "TRACES", "MetricsRegistry", "QueryTrace", "TraceLog",
+    ),
+    "repro.quantization": ("ProductQuantizer", "IVFFlat"),
+    "repro.serving": (
+        "DeltaOverlay", "EpochManager", "EpochPin", "EpochView", "GraphEpoch",
+        "MaintenanceScheduler", "ServingSearcher",
+    ),
+    "repro.config": ("StoreConfig",),
+    "repro.store": ("VectorStore",),
+    "repro.durability": (
+        "RecoveryError", "RecoveryReport", "SnapshotManager", "WriteAheadLog",
+        "read_wal", "recover",
+    ),
+    "repro.faults": ("FAULTS", "FaultInjected", "FaultPlan"),
+    "repro.cluster": (
+        "ClusterRouter", "FrontDoor", "merge_stats", "merge_topk_batch",
+    ),
+    "repro.core": (
+        "escape_hardness", "EscapeHardnessResult", "reachability_matrix",
+        "build_qng", "qng_connectivity_report", "ngfix_query", "rfix_query",
+        "FixConfig", "NGFixer", "IndexMaintainer", "augment_queries",
+        "ngfix_plus_query", "HashTableCache", "CachedSearcher",
+        "AdaptiveSearcher", "WorkloadAdapter", "explain_query",
+        "phase_reach_stats",
+    ),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
 
 __version__ = "1.0.0"
 
@@ -188,3 +158,15 @@ __all__ = [
     "merge_topk_batch",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(module), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

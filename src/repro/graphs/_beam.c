@@ -1,17 +1,20 @@
 /* Native executor of paper Algorithm 1 (greedy beam search) over a frozen CSR,
  * an epoch view or the mutable adjacency slab, of the compressed recipe's
  * exact re-rank after an ADC beam (rerank_row), of the occlusion rule behind
- * every prune (repro_occlusion_prune) and of paper Algorithm 2, Escape
- * Hardness (repro_escape_hardness, at the end).
+ * every prune (repro_occlusion_prune), of paper Algorithm 2, Escape
+ * Hardness (repro_escape_hardness) and of HNSW's bottom-layer insertion,
+ * written into the adjacency slab in place (repro_insert, at the end).
  *
  * The reference executor is repro.graphs.search.beam_search (Python); this
  * file is the same algorithm, not a second one: same candidate order
  * (distance, then id), same eviction tie rule in the result heap, same
  * deadline test before every pop, same NDC accounting.  The re-rank's
  * reference is repro.quantization.searcher.rerank_block, the prune's
- * pruning._occlusion_prune and EH's the incremental loop in
- * repro.core.escape_hardness.  Each pair is tested differentially
- * (tests/test_native.py, tests/test_escape_hardness.py).  This file is plain
+ * pruning._occlusion_prune, EH's the incremental loop in
+ * repro.core.escape_hardness and the insert's
+ * repro.graphs.insertion.BottomLayer._insert_bottom.  Each pair is tested
+ * differentially (tests/test_native.py, tests/test_escape_hardness.py,
+ * tests/test_insertion.py).  This file is plain
  * C with no Python in it: _beammodule.c includes it beside the CPython entry
  * points that check and pass the arrays, and repro.graphs.native builds the
  * pair as one extension module with `cc -O2 -shared -fPIC -std=c11`.
@@ -724,4 +727,274 @@ int repro_escape_hardness(const beam_graph *graph, const int64_t *nn,
         }
     }
     return BEAM_OK;
+}
+
+/* NumPy's float32 sum of products over one row, as np.einsum("ij,ij->i")
+ * and np.einsum("ij,j->i") reduce it where NumPy's baseline SIMD is 128 bits
+ * wide (NumPy >= 1.22 on x86-64): four lanes; each whole block of 16
+ * elements folds into lane l as a0*b0 + (a1*b1 + (a2*b2 + (a3*b3 + lane))),
+ * a_j[l] = a[i + 4j + l]; the rest goes four at a time, zero padded; then
+ * (l0 + l1) + (l2 + l3).  With l2 set the products are squared
+ * differences.  DistanceComputer.to_query returns exactly this, which is
+ * what the re-prune of repro_insert must rank and margin by (dot8/l2sq8
+ * differ from it in the last bit). */
+static float np_sum(const float *a, const float *b, int64_t d, int l2)
+{
+    float lane[4] = { 0.0f, 0.0f, 0.0f, 0.0f };
+    int64_t i = 0;
+    for (; i + 16 <= d; i += 16)
+        for (int l = 0; l < 4; l++)
+            for (int j = 3; j >= 0; j--) {
+                const int64_t at = i + 4 * j + l;
+                const float e = l2 ? a[at] - b[at] : a[at];
+                lane[l] = e * (l2 ? e : b[at]) + lane[l];
+            }
+    for (; i < d; i += 4)
+        for (int l = 0; l < 4; l++) {
+            float p = 0.0f;
+            if (i + l < d) {
+                const float e = l2 ? a[i + l] - b[i + l] : a[i + l];
+                p = e * (l2 ? e : b[i + l]);
+            }
+            lane[l] = p + lane[l];
+        }
+    return (lane[0] + lane[1]) + (lane[2] + lane[3]);
+}
+
+/* The adjacency store's arrays, written in place (AdjacencyStore): node u's
+ * row is slab[u * stride ..][:deg[u]], its first nbase[u] slots base edges,
+ * the rest extra edges with their EH tags in the same slots of eh. */
+typedef struct {
+    int32_t *slab;
+    double *eh;
+    int32_t *deg;
+    int32_t *nbase;
+    int64_t stride;
+    int64_t n;
+} slab_rows;
+
+/* What one insertion call works in (sizes as insert_scratch_bytes lays
+ * them out): the beam's heaps, its answer, the selection pool, kept
+ * positions and the rows being rewritten. */
+typedef struct {
+    beam_item *cand;     /* n_rows: the candidate heap */
+    beam_item *res;      /* ef: the result heap */
+    beam_item *sorted;   /* stride: a re-pruned row by (distance, id) */
+    int64_t *ids;        /* ef: the beam's answer */
+    double *d;
+    int64_t *pool_ids;   /* max(ef, stride): a selection pool, ascending */
+    double *pool_d;
+    int64_t *kept;       /* max(ef, stride): positions the occlusion rule keeps */
+    int32_t *chosen;     /* cap: the new row's neighbours */
+    int32_t *shrunk;     /* cap: a re-pruned row's neighbours */
+    int32_t *row;        /* stride: a base list being rewritten */
+    int32_t *extra;      /* stride: the extras kept beside it, with tags */
+    double *extra_eh;
+} insert_scratch;
+
+static size_t insert_scratch_bytes(int64_t n_rows, int64_t ef, int64_t stride,
+                                   int64_t cap)
+{
+    const int64_t pool = ef > stride ? ef : stride;
+    return (size_t)(n_rows + ef + stride) * sizeof(beam_item)
+        + (size_t)ef * 16 + (size_t)pool * 24 + (size_t)stride * 16
+        + (size_t)cap * 8;
+}
+
+static void insert_scratch_at(insert_scratch *s, char *block, int64_t n_rows,
+                              int64_t ef, int64_t stride, int64_t cap)
+{
+    const int64_t pool = ef > stride ? ef : stride;
+    s->cand = (beam_item *)block;
+    s->res = s->cand + n_rows;
+    s->sorted = s->res + ef;
+    s->ids = (int64_t *)(s->sorted + stride);
+    s->d = (double *)(s->ids + ef);
+    s->pool_ids = (int64_t *)(s->d + ef);
+    s->pool_d = (double *)(s->pool_ids + pool);
+    s->kept = (int64_t *)(s->pool_d + pool);
+    s->extra_eh = (double *)(s->kept + pool);
+    s->row = (int32_t *)(s->extra_eh + stride);
+    s->extra = s->row + stride;
+    s->chosen = s->extra + stride;
+    s->shrunk = s->chosen + cap;
+}
+
+/* rng_prune_backfill over the pool pool_ids/pool_d[0..count), ascending by
+ * (distance, id): the occlusion rule keeps up to cap, then the nearest
+ * pruned candidates backfill the budget.  Writes the selection to out and
+ * returns its size (the pool's ids are valid rows: never an error). */
+static int64_t select_backfill(const beam_scorer *rows, int64_t n_rows,
+                               insert_scratch *s, int64_t count, int64_t cap,
+                               int32_t *out)
+{
+    int64_t n_kept = count ? repro_occlusion_prune(
+        rows->kind, rows->rows, n_rows, rows->width, s->pool_ids, s->pool_d,
+        count, cap, s->kept) : 0;
+    int64_t size = 0;
+    for (int64_t j = 0; j < n_kept; j++)
+        out[size++] = (int32_t)s->pool_ids[s->kept[j]];
+    for (int64_t i = 0, j = 0; i < count && size < cap; i++) {
+        if (j < n_kept && s->kept[j] == i)
+            j++;
+        else
+            out[size++] = (int32_t)s->pool_ids[i];
+    }
+    return size;
+}
+
+/* AdjacencyStore.set_base_neighbors(u, ids[0..count)), ids unique and
+ * without u: they become u's base edges, followed by u's extra edges that
+ * are not among them, in order, with their tags. */
+static void set_base(const slab_rows *g, insert_scratch *s, int64_t u,
+                     const int32_t *ids, int64_t count)
+{
+    int32_t *row = g->slab + u * g->stride;
+    double *tags = g->eh + u * g->stride;
+    int64_t n_extra = 0;
+    for (int64_t j = g->nbase[u]; j < g->deg[u]; j++) {
+        int64_t i = 0;
+        while (i < count && ids[i] != row[j])
+            i++;
+        if (i == count) {
+            s->extra[n_extra] = row[j];
+            s->extra_eh[n_extra++] = tags[j];
+        }
+    }
+    for (int64_t i = 0; i < count; i++)
+        row[i] = ids[i];
+    for (int64_t i = 0; i < n_extra; i++) {
+        row[count + i] = s->extra[i];
+        tags[count + i] = s->extra_eh[i];
+    }
+    g->nbase[u] = (int32_t)count;
+    g->deg[u] = (int32_t)(count + n_extra);
+}
+
+/* Whether node u has a row the insert may rewrite with `more` slots on top:
+ * u a node, counts within the stride, every id in it a node. */
+static int row_ok(const slab_rows *g, int64_t u, int64_t more)
+{
+    if (u < 0 || u >= g->n)
+        return 0;
+    const int32_t b = g->nbase[u], d = g->deg[u];
+    if (b < 0 || d < b || d + more > g->stride)
+        return 0;
+    const int32_t *row = g->slab + u * g->stride;
+    for (int32_t j = 0; j < d; j++)
+        if (row[j] < 0 || row[j] >= g->n)
+            return 0;
+    return 1;
+}
+
+/* HNSW's bottom-layer insertion of rows first..last-1, in order, into the
+ * slab (BottomLayer._insert_bottom, the reference, row by row).  Row r:
+ * the ef-wide beam for rows[r] from the entries (visited version version0 +
+ * r - first, nothing excluded); the answer without r itself and without
+ * the ids set in the `removed` bitmap, cut at pool_cap; rng_prune_backfill
+ * to cap (select_backfill); set_base_neighbors(r, selected); then for each
+ * selected v in order add_base_edge(v, r) — appended in place, or the row
+ * rewritten with its extras one slot to the right — and, when v's base
+ * list outgrew cap + slack, its re-prune: v's base neighbours ranked by
+ * (np_sum distance to v, id), cut at pool_cap, rng_prune_backfill to cap,
+ * set_base_neighbors(v, ...), extras kept.  Appends to touched the node of
+ * every mutation in that order (r, then v, then v again after a re-prune:
+ * at most 1 + 2 * cap per row) and adds the distances computed to *ndc:
+ * the beam's and one per re-pruned neighbour.
+ *
+ * Each row is checked before its first write — the beam refused nothing,
+ * every row it will rewrite has the slots and holds only ids of the graph
+ * — so a refusal leaves the rows before it linked and nothing of its own
+ * written.  Returns how many rows were linked. */
+int64_t repro_insert(const slab_rows *g, const beam_scorer *rows,
+                     int64_t n_rows, int64_t first, int64_t last,
+                     const int64_t *entries, int64_t n_entries, int64_t ef,
+                     int64_t cap, int64_t slack, int64_t pool_cap,
+                     int32_t *stamps, int32_t version0,
+                     const uint8_t *removed, int64_t removed_n,
+                     insert_scratch *s, int64_t *ndc, int32_t *touched,
+                     int64_t *n_touched)
+{
+    const beam_graph graph = {
+        .slab = g->slab, .deg = g->deg, .stride = g->stride, .slab_n = g->n,
+    };
+    beam_state st = {
+        .graph = &graph, .scorer = rows, .n = n_rows, .ef = ef,
+        .beam_width = 1, .stamps = stamps, .cand = s->cand, .res = s->res,
+    };
+    const struct timespec t0 = { 0, 0 };  /* no deadline: never read */
+    const float *base = rows->rows;
+    const int64_t dim = rows->width;
+    int64_t counts[N_COUNTS];
+    int32_t sel;
+    for (int64_t r = first; r < last; r++) {
+        st.query = base + r * dim;
+        st.version = version0 + (int32_t)(r - first);
+        int rc = beam_one(&st, entries, n_entries, ef, &sel, INFINITY, &t0,
+                          s->ids, s->d, counts);
+        if (rc != BEAM_OK)
+            return r - first;
+        int64_t count = 0;
+        for (int64_t i = 0; i < counts[0] && count < pool_cap; i++) {
+            const int64_t v = s->ids[i];
+            if (v == r || (removed != NULL && v < removed_n && removed[v]))
+                continue;
+            s->pool_ids[count] = v;
+            s->pool_d[count++] = s->d[i];
+        }
+        const int64_t n_chosen = select_backfill(rows, n_rows, s, count, cap,
+                                                 s->chosen);
+        int ok = row_ok(g, r, n_chosen - g->nbase[r]);
+        for (int64_t j = 0; j < n_chosen && ok; j++)
+            ok = row_ok(g, s->chosen[j], 1);
+        if (!ok)
+            return r - first;
+
+        *ndc += counts[3];
+        set_base(g, s, r, s->chosen, n_chosen);
+        touched[(*n_touched)++] = (int32_t)r;
+        for (int64_t j = 0; j < n_chosen; j++) {
+            const int64_t v = s->chosen[j];
+            int32_t *row = g->slab + v * g->stride;
+            const int32_t b = g->nbase[v], d = g->deg[v];
+            int32_t i = 0;
+            while (i < b && row[i] != r)
+                i++;
+            if (i == b) {  /* add_base_edge(v, r) */
+                if (d > b) {
+                    for (i = 0; i < b; i++)
+                        s->row[i] = row[i];
+                    s->row[b] = (int32_t)r;
+                    set_base(g, s, v, s->row, b + 1);
+                } else {
+                    row[d] = (int32_t)r;
+                    g->deg[v] = g->nbase[v] = d + 1;
+                }
+                touched[(*n_touched)++] = (int32_t)v;
+            }
+            const int32_t nb = g->nbase[v];
+            if (nb <= cap + slack)
+                continue;
+            const float *at = base + v * dim;
+            for (i = 0; i < nb; i++) {
+                const float *c = base + (int64_t)row[i] * dim;
+                const float sum = np_sum(c, at, dim, rows->kind == SCORE_L2);
+                const float dist = rows->kind == SCORE_L2 ? sum
+                    : rows->kind == SCORE_IP ? -sum : 1.0f - sum;
+                beam_item item = { dist, row[i] };
+                s->sorted[i] = item;
+            }
+            *ndc += nb;
+            sort_ascending(s->sorted, nb);
+            const int64_t m = nb < pool_cap ? nb : pool_cap;
+            for (i = 0; i < m; i++) {
+                s->pool_ids[i] = s->sorted[i].id;
+                s->pool_d[i] = s->sorted[i].d;
+            }
+            set_base(g, s, v, s->shrunk,
+                     select_backfill(rows, n_rows, s, m, cap, s->shrunk));
+            touched[(*n_touched)++] = (int32_t)v;
+        }
+    }
+    return last - first;
 }

@@ -1,5 +1,5 @@
 /* CPython entry points of the native traversal core: beam_block,
- * occlusion_prune and escape_hardness, the extension module
+ * occlusion_prune, escape_hardness and insert, the extension module
  * repro.graphs._beam that repro.graphs.native builds and loads.
  *
  * One translation unit with the kernel: _beam.c is included below, not
@@ -8,7 +8,8 @@
  * layout the kernel does not read answers None, exactly as a kernel refusal
  * does; a scalar out of range or an argument of the wrong kind raises
  * ValueError / TypeError.  The GIL is released around each kernel call, with
- * a reference held to every array it reads.  Scratch is allocated per call,
+ * a reference held to every array it reads — except insert's, which writes
+ * the graph other threads' Python reads.  Scratch is allocated per call,
  * and what comes back is fresh arrays that never alias it.
  */
 #define PY_SSIZE_T_CLEAN
@@ -538,6 +539,121 @@ static PyObject *py_escape_hardness(PyObject *Py_UNUSED(module),
     return eh;
 }
 
+/* obj as an array the kernel may write: dense() and writeable. */
+static PyArrayObject *writable(PyObject *obj, char kind, int itemsize, int ndim)
+{
+    PyArrayObject *a = dense(obj, kind, itemsize, ndim);
+    return a != NULL && PyArray_ISWRITEABLE(a) ? a : NULL;
+}
+
+PyDoc_STRVAR(insert_doc,
+"insert(rows, slab, eh, degree, base_count, n, first, last, entries, ef,\n"
+"       cap, slack, pool_cap, stamps, version0, removed)\n"
+"--\n\n"
+"Link rows first..last-1 into the adjacency slab in place, in order: HNSW's\n"
+"bottom-layer insertion on the native core (BottomLayer._insert_bottom, row\n"
+"by row, is the reference).\n\n"
+"rows is the native.Scorer of the base matrix (an exact kind); slab (int32)\n"
+"and eh (float64) are the store's (capacity, width) arrays, degree and\n"
+"base_count its int32 counts, n its node count (at most the rows').  Row r\n"
+"searches at width ef from the sorted unique int64 entries (visits marked\n"
+"in the int32 stamps with version version0 + r - first), drops itself and\n"
+"the ids set in removed (None or a uint8 bitmap), keeps at most pool_cap\n"
+"candidates and selects cap of them by rng_prune_backfill; each selected v\n"
+"gets the edge v -> r, and its base list is re-pruned to cap when it holds\n"
+"more than cap + slack.  The GIL is held throughout.\n\n"
+"Returns (linked, ndc, touched): how many rows were linked, the distances\n"
+"computed for them, and the int32 node of every mutation in order (r, each\n"
+"v its edge changed, v again after its re-prune).  linked is short of\n"
+"last - first when the kernel refused a row — an id it does not read, a\n"
+"row without the slots — before writing any of it.  None when an array is\n"
+"not a layout the kernel writes: nothing was written.");
+
+static PyObject *py_insert(PyObject *Py_UNUSED(module),
+                           PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 16) {
+        PyErr_SetString(PyExc_TypeError,
+                        "insert takes 16 positional arguments");
+        return NULL;
+    }
+    int64_t kind, n, first, last, ef, cap, slack, pool_cap, version0;
+    PyObject *spec = args[0];
+    if (!PyTuple_Check(spec) || PyTuple_GET_SIZE(spec) != 2) {
+        PyErr_SetString(PyExc_TypeError, "rows is native.Scorer(kind, rows)");
+        return NULL;
+    }
+    if (as_int64(PyTuple_GET_ITEM(spec, 0), &kind) < 0
+        || as_int64(args[5], &n) < 0 || as_int64(args[6], &first) < 0
+        || as_int64(args[7], &last) < 0 || as_int64(args[9], &ef) < 0
+        || as_int64(args[10], &cap) < 0 || as_int64(args[11], &slack) < 0
+        || as_int64(args[12], &pool_cap) < 0
+        || as_int64(args[14], &version0) < 0)
+        return NULL;
+    if (kind < SCORE_L2 || kind > SCORE_COSINE || ef < 1 || cap < 0
+        || slack < 0 || pool_cap < 1 || first < 0 || first > last
+        || version0 < 1 || version0 > INT32_MAX - (last - first) + 1) {
+        PyErr_SetString(PyExc_ValueError, "insert: an exact kind, ef and "
+                        "pool_cap >= 1, cap and slack >= 0, 0 <= first <= "
+                        "last, version0 >= 1 and its rows within int32");
+        return NULL;
+    }
+    PyArrayObject *rows = dense(PyTuple_GET_ITEM(spec, 1), 'f', 4, 2);
+    PyArrayObject *slab = writable(args[1], 'i', 4, 2);
+    PyArrayObject *eh = writable(args[2], 'f', 8, 2);
+    PyArrayObject *degree = writable(args[3], 'i', 4, 1);
+    PyArrayObject *nbase = writable(args[4], 'i', 4, 1);
+    PyArrayObject *entries = dense(args[8], 'i', 8, 1);
+    PyArrayObject *stamps = writable(args[13], 'i', 4, 1);
+    PyArrayObject *mask = args[15] == Py_None ? NULL
+        : dense(args[15], 'u', 1, 1);
+    if (rows == NULL || slab == NULL || eh == NULL || degree == NULL
+        || nbase == NULL || entries == NULL || stamps == NULL
+        || (args[15] != Py_None && mask == NULL) || DIM(rows, 1) < 1
+        || DIM(eh, 0) != DIM(slab, 0) || DIM(eh, 1) != DIM(slab, 1)
+        || n > DIM(slab, 0) || n > DIM(degree, 0) || n > DIM(nbase, 0)
+        || n > DIM(rows, 0) || last > n || DIM(entries, 0) < 1
+        || DIM(stamps, 0) < DIM(rows, 0))
+        Py_RETURN_NONE;
+
+    const int64_t n_rows = DIM(rows, 0), stride = DIM(slab, 1);
+    const size_t bytes = insert_scratch_bytes(n_rows, ef, stride, cap);
+    char *block = malloc(bytes);
+    int32_t *touched = malloc((size_t)((last - first) * (1 + 2 * cap) + 1)
+                              * sizeof(int32_t));
+    if (block == NULL || touched == NULL) {
+        free(block);
+        free(touched);
+        return PyErr_NoMemory();
+    }
+    insert_scratch scratch;
+    insert_scratch_at(&scratch, block, n_rows, ef, stride, cap);
+    const slab_rows g = {
+        .slab = PyArray_DATA(slab), .eh = PyArray_DATA(eh),
+        .deg = PyArray_DATA(degree), .nbase = PyArray_DATA(nbase),
+        .stride = stride, .n = n,
+    };
+    const beam_scorer scorer = {
+        .kind = (int32_t)kind, .rows = PyArray_DATA(rows),
+        .width = DIM(rows, 1),
+    };
+    int64_t ndc = 0, n_touched = 0;
+    const int64_t linked = repro_insert(
+        &g, &scorer, n_rows, first, last, PyArray_DATA(entries),
+        DIM(entries, 0), ef, cap, slack, pool_cap, PyArray_DATA(stamps),
+        (int32_t)version0, mask != NULL ? PyArray_DATA(mask) : NULL,
+        mask != NULL ? DIM(mask, 0) : 0, &scratch, &ndc, touched, &n_touched);
+    free(block);
+    npy_intp dims[1] = { (npy_intp)n_touched };
+    PyObject *stream = PyArray_SimpleNew(1, dims, NPY_INT32);
+    if (stream != NULL && n_touched > 0)
+        memcpy(PyArray_DATA((PyArrayObject *)stream), touched,
+               (size_t)n_touched * sizeof(int32_t));
+    free(touched);
+    return stream == NULL ? NULL
+        : Py_BuildValue("LLN", (long long)linked, (long long)ndc, stream);
+}
+
 static PyMethodDef methods[] = {
     {"beam_block", (PyCFunction)(void (*)(void))py_beam_block, METH_FASTCALL,
      beam_block_doc},
@@ -545,6 +661,8 @@ static PyMethodDef methods[] = {
      METH_FASTCALL, occlusion_prune_doc},
     {"escape_hardness", (PyCFunction)(void (*)(void))py_escape_hardness,
      METH_FASTCALL, escape_hardness_doc},
+    {"insert", (PyCFunction)(void (*)(void))py_insert, METH_FASTCALL,
+     insert_doc},
     {NULL, NULL, 0, NULL},
 };
 

@@ -272,6 +272,25 @@ class AdjacencyStore:
                 self._slab, self._degree, self._n)
         return graph
 
+    def link_rows(self, rows, visited, first: int, last: int, entries,
+                  ef: int, cap: int, slack: int, pool_cap: int):
+        """:func:`repro.graphs.native.insert` on rows ``[first, last)``,
+        widened first so that no row outgrows them; ``(rows linked, NDC)``
+        with the overlay told of each mutation, or None (nothing written)."""
+        n, base = self._n, self._base_count[:self._n]
+        self._widen(max(cap + slack, int(base.max())) + 1
+                    + int((self._degree[:n] - base).max()))
+        visited.grow(rows.rows.shape[0])
+        found = native.insert(
+            rows, self._slab, self._eh, self._degree, self._base_count, n,
+            first, last, entries, ef, cap, slack, pool_cap, visited._stamps,
+            visited.reserve(last - first),
+            native.excluded_mask(self.removed, n) if self.removed else None)
+        if found is not None and self._overlay is not None:
+            for u in found[2].tolist():
+                self._record(u)
+        return found and found[:2]
+
     def out_degree(self, u: int) -> int:
         return self._degree.item(u)
 

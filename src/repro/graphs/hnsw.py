@@ -48,7 +48,6 @@ class HNSW(BottomLayer, GraphIndex):
         self.M = M
         self.M0 = 2 * M
         self.ef_construction = ef_construction
-        # The build enters every insert at row 0; later inserts enter at
-        # the navigating node (:meth:`BottomLayer.insert`).
-        for i in range(1, self.dc.size):
-            self._insert_bottom(i, [0])
+        # The build enters every insert at row 0, in one call; later inserts
+        # enter at the navigating node (:meth:`BottomLayer.insert`).
+        self._insert_rows(1, self.dc.size, [0])

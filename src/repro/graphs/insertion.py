@@ -9,18 +9,20 @@ navigating node it starts from and the one :meth:`~BottomLayer.insert`,
 mixed into the two indexes that grow — :class:`~repro.graphs.hnsw.HNSW`
 (construction and ``insert``) and
 :class:`~repro.durability.recovery.ReplayableIndex` (replay and post-recovery
-writes) — so a recovered store's inserts are the live store's.  The search
-names the graph by the store itself and the selection goes through
-:mod:`repro.graphs.pruning`: both run on the native core when it is loaded.
+writes) — so a recovered store's inserts are the live store's.  It runs as
+one call of ``repro_insert`` (``_beam.c``) on the slab; ``_insert_bottom``,
+its reference, links any row the kernel cannot (no core, a proxy or
+subclassed scorer, a row it refused), with native search and prune.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.graphs import native
 from repro.graphs.base import medoid_id
-from repro.graphs.pruning import rng_prune_backfill
-from repro.graphs.search import greedy_search
+from repro.graphs.pruning import _POOL_CAP, rng_prune_backfill
+from repro.graphs.search import _NATIVE_QUERIES, greedy_search, unique_entries
 
 
 class BottomLayer:
@@ -99,13 +101,31 @@ class BottomLayer:
         entry = self.medoid()
         new_id = self.dc.append(vector)  # normalizes (cosine)
         self.adjacency.grow(1)
-        self._insert_bottom(new_id, [entry])
+        self._insert_rows(new_id, new_id + 1, [entry])
         return new_id
 
-    def _insert_bottom(self, new_id: int, entries: list[int]) -> np.ndarray:
+    def _insert_rows(self, first: int, last: int, entries: list[int]) -> None:
+        """Link rows ``[first, last)`` (already in ``dc`` and ``adjacency``)
+        in order, searching from ``entries``: one native call writes what
+        :meth:`_insert_bottom` would — edges, ties, NDC, overlay records —
+        and that reference links the rows it did not."""
+        dc, done = self.dc, 0
+        rows = native.spec(dc, "native_rows") if native.enabled() else None
+        found = rows and native.spec(
+            self.adjacency, "link_rows", rows, self._visited, first, last,
+            unique_entries(self._live_entries(entries, first)),
+            self.ef_construction, self.M0, self._shrink_slack, _POOL_CAP)
+        if found:
+            done, ndc = found
+            dc.ndc += ndc
+            _NATIVE_QUERIES.inc(done)
+        for new_id in range(first + done, last):
+            self._insert_bottom(new_id, entries)
+
+    def _insert_bottom(self, new_id: int, entries: list[int]) -> None:
         """Link row ``new_id`` (already in ``dc`` and ``adjacency``) into
-        the bottom layer, searching from ``entries``; returns the candidate
-        ids the search found.  Neighbours are chosen by
+        the bottom layer, searching from ``entries`` — the reference
+        executor of the insert.  Neighbours are chosen by
         :func:`~repro.graphs.pruning.rng_prune_backfill` (hnswlib's
         ``keepPrunedConnections``: pruned candidates backfill the budget).
         """
@@ -128,4 +148,3 @@ class BottomLayer:
                                  dtype=np.int64)
                 adjacency.set_base_neighbors(
                     v, rng_prune_backfill(dc, v, neigh, cap))
-        return cand_ids

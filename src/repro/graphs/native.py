@@ -1,13 +1,14 @@
 """Loader and specs of the native traversal core (``_beam.c``).
 
 ``_beam.c`` is paper Algorithm 1 written once in C, with the compressed
-recipe's exact re-rank, the occlusion rule of the prunes and paper
-Algorithm 2 (Escape Hardness) beside it; ``_beammodule.c`` wraps it in
-three CPython entry points.  This module compiles the pair with whatever C
-compiler the machine has against the interpreter's and NumPy's headers,
-loads the result as the extension module ``repro.graphs._beam``, and
-exposes its functions as :func:`beam_block`, :func:`occlusion_prune` and
-:func:`escape_hardness` (their docstrings are the contract).
+recipe's exact re-rank, the occlusion rule of the prunes, paper
+Algorithm 2 (Escape Hardness) and HNSW's bottom-layer insertion beside it;
+``_beammodule.c`` wraps it in four CPython entry points.  This module
+compiles the pair with whatever C compiler the machine has against the
+interpreter's and NumPy's headers, loads the result as the extension module
+``repro.graphs._beam``, and exposes its functions as :func:`beam_block`,
+:func:`occlusion_prune`, :func:`escape_hardness` and :func:`insert` (their
+docstrings are the contract).
 :mod:`repro.graphs.search` imports this module — so the build happens at
 import, never inside a timed build or a first query — and decides per search
 which executor runs: the native one when the library is loaded *and* both
@@ -171,7 +172,7 @@ _STATUS = {"enabled": False, "path": None, "compiler": None,
 _LIB = None
 #: The extension's entry points once :func:`_load` bound them (see their
 #: docstrings); call them only when :func:`enabled`.
-beam_block = occlusion_prune = escape_hardness = None
+beam_block = occlusion_prune = escape_hardness = insert = None
 
 
 def status() -> dict:
@@ -307,7 +308,7 @@ def _import(path: pathlib.Path):
 
 
 def _load() -> None:
-    global _LIB, beam_block, occlusion_prune, escape_hardness
+    global _LIB, beam_block, occlusion_prune, escape_hardness, insert
     if os.environ.get(SWITCH, "") not in ("", "0"):
         _STATUS["reason"] = f"switched off by {SWITCH}"
         return
@@ -327,6 +328,7 @@ def _load() -> None:
     beam_block = _LIB.beam_block
     occlusion_prune = _LIB.occlusion_prune
     escape_hardness = _LIB.escape_hardness
+    insert = _LIB.insert
 
 
 def enabled() -> bool:

@@ -1,6 +1,13 @@
 """Cross-module integration: the full NGFix* pipeline on registry datasets,
 the paper's comparative orderings at miniature scale, and the public API."""
 
+import importlib
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 import repro
@@ -31,6 +38,25 @@ class TestPublicApi:
     def test_all_exports_resolve(self):
         for name in repro.__all__:
             assert getattr(repro, name) is not None
+
+    def test_import_is_lazy_and_every_name_is_its_homes(self):
+        """``import repro`` loads none of its subsystems (PEP 562): not the
+        cluster, not serving, not ``asyncio``; each public name then
+        resolves to its home module's object and is listed by ``dir``."""
+        code = ("import json, sys, repro; print(json.dumps(sorted("
+                "m for m in sys.modules if m == 'asyncio' or "
+                "m.startswith(('repro.', 'asyncio.')))))")
+        src = str(pathlib.Path(repro.__file__).parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, env=env)
+        assert json.loads(out.stdout) == []
+        for name in repro.__all__:
+            if name != "__version__":
+                home = importlib.import_module(repro._HOME[name])
+                assert getattr(repro, name) is getattr(home, name)
+        assert set(repro.__all__) <= set(dir(repro))
 
     def test_quickstart_docstring_flow(self, workload):
         ds, gt = workload
