@@ -150,13 +150,9 @@ def recover(wal_dir: str | pathlib.Path, *, replay_observes: bool = True,
         index = load_index(info.path, index_cls=replayable)
         store = VectorStore(**vars(shell_config(
             dim=index.dc.dim, metric=index.dc.metric)))
-        payloads = {}
-        if info.payloads_path.exists():
-            payloads = {int(k): v for k, v in json.loads(
-                info.payloads_path.read_text()).items()}
         # PQ codes are derived state, not journaled: a compressed store
         # re-fits them here.
-        store._adopt_index(index, payloads)
+        store._adopt_index(index)
         snap_seq = info.wal_seq
         base_n = info.n_vectors
         if index.dc.size != base_n:

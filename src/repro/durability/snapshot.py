@@ -1,14 +1,13 @@
 """Atomic full-index snapshots bounding WAL replay.
 
-A snapshot is three files, written in a fixed order so a crash at any
+A snapshot is two files, written in a fixed order so a crash at any
 point leaves the previous snapshot intact and the half-written one
 invisible:
 
-1. ``snapshot-<id>.npz`` — the graph artifact (vectors, CSR adjacency,
-   extra edges, tombstones, entry), via the atomic
+1. ``snapshot-<id>.npz`` — the index artifact (vectors, the edge store's
+   arrays, tombstone and removed ids, entry, payloads), via the atomic
    :func:`~repro.io.save_index` (tmp-file + ``os.replace``).
-2. ``snapshot-<id>.payloads.json`` — the payload sidecar, same protocol.
-3. ``snapshot-<id>.manifest.json`` — written *last*; its presence is the
+2. ``snapshot-<id>.manifest.json`` — written *last*; its presence is the
    commit point.  It records the WAL sequence number the snapshot
    captures, so recovery replays only records after it.
 
@@ -44,7 +43,6 @@ class SnapshotInfo:
 
     snapshot_id: int
     path: pathlib.Path
-    payloads_path: pathlib.Path
     manifest_path: pathlib.Path
     wal_seq: int
     n_vectors: int
@@ -80,28 +78,25 @@ class SnapshotManager:
         latest = self.latest()
         snapshot_id = (latest.snapshot_id if latest is not None else 0) + 1
         base = self._base(snapshot_id)
-        npz = save_index(fixer, base.with_suffix(".npz"))
-        payloads_path = base.with_suffix(".payloads.json")
-        atomic_write_text(payloads_path, json.dumps(
-            {str(k): v for k, v in payloads.items()}))
-        manifest_path = base.with_suffix(".manifest.json")
+        info = SnapshotInfo(
+            snapshot_id=snapshot_id,
+            path=save_index(fixer, base.with_suffix(".npz"), payloads),
+            manifest_path=base.with_suffix(".manifest.json"),
+            wal_seq=int(wal_seq), n_vectors=int(fixer.dc.size),
+            created_at=time.time())
         FAULTS.fire("snapshot.pre_manifest")
-        atomic_write_text(manifest_path, json.dumps({
+        atomic_write_text(info.manifest_path, json.dumps({
             "manifest_version": _MANIFEST_VERSION,
             "snapshot_id": snapshot_id,
-            "wal_seq": int(wal_seq),
-            "n_vectors": int(fixer.dc.size),
-            "created_at": time.time(),
-            "index": npz.name,
-            "payloads": payloads_path.name,
+            "wal_seq": info.wal_seq,
+            "n_vectors": info.n_vectors,
+            "created_at": info.created_at,
+            "index": info.path.name,
         }))
         if OBS.enabled:
             _SNAPSHOTS.inc()
             _SNAPSHOT_SECONDS.observe(time.perf_counter() - t0)
-        return SnapshotInfo(
-            snapshot_id=snapshot_id, path=npz, payloads_path=payloads_path,
-            manifest_path=manifest_path, wal_seq=int(wal_seq),
-            n_vectors=int(fixer.dc.size), created_at=time.time())
+        return info
 
     # -- reading -----------------------------------------------------------
 
@@ -117,12 +112,10 @@ class SnapshotManager:
             if meta.get("manifest_version") != _MANIFEST_VERSION:
                 continue
             path = manifest_path.with_name(meta["index"])
-            payloads_path = manifest_path.with_name(meta["payloads"])
             if not path.exists():
                 continue
             out.append(SnapshotInfo(
                 snapshot_id=int(meta["snapshot_id"]), path=path,
-                payloads_path=payloads_path,
                 manifest_path=manifest_path,
                 wal_seq=int(meta["wal_seq"]),
                 n_vectors=int(meta["n_vectors"]),
@@ -139,27 +132,21 @@ class SnapshotManager:
     def prune(self, keep: int = 2) -> int:
         """Drop all but the ``keep`` newest snapshots (and crash orphans).
 
-        An orphan is a data/payload file with no manifest — debris from a
+        An orphan is an index file with no manifest — debris from a
         writer that died before its commit point.
         """
         if keep < 1:
             raise ValueError(f"keep must be >= 1, got {keep}")
-        snapshots = self.list()
-        removed = 0
-        keep_ids = {s.snapshot_id for s in snapshots[-keep:]}
-        for info in snapshots[:-keep] if len(snapshots) > keep else []:
-            for path in (info.manifest_path, info.path, info.payloads_path):
-                path.unlink(missing_ok=True)
-            removed += 1
+        stale = self.list()[:-keep]
+        for info in stale:
+            info.manifest_path.unlink(missing_ok=True)
+            info.path.unlink(missing_ok=True)
         # Orphans: snapshot-prefixed files whose id has no manifest.
         for path in self.directory.glob("snapshot-*"):
-            stem = path.name.split(".", 1)[0]
             try:
-                sid = int(stem.split("-", 1)[1])
+                sid = int(path.name.split(".", 1)[0].split("-", 1)[1])
             except ValueError:
                 continue
-            has_manifest = self._base(sid).with_suffix(
-                ".manifest.json").exists()
-            if not has_manifest and sid not in keep_ids:
+            if not self._base(sid).with_suffix(".manifest.json").exists():
                 path.unlink(missing_ok=True)
-        return removed
+        return len(stale)

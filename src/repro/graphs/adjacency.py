@@ -19,7 +19,10 @@ without freezing it.  A call site names this graph by the store itself (it
 is callable like a ``neighbors_fn``), never by its bound ``neighbors``: a
 plain callable has no native description.  :meth:`freeze` gathers the slab
 into the CSR snapshot a serving epoch pins; only
-:meth:`repro.serving.EpochManager.cut` calls it.
+:meth:`repro.serving.EpochManager.cut` calls it.  A saved index holds the
+same arrays: :meth:`AdjacencyStore.arrays` hands them to
+:func:`repro.io.save_index`, and :meth:`AdjacencyStore.install` checks and
+adopts them at load, with no per-node replay.
 """
 
 from __future__ import annotations
@@ -346,18 +349,52 @@ class AdjacencyStore:
         base = cols < self._base_count[:self._n, None]
         return base, ~base & (cols < self._degree[:self._n, None])
 
-    def _edge_arrays(self) -> dict[str, np.ndarray]:
-        """The base edges as an int64 CSR (``indptr``, ``indices``) and the
-        extra edges as row-major ``(extra_u, extra_v, extra_eh)`` triplets,
-        by the names :func:`repro.io.save_index` writes them under."""
-        n, slab = self._n, self._slab[:self._n]
-        base, extra = self._slots()
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(self._base_count[:n], out=indptr[1:])
-        return dict(indptr=indptr, indices=slab[base].astype(np.int64),
-                    extra_u=np.nonzero(extra)[0].astype(np.int64),
-                    extra_v=slab[extra].astype(np.int64),
-                    extra_eh=self._eh[:n][extra])
+    # -- persistence ----------------------------------------------------------
+
+    def arrays(self) -> dict[str, np.ndarray]:
+        """The store as :func:`repro.io.save_index` writes it, by name:
+        ``slab`` and ``eh`` (their first ``n`` rows, cut to the widest
+        row), ``degree``, ``base_count``, and the sorted int64
+        ``tombstones`` and ``removed`` ids.  The first four are views."""
+        n = self._n
+        width = int(self._degree[:n].max())
+        return dict(slab=self._slab[:n, :width], eh=self._eh[:n, :width],
+                    degree=self._degree[:n], base_count=self._base_count[:n],
+                    tombstones=np.array(sorted(self.tombstones), np.int64),
+                    removed=np.array(sorted(self.removed), np.int64))
+
+    def install(self, slab, eh, degree, base_count, tombstones,
+                removed) -> None:
+        """Adopt arrays laid out as :meth:`arrays` names them, unrecorded,
+        after checking dtypes, shapes, ``0 <= base_count <= degree <=
+        width`` and every id against ``[0, n)``: ``ValueError`` names the
+        first field that fails, before the kernel can read it."""
+        n, width = self._n, slab.shape[1] if slab.ndim == 2 else -1
+        for name, array, dtype, shape in (
+                ("slab", slab, np.int32, (n, width)),
+                ("eh", eh, np.float64, (n, width)),
+                ("degree", degree, np.int32, (n,)),
+                ("base_count", base_count, np.int32, (n,)),
+                ("tombstones", tombstones, np.int64, (tombstones.size,)),
+                ("removed", removed, np.int64, (removed.size,))):
+            if array.dtype != dtype or array.shape != shape:
+                raise ValueError(
+                    f"{name}: expected {np.dtype(dtype)} of shape {shape}, "
+                    f"got {array.dtype} of shape {array.shape}")
+        if ((degree < 0) | (degree > width)).any():
+            raise ValueError(f"degree: outside [0, width {width}]")
+        if ((base_count < 0) | (base_count > degree)).any():
+            raise ValueError("base_count: outside [0, degree]")
+        live = slab[np.arange(width) < degree[:, None]]
+        for name, ids in (("slab", live), ("tombstones", tombstones),
+                          ("removed", removed)):
+            if ids.size and (ids.min() < 0 or ids.max() >= n):
+                raise ValueError(f"{name}: an id outside [0, {n})")
+        self._slab, self._eh = slab, eh
+        self._degree, self._base_count = degree, base_count
+        self.tombstones = set(tombstones.tolist())
+        self.removed = set(removed.tolist())
+        self._native = None
 
     # -- maintenance ----------------------------------------------------------
 
@@ -435,11 +472,6 @@ class AdjacencyStore:
 
     def copy(self) -> "AdjacencyStore":
         """Deep copy (used by ablation benches to fork a base graph)."""
-        n = self._n
-        out = AdjacencyStore(n)
-        out._slab, out._eh = self._slab[:n].copy(), self._eh[:n].copy()
-        out._degree = self._degree[:n].copy()
-        out._base_count = self._base_count[:n].copy()
-        out.tombstones = set(self.tombstones)
-        out.removed = set(self.removed)
+        out = AdjacencyStore(self._n)
+        out.install(**{k: v.copy() for k, v in self.arrays().items()})
         return out

@@ -447,13 +447,14 @@ class VectorStore:
         self._last_checkpoint_seq = wal.seq
         self._scheduler.wal = wal
 
-    def _adopt_index(self, index, payloads: dict[int, Any]) -> None:
-        """Install a reconstructed index (load()/recovery) as the store's own."""
+    def _adopt_index(self, index) -> None:
+        """Install a loaded index (load()/recovery) and the payloads it
+        carries as the store's own."""
         self._fixer = NGFixer(index, self.fix_config)
         self._fixer.entry = index.entry
         self._maintainer = IndexMaintainer(
             self._fixer, np.empty((0, index.dc.dim), dtype=np.float32))
-        self._payloads = payloads
+        self._payloads = index.payloads
         self._attach_serving()
 
     @property
@@ -557,14 +558,11 @@ class VectorStore:
     # -- persistence ----------------------------------------------------------
 
     def save(self, path: str | pathlib.Path) -> pathlib.Path:
-        """Persist graph + payloads (payloads must be JSON-serializable)."""
+        """Persist graph + payloads as one atomic file (payloads must be
+        JSON-serializable)."""
         if self._fixer is None:
             raise RuntimeError("build() before save()")
-        path = save_index(self._fixer, path)
-        sidecar = path.with_suffix(".payloads.json")
-        atomic_write_text(sidecar, json.dumps(
-            {str(k): v for k, v in self._payloads.items()}))
-        return path
+        return save_index(self._fixer, path, self._payloads)
 
     @classmethod
     def load(cls, path: str | pathlib.Path, *,
@@ -585,19 +583,13 @@ class VectorStore:
         :meth:`observe`-driven repair, :meth:`delete`, and further
         :meth:`save` calls all work, but :meth:`add` raises
         ``RuntimeError`` because the frozen graph lacks the original
-        builder's insert machinery (layer assignments and per-node
-        construction state are not serialized).  To keep inserting into a
+        builder's insert machinery (the artifact records no ``M`` or
+        ``ef_construction`` to insert with).  To keep inserting into a
         persisted store, use the durability layer instead: construct with
         ``wal_dir=`` and restart via :func:`repro.durability.recover`,
         which rebuilds an insert-capable index from snapshot + WAL.
         """
-        path = pathlib.Path(path)
         frozen = load_index(path, memmap_dir=memmap_dir)
         store = cls(frozen.dc.dim, frozen.dc.metric, **settings)
-        payloads = {}
-        sidecar = path.with_suffix(".payloads.json")
-        if sidecar.exists():
-            payloads = {int(k): v for k, v in
-                        json.loads(sidecar.read_text()).items()}
-        store._adopt_index(frozen, payloads)
+        store._adopt_index(frozen)
         return store

@@ -775,19 +775,23 @@ class TestSchedulerLifecycle:
 
     def test_save_is_atomic(self, tmp_path):
         store = VectorStore(dim=8, seed=0)
-        store.add(_vectors(30))
+        store.add(_vectors(30), payloads=[{"i": i} for i in range(30)])
         store.build()
         path = store.save(tmp_path / "index.npz")
         first = path.read_bytes()
+        store.add(_vectors(2, seed=1), payloads=["new", "new"])
         plan = FaultPlan().on("snapshot.pre_replace", "raise")
         with FAULTS.injected(plan):
             with pytest.raises(FaultInjected):
                 store.save(path)
         assert path.read_bytes() == first  # previous artifact intact
         assert not list(tmp_path.glob("*.tmp"))
-        # Payload sidecar is written atomically too.
-        sidecar = path.with_suffix(".payloads.json")
-        assert json.loads(sidecar.read_text()) == {}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["index.npz"]
+        # The payloads live inside the artifact: the old ones survive with it.
+        loaded = VectorStore.load(path)
+        assert loaded.dc.size == 30
+        assert loaded._payloads == {i: {"i": i} for i in range(30)}
+        loaded.close()
 
 
 class TestFaultRegistry:

@@ -8,8 +8,8 @@ and extra edges in insertion order with bit-identical EH tags.  The flows are
 whole builds of every graph family, then fitting, online fixing (NGFix and
 RFix), delete → compact → repair, inserts and a partial rebuild's
 ``drop_extra_fraction``, and last an ``io.save_index`` / ``load_index``
-round trip whose file must hold the arrays the parent's per-node loop
-wrote.
+round trip whose file must hold the store's arrays: row by row, the list/dict
+store's base list, then its extras and their tags.
 """
 
 import numpy as np
@@ -47,23 +47,26 @@ def _graph(adjacency):
             sorted(adjacency.tombstones), sorted(adjacency.removed))
 
 
-def _parent_arrays(adjacency) -> dict:
-    """The edge arrays ``save_index`` wrote before the slab was the store:
-    its per-node loop over the base lists and extra dicts."""
-    indptr = np.zeros(adjacency.n_nodes + 1, dtype=np.int64)
-    indices, extra_u, extra_v, extra_eh = [], [], [], []
-    for u in range(adjacency.n_nodes):
-        base = adjacency.base_neighbors(u)
-        indices.extend(base)
-        indptr[u + 1] = indptr[u] + len(base)
-        for v, eh in adjacency.extra_neighbors(u).items():
-            extra_u.append(u)
-            extra_v.append(v)
-            extra_eh.append(eh)
-    return dict(indptr=indptr, indices=np.array(indices, dtype=np.int64),
-                extra_u=np.array(extra_u, dtype=np.int64),
-                extra_v=np.array(extra_v, dtype=np.int64),
-                extra_eh=np.array(extra_eh, dtype=np.float64))
+def _assert_file_holds_rows(saved, adjacency) -> None:
+    """The saved slab, tags, degree and base count are the list/dict
+    store's rows: each row's base list, then its extras in insertion order
+    with bit-identical tags; the slab is cut to the widest row."""
+    rows = [(adjacency.base_neighbors(u), adjacency.extra_neighbors(u))
+            for u in range(adjacency.n_nodes)]
+    degree = [len(base) + len(extras) for base, extras in rows]
+    for name, dtype in (("slab", np.int32), ("eh", np.float64),
+                        ("degree", np.int32), ("base_count", np.int32),
+                        ("tombstones", np.int64), ("removed", np.int64)):
+        assert saved[name].dtype == dtype, name
+    assert saved["slab"].shape == saved["eh"].shape == (len(rows), max(degree))
+    assert saved["degree"].tolist() == degree
+    assert saved["base_count"].tolist() == [len(base) for base, _ in rows]
+    for u, (base, extras) in enumerate(rows):
+        assert saved["slab"][u, :degree[u]].tolist() == base + list(extras), u
+        assert ([float(eh).hex() for eh in saved["eh"][u, len(base):degree[u]]]
+                == [float(eh).hex() for eh in extras.values()]), u
+    assert saved["tombstones"].tolist() == sorted(adjacency.tombstones)
+    assert saved["removed"].tolist() == sorted(adjacency.removed)
 
 
 _BUILDS = {
@@ -125,9 +128,7 @@ def test_fixing_and_maintenance_are_edge_for_edge_equal(tiny_ds, tmp_path):
 
     path = save_index(out, tmp_path / "twin")
     with np.load(path) as saved:
-        for name, expected in _parent_arrays(ref.adjacency).items():
-            assert saved[name].dtype == expected.dtype, name
-            np.testing.assert_array_equal(saved[name], expected, err_msg=name)
+        _assert_file_holds_rows(saved, ref.adjacency)
     with reference_executor():
         loaded = load_index(path)
     assert _graph(loaded.adjacency) == _graph(ref.adjacency)
