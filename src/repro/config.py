@@ -24,6 +24,11 @@ from repro.utils.validation import check_positive
 #: as JSON, rewritten whenever a setting changes at runtime.
 CONFIG_NAME = "store-config.json"
 
+#: The settings a saved graph fixes — its vectors' geometry and the degree
+#: budget and beam it was built, and keeps inserting, with — which
+#: ``VectorStore.load`` and ``recover()`` refuse to override.
+GRAPH_FIELDS = frozenset({"dim", "metric", "M", "ef_construction"})
+
 
 def _coerce_fix_config(value) -> FixConfig:
     if isinstance(value, FixConfig):

@@ -32,7 +32,7 @@ from repro.core.escape_hardness import escape_hardness
 from repro.core.ngfix import FixOutcome, ngfix_query
 from repro.core.rfix import RFixOutcome, rfix_query
 from repro.evalx.ground_truth import compute_ground_truth
-from repro.graphs.base import GraphIndex, live_graph_engine, medoid_id
+from repro.graphs.base import GraphIndex, live_graph_engine
 from repro.graphs.search import BatchSearchEngine, SearchResult
 from repro.utils.rng_utils import ensure_rng
 from repro.utils.validation import check_matrix
@@ -97,13 +97,23 @@ class QueryFixRecord:
 
 
 class NGFixer:
-    """Dynamically detect and fix graph defects around (historical) queries."""
+    """Dynamically detect and fix graph defects around (historical) queries.
+
+    ``records`` holds the last :meth:`fit`'s per-query records (Fig. 13);
+    the totals over every fit and online :meth:`fix_query` are running
+    counts (``queries_fixed``, ``edges_added`` — NGFix and RFix edges —
+    ``rfix_edges`` and ``edges_evicted``), so online fixing holds no
+    history.
+    """
 
     def __init__(self, index: GraphIndex, config: FixConfig | None = None):
         self.index = index
         self.config = config or FixConfig()
-        self.entry = medoid_id(index.dc)
         self.records: list[QueryFixRecord] = []
+        self.queries_fixed = 0
+        self.edges_added = 0
+        self.rfix_edges = 0
+        self.edges_evicted = 0
         self.preprocess_seconds = 0.0
         self.fix_seconds = 0.0
         # Distance computations spent obtaining per-query ground truth; the
@@ -122,6 +132,11 @@ class NGFixer:
     @property
     def adjacency(self):
         return self.index.adjacency
+
+    @property
+    def entry(self) -> int:
+        """The index's navigating node, where every search and RFix starts."""
+        return self.index.medoid()
 
     def entry_points(self, query: np.ndarray) -> list[int]:
         return [self.entry]
@@ -146,8 +161,10 @@ class NGFixer:
         """Index statistics plus fixing totals."""
         out = self.index.stats()
         out.update(
-            queries_fixed=len({r.query_index for r in self.records}),
-            total_edges_added=sum(r.edges_added + r.rfix_edges for r in self.records),
+            queries_fixed=self.queries_fixed,
+            total_edges_added=self.edges_added,
+            rfix_edges=self.rfix_edges,
+            edges_evicted=self.edges_evicted,
             preprocess_seconds=self.preprocess_seconds,
             fix_seconds=self.fix_seconds,
         )
@@ -229,7 +246,7 @@ class NGFixer:
                 max_rounds=config.rfix_max_rounds,
                 visited=self.index._visited,
             )
-        record = QueryFixRecord(
+        return self._tally(QueryFixRecord(
             query_index=query_index,
             round_k=round_k,
             hardness=eh.hardness_score(),
@@ -238,8 +255,13 @@ class NGFixer:
             edges_evicted=len(outcome.edges_evicted),
             rfix_needed=rfix_out.needed_fix,
             rfix_edges=len(rfix_out.edges_added),
-        )
-        self.records.append(record)
+        ))
+
+    def _tally(self, record: QueryFixRecord) -> QueryFixRecord:
+        """Add ``record``'s edges to the running totals."""
+        self.edges_added += record.edges_added + record.rfix_edges
+        self.rfix_edges += record.rfix_edges
+        self.edges_evicted += record.edges_evicted
         return record
 
     def fit(self, queries: np.ndarray, use_ngfix: bool = True) -> "NGFixer":
@@ -247,9 +269,11 @@ class NGFixer:
 
         Per round, the whole batch is preprocessed at once (exact ground
         truth spreads its blocks over the process's thread pool), then the
-        queries are fixed one after the other in order.
+        queries are fixed one after the other in order.  :attr:`records`
+        becomes this fit's records.
         """
         queries = check_matrix(queries, "queries")
+        self.records = []
         for round_k in self.config.rounds:
             n_neighbors = self.config.k_max(round_k)
             start = time.perf_counter()
@@ -260,16 +284,16 @@ class NGFixer:
             self.preprocess_seconds += time.perf_counter() - start
 
             start = time.perf_counter()
+            fix = self._fix_one if use_ngfix else self._rfix_only
             for i, query in enumerate(queries):
-                if use_ngfix:
-                    self._fix_one(i, query, ids[i], dists[i], round_k)
-                else:  # RFix-only mode for ablations
-                    self._rfix_only(i, query, ids[i], dists[i], round_k)
+                self.records.append(fix(i, query, ids[i], dists[i], round_k))
             self.fix_seconds += time.perf_counter() - start
+        self.queries_fixed += queries.shape[0]
         return self
 
-    def _rfix_only(self, query_index: int, query: np.ndarray, nn_ids, nn_distances,
-                   round_k: int) -> None:
+    def _rfix_only(self, query_index: int, query: np.ndarray, nn_ids,
+                   nn_distances, round_k: int) -> QueryFixRecord:
+        """RFix alone (the ablations' mode): no EH, no NGFix edges."""
         search_ef = self.config.rfix_search_ef or round_k
         rfix_out = rfix_query(
             self.adjacency, self.dc, query, nn_ids[:round_k],
@@ -279,7 +303,7 @@ class NGFixer:
             max_rounds=self.config.rfix_max_rounds,
             visited=self.index._visited,
         )
-        self.records.append(QueryFixRecord(
+        return self._tally(QueryFixRecord(
             query_index=query_index, round_k=round_k, hardness=0.0,
             unreachable_pairs=0, edges_added=0, edges_evicted=0,
             rfix_needed=rfix_out.needed_fix, rfix_edges=len(rfix_out.edges_added),
@@ -293,6 +317,8 @@ class NGFixer:
         over the base per query); the ``FixConfig`` a
         :class:`~repro.config.StoreConfig` coerces by default uses
         ``"approx"``, which is what makes a store's online fixing cheap.
+        Returns the query's records, one per round; they go into the
+        running totals, not into :attr:`records`.
         """
         query = np.asarray(query, dtype=np.float32)
         records = []
@@ -307,4 +333,5 @@ class NGFixer:
             start = time.perf_counter()
             records.append(self._fix_one(-1, query, ids[0], dists[0], round_k))
             self.fix_seconds += time.perf_counter() - start
+        self.queries_fixed += 1
         return records

@@ -26,7 +26,6 @@ from repro.core.escape_hardness import escape_hardness
 from repro.core.fixer import NGFixer
 from repro.core.ngfix import ngfix_query
 from repro.distances import pairwise_distances
-from repro.graphs.base import medoid_id
 from repro.utils.rng_utils import ensure_rng
 from repro.utils.validation import check_fraction, check_matrix
 
@@ -91,16 +90,14 @@ class IndexMaintainer:
     # -- insertion ------------------------------------------------------------
 
     def insert(self, vectors: np.ndarray) -> list[int]:
-        """Insert vectors through the base graph's insertion algorithm."""
+        """Insert vectors through the base graph's insertion algorithm, in
+        one call (the index keeps its own entry point)."""
         vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float32))
         if not hasattr(self.fixer.index, "insert"):
             raise TypeError(
                 f"base index {type(self.fixer.index).__name__} does not "
                 "support incremental insertion")
-        ids = [self.fixer.index.insert(v) for v in vectors]
-        # The medoid drifts as data grows; re-elect the fixed entry (one
-        # search from the current one — the index never elects a dead row).
-        self.fixer.entry = self.fixer.index.medoid()
+        ids = self.fixer.index.insert(vectors)
         self._notify()
         return ids
 
@@ -205,11 +202,6 @@ class IndexMaintainer:
                 repaired += 1
 
         self.fixer.adjacency.tombstones.clear()
-        # Entry point may have been deleted; re-elect among the survivors
-        # (adjacency.removed covers this round and every earlier one).
-        if self.fixer.entry in deleted:
-            self.fixer.entry = medoid_id(self.fixer.dc,
-                                         self.fixer.adjacency.removed)
         self.last_compaction_seconds = time.perf_counter() - start
         self._notify()
         return {

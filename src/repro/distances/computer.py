@@ -200,7 +200,7 @@ class DistanceComputer:
     def centroid(self) -> np.ndarray:
         """Mean of the stored rows (float32).  The first call sums the
         matrix; from then on :meth:`append` keeps the float64 sum running,
-        so re-electing an entry after an insert costs O(d), not O(n·d)."""
+        so the centroid after an insert costs O(d), not O(n·d)."""
         if self._row_sum is None:
             self._row_sum = self._data.sum(axis=0, dtype=np.float64)
         return (self._row_sum / self.size).astype(np.float32)

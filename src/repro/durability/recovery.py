@@ -20,10 +20,10 @@
    tombstoned or compacted) and surface the outcome as a
    :class:`RecoveryReport`.
 
-Snapshots are loaded as :class:`ReplayableIndex` — a
-:class:`~repro.io.FrozenIndex` extended with the live store's bottom-layer
-insertion routine — so a recovered store accepts new writes, unlike a plain
-``VectorStore.load()`` store.
+A snapshot loads as the :class:`~repro.graphs.hnsw.HNSW` it was saved
+from (:func:`~repro.io.load_index`): the file fixes its ``M``,
+``ef_construction`` and navigating node, so replayed and post-recovery
+inserts are the live store's.
 """
 
 from __future__ import annotations
@@ -33,13 +33,10 @@ import json
 import pathlib
 import time
 
-import numpy as np
-
-from repro.config import CONFIG_NAME, StoreConfig
+from repro.config import CONFIG_NAME, GRAPH_FIELDS, StoreConfig
 from repro.durability.snapshot import SnapshotManager
 from repro.durability.wal import WriteAheadLog, read_wal
-from repro.graphs.insertion import BottomLayer
-from repro.io import FrozenIndex, load_index
+from repro.io import load_index
 from repro.obs import OBS, SECONDS_BUCKETS
 
 _RECOVERIES = OBS.counter(
@@ -55,24 +52,6 @@ _RECOVERY_SECONDS = OBS.histogram(
 
 class RecoveryError(RuntimeError):
     """Recovery cannot proceed (no snapshot and no replayable WAL)."""
-
-
-class ReplayableIndex(BottomLayer, FrozenIndex):
-    """A loaded snapshot that supports incremental insertion.
-
-    ``FrozenIndex`` is searchable but rejects writes; WAL replay (and any
-    post-recovery traffic) needs ``insert``.  Insertion here is the live
-    store's: :meth:`BottomLayer.insert <repro.graphs.insertion.BottomLayer.insert>`,
-    entered at the navigating node — which starts out as the snapshot's
-    entry, the live store's own at the checkpoint.
-    """
-
-    def __init__(self, data: np.ndarray, metric, entry: int, *,
-                 M: int, ef_construction: int):
-        super().__init__(data, metric, entry)
-        self.M0 = 2 * M
-        self.ef_construction = ef_construction
-        self._medoid, self._medoid_size = self.entry, self.dc.size
 
 
 @dataclasses.dataclass
@@ -109,8 +88,9 @@ def recover(wal_dir: str | pathlib.Path, *, replay_observes: bool = True,
     no longer knows, such as an old file's ``serving``, are ignored and keys
     an older version did not write take today's defaults).  ``overrides``
     are ``StoreConfig`` fields that replace the recorded ones for this
-    process (``recover(d, merge_every=64)``); ``dim``, ``metric`` (which
-    the directory's data fixes) or an unknown name raise ``TypeError``.
+    process (``recover(d, merge_every=64)``); ``dim``, ``metric``, ``M``,
+    ``ef_construction`` (which the directory's data and graph fix) or an
+    unknown name raise ``TypeError``.
     With ``attach_wal`` (default) the recovered store continues logging
     into the same WAL, so it is immediately crash-safe again; pass False
     for a read-mostly post-mortem load.
@@ -120,9 +100,10 @@ def recover(wal_dir: str | pathlib.Path, *, replay_observes: bool = True,
     """
     from repro.store import VectorStore  # deferred: store imports wal/snapshot
 
-    if overrides.keys() & {"dim", "metric"}:
-        raise TypeError("recover() cannot override dim or metric: the "
-                        "directory's data fixes them")
+    fixed = overrides.keys() & GRAPH_FIELDS
+    if fixed:
+        raise TypeError(f"recover() cannot override {sorted(fixed)}: the "
+                        "directory's data and graph fix them")
     t0 = time.perf_counter()
     wal_dir = pathlib.Path(wal_dir)
     config_path = wal_dir / CONFIG_NAME
@@ -130,9 +111,10 @@ def recover(wal_dir: str | pathlib.Path, *, replay_observes: bool = True,
 
     def shell_config(**geometry) -> StoreConfig:
         # A directory that lost its config file still recovers from a
-        # snapshot: ``geometry`` is the dim and metric the snapshot knows.
+        # snapshot: ``geometry`` is what the snapshot knows (dim, metric,
+        # and the graph's M and ef_construction).
         return dataclasses.replace(
-            StoreConfig.from_dict({**geometry, **stored}), **overrides)
+            StoreConfig.from_dict({**stored, **geometry}), **overrides)
 
     info = SnapshotManager(wal_dir).latest()
     if info is None and "dim" not in stored:
@@ -142,14 +124,10 @@ def recover(wal_dir: str | pathlib.Path, *, replay_observes: bool = True,
 
     errors: list[str] = []
     if info is not None:
-        def replayable(data, metric, entry):
-            config = shell_config(dim=data.shape[1], metric=metric)
-            return ReplayableIndex(data, metric, entry, M=config.M,
-                                   ef_construction=config.ef_construction)
-
-        index = load_index(info.path, index_cls=replayable)
+        index = load_index(info.path)
         store = VectorStore(**vars(shell_config(
-            dim=index.dc.dim, metric=index.dc.metric)))
+            dim=index.dc.dim, metric=index.dc.metric, M=index.M,
+            ef_construction=index.ef_construction)))
         # PQ codes are derived state, not journaled: a compressed store
         # re-fits them here.
         store._adopt_index(index)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import abc
 import copy
 
 import numpy as np
@@ -30,6 +29,11 @@ def medoid_id(dc: DistanceComputer, dead=None) -> int:
     return int(np.argmin(dists))
 
 
+#: The navigating node is re-elected once the row count has grown by
+#: 1 / _REELECT_GROWTH (an eighth) since its last election.
+_REELECT_GROWTH = 8
+
+
 def live_graph_engine(cached: BatchSearchEngine | None, index,
                       batch_size: int) -> BatchSearchEngine:
     """The exact batch engine over ``index``'s live graph, reusing ``cached``
@@ -50,19 +54,38 @@ def live_graph_engine(cached: BatchSearchEngine | None, index,
         excluded_fn=adjacency.excluded_ids, batch_size=batch_size)
 
 
-class GraphIndex(abc.ABC):
+class GraphIndex:
     """Common shell for all graph indexes.
 
     Subclasses populate ``self.adjacency`` (an :class:`AdjacencyStore` over
-    the bottom search layer) and implement :meth:`entry_points`.  Search runs
-    Algorithm 1 over the combined base+extra adjacency, honoring tombstones.
+    the bottom search layer).  Every search enters at :meth:`medoid`, the
+    one entry point the index owns.  Search runs Algorithm 1 over the
+    combined base+extra adjacency, honoring tombstones.
     """
+
+    #: The navigating node and the row count it was elected at.
+    _medoid: int | None = None
+    _medoid_size = 0
 
     def __init__(self, data: np.ndarray, metric: Metric | str):
         self.dc = DistanceComputer(data, metric)
         self.adjacency = AdjacencyStore(self.dc.size)
         self._visited = VisitedTable(self.dc.size)
         self._batch_engine: BatchSearchEngine | None = None
+
+    @classmethod
+    def restore(cls, data: np.ndarray, metric: Metric | str, arrays,
+                entry: int, elected_at: int) -> "GraphIndex":
+        """An index of this class holding saved state instead of a built
+        graph: ``arrays`` (the edge store's, by their
+        :meth:`~repro.graphs.adjacency.AdjacencyStore.arrays` names) go
+        into the store in one checked step, and ``entry`` is the navigating
+        node as elected over ``elected_at`` rows."""
+        index = cls.__new__(cls)
+        GraphIndex.__init__(index, data, metric)
+        index.adjacency.install(**arrays)
+        index._medoid, index._medoid_size = int(entry), int(elected_at)
+        return index
 
     @property
     def size(self) -> int:
@@ -76,9 +99,31 @@ class GraphIndex(abc.ABC):
     def metric(self) -> Metric:
         return self.dc.metric
 
-    @abc.abstractmethod
+    def medoid(self) -> int:
+        """The navigating node: the row nearest the base-data centroid.
+
+        Elected exactly (one :func:`medoid_id` scan, tombstoned and
+        compacted rows masked) when there is none yet, when compaction
+        removed it, and once the row count has grown by an eighth since the
+        last election (the centroid is a running sum over every row
+        appended, see ``DistanceComputer.centroid``).  A tombstoned entry
+        stays the entry: tombstoned nodes still navigate.
+        """
+        grown = self.dc.size - self._medoid_size
+        if (self._medoid is None or self._medoid in self.adjacency.removed
+                or _REELECT_GROWTH * grown >= self._medoid_size):
+            self._medoid = medoid_id(self.dc, self.adjacency.excluded_ids())
+            self._medoid_size = self.dc.size
+        return self._medoid
+
+    @property
+    def elected_at(self) -> int:
+        """The row count :meth:`medoid` last elected the navigating node at."""
+        return self._medoid_size
+
     def entry_points(self, query: np.ndarray) -> list[int]:
-        """Starting node ids for a (prepared) query."""
+        """Starting node ids for a (prepared) query: the navigating node."""
+        return [self.medoid()]
 
     def search(self, query: np.ndarray, k: int,
                ef: int | None = None) -> SearchResult:

@@ -23,7 +23,8 @@ from repro.utils.validation import check_positive
 class HNSW(BottomLayer, GraphIndex):
     """HNSW's bottom layer, built by
     :class:`~repro.graphs.insertion.BottomLayer`'s routine over the
-    adjacency store.
+    adjacency store — or restored from a saved file (:meth:`restore`, what
+    :func:`~repro.io.load_index` calls), inserting the same way.
 
     Parameters
     ----------
@@ -42,12 +43,24 @@ class HNSW(BottomLayer, GraphIndex):
         M: int = 16,
         ef_construction: int = 100,
     ):
-        check_positive(M, "M")
-        check_positive(ef_construction, "ef_construction")
         super().__init__(data, metric)
-        self.M = M
-        self.M0 = 2 * M
-        self.ef_construction = ef_construction
+        self._set_budget(M, ef_construction)
         # The build enters every insert at row 0, in one call; later inserts
         # enter at the navigating node (:meth:`BottomLayer.insert`).
         self._insert_rows(1, self.dc.size, [0])
+
+    @classmethod
+    def restore(cls, data, metric, arrays, entry, elected_at, *,
+                M: int, ef_construction: int) -> "HNSW":
+        """A saved HNSW, installed rather than built, that inserts with the
+        degree budget and beam it was built with."""
+        index = super().restore(data, metric, arrays, entry, elected_at)
+        index._set_budget(M, ef_construction)
+        return index
+
+    def _set_budget(self, M: int, ef_construction: int) -> None:
+        check_positive(M, "M")
+        check_positive(ef_construction, "ef_construction")
+        self.M = M
+        self.M0 = 2 * M
+        self.ef_construction = ef_construction

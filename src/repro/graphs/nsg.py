@@ -14,7 +14,7 @@ from collections import deque
 import numpy as np
 
 from repro.distances import Metric
-from repro.graphs.base import GraphIndex, medoid_id
+from repro.graphs.base import GraphIndex
 from repro.graphs.csr import CSRGraphView
 from repro.graphs.kgraph import brute_force_knn_graph
 from repro.graphs.pruning import mrng_prune
@@ -49,7 +49,6 @@ class NSG(GraphIndex):
         self.R = R
         self.L = max(L, R)
         self.knn_k = min(knn_k, self.size - 1)
-        self._medoid = medoid_id(self.dc)
         self._build()
 
     def _prune_rule(self, u: int, pool) -> list[int]:
@@ -71,7 +70,7 @@ class NSG(GraphIndex):
             knn.astype(np.int32).ravel())
         for u in range(self.size):
             result = greedy_search(
-                self.dc, knn_graph, [self._medoid], self.dc.data[u],
+                self.dc, knn_graph, [self.medoid()], self.dc.data[u],
                 k=self.L, ef=self.L, visited=self._visited,
                 collect_visited=True, prepared=True,
             )
@@ -102,8 +101,9 @@ class NSG(GraphIndex):
         """Spanning-tree step: link unreachable nodes from their nearest
         reached k-NN (or the medoid as a last resort), then re-expand."""
         reached = np.zeros(self.size, dtype=bool)
-        queue = deque([self._medoid])
-        reached[self._medoid] = True
+        medoid = self.medoid()
+        queue = deque([medoid])
+        reached[medoid] = True
         while queue:
             u = queue.popleft()
             for v in self.adjacency.neighbors(u):
@@ -114,7 +114,7 @@ class NSG(GraphIndex):
             if reached[u]:
                 continue
             anchors = [int(v) for v in knn[u] if reached[v]]
-            anchor = anchors[0] if anchors else self._medoid
+            anchor = anchors[0] if anchors else medoid
             self.adjacency.add_base_edge(anchor, u)
             # Everything reachable from u is now reachable from the tree.
             queue = deque([u])
@@ -125,10 +125,3 @@ class NSG(GraphIndex):
                     if not reached[v]:
                         reached[v] = True
                         queue.append(int(v))
-
-    def medoid(self) -> int:
-        """The fixed entry point."""
-        return self._medoid
-
-    def entry_points(self, query: np.ndarray) -> list[int]:
-        return [self._medoid]

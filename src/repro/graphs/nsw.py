@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.distances import Metric
-from repro.graphs.base import GraphIndex, medoid_id
+from repro.graphs.base import GraphIndex
 from repro.graphs.search import greedy_search
 from repro.utils.rng_utils import ensure_rng
 from repro.utils.validation import check_positive
@@ -45,7 +45,6 @@ class NSW(GraphIndex):
         self.f = f
         self.ef_construction = max(ef_construction, f)
         self._rng = ensure_rng(seed)
-        self._medoid: int | None = None
         order = self._rng.permutation(self.size)
         for i in order:
             self._insert(int(i))
@@ -66,11 +65,3 @@ class NSW(GraphIndex):
                 self.adjacency.add_base_edge(new_id, v)
                 self.adjacency.add_base_edge(v, new_id)
         self._inserted.append(new_id)
-
-    def medoid(self) -> int:
-        if self._medoid is None:
-            self._medoid = medoid_id(self.dc)
-        return self._medoid
-
-    def entry_points(self, query: np.ndarray) -> list[int]:
-        return [self.medoid()]

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.distances import Metric
 from repro.evalx.ground_truth import compute_ground_truth
-from repro.graphs.base import GraphIndex, medoid_id
+from repro.graphs.base import GraphIndex
 from repro.graphs.kgraph import brute_force_knn_graph
 from repro.graphs.pruning import rng_prune_backfill
 from repro.utils.validation import check_matrix, check_positive
@@ -63,7 +63,6 @@ class RoarGraph(GraphIndex):
         self.M = M
         self.n_query_neighbors = min(n_query_neighbors, self.size - 1)
         self.knn_k = min(knn_k, self.size - 1)
-        self._medoid = medoid_id(self.dc)
         train_queries = check_matrix(train_queries, "train_queries")
         self._build(train_queries)
 
@@ -112,8 +111,9 @@ class RoarGraph(GraphIndex):
 
     def _spanning_connect(self, knn: np.ndarray) -> None:
         reached = np.zeros(self.size, dtype=bool)
-        queue = deque([self._medoid])
-        reached[self._medoid] = True
+        medoid = self.medoid()
+        queue = deque([medoid])
+        reached[medoid] = True
         while queue:
             u = queue.popleft()
             for v in self.adjacency.neighbors(u):
@@ -124,7 +124,7 @@ class RoarGraph(GraphIndex):
             if reached[u]:
                 continue
             anchors = [int(v) for v in knn[u] if reached[v]]
-            anchor = anchors[0] if anchors else self._medoid
+            anchor = anchors[0] if anchors else medoid
             self.adjacency.add_base_edge(anchor, u)
             queue = deque([u])
             reached[u] = True
@@ -134,10 +134,3 @@ class RoarGraph(GraphIndex):
                     if not reached[v]:
                         reached[v] = True
                         queue.append(int(v))
-
-    def medoid(self) -> int:
-        """The fixed entry point."""
-        return self._medoid
-
-    def entry_points(self, query: np.ndarray) -> list[int]:
-        return [self._medoid]

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.distances import Metric
-from repro.graphs.base import GraphIndex, medoid_id
+from repro.graphs.base import GraphIndex
 from repro.graphs.pruning import alpha_prune
 from repro.graphs.search import greedy_search
 from repro.utils.rng_utils import ensure_rng
@@ -55,7 +55,6 @@ class Vamana(GraphIndex):
         self.L = max(L, R)
         self.alpha = alpha
         self._rng = ensure_rng(seed)
-        self._medoid = medoid_id(self.dc)
         self._build()
 
     def _random_init(self) -> None:
@@ -78,7 +77,7 @@ class Vamana(GraphIndex):
         for u in order:
             u = int(u)
             result = greedy_search(
-                self.dc, self.adjacency, [self._medoid],
+                self.dc, self.adjacency, [self.medoid()],
                 self.dc.data[u], k=self.L, ef=self.L, visited=self._visited,
                 collect_visited=True, prepared=True)
             pool = set(result.visited_ids.tolist())
@@ -100,13 +99,6 @@ class Vamana(GraphIndex):
         self._pass(1.0, order)
         if self.alpha > 1.0:
             self._pass(self.alpha, order)
-
-    def medoid(self) -> int:
-        """The fixed entry point."""
-        return self._medoid
-
-    def entry_points(self, query: np.ndarray) -> list[int]:
-        return [self._medoid]
 
 
 class RobustVamana(Vamana):
@@ -139,9 +131,6 @@ class RobustVamana(Vamana):
         # Navigator nodes route but are never returned (lazy-delete style).
         self.adjacency.tombstones.update(
             range(self.n_base, self.n_base + self.n_navigators))
-
-    def medoid(self) -> int:
-        return self._medoid
 
     def stats(self) -> dict:
         out = super().stats()

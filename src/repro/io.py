@@ -6,10 +6,13 @@ the edge store's own arrays (:meth:`AdjacencyStore.arrays
 <repro.graphs.adjacency.AdjacencyStore.arrays>`), and the metadata and
 payloads as JSON bytes — into a single uncompressed ``.npz`` file.
 
-The loaded object is a :class:`FrozenIndex`: fully searchable, usable as an
+The metadata holds the navigating node and the row count it was elected
+at, and for an :class:`~repro.graphs.hnsw.HNSW` its ``M`` and
+``ef_construction``: a file an ``HNSW`` wrote loads as an ``HNSW`` that
+inserts as the saved one would.  Every other family loads as a
+:class:`FrozenIndex`: fully searchable and usable as an
 :class:`~repro.core.fixer.NGFixer` base (so fixing can continue on a loaded
-index), but without the original builder's insert machinery.  Re-building is
-required to insert new points into a frozen index.
+index), but without an insert.
 """
 
 from __future__ import annotations
@@ -21,34 +24,25 @@ from typing import Any
 
 import numpy as np
 
-from repro.distances import Metric
 from repro.faults import FAULTS
 from repro.graphs.base import GraphIndex
+from repro.graphs.hnsw import HNSW
 
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 
 
 class FrozenIndex(GraphIndex):
-    """A searchable graph index reconstructed from a saved artifact."""
-
-    def __init__(self, data: np.ndarray, metric: Metric | str, entry: int):
-        super().__init__(data, metric)
-        self.entry = int(entry)
-        self.payloads: dict[int, Any] = {}  # by id, as the file holds them
-
-    def entry_points(self, query: np.ndarray) -> list[int]:
-        return [self.entry]
+    """A searchable graph index of a family without ``insert``,
+    reconstructed from a saved artifact."""
 
 
-def _resolve(obj) -> tuple[GraphIndex, int]:
-    """The index to save — ``obj``, or the ``.index`` of an NGFixer-like
-    wrapper — and its entry: ``obj.entry``, else the index's medoid."""
+def _resolve(obj) -> GraphIndex:
+    """The index to save: ``obj``, or the ``.index`` of an NGFixer-like
+    wrapper."""
     index = obj if isinstance(obj, GraphIndex) else getattr(obj, "index", None)
     if not isinstance(index, GraphIndex):
         raise TypeError(f"cannot save object of type {type(obj).__name__}")
-    if hasattr(obj, "entry"):
-        return index, int(obj.entry)
-    return index, int(index.medoid()) if hasattr(index, "medoid") else 0
+    return index
 
 
 def save_index(obj, path: str | pathlib.Path,
@@ -62,13 +56,16 @@ def save_index(obj, path: str | pathlib.Path,
     final name appears only via ``os.replace``, so a crash mid-save can
     never corrupt a previous good artifact at ``path``.
     """
-    index, entry = _resolve(obj)
+    index = _resolve(obj)
     path = pathlib.Path(path)
     if path.suffix != ".npz":
         path = path.with_suffix(path.suffix + ".npz")
 
     meta = {"format_version": _FORMAT_VERSION, "metric": index.metric.value,
-            "source_class": type(index).__name__, "entry": entry}
+            "source_class": type(index).__name__, "entry": index.medoid(),
+            "elected_at": index.elected_at}
+    if isinstance(index, HNSW):
+        meta.update(M=index.M, ef_construction=index.ef_construction)
     # Atomic publish: savez against an open handle (so numpy cannot append
     # a second .npz suffix to the tmp name), fsync, then one os.replace.
     tmp = path.with_name(path.name + ".tmp")
@@ -86,15 +83,11 @@ def save_index(obj, path: str | pathlib.Path,
     return path
 
 
-def load_index(path: str | pathlib.Path, index_cls=FrozenIndex,
-               memmap_dir: str | pathlib.Path | None = None) -> FrozenIndex:
-    """Reload a saved index as a searchable :class:`FrozenIndex` carrying
-    the file's ``payloads``.
-
-    ``index_cls`` optionally substitutes the reconstructed class — any
-    ``(data, metric, entry)`` callable returning a :class:`FrozenIndex`
-    subclass (recovery uses this to load snapshots as a
-    :class:`~repro.durability.recovery.ReplayableIndex`).
+def load_index(path: str | pathlib.Path,
+               memmap_dir: str | pathlib.Path | None = None) -> GraphIndex:
+    """Reload a saved index carrying the file's ``payloads``: an
+    :class:`~repro.graphs.hnsw.HNSW` that inserts for a file an ``HNSW``
+    wrote, a searchable :class:`FrozenIndex` for any other family.
 
     The graph arrays go into the index's store in one checked step
     (:meth:`~repro.graphs.adjacency.AdjacencyStore.install`): a corrupt
@@ -112,17 +105,25 @@ def load_index(path: str | pathlib.Path, index_cls=FrozenIndex,
         if meta.get("format_version") != _FORMAT_VERSION:
             raise ValueError(
                 f"unsupported index format {meta.get('format_version')!r}")
-        data, slab = file["data"], file["slab"]
+        data = file["data"]
+        arrays = {name: file[name] for name in (
+            "slab", "eh", "degree", "base_count", "tombstones", "removed")}
+        n = data.shape[0]
         if (data.dtype != np.float32 or data.ndim != 2
-                or data.shape[:1] != slab.shape[:1]):
+                or data.shape[:1] != arrays["slab"].shape[:1]):
             raise ValueError(f"data: expected float32 rows, one per slab "
                              f"row; got {data.dtype} of shape {data.shape}")
-        if not 0 <= meta["entry"] < data.shape[0]:
-            raise ValueError(f"entry: {meta['entry']} outside "
-                             f"[0, {data.shape[0]})")
-        index = index_cls(data, meta["metric"], meta["entry"])
-        index.adjacency.install(slab, *(file[name] for name in (
-            "eh", "degree", "base_count", "tombstones", "removed")))
+        if not 0 <= meta["entry"] < n:
+            raise ValueError(f"entry: {meta['entry']} outside [0, {n})")
+        if not 1 <= meta["elected_at"] <= n:
+            raise ValueError(f"elected_at: {meta['elected_at']} outside "
+                             f"[1, {n}]")
+        cls, budget = FrozenIndex, {}
+        if "M" in meta:  # an HNSW wrote it
+            cls, budget = HNSW, {"M": meta["M"],
+                                 "ef_construction": meta["ef_construction"]}
+        index = cls.restore(data, meta["metric"], arrays, meta["entry"],
+                            meta["elected_at"], **budget)
         payloads = json.loads(bytes(file["payloads"]).decode())
     if not isinstance(payloads, dict):
         raise ValueError("payloads: expected a JSON object")

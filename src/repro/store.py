@@ -23,7 +23,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.config import CONFIG_NAME, StoreConfig
+from repro.config import CONFIG_NAME, GRAPH_FIELDS, StoreConfig
 from repro.core.fixer import NGFixer
 from repro.core.maintenance import IndexMaintainer
 from repro.distances import Metric
@@ -139,10 +139,10 @@ class VectorStore:
         """Add vectors (with optional per-vector payloads); returns ids.
 
         Before the first build, vectors accumulate and are indexed together;
-        afterwards each goes through HNSW's incremental insertion.  Stores
-        reloaded with :meth:`load` cannot insert (their graph is frozen —
-        see the :meth:`load` docstring); stores rebuilt by
-        :func:`repro.durability.recover` can.
+        afterwards the batch goes through HNSW's incremental insertion —
+        on a built, a :meth:`load`-ed or a recovered store alike.  A store
+        loaded from a file another graph family wrote has no insert
+        (``TypeError``).
 
         With a ``wal_dir``, the batch is journaled before this returns:
         an id you received back is an *acknowledged* write and survives a
@@ -153,14 +153,6 @@ class VectorStore:
             raise ValueError(f"expected dimension {self.dim}, got {vectors.shape[1]}")
         if payloads is not None and len(payloads) != vectors.shape[0]:
             raise ValueError("payloads length must match vectors")
-        if (self._fixer is not None
-                and not hasattr(self._fixer.index, "insert")):
-            raise RuntimeError(
-                f"this store serves a frozen {type(self._fixer.index).__name__} "
-                "(VectorStore.load() artifact) without HNSW builder state, so "
-                "add() is unavailable; rebuild from vectors, or restore "
-                "through repro.durability.recover() which loads snapshots "
-                "insert-capable")
 
         if self._fixer is None:
             first_id = sum(v.shape[0] for v in self._pending)
@@ -451,7 +443,6 @@ class VectorStore:
         """Install a loaded index (load()/recovery) and the payloads it
         carries as the store's own."""
         self._fixer = NGFixer(index, self.fix_config)
-        self._fixer.entry = index.entry
         self._maintainer = IndexMaintainer(
             self._fixer, np.empty((0, index.dc.dim), dtype=np.float32))
         self._payloads = index.payloads
@@ -568,10 +559,11 @@ class VectorStore:
     def load(cls, path: str | pathlib.Path, *,
              memmap_dir: str | pathlib.Path | None = None,
              **settings) -> "VectorStore":
-        """Reload a saved store for serving and repair — **not insertion**.
+        """Reload a saved store for serving, repair and insertion.
 
         ``settings`` are :class:`~repro.config.StoreConfig` fields other
-        than ``dim``/``metric`` (which the file fixes); e.g.
+        than ``dim``, ``metric``, ``M`` and ``ef_construction`` (which the
+        file fixes: ``TypeError``); e.g.
         ``compressed=True`` enables the PQ-resident hot path on the loaded
         store (codes are fitted and encoded at load time).  ``memmap_dir``
         spills the raw vectors next to the snapshot and serves them
@@ -579,17 +571,19 @@ class VectorStore:
         ``compressed`` the steady-state footprint is codes + graph, not
         vectors.
 
-        The loaded graph is a :class:`~repro.io.FrozenIndex`: search,
-        :meth:`observe`-driven repair, :meth:`delete`, and further
-        :meth:`save` calls all work, but :meth:`add` raises
-        ``RuntimeError`` because the frozen graph lacks the original
-        builder's insert machinery (the artifact records no ``M`` or
-        ``ef_construction`` to insert with).  To keep inserting into a
-        persisted store, use the durability layer instead: construct with
-        ``wal_dir=`` and restart via :func:`repro.durability.recover`,
-        which rebuilds an insert-capable index from snapshot + WAL.
+        The loaded graph is the :class:`~repro.graphs.hnsw.HNSW` the store
+        saved, with its navigating node, degree budget and beam, so
+        :meth:`add` inserts as the saved store would have.  A file another
+        graph family wrote loads as a :class:`~repro.io.FrozenIndex`, which
+        serves and repairs but has no insert.
         """
-        frozen = load_index(path, memmap_dir=memmap_dir)
-        store = cls(frozen.dc.dim, frozen.dc.metric, **settings)
-        store._adopt_index(frozen)
+        fixed = settings.keys() & GRAPH_FIELDS
+        if fixed:
+            raise TypeError(f"load() cannot override {sorted(fixed)}: the "
+                            "file fixes them")
+        index = load_index(path, memmap_dir=memmap_dir)
+        geometry = ({"M": index.M, "ef_construction": index.ef_construction}
+                    if isinstance(index, HNSW) else {})
+        store = cls(index.dc.dim, index.dc.metric, **geometry, **settings)
+        store._adopt_index(index)
         return store

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import CONFIG_NAME, StoreConfig
+from repro.config import CONFIG_NAME, GRAPH_FIELDS, StoreConfig
 from repro.core.fixer import FixConfig
 from repro.durability import (
     RecoveryError,
@@ -26,6 +26,8 @@ from repro.durability import (
 )
 from repro.durability.wal import _HEADER
 from repro.faults import FAULTS, FaultInjected, FaultPlan
+from repro.graphs import NSG
+from repro.io import save_index
 from repro.quantization.pq import ProductQuantizer
 from repro.store import VectorStore
 from tests.conftest import (NONDEFAULT_STORE_SETTINGS, OLD_TUNED_TABLE,
@@ -42,6 +44,9 @@ def _disarm_faults():
 def _vectors(n, dim=8, seed=0):
     return np.random.default_rng(seed).standard_normal((n, dim)).astype(
         np.float32)
+
+
+_FILE_FIXES = sorted(GRAPH_FIELDS)
 
 
 def _make_store(wal_dir, n=50, dim=8, seed=0, **kwargs):
@@ -500,12 +505,12 @@ class TestStoreConfig:
     @pytest.mark.parametrize(
         "field", [f.name for f in dataclasses.fields(StoreConfig)])
     def test_every_field_survives_load(self, tmp_path, field):
-        """``load`` takes every setting the file does not fix; ``dim`` and
-        ``metric`` come from the file."""
+        """``load`` takes every setting the file does not fix; ``dim``,
+        ``metric``, ``M`` and ``ef_construction`` come from the file."""
         settings = store_settings_with(field)
-        geometry = {name: settings.pop(name)
-                    for name in ("dim", "metric") if name in settings}
-        saved = VectorStore(**geometry, M=8, ef_construction=40)
+        geometry = {name: settings.pop(name) for name in _FILE_FIXES
+                    if name in settings}
+        saved = VectorStore(**geometry)
         saved.add(_vectors(60, geometry["dim"]))
         path = saved.build().save(tmp_path / "store")
         loaded = VectorStore.load(path, **settings)
@@ -516,7 +521,7 @@ class TestStoreConfig:
 
     @pytest.mark.parametrize("field", [
         f.name for f in dataclasses.fields(StoreConfig)
-        if f.name not in ("dim", "metric")])
+        if f.name not in _FILE_FIXES])
     def test_every_field_is_a_recover_override(self, tmp_path, field):
         store = _make_store(tmp_path / "wal", n=40)
         store.close()
@@ -530,13 +535,29 @@ class TestStoreConfig:
             recovered.close()
 
     @pytest.mark.parametrize("bad", [{"dim": 12}, {"metric": "l2"},
+                                     {"M": 8}, {"ef_construction": 50},
                                      {"serving": False}],
                              ids=lambda bad: next(iter(bad)))
     def test_recover_rejects_fixed_and_unknown_overrides(self, tmp_path,
                                                          bad):
+        """The snapshot's graph was built with the store's ``M`` and
+        ``ef_construction``: inserting into it with others would mix two
+        degree budgets in one graph."""
         _make_store(tmp_path / "wal", n=40).close()
         with pytest.raises(TypeError):
             recover(tmp_path / "wal", **bad)
+
+    @pytest.mark.parametrize("fixed", _FILE_FIXES)
+    def test_load_rejects_what_the_file_fixes(self, tmp_path, fixed):
+        saved = VectorStore(dim=8, M=4, ef_construction=20)
+        saved.add(_vectors(30))
+        path = saved.build().save(tmp_path / "store")
+        with pytest.raises(TypeError, match=fixed):
+            VectorStore.load(path, **{fixed: NONDEFAULT_STORE_SETTINGS[fixed]})
+        loaded = VectorStore.load(path)
+        assert (loaded.config.M, loaded.config.ef_construction) == (4, 20)
+        index = loaded._fixer.index
+        assert (index.M0, index.ef_construction) == (8, 20)
 
     def test_unknown_keys_ignored_missing_keys_defaulted(self):
         config = StoreConfig.from_dict({"dim": 8, "serving": False,
@@ -761,13 +782,14 @@ class TestSchedulerLifecycle:
         store.close()
 
     def test_frozen_load_add_raises_clear_error(self, tmp_path):
-        store = VectorStore(dim=8, seed=0)
-        store.add(_vectors(30))
-        store.build()
-        path = store.save(tmp_path / "index.npz")
+        """A file another graph family wrote loads frozen: ``add`` names
+        the class that cannot insert, and nothing was written."""
+        path = save_index(NSG(_vectors(30), "cosine", R=8, L=16, knn_k=8),
+                          tmp_path / "index.npz")
         loaded = VectorStore.load(path)
-        with pytest.raises(RuntimeError, match="recover"):
+        with pytest.raises(TypeError, match="FrozenIndex"):
             loaded.add(_vectors(1))
+        assert loaded.dc.size == 30
         # Everything else still works on the frozen store.
         assert len(loaded.search(_vectors(1, seed=1)[0], k=5)) == 5
         loaded.delete([0])

@@ -81,6 +81,25 @@ class TestFitting:
         assert len(records) == 1
         assert records[0].query_index == -1
 
+    def test_online_fixes_keep_no_history(self, fixer, tiny_ds):
+        """Two fits of 10 queries and 30 online fixes: 50 queries fixed,
+        every edge counted once, and only the last fit's records held."""
+        queries = tiny_ds.train_queries
+        fixer.fit(queries[:10])
+        every = list(fixer.records)
+        for q in queries[10:40]:
+            every += fixer.fix_query(q)
+        fixer.fit(queries[40:50])
+        every += fixer.records
+        stats = fixer.stats()
+        assert stats["queries_fixed"] == 50
+        assert [r.query_index for r in fixer.records] == list(range(10))
+        assert stats["total_edges_added"] == sum(
+            r.edges_added + r.rfix_edges for r in every)
+        assert stats["rfix_edges"] == sum(r.rfix_edges for r in every)
+        assert stats["edges_evicted"] == sum(r.edges_evicted for r in every)
+        assert stats["total_edges_added"] > 0
+
     def test_search_protocol(self, fixer, tiny_ds):
         r = fixer.search(tiny_ds.test_queries[0], k=5, ef=20)
         assert len(r.ids) == 5

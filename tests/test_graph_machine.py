@@ -6,7 +6,8 @@ drives a single-layer :class:`~repro.graphs.HNSW` (the ``GraphIndex``), the
 :class:`~repro.core.maintenance.IndexMaintainer` through ``add``,
 ``delete`` (any live row, or the navigating node itself), ``fit``,
 ``fix_query``, ``compact``, ``search`` and ``search_batch`` at beam widths
-1 and 8, and checks after every step:
+1 and 8, and ``save_and_reload`` (the run carries on over
+``load_index(save_index(...))``), and checks after every step:
 
 - no deleted id is ever returned;
 - a search wide enough to see every row (``ef`` above the row count, a
@@ -14,8 +15,11 @@ drives a single-layer :class:`~repro.graphs.HNSW` (the ``GraphIndex``), the
   inserted id is findable by its own vector;
 - the native and reference executors agree under ``tie_tolerant_equal``;
 - no slab row names a node twice;
-- every extra edge carries a tag, and every edge RFix added carries ∞.
+- every extra edge carries a tag, and every edge RFix added carries ∞;
+- the entry is never a compacted row.
 """
+
+import tempfile
 
 import numpy as np
 from hypothesis import HealthCheck, settings, strategies as st
@@ -28,6 +32,7 @@ from repro.core.maintenance import IndexMaintainer
 from repro.graphs import HNSW, native
 from repro.graphs.adjacency import EH_INFINITE
 from repro.graphs.search import BatchSearchEngine
+from repro.io import load_index, save_index
 from tests.conftest import reference_executor, tie_tolerant_equal
 
 DIM = 4
@@ -38,6 +43,15 @@ EF = 96
 MIN_LIVE = 6
 
 _SEED = st.integers(0, 2**16)
+
+
+def _stored(adjacency) -> tuple:
+    """Every edge with its EH tag, the tombstones and the removed ids."""
+    return ([adjacency.base_neighbors(u) for u in range(adjacency.n_nodes)],
+            [[(v, float(eh).hex())
+              for v, eh in adjacency.extra_neighbors(u).items()]
+             for u in range(adjacency.n_nodes)],
+            sorted(adjacency.tombstones), sorted(adjacency.removed))
 
 
 def _vector(seed: int) -> np.ndarray:
@@ -176,6 +190,24 @@ class GraphMachine(RuleBasedStateMachine):
         if width == 1:
             for q, a in zip(queries, self.fixer.search_batch(queries, k, EF)):
                 self._check(q, k, a)
+
+    @rule()
+    def save_and_reload(self):
+        """Restart from the file mid-run: the loaded index, with a fresh
+        fixer and maintainer over it, takes every later rule."""
+        saved = self.fixer.adjacency
+        with tempfile.TemporaryDirectory() as directory:
+            index = load_index(save_index(self.fixer, f"{directory}/graph"))
+        assert _stored(index.adjacency) == _stored(saved)
+        assert index.medoid() == self.fixer.entry
+        self.fixer = NGFixer(index, self.fixer.config)
+        self.maintainer = IndexMaintainer(
+            self.fixer, np.empty((0, DIM), dtype=np.float32),
+            compact_threshold=0.3)
+        if self.exact:  # every live row is found by an exhaustive search
+            found = self.fixer.search(np.zeros(DIM, np.float32),
+                                      k=len(self.model), ef=EF)
+            assert sorted(found.ids.tolist()) == self._live()
 
     # -- invariants -------------------------------------------------------------
 

@@ -69,7 +69,7 @@ class TestInsert:
         index = HNSW(tiny_ds.base[:200], tiny_ds.metric, M=8,
                      ef_construction=40)
         new_vec = tiny_ds.base[300]
-        new_id = index.insert(new_vec)
+        [new_id] = index.insert(new_vec)
         assert new_id == 200
         assert index.size == 201
         result = index.search(new_vec, k=1, ef=30)

@@ -13,7 +13,10 @@ it alone) is held off by a property test over insert/delete/compact
 interleaves.
 """
 
+import ast
 import contextlib
+import pathlib
+import tempfile
 from collections import deque
 
 import numpy as np
@@ -25,13 +28,14 @@ from repro.core.maintenance import IndexMaintainer
 from repro.datasets import CrossModalConfig, make_cross_modal_dataset
 from repro.distances import DistanceComputer, Metric
 from repro.durability import recover
-from repro.durability.recovery import ReplayableIndex
+from repro.durability import recovery
 from repro.evalx.ground_truth import compute_ground_truth
 from repro.graphs import HNSW, native
 from repro.graphs import base as graphs_base
-from repro.graphs import insertion
+from repro.graphs.insertion import BottomLayer
 from repro.graphs.pruning import _POOL_CAP
 from repro.graphs.search import VisitedTable
+from repro.io import FrozenIndex, load_index, save_index
 from repro.obs import OBS
 from repro.store import VectorStore
 from tests.conftest import reference_executor
@@ -465,8 +469,8 @@ def _vectors(n, dim=8, seed=0):
 
 class TestReplayEqualsLive:
     def test_recovered_inserts_are_the_live_stores(self, tmp_path):
-        """Snapshot, then inserts: the recovered store replays them through
-        ``ReplayableIndex`` and must rebuild the live store's edges."""
+        """Snapshot, then inserts: the recovered store replays them into the
+        snapshot's ``HNSW`` and must rebuild the live store's edges."""
         live = VectorStore(dim=8, seed=0, M=4, ef_construction=24,
                            scheduler_mode="inline", wal_dir=tmp_path)
         live.add(_vectors(60))
@@ -475,21 +479,29 @@ class TestReplayEqualsLive:
         for row in _vectors(25, seed=1):
             live.add(row)
         live.delete([3])
-        live.add(_vectors(4, seed=2))  # one batch: one re-election at its end
+        live.add(_vectors(4, seed=2))  # one batch: one insert call
         live.close()
         recovered, report = recover(tmp_path, attach_wal=False)
         assert report.consistent and report.replayed["insert"] == 26
-        assert isinstance(recovered._fixer.index, ReplayableIndex)
+        assert type(recovered._fixer.index) is HNSW
         assert (_edges(recovered._fixer.adjacency)
                 == _edges(live._fixer.adjacency))
         assert recovered._fixer.entry == live._fixer.entry
 
-    def test_hnsw_has_no_second_copy(self):
+    def test_hnsw_has_no_second_copy(self, tmp_path):
+        """Built, loaded and recovered are one class with one insert, and
+        the index is the one owner of its entry."""
         assert not hasattr(HNSW, "_select_neighbors")
         assert not hasattr(HNSW, "_shrink")
-        assert ReplayableIndex._insert_bottom is HNSW._insert_bottom
-        assert ReplayableIndex.insert is HNSW.insert
-        assert ReplayableIndex.medoid is HNSW.medoid
+        assert not hasattr(recovery, "ReplayableIndex")
+        loaded = load_index(save_index(HNSW(_vectors(30), "l2", M=4,
+                                            ef_construction=16), tmp_path / "h"))
+        assert type(loaded) is HNSW
+        assert (loaded.M0, loaded.ef_construction) == (8, 16)
+        assert HNSW.insert is BottomLayer.insert
+        for cls in (HNSW, BottomLayer, FrozenIndex):
+            assert not {"medoid", "entry_points"} & set(vars(cls)), cls
+        assert isinstance(vars(NGFixer)["entry"], property)
 
 
 # -- no silent fall back to the slow path ---------------------------------------
@@ -532,11 +544,9 @@ def _maintained(kind: str, n: int = 12) -> IndexMaintainer:
     started somewhere dead."""
     data = _vectors(n, dim=4, seed=7)
     hnsw = HNSW(data, "l2", M=24, ef_construction=64)
-    if kind == "replayable":
-        index = ReplayableIndex(data, "l2", hnsw.medoid(), M=24,
-                                ef_construction=64)
-        for u, neigh in enumerate(_edges(hnsw.adjacency)):
-            index.adjacency.set_base_neighbors(u, neigh)
+    if kind == "replayable":  # what recovery replays into: the saved HNSW
+        with tempfile.TemporaryDirectory() as directory:
+            index = load_index(save_index(hnsw, f"{directory}/hnsw"))
     else:
         index = hnsw
     fixer = NGFixer(index, FixConfig(k=3, rfix=False))
@@ -614,37 +624,122 @@ class TestNavigatingNode:
                                    untouched.data.mean(axis=0), rtol=1e-5,
                                    atol=1e-7)
 
-    def test_an_add_never_scans_every_row(self, tiny_ds, monkeypatch):
-        index = HNSW(tiny_ds.base[:300], tiny_ds.metric, M=8,
+    def test_an_add_scans_once_per_eighth_of_growth(self, tiny_ds,
+                                                      monkeypatch):
+        """At most one exact scan per ``ceil(n / 8)`` appended rows, and
+        each one elects ``medoid_id`` over the live rows: a tombstoned
+        entry navigates until the next election, which passes it over."""
+        index = HNSW(tiny_ds.base[:240], tiny_ds.metric, M=8,
                      ef_construction=40)
         fixer = NGFixer(index, FixConfig(k=5))
-        maintainer = IndexMaintainer(fixer, np.empty((0, index.dim)))
-        assert index.medoid() == fixer.entry  # the build's exact scan
+        maintainer = IndexMaintainer(fixer, np.empty((0, index.dim)),
+                                     compact_threshold=0.9)
+        exact = graphs_base.medoid_id
+        elections = []
 
-        def no_scan(*args, **kwargs):
-            raise AssertionError("exact medoid scan on the insert path")
+        def counted(dc, dead=None):
+            elections.append((dc.size, set(dead or ())))
+            return exact(dc, dead)
 
-        monkeypatch.setattr(insertion, "medoid_id", no_scan)
-        monkeypatch.setattr(graphs_base, "medoid_id", no_scan)
-        for row in tiny_ds.base[300:360]:
+        monkeypatch.setattr(graphs_base, "medoid_id", counted)
+        first = fixer.entry  # the first election
+        maintainer.delete([first, 7])
+        for row in tiny_ds.base[240:400]:
             maintainer.insert(row)
+            entry = fixer.entry
+            if len(elections) == 1:
+                assert entry == first  # a tombstone stays the entry
         monkeypatch.undo()
-        exact = graphs_base.medoid_id(index.dc)
+        sizes = [size for size, _ in elections]
+        assert sizes == [240, 270, 304, 342, 385]
+        for before, after in zip(sizes, sizes[1:]):
+            assert after - before == -(-before // 8)
+        assert all(dead == {first, 7} for _, dead in elections[1:])
+        assert fixer.entry != first
+        alive = np.setdiff1d(np.arange(index.dc.size), [first, 7])
         q = index.dc.prepare_query(index.dc.centroid())
-        d_exact, d_found = index.dc.to_query(np.array([exact, fixer.entry]), q)
-        assert fixer.entry == index.medoid()
-        assert d_found <= d_exact * 1.05 + 1e-6
+        dists = index.dc.to_query(alive, q)
+        # The last election saw the rows up to 385; 15 came after it.
+        assert index.elected_at == 385
+        assert fixer.entry in alive.tolist()
+        assert index.dc.to_query(np.array([fixer.entry]), q)[0] <= (
+            dists.min() * 1.05 + 1e-6)
 
     def test_a_dead_medoid_is_replaced_by_a_live_row(self, tiny_ds):
+        """A removed medoid is replaced by a live row; a tombstoned one
+        stays the entry, and searches through it return only live rows."""
         index = HNSW(tiny_ds.base[:200], tiny_ds.metric, M=8,
                      ef_construction=40)
         first = index.medoid()
         index.adjacency.tombstones.add(first)
+        assert index.medoid() == first
+        results = index.search_batch(tiny_ds.test_queries, k=10, ef=40)
+        assert all(len(r.ids) == 10 and first not in r.ids.tolist()
+                   for r in results)
+        index.adjacency.remove_node_edges({first})
+        index.adjacency.tombstones.clear()  # as compaction leaves them
         second = index.medoid()
         assert second != first
-        index.adjacency.remove_node_edges({first, second})
-        assert index.medoid() not in {first, second}
-        assert index.entry_points(tiny_ds.test_queries[0]) == [index.medoid()]
+        assert second == graphs_base.medoid_id(index.dc, {first})
+        assert index.entry_points(tiny_ds.test_queries[0]) == [second]
+        results = index.search_batch(tiny_ds.test_queries, k=10, ef=40)
+        assert all(len(r.ids) == 10 and first not in r.ids.tolist()
+                   for r in results)
+
+
+_ENTRY_NAMES = {"_medoid", "_medoid_size"}
+
+
+def _entry_writes(path: pathlib.Path, rel: str) -> list[tuple[str, str]]:
+    """``(where, what)`` for every assignment in ``path`` to ``_medoid``
+    or ``_medoid_size`` (a name or an attribute) or to an ``<obj>.entry``
+    attribute — plain, augmented, annotated, tuple or ``setattr`` — with
+    ``where`` its file and enclosing ``Class.function``."""
+    found = []
+
+    def written(node):
+        if isinstance(node, (ast.Tuple, ast.List)):
+            for element in node.elts:
+                yield from written(element)
+        elif isinstance(node, ast.Attribute) and (
+                node.attr in _ENTRY_NAMES or node.attr == "entry"):
+            yield node.attr
+        elif isinstance(node, ast.Name) and node.id in _ENTRY_NAMES:
+            yield node.id
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            scope = scope + [node.name]
+        names = []
+        if isinstance(node, ast.Assign):
+            names = [n for target in node.targets for n in written(target)]
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            names = list(written(node.target))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "setattr" and len(node.args) > 1
+              and isinstance(node.args[1], ast.Constant)
+              and node.args[1].value in _ENTRY_NAMES | {"entry"}):
+            names = [node.args[1].value]
+        found.extend((f"{rel}:{'.'.join(scope)}", name) for name in names)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(), rel), [])
+    return found
+
+
+def test_the_index_is_the_one_owner_of_its_entry():
+    """Nothing in ``src/repro`` outside ``graphs/base.py`` assigns the
+    navigating node: not ``_medoid``, not an ``.entry`` attribute.  The one
+    exception is the serving epoch's snapshot of it."""
+    root = pathlib.Path(graphs_base.__file__).parents[1]
+    writes = [w for path in sorted(root.rglob("*.py"))
+              for w in _entry_writes(path, path.relative_to(root).as_posix())]
+    owner = [w for w in writes if w[0].startswith("graphs/base.py:")]
+    assert {name for _, name in owner} == _ENTRY_NAMES  # the walk sees them
+    others = [w for w in writes if w not in owner]
+    assert others == [("serving.py:GraphEpoch.__init__", "entry")]
 
 
 # -- O(1) appends ---------------------------------------------------------------

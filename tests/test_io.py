@@ -4,11 +4,14 @@ A saved index is the edge store's own arrays; every test here that
 compares a loaded index with its source does so bit for bit — each row's
 base list, its extras with their EH tags (``float.hex``, ``inf`` included),
 ``degree``, ``base_count``, tombstones, removed ids, the entry and the
-payloads — and searches both on each executor.
+payloads — and searches both on each executor.  A file an ``HNSW`` wrote
+loads as an ``HNSW`` that keeps inserting; every other family loads as a
+``FrozenIndex``.
 """
 
 import contextlib
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -50,7 +53,9 @@ class TestRoundtrip:
                                              tmp_path):
         path = save_index(shared_hnsw, tmp_path / "hnsw")
         loaded = load_index(path)
-        assert isinstance(loaded, FrozenIndex)
+        assert type(loaded) is HNSW
+        assert ((loaded.M, loaded.M0, loaded.ef_construction)
+                == (shared_hnsw.M, shared_hnsw.M0, shared_hnsw.ef_construction))
         for q in tiny_ds.test_queries[:10]:
             a = shared_hnsw.search(q, k=5, ef=30)
             b = loaded.search(q, k=5, ef=30)
@@ -69,7 +74,7 @@ class TestRoundtrip:
         loaded = load_index(path)
         assert (loaded.adjacency.n_extra_edges()
                 == fixer.adjacency.n_extra_edges())
-        assert loaded.entry == fixer.entry
+        assert loaded.medoid() == fixer.entry
         # EH tags survive (including infinities from RFix)
         for u in range(loaded.adjacency.n_nodes):
             assert (loaded.adjacency.extra_neighbors(u)
@@ -112,19 +117,27 @@ class TestTheFileIsTheStore:
         index = _BUILDS[family](tiny_ds)
         index.adjacency.tombstones.update({2, 9})
         loaded = load_index(save_index(index, tmp_path / family))
+        assert type(loaded) is (HNSW if family == "hnsw" else FrozenIndex)
         assert _state(loaded.adjacency) == _state(index.adjacency)
-        assert loaded.entry == index.medoid()
+        assert loaded.medoid() == index.medoid()
+        assert loaded.elected_at == index.elected_at
         _same_search(index, loaded, tiny_ds.test_queries[:12])
 
     def test_fitted_and_compacted_hnsw_round_trips(self, tiny_ds, fresh_hnsw,
                                                    tmp_path):
+        """Compaction removed the medoid: the file's entry is the one
+        re-elected, and both an NGFixer over the loaded index and a loaded
+        store enter there, never at the removed row (whose searches find
+        nothing: it has no edges)."""
         fixer = NGFixer(fresh_hnsw, FixConfig(k=5, max_extra_degree=4,
                                               rfix_search_ef=1))
         fixer.fit(tiny_ds.train_queries[:40])
         maintainer = IndexMaintainer(fixer, tiny_ds.train_queries[40:60],
                                      compact_threshold=0.9, seed=0)
-        maintainer.delete([0, 5, fixer.entry, 17])
+        medoid = fixer.entry
+        maintainer.delete([0, 5, medoid, 17])
         maintainer.compact()
+        assert medoid in fixer.adjacency.removed
         maintainer.delete([3, 11])
         adjacency = fixer.adjacency
         tags = [eh for u in range(adjacency.n_nodes)
@@ -132,12 +145,20 @@ class TestTheFileIsTheStore:
         assert float("inf") in tags and np.isfinite(tags).any()
         assert adjacency.removed and adjacency.tombstones
 
-        loaded = load_index(save_index(fixer, tmp_path / "fit"))
+        path = save_index(fixer, tmp_path / "fit")
+        loaded = load_index(path)
         assert _state(loaded.adjacency) == _state(adjacency)
-        assert loaded.entry == fixer.entry
+        assert loaded.medoid() == fixer.entry != medoid
         refixer = NGFixer(loaded, fixer.config)
-        refixer.entry = loaded.entry  # as VectorStore adopts a loaded index
         _same_search(fixer, refixer, tiny_ds.test_queries)
+        store = VectorStore.load(path)
+        served = store.search_batch(tiny_ds.test_queries, k=5, ef=30)
+        want = fixer.search_batch(tiny_ds.test_queries, 5, 30)
+        assert all(len(r.ids) == 5 for r in served)
+        assert ([r.ids.tolist() for r in served]
+                == [r.ids.tolist() for r in want])
+        assert [r.ndc for r in served] == [r.ndc for r in want]
+        store.close()
 
     def test_one_row_without_edges(self, tiny_ds, tmp_path):
         index = HNSW(tiny_ds.base[:1], tiny_ds.metric, M=8, ef_construction=40)
@@ -167,7 +188,11 @@ class TestTheFileIsTheStore:
                 np.testing.assert_array_equal(saved[name], array, err_msg=name)
             assert saved["slab"].shape == (n, width)
             meta = json.loads(bytes(saved["meta"]).decode())
-        assert meta["format_version"] == 2
+        assert meta["format_version"] == 3
+        assert (meta["entry"], meta["elected_at"]) == (
+            fresh_hnsw.medoid(), fresh_hnsw.elected_at)
+        assert (meta["M"], meta["ef_construction"]) == (
+            fresh_hnsw.M, fresh_hnsw.ef_construction)
 
     def test_load_calls_no_edge_mutator(self, tiny_ds, fresh_hnsw, tmp_path,
                                         monkeypatch):
@@ -190,6 +215,13 @@ class TestTheFileIsTheStore:
         loaded = load_index(save_index(shared_hnsw, tmp_path / "p", payloads))
         assert loaded.payloads == payloads
         assert load_index(save_index(shared_hnsw, tmp_path / "q")).payloads == {}
+
+    def test_format_two_is_refused(self, shared_hnsw, tmp_path):
+        """Format 2 recorded neither ``M`` nor the election's row count."""
+        path = save_index(shared_hnsw, tmp_path / "v2")
+        _tamper(path, _set_meta(format_version=2))
+        with pytest.raises(ValueError, match="unsupported index format 2"):
+            load_index(path)
 
     def test_format_one_is_refused(self, shared_hnsw, tmp_path):
         path = save_index(shared_hnsw, tmp_path / "v1")
@@ -217,10 +249,10 @@ def _set(name, value):
     return edit
 
 
-def _meta_entry(entry):
+def _set_meta(**fields):
     def edit(arrays):
         meta = json.loads(bytes(arrays["meta"]).decode())
-        meta["entry"] = entry
+        meta.update(fields)
         arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), np.uint8)
     return edit
 
@@ -263,8 +295,10 @@ _CORRUPTIONS = {
     "removed past n": (_set("removed", lambda a: np.array([400], np.int64)),
                        "removed"),
     "removed dtype": (_set("removed", lambda a: np.array([1.0])), "removed"),
-    "entry past n": (_meta_entry(10_000), "entry"),
-    "negative entry": (_meta_entry(-1), "entry"),
+    "entry past n": (_set_meta(entry=10_000), "entry"),
+    "negative entry": (_set_meta(entry=-1), "entry"),
+    "elected_at past n": (_set_meta(elected_at=10_000), "elected_at"),
+    "elected_at zero": (_set_meta(elected_at=0), "elected_at"),
     "payloads not an object": (_set("payloads", lambda a: np.frombuffer(
         b"[1, 2]", np.uint8)), "payloads"),
 }
@@ -342,9 +376,41 @@ class TestStoreFiles:
         assert report.replayed["insert"] == 0
         index = recovered._fixer.index
         assert _state(index.adjacency) == _state(source.adjacency)
-        assert index.entry == entry
+        assert index.medoid() == entry
         assert recovered._payloads == {i: f"p{i}" for i in range(40)
                                        if i != 5}
         _same_search(source, index,
                      rng.standard_normal((6, 8)).astype(np.float32))
         recovered.close()
+
+    def test_live_loaded_and_recovered_stores_stay_equal(self, tmp_path):
+        """A saved, checkpointed store and its two restarts — ``load`` and
+        ``recover()`` — take the same adds, deletes (the entry among them)
+        and compactions, and end with one graph and one entry."""
+        rng = np.random.default_rng(2)
+        live = VectorStore(dim=8, seed=0, M=4, ef_construction=24,
+                           scheduler_mode="inline", wal_dir=tmp_path / "wal")
+        live.add(rng.standard_normal((80, 8)).astype(np.float32))
+        live.fit_history(rng.standard_normal((10, 8)).astype(np.float32))
+        path = live.save(tmp_path / "store")
+        live.checkpoint()
+        shutil.copytree(tmp_path / "wal", tmp_path / "copy")
+        recovered, report = recover(tmp_path / "copy")
+        assert report.consistent, report.errors
+        stores = [live, VectorStore.load(path, scheduler_mode="inline"),
+                  recovered]
+        for _ in range(3):
+            rows = rng.standard_normal((12, 8)).astype(np.float32)
+            doomed = [live._fixer.entry, int(rng.integers(80))]
+            compacted = [store.delete(doomed) for store in stores]
+            assert [store.add(rows) for store in stores] == [
+                list(range(stores[0].dc.size - 12, stores[0].dc.size))] * 3
+            assert len(set(compacted)) == 1
+        assert any(compacted) and live._fixer.adjacency.removed
+        for store in stores[1:]:
+            assert (_state(store._fixer.adjacency)
+                    == _state(live._fixer.adjacency))
+            assert store._fixer.entry == live._fixer.entry
+            assert store._fixer.entry not in live._fixer.adjacency.removed
+        for store in stores:
+            store.close()

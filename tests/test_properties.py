@@ -125,7 +125,7 @@ class TestMaintenanceProperties:
         extra = rng.standard_normal((n_inserts, 4)).astype(np.float32)
         index = HNSW(data, Metric.L2, M=6, ef_construction=25)
         for vec in extra:
-            new_id = index.insert(vec)
+            [new_id] = index.insert(vec)
             result = index.search(vec, k=1, ef=30)
             assert result.ids[0] == new_id
 
